@@ -1,10 +1,14 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the hot
 // paths — RNG, ECC codec, address packing, log grouping, feature
-// extraction, model inference and fleet generation. Not a paper table;
-// validates that the library is fast enough for fleet-scale use.
+// extraction, model load and inference, and fleet generation. Not a paper
+// table; validates that the library is fast enough for fleet-scale use.
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+#include <string>
+
 #include "analysis/labeler.hpp"
+#include "core/bank_profile.hpp"
 #include "core/crossrow.hpp"
 #include "core/features.hpp"
 #include "core/pattern_classifier.hpp"
@@ -162,6 +166,99 @@ void BM_ForestPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestPredict);
+
+/// The three RF models the engine serves, trained on the shared fleet, and
+/// their SaveModel bytes.
+struct ServedModels {
+  core::PatternClassifier classifier;
+  core::CrossRowPredictor single;
+  core::CrossRowPredictor double_row;
+  std::string saved[3];
+
+  explicit ServedModels(const hbm::TopologyConfig& topology)
+      : classifier(topology, ml::LearnerKind::kRandomForest),
+        single(topology, ml::LearnerKind::kRandomForest),
+        double_row(topology, ml::LearnerKind::kRandomForest) {}
+};
+
+const ServedModels& SharedServedModels() {
+  static const ServedModels* models = [] {
+    const hbm::TopologyConfig& topology = SharedFleet().topology;
+    analysis::PatternLabeler labeler(topology);
+    std::vector<core::LabelledBank> labelled;
+    std::vector<const trace::BankHistory*> singles, doubles;
+    for (const auto& bank : SharedBanks()) {
+      if (!bank.HasUer()) continue;
+      const hbm::FailureClass cls = labeler.LabelClass(bank);
+      labelled.push_back(core::LabelledBank{&bank, cls});
+      if (cls == hbm::FailureClass::kSingleRowClustering) {
+        singles.push_back(&bank);
+      } else if (cls == hbm::FailureClass::kDoubleRowClustering) {
+        doubles.push_back(&bank);
+      }
+    }
+    auto* trained = new ServedModels(topology);
+    Rng rng(3);
+    trained->classifier.Train(labelled, rng);
+    trained->single.Train(singles, rng);
+    trained->double_row.Train(doubles, rng);
+    const auto save = [](const auto& model) {
+      std::ostringstream out;
+      model.SaveModel(out);
+      return out.str();
+    };
+    trained->saved[0] = save(trained->classifier);
+    trained->saved[1] = save(trained->single);
+    trained->saved[2] = save(trained->double_row);
+    return trained;
+  }();
+  return *models;
+}
+
+/// A daemon boot's model load: the three RF models from their saved bytes,
+/// teardown included.
+void BM_LoadModel(benchmark::State& state) {
+  const ServedModels& models = SharedServedModels();
+  const hbm::TopologyConfig& topology = SharedFleet().topology;
+  for (auto _ : state) {
+    const ml::LearnerKind rf = ml::LearnerKind::kRandomForest;
+    core::PatternClassifier classifier(topology, rf);
+    core::CrossRowPredictor single(topology, rf);
+    core::CrossRowPredictor double_row(topology, rf);
+    std::istringstream pattern_in(models.saved[0]);
+    std::istringstream single_in(models.saved[1]);
+    std::istringstream double_in(models.saved[2]);
+    classifier.LoadModel(pattern_in);
+    single.LoadModel(single_in);
+    double_row.LoadModel(double_in);
+    benchmark::DoNotOptimize(classifier);
+    benchmark::DoNotOptimize(single);
+    benchmark::DoNotOptimize(double_row);
+  }
+  std::size_t bytes = 0;
+  for (const std::string& saved : models.saved) bytes += saved.size();
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_LoadModel)->Unit(benchmark::kMillisecond);
+
+/// The engine's per-anchor inference: 16 block probabilities from the
+/// single-row predictor at the last anchor of a real UER bank.
+void BM_CrossRowBlockProba(benchmark::State& state) {
+  const core::CrossRowPredictor& predictor = SharedServedModels().single;
+  const trace::BankHistory& bank = FirstUerBank();
+  const core::Anchor anchor = predictor.AnchorsOf(bank).back();
+  core::BankProfile profile;
+  for (const auto& e : bank.events) {
+    if (e.time_s > anchor.time_s) break;
+    profile.Observe(e);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        predictor.PredictBlockProbaFromProfile(profile, anchor));
+  }
+}
+BENCHMARK(BM_CrossRowBlockProba)->Unit(benchmark::kMicrosecond);
 
 void BM_FleetGeneration(benchmark::State& state) {
   hbm::TopologyConfig topology;

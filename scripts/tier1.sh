@@ -6,7 +6,8 @@
 # engine/profile/replay tests under AddressSanitizer so lifetime bugs in the
 # incremental per-bank state (profile snapshots, bounded retention eviction)
 # fail the run too (including the checkpoint durability torture suite —
-# truncation/bit-flip parsing is exactly where lifetime bugs would hide).
+# truncation/bit-flip parsing is exactly where lifetime bugs would hide — and
+# the model parser, which walks raw pointers over untrusted model bytes).
 # Then three smokes with the real daemon binaries: the durability drill (a
 # failpoint power-cuts cordial_serverd mid-checkpoint; the restart must end
 # byte-identical to an uninterrupted reference), the chain drill (same
@@ -68,7 +69,7 @@ else
     -DCORDIAL_BUILD_BENCHMARKS=OFF -DCORDIAL_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|StreamReplayer|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping)'
+    -R '^(BankProfile|PredictionEngine|StreamReplayer|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser)'
 fi
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then

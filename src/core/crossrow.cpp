@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/framing.hpp"
 #include "core/persist.hpp"
+#include "ml/token_cursor.hpp"
 
 namespace cordial::core {
 
@@ -188,18 +189,19 @@ void CrossRowPredictor::SaveModel(std::ostream& out) const {
 }
 
 void CrossRowPredictor::LoadModel(std::istream& in) {
-  std::istringstream payload(
-      ReadFramed(in, kCrossRowModelMagic, kModelFrameVersion));
+  const std::string payload =
+      ReadFramed(in, kCrossRowModelMagic, kModelFrameVersion);
+  ml::TokenCursor cursor(payload);
   // Reject a model whose feature layout disagrees with the extractor's —
   // it would parse cleanly and then mispredict from shifted columns.
-  ExpectToken(payload, "features");
-  const std::uint64_t saved = ReadU64Token(payload, "crossrow model features");
-  if (saved != extractor_.num_features()) {
+  cursor.Expect("features");
+  const std::int64_t saved = cursor.Int("crossrow model features");
+  if (saved != static_cast<std::int64_t>(extractor_.num_features())) {
     throw ParseError("crossrow model: feature count mismatch (model has " +
                      std::to_string(saved) + ", extractor expects " +
                      std::to_string(extractor_.num_features()) + ")");
   }
-  model_ = ml::LoadClassifier(payload);
+  model_ = ml::LoadClassifier(cursor, extractor_.num_features());
   trained_ = true;
 }
 

@@ -6,6 +6,7 @@
 #include "common/framing.hpp"
 #include "common/parallel.hpp"
 #include "core/persist.hpp"
+#include "ml/token_cursor.hpp"
 
 namespace cordial::core {
 
@@ -86,19 +87,20 @@ void PatternClassifier::SaveModel(std::ostream& out) const {
 }
 
 void PatternClassifier::LoadModel(std::istream& in) {
-  std::istringstream payload(
-      ReadFramed(in, kPatternModelMagic, kModelFrameVersion));
+  const std::string payload =
+      ReadFramed(in, kPatternModelMagic, kModelFrameVersion);
+  ml::TokenCursor cursor(payload);
   // A model trained against a different feature layout would not fail to
   // parse — it would silently read shifted columns and mispredict. Reject
   // it here, naming both counts.
-  ExpectToken(payload, "features");
-  const std::uint64_t saved = ReadU64Token(payload, "pattern model features");
-  if (saved != extractor_.num_features()) {
+  cursor.Expect("features");
+  const std::int64_t saved = cursor.Int("pattern model features");
+  if (saved != static_cast<std::int64_t>(extractor_.num_features())) {
     throw ParseError("pattern model: feature count mismatch (model has " +
                      std::to_string(saved) + ", extractor expects " +
                      std::to_string(extractor_.num_features()) + ")");
   }
-  model_ = ml::LoadClassifier(payload);
+  model_ = ml::LoadClassifier(cursor, extractor_.num_features());
   trained_ = true;
 }
 

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "ml/forest.hpp"
+#include "ml/token_cursor.hpp"
 
 namespace cordial::ml {
 
@@ -116,7 +116,8 @@ void GradientBoostedClassifier::Fit(const Dataset& train, Rng& rng) {
       RegressionTree tree(tree_options);
       tree.Fit(train, round_indices, grad, hess, rng, binner.get());
       ParallelFor(n, 0, [&](std::size_t i) {
-        scores[i * k + 1] += options_.learning_rate * tree.Predict(train.row(i));
+        scores[i * k + 1] +=
+            options_.learning_rate * tree.Leaf(train.row(i))[0];
       });
       trees_.push_back(std::move(tree));
       continue;
@@ -135,7 +136,8 @@ void GradientBoostedClassifier::Fit(const Dataset& train, Rng& rng) {
       RegressionTree tree(tree_options);
       tree.Fit(train, round_indices, grad, hess, rng, binner.get());
       ParallelFor(n, 0, [&](std::size_t i) {
-        scores[i * k + c] += options_.learning_rate * tree.Predict(train.row(i));
+        scores[i * k + c] +=
+            options_.learning_rate * tree.Leaf(train.row(i))[0];
       });
       trees_.push_back(std::move(tree));
     }
@@ -199,22 +201,21 @@ void GradientBoostedClassifier::Serialize(std::ostream& out) const {
     out << ' ' << buf;
   }
   out << '\n';
-  for (const RegressionTree& tree : trees_) tree.Serialize(out);
+  for (const RegressionTree& tree : trees_) tree.Write(out);
 }
 
-std::unique_ptr<GradientBoostedClassifier>
-GradientBoostedClassifier::Deserialize(std::istream& in) {
-  std::string token;
-  in >> token;
-  if (token != "gbdt") throw ParseError("booster: bad magic '" + token + "'");
-  in >> token;
-  if (token != "v1") throw ParseError("booster: unsupported version");
-  std::string name;
-  in >> token >> name;
-  long classes = 0, trees = 0;
-  double learning_rate = 0.0;
-  in >> token >> classes >> token >> learning_rate >> token >> trees;
-  if (!in || classes < 2 || trees < 1 || learning_rate <= 0.0) {
+std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Parse(
+    TokenCursor& in, std::size_t num_features) {
+  in.Expect("v1");
+  in.Expect("name");
+  const std::string name(in.Token());
+  in.Expect("classes");
+  const std::size_t classes = in.Count("booster classes", 1);
+  in.Expect("learning_rate");
+  const double learning_rate = in.Double("booster learning rate");
+  in.Expect("trees");
+  const std::size_t trees = in.Count("booster trees", 1);
+  if (name.empty() || classes < 2 || trees < 1 || !(learning_rate > 0.0)) {
     throw ParseError("booster: malformed header");
   }
   BoosterOptions options;
@@ -222,14 +223,11 @@ GradientBoostedClassifier::Deserialize(std::istream& in) {
   auto booster = std::make_unique<GradientBoostedClassifier>(
       name, options, /*histogram_leafwise=*/false);
   booster->num_classes_ = static_cast<int>(classes);
-  in >> token;  // "base"
-  booster->base_scores_.resize(static_cast<std::size_t>(classes));
-  for (double& s : booster->base_scores_) {
-    if (!(in >> s)) throw ParseError("booster: malformed base scores");
-  }
-  booster->trees_.reserve(static_cast<std::size_t>(trees));
-  for (long t = 0; t < trees; ++t) {
-    booster->trees_.push_back(RegressionTree::Deserialize(in));
+  in.Expect("base");
+  booster->base_scores_.resize(classes);
+  for (double& s : booster->base_scores_) s = in.Double("booster base score");
+  for (std::size_t t = 0; t < trees; ++t) {
+    booster->trees_.emplace_back().Parse(in, num_features);
   }
   return booster;
 }
@@ -241,12 +239,12 @@ std::vector<double> GradientBoostedClassifier::Scores(
   if (num_classes_ == 2) {
     // Binary fast path: all trees contribute to the class-1 score.
     for (const RegressionTree& tree : trees_) {
-      scores[1] += options_.learning_rate * tree.Predict(features);
+      scores[1] += options_.learning_rate * tree.Leaf(features)[0];
     }
     return scores;
   }
   for (std::size_t t = 0; t < trees_.size(); ++t) {
-    scores[t % k] += options_.learning_rate * trees_[t].Predict(features);
+    scores[t % k] += options_.learning_rate * trees_[t].Leaf(features)[0];
   }
   return scores;
 }
@@ -284,15 +282,18 @@ void SaveClassifier(const Classifier& model, std::ostream& out) {
   model.Serialize(out);
 }
 
-std::unique_ptr<Classifier> LoadClassifier(std::istream& in) {
-  // Peek the magic token without consuming it.
-  const auto start = in.tellg();
-  std::string magic;
-  if (!(in >> magic)) throw ParseError("classifier: empty stream");
-  in.seekg(start);
-  if (magic == "random_forest") return RandomForestClassifier::Deserialize(in);
-  if (magic == "gbdt") return GradientBoostedClassifier::Deserialize(in);
-  throw ParseError("classifier: unknown model type '" + magic + "'");
+std::unique_ptr<Classifier> LoadClassifier(TokenCursor& in,
+                                           std::size_t num_features) {
+  const std::string_view magic = in.Token();
+  if (magic == "random_forest") {
+    return RandomForestClassifier::Parse(in, num_features);
+  }
+  if (magic == "gbdt") {
+    return GradientBoostedClassifier::Parse(in, num_features);
+  }
+  if (magic.empty()) throw ParseError("classifier: empty stream");
+  throw ParseError("classifier: unknown model type '" + std::string(magic) +
+                   "'");
 }
 
 std::unique_ptr<Classifier> MakeClassifier(LearnerKind kind) {

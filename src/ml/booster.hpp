@@ -24,8 +24,10 @@ class GradientBoostedClassifier final : public Classifier {
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
   void Serialize(std::ostream& out) const override;
-  static std::unique_ptr<GradientBoostedClassifier> Deserialize(
-      std::istream& in);
+  /// Reads a saved booster whose magic token `in` has just consumed, its
+  /// trees built in place (see DecisionTree::Parse for what it rejects).
+  static std::unique_ptr<GradientBoostedClassifier> Parse(
+      TokenCursor& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<GradientBoostedClassifier>(*this);
   }

@@ -45,10 +45,15 @@ class Classifier {
   virtual std::unique_ptr<Classifier> Clone() const = 0;
 };
 
+class TokenCursor;
+
 /// Persist / restore a fitted classifier with a type tag, so deployment
-/// code can load whatever the training side produced.
+/// code can load whatever the training side produced. LoadClassifier parses
+/// the saved text at `in` straight into the trees, for a model that reads
+/// `num_features` features, and throws ParseError on anything malformed.
 void SaveClassifier(const Classifier& model, std::ostream& out);
-std::unique_ptr<Classifier> LoadClassifier(std::istream& in);
+std::unique_ptr<Classifier> LoadClassifier(TokenCursor& in,
+                                           std::size_t num_features);
 
 /// The three learner families from the paper.
 enum class LearnerKind {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <ostream>
 #include <string>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "ml/token_cursor.hpp"
 
 namespace cordial::ml {
 
@@ -63,9 +63,11 @@ void RandomForestClassifier::Fit(const Dataset& train, Rng& rng) {
 std::vector<double> RandomForestClassifier::PredictProba(
     std::span<const double> features) const {
   CORDIAL_CHECK_MSG(!trees_.empty(), "forest not fitted");
-  std::vector<double> avg(static_cast<std::size_t>(num_classes_), 0.0);
+  const auto k = static_cast<std::size_t>(num_classes_);
+  std::vector<double> avg(k, 0.0);
   for (const ClassificationTree& tree : trees_) {
-    tree.PredictProbaInto(features, avg);
+    const std::span<const double> leaf = tree.Leaf(features);
+    for (std::size_t c = 0; c < k; ++c) avg[c] += leaf[c];
   }
   for (double& p : avg) p /= static_cast<double>(trees_.size());
   return avg;
@@ -90,28 +92,25 @@ void RandomForestClassifier::Serialize(std::ostream& out) const {
   CORDIAL_CHECK_MSG(!trees_.empty(), "cannot serialize an unfitted forest");
   out << "random_forest v1\nclasses " << num_classes_ << " trees "
       << trees_.size() << "\n";
-  for (const ClassificationTree& tree : trees_) tree.Serialize(out);
+  for (const ClassificationTree& tree : trees_) tree.Write(out);
 }
 
-std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Deserialize(
-    std::istream& in) {
-  std::string token;
-  in >> token;
-  if (token != "random_forest") {
-    throw ParseError("forest: bad magic '" + token + "'");
-  }
-  in >> token;
-  if (token != "v1") throw ParseError("forest: unsupported version");
-  long classes = 0, trees = 0;
-  in >> token >> classes >> token >> trees;
-  if (!in || classes < 2 || trees < 1) {
-    throw ParseError("forest: malformed header");
-  }
+std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Parse(
+    TokenCursor& in, std::size_t num_features) {
+  in.Expect("v1");
+  in.Expect("classes");
+  const std::size_t classes = in.Count("forest classes", 1);
+  in.Expect("trees");
+  const std::size_t trees = in.Count("forest trees", 1);
+  if (classes < 2 || trees < 1) throw ParseError("forest: malformed header");
   auto forest = std::make_unique<RandomForestClassifier>();
   forest->num_classes_ = static_cast<int>(classes);
-  forest->trees_.reserve(static_cast<std::size_t>(trees));
-  for (long t = 0; t < trees; ++t) {
-    forest->trees_.push_back(ClassificationTree::Deserialize(in));
+  for (std::size_t t = 0; t < trees; ++t) {
+    forest->trees_.emplace_back().Parse(in, num_features);
+    if (forest->trees_.back().leaf_width() != classes) {
+      throw ParseError("forest: tree " + std::to_string(t) +
+                       " has a different class count");
+    }
   }
   return forest;
 }

@@ -17,7 +17,10 @@ class RandomForestClassifier final : public Classifier {
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
   void Serialize(std::ostream& out) const override;
-  static std::unique_ptr<RandomForestClassifier> Deserialize(std::istream& in);
+  /// Reads a saved forest whose magic token `in` has just consumed, its
+  /// trees built in place (see DecisionTree::Parse for what it rejects).
+  static std::unique_ptr<RandomForestClassifier> Parse(
+      TokenCursor& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<RandomForestClassifier>(*this);
   }

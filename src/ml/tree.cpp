@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <cstdio>
-#include <istream>
+#include <limits>
 #include <ostream>
 #include <queue>
 #include <string>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "ml/token_cursor.hpp"
 
 namespace cordial::ml {
 
@@ -115,8 +115,9 @@ void ClassificationTree::Fit(const Dataset& data,
                              Rng& rng) {
   CORDIAL_CHECK_MSG(!indices.empty(), "cannot fit a tree on zero samples");
   nodes_.clear();
+  values_.clear();
   depth_ = 0;
-  num_classes_ = data.num_classes();
+  width_ = static_cast<std::uint32_t>(data.num_classes());
   importance_.assign(data.num_features(), 0.0);
   std::vector<std::size_t> work(indices);
   Build(data, work, 0, rng);
@@ -126,7 +127,7 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
                                        std::vector<std::size_t>& indices,
                                        int depth, Rng& rng) {
   depth_ = std::max(depth_, depth);
-  const auto k = static_cast<std::size_t>(num_classes_);
+  const std::size_t k = width_;
 
   std::vector<double> counts(k, 0.0);
   for (std::size_t i : indices) {
@@ -137,9 +138,9 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
 
   auto make_leaf = [&]() -> std::int32_t {
     Node leaf;
-    leaf.proba.resize(k);
-    for (std::size_t c = 0; c < k; ++c) leaf.proba[c] = counts[c] / total;
-    nodes_.push_back(std::move(leaf));
+    leaf.values = static_cast<std::uint32_t>(values_.size());
+    for (std::size_t c = 0; c < k; ++c) values_.push_back(counts[c] / total);
+    nodes_.push_back(leaf);
     return static_cast<std::int32_t>(nodes_.size() - 1);
   };
 
@@ -249,39 +250,6 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
   nodes_[static_cast<std::size_t>(node_id)].left = left;
   nodes_[static_cast<std::size_t>(node_id)].right = right;
   return node_id;
-}
-
-std::vector<double> ClassificationTree::PredictProba(
-    std::span<const double> features) const {
-  CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const Node& n = nodes_[node];
-    const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
-  }
-  return nodes_[node].proba;
-}
-
-void ClassificationTree::PredictProbaInto(std::span<const double> features,
-                                          std::span<double> out) const {
-  CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const Node& n = nodes_[node];
-    const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
-  }
-  const std::vector<double>& proba = nodes_[node].proba;
-  CORDIAL_CHECK_MSG(out.size() >= proba.size(),
-                    "output span smaller than class count");
-  for (std::size_t c = 0; c < proba.size(); ++c) out[c] += proba[c];
-}
-
-int ClassificationTree::Predict(std::span<const double> features) const {
-  const std::vector<double> proba = PredictProba(features);
-  return static_cast<int>(
-      std::max_element(proba.begin(), proba.end()) - proba.begin());
 }
 
 // -------------------------------------------------------- regression tree
@@ -425,6 +393,8 @@ void RegressionTree::Fit(const Dataset& data,
   CORDIAL_CHECK_MSG((options_.max_bins > 0) == (binner != nullptr),
                     "binner must be supplied iff max_bins > 0");
   nodes_.clear();
+  values_.clear();
+  width_ = 1;
   importance_.assign(data.num_features(), 0.0);
 
   struct Pending {
@@ -449,10 +419,17 @@ void RegressionTree::Fit(const Dataset& data,
     return true;
   };
 
+  // Every node keeps the value it would have as a leaf, splits included.
+  auto add_node = [&](double value) {
+    Node node;
+    node.values = static_cast<std::uint32_t>(values_.size());
+    nodes_.push_back(node);
+    values_.push_back(value);
+    return static_cast<std::int32_t>(nodes_.size() - 1);
+  };
+
   // Root.
-  nodes_.emplace_back();
-  Pending root{0, indices, 0, {}};
-  nodes_[0].value = leaf_value_of(root.indices);
+  Pending root{add_node(leaf_value_of(indices)), indices, 0, {}};
   if (can_expand(root)) {
     root.split = FindBestSplit(data, root.indices, gradients, hessians, rng, binner);
   }
@@ -483,17 +460,13 @@ void RegressionTree::Fit(const Dataset& data,
     if (left_idx.empty() || right_idx.empty()) continue;  // degenerate
 
     importance_[f] += p.split.gain;
+    const std::int32_t left_id = add_node(leaf_value_of(left_idx));
+    const std::int32_t right_id = add_node(leaf_value_of(right_idx));
     Node& parent = nodes_[static_cast<std::size_t>(p.node_id)];
     parent.feature = p.split.feature;
     parent.threshold = p.split.threshold;
-    const auto left_id = static_cast<std::int32_t>(nodes_.size());
-    nodes_.emplace_back();
-    const auto right_id = static_cast<std::int32_t>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[static_cast<std::size_t>(p.node_id)].left = left_id;
-    nodes_[static_cast<std::size_t>(p.node_id)].right = right_id;
-    nodes_[static_cast<std::size_t>(left_id)].value = leaf_value_of(left_idx);
-    nodes_[static_cast<std::size_t>(right_id)].value = leaf_value_of(right_idx);
+    parent.left = left_id;
+    parent.right = right_id;
     ++leaves;  // one leaf became two
 
     Pending lp{left_id, std::move(left_idx), p.depth + 1, {}};
@@ -509,26 +482,27 @@ void RegressionTree::Fit(const Dataset& data,
   }
 }
 
-double RegressionTree::Predict(std::span<const double> features) const {
+// ------------------------------------------------------------- node layout
+
+static_assert(sizeof(DecisionTree::Node) == 24, "nodes stay compact");
+
+std::span<const double> DecisionTree::Leaf(
+    std::span<const double> features) const {
   CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const Node& n = nodes_[node];
-    const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
+  const Node* const nodes = nodes_.data();
+  const Node* node = nodes;
+  while (node->feature >= 0) {
+    const double v = features[static_cast<std::size_t>(node->feature)];
+    node = nodes + (v <= node->threshold ? node->left : node->right);
   }
-  return nodes_[node].value;
+  return {values_.data() + node->values, width_};
 }
 
-std::size_t RegressionTree::leaf_count() const {
-  std::size_t leaves = 0;
-  for (const Node& n : nodes_) {
-    if (n.feature < 0) ++leaves;
-  }
-  return leaves;
+std::size_t DecisionTree::leaf_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(),
+                    [](const Node& n) { return n.feature < 0; }));
 }
-
-// ---------------------------------------------------------- serialization
 
 namespace {
 
@@ -538,123 +512,95 @@ void WriteDouble(std::ostream& out, double v) {
   out << buf;
 }
 
-double ReadDouble(std::istream& in) {
-  double v = 0.0;
-  if (!(in >> v)) throw ParseError("tree: malformed double");
-  return v;
-}
-
-long ReadLong(std::istream& in) {
-  long v = 0;
-  if (!(in >> v)) throw ParseError("tree: malformed integer");
-  return v;
-}
-
-void ExpectToken(std::istream& in, const char* token) {
-  std::string word;
-  if (!(in >> word) || word != token) {
-    throw ParseError(std::string("tree: expected token '") + token + "'");
-  }
-}
-
 }  // namespace
 
-void ClassificationTree::Serialize(std::ostream& out) const {
-  out << "classification_tree v1\n"
-      << "classes " << num_classes_ << " nodes " << nodes_.size()
-      << " importance " << importance_.size() << "\n";
+void DecisionTree::Write(std::ostream& out) const {
+  if (species_ == Species::kClassification) {
+    out << "classification_tree v1\nclasses " << width_ << " nodes "
+        << nodes_.size();
+  } else {
+    out << "regression_tree v1\nnodes " << nodes_.size();
+  }
+  out << " importance " << importance_.size() << "\n";
   for (const Node& n : nodes_) {
     out << n.feature << ' ';
     WriteDouble(out, n.threshold);
     out << ' ' << n.left << ' ' << n.right;
-    if (n.feature < 0) {
-      for (double p : n.proba) {
-        out << ' ';
-        WriteDouble(out, p);
+    for (std::size_t v = 0; v < ValueCount(n); ++v) {
+      out << ' ';
+      WriteDouble(out, values_[n.values + v]);
+    }
+    out << '\n';
+  }
+  for (double v : importance_) {
+    WriteDouble(out, v);
+    out << '\n';
+  }
+}
+
+void DecisionTree::Parse(TokenCursor& in, std::size_t num_features) {
+  const bool regression = species_ == Species::kRegression;
+  in.Expect(regression ? "regression_tree" : "classification_tree");
+  in.Expect("v1");
+  width_ = 1;
+  if (!regression) {
+    in.Expect("classes");
+    const std::size_t classes = in.Count("tree classes", 1);
+    if (classes < 2) throw ParseError("tree: bad class count");
+    width_ = static_cast<std::uint32_t>(classes);
+  }
+  in.Expect("nodes");
+  // A node line holds at least its feature, threshold and two children.
+  const std::size_t n = in.Count("tree nodes", 4);
+  if (n == 0) throw ParseError("tree: no nodes");
+  in.Expect("importance");
+  if (in.Count("tree importance", 1) != num_features) {
+    throw ParseError("tree: importance count differs from the model's " +
+                     std::to_string(num_features) + " features");
+  }
+
+  nodes_.clear();
+  nodes_.reserve(n);
+  values_.clear();
+  // Both builders emit full binary trees: (n + 1) / 2 leaves. Every value
+  // is a token, so the bytes left bound the reservation too.
+  values_.reserve(std::min<std::size_t>(
+      regression ? n : (n + 1) / 2 * width_, in.bytes_left() / 2));
+  const auto last = static_cast<std::int64_t>(n) - 1;
+  const auto features = static_cast<std::int64_t>(num_features);
+  for (std::int64_t i = 0; i <= last; ++i) {
+    const std::int64_t feature = in.Int("tree node feature");
+    Node node;
+    node.threshold = in.Double("tree node threshold");
+    const std::int64_t left = in.Int("tree node child");
+    const std::int64_t right = in.Int("tree node child");
+    if (feature == -1) {
+      if (left != -1 || right != -1) {
+        throw ParseError("tree: leaf " + std::to_string(i) + " has children");
       }
+    } else if (feature < 0 || feature >= features) {
+      throw ParseError("tree: node " + std::to_string(i) +
+                       " splits on feature " + std::to_string(feature) +
+                       " of " + std::to_string(num_features));
+    } else if (left <= i || right <= i || left > last || right > last) {
+      // Children strictly after their parent: every walk moves forward
+      // through the array, so it ends.
+      throw ParseError("tree: node " + std::to_string(i) + " has children " +
+                       std::to_string(left) + ", " + std::to_string(right) +
+                       " outside (" + std::to_string(i) + ", " +
+                       std::to_string(last) + "]");
     }
-    out << '\n';
-  }
-  for (double v : importance_) {
-    WriteDouble(out, v);
-    out << '\n';
-  }
-}
-
-ClassificationTree ClassificationTree::Deserialize(std::istream& in) {
-  ExpectToken(in, "classification_tree");
-  ExpectToken(in, "v1");
-  ExpectToken(in, "classes");
-  ClassificationTree tree;
-  tree.num_classes_ = static_cast<int>(ReadLong(in));
-  CORDIAL_CHECK_MSG(tree.num_classes_ >= 2, "tree: bad class count");
-  ExpectToken(in, "nodes");
-  const long n_nodes = ReadLong(in);
-  CORDIAL_CHECK_MSG(n_nodes >= 1, "tree: bad node count");
-  ExpectToken(in, "importance");
-  const long n_importance = ReadLong(in);
-  tree.nodes_.resize(static_cast<std::size_t>(n_nodes));
-  for (Node& node : tree.nodes_) {
-    node.feature = static_cast<int>(ReadLong(in));
-    node.threshold = ReadDouble(in);
-    node.left = static_cast<std::int32_t>(ReadLong(in));
-    node.right = static_cast<std::int32_t>(ReadLong(in));
-    if (node.feature < 0) {
-      node.proba.resize(static_cast<std::size_t>(tree.num_classes_));
-      for (double& p : node.proba) p = ReadDouble(in);
-    } else {
-      CORDIAL_CHECK_MSG(node.left >= 0 && node.left < n_nodes &&
-                            node.right >= 0 && node.right < n_nodes,
-                        "tree: child index out of range");
+    node.feature = static_cast<std::int32_t>(feature);
+    node.left = static_cast<std::int32_t>(left);
+    node.right = static_cast<std::int32_t>(right);
+    node.values = static_cast<std::uint32_t>(values_.size());
+    for (std::size_t v = ValueCount(node); v > 0; --v) {
+      values_.push_back(in.Double("tree value"));
     }
+    nodes_.push_back(node);
   }
-  tree.importance_.resize(static_cast<std::size_t>(n_importance));
-  for (double& v : tree.importance_) v = ReadDouble(in);
-  return tree;
-}
-
-void RegressionTree::Serialize(std::ostream& out) const {
-  out << "regression_tree v1\n"
-      << "nodes " << nodes_.size() << " importance " << importance_.size()
-      << "\n";
-  for (const Node& n : nodes_) {
-    out << n.feature << ' ';
-    WriteDouble(out, n.threshold);
-    out << ' ' << n.left << ' ' << n.right << ' ';
-    WriteDouble(out, n.value);
-    out << '\n';
-  }
-  for (double v : importance_) {
-    WriteDouble(out, v);
-    out << '\n';
-  }
-}
-
-RegressionTree RegressionTree::Deserialize(std::istream& in) {
-  ExpectToken(in, "regression_tree");
-  ExpectToken(in, "v1");
-  ExpectToken(in, "nodes");
-  RegressionTree tree;
-  const long n_nodes = ReadLong(in);
-  CORDIAL_CHECK_MSG(n_nodes >= 1, "tree: bad node count");
-  ExpectToken(in, "importance");
-  const long n_importance = ReadLong(in);
-  tree.nodes_.resize(static_cast<std::size_t>(n_nodes));
-  for (Node& node : tree.nodes_) {
-    node.feature = static_cast<int>(ReadLong(in));
-    node.threshold = ReadDouble(in);
-    node.left = static_cast<std::int32_t>(ReadLong(in));
-    node.right = static_cast<std::int32_t>(ReadLong(in));
-    node.value = ReadDouble(in);
-    if (node.feature >= 0) {
-      CORDIAL_CHECK_MSG(node.left >= 0 && node.left < n_nodes &&
-                            node.right >= 0 && node.right < n_nodes,
-                        "tree: child index out of range");
-    }
-  }
-  tree.importance_.resize(static_cast<std::size_t>(n_importance));
-  for (double& v : tree.importance_) v = ReadDouble(in);
-  return tree;
+  importance_.resize(num_features);
+  for (double& v : importance_) v = in.Double("tree importance");
 }
 
 }  // namespace cordial::ml

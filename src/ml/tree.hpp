@@ -7,6 +7,8 @@
 //     leaf values, supporting exact or histogram split finding and level-wise
 //     or best-first (leaf-wise) growth — the base learner for both the
 //     XGBoost-style and the LightGBM-style boosters.
+// Once fitted or loaded both are a DecisionTree: one node layout with one
+// walk loop, one writer and one parser.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,8 @@
 #include "ml/dataset.hpp"
 
 namespace cordial::ml {
+
+class TokenCursor;
 
 // ---------------------------------------------------------------- binning
 
@@ -41,6 +45,65 @@ class FeatureBinner {
   std::vector<std::vector<double>> edges_;  // per feature, ascending
 };
 
+// ------------------------------------------------------------- node layout
+
+/// A fitted or loaded tree of either species: nodes in saved order,
+/// array-of-structs, and every value the tree carries in one contiguous
+/// array, so no node allocates. A classification tree carries its class
+/// frequencies on leaves only. A regression tree carries one Newton value on
+/// every node: prediction reads only leaves, but the saved format keeps the
+/// internal values, so load → save stays byte-identical.
+class DecisionTree {
+ public:
+  /// One split or leaf; 24 bytes.
+  struct Node {
+    double threshold = 0.0;     ///< features[feature] <= threshold goes left
+    std::int32_t feature = -1;  ///< -1 for leaves
+    std::int32_t left = -1;     ///< children (-1 on leaves), always stored
+    std::int32_t right = -1;    ///< after their parent
+    std::uint32_t values = 0;   ///< offset of this node's values
+  };
+
+  /// Values of the leaf `features` falls in: the class frequencies of a
+  /// classification tree, the leaf value of a regression tree.
+  std::span<const double> Leaf(std::span<const double> features) const;
+
+  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t leaf_count() const;
+  /// Values per leaf: the class count, or 1 for a regression tree.
+  std::size_t leaf_width() const { return width_; }
+
+  /// Per-feature total impurity decrease (classification) or split gain
+  /// (regression); empty before fitting. Not normalized.
+  const std::vector<double>& feature_importance() const {
+    return importance_;
+  }
+
+  /// Line-based text form. Parse reads it back bit-identically.
+  void Write(std::ostream& out) const;
+  /// Replaces this tree with the saved tree at `in`, built in place.
+  /// ParseError on a malformed token or count, a class count below 2, no
+  /// nodes, an importance count other than `num_features`, a split feature
+  /// outside [0, num_features), a leaf with children, or a child index not
+  /// greater than its parent's (so every walk ends) or past the last node.
+  void Parse(TokenCursor& in, std::size_t num_features);
+
+ protected:
+  enum class Species { kClassification, kRegression };
+  explicit DecisionTree(Species species) : species_(species) {}
+
+  /// How many values `node` carries in values_.
+  std::size_t ValueCount(const Node& node) const {
+    return species_ == Species::kRegression || node.feature < 0 ? width_ : 0;
+  }
+
+  Species species_;
+  std::uint32_t width_ = 1;
+  std::vector<Node> nodes_;
+  std::vector<double> values_;
+  std::vector<double> importance_;
+};
+
 // ----------------------------------------------------- classification tree
 
 struct ClassificationTreeOptions {
@@ -52,54 +115,25 @@ struct ClassificationTreeOptions {
   double min_impurity_decrease = 1e-12;
 };
 
-class ClassificationTree {
+class ClassificationTree : public DecisionTree {
  public:
   explicit ClassificationTree(ClassificationTreeOptions options = {})
-      : options_(options) {}
+      : DecisionTree(Species::kClassification), options_(options) {}
 
   /// Fit on the rows of `data` listed in `indices` (duplicates allowed —
-  /// bootstrap samples). `rng` drives feature subsampling.
+  /// bootstrap samples). `rng` drives feature subsampling. Leaves carry the
+  /// class frequencies of their samples.
   void Fit(const Dataset& data, const std::vector<std::size_t>& indices,
            Rng& rng);
 
-  /// Class-probability vector (leaf class frequencies).
-  std::vector<double> PredictProba(std::span<const double> features) const;
-  /// Adds the leaf's class frequencies into `out` (size >= num_classes)
-  /// without allocating — the ensemble-averaging fast path.
-  void PredictProbaInto(std::span<const double> features,
-                        std::span<double> out) const;
-  int Predict(std::span<const double> features) const;
-
-  std::size_t node_count() const { return nodes_.size(); }
+  /// Depth of the last fit (0 for a loaded tree).
   int depth() const { return depth_; }
 
-  /// Per-feature total impurity decrease (weighted by node size); empty
-  /// before fitting. Not normalized.
-  const std::vector<double>& feature_importance() const {
-    return importance_;
-  }
-
-  /// Line-based text serialization; Deserialize(Serialize(t)) reproduces
-  /// identical predictions.
-  void Serialize(std::ostream& out) const;
-  static ClassificationTree Deserialize(std::istream& in);
-
  private:
-  struct Node {
-    int feature = -1;  ///< -1 for leaves
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    std::vector<double> proba;  ///< leaves only
-  };
-
   std::int32_t Build(const Dataset& data, std::vector<std::size_t>& indices,
                      int depth, Rng& rng);
 
   ClassificationTreeOptions options_;
-  std::vector<Node> nodes_;
-  std::vector<double> importance_;
-  int num_classes_ = 0;
   int depth_ = 0;
 };
 
@@ -122,40 +156,17 @@ struct RegressionTreeOptions {
 /// Newton-step regression tree: fits -G/(H+lambda) leaf values to per-sample
 /// gradient/hessian pairs, split gain = 1/2[GL^2/(HL+l) + GR^2/(HR+l)
 /// - G^2/(H+l)] - gamma.
-class RegressionTree {
+class RegressionTree : public DecisionTree {
  public:
   explicit RegressionTree(RegressionTreeOptions options = {})
-      : options_(options) {}
+      : DecisionTree(Species::kRegression), options_(options) {}
 
   /// `binner` must be non-null iff options.max_bins > 0.
   void Fit(const Dataset& data, const std::vector<std::size_t>& indices,
            std::span<const double> gradients, std::span<const double> hessians,
            Rng& rng, const FeatureBinner* binner);
 
-  double Predict(std::span<const double> features) const;
-
-  std::size_t node_count() const { return nodes_.size(); }
-  std::size_t leaf_count() const;
-
-  /// Per-feature total split gain; empty before fitting. Not normalized.
-  const std::vector<double>& feature_importance() const {
-    return importance_;
-  }
-
-  /// Line-based text serialization; Deserialize(Serialize(t)) reproduces
-  /// identical predictions.
-  void Serialize(std::ostream& out) const;
-  static RegressionTree Deserialize(std::istream& in);
-
  private:
-  struct Node {
-    int feature = -1;
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;  ///< leaves only
-  };
-
   struct SplitResult {
     bool found = false;
     int feature = -1;
@@ -170,8 +181,6 @@ class RegressionTree {
                             const FeatureBinner* binner) const;
 
   RegressionTreeOptions options_;
-  std::vector<Node> nodes_;
-  std::vector<double> importance_;
 };
 
 }  // namespace cordial::ml

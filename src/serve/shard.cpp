@@ -309,17 +309,13 @@ obs::RegistrySnapshot EngineShard::MetricsSnapshot() const {
 void EngineShard::SaveState(std::ostream& out,
                             core::StateEncoding encoding) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before checkpointing");
+  CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
   engine_.SaveState(out, encoding);
 }
 
 std::uint64_t EngineShard::SaveDeltaState(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before checkpointing");
+  CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
   return engine_.SaveDeltaState(out);
 }
 
@@ -331,41 +327,34 @@ core::PredictionEngine::StagedDelta EngineShard::ParseDeltaState(
 void EngineShard::CommitDeltaState(
     core::PredictionEngine::StagedDelta&& staged) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before restoring");
+  CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before restoring");
   engine_.CommitDeltaState(std::move(staged));
 }
 
 void EngineShard::MarkCheckpointClean() {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before marking a checkpoint clean");
+  CORDIAL_CHECK_MSG(DrainedNow(),
+                    "shard must be drained before marking a checkpoint clean");
   engine_.MarkCheckpointClean();
 }
 
 std::size_t EngineShard::dirty_bank_count() const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before reading dirty state");
+  CORDIAL_CHECK_MSG(DrainedNow(),
+                    "shard must be drained before reading dirty state");
   return engine_.dirty_bank_count();
 }
 
 std::size_t EngineShard::bank_count() const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before reading dirty state");
+  CORDIAL_CHECK_MSG(DrainedNow(),
+                    "shard must be drained before reading dirty state");
   return engine_.bank_count();
 }
 
 void EngineShard::RestoreState(std::istream& in) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before restoring");
+  CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before restoring");
   engine_.RestoreState(in);
 }
 
@@ -376,9 +365,7 @@ core::PredictionEngine::StagedState EngineShard::ParseState(
 
 void EngineShard::CommitState(core::PredictionEngine::StagedState&& staged) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before restoring");
+  CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before restoring");
   engine_.CommitState(std::move(staged));
 }
 
@@ -386,13 +373,8 @@ void EngineShard::WorkerLoop() {
   QueueItem* const buf = drain_buf_.data();
   const std::size_t batch_max = queue_config_.batch_max;
   for (;;) {
-    // busy_ goes up before the claim so the drained-shard contract checks
-    // (SaveState etc.) never see "ring empty, worker idle" while a batch
-    // is in flight between the ring and the engine.
-    busy_.store(true, std::memory_order_release);
     const std::size_t n = ring_.TryPopBatch(buf, batch_max);
     if (n == 0) {
-      busy_.store(false, std::memory_order_release);
       idle_.Notify();  // a Drain may be parked on exactly this moment
       const bool stopping =
           state_.load(std::memory_order_acquire) == State::kStopping;
@@ -425,9 +407,10 @@ void EngineShard::WorkerLoop() {
                 .count());
       }
     }
+    // The release publishes the batch's engine writes to every DrainedNow
+    // reader: Drain and the drained-shard contract checks.
     processed_.fetch_add(n, std::memory_order_release);
     if (queue_metrics_.processed) queue_metrics_.processed->Increment(n);
-    busy_.store(false, std::memory_order_release);
     if (ring_.ApproxEmpty()) idle_.Notify();
   }
 }

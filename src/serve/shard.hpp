@@ -228,7 +228,9 @@ class EngineShard {
   }
   /// True when every accepted record has been consumed (processed or
   /// dropped). Acquire loads, so a true answer also publishes the worker's
-  /// engine writes to the caller.
+  /// engine writes to the caller. Drain waits for it, and every
+  /// drained-shard contract check (SaveState, dirty_bank_count, ...) tests
+  /// it, so a call right after Drain always passes its check.
   bool DrainedNow() const {
     return processed_.load(std::memory_order_acquire) +
                dropped_.load(std::memory_order_acquire) >=
@@ -253,7 +255,6 @@ class EngineShard {
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> next_latency_stamp_{0};
-  std::atomic<bool> busy_{false};  ///< worker is inside an engine batch
   std::atomic<State> state_{State::kIdle};
 
   /// Park points (spin-then-park waiters only; never touched while the

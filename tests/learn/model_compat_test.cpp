@@ -4,6 +4,7 @@
 // to their originals.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,7 +121,8 @@ TEST(LearnModelCompat, ClassifierCopyIsBitIdentical) {
   }
 }
 
-TEST(LearnModelCompat, BoostedClassifierCloneIsBitIdentical) {
+/// A `kind` pattern classifier trained on the world's UER banks.
+PatternClassifier TrainedPatternModel(ml::LearnerKind kind) {
   const World& world = SharedWorld();
   hbm::AddressCodec codec(world.topology);
   const auto banks = world.fleet.log.GroupByBank(codec);
@@ -129,15 +131,61 @@ TEST(LearnModelCompat, BoostedClassifierCloneIsBitIdentical) {
   for (const trace::BankHistory& bank : banks) {
     if (bank.HasUer()) labelled.push_back({&bank, labeler.LabelClass(bank)});
   }
-  PatternClassifier boosted(world.topology, ml::LearnerKind::kXgbStyle);
+  PatternClassifier model(world.topology, kind);
   Rng rng(11);
-  boosted.Train(labelled, rng);
+  model.Train(labelled, rng);
+  return model;
+}
 
+TEST(LearnModelCompat, BoostedClassifierCloneIsBitIdentical) {
+  const PatternClassifier boosted =
+      TrainedPatternModel(ml::LearnerKind::kXgbStyle);
   const PatternClassifier copy(boosted);  // exercises the booster Clone()
   std::ostringstream a, b;
   boosted.SaveModel(a);
   copy.SaveModel(b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// FNV-1a over the bytes — stable, order-sensitive.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string SavedPatternModel(ml::LearnerKind kind) {
+  std::ostringstream out;
+  TrainedPatternModel(kind).SaveModel(out);
+  return out.str();
+}
+
+// SaveModel bytes of the two boosters, pinned: the tree writer must keep
+// every GBDT internal-node value and render every double as %.17g.
+// ParallelDeterminism.ForestSeedStableGolden pins the forest's bytes.
+constexpr std::uint64_t kGoldenXgbModelHash = 0x28d22e4edf095e44ULL;
+constexpr std::uint64_t kGoldenLgbmModelHash = 0x34d2c4c325313931ULL;
+
+TEST(LearnModelCompat, BoosterSaveBytesGolden) {
+  const std::string xgb = SavedPatternModel(ml::LearnerKind::kXgbStyle);
+  const std::string lgbm = SavedPatternModel(ml::LearnerKind::kLgbmStyle);
+  EXPECT_EQ(Fnv1a(xgb), kGoldenXgbModelHash) << std::hex << "0x" << Fnv1a(xgb);
+  EXPECT_EQ(Fnv1a(lgbm), kGoldenLgbmModelHash)
+      << std::hex << "0x" << Fnv1a(lgbm);
+
+  // Load → save is byte-identical for both boosters too.
+  for (const std::string* saved : {&xgb, &lgbm}) {
+    PatternClassifier fresh(SharedWorld().topology,
+                            ml::LearnerKind::kRandomForest);
+    std::istringstream in(*saved);
+    fresh.LoadModel(in);
+    std::ostringstream resaved;
+    fresh.SaveModel(resaved);
+    EXPECT_EQ(resaved.str(), *saved);
+  }
 }
 
 TEST(LearnModelCompat, CrossRowCopyIsBitIdentical) {

@@ -6,10 +6,21 @@
 #include "common/rng.hpp"
 #include "ml/booster.hpp"
 #include "ml/forest.hpp"
+#include "ml/token_cursor.hpp"
 #include "ml/tree.hpp"
 
 namespace cordial::ml {
 namespace {
+
+std::unique_ptr<Classifier> Load(const std::string& text,
+                                 std::size_t num_features) {
+  TokenCursor in(text);
+  return LoadClassifier(in, num_features);
+}
+
+std::vector<double> Values(std::span<const double> leaf) {
+  return {leaf.begin(), leaf.end()};
+}
 
 Dataset Blobs(std::size_t n_per_class, int classes, Rng& rng) {
   Dataset data(3, classes);
@@ -40,14 +51,21 @@ TEST(Serialize, ClassificationTreeRoundTrip) {
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   tree.Fit(data, all, rng);
 
-  std::stringstream buffer;
-  tree.Serialize(buffer);
-  const ClassificationTree restored = ClassificationTree::Deserialize(buffer);
+  std::ostringstream saved;
+  tree.Write(saved);
+  const std::string text = saved.str();
+  TokenCursor in(text);
+  ClassificationTree restored;
+  restored.Parse(in, data.num_features());
   EXPECT_EQ(restored.node_count(), tree.node_count());
   for (std::size_t i = 0; i < data.size(); i += 5) {
-    EXPECT_EQ(restored.PredictProba(data.row(i)), tree.PredictProba(data.row(i)));
+    EXPECT_EQ(Values(restored.Leaf(data.row(i))),
+              Values(tree.Leaf(data.row(i))));
   }
   EXPECT_EQ(restored.feature_importance(), tree.feature_importance());
+  std::ostringstream resaved;
+  restored.Write(resaved);
+  EXPECT_EQ(resaved.str(), saved.str());
 }
 
 TEST(Serialize, RegressionTreeRoundTrip) {
@@ -65,13 +83,20 @@ TEST(Serialize, RegressionTreeRoundTrip) {
   RegressionTree tree;
   tree.Fit(data, all, grad, hess, rng, nullptr);
 
-  std::stringstream buffer;
-  tree.Serialize(buffer);
-  const RegressionTree restored = RegressionTree::Deserialize(buffer);
+  std::ostringstream saved;
+  tree.Write(saved);
+  const std::string text = saved.str();
+  TokenCursor in(text);
+  RegressionTree restored;
+  restored.Parse(in, data.num_features());
   EXPECT_EQ(restored.node_count(), tree.node_count());
   for (std::size_t i = 0; i < data.size(); i += 7) {
-    EXPECT_EQ(restored.Predict(data.row(i)), tree.Predict(data.row(i)));
+    EXPECT_EQ(restored.Leaf(data.row(i))[0], tree.Leaf(data.row(i))[0]);
   }
+  // Internal-node values are saved although prediction never reads them.
+  std::ostringstream resaved;
+  restored.Write(resaved);
+  EXPECT_EQ(resaved.str(), saved.str());
 }
 
 TEST(Serialize, RandomForestRoundTrip) {
@@ -83,9 +108,9 @@ TEST(Serialize, RandomForestRoundTrip) {
   Rng fit_rng(4);
   forest.Fit(data, fit_rng);
 
-  std::stringstream buffer;
+  std::ostringstream buffer;
   SaveClassifier(forest, buffer);
-  const auto restored = LoadClassifier(buffer);
+  const auto restored = Load(buffer.str(), data.num_features());
   ExpectIdenticalProba(forest, *restored, data);
 }
 
@@ -98,9 +123,9 @@ TEST(Serialize, XgbStyleBoosterRoundTrip) {
   Rng fit_rng(6);
   booster->Fit(data, fit_rng);
 
-  std::stringstream buffer;
+  std::ostringstream buffer;
   SaveClassifier(*booster, buffer);
-  const auto restored = LoadClassifier(buffer);
+  const auto restored = Load(buffer.str(), data.num_features());
   ExpectIdenticalProba(*booster, *restored, data);
 }
 
@@ -111,9 +136,9 @@ TEST(Serialize, LgbmStyleBoosterRoundTrip) {
   Rng fit_rng(8);
   booster->Fit(data, fit_rng);
 
-  std::stringstream buffer;
+  std::ostringstream buffer;
   SaveClassifier(*booster, buffer);
-  const auto restored = LoadClassifier(buffer);
+  const auto restored = Load(buffer.str(), data.num_features());
   ExpectIdenticalProba(*booster, *restored, data);
 }
 
@@ -123,11 +148,12 @@ TEST(Serialize, RoundTripSurvivesDoubleSerialization) {
   auto model = MakeRandomForest(RandomForestOptions{.n_trees = 5});
   Rng fit_rng(10);
   model->Fit(data, fit_rng);
-  std::stringstream first, second;
+  std::ostringstream first, second;
   SaveClassifier(*model, first);
-  const auto once = LoadClassifier(first);
+  const auto once = Load(first.str(), data.num_features());
   SaveClassifier(*once, second);
-  EXPECT_NO_THROW(LoadClassifier(second));
+  EXPECT_EQ(second.str(), first.str());
+  EXPECT_NO_THROW(Load(second.str(), data.num_features()));
 }
 
 TEST(Serialize, UnfittedModelsRefuseToSerialize) {
@@ -139,22 +165,19 @@ TEST(Serialize, UnfittedModelsRefuseToSerialize) {
 }
 
 TEST(Serialize, LoadRejectsGarbage) {
-  std::istringstream empty("");
-  EXPECT_THROW(LoadClassifier(empty), ParseError);
-  std::istringstream junk("not_a_model v1");
-  EXPECT_THROW(LoadClassifier(junk), ParseError);
-  std::istringstream truncated("random_forest v1\nclasses 3 trees 5\n");
-  EXPECT_THROW(LoadClassifier(truncated), ParseError);
-  std::istringstream bad_header("random_forest v2\n");
-  EXPECT_THROW(LoadClassifier(bad_header), ParseError);
+  EXPECT_THROW(Load("", 3), ParseError);
+  EXPECT_THROW(Load("not_a_model v1", 3), ParseError);
+  EXPECT_THROW(Load("random_forest v1\nclasses 3 trees 5\n", 3), ParseError);
+  EXPECT_THROW(Load("random_forest v2\n", 3), ParseError);
 }
 
 TEST(Serialize, TreeDeserializeValidatesChildren) {
   // A decision node whose child index points past the node table.
-  std::istringstream evil(
-      "classification_tree v1\nclasses 2 nodes 1 importance 0\n"
-      "0 0.5 5 6\n");
-  EXPECT_THROW(ClassificationTree::Deserialize(evil), ContractViolation);
+  TokenCursor evil(
+      "classification_tree v1\nclasses 2 nodes 1 importance 1\n"
+      "0 0.5 5 6\n0\n");
+  ClassificationTree tree;
+  EXPECT_THROW(tree.Parse(evil, 1), ParseError);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -9,6 +10,14 @@
 
 namespace cordial::ml {
 namespace {
+
+/// The class a classification tree predicts: its leaf's most frequent.
+int PredictClass(const ClassificationTree& tree,
+                 std::span<const double> features) {
+  const std::span<const double> proba = tree.Leaf(features);
+  return static_cast<int>(std::max_element(proba.begin(), proba.end()) -
+                          proba.begin());
+}
 
 std::vector<std::size_t> AllIndices(std::size_t n) {
   std::vector<std::size_t> idx(n);
@@ -37,7 +46,7 @@ TEST(ClassificationTree, LearnsAxisAlignedSplit) {
   tree.Fit(data, AllIndices(data.size()), rng);
   int correct = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    correct += tree.Predict(data.row(i)) == data.label(i);
+    correct += PredictClass(tree, data.row(i)) == data.label(i);
   }
   EXPECT_EQ(correct, static_cast<int>(data.size()));
 }
@@ -56,7 +65,7 @@ TEST(ClassificationTree, LearnsXorWithDepthTwo) {
   deep.Fit(data, AllIndices(data.size()), rng);
   int correct = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    correct += deep.Predict(data.row(i)) == data.label(i);
+    correct += PredictClass(deep, data.row(i)) == data.label(i);
   }
   EXPECT_GT(correct, 195);
 
@@ -66,7 +75,7 @@ TEST(ClassificationTree, LearnsXorWithDepthTwo) {
   stump.Fit(data, AllIndices(data.size()), rng);
   int stump_correct = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    stump_correct += stump.Predict(data.row(i)) == data.label(i);
+    stump_correct += PredictClass(stump, data.row(i)) == data.label(i);
   }
   EXPECT_LT(stump_correct, 140);  // ~chance for XOR
   EXPECT_LE(stump.depth(), 1);
@@ -83,7 +92,7 @@ TEST(ClassificationTree, PureNodeBecomesLeafImmediately) {
   tree.Fit(data, AllIndices(data.size()), rng);
   EXPECT_EQ(tree.node_count(), 1u);
   const double x = 100.0;
-  EXPECT_EQ(tree.Predict(std::span<const double>(&x, 1)), 1);
+  EXPECT_EQ(PredictClass(tree, std::span<const double>(&x, 1)), 1);
 }
 
 TEST(ClassificationTree, ProbaIsLeafFrequencyAndSumsToOne) {
@@ -97,7 +106,7 @@ TEST(ClassificationTree, ProbaIsLeafFrequencyAndSumsToOne) {
   ClassificationTree tree;
   tree.Fit(data, AllIndices(data.size()), rng);
   const double q = 1.0;
-  const auto proba = tree.PredictProba(std::span<const double>(&q, 1));
+  const auto proba = tree.Leaf(std::span<const double>(&q, 1));
   EXPECT_NEAR(proba[0], 0.75, 1e-12);
   EXPECT_NEAR(proba[1], 0.25, 1e-12);
 }
@@ -129,8 +138,7 @@ TEST(ClassificationTree, BootstrapIndicesWithDuplicatesWork) {
 TEST(ClassificationTree, UnfittedPredictThrows) {
   ClassificationTree tree;
   const double x = 0.0;
-  EXPECT_THROW(tree.Predict(std::span<const double>(&x, 1)),
-               ContractViolation);
+  EXPECT_THROW(tree.Leaf(std::span<const double>(&x, 1)), ContractViolation);
 }
 
 TEST(ClassificationTree, EmptyFitThrows) {
@@ -157,7 +165,7 @@ TEST(RegressionTree, NewtonLeafValueOnSingleLeaf) {
   Rng rng(8);
   tree.Fit(data, AllIndices(4), grad, hess, rng, nullptr);
   const double x = 1.0;
-  EXPECT_NEAR(tree.Predict(std::span<const double>(&x, 1)), -4.0 / 5.0, 1e-12);
+  EXPECT_NEAR(tree.Leaf(std::span<const double>(&x, 1))[0], -4.0 / 5.0, 1e-12);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -178,8 +186,8 @@ TEST(RegressionTree, SplitsOnStepFunction) {
   tree.Fit(data, AllIndices(20), grad, hess, rng, nullptr);
   EXPECT_EQ(tree.leaf_count(), 2u);
   const double lo = 3.0, hi = 15.0;
-  EXPECT_NEAR(tree.Predict(std::span<const double>(&lo, 1)), -1.0, 1e-9);
-  EXPECT_NEAR(tree.Predict(std::span<const double>(&hi, 1)), 1.0, 1e-9);
+  EXPECT_NEAR(tree.Leaf(std::span<const double>(&lo, 1))[0], -1.0, 1e-9);
+  EXPECT_NEAR(tree.Leaf(std::span<const double>(&hi, 1))[0], 1.0, 1e-9);
 }
 
 TEST(RegressionTree, GammaSuppressesWeakSplits) {
@@ -237,8 +245,8 @@ TEST(RegressionTree, HistogramApproximatesExactOnStep) {
   Rng rng(13);
   tree.Fit(data, AllIndices(100), grad, hess, rng, &binner);
   const double lo = 10.0, hi = 90.0;
-  EXPECT_LT(tree.Predict(std::span<const double>(&lo, 1)), -1.5);
-  EXPECT_GT(tree.Predict(std::span<const double>(&hi, 1)), 1.5);
+  EXPECT_LT(tree.Leaf(std::span<const double>(&lo, 1))[0], -1.5);
+  EXPECT_GT(tree.Leaf(std::span<const double>(&hi, 1))[0], 1.5);
 }
 
 TEST(RegressionTree, BinnerRequiredIffHistogramMode) {

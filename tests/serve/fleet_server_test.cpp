@@ -488,5 +488,33 @@ TEST(FleetServer, InvalidRecordsAreConsumedNotCrashed) {
   EXPECT_EQ(server.AggregateCounters().submitted, 2u);
 }
 
+TEST(FleetServer, CheckpointRightAfterDrainPassesTheDrainedCheck) {
+  // serverd's cycle: submit, Drain, checkpoint. The drained-shard checks
+  // must hold the moment Drain returns, while the worker spins on in its
+  // loop; a check that disagreed with Drain's own predicate would throw
+  // ContractViolation inside that window now and then.
+  const World& w = SharedWorld();
+  FleetServerConfig config;
+  config.shard_count = 1;
+  // Drain spins instead of parking, so it returns the instant the last
+  // record is counted, with the worker still finishing its loop pass.
+  config.queue.spin_budget = std::size_t{1} << 20;
+  FleetServer server(w.topology, w.classifier, w.single_pred,
+                     w.double_or_null(), config);
+  server.Start();
+  const std::span<const trace::MceRecord> records = w.fleet.log.records();
+  ASSERT_GE(records.size(), 5000u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    server.SubmitBatch(records.subspan(i, 1));
+    server.Drain();
+    std::ostringstream delta;
+    server.SaveDeltaCheckpoint(delta);
+    ASSERT_LE(server.DirtyBankCount(), 1u);
+    server.MarkCheckpointClean();
+  }
+  server.Stop();
+  EXPECT_EQ(server.AggregateCounters().processed, records.size());
+}
+
 }  // namespace
 }  // namespace cordial::serve
