@@ -451,11 +451,7 @@ int main(int argc, char** argv) {
         banks = result.banks_written;
         chain_length = result.chain_length;
       } else {
-        std::ostringstream buffer;
-        server.SaveCheckpoint(buffer);
-        const std::string data = buffer.str();
-        serve::WriteFileDurably(opts.checkpoint, data, /*retain_prev=*/true);
-        bytes = data.size();
+        bytes = serve::WriteCheckpointFile(server, opts.checkpoint);
         banks = server.TotalBankCount();
       }
       const double seconds =

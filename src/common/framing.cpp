@@ -57,6 +57,9 @@ void WarnLegacyFrame(const std::string& magic) {
 /// longer before the newline is a corrupt header.
 constexpr std::size_t kMaxHeaderRestBytes = 64;
 
+/// The longest token PeekMagic returns; every magic of ours is far shorter.
+constexpr std::size_t kMaxMagicBytes = 64;
+
 /// Strictly the alphabet WriteFramed emits (%08x): lowercase only. Accepting
 /// uppercase would let a bit flip inside the checksum field ('c' ^ 0x20 =
 /// 'C') produce a header that still parses to the same CRC value, i.e. a
@@ -188,14 +191,102 @@ FramingStats GetFramingStats() {
   return stats;
 }
 
+std::string FrameHeaderLine(std::string_view magic, std::uint32_t version,
+                            std::uint64_t payload_bytes, std::uint32_t crc32) {
+  char crc_hex[16];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc32);
+  std::string line(magic);
+  line += " v" + std::to_string(version) + ' ' +
+          std::to_string(payload_bytes) + " crc32=" + crc_hex + '\n';
+  return line;
+}
+
 void WriteFramed(std::ostream& out, const std::string& magic,
                  std::uint32_t version, const std::string& payload) {
-  char crc_hex[16];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  out << magic << " v" << version << ' ' << payload.size() << " crc32="
-      << crc_hex << '\n'
+  out << FrameHeaderLine(magic, version, payload.size(), Crc32(payload))
       << payload;
 }
+
+void CloseFrame(std::string& out, std::size_t payload_start,
+                std::string_view magic, std::uint32_t version) {
+  const std::string_view payload =
+      std::string_view(out).substr(payload_start);
+  out.insert(payload_start, FrameHeaderLine(magic, version, payload.size(),
+                                            Crc32(payload)));
+}
+
+namespace {
+
+// --- the checks shared by the stream and the view reader ------------------
+
+void ExpectMagic(std::string_view seen, const std::string& magic) {
+  if (seen.empty()) throw ParseError(magic + ": empty stream");
+  if (seen != magic) {
+    throw ParseError(magic + ": bad magic '" + std::string(seen) +
+                     "' (not a " + magic + " stream)");
+  }
+}
+
+/// Parse a header line and check it against the caller's expectations: the
+/// version must be accepted, and the promised payload must fit in the
+/// `available` bytes after the line.
+FrameHeader ExpectHeader(std::string_view line, const std::string& magic,
+                         std::initializer_list<std::uint32_t> accepted_versions,
+                         std::uint32_t* version_out, std::uint64_t available) {
+  const FrameHeader header = ParseFrameHeaderLine(line);
+  bool version_ok = false;
+  for (const std::uint32_t accepted : accepted_versions) {
+    if (header.version == accepted) version_ok = true;
+  }
+  if (!version_ok) {
+    std::string accepted_list;
+    for (const std::uint32_t accepted : accepted_versions) {
+      if (!accepted_list.empty()) accepted_list += "/";
+      accepted_list += "v" + std::to_string(accepted);
+    }
+    throw ParseError(magic + ": version mismatch — stream is v" +
+                     std::to_string(header.version) + ", this build reads " +
+                     accepted_list);
+  }
+  if (version_out != nullptr) *version_out = header.version;
+  if (header.payload_bytes > available) {
+    throw ParseError(magic + ": truncated payload (header promises " +
+                     std::to_string(header.payload_bytes) +
+                     " bytes, stream has " + std::to_string(available) +
+                     " left)");
+  }
+  return header;
+}
+
+/// Verify the payload against the header's CRC-32 (or count and warn about
+/// a checksum-less v1 frame) before the caller reads any of it.
+void VerifyPayload(const FrameHeader& header, const std::string& magic,
+                   std::string_view payload) {
+  if (!header.has_checksum) {
+    g_legacy_frames.fetch_add(1, std::memory_order_relaxed);
+    WarnLegacyFrame(magic);
+    return;
+  }
+  const std::uint32_t actual_crc = Crc32(payload);
+  if (actual_crc != header.crc32) {
+    char expected_hex[16], actual_hex[16];
+    std::snprintf(expected_hex, sizeof(expected_hex), "%08x", header.crc32);
+    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
+    throw ParseError(magic + ": payload checksum mismatch (header crc32=" +
+                     expected_hex + ", payload crc32=" + actual_hex +
+                     ") — corrupt frame");
+  }
+  g_checksummed_frames.fetch_add(1, std::memory_order_relaxed);
+}
+
+void InjectedReadFailure(const std::string& magic) {
+  CORDIAL_FAILPOINT("common.framing.read",
+                    throw ParseError(magic +
+                                     ": injected read failure (failpoint "
+                                     "common.framing.read)"));
+}
+
+}  // namespace
 
 std::string ReadFramed(std::istream& in, const std::string& magic,
                        std::uint32_t expected_version) {
@@ -205,16 +296,10 @@ std::string ReadFramed(std::istream& in, const std::string& magic,
 std::string ReadFramedAny(std::istream& in, const std::string& magic,
                           std::initializer_list<std::uint32_t> accepted_versions,
                           std::uint32_t* version_out) {
-  CORDIAL_FAILPOINT("common.framing.read",
-                    throw ParseError(magic +
-                                     ": injected read failure (failpoint "
-                                     "common.framing.read)"));
+  InjectedReadFailure(magic);
   std::string seen_magic;
-  if (!(in >> seen_magic)) throw ParseError(magic + ": empty stream");
-  if (seen_magic != magic) {
-    throw ParseError(magic + ": bad magic '" + seen_magic +
-                     "' (not a " + magic + " stream)");
-  }
+  in >> seen_magic;
+  ExpectMagic(seen_magic, magic);
   // The rest of the header line, read strictly character-by-character —
   // whitespace-skipping extraction could silently consume payload bytes on
   // a corrupt header. The grammar itself lives in ParseFrameHeaderLine,
@@ -231,39 +316,22 @@ std::string ReadFramedAny(std::istream& in, const std::string& magic,
       throw ParseError(magic + ": malformed header");
     }
   }
-  const FrameHeader header = ParseFrameHeaderLine(seen_magic + rest);
-  bool version_ok = false;
-  for (const std::uint32_t accepted : accepted_versions) {
-    if (header.version == accepted) version_ok = true;
-  }
-  if (!version_ok) {
-    std::string accepted_list;
-    for (const std::uint32_t accepted : accepted_versions) {
-      if (!accepted_list.empty()) accepted_list += "/";
-      accepted_list += "v" + std::to_string(accepted);
-    }
-    throw ParseError(magic + ": version mismatch — stream is v" +
-                     std::to_string(header.version) + ", this build reads " +
-                     accepted_list);
-  }
-  if (version_out != nullptr) *version_out = header.version;
-  const std::uint64_t bytes = header.payload_bytes;
-  const bool has_checksum = header.has_checksum;
-  const std::uint32_t expected_crc = header.crc32;
+  // A seekable stream knows how many bytes are left, so a corrupt length is
+  // rejected before the payload buffer is allocated.
+  std::uint64_t available = kMaxFramePayloadBytes;
   const std::streampos pos = in.tellg();
   if (pos != std::streampos(-1)) {
     in.seekg(0, std::ios::end);
     const std::streampos end = in.tellg();
     in.seekg(pos);
-    if (end != std::streampos(-1) &&
-        bytes > static_cast<std::uint64_t>(end - pos)) {
-      throw ParseError(magic + ": truncated payload (header promises " +
-                       std::to_string(bytes) + " bytes, stream has " +
-                       std::to_string(static_cast<std::int64_t>(end - pos)) +
-                       " left)");
+    if (end != std::streampos(-1)) {
+      available = static_cast<std::uint64_t>(end - pos);
     }
   }
-
+  const FrameHeader header = ExpectHeader(seen_magic + rest, magic,
+                                          accepted_versions, version_out,
+                                          available);
+  const std::uint64_t bytes = header.payload_bytes;
   std::string payload(static_cast<std::size_t>(bytes), '\0');
   in.read(payload.data(), static_cast<std::streamsize>(bytes));
   if (static_cast<std::uint64_t>(in.gcount()) != bytes) {
@@ -271,34 +339,36 @@ std::string ReadFramedAny(std::istream& in, const std::string& magic,
                      std::to_string(bytes) + " bytes, got " +
                      std::to_string(in.gcount()) + ")");
   }
-  if (has_checksum) {
-    const std::uint32_t actual_crc = Crc32(payload);
-    if (actual_crc != expected_crc) {
-      char expected_hex[16], actual_hex[16];
-      std::snprintf(expected_hex, sizeof(expected_hex), "%08x", expected_crc);
-      std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
-      throw ParseError(magic + ": payload checksum mismatch (header crc32=" +
-                       expected_hex + ", payload crc32=" + actual_hex +
-                       ") — corrupt frame");
-    }
-    g_checksummed_frames.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    g_legacy_frames.fetch_add(1, std::memory_order_relaxed);
-    WarnLegacyFrame(magic);
-  }
+  VerifyPayload(header, magic, payload);
   return payload;
 }
 
-std::string PeekMagic(std::istream& in) {
-  const auto start = in.tellg();
-  std::string magic;
-  if (!(in >> magic)) {
-    in.clear();
-    in.seekg(start);
-    return std::string();
+std::string_view ReadFramedView(
+    std::string_view& in, const std::string& magic,
+    std::initializer_list<std::uint32_t> accepted_versions,
+    std::uint32_t* version_out) {
+  InjectedReadFailure(magic);
+  const std::string_view seen = PeekMagic(in);
+  ExpectMagic(seen, magic);
+  const std::size_t newline =
+      in.substr(0, seen.size() + kMaxHeaderRestBytes + 1).find('\n',
+                                                               seen.size());
+  if (newline == std::string_view::npos) {
+    throw ParseError(magic + ": malformed header");
   }
-  in.seekg(start);
-  return magic;
+  const FrameHeader header =
+      ExpectHeader(in.substr(0, newline), magic, accepted_versions,
+                   version_out, in.size() - newline - 1);
+  const std::string_view payload =
+      in.substr(newline + 1, static_cast<std::size_t>(header.payload_bytes));
+  VerifyPayload(header, magic, payload);
+  in.remove_prefix(newline + 1 + payload.size());
+  return payload;
+}
+
+std::string_view PeekMagic(std::string_view bytes) {
+  const std::string_view head = bytes.substr(0, kMaxMagicBytes);
+  return head.substr(0, head.find_first_of(" \t\n"));
 }
 
 void WriteDoubleToken(std::ostream& out, double value) {

@@ -85,10 +85,22 @@ struct FrameHeader {
 /// error can name both sides.
 FrameHeader ParseFrameHeaderLine(std::string_view line);
 
+/// The layout-v2 header line (newline included) that frames `payload_bytes`
+/// bytes whose CRC-32 is `crc32`.
+std::string FrameHeaderLine(std::string_view magic, std::uint32_t version,
+                            std::uint64_t payload_bytes, std::uint32_t crc32);
+
 /// Write `payload` wrapped in a `<magic> v<version> <bytes> crc32=<hex>`
 /// header (layout v2).
 void WriteFramed(std::ostream& out, const std::string& magic,
                  std::uint32_t version, const std::string& payload);
+
+/// The in-place frame writer: the bytes `out[payload_start, out.size())`
+/// become the payload of one layout-v2 frame, its header inserted in front
+/// of them. A member is encoded straight into one buffer this way, nested
+/// frames included — no payload is built in a string of its own and copied.
+void CloseFrame(std::string& out, std::size_t payload_start,
+                std::string_view magic, std::uint32_t version);
 
 /// Read one frame and return its payload. Throws ParseError when the magic
 /// differs, the version is not `expected_version`, the payload is shorter
@@ -108,8 +120,21 @@ std::string ReadFramedAny(std::istream& in, const std::string& magic,
                           std::initializer_list<std::uint32_t> accepted_versions,
                           std::uint32_t* version_out = nullptr);
 
-/// Magic of the next frame without consuming it (empty at end of stream).
-std::string PeekMagic(std::istream& in);
+/// The view frame reader: ReadFramedAny over bytes already in memory. Reads
+/// the frame at the very front of `in` (no leading whitespace), makes the
+/// same checks through the same helpers — header, version, length against
+/// the bytes left, CRC-32 before any payload byte is returned, the v1
+/// count and warning, the common.framing.read failpoint — and returns a
+/// view of the payload inside `in`'s bytes, advancing `in` past the frame.
+std::string_view ReadFramedView(
+    std::string_view& in, const std::string& magic,
+    std::initializer_list<std::uint32_t> accepted_versions,
+    std::uint32_t* version_out = nullptr);
+
+/// Magic of the frame at the front of `bytes`: the token before the first
+/// space, tab or newline, at most 64 bytes (empty when `bytes` is). A view
+/// into `bytes`; ReadFramedView checks its magic through it.
+std::string_view PeekMagic(std::string_view bytes);
 
 // --- token codec (shared by the snapshot serializers) ---------------------
 

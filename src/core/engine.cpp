@@ -476,34 +476,34 @@ BankBlob DecodeBankBlob(persist::BinaryReader& in, std::uint64_t key,
 
 }  // namespace
 
-void PredictionEngine::SaveState(std::ostream& out,
-                                 StateEncoding encoding) const {
+void PredictionEngine::AppendBinaryPayload(
+    std::string& out, const std::vector<std::uint64_t>& keys) const {
+  persist::BinaryWriter writer(out);
+  const std::size_t header = writer.BeginLength();
+  EncodeStateHeader(writer, stats_, ledger_, replayer_);
+  writer.EndLength(header);
+  writer.U64(keys.size());
+  for (const std::uint64_t key : keys) {
+    const BankState& state = banks_.at(key);
+    writer.U64(key);
+    const std::size_t blob = writer.BeginLength();
+    EncodeBankBlob(writer, state.cordial, state.profile, ledger_, key,
+                   replayer_.Find(key), codec_);
+    writer.EndLength(blob);
+  }
+}
+
+void PredictionEngine::AppendState(std::string& out,
+                                   StateEncoding encoding) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(banks_.size());
   for (const auto& [key, state] : banks_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
 
+  const std::size_t frame = out.size();
   if (encoding == StateEncoding::kBinary) {
-    std::string payload;
-    persist::BinaryWriter writer(payload);
-    std::string header;
-    persist::BinaryWriter header_writer(header);
-    EncodeStateHeader(header_writer, stats_, ledger_, replayer_);
-    writer.U32(static_cast<std::uint32_t>(header.size()));
-    writer.Bytes(header);
-    writer.U64(keys.size());
-    std::string blob;
-    for (const std::uint64_t key : keys) {
-      const BankState& state = banks_.at(key);
-      blob.clear();
-      persist::BinaryWriter blob_writer(blob);
-      EncodeBankBlob(blob_writer, state.cordial, state.profile, ledger_, key,
-                     replayer_.Find(key), codec_);
-      writer.U64(key);
-      writer.U32(static_cast<std::uint32_t>(blob.size()));
-      writer.Bytes(blob);
-    }
-    WriteFramed(out, kEngineStateMagic, kEngineStateBinaryVersion, payload);
+    AppendBinaryPayload(out, keys);
+    CloseFrame(out, frame, kEngineStateMagic, kEngineStateBinaryVersion);
     return;
   }
 
@@ -527,10 +527,18 @@ void PredictionEngine::SaveState(std::ostream& out,
             << state.cordial.last_anchor_row << '\n';
     state.profile.Save(payload);
   }
-  WriteFramed(out, kEngineStateMagic, kEngineStateVersion, payload.str());
+  out += std::move(payload).str();
+  CloseFrame(out, frame, kEngineStateMagic, kEngineStateVersion);
 }
 
-std::uint64_t PredictionEngine::SaveDeltaState(std::ostream& out) const {
+void PredictionEngine::SaveState(std::ostream& out,
+                                 StateEncoding encoding) const {
+  std::string bytes;
+  AppendState(bytes, encoding);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint64_t PredictionEngine::AppendDeltaState(std::string& out) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(dirty_banks_);
   for (const auto& [key, state] : banks_) {
@@ -538,26 +546,9 @@ std::uint64_t PredictionEngine::SaveDeltaState(std::ostream& out) const {
   }
   std::sort(keys.begin(), keys.end());
 
-  std::string payload;
-  persist::BinaryWriter writer(payload);
-  std::string header;
-  persist::BinaryWriter header_writer(header);
-  EncodeStateHeader(header_writer, stats_, ledger_, replayer_);
-  writer.U32(static_cast<std::uint32_t>(header.size()));
-  writer.Bytes(header);
-  writer.U64(keys.size());
-  std::string blob;
-  for (const std::uint64_t key : keys) {
-    const BankState& state = banks_.at(key);
-    blob.clear();
-    persist::BinaryWriter blob_writer(blob);
-    EncodeBankBlob(blob_writer, state.cordial, state.profile, ledger_, key,
-                   replayer_.Find(key), codec_);
-    writer.U64(key);
-    writer.U32(static_cast<std::uint32_t>(blob.size()));
-    writer.Bytes(blob);
-  }
-  WriteFramed(out, kEngineDeltaMagic, kEngineDeltaVersion, payload);
+  const std::size_t frame = out.size();
+  AppendBinaryPayload(out, keys);
+  CloseFrame(out, frame, kEngineDeltaMagic, kEngineDeltaVersion);
   return keys.size();
 }
 
@@ -580,15 +571,24 @@ PredictionEngine::StagedState& PredictionEngine::StagedState::operator=(
 PredictionEngine::StagedState::~StagedState() = default;
 
 void PredictionEngine::RestoreState(std::istream& in) {
-  CommitState(ParseState(in));
+  std::uint32_t version = 0;
+  const std::string payload = ReadFramedAny(
+      in, kEngineStateMagic, {kEngineStateVersion, kEngineStateBinaryVersion},
+      &version);
+  CommitState(ParseStatePayload(version, payload));
 }
 
 PredictionEngine::StagedState PredictionEngine::ParseState(
-    std::istream& in) const {
+    std::string_view& in) const {
   std::uint32_t version = 0;
-  std::string raw = ReadFramedAny(
+  const std::string_view payload = ReadFramedView(
       in, kEngineStateMagic, {kEngineStateVersion, kEngineStateBinaryVersion},
       &version);
+  return ParseStatePayload(version, payload);
+}
+
+PredictionEngine::StagedState PredictionEngine::ParseStatePayload(
+    std::uint32_t version, std::string_view raw) const {
   if (version == kEngineStateBinaryVersion) {
     StagedState staged;
     persist::BinaryReader reader(raw, "engine state v2");
@@ -633,7 +633,7 @@ PredictionEngine::StagedState PredictionEngine::ParseState(
     return staged;
   }
 
-  std::istringstream payload(std::move(raw));
+  std::istringstream payload{std::string(raw)};
   StagedState staged;
   ExpectToken(payload, "stats");
   EngineStats& stats = staged.impl_->stats;
@@ -710,8 +710,9 @@ PredictionEngine::StagedDelta& PredictionEngine::StagedDelta::operator=(
 PredictionEngine::StagedDelta::~StagedDelta() = default;
 
 PredictionEngine::StagedDelta PredictionEngine::ParseDeltaState(
-    std::istream& in) const {
-  const std::string raw = ReadFramed(in, kEngineDeltaMagic, kEngineDeltaVersion);
+    std::string_view& in) const {
+  const std::string_view raw =
+      ReadFramedView(in, kEngineDeltaMagic, {kEngineDeltaVersion});
   StagedDelta staged;
   persist::BinaryReader reader(raw, "engine delta");
   const std::uint32_t header_len = reader.Count32(1);
@@ -774,10 +775,6 @@ void PredictionEngine::CommitDeltaState(StagedDelta&& staged) {
     // The committed bank now matches the checkpoint that carried it.
     it->second.dirty_epoch = 0;
   }
-}
-
-void PredictionEngine::ApplyDeltaState(std::istream& in) {
-  CommitDeltaState(ParseDeltaState(in));
 }
 
 }  // namespace cordial::core

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -168,10 +170,16 @@ class PredictionEngine {
   IsolationActions Observe(const trace::MceRecord& record);
 
   /// Checkpoint the full mutable state (stats, ledger, replayer window,
-  /// per-bank profiles and Cordial decision state) as a versioned framed
-  /// stream. Deterministic: equal state serializes byte-identically.
-  /// Models and config are NOT serialized — a restoring engine must be
-  /// constructed with the same models, topology and config.
+  /// per-bank profiles and Cordial decision state) as one versioned frame
+  /// appended to `out`. Binary payloads are encoded in place: each bank
+  /// record straight into `out`, its length back-patched, and the frame
+  /// header inserted in front when the payload is complete.
+  /// Deterministic: equal state serializes byte-identically. Models and
+  /// config are NOT serialized — a restoring engine must be constructed
+  /// with the same models, topology and config.
+  void AppendState(std::string& out,
+                   StateEncoding encoding = StateEncoding::kText) const;
+  /// AppendState written to a stream.
   void SaveState(std::ostream& out,
                  StateEncoding encoding = StateEncoding::kText) const;
 
@@ -202,7 +210,9 @@ class PredictionEngine {
     struct Impl;
     std::unique_ptr<Impl> impl_;
   };
-  StagedState ParseState(std::istream& in) const;
+  /// Parse the frame at the front of `in` in place and advance `in` past
+  /// it (common/framing.hpp ReadFramedView).
+  StagedState ParseState(std::string_view& in) const;
   void CommitState(StagedState&& staged);
 
   // --- delta checkpoints ---------------------------------------------------
@@ -214,12 +224,13 @@ class PredictionEngine {
   // the full snapshot it chains from, it restores bit-identically to a full
   // snapshot taken at the same record boundary.
 
-  /// Serialize a cordial_engine_delta frame (always binary): the banks
-  /// dirtied since the last MarkCheckpointClean, plus stats / ledger /
-  /// replayer counters. Const — the dirty set is NOT cleared here, so a
-  /// failed write loses nothing; call MarkCheckpointClean once the bytes
-  /// are durable. Returns the number of banks written.
-  std::uint64_t SaveDeltaState(std::ostream& out) const;
+  /// Append a cordial_engine_delta frame (always binary, encoded in place
+  /// like AppendState) to `out`: the banks dirtied since the last
+  /// MarkCheckpointClean, plus stats / ledger / replayer counters. Const —
+  /// the dirty set is NOT cleared here, so a failed write loses nothing;
+  /// call MarkCheckpointClean once the bytes are durable. Returns the
+  /// number of banks written.
+  std::uint64_t AppendDeltaState(std::string& out) const;
 
   /// Start a new snapshot epoch: every bank becomes clean. Call only after
   /// the snapshot (full or delta) that captured the current state is
@@ -246,13 +257,13 @@ class PredictionEngine {
     struct Impl;
     std::unique_ptr<Impl> impl_;
   };
-  StagedDelta ParseDeltaState(std::istream& in) const;
+  /// Parse the delta frame at the front of `in` in place and advance `in`
+  /// past it.
+  StagedDelta ParseDeltaState(std::string_view& in) const;
   /// Upsert the delta's banks over the current state and overwrite the
   /// global counters. Committed banks come out clean (they now match the
   /// checkpoint that carried them).
   void CommitDeltaState(StagedDelta&& staged);
-  /// ParseDeltaState + CommitDeltaState.
-  void ApplyDeltaState(std::istream& in);
 
   /// Register this engine's live metrics (`cordial_engine_*` counters, the
   /// Observe latency histogram, and the replayer's retention-eviction
@@ -338,6 +349,15 @@ class PredictionEngine {
 
   /// Adopt the slot's current generation (record-boundary call site).
   void RefreshModels();
+
+  /// The binary payload full (v2) and delta frames share: the state header
+  /// section, then one length-prefixed record per bank in `keys` order.
+  void AppendBinaryPayload(std::string& out,
+                           const std::vector<std::uint64_t>& keys) const;
+  /// Parse an engine-state payload of frame version `version` (v1 text or
+  /// v2 binary), already checked by the frame reader.
+  StagedState ParseStatePayload(std::uint32_t version,
+                                std::string_view payload) const;
 
   hbm::AddressCodec codec_;
   // Always non-null; constructor-time referees until a slot swap replaces

@@ -68,6 +68,22 @@ class BinaryWriter {
 
   void Bytes(std::string_view data) { out_.append(data.data(), data.size()); }
 
+  /// Open a u32 length-prefixed section in place: writes a placeholder and
+  /// returns its offset for EndLength.
+  std::size_t BeginLength() {
+    const std::size_t at = out_.size();
+    U32(0);
+    return at;
+  }
+
+  /// Back-patch the placeholder at `at` with the bytes written after it.
+  void EndLength(std::size_t at) {
+    const auto length = static_cast<std::uint32_t>(out_.size() - at - 4);
+    for (int i = 0; i < 4; ++i) {
+      out_[at + i] = static_cast<char>((length >> (8 * i)) & 0xFFu);
+    }
+  }
+
   std::string& buffer() { return out_; }
 
  private:

@@ -42,15 +42,6 @@ std::string JoinPath(const std::string& directory, const std::string& file) {
   return directory + "/" + file;
 }
 
-bool ReadFileBytes(const std::string& path, std::string& bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  bytes = buffer.str();
-  return true;
-}
-
 /// Rename a corrupt file to `<file>.corrupt` for post-mortem inspection.
 void Quarantine(const std::string& path) {
   std::rename(path.c_str(), (path + ".corrupt").c_str());
@@ -174,49 +165,54 @@ void PruneExcept(const std::string& directory, const Manifest& keep) {
 
 // --- structural member images (offline fold) ------------------------------
 
-/// One shard's section of a member, kept as opaque bytes: the header blob
-/// verbatim plus each bank's blob keyed for overlay. The fold never decodes
-/// bank contents — it only needs the self-delimiting lengths.
+/// One shard's section of a member: the header blob verbatim plus each
+/// bank's blob keyed for overlay. The fold never decodes bank contents — it
+/// only needs the self-delimiting lengths. A member's image holds views
+/// into its bytes; the fold's image owns copies, so each member's bytes are
+/// released before the next member is read.
+template <typename Bytes>
 struct ShardImage {
-  std::string header;
-  std::map<std::uint64_t, std::string> banks;  ///< sorted, as the codec writes
+  Bytes header;
+  std::map<std::uint64_t, Bytes> banks;  ///< sorted, as the codec writes
 };
 
-struct FleetImage {
+struct MemberImage {
   bool is_delta = false;
-  std::vector<ShardImage> shards;
+  std::vector<ShardImage<std::string_view>> shards;
 };
 
-FleetImage ParseMemberImage(const std::string& bytes,
-                            const std::string& member) {
-  std::istringstream in(bytes);
-  const std::string magic = PeekMagic(in);
-  FleetImage image;
-  std::string payload;
-  if (magic == serve::kFleetCheckpointMagic) {
-    payload = ReadFramed(in, serve::kFleetCheckpointMagic,
-                         serve::kFleetCheckpointVersion);
-  } else if (magic == serve::kFleetDeltaMagic) {
+using FoldImage = std::vector<ShardImage<std::string>>;
+
+/// Slice a member's frames in place; the image points into `bytes`.
+MemberImage ParseMemberImage(std::string_view bytes,
+                             const std::string& member) {
+  const std::string_view lead = PeekMagic(bytes);
+  MemberImage image;
+  std::string_view payload;
+  if (lead == serve::kFleetCheckpointMagic) {
+    payload = ReadFramedView(bytes, serve::kFleetCheckpointMagic,
+                             {serve::kFleetCheckpointVersion});
+  } else if (lead == serve::kFleetDeltaMagic) {
     image.is_delta = true;
-    payload = ReadFramed(in, serve::kFleetDeltaMagic, serve::kFleetDeltaVersion);
+    payload = ReadFramedView(bytes, serve::kFleetDeltaMagic,
+                             {serve::kFleetDeltaVersion});
   } else {
-    throw ParseError(member + ": not a chain member (magic \"" + magic +
-                     "\")");
+    throw ParseError(member + ": not a chain member (magic \"" +
+                     std::string(lead) + "\")");
   }
-  std::istringstream sections(payload);
-  ExpectToken(sections, "shards");
-  const std::uint64_t shard_count = ReadU64Token(sections, "chain member");
+  serve::ExpectNoTrailingBytes(bytes, member);
+  const std::uint64_t shard_count = serve::TakeShardCount(payload, member);
   image.shards.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(shard_count, 1u << 12)));
   for (std::uint64_t s = 0; s < shard_count; ++s) {
-    std::string engine_payload;
+    std::string_view engine_payload;
     if (image.is_delta) {
-      engine_payload = ReadFramed(sections, core::kEngineDeltaMagic,
-                                  core::kEngineDeltaVersion);
+      engine_payload = ReadFramedView(payload, core::kEngineDeltaMagic,
+                                      {core::kEngineDeltaVersion});
     } else {
       std::uint32_t version = 0;
-      engine_payload = ReadFramedAny(
-          sections, core::kEngineStateMagic,
+      engine_payload = ReadFramedView(
+          payload, core::kEngineStateMagic,
           {core::kEngineStateVersion, core::kEngineStateBinaryVersion},
           &version);
       if (version != core::kEngineStateBinaryVersion) {
@@ -228,38 +224,40 @@ FleetImage ParseMemberImage(const std::string& bytes,
       }
     }
     BinaryReader reader(engine_payload, "chain member shard");
-    ShardImage shard;
+    ShardImage<std::string_view> shard;
     const std::uint32_t header_len = reader.Count32(1);
-    shard.header.assign(reader.Bytes(header_len));
+    shard.header = reader.Bytes(header_len);
     const std::uint64_t bank_count = reader.Count(8 + 4);
     for (std::uint64_t b = 0; b < bank_count; ++b) {
       const std::uint64_t key = reader.U64();
       const std::uint32_t blob_len = reader.Count32(1);
-      if (!shard.banks.emplace(key, std::string(reader.Bytes(blob_len)))
-               .second) {
+      if (!shard.banks.emplace(key, reader.Bytes(blob_len)).second) {
         throw ParseError(member + ": duplicate bank key in shard section");
       }
     }
     reader.ExpectEnd();
     image.shards.push_back(std::move(shard));
   }
+  serve::ExpectNoTrailingBytes(payload, member + " payload");
   return image;
 }
 
-/// Apply a delta image on top of a full image: headers are replaced (the
-/// delta carries the newest global counters), bank blobs overlay by key.
-void OverlayImage(FleetImage& base, FleetImage&& delta,
-                  const std::string& member) {
-  if (delta.shards.size() != base.shards.size()) {
-    throw ParseError(member + ": delta has " +
-                     std::to_string(delta.shards.size()) +
+/// Copy a member's image over the fold's: headers are replaced (the newest
+/// member carries the newest global counters), bank blobs overlay by key.
+void OverlayImage(FoldImage& fold, const MemberImage& member,
+                  const std::string& name) {
+  if (member.shards.size() != fold.size()) {
+    throw ParseError(name + ": delta has " +
+                     std::to_string(member.shards.size()) +
                      " shard(s) but the chain's full has " +
-                     std::to_string(base.shards.size()));
+                     std::to_string(fold.size()));
   }
-  for (std::size_t s = 0; s < base.shards.size(); ++s) {
-    base.shards[s].header = std::move(delta.shards[s].header);
-    for (auto& [key, blob] : delta.shards[s].banks) {
-      base.shards[s].banks[key] = std::move(blob);
+  // Fresh exact-size copies: assigning into an existing string may double
+  // its capacity.
+  for (std::size_t s = 0; s < fold.size(); ++s) {
+    fold[s].header = std::string(member.shards[s].header);
+    for (const auto& [key, blob] : member.shards[s].banks) {
+      fold[s].banks.insert_or_assign(key, std::string(blob));
     }
   }
 }
@@ -267,13 +265,33 @@ void OverlayImage(FleetImage& base, FleetImage&& delta,
 /// Serialize an image as the bytes of a binary full checkpoint — the same
 /// frame nesting and field layout the live server writes, so a fold of
 /// full+deltas is byte-identical to the full the server would have written
-/// at the same record boundary.
-std::string SerializeImageAsFull(const FleetImage& image) {
-  std::ostringstream payload;
-  payload << "shards " << image.shards.size() << '\n';
-  for (const ShardImage& shard : image.shards) {
-    std::string engine_payload;
-    BinaryWriter writer(engine_payload);
+/// at the same record boundary. The image knows every length, so the
+/// buffer is reserved to its exact size and never grows.
+std::string SerializeImageAsFull(const FoldImage& image) {
+  // A header line's length does not depend on its CRC, so a placeholder
+  // CRC sizes it.
+  const std::string count_line = serve::ShardCountLine(image.size());
+  std::uint64_t payload_bytes = count_line.size();
+  for (const ShardImage<std::string>& shard : image) {
+    std::uint64_t engine_bytes = 4 + shard.header.size() + 8;
+    for (const auto& [key, blob] : shard.banks) {
+      engine_bytes += 8 + 4 + blob.size();
+    }
+    payload_bytes += FrameHeaderLine(core::kEngineStateMagic,
+                                     core::kEngineStateBinaryVersion,
+                                     engine_bytes, 0)
+                         .size() +
+                     engine_bytes;
+  }
+  std::string out;
+  out.reserve(FrameHeaderLine(serve::kFleetCheckpointMagic,
+                              serve::kFleetCheckpointVersion, payload_bytes, 0)
+                  .size() +
+              payload_bytes);
+  out += count_line;
+  for (const ShardImage<std::string>& shard : image) {
+    const std::size_t frame = out.size();
+    BinaryWriter writer(out);
     writer.U32(static_cast<std::uint32_t>(shard.header.size()));
     writer.Bytes(shard.header);
     writer.U64(shard.banks.size());
@@ -282,13 +300,12 @@ std::string SerializeImageAsFull(const FleetImage& image) {
       writer.U32(static_cast<std::uint32_t>(blob.size()));
       writer.Bytes(blob);
     }
-    WriteFramed(payload, core::kEngineStateMagic,
-                core::kEngineStateBinaryVersion, engine_payload);
+    CloseFrame(out, frame, core::kEngineStateMagic,
+               core::kEngineStateBinaryVersion);
   }
-  std::ostringstream out;
-  WriteFramed(out, serve::kFleetCheckpointMagic, serve::kFleetCheckpointVersion,
-              payload.str());
-  return out.str();
+  CloseFrame(out, 0, serve::kFleetCheckpointMagic,
+             serve::kFleetCheckpointVersion);
+  return out;
 }
 
 /// Load the manifest for an offline tool: MANIFEST, then MANIFEST.prev.
@@ -316,7 +333,7 @@ std::string RequireMemberBytes(const std::string& directory,
                                const ChainEntry& entry) {
   const std::string path = JoinPath(directory, entry.file);
   std::string bytes;
-  if (!ReadFileBytes(path, bytes)) {
+  if (!serve::ReadFileBytes(path, bytes)) {
     throw ParseError(entry.file + ": chain member missing");
   }
   if (bytes.size() != entry.bytes || Crc32(bytes) != entry.crc32) {
@@ -327,26 +344,26 @@ std::string RequireMemberBytes(const std::string& directory,
   return bytes;
 }
 
-FleetImage FoldManifest(const std::string& directory,
-                        const Manifest& manifest) {
+FoldImage FoldManifest(const std::string& directory,
+                       const Manifest& manifest) {
   CORDIAL_CHECK_MSG(!manifest.entries.empty(), "fold: empty manifest");
-  FleetImage image = ParseMemberImage(
-      RequireMemberBytes(directory, manifest.entries.front()),
-      manifest.entries.front().file);
-  if (image.is_delta) {
-    throw ParseError(manifest.entries.front().file +
-                     ": chain's first member is not a full checkpoint");
-  }
-  for (std::size_t i = 1; i < manifest.entries.size(); ++i) {
+  FoldImage fold;
+  for (std::size_t i = 0; i < manifest.entries.size(); ++i) {
     const ChainEntry& entry = manifest.entries[i];
-    FleetImage delta =
-        ParseMemberImage(RequireMemberBytes(directory, entry), entry.file);
-    if (!delta.is_delta) {
+    const std::string bytes = RequireMemberBytes(directory, entry);
+    const MemberImage member = ParseMemberImage(bytes, entry.file);
+    if (i == 0) {
+      if (member.is_delta) {
+        throw ParseError(entry.file +
+                         ": chain's first member is not a full checkpoint");
+      }
+      fold.resize(member.shards.size());
+    } else if (!member.is_delta) {
       throw ParseError(entry.file + ": expected a delta member");
     }
-    OverlayImage(image, std::move(delta), entry.file);
+    OverlayImage(fold, member, entry.file);
   }
-  return image;
+  return fold;
 }
 
 }  // namespace
@@ -445,58 +462,40 @@ ChainRecoveryOutcome CheckpointChain::Recover(serve::FleetServer& server) {
   enum class Attempt { kFailed, kPartial, kIntact };
   const auto try_chain = [&](const std::vector<ChainEntry>& entries,
                              bool verify_crc) -> Attempt {
-    const ChainEntry& full = entries.front();
-    const std::string full_path = PathOf(full.file);
-    std::string bytes;
-    if (!ReadFileBytes(full_path, bytes)) {
-      outcome.errors.push_back(full.file + ": chain member missing");
-      return Attempt::kFailed;
-    }
-    if (verify_crc &&
-        (bytes.size() != full.bytes || Crc32(bytes) != full.crc32)) {
-      Quarantine(full_path);
-      outcome.quarantined.push_back(full_path);
-      outcome.errors.push_back(
-          full.file + ": full member does not match its manifest record "
-                      "(size/CRC-32 mismatch)");
-      return Attempt::kFailed;
-    }
-    try {
-      std::istringstream in(bytes);
-      server.RestoreCheckpoint(in);
-    } catch (const ParseError& e) {
-      Quarantine(full_path);
-      outcome.quarantined.push_back(full_path);
-      outcome.errors.push_back(full.file + ": " + e.what());
-      return Attempt::kFailed;
-    }
-    outcome.applied.push_back(full.file);
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      const ChainEntry& delta = entries[i];
-      const std::string delta_path = PathOf(delta.file);
-      if (!ReadFileBytes(delta_path, bytes)) {
-        outcome.errors.push_back(delta.file + ": chain member missing");
-        return Attempt::kPartial;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const ChainEntry& entry = entries[i];
+      const bool full = i == 0;
+      // A damaged full fails the chain; a damaged delta cuts it short.
+      const Attempt damaged = full ? Attempt::kFailed : Attempt::kPartial;
+      const std::string path = PathOf(entry.file);
+      std::string bytes;
+      if (!serve::ReadFileBytes(path, bytes)) {
+        outcome.errors.push_back(entry.file + ": chain member missing");
+        return damaged;
       }
       if (verify_crc &&
-          (bytes.size() != delta.bytes || Crc32(bytes) != delta.crc32)) {
-        Quarantine(delta_path);
-        outcome.quarantined.push_back(delta_path);
+          (bytes.size() != entry.bytes || Crc32(bytes) != entry.crc32)) {
+        Quarantine(path);
+        outcome.quarantined.push_back(path);
         outcome.errors.push_back(
-            delta.file + ": delta member does not match its manifest record "
-                         "(size/CRC-32 mismatch)");
-        return Attempt::kPartial;
+            entry.file + (full ? ": full" : ": delta") +
+            " member does not match its manifest record (size/CRC-32 "
+            "mismatch)");
+        return damaged;
       }
       try {
-        std::istringstream in(bytes);
-        server.ApplyDeltaCheckpoint(in);
+        if (full) {
+          server.RestoreCheckpoint(bytes);
+        } else {
+          server.ApplyDeltaCheckpoint(bytes);
+        }
       } catch (const ParseError& e) {
-        Quarantine(delta_path);
-        outcome.quarantined.push_back(delta_path);
-        outcome.errors.push_back(delta.file + ": " + e.what());
-        return Attempt::kPartial;
+        Quarantine(path);
+        outcome.quarantined.push_back(path);
+        outcome.errors.push_back(entry.file + ": " + e.what());
+        return damaged;
       }
-      outcome.applied.push_back(delta.file);
+      outcome.applied.push_back(entry.file);
     }
     return Attempt::kIntact;
   };
@@ -570,9 +569,8 @@ void CheckpointChain::PersistManifest() const {
 }
 
 ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
-  std::ostringstream buffer;
-  server.SaveCheckpoint(buffer, core::StateEncoding::kBinary);
-  std::string bytes = buffer.str();
+  std::string bytes;
+  server.AppendCheckpoint(bytes, core::StateEncoding::kBinary);
 
   ChainEntry entry;
   entry.is_full = true;
@@ -610,9 +608,8 @@ ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
 }
 
 ChainWriteResult CheckpointChain::WriteDelta(serve::FleetServer& server) {
-  std::ostringstream buffer;
-  const std::uint64_t banks = server.SaveDeltaCheckpoint(buffer);
-  std::string bytes = buffer.str();
+  std::string bytes;
+  const std::uint64_t banks = server.AppendDeltaCheckpoint(bytes);
 
   ChainEntry entry;
   entry.is_full = false;
@@ -675,7 +672,7 @@ ChainInspection InspectChain(const std::string& directory) {
     MemberInfo info;
     info.entry = entry;
     std::string bytes;
-    if (!ReadFileBytes(JoinPath(directory, entry.file), bytes)) {
+    if (!serve::ReadFileBytes(JoinPath(directory, entry.file), bytes)) {
       info.error = "missing";
       report.members.push_back(std::move(info));
       continue;
@@ -689,13 +686,13 @@ ChainInspection InspectChain(const std::string& directory) {
       continue;
     }
     try {
-      const FleetImage image = ParseMemberImage(bytes, entry.file);
+      const MemberImage image = ParseMemberImage(bytes, entry.file);
       if (image.is_delta == entry.is_full) {
         info.error = entry.is_full ? "manifest says full, file is a delta"
                                    : "manifest says delta, file is a full";
       }
       info.shard_count = image.shards.size();
-      for (const ShardImage& shard : image.shards) {
+      for (const ShardImage<std::string_view>& shard : image.shards) {
         info.bank_count += shard.banks.size();
       }
     } catch (const ParseError& e) {
@@ -713,7 +710,7 @@ std::string FoldChain(const std::string& directory) {
 
 ChainWriteResult CompactChainFiles(const std::string& directory) {
   const Manifest manifest = RequireManifest(directory);
-  const FleetImage image = FoldManifest(directory, manifest);
+  const FoldImage image = FoldManifest(directory, manifest);
   const std::string bytes = SerializeImageAsFull(image);
 
   ChainEntry entry;
@@ -728,7 +725,7 @@ ChainWriteResult CompactChainFiles(const std::string& directory) {
   result.full = true;
   result.file = JoinPath(directory, entry.file);
   result.bytes = entry.bytes;
-  for (const ShardImage& shard : image.shards) {
+  for (const ShardImage<std::string>& shard : image) {
     result.banks_written += shard.banks.size();
   }
 

@@ -5,10 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
@@ -120,17 +121,65 @@ void WriteFileDurably(const std::string& path, std::string_view bytes,
                                 "): " + std::strerror(errno));
 }
 
-void WriteCheckpointFile(const FleetServer& server, const std::string& path) {
+std::string ShardCountLine(std::size_t shards) {
+  return "shards " + std::to_string(shards) + '\n';
+}
+
+std::uint64_t TakeShardCount(std::string_view& payload,
+                             const std::string& context) {
+  constexpr std::string_view kPrefix = "shards ";
+  if (payload.substr(0, kPrefix.size()) != kPrefix) {
+    throw ParseError(context + ": payload does not start with a shard count");
+  }
+  const char* const digits = payload.data() + kPrefix.size();
+  const char* const end = payload.data() + payload.size();
+  std::uint64_t shards = 0;
+  const auto [newline, ec] = std::from_chars(digits, end, shards);
+  if (ec != std::errc() || newline == digits || newline == end ||
+      *newline != '\n') {
+    throw ParseError(context + ": malformed shard count line");
+  }
+  payload.remove_prefix(static_cast<std::size_t>(newline + 1 - payload.data()));
+  return shards;
+}
+
+void ExpectNoTrailingBytes(std::string_view rest, const std::string& where) {
+  if (!rest.empty()) {
+    throw ParseError(where + ": " + std::to_string(rest.size()) +
+                     " unexpected trailing byte(s)");
+  }
+}
+
+std::uint64_t WriteCheckpointFile(const FleetServer& server,
+                                  const std::string& path) {
   // Serialize first: a failure here costs nothing on disk.
-  std::ostringstream buffer;
-  server.SaveCheckpoint(buffer);
-  WriteFileDurably(path, buffer.str(), /*retain_prev=*/true);
+  std::string bytes;
+  server.AppendCheckpoint(bytes);
+  WriteFileDurably(path, bytes, /*retain_prev=*/true);
+  return bytes.size();
+}
+
+bool ReadFileBytes(const std::string& path, std::string& bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return false;
+  // A directory opens too, and its seek end on ext4 is 2^63-1. Only a
+  // regular file is sized; anything else reads as empty, so it fails the
+  // caller's checks as corrupt, as a stream read of it always did.
+  struct stat st;
+  const bool regular = ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
+  std::string data(regular ? static_cast<std::size_t>(st.st_size) : 0, '\0');
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  // A file that shrank since it was sized keeps what was read; the
+  // caller's size check or the frame reader rejects it.
+  data.resize(static_cast<std::size_t>(in.gcount()));
+  bytes = std::move(data);
+  return true;
 }
 
 bool ReadCheckpointFile(FleetServer& server, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  server.RestoreCheckpoint(in);
+  std::string bytes;
+  if (!ReadFileBytes(path, bytes)) return false;
+  server.RestoreCheckpoint(bytes);
   return true;
 }
 
@@ -139,14 +188,13 @@ RecoveryOutcome RecoverCheckpoint(FleetServer& server,
   RecoveryOutcome outcome;
   const std::string candidates[] = {path, path + ".prev"};
   for (const std::string& candidate : candidates) {
-    std::ifstream in(candidate, std::ios::binary);
-    if (!in.good()) continue;
+    std::string bytes;
+    if (!ReadFileBytes(candidate, bytes)) continue;
     try {
-      server.RestoreCheckpoint(in);
+      server.RestoreCheckpoint(bytes);
       outcome.restored_from = candidate;
       return outcome;
     } catch (const ParseError& e) {
-      in.close();
       const std::string quarantine = candidate + ".corrupt";
       ::unlink(quarantine.c_str());
       if (std::rename(candidate.c_str(), quarantine.c_str()) == 0) {

@@ -2,10 +2,13 @@
 // recovery policy for the serve layer.
 //
 // A fleet checkpoint is one frame (common/framing.hpp) whose payload holds
-// the shard count followed by each shard engine's own framed state, in shard
-// order. Frames nest, so every section self-describes its version, length
-// and CRC-32, and a truncated or bit-rotted file is rejected rather than
-// half-loaded.
+// the line "shards <n>\n" followed by each shard engine's own framed state,
+// in shard order, and nothing else. Bytes after the payload's last shard
+// frame are a ParseError (the trailing-bytes rule), and so are bytes after
+// the frame of a member handed over whole (FleetServer::RestoreCheckpoint
+// and ApplyDeltaCheckpoint on a std::string_view). Frames nest, so every
+// section self-describes its version, length and CRC-32, and a truncated
+// or bit-rotted file is rejected rather than half-loaded.
 //
 // Crash-consistency contract of WriteCheckpointFile:
 //   1. the full serialized state is written to `<path>.tmp` and fsync'd —
@@ -45,6 +48,17 @@ inline constexpr std::uint32_t kFleetCheckpointVersion = 1;
 inline constexpr char kFleetDeltaMagic[] = "cordial_fleet_delta";
 inline constexpr std::uint32_t kFleetDeltaVersion = 1;
 
+/// The "shards <n>\n" line a fleet payload (full or delta) starts with.
+std::string ShardCountLine(std::size_t shards);
+/// Consume a ShardCountLine from the front of `payload` and return its n.
+/// ParseError naming `context` when the line is malformed.
+std::uint64_t TakeShardCount(std::string_view& payload,
+                             const std::string& context);
+/// The trailing-bytes rule: `rest` — what follows a member's frame, or a
+/// fleet payload's last shard frame — must be empty. ParseError naming
+/// `where` and the byte count.
+void ExpectNoTrailingBytes(std::string_view rest, const std::string& where);
+
 /// The crash-consistency core shared by full checkpoints, chain members and
 /// chain manifests: durably publish `bytes` at `path` via tmp + fsync +
 /// rename + directory fsync (steps 1/3/4 of the contract above, wired with
@@ -61,13 +75,23 @@ void WriteFileDurably(const std::string& path, std::string_view bytes,
 
 /// Atomically and durably write `server`'s checkpoint to `path` (tmp +
 /// fsync + rename + directory fsync, retaining the previous generation as
-/// `<path>.prev`). The server must be drained. Throws ContractViolation
+/// `<path>.prev`), encoded into one buffer and written from it. The server
+/// must be drained. Returns the bytes written. Throws ContractViolation
 /// when the file cannot be written; the tmp file is removed on failure.
-void WriteCheckpointFile(const FleetServer& server, const std::string& path);
+std::uint64_t WriteCheckpointFile(const FleetServer& server,
+                                  const std::string& path);
 
-/// Restore `server` from a checkpoint file. Returns false when `path` does
-/// not exist (fresh start); throws ParseError on a malformed or
-/// incompatible checkpoint (the server is left unchanged).
+/// Read the whole file at `path` into `bytes` with one exact-size read (a
+/// directory or other non-regular file reads as empty). Returns false when
+/// it cannot be opened. Checkpoint files and chain members are read this
+/// way and restored from the view, never through a stream.
+bool ReadFileBytes(const std::string& path, std::string& bytes);
+
+/// Restore `server` from a checkpoint file, which must be exactly one
+/// checkpoint frame (FleetServer::RestoreCheckpoint(std::string_view)).
+/// Returns false when `path` does not exist (fresh start); throws
+/// ParseError on a malformed or incompatible checkpoint, trailing bytes
+/// included (the server is left unchanged).
 bool ReadCheckpointFile(FleetServer& server, const std::string& path);
 
 /// What RecoverCheckpoint did at boot.

@@ -1,7 +1,7 @@
 #include "serve/fleet_server.hpp"
 
 #include <cmath>
-#include <sstream>
+#include <ostream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -60,16 +60,18 @@ void FleetServer::DrainShard(std::size_t index) {
 std::string FleetServer::ExportShard(std::size_t index) {
   CORDIAL_CHECK_MSG(index < shards_.size(), "ExportShard: no such shard");
   shards_[index]->Drain();
-  std::ostringstream state;
-  shards_[index]->SaveState(state);
-  return state.str();
+  std::string state;
+  shards_[index]->AppendState(state);
+  return state;
 }
 
 void FleetServer::ImportShard(std::size_t index, const std::string& state) {
   CORDIAL_CHECK_MSG(index < shards_.size(), "ImportShard: no such shard");
   shards_[index]->Drain();
-  std::istringstream in(state);
-  shards_[index]->RestoreState(in);
+  std::string_view in(state);
+  core::PredictionEngine::StagedState staged = shards_[index]->ParseState(in);
+  ExpectNoTrailingBytes(in, "imported shard state");
+  shards_[index]->CommitState(std::move(staged));
 }
 
 bool FleetServer::ValidRecord(const trace::MceRecord& record) const {
@@ -219,31 +221,53 @@ std::string FleetServer::StatusTable() const {
                       " shards)");
 }
 
-void FleetServer::SaveCheckpoint(std::ostream& out,
-                                 core::StateEncoding encoding) const {
-  std::ostringstream payload;
-  payload << "shards " << shards_.size() << '\n';
-  for (const auto& shard : shards_) shard->SaveState(payload, encoding);
-  WriteFramed(out, kFleetCheckpointMagic, kFleetCheckpointVersion,
-              payload.str());
+void FleetServer::AppendCheckpoint(std::string& out,
+                                   core::StateEncoding encoding) const {
+  const std::size_t frame = out.size();
+  out += ShardCountLine(shards_.size());
+  for (const auto& shard : shards_) shard->AppendState(out, encoding);
+  CloseFrame(out, frame, kFleetCheckpointMagic, kFleetCheckpointVersion);
 }
 
-std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
-  std::ostringstream payload;
-  payload << "shards " << shards_.size() << '\n';
+void FleetServer::SaveCheckpoint(std::ostream& out,
+                                 core::StateEncoding encoding) const {
+  std::string member;
+  AppendCheckpoint(member, encoding);
+  out.write(member.data(), static_cast<std::streamsize>(member.size()));
+}
+
+std::uint64_t FleetServer::AppendDeltaCheckpoint(std::string& out) const {
+  const std::size_t frame = out.size();
+  out += ShardCountLine(shards_.size());
   std::uint64_t banks_written = 0;
   for (const auto& shard : shards_) {
-    banks_written += shard->SaveDeltaState(payload);
+    banks_written += shard->AppendDeltaState(out);
   }
-  WriteFramed(out, kFleetDeltaMagic, kFleetDeltaVersion, payload.str());
+  CloseFrame(out, frame, kFleetDeltaMagic, kFleetDeltaVersion);
   return banks_written;
 }
 
+std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
+  std::string member;
+  const std::uint64_t banks_written = AppendDeltaCheckpoint(member);
+  out.write(member.data(), static_cast<std::streamsize>(member.size()));
+  return banks_written;
+}
+
+void FleetServer::ApplyDeltaCheckpoint(std::string_view member) {
+  const std::string_view payload =
+      ReadFramedView(member, kFleetDeltaMagic, {kFleetDeltaVersion});
+  ExpectNoTrailingBytes(member, "delta checkpoint member");
+  ApplyDeltaPayload(payload);
+}
+
 void FleetServer::ApplyDeltaCheckpoint(std::istream& in) {
-  std::istringstream payload(
-      ReadFramed(in, kFleetDeltaMagic, kFleetDeltaVersion));
-  ExpectToken(payload, "shards");
-  const std::uint64_t shard_count = ReadU64Token(payload, "delta checkpoint");
+  ApplyDeltaPayload(ReadFramed(in, kFleetDeltaMagic, kFleetDeltaVersion));
+}
+
+void FleetServer::ApplyDeltaPayload(std::string_view payload) {
+  const std::uint64_t shard_count =
+      TakeShardCount(payload, "delta checkpoint");
   if (shard_count != shards_.size()) {
     throw ParseError("delta checkpoint holds " + std::to_string(shard_count) +
                      " shard(s) but this server has " +
@@ -257,6 +281,7 @@ void FleetServer::ApplyDeltaCheckpoint(std::istream& in) {
   for (auto& shard : shards_) {
     staged.push_back(shard->ParseDeltaState(payload));
   }
+  ExpectNoTrailingBytes(payload, "delta checkpoint payload");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->CommitDeltaState(std::move(staged[s]));
   }
@@ -278,11 +303,20 @@ std::size_t FleetServer::TotalBankCount() const {
   return banks;
 }
 
+void FleetServer::RestoreCheckpoint(std::string_view member) {
+  const std::string_view payload = ReadFramedView(
+      member, kFleetCheckpointMagic, {kFleetCheckpointVersion});
+  ExpectNoTrailingBytes(member, "checkpoint member");
+  RestorePayload(payload);
+}
+
 void FleetServer::RestoreCheckpoint(std::istream& in) {
-  std::istringstream payload(
+  RestorePayload(
       ReadFramed(in, kFleetCheckpointMagic, kFleetCheckpointVersion));
-  ExpectToken(payload, "shards");
-  const std::uint64_t shard_count = ReadU64Token(payload, "checkpoint");
+}
+
+void FleetServer::RestorePayload(std::string_view payload) {
+  const std::uint64_t shard_count = TakeShardCount(payload, "checkpoint");
   if (shard_count != shards_.size()) {
     throw ParseError("checkpoint holds " + std::to_string(shard_count) +
                      " shard(s) but this server has " +
@@ -296,6 +330,7 @@ void FleetServer::RestoreCheckpoint(std::istream& in) {
   std::vector<core::PredictionEngine::StagedState> staged;
   staged.reserve(shards_.size());
   for (auto& shard : shards_) staged.push_back(shard->ParseState(payload));
+  ExpectNoTrailingBytes(payload, "checkpoint payload");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->CommitState(std::move(staged[s]));
   }

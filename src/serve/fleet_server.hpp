@@ -9,9 +9,11 @@
 // sharded server's decisions, ledgers and aggregate stats are bit-identical
 // to the single engine's (pinned by tests/serve/fleet_server_test.cpp).
 //
-// Checkpointing: SaveCheckpoint serializes every shard's engine into one
-// versioned frame; RestoreCheckpoint rebuilds a same-shape server that
-// resumes bit-identically. Both require the server to be drained.
+// Checkpointing: AppendCheckpoint encodes every shard's engine into one
+// versioned frame, in place in the caller's buffer; RestoreCheckpoint parses
+// such a member in place and rebuilds a same-shape server that resumes
+// bit-identically. Both require the server to be drained. The stream
+// signatures (SaveCheckpoint, ...) are thin adapters over the same paths.
 //
 // Migration: a shard's engine state can leave one server and land in
 // another. ExportShard drains the shard and returns its framed engine
@@ -32,6 +34,8 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/shard.hpp"
@@ -122,8 +126,8 @@ class FleetServer {
   std::string ExportShard(std::size_t index);
   /// Drain shard `index` and replace its engine state with a section
   /// previously produced by ExportShard (here or on another server with the
-  /// same engine config). Throws ParseError on malformed input and leaves
-  /// the shard unchanged.
+  /// same engine config): exactly one engine frame. Throws ParseError on
+  /// malformed input or trailing bytes and leaves the shard unchanged.
   void ImportShard(std::size_t index, const std::string& state);
 
   /// Records consumed by Submit/SubmitBatch that never reached a shard
@@ -158,31 +162,45 @@ class FleetServer {
   /// engines themselves.
   std::string StatusTable() const;
 
-  /// Serialize every shard engine into one framed checkpoint. The server
-  /// must be drained (Drain() or Stop() first). The outer fleet frame is
-  /// the same for both encodings ("shards N" + nested engine frames); each
-  /// nested engine frame self-describes v1 text or v2 binary, so
-  /// RestoreCheckpoint reads either transparently.
+  /// Append every shard engine's state to `out` as one framed checkpoint
+  /// member, encoded in place: no section is built in a buffer of its own.
+  /// The server must be drained (Drain() or Stop() first). The outer fleet
+  /// frame is the same for both encodings ("shards N" + nested engine
+  /// frames); each nested engine frame self-describes v1 text or v2 binary,
+  /// so RestoreCheckpoint reads either transparently.
+  void AppendCheckpoint(std::string& out, core::StateEncoding encoding =
+                                              core::StateEncoding::kText) const;
+  /// AppendCheckpoint written to a stream.
   void SaveCheckpoint(std::ostream& out, core::StateEncoding encoding =
                                              core::StateEncoding::kText) const;
-  /// Restore from a SaveCheckpoint stream. Throws ParseError on malformed
-  /// input, version mismatch, or a shard-count mismatch (a checkpoint only
-  /// restores into a server with the same shard count). Strong guarantee:
-  /// every shard section is parsed before any shard commits, so a throw
-  /// leaves the whole server unchanged — never half-restored.
+  /// Restore from a checkpoint member's bytes — exactly one frame — parsed
+  /// in place. Throws ParseError on malformed input, version mismatch,
+  /// trailing bytes, or a shard-count mismatch (a checkpoint only restores
+  /// into a server with the same shard count). Strong guarantee: every
+  /// shard section is parsed before any shard commits, so a throw leaves
+  /// the whole server unchanged — never half-restored.
+  void RestoreCheckpoint(std::string_view member);
+  /// Restore from the checkpoint frame at the stream's read position, same
+  /// checks on its payload. Bytes after the frame are left in the stream
+  /// for the caller; files are read whole and restored from the view.
   void RestoreCheckpoint(std::istream& in);
 
   // --- delta checkpoints (server must be drained throughout) ---------------
 
-  /// Serialize every shard's dirty banks into one cordial_fleet_delta
-  /// frame. Dirty sets are NOT cleared — call MarkCheckpointClean once the
-  /// bytes are durable, so a failed write loses nothing. Returns the total
-  /// number of banks written across shards.
+  /// Append every shard's dirty banks to `out` as one cordial_fleet_delta
+  /// member, encoded in place. Dirty sets are NOT cleared — call
+  /// MarkCheckpointClean once the bytes are durable, so a failed write
+  /// loses nothing. Returns the total number of banks written across
+  /// shards.
+  std::uint64_t AppendDeltaCheckpoint(std::string& out) const;
+  /// AppendDeltaCheckpoint written to a stream.
   std::uint64_t SaveDeltaCheckpoint(std::ostream& out) const;
-  /// Apply a delta on top of the current state (the full snapshot it chains
-  /// from, plus any earlier deltas). Same strong guarantee and shard-count
-  /// check as RestoreCheckpoint: every shard's delta is parsed before any
-  /// commits.
+  /// Apply a delta member (exactly one frame, parsed in place) on top of
+  /// the current state (the full snapshot it chains from, plus any earlier
+  /// deltas). Same strong guarantee and checks as RestoreCheckpoint: every
+  /// shard's delta is parsed before any commits.
+  void ApplyDeltaCheckpoint(std::string_view member);
+  /// Apply the delta frame at the stream's read position.
   void ApplyDeltaCheckpoint(std::istream& in);
   /// Advance every shard's snapshot epoch (all banks become clean).
   void MarkCheckpointClean();
@@ -192,6 +210,9 @@ class FleetServer {
 
  private:
   bool ValidRecord(const trace::MceRecord& record) const;
+  /// Stage every shard from a checked fleet payload, then commit them all.
+  void RestorePayload(std::string_view payload);
+  void ApplyDeltaPayload(std::string_view payload);
 
   hbm::AddressCodec codec_;
   std::vector<std::unique_ptr<EngineShard>> shards_;

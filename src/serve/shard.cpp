@@ -306,21 +306,21 @@ obs::RegistrySnapshot EngineShard::MetricsSnapshot() const {
   return metrics_registry_.Snapshot();
 }
 
-void EngineShard::SaveState(std::ostream& out,
-                            core::StateEncoding encoding) const {
+void EngineShard::AppendState(std::string& out,
+                              core::StateEncoding encoding) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
   CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
-  engine_.SaveState(out, encoding);
+  engine_.AppendState(out, encoding);
 }
 
-std::uint64_t EngineShard::SaveDeltaState(std::ostream& out) const {
+std::uint64_t EngineShard::AppendDeltaState(std::string& out) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
   CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
-  return engine_.SaveDeltaState(out);
+  return engine_.AppendDeltaState(out);
 }
 
 core::PredictionEngine::StagedDelta EngineShard::ParseDeltaState(
-    std::istream& in) const {
+    std::string_view& in) const {
   return engine_.ParseDeltaState(in);
 }
 
@@ -352,14 +352,8 @@ std::size_t EngineShard::bank_count() const {
   return engine_.bank_count();
 }
 
-void EngineShard::RestoreState(std::istream& in) {
-  std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before restoring");
-  engine_.RestoreState(in);
-}
-
 core::PredictionEngine::StagedState EngineShard::ParseState(
-    std::istream& in) const {
+    std::string_view& in) const {
   return engine_.ParseState(in);
 }
 

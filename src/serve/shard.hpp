@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -171,28 +170,27 @@ class EngineShard {
   /// line millions of times per second for a value only scrapes ever read.
   obs::RegistrySnapshot MetricsSnapshot() const;
 
-  /// Checkpoint the engine (PredictionEngine::SaveState). The shard must be
-  /// drained or stopped — enforced by a contract check.
-  void SaveState(std::ostream& out,
-                 core::StateEncoding encoding = core::StateEncoding::kText) const;
-  /// Restore the engine from a SaveState stream (same contract). Strong
-  /// guarantee: a ParseError leaves the engine unchanged.
-  void RestoreState(std::istream& in);
-
-  /// Parse a SaveState stream without touching the engine; the fleet
-  /// server stages every shard before committing any (see
-  /// FleetServer::RestoreCheckpoint).
-  core::PredictionEngine::StagedState ParseState(std::istream& in) const;
+  /// Append the engine's checkpoint frame to `out`
+  /// (PredictionEngine::AppendState). The shard must be drained or stopped —
+  /// enforced by a contract check.
+  void AppendState(std::string& out, core::StateEncoding encoding =
+                                         core::StateEncoding::kText) const;
+  /// Parse the engine frame at the front of `in` without touching the
+  /// engine; the fleet server stages every shard before committing any
+  /// (see FleetServer::RestoreCheckpoint).
+  core::PredictionEngine::StagedState ParseState(std::string_view& in) const;
   /// Adopt a staged state (drained-shard contract; never throws past it).
   void CommitState(core::PredictionEngine::StagedState&& staged);
 
   // --- delta checkpoints (drained-shard contract throughout) ---------------
-  /// Serialize this engine's dirty banks (PredictionEngine::SaveDeltaState);
-  /// the dirty set is not cleared — call MarkCheckpointClean once the bytes
-  /// are durable. Returns the number of banks written.
-  std::uint64_t SaveDeltaState(std::ostream& out) const;
+  /// Append this engine's dirty banks as a delta frame
+  /// (PredictionEngine::AppendDeltaState); the dirty set is not cleared —
+  /// call MarkCheckpointClean once the bytes are durable. Returns the
+  /// number of banks written.
+  std::uint64_t AppendDeltaState(std::string& out) const;
   /// Parse a delta without touching the engine (lock-free, like ParseState).
-  core::PredictionEngine::StagedDelta ParseDeltaState(std::istream& in) const;
+  core::PredictionEngine::StagedDelta ParseDeltaState(
+      std::string_view& in) const;
   /// Apply a staged delta on top of the current engine state.
   void CommitDeltaState(core::PredictionEngine::StagedDelta&& staged);
   /// Advance the engine's snapshot epoch (all banks become clean).

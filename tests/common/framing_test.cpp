@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
@@ -44,11 +46,16 @@ TEST(Framing, ConsecutiveFramesReadInOrder) {
   std::ostringstream out;
   WriteFramed(out, "frame", 1, "first");
   WriteFramed(out, "frame", 1, "second");
-  std::istringstream in(out.str());
-  EXPECT_EQ(PeekMagic(in), "frame");
+  const std::string bytes = out.str();
+  std::istringstream in(bytes);
   EXPECT_EQ(ReadFramed(in, "frame", 1), "first");
   EXPECT_EQ(ReadFramed(in, "frame", 1), "second");
-  EXPECT_EQ(PeekMagic(in), "");
+  std::string_view view(bytes);
+  EXPECT_EQ(PeekMagic(view), "frame");
+  EXPECT_EQ(ReadFramedView(view, "frame", {1}), "first");
+  EXPECT_EQ(PeekMagic(view), "frame");
+  EXPECT_EQ(ReadFramedView(view, "frame", {1}), "second");
+  EXPECT_EQ(PeekMagic(view), "");
 }
 
 TEST(Framing, RejectsWrongMagic) {
@@ -199,6 +206,75 @@ TEST(Framing, ReadFailpointInjectsParseError) {
   failpoint::DisarmAll();
   std::istringstream disarmed(out.str());
   EXPECT_EQ(ReadFramed(disarmed, "magic", 1), "fine payload");
+}
+
+TEST(Framing, InPlaceWriterMatchesWriteFramedAndNests) {
+  // CloseFrame turns bytes already in a buffer into a frame, so a member
+  // and its nested sections are written into one string; the bytes must be
+  // exactly what WriteFramed produces.
+  std::ostringstream inner;
+  WriteFramed(inner, "inner", 1, "payload");
+  std::ostringstream outer;
+  WriteFramed(outer, "outer", 2, "head\n" + inner.str());
+
+  std::string buffer = "prefix";
+  const std::size_t outer_start = buffer.size();
+  buffer += "head\n";
+  const std::size_t inner_start = buffer.size();
+  buffer += "payload";
+  CloseFrame(buffer, inner_start, "inner", 1);
+  CloseFrame(buffer, outer_start, "outer", 2);
+  EXPECT_EQ(buffer, "prefix" + outer.str());
+}
+
+TEST(Framing, ViewReaderSlicesPayloadsInPlace) {
+  std::ostringstream out;
+  WriteFramed(out, "frame", 1, "first");
+  WriteFramed(out, "frame", 2, "");
+  const std::string bytes = out.str();
+  std::string_view in(bytes);
+  std::uint32_t version = 0;
+  const std::string_view first = ReadFramedView(in, "frame", {1, 2}, &version);
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(version, 1u);
+  // A view into the caller's bytes, not a copy.
+  EXPECT_GE(first.data(), bytes.data());
+  EXPECT_LE(first.data() + first.size(), bytes.data() + bytes.size());
+  EXPECT_EQ(ReadFramedView(in, "frame", {1, 2}, &version), "");
+  EXPECT_EQ(version, 2u);
+  EXPECT_TRUE(in.empty());
+}
+
+TEST(Framing, ViewReaderMakesTheStreamReadersChecks) {
+  std::ostringstream out;
+  WriteFramed(out, "magic", 1, "payload");
+  const std::string good = out.str();
+  const auto read = [](const std::string& bytes) {
+    std::string_view in(bytes);
+    return std::string(ReadFramedView(in, "magic", {1}));
+  };
+  EXPECT_EQ(read(good), "payload");
+  EXPECT_THROW(read(""), ParseError);
+  EXPECT_THROW(read("other" + good), ParseError);        // wrong magic
+  EXPECT_THROW(read(" " + good), ParseError);            // not at the front
+  EXPECT_THROW(read("magic v1 7 crc32=zz\npayload"), ParseError);
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_THROW(read(good.substr(0, len)), ParseError) << len;
+  }
+  std::string flipped = good;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  EXPECT_THROW(read(flipped), ParseError);              // checksum
+  std::string_view in(good);
+  EXPECT_THROW(ReadFramedView(in, "magic", {2}), ParseError);  // version
+
+  const std::uint64_t legacy_before = GetFramingStats().legacy_frames_read;
+  EXPECT_EQ(read("magic v1 7\npayload"), "payload");
+  EXPECT_EQ(GetFramingStats().legacy_frames_read, legacy_before + 1);
+
+  failpoint::Arm("common.framing.read");
+  EXPECT_THROW(read(good), ParseError);
+  failpoint::DisarmAll();
+  EXPECT_EQ(read(good), "payload");
 }
 
 TEST(Framing, NonFiniteDoublesRoundTripExplicitly) {

@@ -151,8 +151,10 @@ TEST_F(PersistenceTest, ModelFilesCarryVersionedMagicHeaders) {
   std::stringstream pattern_buf, crossrow_buf;
   classifier.SaveModel(pattern_buf);
   predictor.SaveModel(crossrow_buf);
-  EXPECT_EQ(PeekMagic(pattern_buf), kPatternModelMagic);
-  EXPECT_EQ(PeekMagic(crossrow_buf), kCrossRowModelMagic);
+  const std::string pattern_bytes = pattern_buf.str();
+  const std::string crossrow_bytes = crossrow_buf.str();
+  EXPECT_EQ(PeekMagic(pattern_bytes), kPatternModelMagic);
+  EXPECT_EQ(PeekMagic(crossrow_bytes), kCrossRowModelMagic);
 
   // A model stream of the wrong kind is rejected by its magic, not half
   // parsed.

@@ -21,6 +21,7 @@
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/framing.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/fleet_server.hpp"
 #include "support/serve_world.hpp"
@@ -539,6 +540,176 @@ TEST(ChainInspect, ReportsSoundChainsAndNamesCorruptMembers) {
     FAIL() << "fold accepted a corrupt member";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find(victim_file), std::string::npos);
+  }
+}
+
+// --- trailing-bytes rule -------------------------------------------------
+
+/// Re-frame a member with `extra` appended to its payload: the frame's CRC
+/// vouches for the extra bytes, so only the payload parser can refuse them.
+std::string ReframeWithExtra(const std::string& member, const char* magic,
+                             std::uint32_t version, const std::string& extra) {
+  std::istringstream in(member);
+  const std::string payload = ReadFramed(in, magic, version);
+  std::ostringstream out;
+  WriteFramed(out, magic, version, payload + extra);
+  return out.str();
+}
+
+template <typename Call>
+void ExpectTrailingBytesError(Call call, std::size_t bytes) {
+  try {
+    call();
+    FAIL() << "accepted " << bytes << " trailing byte(s)";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(bytes) +
+                                         " unexpected trailing byte(s)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ChainFold, TrailingPayloadBytesAreRejectedByEveryParser) {
+  const World& w = SharedWorld();
+  FleetServer writer = MakeServer(w);
+  writer.Start();
+  Feed(writer, w, 0, 40);
+  const std::string full = BinaryCheckpoint(writer);
+  writer.MarkCheckpointClean();
+  Feed(writer, w, 40, 80);
+  std::ostringstream delta_out;
+  writer.SaveDeltaCheckpoint(delta_out);
+  const std::string delta = delta_out.str();
+  const std::string shard_state = writer.ExportShard(0);
+  writer.Stop();
+
+  for (const std::string& extra :
+       {std::string("x"), std::string("\ngarbage")}) {
+    SCOPED_TRACE("extra " + std::to_string(extra.size()) + " byte(s)");
+    const std::string bad_full =
+        ReframeWithExtra(full, serve::kFleetCheckpointMagic,
+                         serve::kFleetCheckpointVersion, extra);
+    const std::string bad_delta = ReframeWithExtra(
+        delta, serve::kFleetDeltaMagic, serve::kFleetDeltaVersion, extra);
+
+    FleetServer victim = MakeServer(w);
+    const std::string fresh = TextCheckpoint(victim);
+    ExpectTrailingBytesError([&] { victim.RestoreCheckpoint(bad_full); },
+                             extra.size());
+    std::istringstream bad_full_in(bad_full);
+    ExpectTrailingBytesError([&] { victim.RestoreCheckpoint(bad_full_in); },
+                             extra.size());
+    // Bytes after the member's frame break the same rule, in the view
+    // overload and in the single-file readers that hand it the file.
+    ExpectTrailingBytesError([&] { victim.RestoreCheckpoint(full + extra); },
+                             extra.size());
+    {
+      ScratchDir dir;
+      const std::string path = dir.File("fleet.ckpt");
+      WriteBytes(path, full + extra);
+      ExpectTrailingBytesError(
+          [&] { serve::ReadCheckpointFile(victim, path); }, extra.size());
+      const serve::RecoveryOutcome outcome =
+          serve::RecoverCheckpoint(victim, path);
+      EXPECT_TRUE(outcome.restored_from.empty());
+      ASSERT_EQ(outcome.errors.size(), 1u);
+      EXPECT_NE(outcome.errors[0].find(std::to_string(extra.size()) +
+                                       " unexpected trailing byte(s)"),
+                std::string::npos)
+          << outcome.errors[0];
+    }
+    // A migrated shard's state is exactly one engine frame too.
+    const std::string shard_before = victim.ExportShard(0);
+    ExpectTrailingBytesError(
+        [&] { victim.ImportShard(0, shard_state + extra); }, extra.size());
+    EXPECT_EQ(victim.ExportShard(0), shard_before);
+    EXPECT_EQ(TextCheckpoint(victim), fresh);
+
+    victim.RestoreCheckpoint(full);
+    const std::string base = TextCheckpoint(victim);
+    ExpectTrailingBytesError([&] { victim.ApplyDeltaCheckpoint(bad_delta); },
+                             extra.size());
+    std::istringstream bad_delta_in(bad_delta);
+    ExpectTrailingBytesError(
+        [&] { victim.ApplyDeltaCheckpoint(bad_delta_in); }, extra.size());
+    EXPECT_EQ(TextCheckpoint(victim), base);
+
+    // The fold, over chains whose manifest vouches for the re-framed
+    // member: one with a bad full, one with a bad delta.
+    for (const bool bad_is_full : {true, false}) {
+      ScratchDir dir;
+      Manifest manifest;
+      manifest.epoch = 1;
+      const std::string members[] = {bad_is_full ? bad_full : full,
+                                     bad_is_full ? delta : bad_delta};
+      for (std::uint64_t seq = 0; seq < 2; ++seq) {
+        ChainEntry entry;
+        entry.is_full = seq == 0;
+        entry.epoch = 1;
+        entry.seq = seq;
+        entry.file = seq == 0 ? "full-000001.ckpt" : "delta-000001.0001.ckpt";
+        entry.bytes = members[seq].size();
+        entry.crc32 = Crc32(members[seq]);
+        WriteBytes(dir.File(entry.file), members[seq]);
+        manifest.entries.push_back(entry);
+      }
+      WriteBytes(dir.File(kManifestFileName), EncodeManifest(manifest));
+      ExpectTrailingBytesError([&] { FoldChain(dir.path()); }, extra.size());
+    }
+  }
+}
+
+// --- format goldens -------------------------------------------------------
+
+/// FNV-1a (64-bit) of a byte string.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
+  // The fold oracle compares two outputs of one build, so an encoder
+  // rewrite could change the format on both sides and still pass. These
+  // hashes pin the bytes themselves, across builds: a binary full member,
+  // the delta after it, and their fold, for one seeded stream.
+  struct Golden {
+    std::size_t shards;
+    std::uint64_t full, delta, fold;
+  };
+  const Golden goldens[] = {
+      {1, 0x9a5739c85b88e9a3ull, 0xb677980b5d8da5f6ull, 0xc873b4b186411cefull},
+      {2, 0xa484775af0f65b06ull, 0x8bf98509bfe9106eull, 0xfb19d74c84b8dcfbull},
+  };
+  const World& w = SharedWorld();
+  const std::size_t records = w.fleet.log.records().size();
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(std::to_string(golden.shards) + " shard(s)");
+    ScratchDir dir;
+    serve::FleetServerConfig config;
+    config.shard_count = golden.shards;
+    FleetServer server(w.topology, w.classifier, w.single_pred,
+                       w.double_or_null(), config);
+    CheckpointChain chain(ChainConfig{dir.path(), 64});
+    server.Start();
+    Feed(server, w, 0, records / 2);
+    const std::string full = BinaryCheckpoint(server);
+    EXPECT_EQ(FileBytes(chain.WriteFull(server).file), full);
+    Feed(server, w, records / 2, records);
+    std::ostringstream delta;
+    server.SaveDeltaCheckpoint(delta);
+    const ChainWriteResult written = chain.Write(server);
+    ASSERT_FALSE(written.full);
+    EXPECT_EQ(FileBytes(written.file), delta.str());
+    server.Stop();
+    const std::string fold = FoldChain(dir.path());
+    EXPECT_EQ(Fnv1a(full), golden.full) << std::hex << Fnv1a(full);
+    EXPECT_EQ(Fnv1a(delta.str()), golden.delta) << std::hex
+                                                << Fnv1a(delta.str());
+    EXPECT_EQ(Fnv1a(fold), golden.fold) << std::hex << Fnv1a(fold);
   }
 }
 

@@ -1,0 +1,233 @@
+// Deterministic peak-memory bounds for the checkpoint paths. Each member is
+// encoded into one buffer and parsed in place (DESIGN.md §14), so writing,
+// folding or recovering a member may hold only a small multiple of its
+// bytes. This binary replaces the global operator new/delete with a
+// counting pair to read live heap bytes — which is why it is a test
+// executable of its own.
+//
+// Bounds (peak live heap above the level before the call):
+//   * CheckpointChain::WriteFull, a delta Write, FoldChain: <= 3x the
+//     member's bytes;
+//   * CheckpointChain::Recover: <= 3x the largest member on top of the
+//     state it restored.
+#include <dirent.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "common/check.hpp"
+#include "persist/chain.hpp"
+#include "serve/fleet_server.hpp"
+#include "support/serve_world.hpp"
+#include "trace/fleet.hpp"
+
+namespace {
+
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+/// Every block carries its size in a max-aligned prefix, so unsized
+/// deletes can uncount it too.
+constexpr std::size_t kPrefix = alignof(std::max_align_t);
+
+void* CountedAlloc(std::size_t size) {
+  void* raw = std::malloc(size + kPrefix);
+  if (raw == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(raw) = size;
+  const std::int64_t live =
+      g_live_bytes.fetch_add(static_cast<std::int64_t>(size)) +
+      static_cast<std::int64_t>(size);
+  std::int64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return static_cast<char*>(raw) + kPrefix;
+}
+
+void CountedFree(void* block) noexcept {
+  if (block == nullptr) return;
+  void* raw = static_cast<char*>(block) - kPrefix;
+  g_live_bytes.fetch_sub(
+      static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)));
+  std::free(raw);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* block) noexcept { CountedFree(block); }
+void operator delete[](void* block) noexcept { CountedFree(block); }
+void operator delete(void* block, std::size_t) noexcept { CountedFree(block); }
+void operator delete[](void* block, std::size_t) noexcept {
+  CountedFree(block);
+}
+
+namespace cordial::persist {
+namespace {
+
+using serve::FleetServer;
+using serve::test_support::SharedWorld;
+using serve::test_support::World;
+
+constexpr double kMaxMultiple = 3.0;
+
+/// Peak live heap above the level at construction.
+class HeapProbe {
+ public:
+  HeapProbe() : before_(g_live_bytes.load()) { g_peak_bytes.store(before_); }
+  std::int64_t before() const { return before_; }
+  std::int64_t peak_above() const { return g_peak_bytes.load() - before_; }
+
+ private:
+  std::int64_t before_;
+};
+
+/// A fleet several times the shared world's, fed to models trained on the
+/// shared world: several thousand banks with real classification and
+/// cross-row state behind them.
+const std::vector<trace::MceRecord>& Feedstock() {
+  static const auto* records = [] {
+    trace::CalibrationProfile profile;
+    profile.scale = 0.5;
+    auto fleet = trace::FleetGenerator(SharedWorld().topology, profile)
+                     .Generate(17);
+    return new std::vector<trace::MceRecord>(fleet.log.records());
+  }();
+  return *records;
+}
+
+FleetServer MakeServer() {
+  const World& w = SharedWorld();
+  serve::FleetServerConfig config;
+  config.shard_count = 1;
+  return FleetServer(w.topology, w.classifier, w.single_pred,
+                     w.double_or_null(), config);
+}
+
+/// Feed the fraction [from, to) of the feedstock and leave the server
+/// drained.
+void Feed(FleetServer& server, double from, double to) {
+  const auto& records = Feedstock();
+  const auto at = [&](double f) {
+    return static_cast<std::size_t>(f * static_cast<double>(records.size()));
+  };
+  for (std::size_t i = at(from); i < at(to); ++i) server.Submit(records[i]);
+  server.Drain();
+}
+
+class ScratchDir {
+ public:
+  ScratchDir() {
+    char templ[] = "/tmp/cordial_memory_XXXXXX";
+    CORDIAL_CHECK_MSG(::mkdtemp(templ) != nullptr, "mkdtemp failed");
+    path_ = templ;
+  }
+  ~ScratchDir() {
+    if (DIR* dir = ::opendir(path_.c_str())) {
+      while (dirent* ent = ::readdir(dir)) {
+        const std::string name = ent->d_name;
+        if (name != "." && name != "..") {
+          ::unlink((path_ + "/" + name).c_str());
+        }
+      }
+      ::closedir(dir);
+    }
+    ::rmdir(path_.c_str());
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+void ExpectWithin(const char* what, std::int64_t peak, std::uint64_t base) {
+  const double multiple =
+      static_cast<double>(peak) / static_cast<double>(base);
+  std::printf("%s: peak %.2f MB above the call's start, %.2fx %.2f MB\n",
+              what, static_cast<double>(peak) / 1e6, multiple,
+              static_cast<double>(base) / 1e6);
+  EXPECT_LE(multiple, kMaxMultiple) << what;
+}
+
+TEST(CheckpointMemory, FeedstockHasSeveralThousandBanks) {
+  FleetServer server = MakeServer();
+  server.Start();
+  Feed(server, 0.0, 1.0);
+  EXPECT_GE(server.TotalBankCount(), 3000u);
+  server.Stop();
+}
+
+TEST(CheckpointMemory, WriteFullHoldsAtMostThreeMembers) {
+  ScratchDir dir;
+  FleetServer server = MakeServer();
+  server.Start();
+  Feed(server, 0.0, 0.9);
+  CheckpointChain chain(ChainConfig{dir.path(), 16});
+  HeapProbe probe;
+  const ChainWriteResult full = chain.WriteFull(server);
+  ExpectWithin("WriteFull", probe.peak_above(), full.bytes);
+  server.Stop();
+}
+
+TEST(CheckpointMemory, DeltaWriteHoldsAtMostThreeMembers) {
+  ScratchDir dir;
+  FleetServer server = MakeServer();
+  server.Start();
+  Feed(server, 0.0, 0.6);
+  CheckpointChain chain(ChainConfig{dir.path(), 16});
+  chain.WriteFull(server);
+  Feed(server, 0.6, 1.0);
+  HeapProbe probe;
+  const ChainWriteResult delta = chain.Write(server);
+  ASSERT_FALSE(delta.full);
+  ExpectWithin("delta Write", probe.peak_above(), delta.bytes);
+  server.Stop();
+}
+
+/// A full at 60% of the feed plus two deltas; returns the largest member.
+std::uint64_t WriteChain(const std::string& directory) {
+  FleetServer server = MakeServer();
+  server.Start();
+  Feed(server, 0.0, 0.6);
+  CheckpointChain chain(ChainConfig{directory, 16});
+  std::uint64_t largest = chain.WriteFull(server).bytes;
+  Feed(server, 0.6, 0.8);
+  largest = std::max(largest, chain.Write(server).bytes);
+  Feed(server, 0.8, 1.0);
+  largest = std::max(largest, chain.Write(server).bytes);
+  server.Stop();
+  return largest;
+}
+
+TEST(CheckpointMemory, FoldHoldsAtMostThreeMembers) {
+  ScratchDir dir;
+  WriteChain(dir.path());
+  HeapProbe probe;
+  const std::string folded = FoldChain(dir.path());
+  ExpectWithin("FoldChain", probe.peak_above(), folded.size());
+}
+
+TEST(CheckpointMemory, RecoverHoldsAtMostThreeLargestMembersOverItsState) {
+  ScratchDir dir;
+  const std::uint64_t largest = WriteChain(dir.path());
+  FleetServer server = MakeServer();
+  CheckpointChain chain(ChainConfig{dir.path(), 16});
+  HeapProbe probe;
+  const ChainRecoveryOutcome outcome = chain.Recover(server);
+  ASSERT_EQ(outcome.applied.size(), 3u);
+  const std::int64_t restored_state = g_live_bytes.load() - probe.before();
+  ExpectWithin("Recover (over the restored state)",
+               probe.peak_above() - restored_state, largest);
+}
+
+}  // namespace
+}  // namespace cordial::persist

@@ -6,6 +6,7 @@
 // the boot-time quarantine/fallback policy.
 #include "serve/checkpoint.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -109,6 +110,12 @@ std::string Checkpoint(const FleetServer& server) {
   return out.str();
 }
 
+std::string BinaryCheckpoint(const FleetServer& server) {
+  std::ostringstream out;
+  server.SaveCheckpoint(out, core::StateEncoding::kBinary);
+  return out.str();
+}
+
 /// A victim server with non-trivial state of its own, so a "half restored"
 /// outcome is distinguishable from "untouched".
 FleetServer MakeVictim(const World& w) {
@@ -179,6 +186,74 @@ const std::string& DonorCheckpoint() {
   return *bytes;
 }
 
+/// One member the torture loops mangle: how it is applied (a full restores,
+/// a delta applies over `base`) and the text checkpoint a pristine apply
+/// must leave. The text full is the original donor; the binary full and the
+/// delta put the in-place binary reader through the same loops.
+struct TortureDonor {
+  const char* name;
+  std::string bytes;
+  bool delta = false;
+  std::string base;      ///< delta only: the full its victim starts from
+  std::string expected;  ///< the victim's text checkpoint after applying
+};
+
+const std::vector<TortureDonor>& TortureDonors() {
+  static const std::vector<TortureDonor>* donors = [] {
+    const World& w = SharedWorld();
+    FleetServer donor = MakeServer(w);
+    donor.Start();
+    Feed(donor, w, 0, 12);
+    const std::string base = BinaryCheckpoint(donor);
+    donor.MarkCheckpointClean();
+    Feed(donor, w, 12, 24);
+    donor.Stop();
+    std::ostringstream delta;
+    donor.SaveDeltaCheckpoint(delta);
+    const std::string expected = Checkpoint(donor);
+    return new std::vector<TortureDonor>{
+        {"text full", DonorCheckpoint(), false, "", DonorCheckpoint()},
+        {"binary full", BinaryCheckpoint(donor), false, "", expected},
+        {"delta", delta.str(), true, base, expected},
+    };
+  }();
+  return *donors;
+}
+
+/// A victim with state of its own: the small fed server for fulls, the
+/// delta's base for the delta.
+FleetServer MakeTortureVictim(const World& w, const TortureDonor& donor) {
+  if (!donor.delta) return MakeVictim(w);
+  FleetServer victim = MakeServer(w);
+  victim.RestoreCheckpoint(donor.base);
+  return victim;
+}
+
+/// The two ways a member reaches the parsers: as a view (what the file
+/// readers and chain recovery pass) and through the stream adapters.
+enum class Entry { kView, kStream };
+constexpr Entry kEntries[] = {Entry::kView, Entry::kStream};
+
+const char* EntryName(Entry entry) {
+  return entry == Entry::kView ? "view" : "stream";
+}
+
+void ApplyDonor(FleetServer& victim, const TortureDonor& donor,
+                std::string_view bytes, Entry entry = Entry::kView) {
+  if (entry == Entry::kStream) {
+    std::istringstream in{std::string(bytes)};
+    if (donor.delta) {
+      victim.ApplyDeltaCheckpoint(in);
+    } else {
+      victim.RestoreCheckpoint(in);
+    }
+  } else if (donor.delta) {
+    victim.ApplyDeltaCheckpoint(bytes);
+  } else {
+    victim.RestoreCheckpoint(bytes);
+  }
+}
+
 TEST(Durability, FullCheckpointRestoresBitIdentically) {
   const World& w = SharedWorld();
   const std::string& bytes = DonorCheckpoint();
@@ -194,47 +269,59 @@ TEST(Durability, FullCheckpointRestoresBitIdentically) {
 
 TEST(Durability, EveryBytePrefixTruncationFailsClosed) {
   const World& w = SharedWorld();
-  const std::string& bytes = DonorCheckpoint();
-  FleetServer victim = MakeVictim(w);
-  const std::string victim_before = Checkpoint(victim);
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    const std::string& bytes = donor.bytes;
+    ASSERT_LT(bytes.size(), 16u * 1024) << "donor grew too large for the "
+                                           "O(n^2) torture loops";
+    FleetServer victim = MakeTortureVictim(w, donor);
+    const std::string victim_before = Checkpoint(victim);
 
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::istringstream in(bytes.substr(0, len));
-    EXPECT_THROW(victim.RestoreCheckpoint(in), ParseError)
-        << "prefix of " << len << " bytes";
-    // Checking the full state every iteration would square the cost again;
-    // sample it, plus the first and last prefixes.
-    if (len % 64 == 0 || len + 1 == bytes.size()) {
-      ASSERT_EQ(Checkpoint(victim), victim_before) << "prefix " << len;
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      const std::string_view prefix = std::string_view(bytes).substr(0, len);
+      for (const Entry entry : kEntries) {
+        EXPECT_THROW(ApplyDonor(victim, donor, prefix, entry), ParseError)
+            << "prefix of " << len << " bytes via " << EntryName(entry);
+      }
+      // Checking the full state every iteration would square the cost
+      // again; sample it, plus the first and last prefixes.
+      if (len % 64 == 0 || len + 1 == bytes.size()) {
+        ASSERT_EQ(Checkpoint(victim), victim_before) << "prefix " << len;
+      }
     }
+    // The victim still accepts the pristine member afterwards.
+    ApplyDonor(victim, donor, bytes);
+    EXPECT_EQ(Checkpoint(victim), donor.expected);
   }
-  // The victim still accepts a pristine checkpoint afterwards.
-  std::istringstream in(bytes);
-  victim.RestoreCheckpoint(in);
-  EXPECT_EQ(Checkpoint(victim), bytes);
 }
 
 TEST(Durability, EverySingleBitFlipIsDetectedAndLeavesVictimUntouched) {
   const World& w = SharedWorld();
-  const std::string& bytes = DonorCheckpoint();
-  FleetServer victim = MakeVictim(w);
-  const std::string victim_before = Checkpoint(victim);
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    const std::string& bytes = donor.bytes;
+    FleetServer victim = MakeTortureVictim(w, donor);
+    const std::string victim_before = Checkpoint(victim);
 
-  std::size_t flips = 0;
-  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mangled = bytes;
-      mangled[byte] = static_cast<char>(mangled[byte] ^ (1 << bit));
-      std::istringstream in(mangled);
-      EXPECT_THROW(victim.RestoreCheckpoint(in), ParseError)
-          << "byte " << byte << " bit " << bit;
-      if (++flips % 97 == 0) {
-        ASSERT_EQ(Checkpoint(victim), victim_before)
-            << "byte " << byte << " bit " << bit;
+    std::size_t flips = 0;
+    std::string mangled = bytes;
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        mangled[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
+        for (const Entry entry : kEntries) {
+          EXPECT_THROW(ApplyDonor(victim, donor, mangled, entry), ParseError)
+              << "byte " << byte << " bit " << bit << " via "
+              << EntryName(entry);
+        }
+        if (++flips % 97 == 0) {
+          ASSERT_EQ(Checkpoint(victim), victim_before)
+              << "byte " << byte << " bit " << bit;
+        }
       }
+      mangled[byte] = bytes[byte];
     }
+    ASSERT_EQ(Checkpoint(victim), victim_before);
   }
-  ASSERT_EQ(Checkpoint(victim), victim_before);
 }
 
 TEST(Durability, LegacyChecksumlessCheckpointRestoresWithCount) {
@@ -350,6 +437,17 @@ TEST(Durability, RecoverStartsFreshWhenEveryCandidateIsCorrupt) {
   EXPECT_EQ(empty.restored_from, "");
   EXPECT_FALSE(empty.fell_back());
   EXPECT_TRUE(empty.quarantined.empty());
+
+  // A directory at the path opens but is no checkpoint: it is quarantined
+  // like any corrupt candidate, never sized by seeking to its end.
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+  EXPECT_THROW(ReadCheckpointFile(recovered, path), ParseError);
+  const RecoveryOutcome directory = RecoverCheckpoint(recovered, path);
+  EXPECT_EQ(directory.restored_from, "");
+  ASSERT_EQ(directory.quarantined.size(), 1u);
+  EXPECT_EQ(directory.quarantined[0], path + ".corrupt");
+  EXPECT_EQ(Checkpoint(recovered), fresh_state);
+  ::rmdir((path + ".corrupt").c_str());
 }
 
 TEST(Durability, WriteFailuresUnlinkTmpAndPreserveOldCheckpoint) {
@@ -380,10 +478,11 @@ TEST(Durability, WriteFailuresUnlinkTmpAndPreserveOldCheckpoint) {
   }
   failpoint::DisarmAll();
 
-  // With nothing armed the same write goes through.
-  WriteCheckpointFile(writer, path);
+  // With nothing armed the same write goes through, and reports its size.
+  const std::uint64_t written = WriteCheckpointFile(writer, path);
   writer.Stop();
   EXPECT_NE(FileBytes(path), old_bytes);
+  EXPECT_EQ(written, FileBytes(path).size());
   for (const char* suffix : {"", ".tmp", ".prev"}) {
     std::remove((path + suffix).c_str());
   }
