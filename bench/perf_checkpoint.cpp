@@ -1,4 +1,4 @@
-// Checkpoint cost gate: steady-state delta vs full-text snapshot.
+// Checkpoint cost gate: steady-state delta vs full snapshot.
 //
 // The delta path exists so a large drained fleet can checkpoint at a cost
 // proportional to what changed, not to what exists. This benchmark builds
@@ -7,10 +7,10 @@
 // the banks (default 1%), and then prices the two snapshot encodings the
 // server can emit from that state:
 //
-//   * full-text — SaveCheckpoint(kText): the v1 frame every deployment
-//     before the chain subsystem wrote on every interval.
-//   * delta     — SaveDeltaCheckpoint(): the binary dirty-bank frame a
-//     chain appends between compactions (DESIGN.md §14).
+//   * full  — SaveCheckpoint(): the binary full member single-file mode
+//     rewrites on every interval and a chain writes at each compaction.
+//   * delta — SaveDeltaCheckpoint(): the binary dirty-bank frame a chain
+//     appends between compactions (DESIGN.md §14).
 //
 // Both serializers are const and leave the dirty set alone, so each rep
 // re-measures the identical state. Repetitions interleave the two sides
@@ -211,9 +211,9 @@ int main(int argc, char** argv) {
   Touch(server, banks, 0, dirty_step, 1, &clock, rng);
   const std::size_t dirty_banks = server.DirtyBankCount();
 
-  const auto save_full_text = [&] {
+  const auto save_full = [&] {
     std::ostringstream out;
-    server.SaveCheckpoint(out, core::StateEncoding::kText);
+    server.SaveCheckpoint(out);
     return out.str();
   };
   const auto save_delta = [&] {
@@ -221,26 +221,26 @@ int main(int argc, char** argv) {
     server.SaveDeltaCheckpoint(out);
     return out.str();
   };
-  const std::uint64_t full_bytes = save_full_text().size();
+  const std::uint64_t full_bytes = save_full().size();
   const std::uint64_t delta_bytes = save_delta().size();
   std::cout << "state: " << server.TotalBankCount() << " bank(s), "
             << dirty_banks << " dirty, " << shards << " shard(s)\n"
-            << "full-text " << full_bytes << " B, delta " << delta_bytes
+            << "full " << full_bytes << " B, delta " << delta_bytes
             << " B\n";
 
   double full_best = 1e300, delta_best = 1e300;
   for (std::size_t r = 0; r < reps; ++r) {
     double full, delta;
     if (r % 2 == 0) {
-      full = TimeSave(save_full_text, 1);
+      full = TimeSave(save_full, 1);
       delta = TimeSave(save_delta, delta_iters);
     } else {
       delta = TimeSave(save_delta, delta_iters);
-      full = TimeSave(save_full_text, 1);
+      full = TimeSave(save_full, 1);
     }
     full_best = std::min(full_best, full);
     delta_best = std::min(delta_best, delta);
-    std::cout << "  rep " << (r + 1) << ": full-text " << std::fixed
+    std::cout << "  rep " << (r + 1) << ": full " << std::fixed
               << std::setprecision(1) << full * 1e6 << " us, delta "
               << delta * 1e6 << " us\n";
   }
@@ -262,9 +262,9 @@ int main(int argc, char** argv) {
       << "  \"dirty_banks\": " << dirty_banks << ",\n"
       << "  \"shard_count\": " << shards << ",\n"
       << "  \"repetitions\": " << reps << ",\n"
-      << "  \"full_text_bytes\": " << full_bytes << ",\n"
+      << "  \"full_bytes\": " << full_bytes << ",\n"
       << "  \"delta_bytes\": " << delta_bytes << ",\n"
-      << "  \"full_text_seconds\": " << full_best << ",\n"
+      << "  \"full_seconds\": " << full_best << ",\n"
       << "  \"delta_seconds\": " << delta_best << ",\n"
       << "  \"bytes_ratio\": " << bytes_ratio << ",\n"
       << "  \"time_ratio\": " << time_ratio << ",\n"

@@ -26,7 +26,6 @@
 #include "hbm/address.hpp"
 #include "trace/fleet.hpp"
 #include "trace/log_codec.hpp"
-#include "trace/replay.hpp"
 
 using namespace cordial;
 
@@ -194,7 +193,7 @@ int CmdPredict(const std::string& log_path, const std::string& prefix) {
 
   // One PredictionEngine drives the whole advisory stream: the same anchor
   // semantics (same-row skip, per-bank anchor cap) the offline evaluation
-  // replays, with bounded per-bank raw-record retention.
+  // replays, from per-bank profiles alone (no raw records are retained).
   core::PredictionEngine engine(topology, classifier, single_predictor,
                                 &double_predictor);
   std::size_t advisories = 0, bank_spares = 0;
@@ -220,7 +219,7 @@ int CmdPredict(const std::string& log_path, const std::string& prefix) {
   }
   std::cout << "\ntotal: " << advisories << " row-block advisories, "
             << bank_spares << " bank-spare advisories over "
-            << engine.replayer().bank_count() << " banks\n";
+            << engine.bank_count() << " banks\n";
   return 0;
 }
 

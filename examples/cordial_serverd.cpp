@@ -142,8 +142,7 @@ int PrintVersion() {
             << core::kCrossRowModelMagic << " v" << core::kModelFrameVersion
             << "\n"
             << "  engine state:      " << core::kEngineStateMagic << " v"
-            << core::kEngineStateVersion << " (text), v"
-            << core::kEngineStateBinaryVersion << " (binary)\n"
+            << core::kEngineStateVersion << " (binary)\n"
             << "  engine delta:      " << core::kEngineDeltaMagic << " v"
             << core::kEngineDeltaVersion << "\n"
             << "  fleet checkpoint:  " << serve::kFleetCheckpointMagic << " v"
@@ -153,7 +152,7 @@ int PrintVersion() {
             << "  chain manifest:    " << persist::kManifestMagic << " v"
             << persist::kManifestVersion << "\n"
             << "  frame layout:      v" << kFramingLayoutVersion
-            << " (crc32; reads v1 checksum-less frames with a warning)\n";
+            << " (crc32 required)\n";
   return 0;
 }
 
@@ -521,8 +520,6 @@ int main(int argc, char** argv) {
             page += line;
           }
         }
-        page += "\nlegacy (pre-crc32) frames read: " +
-                std::to_string(GetFramingStats().legacy_frames_read);
         for (const std::string& armed : failpoint::ArmedNames()) {
           page += "\nfailpoint armed: " + armed;
         }

@@ -105,13 +105,10 @@ int main(int argc, char** argv) {
   TextTable summary({"Metric", "Value"});
   summary.AddRow({"events ingested", std::to_string(s.events)});
   // Shed records: silence here would hide a lossy session. The monitor has
-  // no shard queues, so its shedding surface is the replayer — stale
-  // records discarded by the skew policy and raw events evicted by bounded
-  // retention (the latter never affect decisions, only the debug window).
+  // no shard queues, so its only shedding surface is the engine's skew
+  // gate, which discards (and counts) stale records.
   summary.AddRow({"stale records dropped (skew)",
                   std::to_string(s.records_skew_dropped)});
-  summary.AddRow({"raw records evicted (retention)",
-                  std::to_string(engine.replayer().records_dropped())});
   summary.AddRow({"banks classified", std::to_string(s.banks_classified)});
   summary.AddRow({"banks bank-spared (scattered)",
                   std::to_string(s.banks_bank_spared)});

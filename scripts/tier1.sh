@@ -3,9 +3,9 @@
 # serving-layer and observability tests again under ThreadSanitizer so data
 # races in the thread pool, the shard queues, the metric registries, or any
 # fanned-out hot path fail the run even when the plain build passes, and the
-# engine/profile/replay tests under AddressSanitizer so lifetime bugs in the
-# incremental per-bank state (profile snapshots, bounded retention eviction)
-# fail the run too (including the checkpoint durability torture suite —
+# engine/profile tests under AddressSanitizer so lifetime bugs in the
+# incremental per-bank state (profile snapshots, the one bank map) fail the
+# run too (including the checkpoint durability torture suite —
 # truncation/bit-flip parsing is exactly where lifetime bugs would hide — and
 # the model parser, which walks raw pointers over untrusted model bytes).
 # Then three smokes with the real daemon binaries: the durability drill (a
@@ -24,7 +24,7 @@
 # in-process SubmitBatch throughput at 8 connections (BENCH_net.json),
 # serving under constant model hot-swaps must stay within 5% of the
 # fixed-model path (BENCH_swap.json), and a steady-state dirty-bank delta
-# checkpoint must be >= 10x cheaper than the full-text snapshot in both
+# checkpoint must be >= 10x cheaper than the binary full snapshot in both
 # bytes and wall time on a >= 4k-bank fleet (BENCH_ckpt.json).
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-smoke]
@@ -74,7 +74,7 @@ else
   # too: its counting operator new sits on top of malloc, which ASan still
   # instruments.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|StreamReplayer|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory)'
+    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory)'
 fi
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then
@@ -258,8 +258,8 @@ else
   # path (BENCH_swap.json holds the rows).
   (cd build/bench && ./perf_model_swap)
   # Exits non-zero unless a steady-state dirty-bank delta checkpoint is
-  # >= 10x cheaper than the full-text snapshot in both bytes and wall time
-  # on a >= 4k-bank fleet (BENCH_ckpt.json holds the rows).
+  # >= 10x cheaper than the binary full snapshot in both bytes and wall
+  # time on a >= 4k-bank fleet (BENCH_ckpt.json holds the rows).
   (cd build/bench && ./perf_checkpoint)
 fi
 echo "tier1: OK"

@@ -6,11 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <atomic>
-#include <iostream>
 #include <istream>
-#include <mutex>
 #include <ostream>
-#include <set>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
@@ -36,21 +33,6 @@ std::uint32_t ParseVersionToken(const std::string& token,
 }
 
 std::atomic<std::uint64_t> g_checksummed_frames{0};
-std::atomic<std::uint64_t> g_legacy_frames{0};
-
-/// Warn once per magic that its frames predate the checksum layout; a
-/// checkpoint nests dozens of engine frames and repeating the warning per
-/// frame would bury the log.
-void WarnLegacyFrame(const std::string& magic) {
-  static std::mutex mutex;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (!warned->insert(magic).second) return;
-  std::cerr << "warning: " << magic
-            << " frame has no crc32 field (layout v1, written by an older "
-               "build) — payload corruption is undetectable; rewrite it "
-               "with this build to gain checksums\n";
-}
 
 /// Everything after the magic token on a header line: " v<version>
 /// <bytes> crc32=<8 hex>" is ~40 bytes at the widest legal values; anything
@@ -151,27 +133,25 @@ FrameHeader ParseFrameHeaderLine(std::string_view line) {
     throw ParseError(header.magic + ": malformed payload length '" +
                      std::string(bytes_token) + "'");
   }
-  // The header tail keeps the old ReadFramed grammar exactly: empty for
-  // layout v1, or precisely " crc32=<8 lowercase hex>" for v2 — anything
-  // else is a corrupt header, never a demotion to the checksum-less layout.
+  // The header tail is precisely " crc32=<8 lowercase hex>" — anything
+  // else, nothing included, is a corrupt (or pre-CRC) header.
   const std::string tail(line.substr(pos));
-  if (!tail.empty()) {
-    const std::string prefix = " crc32=";
-    if (tail.size() != prefix.size() + 8 ||
-        tail.compare(0, prefix.size(), prefix) != 0) {
+  if (tail.empty()) {
+    throw ParseError(header.magic + ": missing crc32 field");
+  }
+  const std::string prefix = " crc32=";
+  if (tail.size() != prefix.size() + 8 ||
+      tail.compare(0, prefix.size(), prefix) != 0) {
+    throw ParseError(header.magic + ": malformed checksum field '" + tail +
+                     "'");
+  }
+  for (std::size_t i = prefix.size(); i < tail.size(); ++i) {
+    const int digit = HexDigit(tail[i]);
+    if (digit < 0) {
       throw ParseError(header.magic + ": malformed checksum field '" + tail +
                        "'");
     }
-    for (std::size_t i = prefix.size(); i < tail.size(); ++i) {
-      const int digit = HexDigit(tail[i]);
-      if (digit < 0) {
-        throw ParseError(header.magic + ": malformed checksum field '" + tail +
-                         "'");
-      }
-      header.crc32 =
-          (header.crc32 << 4) | static_cast<std::uint32_t>(digit);
-    }
-    header.has_checksum = true;
+    header.crc32 = (header.crc32 << 4) | static_cast<std::uint32_t>(digit);
   }
   // Sanity-cap the promised length before anyone allocates for it: a
   // corrupt byte count must be a ParseError, not a bad_alloc.
@@ -187,7 +167,6 @@ FramingStats GetFramingStats() {
   FramingStats stats;
   stats.checksummed_frames_read =
       g_checksummed_frames.load(std::memory_order_relaxed);
-  stats.legacy_frames_read = g_legacy_frames.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -228,27 +207,17 @@ void ExpectMagic(std::string_view seen, const std::string& magic) {
 }
 
 /// Parse a header line and check it against the caller's expectations: the
-/// version must be accepted, and the promised payload must fit in the
-/// `available` bytes after the line.
+/// version must be `expected_version`, and the promised payload must fit in
+/// the `available` bytes after the line.
 FrameHeader ExpectHeader(std::string_view line, const std::string& magic,
-                         std::initializer_list<std::uint32_t> accepted_versions,
-                         std::uint32_t* version_out, std::uint64_t available) {
+                         std::uint32_t expected_version,
+                         std::uint64_t available) {
   const FrameHeader header = ParseFrameHeaderLine(line);
-  bool version_ok = false;
-  for (const std::uint32_t accepted : accepted_versions) {
-    if (header.version == accepted) version_ok = true;
-  }
-  if (!version_ok) {
-    std::string accepted_list;
-    for (const std::uint32_t accepted : accepted_versions) {
-      if (!accepted_list.empty()) accepted_list += "/";
-      accepted_list += "v" + std::to_string(accepted);
-    }
+  if (header.version != expected_version) {
     throw ParseError(magic + ": version mismatch — stream is v" +
-                     std::to_string(header.version) + ", this build reads " +
-                     accepted_list);
+                     std::to_string(header.version) + ", this build reads v" +
+                     std::to_string(expected_version));
   }
-  if (version_out != nullptr) *version_out = header.version;
   if (header.payload_bytes > available) {
     throw ParseError(magic + ": truncated payload (header promises " +
                      std::to_string(header.payload_bytes) +
@@ -258,15 +227,10 @@ FrameHeader ExpectHeader(std::string_view line, const std::string& magic,
   return header;
 }
 
-/// Verify the payload against the header's CRC-32 (or count and warn about
-/// a checksum-less v1 frame) before the caller reads any of it.
+/// Verify the payload against the header's CRC-32 before the caller reads
+/// any of it.
 void VerifyPayload(const FrameHeader& header, const std::string& magic,
                    std::string_view payload) {
-  if (!header.has_checksum) {
-    g_legacy_frames.fetch_add(1, std::memory_order_relaxed);
-    WarnLegacyFrame(magic);
-    return;
-  }
   const std::uint32_t actual_crc = Crc32(payload);
   if (actual_crc != header.crc32) {
     char expected_hex[16], actual_hex[16];
@@ -290,12 +254,6 @@ void InjectedReadFailure(const std::string& magic) {
 
 std::string ReadFramed(std::istream& in, const std::string& magic,
                        std::uint32_t expected_version) {
-  return ReadFramedAny(in, magic, {expected_version}, nullptr);
-}
-
-std::string ReadFramedAny(std::istream& in, const std::string& magic,
-                          std::initializer_list<std::uint32_t> accepted_versions,
-                          std::uint32_t* version_out) {
   InjectedReadFailure(magic);
   std::string seen_magic;
   in >> seen_magic;
@@ -328,9 +286,8 @@ std::string ReadFramedAny(std::istream& in, const std::string& magic,
       available = static_cast<std::uint64_t>(end - pos);
     }
   }
-  const FrameHeader header = ExpectHeader(seen_magic + rest, magic,
-                                          accepted_versions, version_out,
-                                          available);
+  const FrameHeader header =
+      ExpectHeader(seen_magic + rest, magic, expected_version, available);
   const std::uint64_t bytes = header.payload_bytes;
   std::string payload(static_cast<std::size_t>(bytes), '\0');
   in.read(payload.data(), static_cast<std::streamsize>(bytes));
@@ -343,10 +300,8 @@ std::string ReadFramedAny(std::istream& in, const std::string& magic,
   return payload;
 }
 
-std::string_view ReadFramedView(
-    std::string_view& in, const std::string& magic,
-    std::initializer_list<std::uint32_t> accepted_versions,
-    std::uint32_t* version_out) {
+std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
+                                std::uint32_t expected_version) {
   InjectedReadFailure(magic);
   const std::string_view seen = PeekMagic(in);
   ExpectMagic(seen, magic);
@@ -356,9 +311,9 @@ std::string_view ReadFramedView(
   if (newline == std::string_view::npos) {
     throw ParseError(magic + ": malformed header");
   }
-  const FrameHeader header =
-      ExpectHeader(in.substr(0, newline), magic, accepted_versions,
-                   version_out, in.size() - newline - 1);
+  const FrameHeader header = ExpectHeader(in.substr(0, newline), magic,
+                                          expected_version,
+                                          in.size() - newline - 1);
   const std::string_view payload =
       in.substr(newline + 1, static_cast<std::size_t>(header.payload_bytes));
   VerifyPayload(header, magic, payload);

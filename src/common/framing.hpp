@@ -1,15 +1,16 @@
 // Versioned magic + length + checksum framing for persisted streams.
 //
-// Every model file and engine snapshot starts with one header line. Layout
-// v2 (current) is
+// Every model file and engine snapshot starts with one header line (layout
+// v2):
 //
 //   <magic> v<version> <payload_bytes> crc32=<8 hex digits>\n
 //
 // followed by exactly payload_bytes of payload, whose CRC-32 (IEEE,
-// reflected — the zlib/PNG polynomial) must match the header. Layout v1
-// lacked the crc32 field:
-//
-//   <magic> v<version> <payload_bytes>\n
+// reflected — the zlib/PNG polynomial) must match the header. The crc32
+// field is mandatory: a header without it (the checksum-less layout v1 of
+// pre-CRC builds) is a ParseError, and so is anything after the byte count
+// other than a well-formed crc32 token — a bit flip inside the header can
+// never yield an unchecked frame.
 //
 // The header makes the failure modes distinguishable at load time: a stream
 // that is not ours at all (wrong magic), a stream written by an
@@ -19,24 +20,16 @@
 // expectation. Frames nest: a checkpoint frame's payload can itself contain
 // framed engine sections, each carrying its own checksum.
 //
-// Migration: ReadFramed still accepts v1 (checksum-less) frames so
-// checkpoints written by older builds keep restoring; each such read is
-// tallied in FramingStats and warned once per magic on stderr, so operators
-// learn their state predates corruption detection. A malformed checksum
-// field is NOT treated as v1 — anything after the byte count other than a
-// well-formed crc32 token is a ParseError, so a bit flip inside the header
-// cannot demote a checksummed frame to an unchecked one.
-//
-// The token helpers below are the shared text codec for snapshot payloads:
-// whitespace-separated tokens, doubles rendered with %.17g so every value
-// round-trips bit-exactly (the same convention the ml model serialization
-// and the MCE CSV codec use). Non-finite doubles round-trip too (as the
-// tokens nan/-nan/inf/-inf): a poisoned stat must survive a
-// checkpoint/restore cycle rather than brick it.
+// The token helpers below are the shared text codec for the text payloads
+// that remain (the outcome store and the chain manifest; engine state is
+// binary): whitespace-separated tokens, doubles rendered with %.17g so
+// every value round-trips bit-exactly (the same convention the ml model
+// serialization and the MCE CSV codec use). Non-finite doubles round-trip
+// too (as the tokens nan/-nan/inf/-inf): a poisoned value must survive a
+// save/load cycle rather than brick it.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -44,7 +37,7 @@
 namespace cordial {
 
 /// On-wire header layout generation (bumped when the header line itself
-/// changes shape). v2 added the crc32 field; v1 frames remain readable.
+/// changes shape). v2 added the crc32 field; v1 frames are refused.
 inline constexpr std::uint32_t kFramingLayoutVersion = 2;
 
 /// Upper bound on a single frame's payload. A parsed length above this is a
@@ -57,11 +50,10 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes =
 /// the zlib/PNG checksum.
 std::uint32_t Crc32(std::string_view data);
 
-/// Running tallies of every frame this process has read, for the
-/// warn-and-count legacy migration. Monotonic, thread-safe.
+/// Running tally of every frame this process has read and CRC-verified.
+/// Monotonic, thread-safe.
 struct FramingStats {
-  std::uint64_t checksummed_frames_read = 0;  ///< v2 frames (CRC verified)
-  std::uint64_t legacy_frames_read = 0;       ///< v1 frames (no CRC; warned)
+  std::uint64_t checksummed_frames_read = 0;
 };
 FramingStats GetFramingStats();
 
@@ -73,14 +65,13 @@ struct FrameHeader {
   std::string magic;
   std::uint32_t version = 0;
   std::uint64_t payload_bytes = 0;
-  bool has_checksum = false;  ///< false = layout v1 (checksum-less)
-  std::uint32_t crc32 = 0;    ///< meaningful only when has_checksum
+  std::uint32_t crc32 = 0;
 };
 
 /// Parse one header line (the bytes before the '\n', exclusive). Throws
-/// ParseError on anything that is not a well-formed layout v1/v2 header:
-/// missing fields, a malformed version or checksum token, or a payload
-/// length above kMaxFramePayloadBytes. Performs no magic/version
+/// ParseError on anything that is not a well-formed layout-v2 header:
+/// missing fields (the crc32 field included), a malformed version or
+/// checksum token, or a payload length above kMaxFramePayloadBytes. Performs no magic/version
 /// expectation checks — callers compare against what they expect so the
 /// error can name both sides.
 FrameHeader ParseFrameHeaderLine(std::string_view line);
@@ -107,36 +98,24 @@ void CloseFrame(std::string& out, std::size_t payload_start,
 /// than the header promised, the promised length is implausible
 /// (> kMaxFramePayloadBytes, or beyond the stream's remaining bytes when it
 /// is seekable), or the payload's CRC-32 does not match the header's.
-/// Checksum-less layout-v1 frames are accepted with a counted warning.
 std::string ReadFramed(std::istream& in, const std::string& magic,
                        std::uint32_t expected_version);
 
-/// ReadFramed for a magic whose payload exists in several accepted
-/// versions (e.g. engine snapshots: v1 text, v2 binary). Identical checks,
-/// except the frame version must be one of `accepted_versions`; the version
-/// actually found is stored through `version_out` (when non-null) so the
-/// caller can dispatch to the right payload parser.
-std::string ReadFramedAny(std::istream& in, const std::string& magic,
-                          std::initializer_list<std::uint32_t> accepted_versions,
-                          std::uint32_t* version_out = nullptr);
-
-/// The view frame reader: ReadFramedAny over bytes already in memory. Reads
+/// The view frame reader: ReadFramed over bytes already in memory. Reads
 /// the frame at the very front of `in` (no leading whitespace), makes the
 /// same checks through the same helpers — header, version, length against
-/// the bytes left, CRC-32 before any payload byte is returned, the v1
-/// count and warning, the common.framing.read failpoint — and returns a
-/// view of the payload inside `in`'s bytes, advancing `in` past the frame.
-std::string_view ReadFramedView(
-    std::string_view& in, const std::string& magic,
-    std::initializer_list<std::uint32_t> accepted_versions,
-    std::uint32_t* version_out = nullptr);
+/// the bytes left, CRC-32 before any payload byte is returned, the
+/// common.framing.read failpoint — and returns a view of the payload
+/// inside `in`'s bytes, advancing `in` past the frame.
+std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
+                                std::uint32_t expected_version);
 
 /// Magic of the frame at the front of `bytes`: the token before the first
 /// space, tab or newline, at most 64 bytes (empty when `bytes` is). A view
 /// into `bytes`; ReadFramedView checks its magic through it.
 std::string_view PeekMagic(std::string_view bytes);
 
-// --- token codec (shared by the snapshot serializers) ---------------------
+// --- token codec (shared by the text payloads) ----------------------------
 
 /// Append a lossless %.17g rendering of `value`. Non-finite values render
 /// as nan/-nan/inf/-inf and round-trip through ReadDoubleToken.

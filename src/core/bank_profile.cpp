@@ -1,11 +1,8 @@
 #include "core/bank_profile.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "common/check.hpp"
-#include "common/framing.hpp"
 #include "persist/binary_io.hpp"
 
 namespace cordial::core {
@@ -183,143 +180,7 @@ bool BankProfile::HasUerRow(std::uint32_t row) const {
 
 namespace {
 
-void WriteChain(std::ostream& out, const DiffChain& chain) {
-  out << chain.count << ' ';
-  WriteDoubleToken(out, chain.sum);
-  out << ' ';
-  WriteDoubleToken(out, chain.min);
-  out << ' ';
-  WriteDoubleToken(out, chain.max);
-  out << ' ' << (chain.has_last ? 1 : 0) << ' ';
-  WriteDoubleToken(out, chain.last);
-  out << '\n';
-}
-
-DiffChain ReadChain(std::istream& in) {
-  DiffChain chain;
-  chain.count = ReadU64Token(in, "profile chain");
-  chain.sum = ReadDoubleToken(in, "profile chain");
-  chain.min = ReadDoubleToken(in, "profile chain");
-  chain.max = ReadDoubleToken(in, "profile chain");
-  chain.has_last = ReadU64Token(in, "profile chain") != 0;
-  chain.last = ReadDoubleToken(in, "profile chain");
-  return chain;
-}
-
-void WriteRows(std::ostream& out, const std::vector<double>& rows) {
-  out << rows.size();
-  for (const double row : rows) {
-    out << ' ';
-    WriteDoubleToken(out, row);
-  }
-  out << '\n';
-}
-
-std::vector<double> ReadRows(std::istream& in) {
-  const std::uint64_t n = ReadU64Token(in, "profile rows");
-  std::vector<double> rows;
-  rows.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    rows.push_back(ReadDoubleToken(in, "profile rows"));
-  }
-  return rows;
-}
-
-void WriteClass(std::ostream& out, const ClassAccumulator& acc) {
-  out << acc.ce_total << ' ' << acc.ueo_total << ' ' << acc.uer_events << '\n';
-  for (const double v :
-       {acc.ce_row_min, acc.ce_row_max, acc.ueo_row_min, acc.ueo_row_max,
-        acc.uer_row_min, acc.uer_row_max, acc.first_uer_time,
-        acc.last_uer_time, acc.ce_before_first_uer, acc.ueo_before_first_uer,
-        acc.last_time}) {
-    WriteDoubleToken(out, v);
-    out << ' ';
-  }
-  out << (acc.any_event ? 1 : 0) << ' ' << acc.ce_at_last_time << ' '
-      << acc.ueo_at_last_time << '\n';
-  WriteChain(out, acc.uer_row_diff);
-  WriteChain(out, acc.all_row_diff);
-  WriteChain(out, acc.ce_dt);
-  WriteChain(out, acc.ueo_dt);
-  WriteChain(out, acc.uer_dt);
-  WriteRows(out, acc.distinct_uer_rows);
-}
-
-ClassAccumulator ReadClass(std::istream& in) {
-  ClassAccumulator acc;
-  acc.ce_total = ReadU64Token(in, "profile class");
-  acc.ueo_total = ReadU64Token(in, "profile class");
-  acc.uer_events = ReadU64Token(in, "profile class");
-  acc.ce_row_min = ReadDoubleToken(in, "profile class");
-  acc.ce_row_max = ReadDoubleToken(in, "profile class");
-  acc.ueo_row_min = ReadDoubleToken(in, "profile class");
-  acc.ueo_row_max = ReadDoubleToken(in, "profile class");
-  acc.uer_row_min = ReadDoubleToken(in, "profile class");
-  acc.uer_row_max = ReadDoubleToken(in, "profile class");
-  acc.first_uer_time = ReadDoubleToken(in, "profile class");
-  acc.last_uer_time = ReadDoubleToken(in, "profile class");
-  acc.ce_before_first_uer = ReadDoubleToken(in, "profile class");
-  acc.ueo_before_first_uer = ReadDoubleToken(in, "profile class");
-  acc.last_time = ReadDoubleToken(in, "profile class");
-  acc.any_event = ReadU64Token(in, "profile class") != 0;
-  acc.ce_at_last_time = ReadU64Token(in, "profile class");
-  acc.ueo_at_last_time = ReadU64Token(in, "profile class");
-  acc.uer_row_diff = ReadChain(in);
-  acc.all_row_diff = ReadChain(in);
-  acc.ce_dt = ReadChain(in);
-  acc.ueo_dt = ReadChain(in);
-  acc.uer_dt = ReadChain(in);
-  acc.distinct_uer_rows = ReadRows(in);
-  return acc;
-}
-
-void WriteCrossRow(std::ostream& out, const CrossRowAccumulator& acc) {
-  out << acc.ce_count << ' ' << acc.ueo_count << ' ' << acc.uer_count << ' '
-      << acc.all_count << '\n';
-  for (const double v : {acc.uer_row_min, acc.uer_row_max, acc.first_uer_time,
-                         acc.last_event_time}) {
-    WriteDoubleToken(out, v);
-    out << ' ';
-  }
-  out << '\n';
-  WriteChain(out, acc.uer_row_diff);
-  WriteChain(out, acc.all_row_diff);
-  WriteChain(out, acc.ce_dt);
-  WriteChain(out, acc.ueo_dt);
-  WriteChain(out, acc.uer_dt);
-  WriteRows(out, acc.ce_rows);
-  WriteRows(out, acc.ueo_rows);
-  WriteRows(out, acc.uer_rows);
-  // uer_row_gaps is derived from uer_rows and rebuilt on load.
-}
-
-CrossRowAccumulator ReadCrossRow(std::istream& in) {
-  CrossRowAccumulator acc;
-  acc.ce_count = ReadU64Token(in, "profile crossrow");
-  acc.ueo_count = ReadU64Token(in, "profile crossrow");
-  acc.uer_count = ReadU64Token(in, "profile crossrow");
-  acc.all_count = ReadU64Token(in, "profile crossrow");
-  acc.uer_row_min = ReadDoubleToken(in, "profile crossrow");
-  acc.uer_row_max = ReadDoubleToken(in, "profile crossrow");
-  acc.first_uer_time = ReadDoubleToken(in, "profile crossrow");
-  acc.last_event_time = ReadDoubleToken(in, "profile crossrow");
-  acc.uer_row_diff = ReadChain(in);
-  acc.all_row_diff = ReadChain(in);
-  acc.ce_dt = ReadChain(in);
-  acc.ueo_dt = ReadChain(in);
-  acc.uer_dt = ReadChain(in);
-  acc.ce_rows = ReadRows(in);
-  acc.ueo_rows = ReadRows(in);
-  acc.uer_rows = ReadRows(in);
-  for (std::size_t i = 1; i < acc.uer_rows.size(); ++i) {
-    acc.uer_row_gaps.insert(static_cast<std::uint32_t>(acc.uer_rows[i]) -
-                            static_cast<std::uint32_t>(acc.uer_rows[i - 1]));
-  }
-  return acc;
-}
-
-// Binary mirrors of the writers above: identical field order, fixed-width
-// little-endian fields, doubles as raw IEEE-754 bit patterns.
+// Fixed-width little-endian fields, doubles as raw IEEE-754 bit patterns.
 
 void WriteChainBinary(persist::BinaryWriter& out, const DiffChain& chain) {
   out.U64(chain.count);
@@ -452,34 +313,6 @@ CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
 }
 
 }  // namespace
-
-void BankProfile::Save(std::ostream& out) const {
-  out << "bank_profile v1\n"
-      << max_uers_ << ' ' << events_ << ' ';
-  WriteDoubleToken(out, last_time_);
-  out << ' ' << uer_accepted_ << ' ' << (capped_ ? 1 : 0) << ' ';
-  WriteDoubleToken(out, cutoff_);
-  out << '\n';
-  WriteClass(out, live_);
-  WriteClass(out, frozen_);
-  WriteCrossRow(out, crossrow_);
-}
-
-BankProfile BankProfile::Load(std::istream& in) {
-  ExpectToken(in, "bank_profile");
-  ExpectToken(in, "v1");
-  const std::uint64_t max_uers = ReadU64Token(in, "profile");
-  BankProfile profile(static_cast<std::size_t>(max_uers));
-  profile.events_ = ReadU64Token(in, "profile");
-  profile.last_time_ = ReadDoubleToken(in, "profile");
-  profile.uer_accepted_ = ReadU64Token(in, "profile");
-  profile.capped_ = ReadU64Token(in, "profile") != 0;
-  profile.cutoff_ = ReadDoubleToken(in, "profile");
-  profile.live_ = ReadClass(in);
-  profile.frozen_ = ReadClass(in);
-  profile.crossrow_ = ReadCrossRow(in);
-  return profile;
-}
 
 void BankProfile::SaveBinary(persist::BinaryWriter& out) const {
   out.U64(max_uers_);

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <set>
 #include <vector>
 
@@ -142,17 +141,11 @@ class BankProfile {
   /// Whether `row` has already shown a UER — O(log d).
   bool HasUerRow(std::uint32_t row) const;
 
-  /// Serialize every accumulator as a token stream: a profile restored by
-  /// Load continues absorbing events bit-identically to the original (the
-  /// checkpoint/restore layer depends on this).
-  void Save(std::ostream& out) const;
-  static BankProfile Load(std::istream& in);
-
-  /// Binary codec (engine-state frame v2 and delta payloads): the same
-  /// fields in the same order as Save/Load, as fixed-width little-endian
-  /// values with doubles as raw bit patterns — so a binary round trip is
-  /// bit-identical to a text one. uer_row_gaps is rebuilt on load, exactly
-  /// as the text reader does.
+  /// Serialize every accumulator (engine-state and delta payloads) as
+  /// fixed-width little-endian values with doubles as raw bit patterns: a
+  /// profile restored by LoadBinary continues absorbing events
+  /// bit-identically to the original (the checkpoint/restore layer depends
+  /// on this). uer_row_gaps is derived, so it is rebuilt on load.
   void SaveBinary(persist::BinaryWriter& out) const;
   static BankProfile LoadBinary(persist::BinaryReader& in);
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -85,7 +86,6 @@ PredictionEngine::PredictionEngine(const hbm::TopologyConfig& topology,
       double_(double_predictor != nullptr ? double_predictor
                                           : &single_predictor),
       config_(config),
-      replayer_(codec_, config.retention),
       ledger_(config.budget) {
   CORDIAL_CHECK_MSG(classifier_->trained(), "classifier must be trained");
   CORDIAL_CHECK_MSG(single_->trained() && double_->trained(),
@@ -163,10 +163,6 @@ void PredictionEngine::AttachMetrics(obs::MetricRegistry& registry,
   metrics_.skew_dropped = &registry.GetCounter(
       "cordial_engine_records_skew_dropped_total",
       "Stale records discarded by the time-skew drop policy", labels);
-  replayer_.SetRetentionEvictionCounter(&registry.GetCounter(
-      "cordial_replay_retention_evictions_total",
-      "Raw records evicted from the replayer's bounded per-bank window",
-      labels));
   metrics_.model_version = &registry.GetGauge(
       "cordial_engine_model_version",
       "Model-slot generation this engine is serving (0 = no slot attached)",
@@ -211,19 +207,24 @@ IsolationActions PredictionEngine::Observe(const trace::MceRecord& logical_recor
     }
   };
 
-  const trace::BankHistory* bank = replayer_.Ingest(record);
-  if (bank == nullptr) {
-    // Rejected by the drop skew policy: no profile, no decision, no stats
-    // beyond the drop counter (keeps `events` == accepted records).
+  // The skew gate: a record older than the engine clock never reaches a
+  // profile, the policy or any stat but the drop counter (keeps `events` ==
+  // accepted records). An equal timestamp is in order.
+  if (record.time_s < now_) {
+    CORDIAL_CHECK_MSG(
+        config_.retention.skew_policy == trace::TimeSkewPolicy::kDrop,
+        "engine requires non-decreasing timestamps");
     ++stats_.records_skew_dropped;
     if (metrics_.skew_dropped) metrics_.skew_dropped->Increment();
     record_latency();
     return IsolationActions{};
   }
+  now_ = record.time_s;
   ++stats_.events;
   if (metrics_.events) metrics_.events->Increment();
+  const std::uint64_t bank_key = codec_.BankKey(record.address);
   const auto [it, inserted] =
-      banks_.try_emplace(bank->bank_key, classifier_->extractor().max_uers());
+      banks_.try_emplace(bank_key, classifier_->extractor().max_uers());
   BankState& state = it->second;
   // Dirty-bank tracking for delta checkpoints: every mutation below (the
   // profile, the Cordial state, this bank's ledger rows) touches only this
@@ -243,10 +244,10 @@ IsolationActions PredictionEngine::Observe(const trace::MceRecord& logical_recor
     if (!state.profile.HasUerRow(record.address.row)) {
       coverage.first_failure = true;
       ++stats_.uer_rows_total;
-      if (ledger_.IsRowSpared(bank->bank_key, record.address.row)) {
+      if (ledger_.IsRowSpared(bank_key, record.address.row)) {
         coverage.covered_by_row_spare = true;
         ++stats_.uer_rows_covered;
-      } else if (ledger_.IsBankSpared(bank->bank_key)) {
+      } else if (ledger_.IsBankSpared(bank_key)) {
         coverage.covered_by_bank_spare = true;
         ++stats_.uer_rows_covered_by_bank;
       }
@@ -269,7 +270,7 @@ IsolationActions PredictionEngine::Observe(const trace::MceRecord& logical_recor
     // TrySpareBank is idempotent and may be unavailable; count only banks
     // the ledger actually retired, mirroring the row accounting below.
     const std::uint64_t banks_before = ledger_.banks_spared();
-    ledger_.TrySpareBank(bank->bank_key);
+    ledger_.TrySpareBank(bank_key);
     const std::uint64_t banks_newly = ledger_.banks_spared() - banks_before;
     stats_.banks_bank_spared += banks_newly;
     if (metrics_.banks_spared) metrics_.banks_spared->Increment(banks_newly);
@@ -283,7 +284,7 @@ IsolationActions PredictionEngine::Observe(const trace::MceRecord& logical_recor
   const std::uint64_t spared_before = ledger_.rows_spared();
   for (const RowSpan& span : actions.predicted_spans) {
     for (std::uint32_t row = span.first; row <= span.last; ++row) {
-      ledger_.TrySpareRow(bank->bank_key, row);
+      ledger_.TrySpareRow(bank_key, row);
     }
   }
   actions.rows_newly_spared = ledger_.rows_spared() - spared_before;
@@ -300,9 +301,9 @@ const BankProfile* PredictionEngine::FindProfile(std::uint64_t bank_key) const {
   return it == banks_.end() ? nullptr : &it->second.profile;
 }
 
-// ------------------------------------------------- binary state codec (v2)
+// ------------------------------------------------------ binary state codec
 //
-// Full (cordial_engine_state v2) and delta (cordial_engine_delta v1)
+// Full (cordial_engine_state v3) and delta (cordial_engine_delta v2)
 // payloads share one self-delimiting shape:
 //
 //   u32 header_len | header | u64 bank_count | bank records...
@@ -312,29 +313,25 @@ const BankProfile* PredictionEngine::FindProfile(std::uint64_t bank_key) const {
 // models or topology: the offline inspector (persist::) folds a delta chain
 // by overlaying bank records keyed by bank_key and keeping the newest
 // header verbatim — producing exactly the bytes a live full save would.
-// Bank records are emitted in ascending key order so equal states
-// serialize identically.
+// Bank records are emitted in strictly ascending key order, so equal states
+// serialize identically, and the readers refuse any other order.
 
 namespace {
 
 /// Everything global in an engine snapshot: stats, the ledger's budget and
-/// spend counters, the replayer's counters and clock. Deltas carry the
-/// same header as fulls — the counters are tiny and every one of them can
-/// move on any record.
+/// spend counters, and the skew gate's clock. Deltas carry the same header
+/// as fulls — the counters are tiny and every one of them can move on any
+/// record.
 struct StateHeader {
   EngineStats stats;
   hbm::SparingBudget budget;
   std::uint64_t rows_spared = 0;
   std::uint64_t banks_spared = 0;
-  std::uint64_t records = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t skew_dropped = 0;
   double now = 0.0;
 };
 
 void EncodeStateHeader(persist::BinaryWriter& out, const EngineStats& stats,
-                       const hbm::SparingLedger& ledger,
-                       const trace::StreamReplayer& replayer) {
+                       const hbm::SparingLedger& ledger, double now) {
   out.U64(stats.events);
   out.U64(stats.uer_events);
   out.U64(stats.banks_classified);
@@ -352,13 +349,13 @@ void EncodeStateHeader(persist::BinaryWriter& out, const EngineStats& stats,
   out.F64(budget.bank_spare_cost);
   out.U64(ledger.rows_spared());
   out.U64(ledger.banks_spared());
-  out.U64(replayer.record_count());
-  out.U64(replayer.records_dropped());
-  out.U64(replayer.records_skew_dropped());
-  out.F64(replayer.now());
+  out.F64(now);
 }
 
-StateHeader DecodeStateHeader(persist::BinaryReader& in) {
+/// Consume the length-prefixed header section at the front of a payload.
+StateHeader TakeStateHeader(persist::BinaryReader& payload) {
+  const std::uint32_t header_len = payload.Count32(1);
+  persist::BinaryReader in(payload.Bytes(header_len), "engine state header");
   StateHeader h;
   h.stats.events = static_cast<std::size_t>(in.U64());
   h.stats.uer_events = static_cast<std::size_t>(in.U64());
@@ -376,10 +373,8 @@ StateHeader DecodeStateHeader(persist::BinaryReader& in) {
   h.budget.bank_spare_cost = in.F64();
   h.rows_spared = in.U64();
   h.banks_spared = in.U64();
-  h.records = in.U64();
-  h.dropped = in.U64();
-  h.skew_dropped = in.U64();
   h.now = in.F64();
+  in.ExpectEnd();
   return h;
 }
 
@@ -387,16 +382,13 @@ constexpr std::uint8_t kBlobHasLedgerEntry = 1u << 0;
 constexpr std::uint8_t kBlobBankSpared = 1u << 1;
 
 /// One bank's full slice of engine state: Cordial decision state, the
-/// profile, this bank's ledger section (the has-entry flag distinguishes
-/// "no spared-row entry" from "an entry with zero rows" — TrySpareRow
-/// creates the latter when rows_per_bank is 0, and the text serializer
-/// lists it, so byte-identity needs the distinction), and the replayer's
-/// retained event window.
+/// profile, and this bank's ledger section. The has-entry flag
+/// distinguishes "no spared-row entry" from "an entry with zero rows" —
+/// TrySpareRow creates the latter when rows_per_bank is 0, and a restored
+/// ledger must hold exactly the entries the saved one did.
 void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
                     const BankProfile& profile,
-                    const hbm::SparingLedger& ledger, std::uint64_t key,
-                    const trace::BankHistory* window,
-                    const hbm::AddressCodec& codec) {
+                    const hbm::SparingLedger& ledger, std::uint64_t key) {
   out.U64(cordial.uer_events_seen);
   out.U64(cordial.anchors_used);
   out.U8(cordial.classified ? 1 : 0);
@@ -415,16 +407,6 @@ void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
     out.U32(static_cast<std::uint32_t>(sorted.size()));
     for (const std::uint32_t row : sorted) out.U32(row);
   }
-
-  const std::size_t events = window != nullptr ? window->events.size() : 0;
-  out.U32(static_cast<std::uint32_t>(events));
-  if (window != nullptr) {
-    for (const trace::MceRecord& r : window->events) {
-      out.F64(r.time_s);
-      out.U64(codec.Pack(r.address));
-      out.U8(static_cast<std::uint8_t>(r.type));
-    }
-  }
 }
 
 struct BankBlob {
@@ -433,11 +415,12 @@ struct BankBlob {
   bool has_ledger_entry = false;
   bool bank_spared = false;
   std::vector<std::uint32_t> rows;
-  trace::BankHistory window;
 };
 
-BankBlob DecodeBankBlob(persist::BinaryReader& in, std::uint64_t key,
-                        const hbm::AddressCodec& codec) {
+/// Decode one bank blob for an engine whose classifier truncates at
+/// `max_uers`. A profile accumulated at another depth is refused here: the
+/// bank's next classification would otherwise throw on a shard worker.
+BankBlob DecodeBankBlob(persist::BinaryReader& in, std::size_t max_uers) {
   BankBlob blob;
   blob.cordial.uer_events_seen = static_cast<std::size_t>(in.U64());
   blob.cordial.anchors_used = static_cast<std::size_t>(in.U64());
@@ -449,6 +432,12 @@ BankBlob DecodeBankBlob(persist::BinaryReader& in, std::uint64_t key,
   blob.cordial.bank_class = static_cast<hbm::FailureClass>(bank_class);
   blob.cordial.last_anchor_row = in.I64();
   blob.profile = BankProfile::LoadBinary(in);
+  if (blob.profile.max_uers() != max_uers) {
+    throw ParseError("engine bank: profile truncation depth " +
+                     std::to_string(blob.profile.max_uers()) +
+                     " does not match this engine's depth " +
+                     std::to_string(max_uers));
+  }
 
   const std::uint8_t flags = in.U8();
   blob.has_ledger_entry = (flags & kBlobHasLedgerEntry) != 0;
@@ -458,20 +447,35 @@ BankBlob DecodeBankBlob(persist::BinaryReader& in, std::uint64_t key,
     blob.rows.reserve(nrows);
     for (std::uint32_t i = 0; i < nrows; ++i) blob.rows.push_back(in.U32());
   }
-
-  const std::uint32_t nevents = in.Count32(17);  // f64 + u64 + u8 per event
-  blob.window.bank_key = key;
-  blob.window.events.reserve(nevents);
-  for (std::uint32_t e = 0; e < nevents; ++e) {
-    trace::MceRecord r;
-    r.time_s = in.F64();
-    r.address = codec.Unpack(in.U64());
-    const std::uint8_t type = in.U8();
-    if (type > 2) throw ParseError("engine bank event: unknown error type");
-    r.type = static_cast<hbm::ErrorType>(type);
-    blob.window.events.push_back(r);
-  }
   return blob;
+}
+
+/// Consume the bank records that follow a payload's header, through to the
+/// payload's end: `reserve(n)` once with the (capped) record count, then
+/// `on_bank(key, blob)` per record in payload order.
+template <typename Reserve, typename OnBank>
+void TakeBankRecords(persist::BinaryReader& payload, std::size_t max_uers,
+                     Reserve&& reserve, OnBank&& on_bank) {
+  const std::uint64_t bank_count = payload.Count(8 + 4);
+  // Cap the reserve: a corrupt count fails below on a read, and must not
+  // pre-allocate an absurd table first.
+  reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(bank_count, 1 << 16)));
+  std::uint64_t prev_key = 0;
+  for (std::uint64_t b = 0; b < bank_count; ++b) {
+    const std::uint64_t key = payload.U64();
+    if (b > 0 && key <= prev_key) {
+      throw ParseError("engine state: bank keys not strictly ascending");
+    }
+    prev_key = key;
+    const std::uint32_t blob_len = payload.Count32(1);
+    persist::BinaryReader blob_reader(payload.Bytes(blob_len),
+                                      "engine bank blob");
+    BankBlob blob = DecodeBankBlob(blob_reader, max_uers);
+    blob_reader.ExpectEnd();
+    on_bank(key, std::move(blob));
+  }
+  payload.ExpectEnd();
 }
 
 }  // namespace
@@ -480,61 +484,32 @@ void PredictionEngine::AppendBinaryPayload(
     std::string& out, const std::vector<std::uint64_t>& keys) const {
   persist::BinaryWriter writer(out);
   const std::size_t header = writer.BeginLength();
-  EncodeStateHeader(writer, stats_, ledger_, replayer_);
+  EncodeStateHeader(writer, stats_, ledger_, now_);
   writer.EndLength(header);
   writer.U64(keys.size());
   for (const std::uint64_t key : keys) {
     const BankState& state = banks_.at(key);
     writer.U64(key);
     const std::size_t blob = writer.BeginLength();
-    EncodeBankBlob(writer, state.cordial, state.profile, ledger_, key,
-                   replayer_.Find(key), codec_);
+    EncodeBankBlob(writer, state.cordial, state.profile, ledger_, key);
     writer.EndLength(blob);
   }
 }
 
-void PredictionEngine::AppendState(std::string& out,
-                                   StateEncoding encoding) const {
+void PredictionEngine::AppendState(std::string& out) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(banks_.size());
   for (const auto& [key, state] : banks_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
 
   const std::size_t frame = out.size();
-  if (encoding == StateEncoding::kBinary) {
-    AppendBinaryPayload(out, keys);
-    CloseFrame(out, frame, kEngineStateMagic, kEngineStateBinaryVersion);
-    return;
-  }
-
-  std::ostringstream payload;
-  payload << "stats " << stats_.events << ' ' << stats_.uer_events << ' '
-          << stats_.banks_classified << ' ' << stats_.banks_bank_spared << ' '
-          << stats_.predictions_issued << ' ' << stats_.rows_isolated << ' '
-          << stats_.uer_rows_total << ' ' << stats_.uer_rows_covered << ' '
-          << stats_.uer_rows_covered_by_bank << ' '
-          << stats_.records_skew_dropped << '\n';
-  ledger_.Save(payload);
-  replayer_.Save(payload);
-
-  payload << "banks " << keys.size() << '\n';
-  for (const std::uint64_t key : keys) {
-    const BankState& state = banks_.at(key);
-    payload << key << ' ' << state.cordial.uer_events_seen << ' '
-            << state.cordial.anchors_used << ' '
-            << (state.cordial.classified ? 1 : 0) << ' '
-            << static_cast<int>(state.cordial.bank_class) << ' '
-            << state.cordial.last_anchor_row << '\n';
-    state.profile.Save(payload);
-  }
-  out += std::move(payload).str();
+  AppendBinaryPayload(out, keys);
   CloseFrame(out, frame, kEngineStateMagic, kEngineStateVersion);
 }
 
-void PredictionEngine::SaveState(std::ostream& out,
-                                 StateEncoding encoding) const {
+void PredictionEngine::SaveState(std::ostream& out) const {
   std::string bytes;
-  AppendState(bytes, encoding);
+  AppendState(bytes);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
@@ -559,8 +534,8 @@ void PredictionEngine::MarkCheckpointClean() {
 
 struct PredictionEngine::StagedState::Impl {
   EngineStats stats;
+  double now = 0.0;
   hbm::SparingLedger ledger;
-  trace::StagedReplayerState replayer;
   std::unordered_map<std::uint64_t, BankState> banks;
 };
 
@@ -571,117 +546,44 @@ PredictionEngine::StagedState& PredictionEngine::StagedState::operator=(
 PredictionEngine::StagedState::~StagedState() = default;
 
 void PredictionEngine::RestoreState(std::istream& in) {
-  std::uint32_t version = 0;
-  const std::string payload = ReadFramedAny(
-      in, kEngineStateMagic, {kEngineStateVersion, kEngineStateBinaryVersion},
-      &version);
-  CommitState(ParseStatePayload(version, payload));
+  CommitState(ParseStatePayload(
+      ReadFramed(in, kEngineStateMagic, kEngineStateVersion)));
 }
 
 PredictionEngine::StagedState PredictionEngine::ParseState(
     std::string_view& in) const {
-  std::uint32_t version = 0;
-  const std::string_view payload = ReadFramedView(
-      in, kEngineStateMagic, {kEngineStateVersion, kEngineStateBinaryVersion},
-      &version);
-  return ParseStatePayload(version, payload);
+  return ParseStatePayload(
+      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion));
 }
 
 PredictionEngine::StagedState PredictionEngine::ParseStatePayload(
-    std::uint32_t version, std::string_view raw) const {
-  if (version == kEngineStateBinaryVersion) {
-    StagedState staged;
-    persist::BinaryReader reader(raw, "engine state v2");
-    const std::uint32_t header_len = reader.Count32(1);
-    persist::BinaryReader header_reader(reader.Bytes(header_len),
-                                        "engine state header");
-    const StateHeader header = DecodeStateHeader(header_reader);
-    header_reader.ExpectEnd();
-    staged.impl_->stats = header.stats;
-    hbm::SparingLedger ledger(header.budget);
-    trace::StagedReplayerState& replayer = staged.impl_->replayer;
-    replayer.records = static_cast<std::size_t>(header.records);
-    replayer.dropped = static_cast<std::size_t>(header.dropped);
-    replayer.skew_dropped = static_cast<std::size_t>(header.skew_dropped);
-    replayer.now = header.now;
-
-    const std::uint64_t bank_count = reader.Count(8 + 4);
-    std::unordered_map<std::uint64_t, BankState>& banks = staged.impl_->banks;
-    banks.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(bank_count, 1 << 16)));
-    for (std::uint64_t b = 0; b < bank_count; ++b) {
-      const std::uint64_t key = reader.U64();
-      const std::uint32_t blob_len = reader.Count32(1);
-      persist::BinaryReader blob_reader(reader.Bytes(blob_len),
-                                        "engine bank blob");
-      BankBlob blob = DecodeBankBlob(blob_reader, key, codec_);
-      blob_reader.ExpectEnd();
-      const auto [it, inserted] =
-          banks.try_emplace(key, classifier_->extractor().max_uers());
-      if (!inserted) throw ParseError("engine bank: duplicate bank key");
-      it->second.cordial = blob.cordial;
-      it->second.profile = std::move(blob.profile);
-      ledger.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
-                                blob.bank_spared);
-      if (!blob.window.events.empty()) {
-        replayer.banks.emplace(key, std::move(blob.window));
-      }
-    }
-    reader.ExpectEnd();
-    ledger.RestoreCounters(header.rows_spared, header.banks_spared);
-    staged.impl_->ledger = std::move(ledger);
-    return staged;
-  }
-
-  std::istringstream payload{std::string(raw)};
+    std::string_view raw) const {
   StagedState staged;
-  ExpectToken(payload, "stats");
-  EngineStats& stats = staged.impl_->stats;
-  stats.events = ReadU64Token(payload, "engine stats");
-  stats.uer_events = ReadU64Token(payload, "engine stats");
-  stats.banks_classified = ReadU64Token(payload, "engine stats");
-  stats.banks_bank_spared = ReadU64Token(payload, "engine stats");
-  stats.predictions_issued = ReadU64Token(payload, "engine stats");
-  stats.rows_isolated = ReadU64Token(payload, "engine stats");
-  stats.uer_rows_total = ReadU64Token(payload, "engine stats");
-  stats.uer_rows_covered = ReadU64Token(payload, "engine stats");
-  stats.uer_rows_covered_by_bank = ReadU64Token(payload, "engine stats");
-  stats.records_skew_dropped = ReadU64Token(payload, "engine stats");
-
-  staged.impl_->ledger = hbm::SparingLedger::Load(payload);
-  staged.impl_->replayer = replayer_.ParseState(payload);
-
-  ExpectToken(payload, "banks");
-  const std::uint64_t bank_count = ReadU64Token(payload, "engine banks");
+  persist::BinaryReader reader(raw, "engine state");
+  const StateHeader header = TakeStateHeader(reader);
+  staged.impl_->stats = header.stats;
+  staged.impl_->now = header.now;
+  hbm::SparingLedger ledger(header.budget);
   std::unordered_map<std::uint64_t, BankState>& banks = staged.impl_->banks;
-  // Cap the reserve: a corrupt count fails below on a token read, and must
-  // not pre-allocate an absurd table first.
-  banks.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(bank_count, 1 << 16)));
-  for (std::uint64_t b = 0; b < bank_count; ++b) {
-    const std::uint64_t key = ReadU64Token(payload, "engine bank");
-    const auto [it, inserted] =
-        banks.try_emplace(key, classifier_->extractor().max_uers());
-    if (!inserted) throw ParseError("engine bank: duplicate bank key");
-    BankState& state = it->second;
-    state.cordial.uer_events_seen = ReadU64Token(payload, "engine bank");
-    state.cordial.anchors_used = ReadU64Token(payload, "engine bank");
-    state.cordial.classified = ReadU64Token(payload, "engine bank") != 0;
-    const std::int64_t bank_class = ReadI64Token(payload, "engine bank");
-    if (bank_class < 0 || bank_class > 2) {
-      throw ParseError("engine bank: unknown failure class");
-    }
-    state.cordial.bank_class = static_cast<hbm::FailureClass>(bank_class);
-    state.cordial.last_anchor_row = ReadI64Token(payload, "engine bank");
-    state.profile = BankProfile::Load(payload);
-  }
+  const std::size_t max_uers = classifier_->extractor().max_uers();
+  TakeBankRecords(
+      reader, max_uers, [&](std::size_t n) { banks.reserve(n); },
+      [&](std::uint64_t key, BankBlob&& blob) {
+        BankState& state = banks.try_emplace(key, max_uers).first->second;
+        state.cordial = blob.cordial;
+        state.profile = std::move(blob.profile);
+        ledger.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
+                                  blob.bank_spared);
+      });
+  ledger.RestoreCounters(header.rows_spared, header.banks_spared);
+  staged.impl_->ledger = std::move(ledger);
   return staged;
 }
 
 void PredictionEngine::CommitState(StagedState&& staged) {
   stats_ = staged.impl_->stats;
+  now_ = staged.impl_->now;
   ledger_ = std::move(staged.impl_->ledger);
-  replayer_.CommitState(std::move(staged.impl_->replayer));
   banks_ = std::move(staged.impl_->banks);
   // Freshly parsed BankStates carry dirty_epoch 0, which can never equal
   // snapshot_epoch_ (>= 1): the restored state is entirely clean.
@@ -689,18 +591,8 @@ void PredictionEngine::CommitState(StagedState&& staged) {
 }
 
 struct PredictionEngine::StagedDelta::Impl {
-  EngineStats stats;
-  std::uint64_t rows_spared = 0;
-  std::uint64_t banks_spared = 0;
-  std::size_t records = 0;
-  std::size_t dropped = 0;
-  std::size_t skew_dropped = 0;
-  double now = 0.0;
-  struct Bank {
-    std::uint64_t key = 0;
-    BankBlob blob;
-  };
-  std::vector<Bank> banks;
+  StateHeader header;
+  std::vector<std::pair<std::uint64_t, BankBlob>> banks;
 };
 
 PredictionEngine::StagedDelta::StagedDelta() : impl_(new Impl()) {}
@@ -711,62 +603,33 @@ PredictionEngine::StagedDelta::~StagedDelta() = default;
 
 PredictionEngine::StagedDelta PredictionEngine::ParseDeltaState(
     std::string_view& in) const {
-  const std::string_view raw =
-      ReadFramedView(in, kEngineDeltaMagic, {kEngineDeltaVersion});
   StagedDelta staged;
-  persist::BinaryReader reader(raw, "engine delta");
-  const std::uint32_t header_len = reader.Count32(1);
-  persist::BinaryReader header_reader(reader.Bytes(header_len),
-                                      "engine delta header");
-  const StateHeader header = DecodeStateHeader(header_reader);
-  header_reader.ExpectEnd();
-  // The budget in a delta header describes the chain's full snapshot; the
-  // live ledger already carries it, so only the counters are staged.
-  staged.impl_->stats = header.stats;
-  staged.impl_->rows_spared = header.rows_spared;
-  staged.impl_->banks_spared = header.banks_spared;
-  staged.impl_->records = static_cast<std::size_t>(header.records);
-  staged.impl_->dropped = static_cast<std::size_t>(header.dropped);
-  staged.impl_->skew_dropped = static_cast<std::size_t>(header.skew_dropped);
-  staged.impl_->now = header.now;
-
-  const std::uint64_t bank_count = reader.Count(8 + 4);
-  staged.impl_->banks.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(bank_count, 1 << 16)));
-  std::uint64_t prev_key = 0;
-  for (std::uint64_t b = 0; b < bank_count; ++b) {
-    StagedDelta::Impl::Bank bank;
-    bank.key = reader.U64();
-    if (b > 0 && bank.key <= prev_key) {
-      throw ParseError("engine delta: bank keys not strictly ascending");
-    }
-    prev_key = bank.key;
-    const std::uint32_t blob_len = reader.Count32(1);
-    persist::BinaryReader blob_reader(reader.Bytes(blob_len),
-                                      "engine delta bank blob");
-    bank.blob = DecodeBankBlob(blob_reader, bank.key, codec_);
-    blob_reader.ExpectEnd();
-    staged.impl_->banks.push_back(std::move(bank));
-  }
-  reader.ExpectEnd();
+  persist::BinaryReader reader(
+      ReadFramedView(in, kEngineDeltaMagic, kEngineDeltaVersion),
+      "engine delta");
+  staged.impl_->header = TakeStateHeader(reader);
+  auto& banks = staged.impl_->banks;
+  TakeBankRecords(
+      reader, classifier_->extractor().max_uers(),
+      [&](std::size_t n) { banks.reserve(n); },
+      [&](std::uint64_t key, BankBlob&& blob) {
+        banks.emplace_back(key, std::move(blob));
+      });
   return staged;
 }
 
 void PredictionEngine::CommitDeltaState(StagedDelta&& staged) {
-  stats_ = staged.impl_->stats;
-  ledger_.RestoreCounters(staged.impl_->rows_spared,
-                          staged.impl_->banks_spared);
-  replayer_.RestoreCounters(staged.impl_->records, staged.impl_->dropped,
-                            staged.impl_->skew_dropped, staged.impl_->now);
-  for (StagedDelta::Impl::Bank& bank : staged.impl_->banks) {
-    BankBlob& blob = bank.blob;
-    ledger_.RestoreBankSection(bank.key, blob.has_ledger_entry, blob.rows,
+  // The budget in a delta header describes the chain's full snapshot; the
+  // live ledger already carries it, so only the counters are adopted.
+  const StateHeader& header = staged.impl_->header;
+  stats_ = header.stats;
+  now_ = header.now;
+  ledger_.RestoreCounters(header.rows_spared, header.banks_spared);
+  for (auto& [key, blob] : staged.impl_->banks) {
+    ledger_.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
                                blob.bank_spared);
-    if (!blob.window.events.empty()) {
-      replayer_.OverwriteBank(std::move(blob.window));
-    }
     const auto [it, inserted] =
-        banks_.try_emplace(bank.key, classifier_->extractor().max_uers());
+        banks_.try_emplace(key, classifier_->extractor().max_uers());
     if (!inserted && it->second.dirty_epoch == snapshot_epoch_) {
       --dirty_banks_;
     }

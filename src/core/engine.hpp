@@ -11,8 +11,9 @@
 //
 // Every decision is computed from a BankProfile, never by rescanning raw
 // event lists: ICR replay drops from O(events^2) to O(events) per bank, and
-// streaming memory stays bounded (the engine's StreamReplayer retains only
-// a window of raw records; profiles never need the dropped ones).
+// the engine keeps no raw records at all — its per-bank map of profiles and
+// decision state is the only per-bank store, so streaming memory is
+// O(distinct error rows), not O(records).
 #pragma once
 
 #include <atomic>
@@ -30,7 +31,7 @@
 #include "hbm/address.hpp"
 #include "hbm/sparing.hpp"
 #include "obs/metrics.hpp"
-#include "trace/replay.hpp"
+#include "trace/mce_record.hpp"
 
 namespace cordial::core {
 
@@ -90,13 +91,18 @@ IsolationActions StepCordial(CordialBankState& state, const BankProfile& profile
                              const CrossRowPredictor& double_predictor,
                              const CordialPolicyConfig& policy);
 
+/// The feed-order contract Observe enforces against the engine clock (the
+/// newest accepted timestamp).
+struct StreamPolicy {
+  trace::TimeSkewPolicy skew_policy = trace::TimeSkewPolicy::kThrow;
+};
+
 struct EngineConfig {
   CordialPolicyConfig policy;
   hbm::SparingBudget budget;
-  /// Raw-record retention for the engine's stream replayer. Decisions come
-  /// from BankProfile accumulators, so any bound (even 1) leaves them
-  /// bit-identical; the retained window only serves debugging/inspection.
-  trace::RetentionPolicy retention{64};
+  /// What Observe does with a record older than the engine clock. (The name
+  /// is historical; the benchmark harness still spells it.)
+  StreamPolicy retention;
   /// Logical->physical row map of the device feeding this engine. With a
   /// non-identity mapping every incoming record's row is remapped to
   /// physical space before ingestion, so locality features, predictions,
@@ -106,13 +112,10 @@ struct EngineConfig {
   hbm::RowMapping row_mapping;
 };
 
-/// Payload encoding of a full engine snapshot. Text (frame v1) is the
-/// original human-greppable token stream; binary (frame v2, the
-/// persist/binary_io.hpp codec) is the compact fixed-width form chain
-/// checkpoints use. Both restore bit-identically; RestoreState dispatches
-/// on the frame version it finds.
+/// Payload encoding of an engine snapshot. Binary (the
+/// persist/binary_io.hpp codec) is the only one; the enum remains as the
+/// type of FleetServer::SaveCheckpoint's encoding argument.
 enum class StateEncoding {
-  kText,
   kBinary,
 };
 
@@ -127,8 +130,8 @@ struct EngineStats {
   std::size_t uer_rows_total = 0;
   std::size_t uer_rows_covered = 0;  ///< first failure hit a spared row
   std::size_t uer_rows_covered_by_bank = 0;
-  /// Records rejected by the replayer's time-skew drop policy; such records
-  /// never reach a profile or the policy and are excluded from `events`.
+  /// Records rejected by the time-skew drop policy; such records never
+  /// reach a profile or the policy and are excluded from `events`.
   std::size_t records_skew_dropped = 0;
 
   friend bool operator==(const EngineStats&, const EngineStats&) = default;
@@ -165,31 +168,32 @@ class PredictionEngine {
 
   /// Ingest one record (records must arrive in non-decreasing time order
   /// across the whole fleet) and apply the Cordial policy for its bank.
-  /// Under RetentionPolicy::kDrop a time-skewed record is counted in
-  /// `stats().records_skew_dropped` and returns empty actions.
+  /// A record older than now() is a ContractViolation under
+  /// TimeSkewPolicy::kThrow; under kDrop it is counted in
+  /// `stats().records_skew_dropped` and returns empty actions. An equal
+  /// timestamp is accepted.
   IsolationActions Observe(const trace::MceRecord& record);
 
-  /// Checkpoint the full mutable state (stats, ledger, replayer window,
-  /// per-bank profiles and Cordial decision state) as one versioned frame
-  /// appended to `out`. Binary payloads are encoded in place: each bank
-  /// record straight into `out`, its length back-patched, and the frame
-  /// header inserted in front when the payload is complete.
-  /// Deterministic: equal state serializes byte-identically. Models and
-  /// config are NOT serialized — a restoring engine must be constructed
-  /// with the same models, topology and config.
-  void AppendState(std::string& out,
-                   StateEncoding encoding = StateEncoding::kText) const;
+  /// Checkpoint the full mutable state (stats, the clock, ledger, per-bank
+  /// profiles and Cordial decision state) as one versioned binary frame
+  /// appended to `out`, encoded in place: each bank record straight into
+  /// `out`, its length back-patched, and the frame header inserted in
+  /// front when the payload is complete. Deterministic: equal state
+  /// serializes byte-identically. Models and config are NOT serialized — a
+  /// restoring engine must be constructed with the same models, topology
+  /// and config.
+  void AppendState(std::string& out) const;
   /// AppendState written to a stream.
-  void SaveState(std::ostream& out,
-                 StateEncoding encoding = StateEncoding::kText) const;
+  void SaveState(std::ostream& out) const;
 
   /// Replace this engine's mutable state with a SaveState stream's. Throws
-  /// ParseError on malformed input or version mismatch. Strong guarantee:
-  /// after a throw the engine is unchanged (the whole stream is parsed
-  /// into a StagedState before anything commits), so a recovery loop can
-  /// try the next checkpoint candidate on the same engine. After a
-  /// successful RestoreState the engine resumes bit-identically to the
-  /// saver.
+  /// ParseError on malformed input, version mismatch, or a bank profile
+  /// whose truncation depth differs from this engine's classifier's.
+  /// Strong guarantee: after a throw the engine is unchanged (the whole
+  /// stream is parsed into a StagedState before anything commits), so a
+  /// recovery loop can try the next checkpoint candidate on the same
+  /// engine. After a successful RestoreState the engine resumes
+  /// bit-identically to the saver.
   void RestoreState(std::istream& in);
 
   /// A fully parsed — but not yet adopted — SaveState stream (opaque,
@@ -224,12 +228,12 @@ class PredictionEngine {
   // the full snapshot it chains from, it restores bit-identically to a full
   // snapshot taken at the same record boundary.
 
-  /// Append a cordial_engine_delta frame (always binary, encoded in place
-  /// like AppendState) to `out`: the banks dirtied since the last
-  /// MarkCheckpointClean, plus stats / ledger / replayer counters. Const —
-  /// the dirty set is NOT cleared here, so a failed write loses nothing;
-  /// call MarkCheckpointClean once the bytes are durable. Returns the
-  /// number of banks written.
+  /// Append a cordial_engine_delta frame (encoded in place like
+  /// AppendState) to `out`: the banks dirtied since the last
+  /// MarkCheckpointClean, plus stats, the clock and the ledger counters.
+  /// Const — the dirty set is NOT cleared here, so a failed write loses
+  /// nothing; call MarkCheckpointClean once the bytes are durable. Returns
+  /// the number of banks written.
   std::uint64_t AppendDeltaState(std::string& out) const;
 
   /// Start a new snapshot epoch: every bank becomes clean. Call only after
@@ -265,14 +269,13 @@ class PredictionEngine {
   /// checkpoint that carried them).
   void CommitDeltaState(StagedDelta&& staged);
 
-  /// Register this engine's live metrics (`cordial_engine_*` counters, the
-  /// Observe latency histogram, and the replayer's retention-eviction
-  /// counter) in `registry` and start feeding them. `labels` is attached to
-  /// every metric (a serving shard passes its shard index). The registry
-  /// must outlive the engine. Without an attach, Observe pays nothing —
-  /// null-pointer checks only. Counters are process-local and monotonic:
-  /// RestoreState rewinds stats() but never the attached counters
-  /// (Prometheus counter semantics).
+  /// Register this engine's live metrics (`cordial_engine_*` counters and
+  /// the Observe latency histogram) in `registry` and start feeding them.
+  /// `labels` is attached to every metric (a serving shard passes its shard
+  /// index). The registry must outlive the engine. Without an attach,
+  /// Observe pays nothing — null-pointer checks only. Counters are
+  /// process-local and monotonic: RestoreState rewinds stats() but never
+  /// the attached counters (Prometheus counter semantics).
   ///
   /// `latency_sample_every` strides the Observe latency histogram: only
   /// every Nth call is timed (counters stay exact — they cost relaxed
@@ -314,14 +317,15 @@ class PredictionEngine {
 
   const EngineStats& stats() const { return stats_; }
   const hbm::SparingLedger& ledger() const { return ledger_; }
-  const trace::StreamReplayer& replayer() const { return replayer_; }
   const hbm::AddressCodec& codec() const { return codec_; }
   const EngineConfig& config() const { return config_; }
 
   /// Incremental profile of a bank, or nullptr if it produced no events.
   const BankProfile* FindProfile(std::uint64_t bank_key) const;
 
-  double now() const { return replayer_.now(); }
+  /// The engine clock: timestamp of the newest accepted record (0 before
+  /// any). Checkpointed, so a restored engine's skew gate resumes exactly.
+  double now() const { return now_; }
 
  private:
   struct BankState {
@@ -350,14 +354,12 @@ class PredictionEngine {
   /// Adopt the slot's current generation (record-boundary call site).
   void RefreshModels();
 
-  /// The binary payload full (v2) and delta frames share: the state header
+  /// The binary payload full and delta frames share: the state header
   /// section, then one length-prefixed record per bank in `keys` order.
   void AppendBinaryPayload(std::string& out,
                            const std::vector<std::uint64_t>& keys) const;
-  /// Parse an engine-state payload of frame version `version` (v1 text or
-  /// v2 binary), already checked by the frame reader.
-  StagedState ParseStatePayload(std::uint32_t version,
-                                std::string_view payload) const;
+  /// Parse a full engine-state payload, already checked by the frame reader.
+  StagedState ParseStatePayload(std::string_view payload) const;
 
   hbm::AddressCodec codec_;
   // Always non-null; constructor-time referees until a slot swap replaces
@@ -378,7 +380,7 @@ class PredictionEngine {
   std::size_t latency_sample_every_ = 1;
   std::size_t observe_calls_ = 0;  ///< for latency sampling; never persisted
   std::size_t next_timed_ = 0;     ///< observe_calls_ value to time next
-  trace::StreamReplayer replayer_;
+  double now_ = 0.0;  ///< the skew gate's clock; see now()
   hbm::SparingLedger ledger_;
   std::unordered_map<std::uint64_t, BankState> banks_;
   EngineStats stats_;

@@ -19,15 +19,17 @@ inline constexpr char kOutcomeStoreMagic[] = "cordial_outcome_store";
 inline constexpr std::uint32_t kOutcomeStoreVersion = 1;
 
 inline constexpr char kEngineStateMagic[] = "cordial_engine_state";
-inline constexpr std::uint32_t kEngineStateVersion = 1;
-// v2: same magic, binary payload (persist/binary_io.hpp codec — fixed-width
-// little-endian fields, doubles as raw IEEE-754 bit patterns). v1 text
-// payloads still load; RestoreState dispatches on the frame version.
-inline constexpr std::uint32_t kEngineStateBinaryVersion = 2;
+// v3: binary payload (persist/binary_io.hpp codec — fixed-width
+// little-endian fields, doubles as raw IEEE-754 bit patterns) whose header
+// carries the engine's skew clock and whose bank blobs hold no raw-record
+// window. v1 (text) and v2 (binary with replayer windows) are retired:
+// their frames fail with a version-mismatch ParseError.
+inline constexpr std::uint32_t kEngineStateVersion = 3;
 
 // Delta snapshot: only the banks dirtied since the last checkpoint, plus the
-// global counters. Always binary; applied on top of a restored full state.
+// global counters, in the same binary payload shape as the full. Applied on
+// top of a restored full state. v1 (with replayer windows) is retired.
 inline constexpr char kEngineDeltaMagic[] = "cordial_engine_delta";
-inline constexpr std::uint32_t kEngineDeltaVersion = 1;
+inline constexpr std::uint32_t kEngineDeltaVersion = 2;
 
 }  // namespace cordial::core

@@ -1,11 +1,6 @@
 #include "hbm/sparing.hpp"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
 #include <vector>
-
-#include "common/framing.hpp"
 
 namespace cordial::hbm {
 
@@ -64,68 +59,6 @@ void SparingLedger::RestoreCounters(std::uint64_t rows_spared,
                                     std::uint64_t banks_spared) {
   rows_spared_ = rows_spared;
   banks_spared_ = banks_spared;
-}
-
-void SparingLedger::Save(std::ostream& out) const {
-  out << "sparing_ledger v1\n"
-      << "budget " << budget_.rows_per_bank << ' '
-      << (budget_.bank_sparing_available ? 1 : 0) << ' ';
-  WriteDoubleToken(out, budget_.row_spare_cost);
-  out << ' ';
-  WriteDoubleToken(out, budget_.bank_spare_cost);
-  out << '\n' << "spared " << rows_spared_ << ' ' << banks_spared_ << '\n';
-
-  std::vector<std::uint64_t> keys;
-  keys.reserve(spared_rows_.size());
-  for (const auto& [key, rows] : spared_rows_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  out << "row_banks " << keys.size() << '\n';
-  for (const std::uint64_t key : keys) {
-    const auto& rows = spared_rows_.at(key);
-    std::vector<std::uint32_t> sorted(rows.begin(), rows.end());
-    std::sort(sorted.begin(), sorted.end());
-    out << key << ' ' << sorted.size();
-    for (const std::uint32_t row : sorted) out << ' ' << row;
-    out << '\n';
-  }
-
-  std::vector<std::uint64_t> banks(spared_banks_.begin(), spared_banks_.end());
-  std::sort(banks.begin(), banks.end());
-  out << "spared_banks " << banks.size();
-  for (const std::uint64_t key : banks) out << ' ' << key;
-  out << '\n';
-}
-
-SparingLedger SparingLedger::Load(std::istream& in) {
-  ExpectToken(in, "sparing_ledger");
-  ExpectToken(in, "v1");
-  ExpectToken(in, "budget");
-  SparingBudget budget;
-  budget.rows_per_bank =
-      static_cast<std::uint32_t>(ReadU64Token(in, "ledger budget"));
-  budget.bank_sparing_available = ReadU64Token(in, "ledger budget") != 0;
-  budget.row_spare_cost = ReadDoubleToken(in, "ledger budget");
-  budget.bank_spare_cost = ReadDoubleToken(in, "ledger budget");
-  SparingLedger ledger(budget);
-  ExpectToken(in, "spared");
-  ledger.rows_spared_ = ReadU64Token(in, "ledger");
-  ledger.banks_spared_ = ReadU64Token(in, "ledger");
-  ExpectToken(in, "row_banks");
-  const std::uint64_t bank_count = ReadU64Token(in, "ledger");
-  for (std::uint64_t b = 0; b < bank_count; ++b) {
-    const std::uint64_t key = ReadU64Token(in, "ledger rows");
-    const std::uint64_t row_count = ReadU64Token(in, "ledger rows");
-    auto& rows = ledger.spared_rows_[key];
-    for (std::uint64_t r = 0; r < row_count; ++r) {
-      rows.insert(static_cast<std::uint32_t>(ReadU64Token(in, "ledger row")));
-    }
-  }
-  ExpectToken(in, "spared_banks");
-  const std::uint64_t spared_banks = ReadU64Token(in, "ledger");
-  for (std::uint64_t b = 0; b < spared_banks; ++b) {
-    ledger.spared_banks_.insert(ReadU64Token(in, "ledger bank"));
-  }
-  return ledger;
 }
 
 }  // namespace cordial::hbm

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -51,21 +50,12 @@ class SparingLedger {
   std::uint64_t rows_spared() const { return rows_spared_; }
   std::uint64_t banks_spared() const { return banks_spared_; }
 
-  /// Serialize budget + spared state as a token stream. Keys and rows are
-  /// emitted sorted, so ledgers holding equal state serialize identically
-  /// regardless of insertion order.
-  void Save(std::ostream& out) const;
-  /// Rebuild a ledger from a Save stream. Throws ParseError on malformed
-  /// input.
-  static SparingLedger Load(std::istream& in);
-
-  // --- per-bank slicing (delta / binary checkpoints) ----------------------
-  // The engine's binary state codec carries this ledger sliced per bank:
-  // each bank blob holds that bank's section, the state header holds the
-  // budget and global counters. A section distinguishes "no row entry" from
-  // "an entry with zero rows" — TrySpareRow creates an empty entry when
-  // rows_per_bank is 0, and the text Save lists such entries, so the
-  // distinction must survive a binary round trip for byte-identity.
+  // --- per-bank slicing (checkpoints) --------------------------------------
+  // The engine's state codec carries this ledger sliced per bank: each bank
+  // blob holds that bank's section, the state header holds the budget and
+  // global counters. A section distinguishes "no row entry" from "an entry
+  // with zero rows" — TrySpareRow creates an empty entry when rows_per_bank
+  // is 0 — so a restored ledger holds exactly the entries the saved one did.
 
   /// The bank's spared-row entry, or nullptr when none exists.
   const std::unordered_set<std::uint32_t>* FindRowEntry(

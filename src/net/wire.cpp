@@ -296,11 +296,6 @@ bool FrameAssembler::Next(std::string& payload) {
                        std::to_string(header_.version) + ", expected v" +
                        std::to_string(kWireVersion));
     }
-    // Unlike files, the wire never grandfathers checksum-less frames: there
-    // is no legacy traffic to migrate.
-    if (!header_.has_checksum) {
-      throw ParseError("wire frame: missing crc32 field");
-    }
     if (header_.payload_bytes > max_frame_bytes_) {
       throw ParseError("wire frame: payload of " +
                        std::to_string(header_.payload_bytes) +

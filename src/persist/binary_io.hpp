@@ -1,10 +1,10 @@
 // Fixed-width little-endian binary codec primitives for checkpoint
-// payloads — the byte-level layer under engine-state frame v2 and the
-// delta/manifest formats (DESIGN.md §14).
+// payloads — the byte-level layer under the engine-state and delta frames
+// (DESIGN.md §14), the only engine-state codec.
 //
 // Header-only on purpose: the per-component encoders live next to the
-// state they serialize (BankProfile, SparingLedger, StreamReplayer,
-// PredictionEngine), which sit below cordial_persist in the link graph.
+// state they serialize (BankProfile, PredictionEngine), which sit below
+// cordial_persist in the link graph.
 // cordial_common already exports the src/ include root, so any library can
 // include this without a dependency edge; the persist *library* owns the
 // file-level formats (chains, manifests, folding) built on top.
@@ -13,14 +13,13 @@
 //   * all integers little-endian, fixed width (u8/u32/u64/i64);
 //   * doubles as their raw IEEE-754 bit pattern (via memcpy), so every
 //     value — including nan/-nan/inf/-inf and signalling payloads — round-
-//     trips bit-exactly, matching the %.17g + strtod guarantee of the text
-//     codec without the formatting cost;
+//     trips bit-exactly without any formatting cost;
 //   * variable-size sequences carry an explicit leading count, and readers
 //     must sanity-check counts against remaining() before reserving — a
 //     flipped bit in a count must be a ParseError, not a bad_alloc.
 //
 // BinaryReader throws ParseError (never reads out of bounds) so corrupt
-// payloads fail closed through the same exception path as the text codec;
+// payloads fail closed through the same exception path as the frame reader;
 // the CRC in the enclosing frame catches corruption first in practice, and
 // these checks make the codec safe even on an unframed buffer.
 #pragma once

@@ -191,11 +191,11 @@ MemberImage ParseMemberImage(std::string_view bytes,
   std::string_view payload;
   if (lead == serve::kFleetCheckpointMagic) {
     payload = ReadFramedView(bytes, serve::kFleetCheckpointMagic,
-                             {serve::kFleetCheckpointVersion});
+                             serve::kFleetCheckpointVersion);
   } else if (lead == serve::kFleetDeltaMagic) {
     image.is_delta = true;
     payload = ReadFramedView(bytes, serve::kFleetDeltaMagic,
-                             {serve::kFleetDeltaVersion});
+                             serve::kFleetDeltaVersion);
   } else {
     throw ParseError(member + ": not a chain member (magic \"" +
                      std::string(lead) + "\")");
@@ -205,24 +205,12 @@ MemberImage ParseMemberImage(std::string_view bytes,
   image.shards.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(shard_count, 1u << 12)));
   for (std::uint64_t s = 0; s < shard_count; ++s) {
-    std::string_view engine_payload;
-    if (image.is_delta) {
-      engine_payload = ReadFramedView(payload, core::kEngineDeltaMagic,
-                                      {core::kEngineDeltaVersion});
-    } else {
-      std::uint32_t version = 0;
-      engine_payload = ReadFramedView(
-          payload, core::kEngineStateMagic,
-          {core::kEngineStateVersion, core::kEngineStateBinaryVersion},
-          &version);
-      if (version != core::kEngineStateBinaryVersion) {
-        throw ParseError(member +
-                         ": text-encoded engine payload; the offline fold "
-                         "needs binary members (run the server with "
-                         "--checkpoint-mode=delta, which writes binary "
-                         "fulls)");
-      }
-    }
+    const std::string_view engine_payload =
+        image.is_delta
+            ? ReadFramedView(payload, core::kEngineDeltaMagic,
+                             core::kEngineDeltaVersion)
+            : ReadFramedView(payload, core::kEngineStateMagic,
+                             core::kEngineStateVersion);
     BinaryReader reader(engine_payload, "chain member shard");
     ShardImage<std::string_view> shard;
     const std::uint32_t header_len = reader.Count32(1);
@@ -278,8 +266,8 @@ std::string SerializeImageAsFull(const FoldImage& image) {
       engine_bytes += 8 + 4 + blob.size();
     }
     payload_bytes += FrameHeaderLine(core::kEngineStateMagic,
-                                     core::kEngineStateBinaryVersion,
-                                     engine_bytes, 0)
+                                     core::kEngineStateVersion, engine_bytes,
+                                     0)
                          .size() +
                      engine_bytes;
   }
@@ -300,8 +288,7 @@ std::string SerializeImageAsFull(const FoldImage& image) {
       writer.U32(static_cast<std::uint32_t>(blob.size()));
       writer.Bytes(blob);
     }
-    CloseFrame(out, frame, core::kEngineStateMagic,
-               core::kEngineStateBinaryVersion);
+    CloseFrame(out, frame, core::kEngineStateMagic, core::kEngineStateVersion);
   }
   CloseFrame(out, 0, serve::kFleetCheckpointMagic,
              serve::kFleetCheckpointVersion);
@@ -570,7 +557,7 @@ void CheckpointChain::PersistManifest() const {
 
 ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
   std::string bytes;
-  server.AppendCheckpoint(bytes, core::StateEncoding::kBinary);
+  server.AppendCheckpoint(bytes);
 
   ChainEntry entry;
   entry.is_full = true;

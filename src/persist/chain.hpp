@@ -132,7 +132,7 @@ class CheckpointChain {
   bool can_append_ = false;
 };
 
-// --- offline inspection / folding (no models, binary members only) --------
+// --- offline inspection / folding (no models needed) ---------------------
 
 /// What the inspector learned about one chain member.
 struct MemberInfo {
@@ -170,7 +170,7 @@ ChainInspection InspectChain(const std::string& directory);
 /// member's header section is kept verbatim and bank records are overlaid
 /// by key. Byte-identical to what the serving process would write as a
 /// binary full at the same record boundary. Throws ParseError on a missing/
-/// corrupt manifest or member, or on text-encoded members.
+/// corrupt manifest or member, or on a member at a retired frame version.
 std::string FoldChain(const std::string& directory);
 
 /// Force-compact on disk: fold the chain, write it as full-<epoch+1>.ckpt

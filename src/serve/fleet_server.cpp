@@ -221,18 +221,17 @@ std::string FleetServer::StatusTable() const {
                       " shards)");
 }
 
-void FleetServer::AppendCheckpoint(std::string& out,
-                                   core::StateEncoding encoding) const {
+void FleetServer::AppendCheckpoint(std::string& out) const {
   const std::size_t frame = out.size();
   out += ShardCountLine(shards_.size());
-  for (const auto& shard : shards_) shard->AppendState(out, encoding);
+  for (const auto& shard : shards_) shard->AppendState(out);
   CloseFrame(out, frame, kFleetCheckpointMagic, kFleetCheckpointVersion);
 }
 
 void FleetServer::SaveCheckpoint(std::ostream& out,
-                                 core::StateEncoding encoding) const {
+                                 core::StateEncoding /*encoding*/) const {
   std::string member;
-  AppendCheckpoint(member, encoding);
+  AppendCheckpoint(member);
   out.write(member.data(), static_cast<std::streamsize>(member.size()));
 }
 
@@ -256,7 +255,7 @@ std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
 
 void FleetServer::ApplyDeltaCheckpoint(std::string_view member) {
   const std::string_view payload =
-      ReadFramedView(member, kFleetDeltaMagic, {kFleetDeltaVersion});
+      ReadFramedView(member, kFleetDeltaMagic, kFleetDeltaVersion);
   ExpectNoTrailingBytes(member, "delta checkpoint member");
   ApplyDeltaPayload(payload);
 }
@@ -304,8 +303,8 @@ std::size_t FleetServer::TotalBankCount() const {
 }
 
 void FleetServer::RestoreCheckpoint(std::string_view member) {
-  const std::string_view payload = ReadFramedView(
-      member, kFleetCheckpointMagic, {kFleetCheckpointVersion});
+  const std::string_view payload =
+      ReadFramedView(member, kFleetCheckpointMagic, kFleetCheckpointVersion);
   ExpectNoTrailingBytes(member, "checkpoint member");
   RestorePayload(payload);
 }

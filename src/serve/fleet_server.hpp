@@ -163,16 +163,13 @@ class FleetServer {
   std::string StatusTable() const;
 
   /// Append every shard engine's state to `out` as one framed checkpoint
-  /// member, encoded in place: no section is built in a buffer of its own.
-  /// The server must be drained (Drain() or Stop() first). The outer fleet
-  /// frame is the same for both encodings ("shards N" + nested engine
-  /// frames); each nested engine frame self-describes v1 text or v2 binary,
-  /// so RestoreCheckpoint reads either transparently.
-  void AppendCheckpoint(std::string& out, core::StateEncoding encoding =
-                                              core::StateEncoding::kText) const;
-  /// AppendCheckpoint written to a stream.
+  /// member ("shards N" + one nested binary engine frame per shard),
+  /// encoded in place: no section is built in a buffer of its own. The
+  /// server must be drained (Drain() or Stop() first).
+  void AppendCheckpoint(std::string& out) const;
+  /// AppendCheckpoint written to a stream. kBinary is the only encoding.
   void SaveCheckpoint(std::ostream& out, core::StateEncoding encoding =
-                                             core::StateEncoding::kText) const;
+                                             core::StateEncoding::kBinary) const;
   /// Restore from a checkpoint member's bytes — exactly one frame — parsed
   /// in place. Throws ParseError on malformed input, version mismatch,
   /// trailing bytes, or a shard-count mismatch (a checkpoint only restores

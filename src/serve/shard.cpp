@@ -306,11 +306,10 @@ obs::RegistrySnapshot EngineShard::MetricsSnapshot() const {
   return metrics_registry_.Snapshot();
 }
 
-void EngineShard::AppendState(std::string& out,
-                              core::StateEncoding encoding) const {
+void EngineShard::AppendState(std::string& out) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
   CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
-  engine_.AppendState(out, encoding);
+  engine_.AppendState(out);
 }
 
 std::uint64_t EngineShard::AppendDeltaState(std::string& out) const {

@@ -173,8 +173,7 @@ class EngineShard {
   /// Append the engine's checkpoint frame to `out`
   /// (PredictionEngine::AppendState). The shard must be drained or stopped —
   /// enforced by a contract check.
-  void AppendState(std::string& out, core::StateEncoding encoding =
-                                         core::StateEncoding::kText) const;
+  void AppendState(std::string& out) const;
   /// Parse the engine frame at the front of `in` without touching the
   /// engine; the fleet server stages every shard before committing any
   /// (see FleetServer::RestoreCheckpoint).

@@ -29,4 +29,14 @@ struct MceRecord {
   std::string ToString() const;
 };
 
+/// What a stream consumer does with a record whose timestamp precedes the
+/// newest one it has accepted. Closed logs are pre-sorted, so a timestamp
+/// that moves backwards there is a caller bug; a live feed aggregated from
+/// thousands of BMCs is not so clean, and dropping (and counting) the stale
+/// record keeps the server up.
+enum class TimeSkewPolicy {
+  kThrow,  ///< contract violation — correct for sorted/offline feeds
+  kDrop,   ///< discard the record and count it
+};
+
 }  // namespace cordial::trace

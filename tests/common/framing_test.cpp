@@ -52,9 +52,9 @@ TEST(Framing, ConsecutiveFramesReadInOrder) {
   EXPECT_EQ(ReadFramed(in, "frame", 1), "second");
   std::string_view view(bytes);
   EXPECT_EQ(PeekMagic(view), "frame");
-  EXPECT_EQ(ReadFramedView(view, "frame", {1}), "first");
+  EXPECT_EQ(ReadFramedView(view, "frame", 1), "first");
   EXPECT_EQ(PeekMagic(view), "frame");
-  EXPECT_EQ(ReadFramedView(view, "frame", {1}), "second");
+  EXPECT_EQ(ReadFramedView(view, "frame", 1), "second");
   EXPECT_EQ(PeekMagic(view), "");
 }
 
@@ -118,18 +118,21 @@ TEST(Framing, DoubleTokensRoundTripBitExactly) {
 TEST(Framing, CorruptLengthIsParseErrorNotBadAlloc) {
   // A flipped bit in the byte count must be rejected before allocation: a
   // huge promised length used to throw bad_alloc/length_error and could
-  // OOM the daemon.
-  std::istringstream absurd("magic v1 123456789012345678\npayload");
+  // OOM the daemon. (The crc32 fields are well-formed, so the length is
+  // what each case trips on.)
+  std::istringstream absurd(
+      "magic v1 123456789012345678 crc32=00000000\npayload");
   EXPECT_THROW(ReadFramed(absurd, "magic", 1), ParseError);
 
   // Over the hard cap even if the stream were big enough.
   std::istringstream over_cap(
-      "magic v1 " + std::to_string(kMaxFramePayloadBytes + 1) + "\nx");
+      "magic v1 " + std::to_string(kMaxFramePayloadBytes + 1) +
+      " crc32=00000000\nx");
   EXPECT_THROW(ReadFramed(over_cap, "magic", 1), ParseError);
 
   // Seekable stream: a length larger than the remaining bytes is rejected
   // up front as truncation.
-  std::istringstream longer("magic v1 1000\nonly a few bytes");
+  std::istringstream longer("magic v1 1000 crc32=00000000\nonly a few bytes");
   try {
     ReadFramed(longer, "magic", 1);
     FAIL() << "expected ParseError";
@@ -154,16 +157,27 @@ TEST(Framing, ChecksumMismatchIsRejectedWithClearMessage) {
   }
 }
 
-TEST(Framing, LegacyChecksumlessFramesStillReadWithCount) {
-  // Layout v1, as written by pre-CRC builds: no crc32 field. Must still
-  // load (old checkpoints stay restorable) and be tallied.
-  const std::string payload = "legacy payload";
-  std::ostringstream out;
-  out << "magic v3 " << payload.size() << '\n' << payload;
-  const std::uint64_t legacy_before = GetFramingStats().legacy_frames_read;
-  std::istringstream in(out.str());
-  EXPECT_EQ(ReadFramed(in, "magic", 3), payload);
-  EXPECT_EQ(GetFramingStats().legacy_frames_read, legacy_before + 1);
+TEST(Framing, HeaderWithoutChecksumIsParseError) {
+  // Layout v1, as pre-CRC builds wrote it: no crc32 field. The shared
+  // header parser refuses it, so both readers do, naming the field.
+  const std::string bytes = "magic v3 7\npayload";
+  for (const bool view : {false, true}) {
+    SCOPED_TRACE(view ? "ReadFramedView" : "ReadFramed");
+    try {
+      if (view) {
+        std::string_view in(bytes);
+        ReadFramedView(in, "magic", 3);
+      } else {
+        std::istringstream in(bytes);
+        ReadFramed(in, "magic", 3);
+      }
+      FAIL() << "accepted a header without crc32=";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("missing crc32 field"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Framing, MalformedChecksumFieldIsNotDemotedToLegacy) {
@@ -230,18 +244,15 @@ TEST(Framing, InPlaceWriterMatchesWriteFramedAndNests) {
 TEST(Framing, ViewReaderSlicesPayloadsInPlace) {
   std::ostringstream out;
   WriteFramed(out, "frame", 1, "first");
-  WriteFramed(out, "frame", 2, "");
+  WriteFramed(out, "frame", 1, "");
   const std::string bytes = out.str();
   std::string_view in(bytes);
-  std::uint32_t version = 0;
-  const std::string_view first = ReadFramedView(in, "frame", {1, 2}, &version);
+  const std::string_view first = ReadFramedView(in, "frame", 1);
   EXPECT_EQ(first, "first");
-  EXPECT_EQ(version, 1u);
   // A view into the caller's bytes, not a copy.
   EXPECT_GE(first.data(), bytes.data());
   EXPECT_LE(first.data() + first.size(), bytes.data() + bytes.size());
-  EXPECT_EQ(ReadFramedView(in, "frame", {1, 2}, &version), "");
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(ReadFramedView(in, "frame", 1), "");
   EXPECT_TRUE(in.empty());
 }
 
@@ -251,7 +262,7 @@ TEST(Framing, ViewReaderMakesTheStreamReadersChecks) {
   const std::string good = out.str();
   const auto read = [](const std::string& bytes) {
     std::string_view in(bytes);
-    return std::string(ReadFramedView(in, "magic", {1}));
+    return std::string(ReadFramedView(in, "magic", 1));
   };
   EXPECT_EQ(read(good), "payload");
   EXPECT_THROW(read(""), ParseError);
@@ -265,11 +276,8 @@ TEST(Framing, ViewReaderMakesTheStreamReadersChecks) {
   flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
   EXPECT_THROW(read(flipped), ParseError);              // checksum
   std::string_view in(good);
-  EXPECT_THROW(ReadFramedView(in, "magic", {2}), ParseError);  // version
-
-  const std::uint64_t legacy_before = GetFramingStats().legacy_frames_read;
-  EXPECT_EQ(read("magic v1 7\npayload"), "payload");
-  EXPECT_EQ(GetFramingStats().legacy_frames_read, legacy_before + 1);
+  EXPECT_THROW(ReadFramedView(in, "magic", 2), ParseError);  // version
+  EXPECT_THROW(read("magic v1 7\npayload"), ParseError);    // no crc32
 
   failpoint::Arm("common.framing.read");
   EXPECT_THROW(read(good), ParseError);

@@ -1,11 +1,17 @@
 // PredictionEngine: the live streaming path must reproduce the offline ICR
-// replay exactly (same models, same fleet, same sparing budgets), stay
-// invariant under raw-record retention bounds, and enforce its contracts.
+// replay exactly (same models, same fleet, same sparing budgets), keep one
+// profile per bank, and enforce its contracts — the feed-order (skew) gate
+// included, across checkpoint restores.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/labeler.hpp"
 #include "common/check.hpp"
@@ -105,42 +111,72 @@ TEST(PredictionEngine, StreamingMatchesIcrReplay) {
   EXPECT_EQ(engine.stats().events, w.fleet.log.size());
 }
 
-TEST(PredictionEngine, RetentionBoundDoesNotChangeDecisions) {
+trace::MceRecord Make(double t, std::uint32_t bank, std::uint32_t row,
+                      hbm::ErrorType type) {
+  trace::MceRecord r;
+  r.time_s = t;
+  r.address.bank = bank;
+  r.address.row = row;
+  r.type = type;
+  return r;
+}
+
+std::string StateBytes(const PredictionEngine& engine) {
+  std::string bytes;
+  engine.AppendState(bytes);
+  return bytes;
+}
+
+TEST(PredictionEngine, AccumulatesPerBankState) {
+  // The bank map is the engine's only per-bank store: each record lands in
+  // its bank's one profile.
   const World& w = SharedWorld();
-  EngineConfig unbounded;
-  unbounded.retention.max_events_per_bank = 0;
-  EngineConfig bounded;
-  bounded.retention.max_events_per_bank = 4;
+  PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                          w.double_or_null());
+  engine.Observe(Make(1.0, 0, 10, hbm::ErrorType::kCe));
+  engine.Observe(Make(2.0, 1, 20, hbm::ErrorType::kUer));
+  engine.Observe(Make(3.0, 0, 11, hbm::ErrorType::kUer));
+  const BankProfile* bank0 = engine.FindProfile(
+      engine.codec().BankKey(Make(0.0, 0, 0, hbm::ErrorType::kCe).address));
+  ASSERT_NE(bank0, nullptr);
+  EXPECT_EQ(bank0->event_count(), 2u);
+  EXPECT_EQ(bank0->crossrow().ce_rows, std::vector<double>{10.0});
+  EXPECT_EQ(bank0->crossrow().uer_rows, std::vector<double>{11.0});
+  EXPECT_DOUBLE_EQ(bank0->last_time_s(), 3.0);
+  EXPECT_EQ(engine.bank_count(), 2u);
+  EXPECT_EQ(engine.stats().events, 3u);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
 
-  PredictionEngine a(w.topology, w.classifier, w.single_pred,
-                     w.double_or_null(), unbounded);
-  PredictionEngine b(w.topology, w.classifier, w.single_pred,
-                     w.double_or_null(), bounded);
+  // At fleet scale every bank has exactly one profile that absorbed all of
+  // its records.
+  PredictionEngine fleet(w.topology, w.classifier, w.single_pred,
+                         w.double_or_null());
   for (const trace::MceRecord& record : w.fleet.log.records()) {
-    a.Observe(record);
-    b.Observe(record);
+    fleet.Observe(record);
   }
-
-  // Decisions come from profiles, not retained records: identical tallies.
-  EXPECT_EQ(a.stats().banks_classified, b.stats().banks_classified);
-  EXPECT_EQ(a.stats().banks_bank_spared, b.stats().banks_bank_spared);
-  EXPECT_EQ(a.stats().predictions_issued, b.stats().predictions_issued);
-  EXPECT_EQ(a.stats().rows_isolated, b.stats().rows_isolated);
-  EXPECT_EQ(a.stats().uer_rows_covered, b.stats().uer_rows_covered);
-  EXPECT_EQ(a.stats().uer_rows_covered_by_bank,
-            b.stats().uer_rows_covered_by_bank);
-  EXPECT_EQ(a.ledger().rows_spared(), b.ledger().rows_spared());
-  EXPECT_EQ(a.ledger().banks_spared(), b.ledger().banks_spared());
-
-  // The bound actually bit: records were evicted and memory stayed small.
-  EXPECT_EQ(a.replayer().records_dropped(), 0u);
-  EXPECT_GT(b.replayer().records_dropped(), 0u);
-  EXPECT_EQ(b.replayer().record_count(), a.replayer().record_count());
-  for (const trace::BankHistory* bank : w.uer_banks) {
-    const trace::BankHistory* retained = b.replayer().Find(bank->bank_key);
-    ASSERT_NE(retained, nullptr);
-    EXPECT_LE(retained->events.size(), 4u);
+  ASSERT_EQ(fleet.bank_count(), w.banks.size());
+  for (const trace::BankHistory& bank : w.banks) {
+    const BankProfile* profile = fleet.FindProfile(bank.bank_key);
+    ASSERT_NE(profile, nullptr) << bank.bank_key;
+    EXPECT_EQ(profile->event_count(), bank.events.size());
+    EXPECT_EQ(profile->last_time_s(), bank.events.back().time_s);
   }
+}
+
+TEST(PredictionEngine, FindProfileLocatesBanks) {
+  const World& w = SharedWorld();
+  PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                          w.double_or_null());
+  EXPECT_EQ(engine.FindProfile(0), nullptr);
+  const trace::MceRecord r = Make(1.0, 3, 10, hbm::ErrorType::kCe);
+  engine.Observe(r);
+  const std::uint64_t key = engine.codec().BankKey(r.address);
+  const BankProfile* profile = engine.FindProfile(key);
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->event_count(), 1u);
+  EXPECT_EQ(engine.FindProfile(key + 1), nullptr);
+  ASSERT_GT(key, 0u);
+  EXPECT_EQ(engine.FindProfile(key - 1), nullptr);
 }
 
 TEST(PredictionEngine, BankSpareStatsCountLedgerSuccessesOnly) {
@@ -183,9 +219,10 @@ TEST(PredictionEngine, DropSkewPolicyCountsAndSkipsStaleRecords) {
   const IsolationActions actions = engine.Observe(r);
   EXPECT_EQ(actions, IsolationActions{});
   EXPECT_EQ(engine.stats().records_skew_dropped, 1u);
-  // Accepted-event accounting is untouched by the drop.
+  // Accepted-event accounting is untouched by the drop, and so is the
+  // clock.
   EXPECT_EQ(engine.stats().events, 1u);
-  EXPECT_EQ(engine.replayer().record_count(), 1u);
+  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
 }
 
 TEST(PredictionEngine, RejectsTimeTravel) {
@@ -198,6 +235,175 @@ TEST(PredictionEngine, RejectsTimeTravel) {
   engine.Observe(r);
   r.time_s = 9.0;
   EXPECT_THROW(engine.Observe(r), ContractViolation);
+}
+
+TEST(PredictionEngine, DropSkewPolicyLeavesBankProfilesUntouched) {
+  // A dropped record touches nothing but the drop counter: no profile is
+  // created or fed, so the next in-order record lands as if it never came.
+  const World& w = SharedWorld();
+  EngineConfig config;
+  config.retention.skew_policy = trace::TimeSkewPolicy::kDrop;
+  PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                          w.double_or_null(), config);
+  PredictionEngine reference(w.topology, w.classifier, w.single_pred,
+                             w.double_or_null(), config);
+  const trace::MceRecord first = Make(5.0, 0, 1, hbm::ErrorType::kCe);
+  engine.Observe(first);
+  reference.Observe(first);
+  EXPECT_EQ(engine.Observe(Make(4.0, 0, 2, hbm::ErrorType::kCe)),
+            IsolationActions{});
+  const trace::MceRecord stale_new_bank = Make(4.0, 1, 2, hbm::ErrorType::kUer);
+  EXPECT_EQ(engine.Observe(stale_new_bank), IsolationActions{});
+  EXPECT_EQ(engine.stats().records_skew_dropped, 2u);
+  EXPECT_EQ(engine.bank_count(), 1u);
+  EXPECT_EQ(engine.FindProfile(engine.codec().BankKey(stale_new_bank.address)),
+            nullptr);
+  EXPECT_DOUBLE_EQ(engine.now(), 5.0);
+
+  const trace::MceRecord next = Make(6.0, 0, 3, hbm::ErrorType::kCe);
+  EXPECT_EQ(engine.Observe(next), reference.Observe(next));
+  const BankProfile* bank0 =
+      engine.FindProfile(engine.codec().BankKey(next.address));
+  ASSERT_NE(bank0, nullptr);
+  EXPECT_EQ(bank0->event_count(), 2u);
+  EXPECT_EQ(bank0->crossrow().ce_rows, (std::vector<double>{1.0, 3.0}));
+  EngineStats expected = reference.stats();
+  expected.records_skew_dropped = 2;
+  EXPECT_EQ(engine.stats(), expected);
+}
+
+TEST(PredictionEngine, ThrowSkewPolicyRejectsTimeTravelAcrossBanks) {
+  // The skew clock is fleet-wide, not per bank: a record older than the
+  // newest accepted one throws even on a bank that never reported, and
+  // leaves the engine unchanged. An equal timestamp is in order.
+  const World& w = SharedWorld();
+  PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                          w.double_or_null());
+  engine.Observe(Make(5.0, 0, 1, hbm::ErrorType::kCe));
+  const std::string before = StateBytes(engine);
+  EXPECT_THROW(engine.Observe(Make(4.0, 0, 2, hbm::ErrorType::kCe)),
+               ContractViolation);
+  const trace::MceRecord stale_new_bank = Make(4.0, 1, 2, hbm::ErrorType::kCe);
+  EXPECT_THROW(engine.Observe(stale_new_bank), ContractViolation);
+  EXPECT_EQ(StateBytes(engine), before);
+  EXPECT_EQ(engine.FindProfile(engine.codec().BankKey(stale_new_bank.address)),
+            nullptr);
+
+  EXPECT_NO_THROW(engine.Observe(Make(5.0, 0, 3, hbm::ErrorType::kCe)));
+  EXPECT_NO_THROW(engine.Observe(Make(5.0, 1, 3, hbm::ErrorType::kCe)));
+  EXPECT_EQ(engine.bank_count(), 2u);
+  EXPECT_EQ(engine.stats().events, 3u);
+  EXPECT_DOUBLE_EQ(engine.now(), 5.0);
+}
+
+TEST(PredictionEngine, SaveRestoreRoundTripsClockAndCountersExactly) {
+  // A state stream carries the clock, the accepted-event and skew-drop
+  // counters and every bank; restoring it and saving again gives the same
+  // bytes.
+  const World& w = SharedWorld();
+  EngineConfig config;
+  config.retention.skew_policy = trace::TimeSkewPolicy::kDrop;
+  PredictionEngine original(w.topology, w.classifier, w.single_pred,
+                            w.double_or_null(), config);
+  const auto& records = w.fleet.log.records();
+  std::size_t stale_fed = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i % 50 == 49) {
+      trace::MceRecord stale = records[i];
+      stale.time_s = std::nextafter(original.now(), 0.0);
+      original.Observe(stale);
+      ++stale_fed;
+    }
+    original.Observe(records[i]);
+  }
+  ASSERT_GT(stale_fed, 0u);
+  ASSERT_EQ(original.stats().records_skew_dropped, stale_fed);
+  std::ostringstream saved;
+  original.SaveState(saved);
+
+  PredictionEngine restored(w.topology, w.classifier, w.single_pred,
+                            w.double_or_null(), config);
+  std::istringstream in(saved.str());
+  restored.RestoreState(in);
+  EXPECT_EQ(restored.bank_count(), original.bank_count());
+  EXPECT_EQ(restored.stats().events, records.size());
+  EXPECT_EQ(restored.stats().records_skew_dropped, stale_fed);
+  EXPECT_EQ(restored.stats(), original.stats());
+  EXPECT_DOUBLE_EQ(restored.now(), original.now());
+  std::ostringstream resaved;
+  restored.SaveState(resaved);
+  EXPECT_EQ(resaved.str(), saved.str());
+}
+
+TEST(PredictionEngine, SkewClockSurvivesFullAndDeltaRestore) {
+  // The skew gate's clock is checkpointed: an engine restored from a full,
+  // or from a full plus a delta, must judge a record older than the donor's
+  // newest exactly as the uninterrupted engine does.
+  const World& w = SharedWorld();
+  const auto& records = w.fleet.log.records();
+  const std::size_t full_at = records.size() / 3;
+  const std::size_t delta_at = 2 * records.size() / 3;
+  ASSERT_GT(full_at, 0u);
+  ASSERT_LT(records[full_at - 1].time_s, records[delta_at - 1].time_s);
+
+  for (const trace::TimeSkewPolicy policy :
+       {trace::TimeSkewPolicy::kDrop, trace::TimeSkewPolicy::kThrow}) {
+    EngineConfig config;
+    config.retention.skew_policy = policy;
+    const auto make_engine = [&] {
+      return std::make_unique<PredictionEngine>(w.topology, w.classifier,
+                                                w.single_pred,
+                                                w.double_or_null(), config);
+    };
+    auto donor = make_engine();
+    for (std::size_t i = 0; i < full_at; ++i) donor->Observe(records[i]);
+    const std::string full = StateBytes(*donor);
+    donor->MarkCheckpointClean();
+    for (std::size_t i = full_at; i < delta_at; ++i) donor->Observe(records[i]);
+    std::string delta;
+    donor->AppendDeltaState(delta);
+
+    for (const bool with_delta : {false, true}) {
+      SCOPED_TRACE(std::string(policy == trace::TimeSkewPolicy::kDrop
+                                   ? "drop"
+                                   : "throw") +
+                   (with_delta ? ", full + delta" : ", full"));
+      const std::size_t at = with_delta ? delta_at : full_at;
+      auto uninterrupted = make_engine();
+      for (std::size_t i = 0; i < at; ++i) uninterrupted->Observe(records[i]);
+
+      auto restored = make_engine();
+      std::string_view full_in(full);
+      restored->CommitState(restored->ParseState(full_in));
+      if (with_delta) {
+        std::string_view delta_in(delta);
+        restored->CommitDeltaState(restored->ParseDeltaState(delta_in));
+      }
+      ASSERT_GT(uninterrupted->now(), 0.0);
+      ASSERT_EQ(restored->now(), uninterrupted->now());
+
+      // Just older than the newest record: a clock that was not restored
+      // (or restored to anything earlier) would accept it.
+      trace::MceRecord stale = records[at - 1];
+      stale.time_s = std::nextafter(uninterrupted->now(), 0.0);
+      if (policy == trace::TimeSkewPolicy::kDrop) {
+        EXPECT_EQ(restored->Observe(stale), IsolationActions{});
+        EXPECT_EQ(uninterrupted->Observe(stale), IsolationActions{});
+        EXPECT_EQ(restored->stats().records_skew_dropped, 1u);
+      } else {
+        EXPECT_THROW(restored->Observe(stale), ContractViolation);
+        EXPECT_THROW(uninterrupted->Observe(stale), ContractViolation);
+      }
+      EXPECT_EQ(restored->stats(), uninterrupted->stats());
+
+      // An equal timestamp is accepted, and the two stay byte-identical.
+      trace::MceRecord equal = records[at];
+      equal.time_s = uninterrupted->now();
+      EXPECT_EQ(restored->Observe(equal), uninterrupted->Observe(equal));
+      EXPECT_EQ(restored->stats().events, at + 1);
+      EXPECT_EQ(StateBytes(*restored), StateBytes(*uninterrupted));
+    }
+  }
 }
 
 TEST(PredictionEngine, RequiresTrainedModels) {

@@ -142,7 +142,8 @@ TEST(NetWire, WrongVersionRejected) {
 }
 
 TEST(NetWire, ChecksumlessFrameRejected) {
-  // Files grandfather layout-v1 frames; the wire never does.
+  // The shared header parser refuses a header without crc32=, on the wire
+  // as in files.
   FrameAssembler assembler;
   assembler.Append("cordial_net v1 3\nabc");
   std::string payload;

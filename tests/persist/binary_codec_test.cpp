@@ -1,10 +1,11 @@
-// Binary state codec: the fixed-width payload behind engine-state frame v2
-// and delta frames must be a lossless re-encoding of the text codec — a
-// server restored from a binary save is bit-identical (as judged by its
-// text checkpoint, the format every older pin compares) to one restored
-// from the text save, at every prefix of a replayed trace, including
-// non-finite doubles and empty/saturated bank profiles. Plus the dirty-bank
+// Binary state codec: the fixed-width payload behind engine-state and delta
+// frames must be lossless — a restored server re-encodes to the exact bytes
+// it was restored from, at every prefix of a replayed trace, including
+// non-finite doubles and empty/saturated bank profiles, and keeps absorbing
+// records bit-identically to the server that saved it. Plus the dirty-bank
 // tracking contract delta checkpoints are built on.
+// tests/core/bank_profile_test.cpp (incremental == batch at every prefix)
+// stays the reference for what a profile must hold.
 #include "persist/binary_io.hpp"
 
 #include <gtest/gtest.h>
@@ -49,15 +50,9 @@ void Feed(FleetServer& server, const World& w, std::size_t begin,
   server.Drain();
 }
 
-std::string TextCheckpoint(const FleetServer& server) {
+std::string Checkpoint(const FleetServer& server) {
   std::ostringstream out;
-  server.SaveCheckpoint(out, core::StateEncoding::kText);
-  return out.str();
-}
-
-std::string BinaryCheckpoint(const FleetServer& server) {
-  std::ostringstream out;
-  server.SaveCheckpoint(out, core::StateEncoding::kBinary);
+  server.SaveCheckpoint(out);
   return out.str();
 }
 
@@ -150,16 +145,15 @@ trace::MceRecord Make(double t, std::uint32_t row, hbm::ErrorType type) {
   return r;
 }
 
-std::string ProfileText(const core::BankProfile& profile) {
-  std::ostringstream out;
-  profile.Save(out);
-  return out.str();
-}
-
-core::BankProfile BinaryRoundTrip(const core::BankProfile& profile) {
+std::string ProfileBytes(const core::BankProfile& profile) {
   std::string bytes;
   BinaryWriter writer(bytes);
   profile.SaveBinary(writer);
+  return bytes;
+}
+
+core::BankProfile BinaryRoundTrip(const core::BankProfile& profile) {
+  const std::string bytes = ProfileBytes(profile);
   BinaryReader reader(bytes, "profile round-trip");
   core::BankProfile loaded = core::BankProfile::LoadBinary(reader);
   reader.ExpectEnd();
@@ -168,7 +162,16 @@ core::BankProfile BinaryRoundTrip(const core::BankProfile& profile) {
 
 TEST(PersistBinaryCodec, EmptyProfileRoundTripsThroughBinary) {
   const core::BankProfile empty(3);
-  EXPECT_EQ(ProfileText(BinaryRoundTrip(empty)), ProfileText(empty));
+  core::BankProfile loaded = BinaryRoundTrip(empty);
+  EXPECT_EQ(ProfileBytes(loaded), ProfileBytes(empty));
+  EXPECT_TRUE(loaded.empty());
+  EXPECT_EQ(loaded.max_uers(), 3u);
+
+  // The restored empty profile absorbs its first record bit-identically.
+  core::BankProfile original = empty;
+  original.Observe(Make(1.0, 7, hbm::ErrorType::kUer));
+  loaded.Observe(Make(1.0, 7, hbm::ErrorType::kUer));
+  EXPECT_EQ(ProfileBytes(loaded), ProfileBytes(original));
 }
 
 TEST(PersistBinaryCodec, SaturatedProfileRoundTripsThroughBinary) {
@@ -183,38 +186,46 @@ TEST(PersistBinaryCodec, SaturatedProfileRoundTripsThroughBinary) {
   ASSERT_TRUE(profile.HasClassificationView());
 
   core::BankProfile loaded = BinaryRoundTrip(profile);
-  EXPECT_EQ(ProfileText(loaded), ProfileText(profile));
+  EXPECT_EQ(ProfileBytes(loaded), ProfileBytes(profile));
 
-  // The restored profile keeps absorbing events bit-identically.
+  // The restored profile keeps absorbing events bit-identically — the
+  // derived uer_row_gaps included, which the bytes do not carry.
   core::BankProfile original = profile;
-  original.Observe(Make(6.0, 15, hbm::ErrorType::kUer));
-  loaded.Observe(Make(6.0, 15, hbm::ErrorType::kUer));
-  EXPECT_EQ(ProfileText(loaded), ProfileText(original));
+  for (core::BankProfile* p : {&original, &loaded}) {
+    p->Observe(Make(6.0, 15, hbm::ErrorType::kUer));
+    p->Observe(Make(7.0, 40, hbm::ErrorType::kUer));
+  }
+  EXPECT_EQ(ProfileBytes(loaded), ProfileBytes(original));
+  EXPECT_EQ(loaded.crossrow().uer_row_gaps, original.crossrow().uer_row_gaps);
+  EXPECT_EQ(loaded.crossrow().EstimatedUerStride(),
+            original.crossrow().EstimatedUerStride());
 }
 
 // --- engine-state equivalence --------------------------------------------
 
-TEST(PersistBinaryCodec, BinaryAndTextRestoreBitIdenticallyAtEveryPrefix) {
+TEST(PersistBinaryCodec, RestoreReencodesByteIdenticallyAtEveryPrefix) {
   const World& w = SharedWorld();
   FleetServer donor = MakeServer(w);
-  FleetServer from_binary = MakeServer(w);
-  FleetServer from_text = MakeServer(w);
+  FleetServer restored = MakeServer(w);
   donor.Start();
 
   const std::size_t total =
       std::min<std::size_t>(w.fleet.log.records().size(), 160);
   for (std::size_t prefix = 0; prefix <= total; ++prefix) {
     if (prefix > 0) Feed(donor, w, prefix - 1, prefix);
-    const std::string text = TextCheckpoint(donor);
-    const std::string binary = BinaryCheckpoint(donor);
-
-    // Binary restore reproduces the exact text state, and vice versa.
-    Restore(from_binary, binary);
-    EXPECT_EQ(TextCheckpoint(from_binary), text) << "prefix " << prefix;
-    Restore(from_text, text);
-    EXPECT_EQ(BinaryCheckpoint(from_text), binary) << "prefix " << prefix;
+    const std::string saved = Checkpoint(donor);
+    Restore(restored, saved);
+    EXPECT_EQ(Checkpoint(restored), saved) << "prefix " << prefix;
   }
+
+  // The last restore keeps absorbing the feed exactly as the donor does.
+  restored.Start();
+  Feed(restored, w, total, total + 40);
+  Feed(donor, w, total, total + 40);
+  restored.Stop();
   donor.Stop();
+  EXPECT_EQ(Checkpoint(restored), Checkpoint(donor));
+  EXPECT_EQ(restored.AggregateStats(), donor.AggregateStats());
 }
 
 TEST(PersistBinaryCodec, RestoredServerContinuesBitIdentically) {
@@ -224,14 +235,14 @@ TEST(PersistBinaryCodec, RestoredServerContinuesBitIdentically) {
   Feed(donor, w, 0, 80);
 
   FleetServer restored = MakeServer(w);
-  Restore(restored, BinaryCheckpoint(donor));
+  Restore(restored, Checkpoint(donor));
   restored.Start();
   Feed(donor, w, 80, 160);
   Feed(restored, w, 80, 160);
   donor.Stop();
   restored.Stop();
-  EXPECT_EQ(TextCheckpoint(restored), TextCheckpoint(donor));
-  EXPECT_EQ(BinaryCheckpoint(restored), BinaryCheckpoint(donor));
+  EXPECT_EQ(Checkpoint(restored), Checkpoint(donor));
+  EXPECT_EQ(restored.AggregateStats(), donor.AggregateStats());
 }
 
 TEST(PersistBinaryCodec, NonFiniteBudgetCostsSurviveBinaryRoundTrip) {
@@ -244,12 +255,14 @@ TEST(PersistBinaryCodec, NonFiniteBudgetCostsSurviveBinaryRoundTrip) {
   Feed(donor, w, 0, 120);
   donor.Stop();
 
-  const std::string text = TextCheckpoint(donor);
-  const std::string binary = BinaryCheckpoint(donor);
+  const std::string saved = Checkpoint(donor);
   FleetServer restored = MakeServer(w, engine);
-  Restore(restored, binary);
-  EXPECT_EQ(TextCheckpoint(restored), text);
-  EXPECT_EQ(BinaryCheckpoint(restored), binary);
+  Restore(restored, saved);
+  EXPECT_EQ(Checkpoint(restored), saved);
+  const hbm::SparingBudget& budget =
+      restored.shard(0).engine().ledger().budget();
+  EXPECT_TRUE(std::isinf(budget.row_spare_cost));
+  EXPECT_TRUE(std::isnan(budget.bank_spare_cost));
 }
 
 // --- dirty tracking + delta equivalence -----------------------------------
@@ -293,7 +306,7 @@ TEST(PersistDelta, FullPlusDeltasRestoreBitIdenticallyToUninterrupted) {
   FleetServer donor = MakeServer(w);
   donor.Start();
   Feed(donor, w, 0, kEvery);
-  const std::string full = BinaryCheckpoint(donor);
+  const std::string full = Checkpoint(donor);
   donor.MarkCheckpointClean();
 
   std::vector<std::string> deltas;
@@ -313,19 +326,18 @@ TEST(PersistDelta, FullPlusDeltasRestoreBitIdenticallyToUninterrupted) {
     std::istringstream in(delta);
     follower.ApplyDeltaCheckpoint(in);
   }
-  EXPECT_EQ(TextCheckpoint(follower), TextCheckpoint(donor));
-  EXPECT_EQ(BinaryCheckpoint(follower), BinaryCheckpoint(donor));
+  EXPECT_EQ(Checkpoint(follower), Checkpoint(donor));
 
   // ...and keeps consuming the feed bit-identically afterwards.
   FleetServer reference = MakeServer(w);
-  Restore(reference, BinaryCheckpoint(donor));
+  Restore(reference, Checkpoint(donor));
   follower.Start();
   reference.Start();
   Feed(follower, w, kTotal, kTotal + 40);
   Feed(reference, w, kTotal, kTotal + 40);
   follower.Stop();
   reference.Stop();
-  EXPECT_EQ(TextCheckpoint(follower), TextCheckpoint(reference));
+  EXPECT_EQ(Checkpoint(follower), Checkpoint(reference));
 }
 
 TEST(PersistDelta, EmptyDeltaIsAnExactNoOp) {
@@ -338,10 +350,10 @@ TEST(PersistDelta, EmptyDeltaIsAnExactNoOp) {
 
   std::ostringstream out;
   ASSERT_EQ(server.SaveDeltaCheckpoint(out), 0u);
-  const std::string before = TextCheckpoint(server);
+  const std::string before = Checkpoint(server);
   std::istringstream in(out.str());
   server.ApplyDeltaCheckpoint(in);
-  EXPECT_EQ(TextCheckpoint(server), before);
+  EXPECT_EQ(Checkpoint(server), before);
 }
 
 TEST(PersistDelta, DeltaWithWrongShardCountIsRejected) {

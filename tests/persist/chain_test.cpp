@@ -24,6 +24,7 @@
 #include "common/framing.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/fleet_server.hpp"
+#include "support/reframe.hpp"
 #include "support/serve_world.hpp"
 
 namespace cordial::persist {
@@ -51,15 +52,9 @@ void Feed(FleetServer& server, const World& w, std::size_t begin,
   server.Drain();
 }
 
-std::string TextCheckpoint(const FleetServer& server) {
+std::string Checkpoint(const FleetServer& server) {
   std::ostringstream out;
-  server.SaveCheckpoint(out, core::StateEncoding::kText);
-  return out.str();
-}
-
-std::string BinaryCheckpoint(const FleetServer& server) {
-  std::ostringstream out;
-  server.SaveCheckpoint(out, core::StateEncoding::kBinary);
+  server.SaveCheckpoint(out);
   return out.str();
 }
 
@@ -137,8 +132,8 @@ std::map<std::string, std::string> SnapshotDir(const ScratchDir& dir) {
 }
 
 /// Build a small chain: a full at record `first_full`, then one delta per
-/// `step` records until `total`. Returns the expected text checkpoint at
-/// every member boundary: expected[k] = state with members 0..k-1 applied
+/// `step` records until `total`. Returns the expected checkpoint at every
+/// member boundary: expected[k] = state with members 0..k-1 applied
 /// (expected[0] = fresh server).
 std::vector<std::string> BuildChain(const World& w, ScratchDir& dir,
                                     std::size_t first_full, std::size_t step,
@@ -147,19 +142,19 @@ std::vector<std::string> BuildChain(const World& w, ScratchDir& dir,
   FleetServer writer = MakeServer(w);
   CheckpointChain chain(ChainConfig{dir.path(), compact_every});
   std::vector<std::string> expected;
-  expected.push_back(TextCheckpoint(writer));  // nothing applied
+  expected.push_back(Checkpoint(writer));  // nothing applied
   writer.Start();
   Feed(writer, w, 0, first_full);
   writer.Drain();
   ChainWriteResult result = chain.Write(writer);
   EXPECT_TRUE(result.full);
-  expected.push_back(TextCheckpoint(writer));
+  expected.push_back(Checkpoint(writer));
   for (std::size_t at = first_full; at < total; at += step) {
     Feed(writer, w, at, at + step);
     writer.Drain();
     result = chain.Write(writer);
     EXPECT_FALSE(result.full);
-    expected.push_back(TextCheckpoint(writer));
+    expected.push_back(Checkpoint(writer));
   }
   writer.Stop();
   return expected;
@@ -231,7 +226,7 @@ TEST(ChainRecovery, RestoresBitIdenticallyToUninterruptedReference) {
   EXPECT_FALSE(outcome.fell_back);
   EXPECT_TRUE(outcome.quarantined.empty());
   EXPECT_EQ(outcome.applied.size(), expected.size() - 1);
-  EXPECT_EQ(TextCheckpoint(restored), expected.back());
+  EXPECT_EQ(Checkpoint(restored), expected.back());
 
   // A clean recovery keeps appending to the same chain.
   restored.Start();
@@ -253,7 +248,7 @@ TEST(ChainRecovery, ScanRescueRestoresChainWithoutManifest) {
   CheckpointChain chain(ChainConfig{dir.path(), 64});
   const ChainRecoveryOutcome outcome = chain.Recover(restored);
   EXPECT_FALSE(outcome.fresh_start());
-  EXPECT_EQ(TextCheckpoint(restored), expected.back());
+  EXPECT_EQ(Checkpoint(restored), expected.back());
 
   // Without a manifest the chain is not appendable: the next write starts a
   // fresh epoch with a full.
@@ -278,7 +273,7 @@ TEST(ChainRecovery, ManifestPrevFallbackDropsUnlistedTail) {
   EXPECT_EQ(outcome.quarantined.front(), dir.File(kManifestFileName));
   EXPECT_FALSE(outcome.fresh_start());
   // State = one member short of the uninterrupted end.
-  EXPECT_EQ(TextCheckpoint(restored), expected[expected.size() - 2]);
+  EXPECT_EQ(Checkpoint(restored), expected[expected.size() - 2]);
 }
 
 // --- recovery: corrupt members -------------------------------------------
@@ -309,7 +304,7 @@ TEST(ChainRecovery, CorruptMidChainDeltaIsQuarantinedByExactName) {
   EXPECT_FALSE(FileExists(dir.File(victim_file)));
   // State fails closed to the newest intact prefix: full + delta 1.
   EXPECT_EQ(outcome.applied.size(), 2u);
-  EXPECT_EQ(TextCheckpoint(restored), expected[2]);
+  EXPECT_EQ(Checkpoint(restored), expected[2]);
   // The intact tail member after the break is dropped, not applied.
   EXPECT_TRUE(FileExists(dir.File("delta-000001.0003.ckpt")));
 
@@ -352,7 +347,7 @@ TEST(ChainTorture, EveryTruncationAndBitFlipFailsClosedToIntactPrefix) {
       // Sampled state check — byte-identical to the uninterrupted
       // reference at that prefix (every iteration would square the cost).
       if (iterations % 41 == 0) {
-        EXPECT_EQ(TextCheckpoint(victim), expected[damaged_index]) << detail;
+        EXPECT_EQ(Checkpoint(victim), expected[damaged_index]) << detail;
       }
     }
     ++iterations;
@@ -387,7 +382,7 @@ TEST(ChainTorture, EveryTruncationAndBitFlipFailsClosedToIntactPrefix) {
   dir.Reset(pristine);
   const ChainRecoveryOutcome outcome = chain.Recover(victim);
   EXPECT_FALSE(outcome.fell_back);
-  EXPECT_EQ(TextCheckpoint(victim), expected.back());
+  EXPECT_EQ(Checkpoint(victim), expected.back());
 }
 
 // --- failed writes --------------------------------------------------------
@@ -440,7 +435,7 @@ TEST(ChainWrite, FailedManifestWriteKeepsPreviousManifestRestorable) {
   Feed(server, w, 0, 30);
   server.Drain();
   ASSERT_TRUE(chain.Write(server).full);
-  const std::string state_after_full = TextCheckpoint(server);
+  const std::string state_after_full = Checkpoint(server);
 
   Feed(server, w, 30, 60);
   server.Drain();
@@ -457,7 +452,7 @@ TEST(ChainWrite, FailedManifestWriteKeepsPreviousManifestRestorable) {
   CheckpointChain probe_chain(ChainConfig{dir.path(), 64});
   const ChainRecoveryOutcome outcome = probe_chain.Recover(probe);
   EXPECT_EQ(outcome.applied.size(), 1u);
-  EXPECT_EQ(TextCheckpoint(probe), state_after_full);
+  EXPECT_EQ(Checkpoint(probe), state_after_full);
 
   // The retry overwrites the unlisted member and completes the cycle.
   const ChainWriteResult retry = chain.Write(server);
@@ -485,7 +480,7 @@ TEST(ChainFold, OfflineFoldIsByteIdenticalToLiveBinaryFull) {
     chain.Write(writer);
   }
   writer.Stop();
-  const std::string live_full = BinaryCheckpoint(writer);
+  const std::string live_full = Checkpoint(writer);
 
   // The model-free structural fold reproduces the live binary full save
   // byte for byte.
@@ -501,7 +496,7 @@ TEST(ChainFold, OfflineFoldIsByteIdenticalToLiveBinaryFull) {
   FleetServer restored = MakeServer(w);
   CheckpointChain recovered(ChainConfig{dir.path(), 64});
   EXPECT_FALSE(recovered.Recover(restored).fresh_start());
-  EXPECT_EQ(BinaryCheckpoint(restored), live_full);
+  EXPECT_EQ(Checkpoint(restored), live_full);
 }
 
 TEST(ChainInspect, ReportsSoundChainsAndNamesCorruptMembers) {
@@ -543,6 +538,27 @@ TEST(ChainInspect, ReportsSoundChainsAndNamesCorruptMembers) {
   }
 }
 
+/// Write a chain of `full` and one `delta` under a manifest that vouches
+/// for both (sizes and CRCs), whatever their contents.
+void WriteTwoMemberChain(const ScratchDir& dir, const std::string& full,
+                         const std::string& delta) {
+  Manifest manifest;
+  manifest.epoch = 1;
+  const std::string members[] = {full, delta};
+  for (std::uint64_t seq = 0; seq < 2; ++seq) {
+    ChainEntry entry;
+    entry.is_full = seq == 0;
+    entry.epoch = 1;
+    entry.seq = seq;
+    entry.file = seq == 0 ? "full-000001.ckpt" : "delta-000001.0001.ckpt";
+    entry.bytes = members[seq].size();
+    entry.crc32 = Crc32(members[seq]);
+    WriteBytes(dir.File(entry.file), members[seq]);
+    manifest.entries.push_back(entry);
+  }
+  WriteBytes(dir.File(kManifestFileName), EncodeManifest(manifest));
+}
+
 // --- trailing-bytes rule -------------------------------------------------
 
 /// Re-frame a member with `extra` appended to its payload: the frame's CRC
@@ -574,7 +590,7 @@ TEST(ChainFold, TrailingPayloadBytesAreRejectedByEveryParser) {
   FleetServer writer = MakeServer(w);
   writer.Start();
   Feed(writer, w, 0, 40);
-  const std::string full = BinaryCheckpoint(writer);
+  const std::string full = Checkpoint(writer);
   writer.MarkCheckpointClean();
   Feed(writer, w, 40, 80);
   std::ostringstream delta_out;
@@ -593,7 +609,7 @@ TEST(ChainFold, TrailingPayloadBytesAreRejectedByEveryParser) {
         delta, serve::kFleetDeltaMagic, serve::kFleetDeltaVersion, extra);
 
     FleetServer victim = MakeServer(w);
-    const std::string fresh = TextCheckpoint(victim);
+    const std::string fresh = Checkpoint(victim);
     ExpectTrailingBytesError([&] { victim.RestoreCheckpoint(bad_full); },
                              extra.size());
     std::istringstream bad_full_in(bad_full);
@@ -623,40 +639,107 @@ TEST(ChainFold, TrailingPayloadBytesAreRejectedByEveryParser) {
     ExpectTrailingBytesError(
         [&] { victim.ImportShard(0, shard_state + extra); }, extra.size());
     EXPECT_EQ(victim.ExportShard(0), shard_before);
-    EXPECT_EQ(TextCheckpoint(victim), fresh);
+    EXPECT_EQ(Checkpoint(victim), fresh);
 
     victim.RestoreCheckpoint(full);
-    const std::string base = TextCheckpoint(victim);
+    const std::string base = Checkpoint(victim);
     ExpectTrailingBytesError([&] { victim.ApplyDeltaCheckpoint(bad_delta); },
                              extra.size());
     std::istringstream bad_delta_in(bad_delta);
     ExpectTrailingBytesError(
         [&] { victim.ApplyDeltaCheckpoint(bad_delta_in); }, extra.size());
-    EXPECT_EQ(TextCheckpoint(victim), base);
+    EXPECT_EQ(Checkpoint(victim), base);
 
     // The fold, over chains whose manifest vouches for the re-framed
     // member: one with a bad full, one with a bad delta.
     for (const bool bad_is_full : {true, false}) {
       ScratchDir dir;
-      Manifest manifest;
-      manifest.epoch = 1;
-      const std::string members[] = {bad_is_full ? bad_full : full,
-                                     bad_is_full ? delta : bad_delta};
-      for (std::uint64_t seq = 0; seq < 2; ++seq) {
-        ChainEntry entry;
-        entry.is_full = seq == 0;
-        entry.epoch = 1;
-        entry.seq = seq;
-        entry.file = seq == 0 ? "full-000001.ckpt" : "delta-000001.0001.ckpt";
-        entry.bytes = members[seq].size();
-        entry.crc32 = Crc32(members[seq]);
-        WriteBytes(dir.File(entry.file), members[seq]);
-        manifest.entries.push_back(entry);
-      }
-      WriteBytes(dir.File(kManifestFileName), EncodeManifest(manifest));
+      WriteTwoMemberChain(dir, bad_is_full ? bad_full : full,
+                          bad_is_full ? delta : bad_delta);
       ExpectTrailingBytesError([&] { FoldChain(dir.path()); }, extra.size());
     }
   }
+}
+
+// --- retired frame versions ----------------------------------------------
+
+template <typename Call>
+void ExpectVersionMismatch(Call call, std::uint32_t version) {
+  try {
+    call();
+    FAIL() << "accepted an engine frame at retired version v" << version;
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("version mismatch — stream is v" +
+                                         std::to_string(version)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
+  // Engine state v1 (text) and v2 (binary with raw-record windows) and
+  // engine delta v1 are retired: a member that nests them must fail at the
+  // frame reader with the version-mismatch message, before any payload is
+  // read, through every restore path — and boot recovery must quarantine
+  // it rather than serve from it.
+  const World& w = SharedWorld();
+  FleetServer writer = MakeServer(w);
+  writer.Start();
+  Feed(writer, w, 0, 40);
+  const std::string full = Checkpoint(writer);
+  writer.MarkCheckpointClean();
+  Feed(writer, w, 40, 80);
+  std::ostringstream delta_out;
+  writer.SaveDeltaCheckpoint(delta_out);
+  const std::string delta = delta_out.str();
+  writer.Stop();
+
+  FleetServer victim = MakeServer(w);
+  const std::string fresh = Checkpoint(victim);
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("engine state v" + std::to_string(version));
+    const std::string old_full =
+        serve::test_support::ReframeMember(full, false, version);
+    ExpectVersionMismatch([&] { victim.RestoreCheckpoint(old_full); },
+                          version);
+    std::istringstream old_full_in(old_full);
+    ExpectVersionMismatch([&] { victim.RestoreCheckpoint(old_full_in); },
+                          version);
+    EXPECT_EQ(Checkpoint(victim), fresh);
+
+    ScratchDir dir;
+    WriteTwoMemberChain(dir, old_full, delta);
+    ExpectVersionMismatch([&] { FoldChain(dir.path()); }, version);
+
+    // First boot on a pre-change chain or checkpoint file: quarantined, and
+    // the server starts fresh.
+    CheckpointChain chain(ChainConfig{dir.path(), 64});
+    const ChainRecoveryOutcome chain_outcome = chain.Recover(victim);
+    EXPECT_TRUE(chain_outcome.fresh_start());
+    EXPECT_FALSE(chain_outcome.quarantined.empty());
+    EXPECT_TRUE(FileExists(dir.File("full-000001.ckpt.corrupt")));
+    const std::string path = dir.File("fleet.ckpt");
+    WriteBytes(path, old_full);
+    const serve::RecoveryOutcome file_outcome =
+        serve::RecoverCheckpoint(victim, path);
+    EXPECT_TRUE(file_outcome.restored_from.empty());
+    EXPECT_EQ(file_outcome.quarantined.size(), 1u);
+    EXPECT_EQ(Checkpoint(victim), fresh);
+  }
+
+  SCOPED_TRACE("engine delta v1");
+  const std::string old_delta =
+      serve::test_support::ReframeMember(delta, true, 1);
+  victim.RestoreCheckpoint(full);
+  const std::string base = Checkpoint(victim);
+  ExpectVersionMismatch([&] { victim.ApplyDeltaCheckpoint(old_delta); }, 1);
+  std::istringstream old_delta_in(old_delta);
+  ExpectVersionMismatch([&] { victim.ApplyDeltaCheckpoint(old_delta_in); },
+                        1);
+  EXPECT_EQ(Checkpoint(victim), base);
+  ScratchDir dir;
+  WriteTwoMemberChain(dir, full, old_delta);
+  ExpectVersionMismatch([&] { FoldChain(dir.path()); }, 1);
 }
 
 // --- format goldens -------------------------------------------------------
@@ -681,8 +764,8 @@ TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
     std::uint64_t full, delta, fold;
   };
   const Golden goldens[] = {
-      {1, 0x9a5739c85b88e9a3ull, 0xb677980b5d8da5f6ull, 0xc873b4b186411cefull},
-      {2, 0xa484775af0f65b06ull, 0x8bf98509bfe9106eull, 0xfb19d74c84b8dcfbull},
+      {1, 0x3e1920027639da38ull, 0x8ba8312e76e9e5bfull, 0x25b047c5c41626e7ull},
+      {2, 0xef64b9816ece9db4ull, 0xac7fd4f0b4012fedull, 0x6c54956598170065ull},
   };
   const World& w = SharedWorld();
   const std::size_t records = w.fleet.log.records().size();
@@ -696,7 +779,7 @@ TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
     CheckpointChain chain(ChainConfig{dir.path(), 64});
     server.Start();
     Feed(server, w, 0, records / 2);
-    const std::string full = BinaryCheckpoint(server);
+    const std::string full = Checkpoint(server);
     EXPECT_EQ(FileBytes(chain.WriteFull(server).file), full);
     Feed(server, w, records / 2, records);
     std::ostringstream delta;

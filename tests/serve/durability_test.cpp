@@ -1,9 +1,10 @@
 // Durability torture: a checkpoint file mangled in ANY way — every byte
-// prefix truncation, every single-bit flip — must either restore
-// bit-identically or fail closed with ParseError and an untouched server,
-// never UB, bad_alloc, or a half-restored engine. Plus the crash-safe
-// write path (failpoint-driven syscall failures, power-cut death test) and
-// the boot-time quarantine/fallback policy.
+// prefix truncation, every single-bit flip, a corrupt or incompatible bank
+// behind valid checksums — must either restore bit-identically or fail
+// closed with ParseError and an untouched server, never UB, bad_alloc, or a
+// half-restored engine. Plus the crash-safe write path (failpoint-driven
+// syscall failures, power-cut death test) and the boot-time
+// quarantine/fallback policy.
 #include "serve/checkpoint.hpp"
 
 #include <sys/stat.h>
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +26,9 @@
 #include "common/framing.hpp"
 #include "core/persist.hpp"
 #include "hbm/address.hpp"
+#include "persist/binary_io.hpp"
 #include "serve/fleet_server.hpp"
+#include "support/reframe.hpp"
 #include "trace/fleet.hpp"
 
 namespace cordial::serve {
@@ -110,12 +114,6 @@ std::string Checkpoint(const FleetServer& server) {
   return out.str();
 }
 
-std::string BinaryCheckpoint(const FleetServer& server) {
-  std::ostringstream out;
-  server.SaveCheckpoint(out, core::StateEncoding::kBinary);
-  return out.str();
-}
-
 /// A victim server with non-trivial state of its own, so a "half restored"
 /// outcome is distinguishable from "untouched".
 FleetServer MakeVictim(const World& w) {
@@ -143,35 +141,6 @@ bool FileExists(const std::string& path) {
   return ::access(path.c_str(), F_OK) == 0;
 }
 
-/// Re-frame `payload` the way pre-CRC builds did: no crc32 header field.
-std::string LegacyFrame(const std::string& magic, std::uint32_t version,
-                        const std::string& payload) {
-  std::ostringstream out;
-  out << magic << " v" << version << ' ' << payload.size() << '\n' << payload;
-  return out.str();
-}
-
-/// Rebuild a current checkpoint as a bit-identical-payload legacy file:
-/// strip the crc32 field from the outer frame AND the nested per-shard
-/// engine frames (that is exactly what an old build wrote).
-std::string RebuildAsLegacy(const std::string& checkpoint) {
-  std::istringstream in(checkpoint);
-  std::istringstream payload(
-      ReadFramed(in, kFleetCheckpointMagic, kFleetCheckpointVersion));
-  ExpectToken(payload, "shards");
-  const std::uint64_t shard_count = ReadU64Token(payload, "legacy rebuild");
-  std::ostringstream legacy_payload;
-  legacy_payload << "shards " << shard_count << '\n';
-  for (std::uint64_t s = 0; s < shard_count; ++s) {
-    legacy_payload << LegacyFrame(
-        core::kEngineStateMagic, core::kEngineStateVersion,
-        ReadFramed(payload, core::kEngineStateMagic,
-                   core::kEngineStateVersion));
-  }
-  return LegacyFrame(kFleetCheckpointMagic, kFleetCheckpointVersion,
-                     legacy_payload.str());
-}
-
 /// One small donor checkpoint shared by the torture loops (they are
 /// O(bytes^2), so the state fed in is deliberately tiny).
 const std::string& DonorCheckpoint() {
@@ -187,15 +156,13 @@ const std::string& DonorCheckpoint() {
 }
 
 /// One member the torture loops mangle: how it is applied (a full restores,
-/// a delta applies over `base`) and the text checkpoint a pristine apply
-/// must leave. The text full is the original donor; the binary full and the
-/// delta put the in-place binary reader through the same loops.
+/// a delta applies over `base`) and the checkpoint a pristine apply must
+/// leave — the donor's, since both members end at its last record.
 struct TortureDonor {
   const char* name;
   std::string bytes;
   bool delta = false;
-  std::string base;      ///< delta only: the full its victim starts from
-  std::string expected;  ///< the victim's text checkpoint after applying
+  std::string base;  ///< delta only: the full its victim starts from
 };
 
 const std::vector<TortureDonor>& TortureDonors() {
@@ -204,17 +171,15 @@ const std::vector<TortureDonor>& TortureDonors() {
     FleetServer donor = MakeServer(w);
     donor.Start();
     Feed(donor, w, 0, 12);
-    const std::string base = BinaryCheckpoint(donor);
+    const std::string base = Checkpoint(donor);
     donor.MarkCheckpointClean();
     Feed(donor, w, 12, 24);
     donor.Stop();
     std::ostringstream delta;
     donor.SaveDeltaCheckpoint(delta);
-    const std::string expected = Checkpoint(donor);
     return new std::vector<TortureDonor>{
-        {"text full", DonorCheckpoint(), false, "", DonorCheckpoint()},
-        {"binary full", BinaryCheckpoint(donor), false, "", expected},
-        {"delta", delta.str(), true, base, expected},
+        {"full", DonorCheckpoint(), false, ""},
+        {"delta", delta.str(), true, base},
     };
   }();
   return *donors;
@@ -291,7 +256,7 @@ TEST(Durability, EveryBytePrefixTruncationFailsClosed) {
     }
     // The victim still accepts the pristine member afterwards.
     ApplyDonor(victim, donor, bytes);
-    EXPECT_EQ(Checkpoint(victim), donor.expected);
+    EXPECT_EQ(Checkpoint(victim), DonorCheckpoint());
   }
 }
 
@@ -324,47 +289,92 @@ TEST(Durability, EverySingleBitFlipIsDetectedAndLeavesVictimUntouched) {
   }
 }
 
-TEST(Durability, LegacyChecksumlessCheckpointRestoresWithCount) {
-  const World& w = SharedWorld();
-  const std::string& bytes = DonorCheckpoint();
-  const std::string legacy = RebuildAsLegacy(bytes);
-  ASSERT_EQ(legacy.find("crc32="), std::string::npos);
-
-  const std::uint64_t legacy_before = GetFramingStats().legacy_frames_read;
-  FleetServer restored = MakeServer(w);
-  std::istringstream in(legacy);
-  restored.RestoreCheckpoint(in);
-  // Same state as the checksummed original...
-  EXPECT_EQ(Checkpoint(restored), bytes);
-  // ...and every checksum-less frame (outer + one per shard) was tallied.
-  EXPECT_EQ(GetFramingStats().legacy_frames_read,
-            legacy_before + 1 + kShardCount);
+/// Re-frame a member after `mutate` rewrote the engine payload of shard
+/// `target` (see support/reframe.hpp).
+std::string ReframeShard(const TortureDonor& donor, std::uint64_t target,
+                         const std::function<void(std::string&)>& mutate) {
+  return test_support::ReframeMember(
+      donor.bytes, donor.delta,
+      donor.delta ? core::kEngineDeltaVersion : core::kEngineStateVersion,
+      [&](std::uint64_t shard, std::string& engine) {
+        if (shard == target) mutate(engine);
+      });
 }
 
-TEST(Durability, CorruptShardInLegacyCheckpointNeverHalfRestores) {
-  // With no CRC, a legacy file's corruption is only caught by the token
-  // parser, possibly deep inside the LAST shard's section — by which point
-  // the earlier shards have already parsed cleanly. The strong restore
-  // guarantee says none of them may have committed.
+/// Offset of the first bank blob in an engine payload (full or delta):
+/// u32 header_len | header | u64 bank_count | u64 key | u32 blob_len | blob.
+std::size_t FirstBankBlob(const std::string& engine_payload) {
+  persist::BinaryReader reader(engine_payload, "test");
+  reader.Bytes(reader.U32());
+  EXPECT_GT(reader.U64(), 0u) << "shard section holds no bank";
+  reader.U64();
+  reader.U32();
+  return engine_payload.size() - reader.remaining();
+}
+
+/// Blob offsets of the fields the tests below corrupt: the Cordial state
+/// (u64 uer_events_seen, u64 anchors_used, u8 classified) precedes the
+/// failure class; the profile, whose first field is its truncation depth,
+/// follows i64 last_anchor_row.
+constexpr std::size_t kBlobBankClass = 8 + 8 + 1;
+constexpr std::size_t kBlobMaxUers = kBlobBankClass + 1 + 8;
+
+TEST(Durability, CorruptShardBehindValidChecksumsNeverHalfRestores) {
+  // A bank the payload parser refuses, deep inside the LAST shard's section
+  // of a member whose CRCs all check out: by then the earlier shards have
+  // parsed cleanly. The strong restore guarantee says none of them may
+  // have committed.
   const World& w = SharedWorld();
-  std::string legacy = RebuildAsLegacy(DonorCheckpoint());
-  // Corrupt a digit in the last tenth of the file (inside the final shard's
-  // token stream) without changing any byte counts.
-  bool corrupted = false;
-  for (std::size_t i = legacy.size() - 1; i > legacy.size() * 9 / 10; --i) {
-    if (legacy[i] >= '0' && legacy[i] <= '9') {
-      legacy[i] = 'x';
-      corrupted = true;
-      break;
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    const std::string mangled =
+        ReframeShard(donor, kShardCount - 1, [](std::string& engine) {
+          engine[FirstBankBlob(engine) + kBlobBankClass] = 7;
+        });
+    FleetServer victim = MakeTortureVictim(w, donor);
+    const std::string victim_before = Checkpoint(victim);
+    for (const Entry entry : kEntries) {
+      EXPECT_THROW(ApplyDonor(victim, donor, mangled, entry), ParseError)
+          << EntryName(entry);
+      EXPECT_EQ(Checkpoint(victim), victim_before) << EntryName(entry);
     }
   }
-  ASSERT_TRUE(corrupted) << "no digit found to corrupt";
+}
 
-  FleetServer victim = MakeVictim(w);
-  const std::string victim_before = Checkpoint(victim);
-  std::istringstream in(legacy);
-  EXPECT_THROW(victim.RestoreCheckpoint(in), ParseError);
-  EXPECT_EQ(Checkpoint(victim), victim_before);
+TEST(Durability, ProfileOfAnotherTruncationDepthIsRefused) {
+  // A bank whose profile was accumulated at another classification depth
+  // must not restore: its next classification would throw a
+  // ContractViolation on a shard worker. The bank-blob decoder refuses it
+  // with a ParseError naming both depths, for fulls and deltas through
+  // either entry point, and the target keeps its state.
+  const World& w = SharedWorld();
+  const std::size_t depth = w.classifier.extractor().max_uers();
+  ASSERT_NE(depth, 2u);
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    const std::string mangled =
+        ReframeShard(donor, kShardCount - 1, [](std::string& engine) {
+          const std::size_t at = FirstBankBlob(engine) + kBlobMaxUers;
+          std::string depth_two;
+          persist::BinaryWriter(depth_two).U64(2);
+          engine.replace(at, depth_two.size(), depth_two);
+        });
+    FleetServer victim = MakeTortureVictim(w, donor);
+    const std::string victim_before = Checkpoint(victim);
+    for (const Entry entry : kEntries) {
+      try {
+        ApplyDonor(victim, donor, mangled, entry);
+        ADD_FAILURE() << "restored a depth-2 profile via " << EntryName(entry);
+      } catch (const ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("truncation depth 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("depth " + std::to_string(depth)),
+                  std::string::npos)
+            << what;
+      }
+      EXPECT_EQ(Checkpoint(victim), victim_before) << EntryName(entry);
+    }
+  }
 }
 
 TEST(Durability, RecoverFallsBackToPreviousGenerationAndQuarantines) {
@@ -415,7 +425,8 @@ TEST(Durability, RecoverStartsFreshWhenEveryCandidateIsCorrupt) {
   for (const char* suffix : {"", ".prev", ".corrupt", ".prev.corrupt"}) {
     std::remove((path + suffix).c_str());
   }
-  WriteBytes(path, "cordial_fleet_checkpoint v1 9999\ntruncated");
+  WriteBytes(path,
+             "cordial_fleet_checkpoint v1 9999 crc32=00000000\ntruncated");
   WriteBytes(path + ".prev", "garbage, not a frame");
 
   FleetServer recovered = MakeServer(w);

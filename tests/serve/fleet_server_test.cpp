@@ -143,8 +143,6 @@ TEST(FleetServer, RoutingIsDeterministicAndKeepsBanksWhole) {
   const World& w = SharedWorld();
   FleetServerConfig config;
   config.shard_count = 4;
-  // Unbounded retention so the replayer windows hold full bank histories.
-  config.engine.retention.max_events_per_bank = 0;
   FleetServer server(w.topology, w.classifier, w.single_pred,
                      w.double_or_null(), config);
   server.Start();
@@ -160,11 +158,11 @@ TEST(FleetServer, RoutingIsDeterministicAndKeepsBanksWhole) {
     const std::size_t home = server.ShardOf(bank.bank_key);
     EXPECT_EQ(home, server.ShardOf(bank.bank_key));  // stable
     for (std::size_t s = 0; s < server.shard_count(); ++s) {
-      const trace::BankHistory* found =
-          server.shard(s).engine().replayer().Find(bank.bank_key);
+      const core::BankProfile* found =
+          server.shard(s).engine().FindProfile(bank.bank_key);
       if (s == home) {
         ASSERT_NE(found, nullptr);
-        EXPECT_EQ(found->events.size(), bank.events.size());
+        EXPECT_EQ(found->event_count(), bank.events.size());
       } else {
         EXPECT_EQ(found, nullptr);
       }
@@ -207,6 +205,18 @@ TEST(FleetServerShard, RejectPolicyRefusesWhenFull) {
   EXPECT_EQ(shard.engine().stats().events, 4u);
 }
 
+/// The drop-oldest tests feed one bank CEs on rows 100..109; the four the
+/// engine absorbed must be exactly rows 106..109.
+void ExpectSurvivorsAreRows106To109(const EngineShard& shard) {
+  const trace::MceRecord probe = MakeCe(0.0, 0);
+  const core::BankProfile* bank = shard.engine().FindProfile(
+      shard.engine().codec().BankKey(probe.address));
+  ASSERT_NE(bank, nullptr);
+  EXPECT_EQ(bank->event_count(), 4u);
+  EXPECT_EQ(bank->crossrow().ce_rows,
+            (std::vector<double>{106.0, 107.0, 108.0, 109.0}));
+}
+
 TEST(FleetServerShard, DropOldestEvictsInArrivalOrder) {
   const World& w = SharedWorld();
   QueueConfig queue;
@@ -224,16 +234,10 @@ TEST(FleetServerShard, DropOldestEvictsInArrivalOrder) {
 
   shard.Start();
   shard.Drain();
-  // The newest four survived: rows 106..109 in order.
+  // The newest four survived: rows 106..109, the last at t=9.
   EXPECT_EQ(shard.engine().stats().events, 4u);
   EXPECT_DOUBLE_EQ(shard.engine().now(), 9.0);
-  const trace::MceRecord probe = MakeCe(0.0, 0);
-  const trace::BankHistory* bank = shard.engine().replayer().Find(
-      shard.engine().codec().BankKey(probe.address));
-  ASSERT_NE(bank, nullptr);
-  ASSERT_EQ(bank->events.size(), 4u);
-  EXPECT_EQ(bank->events.front().address.row, 106u);
-  EXPECT_EQ(bank->events.back().address.row, 109u);
+  ExpectSurvivorsAreRows106To109(shard);
 }
 
 TEST(FleetServerShard, BlockPolicyIsLossless) {
@@ -314,7 +318,7 @@ TEST(FleetServer, BatchedSubmitMatchesPerRecordSubmitByteExactly) {
 
 // N concurrent producers, one per shard: each producer owns every bank
 // routed to its shard and feeds them in feed order, so each shard still
-// sees a time-ordered stream (the replayer's monotonic-timestamp contract)
+// sees a time-ordered stream (the engine's monotonic-timestamp contract)
 // while the producers race each other through the server API. The result
 // must be bit-identical to the sequential single-submit replay.
 TEST(FleetServer, ConcurrentBatchedProducersStayBitIdentical) {
@@ -417,13 +421,7 @@ TEST(FleetServerShard, BatchDropOldestKeepsNewestInOrder) {
   shard.Drain();
   // Same survivors as the single-record drop-oldest test: rows 106..109.
   EXPECT_EQ(shard.engine().stats().events, 4u);
-  const trace::MceRecord probe = MakeCe(0.0, 0);
-  const trace::BankHistory* bank = shard.engine().replayer().Find(
-      shard.engine().codec().BankKey(probe.address));
-  ASSERT_NE(bank, nullptr);
-  ASSERT_EQ(bank->events.size(), 4u);
-  EXPECT_EQ(bank->events.front().address.row, 106u);
-  EXPECT_EQ(bank->events.back().address.row, 109u);
+  ExpectSurvivorsAreRows106To109(shard);
 }
 
 TEST(FleetServerShard, MoveSubmitIsAcceptedAndProcessed) {
