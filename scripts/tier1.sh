@@ -7,7 +7,10 @@
 # incremental per-bank state (profile snapshots, the one bank map) fail the
 # run too (including the checkpoint durability torture suite —
 # truncation/bit-flip parsing is exactly where lifetime bugs would hide — and
-# the model parser, which walks raw pointers over untrusted model bytes).
+# the model parser, which walks raw pointers over untrusted model bytes),
+# and the codec and checkpoint tests under UndefinedBehaviorSanitizer, so
+# shifts, overflows and misaligned or out-of-range conversions in the
+# varint/bit-pattern decoders fail the run too.
 # Then three smokes with the real daemon binaries: the durability drill (a
 # failpoint power-cuts cordial_serverd mid-checkpoint; the restart must end
 # byte-identical to an uninterrupted reference), the chain drill (same
@@ -76,6 +79,14 @@ else
   ctest --test-dir build-asan --output-on-failure \
     -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory)'
 fi
+
+cmake -B build-ubsan -S . -DCORDIAL_SANITIZE=undefined \
+  -DCORDIAL_BUILD_BENCHMARKS=OFF -DCORDIAL_BUILD_EXAMPLES=OFF
+cmake --build build-ubsan -j
+# The binary codec (varints, zigzag, presence masks, row gaps) and every
+# suite that encodes or decodes checkpoint, wire or model bytes.
+ctest --test-dir build-ubsan --output-on-failure \
+  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|FleetServer|Migration|Net|Serialize|ModelParser)'
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then
   echo "tier1: skipping durability smoke (--skip-smoke)"

@@ -180,131 +180,100 @@ bool BankProfile::HasUerRow(std::uint32_t row) const {
 
 namespace {
 
-// Fixed-width little-endian fields, doubles as raw IEEE-754 bit patterns.
+// Varint counts, rows as first value plus ascending gaps, doubles as raw
+// bits behind presence masks (DESIGN.md §14).
 
 void WriteChainBinary(persist::BinaryWriter& out, const DiffChain& chain) {
-  out.U64(chain.count);
-  out.F64(chain.sum);
-  out.F64(chain.min);
-  out.F64(chain.max);
-  out.U8(chain.has_last ? 1 : 0);
-  out.F64(chain.last);
+  out.Var(chain.count);
+  out.Bool(chain.has_last);
+  out.MaskedF64({chain.sum, chain.min, chain.max, chain.last});
 }
 
 DiffChain ReadChainBinary(persist::BinaryReader& in) {
   DiffChain chain;
-  chain.count = static_cast<std::size_t>(in.U64());
-  chain.sum = in.F64();
-  chain.min = in.F64();
-  chain.max = in.F64();
-  chain.has_last = in.U8() != 0;
-  chain.last = in.F64();
+  chain.count = static_cast<std::size_t>(in.Var());
+  chain.has_last = in.Bool();
+  in.MaskedF64({&chain.sum, &chain.min, &chain.max, &chain.last});
   return chain;
 }
 
-void WriteRowsBinary(persist::BinaryWriter& out,
-                     const std::vector<double>& rows) {
-  out.U32(static_cast<std::uint32_t>(rows.size()));
-  for (const double row : rows) out.F64(row);
-}
-
-std::vector<double> ReadRowsBinary(persist::BinaryReader& in) {
-  const std::uint32_t n = in.Count32(8);
-  std::vector<double> rows;
-  rows.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) rows.push_back(in.F64());
-  return rows;
-}
-
 void WriteClassBinary(persist::BinaryWriter& out, const ClassAccumulator& acc) {
-  out.U64(acc.ce_total);
-  out.U64(acc.ueo_total);
-  out.U64(acc.uer_events);
-  for (const double v :
-       {acc.ce_row_min, acc.ce_row_max, acc.ueo_row_min, acc.ueo_row_max,
-        acc.uer_row_min, acc.uer_row_max, acc.first_uer_time,
-        acc.last_uer_time, acc.ce_before_first_uer, acc.ueo_before_first_uer,
-        acc.last_time}) {
-    out.F64(v);
-  }
-  out.U8(acc.any_event ? 1 : 0);
-  out.U64(acc.ce_at_last_time);
-  out.U64(acc.ueo_at_last_time);
+  out.Var(acc.ce_total);
+  out.Var(acc.ueo_total);
+  out.Var(acc.uer_events);
+  out.MaskedF64({acc.ce_row_min, acc.ce_row_max, acc.ueo_row_min,
+                 acc.ueo_row_max, acc.uer_row_min, acc.uer_row_max,
+                 acc.first_uer_time, acc.last_uer_time,
+                 acc.ce_before_first_uer, acc.ueo_before_first_uer,
+                 acc.last_time});
+  out.Bool(acc.any_event);
+  out.Var(acc.ce_at_last_time);
+  out.Var(acc.ueo_at_last_time);
   WriteChainBinary(out, acc.uer_row_diff);
   WriteChainBinary(out, acc.all_row_diff);
   WriteChainBinary(out, acc.ce_dt);
   WriteChainBinary(out, acc.ueo_dt);
   WriteChainBinary(out, acc.uer_dt);
-  WriteRowsBinary(out, acc.distinct_uer_rows);
+  out.AscendingU32<double>(acc.distinct_uer_rows);
 }
 
 ClassAccumulator ReadClassBinary(persist::BinaryReader& in) {
   ClassAccumulator acc;
-  acc.ce_total = static_cast<std::size_t>(in.U64());
-  acc.ueo_total = static_cast<std::size_t>(in.U64());
-  acc.uer_events = static_cast<std::size_t>(in.U64());
-  acc.ce_row_min = in.F64();
-  acc.ce_row_max = in.F64();
-  acc.ueo_row_min = in.F64();
-  acc.ueo_row_max = in.F64();
-  acc.uer_row_min = in.F64();
-  acc.uer_row_max = in.F64();
-  acc.first_uer_time = in.F64();
-  acc.last_uer_time = in.F64();
-  acc.ce_before_first_uer = in.F64();
-  acc.ueo_before_first_uer = in.F64();
-  acc.last_time = in.F64();
-  acc.any_event = in.U8() != 0;
-  acc.ce_at_last_time = static_cast<std::size_t>(in.U64());
-  acc.ueo_at_last_time = static_cast<std::size_t>(in.U64());
+  acc.ce_total = static_cast<std::size_t>(in.Var());
+  acc.ueo_total = static_cast<std::size_t>(in.Var());
+  acc.uer_events = static_cast<std::size_t>(in.Var());
+  in.MaskedF64({&acc.ce_row_min, &acc.ce_row_max, &acc.ueo_row_min,
+                &acc.ueo_row_max, &acc.uer_row_min, &acc.uer_row_max,
+                &acc.first_uer_time, &acc.last_uer_time,
+                &acc.ce_before_first_uer, &acc.ueo_before_first_uer,
+                &acc.last_time});
+  acc.any_event = in.Bool();
+  acc.ce_at_last_time = static_cast<std::size_t>(in.Var());
+  acc.ueo_at_last_time = static_cast<std::size_t>(in.Var());
   acc.uer_row_diff = ReadChainBinary(in);
   acc.all_row_diff = ReadChainBinary(in);
   acc.ce_dt = ReadChainBinary(in);
   acc.ueo_dt = ReadChainBinary(in);
   acc.uer_dt = ReadChainBinary(in);
-  acc.distinct_uer_rows = ReadRowsBinary(in);
+  acc.distinct_uer_rows = in.AscendingU32<double>();
   return acc;
 }
 
 void WriteCrossRowBinary(persist::BinaryWriter& out,
                          const CrossRowAccumulator& acc) {
-  out.U64(acc.ce_count);
-  out.U64(acc.ueo_count);
-  out.U64(acc.uer_count);
-  out.U64(acc.all_count);
-  for (const double v : {acc.uer_row_min, acc.uer_row_max, acc.first_uer_time,
-                         acc.last_event_time}) {
-    out.F64(v);
-  }
+  out.Var(acc.ce_count);
+  out.Var(acc.ueo_count);
+  out.Var(acc.uer_count);
+  out.Var(acc.all_count);
+  out.MaskedF64({acc.uer_row_min, acc.uer_row_max, acc.first_uer_time,
+                 acc.last_event_time});
   WriteChainBinary(out, acc.uer_row_diff);
   WriteChainBinary(out, acc.all_row_diff);
   WriteChainBinary(out, acc.ce_dt);
   WriteChainBinary(out, acc.ueo_dt);
   WriteChainBinary(out, acc.uer_dt);
-  WriteRowsBinary(out, acc.ce_rows);
-  WriteRowsBinary(out, acc.ueo_rows);
-  WriteRowsBinary(out, acc.uer_rows);
+  out.AscendingU32<double>(acc.ce_rows);
+  out.AscendingU32<double>(acc.ueo_rows);
+  out.AscendingU32<double>(acc.uer_rows);
   // uer_row_gaps is derived from uer_rows and rebuilt on load.
 }
 
 CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
   CrossRowAccumulator acc;
-  acc.ce_count = static_cast<std::size_t>(in.U64());
-  acc.ueo_count = static_cast<std::size_t>(in.U64());
-  acc.uer_count = static_cast<std::size_t>(in.U64());
-  acc.all_count = static_cast<std::size_t>(in.U64());
-  acc.uer_row_min = in.F64();
-  acc.uer_row_max = in.F64();
-  acc.first_uer_time = in.F64();
-  acc.last_event_time = in.F64();
+  acc.ce_count = static_cast<std::size_t>(in.Var());
+  acc.ueo_count = static_cast<std::size_t>(in.Var());
+  acc.uer_count = static_cast<std::size_t>(in.Var());
+  acc.all_count = static_cast<std::size_t>(in.Var());
+  in.MaskedF64({&acc.uer_row_min, &acc.uer_row_max, &acc.first_uer_time,
+                &acc.last_event_time});
   acc.uer_row_diff = ReadChainBinary(in);
   acc.all_row_diff = ReadChainBinary(in);
   acc.ce_dt = ReadChainBinary(in);
   acc.ueo_dt = ReadChainBinary(in);
   acc.uer_dt = ReadChainBinary(in);
-  acc.ce_rows = ReadRowsBinary(in);
-  acc.ueo_rows = ReadRowsBinary(in);
-  acc.uer_rows = ReadRowsBinary(in);
+  acc.ce_rows = in.AscendingU32<double>();
+  acc.ueo_rows = in.AscendingU32<double>();
+  acc.uer_rows = in.AscendingU32<double>();
   for (std::size_t i = 1; i < acc.uer_rows.size(); ++i) {
     acc.uer_row_gaps.insert(static_cast<std::uint32_t>(acc.uer_rows[i]) -
                             static_cast<std::uint32_t>(acc.uer_rows[i - 1]));
@@ -315,30 +284,26 @@ CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
 }  // namespace
 
 void BankProfile::SaveBinary(persist::BinaryWriter& out) const {
-  out.U64(max_uers_);
-  out.U64(events_);
-  out.F64(last_time_);
-  out.U64(uer_accepted_);
-  out.U8(capped_ ? 1 : 0);
-  out.F64(cutoff_);
+  out.Var(max_uers_);
+  out.Var(events_);
+  out.Var(uer_accepted_);
+  out.Bool(capped_);
+  out.MaskedF64({last_time_, cutoff_});
   WriteClassBinary(out, live_);
   WriteClassBinary(out, frozen_);
   WriteCrossRowBinary(out, crossrow_);
 }
 
 BankProfile BankProfile::LoadBinary(persist::BinaryReader& in) {
-  const std::uint64_t max_uers = in.U64();
+  const std::uint64_t max_uers = in.Var();
   // The constructor CORDIAL_CHECKs max_uers >= 1; surface a corrupt value
   // as a ParseError so recovery's fail-closed path handles it.
-  if (max_uers == 0) {
-    throw ParseError("profile: corrupt max_uers 0");
-  }
+  if (max_uers == 0) in.Fail("corrupt profile max_uers 0");
   BankProfile profile(static_cast<std::size_t>(max_uers));
-  profile.events_ = static_cast<std::size_t>(in.U64());
-  profile.last_time_ = in.F64();
-  profile.uer_accepted_ = static_cast<std::size_t>(in.U64());
-  profile.capped_ = in.U8() != 0;
-  profile.cutoff_ = in.F64();
+  profile.events_ = static_cast<std::size_t>(in.Var());
+  profile.uer_accepted_ = static_cast<std::size_t>(in.Var());
+  profile.capped_ = in.Bool();
+  in.MaskedF64({&profile.last_time_, &profile.cutoff_});
   profile.live_ = ReadClassBinary(in);
   profile.frozen_ = ReadClassBinary(in);
   profile.crossrow_ = ReadCrossRowBinary(in);

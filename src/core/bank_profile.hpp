@@ -141,11 +141,13 @@ class BankProfile {
   /// Whether `row` has already shown a UER — O(log d).
   bool HasUerRow(std::uint32_t row) const;
 
-  /// Serialize every accumulator (engine-state and delta payloads) as
-  /// fixed-width little-endian values with doubles as raw bit patterns: a
-  /// profile restored by LoadBinary continues absorbing events
-  /// bit-identically to the original (the checkpoint/restore layer depends
-  /// on this). uer_row_gaps is derived, so it is rebuilt on load.
+  /// Serialize every accumulator (engine-state and delta payloads): varint
+  /// counts, sorted rows as first value plus gaps, doubles as raw bit
+  /// patterns behind presence masks. A profile restored by LoadBinary
+  /// continues absorbing events bit-identically to the original (the
+  /// checkpoint/restore layer depends on this), and LoadBinary refuses any
+  /// byte sequence SaveBinary would not write (ParseError). uer_row_gaps is
+  /// derived, so it is rebuilt on load.
   void SaveBinary(persist::BinaryWriter& out) const;
   static BankProfile LoadBinary(persist::BinaryReader& in);
 

@@ -303,18 +303,24 @@ const BankProfile* PredictionEngine::FindProfile(std::uint64_t bank_key) const {
 
 // ------------------------------------------------------ binary state codec
 //
-// Full (cordial_engine_state v3) and delta (cordial_engine_delta v2)
+// Full (cordial_engine_state v4) and delta (cordial_engine_delta v3)
 // payloads share one self-delimiting shape:
 //
 //   u32 header_len | header | u64 bank_count | bank records...
 //   bank record := u64 bank_key | u32 blob_len | blob
+//   blob := var uer_events_seen | var anchors_used | bool classified |
+//           u8 bank_class | zigzag last_anchor_row | profile |
+//           u8 ledger flags | [rows as first + ascending gaps]
 //
-// The explicit lengths make the payload structurally parseable without
-// models or topology: the offline inspector (persist::) folds a delta chain
-// by overlaying bank records keyed by bank_key and keeping the newest
-// header verbatim — producing exactly the bytes a live full save would.
-// Bank records are emitted in strictly ascending key order, so equal states
-// serialize identically, and the readers refuse any other order.
+// The header and the record frame are fixed-width; inside a blob, counts
+// are varints and doubles raw bits behind presence masks
+// (BankProfile::SaveBinary). The explicit lengths make the payload
+// structurally parseable without models or topology: the offline
+// inspector (persist::) folds a delta chain by overlaying bank records
+// keyed by bank_key and keeping the newest header verbatim — producing
+// exactly the bytes a live full save would. Bank records are emitted in
+// strictly ascending key order, so equal states serialize identically, and
+// the readers refuse any other order.
 
 namespace {
 
@@ -344,7 +350,7 @@ void EncodeStateHeader(persist::BinaryWriter& out, const EngineStats& stats,
   out.U64(stats.records_skew_dropped);
   const hbm::SparingBudget& budget = ledger.budget();
   out.U32(budget.rows_per_bank);
-  out.U8(budget.bank_sparing_available ? 1 : 0);
+  out.Bool(budget.bank_sparing_available);
   out.F64(budget.row_spare_cost);
   out.F64(budget.bank_spare_cost);
   out.U64(ledger.rows_spared());
@@ -368,7 +374,7 @@ StateHeader TakeStateHeader(persist::BinaryReader& payload) {
   h.stats.uer_rows_covered_by_bank = static_cast<std::size_t>(in.U64());
   h.stats.records_skew_dropped = static_cast<std::size_t>(in.U64());
   h.budget.rows_per_bank = in.U32();
-  h.budget.bank_sparing_available = in.U8() != 0;
+  h.budget.bank_sparing_available = in.Bool();
   h.budget.row_spare_cost = in.F64();
   h.budget.bank_spare_cost = in.F64();
   h.rows_spared = in.U64();
@@ -380,6 +386,7 @@ StateHeader TakeStateHeader(persist::BinaryReader& payload) {
 
 constexpr std::uint8_t kBlobHasLedgerEntry = 1u << 0;
 constexpr std::uint8_t kBlobBankSpared = 1u << 1;
+constexpr std::uint8_t kBlobFlags = kBlobHasLedgerEntry | kBlobBankSpared;
 
 /// One bank's full slice of engine state: Cordial decision state, the
 /// profile, and this bank's ledger section. The has-entry flag
@@ -389,11 +396,11 @@ constexpr std::uint8_t kBlobBankSpared = 1u << 1;
 void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
                     const BankProfile& profile,
                     const hbm::SparingLedger& ledger, std::uint64_t key) {
-  out.U64(cordial.uer_events_seen);
-  out.U64(cordial.anchors_used);
-  out.U8(cordial.classified ? 1 : 0);
+  out.Var(cordial.uer_events_seen);
+  out.Var(cordial.anchors_used);
+  out.Bool(cordial.classified);
   out.U8(static_cast<std::uint8_t>(cordial.bank_class));
-  out.I64(cordial.last_anchor_row);
+  out.VarSigned(cordial.last_anchor_row);
   profile.SaveBinary(out);
 
   const std::unordered_set<std::uint32_t>* rows = ledger.FindRowEntry(key);
@@ -404,8 +411,7 @@ void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
   if (rows != nullptr) {
     std::vector<std::uint32_t> sorted(rows->begin(), rows->end());
     std::sort(sorted.begin(), sorted.end());
-    out.U32(static_cast<std::uint32_t>(sorted.size()));
-    for (const std::uint32_t row : sorted) out.U32(row);
+    out.AscendingU32<std::uint32_t>(sorted);
   }
 }
 
@@ -417,45 +423,50 @@ struct BankBlob {
   std::vector<std::uint32_t> rows;
 };
 
-/// Decode one bank blob for an engine whose classifier truncates at
-/// `max_uers`. A profile accumulated at another depth is refused here: the
-/// bank's next classification would otherwise throw on a shard worker.
-BankBlob DecodeBankBlob(persist::BinaryReader& in, std::size_t max_uers) {
+/// Decode one whole bank blob of a payload whose header clock is `now`, for
+/// an engine whose classifier truncates at `max_uers`. A profile
+/// accumulated at another depth, or one whose last event is past the clock
+/// (or NaN), is refused here: the bank's next classification, or its next
+/// record at the clock, would otherwise throw on a shard worker.
+BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
+                        double now) {
+  persist::BinaryReader in(bytes, "engine bank blob");
   BankBlob blob;
-  blob.cordial.uer_events_seen = static_cast<std::size_t>(in.U64());
-  blob.cordial.anchors_used = static_cast<std::size_t>(in.U64());
-  blob.cordial.classified = in.U8() != 0;
+  blob.cordial.uer_events_seen = static_cast<std::size_t>(in.Var());
+  blob.cordial.anchors_used = static_cast<std::size_t>(in.Var());
+  blob.cordial.classified = in.Bool();
   const std::uint8_t bank_class = in.U8();
-  if (bank_class > 2) {
-    throw ParseError("engine bank: unknown failure class");
-  }
+  if (bank_class > 2) in.Fail("unknown failure class");
   blob.cordial.bank_class = static_cast<hbm::FailureClass>(bank_class);
-  blob.cordial.last_anchor_row = in.I64();
+  blob.cordial.last_anchor_row = in.VarSigned();
   blob.profile = BankProfile::LoadBinary(in);
   if (blob.profile.max_uers() != max_uers) {
-    throw ParseError("engine bank: profile truncation depth " +
-                     std::to_string(blob.profile.max_uers()) +
-                     " does not match this engine's depth " +
-                     std::to_string(max_uers));
+    in.Fail("profile truncation depth " +
+            std::to_string(blob.profile.max_uers()) +
+            " does not match this engine's depth " + std::to_string(max_uers));
+  }
+  if (!(blob.profile.last_time_s() <= now)) {
+    in.Fail("profile's last event at " +
+            std::to_string(blob.profile.last_time_s()) +
+            " s is past the engine clock " + std::to_string(now) + " s");
   }
 
   const std::uint8_t flags = in.U8();
+  if ((flags & ~kBlobFlags) != 0) in.Fail("unknown ledger flags");
   blob.has_ledger_entry = (flags & kBlobHasLedgerEntry) != 0;
   blob.bank_spared = (flags & kBlobBankSpared) != 0;
-  if (blob.has_ledger_entry) {
-    const std::uint32_t nrows = in.Count32(4);
-    blob.rows.reserve(nrows);
-    for (std::uint32_t i = 0; i < nrows; ++i) blob.rows.push_back(in.U32());
-  }
+  if (blob.has_ledger_entry) blob.rows = in.AscendingU32<std::uint32_t>();
+  in.ExpectEnd();
   return blob;
 }
 
 /// Consume the bank records that follow a payload's header, through to the
 /// payload's end: `reserve(n)` once with the (capped) record count, then
-/// `on_bank(key, blob)` per record in payload order.
+/// `on_bank(key, blob)` per record in payload order, `blob` a view into
+/// the payload.
 template <typename Reserve, typename OnBank>
-void TakeBankRecords(persist::BinaryReader& payload, std::size_t max_uers,
-                     Reserve&& reserve, OnBank&& on_bank) {
+void TakeBankRecords(persist::BinaryReader& payload, Reserve&& reserve,
+                     OnBank&& on_bank) {
   const std::uint64_t bank_count = payload.Count(8 + 4);
   // Cap the reserve: a corrupt count fails below on a read, and must not
   // pre-allocate an absurd table first.
@@ -469,11 +480,7 @@ void TakeBankRecords(persist::BinaryReader& payload, std::size_t max_uers,
     }
     prev_key = key;
     const std::uint32_t blob_len = payload.Count32(1);
-    persist::BinaryReader blob_reader(payload.Bytes(blob_len),
-                                      "engine bank blob");
-    BankBlob blob = DecodeBankBlob(blob_reader, max_uers);
-    blob_reader.ExpectEnd();
-    on_bank(key, std::move(blob));
+    on_bank(key, payload.Bytes(blob_len));
   }
   payload.ExpectEnd();
 }
@@ -567,8 +574,9 @@ PredictionEngine::StagedState PredictionEngine::ParseStatePayload(
   std::unordered_map<std::uint64_t, BankState>& banks = staged.impl_->banks;
   const std::size_t max_uers = classifier_->extractor().max_uers();
   TakeBankRecords(
-      reader, max_uers, [&](std::size_t n) { banks.reserve(n); },
-      [&](std::uint64_t key, BankBlob&& blob) {
+      reader, [&](std::size_t n) { banks.reserve(n); },
+      [&](std::uint64_t key, std::string_view bytes) {
+        BankBlob blob = DecodeBankBlob(bytes, max_uers, header.now);
         BankState& state = banks.try_emplace(key, max_uers).first->second;
         state.cordial = blob.cordial;
         state.profile = std::move(blob.profile);
@@ -590,9 +598,11 @@ void PredictionEngine::CommitState(StagedState&& staged) {
   dirty_banks_ = 0;
 }
 
+/// A delta's banks stay encoded until commit: (key, blob) views into the
+/// parsed bytes, each blob validated once by a full decode at parse.
 struct PredictionEngine::StagedDelta::Impl {
   StateHeader header;
-  std::vector<std::pair<std::uint64_t, BankBlob>> banks;
+  std::vector<std::pair<std::uint64_t, std::string_view>> banks;
 };
 
 PredictionEngine::StagedDelta::StagedDelta() : impl_(new Impl()) {}
@@ -609,11 +619,13 @@ PredictionEngine::StagedDelta PredictionEngine::ParseDeltaState(
       "engine delta");
   staged.impl_->header = TakeStateHeader(reader);
   auto& banks = staged.impl_->banks;
+  const std::size_t max_uers = classifier_->extractor().max_uers();
+  const double now = staged.impl_->header.now;
   TakeBankRecords(
-      reader, classifier_->extractor().max_uers(),
-      [&](std::size_t n) { banks.reserve(n); },
-      [&](std::uint64_t key, BankBlob&& blob) {
-        banks.emplace_back(key, std::move(blob));
+      reader, [&](std::size_t n) { banks.reserve(n); },
+      [&](std::uint64_t key, std::string_view bytes) {
+        DecodeBankBlob(bytes, max_uers, now);
+        banks.emplace_back(key, bytes);
       });
   return staged;
 }
@@ -625,11 +637,13 @@ void PredictionEngine::CommitDeltaState(StagedDelta&& staged) {
   stats_ = header.stats;
   now_ = header.now;
   ledger_.RestoreCounters(header.rows_spared, header.banks_spared);
-  for (auto& [key, blob] : staged.impl_->banks) {
+  const std::size_t max_uers = classifier_->extractor().max_uers();
+  for (const auto& [key, bytes] : staged.impl_->banks) {
+    // Validated at parse, so this second decode cannot fail.
+    BankBlob blob = DecodeBankBlob(bytes, max_uers, header.now);
     ledger_.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
                                blob.bank_spared);
-    const auto [it, inserted] =
-        banks_.try_emplace(key, classifier_->extractor().max_uers());
+    const auto [it, inserted] = banks_.try_emplace(key, max_uers);
     if (!inserted && it->second.dirty_epoch == snapshot_epoch_) {
       --dirty_banks_;
     }

@@ -262,7 +262,9 @@ class PredictionEngine {
     std::unique_ptr<Impl> impl_;
   };
   /// Parse the delta frame at the front of `in` in place and advance `in`
-  /// past it.
+  /// past it. Every bank blob is decoded once to validate it, but staged
+  /// as a view into `in`'s bytes, which must outlive CommitDeltaState; the
+  /// commit decodes each blob again straight into the engine's bank map.
   StagedDelta ParseDeltaState(std::string_view& in) const;
   /// Upsert the delta's banks over the current state and overwrite the
   /// global counters. Committed banks come out clean (they now match the

@@ -19,17 +19,19 @@ inline constexpr char kOutcomeStoreMagic[] = "cordial_outcome_store";
 inline constexpr std::uint32_t kOutcomeStoreVersion = 1;
 
 inline constexpr char kEngineStateMagic[] = "cordial_engine_state";
-// v3: binary payload (persist/binary_io.hpp codec — fixed-width
-// little-endian fields, doubles as raw IEEE-754 bit patterns) whose header
-// carries the engine's skew clock and whose bank blobs hold no raw-record
-// window. v1 (text) and v2 (binary with replayer windows) are retired:
-// their frames fail with a version-mismatch ParseError.
-inline constexpr std::uint32_t kEngineStateVersion = 3;
+// v4: binary payload (persist/binary_io.hpp codec) whose header carries the
+// engine's skew clock and whose bank blobs are compact — varint counts,
+// sorted rows as first value plus gaps, doubles as raw IEEE-754 bits behind
+// presence masks. v1 (text), v2 (binary with replayer windows) and v3
+// (fixed-width blobs) are retired: their frames fail with a
+// version-mismatch ParseError.
+inline constexpr std::uint32_t kEngineStateVersion = 4;
 
 // Delta snapshot: only the banks dirtied since the last checkpoint, plus the
 // global counters, in the same binary payload shape as the full. Applied on
-// top of a restored full state. v1 (with replayer windows) is retired.
+// top of a restored full state. v1 (with replayer windows) and v2
+// (fixed-width blobs) are retired.
 inline constexpr char kEngineDeltaMagic[] = "cordial_engine_delta";
-inline constexpr std::uint32_t kEngineDeltaVersion = 2;
+inline constexpr std::uint32_t kEngineDeltaVersion = 3;
 
 }  // namespace cordial::core

@@ -1,6 +1,6 @@
-// Fixed-width little-endian binary codec primitives for checkpoint
-// payloads — the byte-level layer under the engine-state and delta frames
-// (DESIGN.md §14), the only engine-state codec.
+// Little-endian binary codec primitives for checkpoint payloads — the
+// byte-level layer under the engine-state and delta frames (DESIGN.md §14),
+// the only engine-state codec.
 //
 // Header-only on purpose: the per-component encoders live next to the
 // state they serialize (BankProfile, PredictionEngine), which sit below
@@ -10,10 +10,15 @@
 // file-level formats (chains, manifests, folding) built on top.
 //
 // Conventions:
-//   * all integers little-endian, fixed width (u8/u32/u64/i64);
+//   * fixed-width integers little-endian (u8/u32/u64) — the frame-level
+//     fields: lengths, bank keys, the state header;
+//   * LEB128 varints (`Var`, zigzag `VarSigned`) for the counts and sizes
+//     inside bank blobs, and strictly ascending u32 sequences (rows) as the
+//     first value plus positive gaps (`AscendingU32`);
 //   * doubles as their raw IEEE-754 bit pattern (via memcpy), so every
-//     value — including nan/-nan/inf/-inf and signalling payloads — round-
-//     trips bit-exactly without any formatting cost;
+//     value — including -0.0, nan/-nan/inf/-inf and signalling payloads —
+//     round-trips bit-exactly without any formatting cost; `MaskedF64`
+//     omits a double only when its bits are +0.0;
 //   * variable-size sequences carry an explicit leading count, and readers
 //     must sanity-check counts against remaining() before reserving — a
 //     flipped bit in a count must be a ParseError, not a bad_alloc.
@@ -21,19 +26,27 @@
 // BinaryReader throws ParseError (never reads out of bounds) so corrupt
 // payloads fail closed through the same exception path as the frame reader;
 // the CRC in the enclosing frame catches corruption first in practice, and
-// these checks make the codec safe even on an unframed buffer.
+// these checks make the codec safe even on an unframed buffer. Decoding is
+// canonical: a reader accepts only the bytes its writer emits for some
+// value (no overlong varint, no boolean byte but 0/1, no zero gap, no
+// present +0.0), so whatever decodes re-encodes to the same bytes.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/check.hpp"
 
 namespace cordial::persist {
 
-/// Appends fixed-width little-endian fields to a std::string buffer.
+/// Appends little-endian fields to a std::string buffer.
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::string& out) : out_(out) {}
@@ -56,13 +69,64 @@ class BinaryWriter {
     out_.append(bytes, sizeof(bytes));
   }
 
-  void I64(std::int64_t value) { U64(static_cast<std::uint64_t>(value)); }
+  void Bool(bool value) { U8(value ? 1 : 0); }
+
+  /// LEB128: seven bits per byte, low group first, high bit = more follow.
+  void Var(std::uint64_t value) {
+    char bytes[10];
+    std::size_t n = 0;
+    while (value >= 0x80) {
+      bytes[n++] = static_cast<char>((value & 0x7Fu) | 0x80u);
+      value >>= 7;
+    }
+    bytes[n++] = static_cast<char>(value);
+    out_.append(bytes, n);
+  }
+
+  /// Zigzag varint: small magnitudes of either sign stay one byte.
+  void VarSigned(std::int64_t value) {
+    Var((static_cast<std::uint64_t>(value) << 1) ^
+        static_cast<std::uint64_t>(value >> 63));
+  }
 
   void F64(double value) {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(value), "double must be 64-bit");
     std::memcpy(&bits, &value, sizeof(bits));
     U64(bits);
+  }
+
+  /// Doubles behind a presence mask: a varint whose bit i says field i
+  /// follows as raw bits. A field is omitted only when its bits are +0.0.
+  void MaskedF64(std::initializer_list<double> fields) {
+    std::uint64_t mask = 0;
+    std::uint64_t bit = 1;
+    for (const double field : fields) {
+      if (std::bit_cast<std::uint64_t>(field) != 0) mask |= bit;
+      bit <<= 1;
+    }
+    Var(mask);
+    for (const double field : fields) {
+      if (std::bit_cast<std::uint64_t>(field) != 0) F64(field);
+    }
+  }
+
+  /// A strictly ascending sequence of u32 values (rows): a varint count,
+  /// the first value, then each value's positive gap to its predecessor.
+  /// `T` is u32, or double holding exact u32 values. Anything else — a
+  /// fraction, -0.0, a value past UINT32_MAX, a repeat, a descent — is a
+  /// ContractViolation: it is not a sorted distinct row set.
+  template <typename T>
+  void AscendingU32(std::span<const T> values) {
+    Var(values.size());
+    std::uint32_t prev = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::uint32_t value = ExactU32(values[i]);
+      CORDIAL_CHECK_MSG(i == 0 || value > prev,
+                        "ascending sequence must strictly ascend");
+      Var(i == 0 ? value : value - prev);
+      prev = value;
+    }
   }
 
   void Bytes(std::string_view data) { out_.append(data.data(), data.size()); }
@@ -83,9 +147,19 @@ class BinaryWriter {
     }
   }
 
-  std::string& buffer() { return out_; }
-
  private:
+  static std::uint32_t ExactU32(std::uint32_t value) { return value; }
+  static std::uint32_t ExactU32(double value) {
+    CORDIAL_CHECK_MSG(value >= 0.0 && value <= 4294967295.0,
+                      "row value outside the u32 range");
+    const auto exact = static_cast<std::uint32_t>(value);
+    CORDIAL_CHECK_MSG(
+        std::bit_cast<std::uint64_t>(static_cast<double>(exact)) ==
+            std::bit_cast<std::uint64_t>(value),
+        "row value is not an exact u32");
+    return exact;
+  }
+
   std::string& out_;
 };
 
@@ -125,7 +199,74 @@ class BinaryReader {
     return value;
   }
 
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
+  /// A boolean byte: 0 or 1, anything else is corrupt.
+  bool Bool() {
+    const std::uint8_t byte = U8();
+    if (byte > 1) Fail("boolean byte " + std::to_string(byte));
+    return byte == 1;
+  }
+
+  /// A canonical LEB128 varint: refuses a value past 64 bits and an
+  /// overlong encoding (a final zero group after the first byte).
+  std::uint64_t Var() {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t byte = U8();
+      if (shift == 63 && byte > 1) Fail("varint overflows 64 bits");
+      value |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
+      if ((byte & 0x80u) == 0) {
+        if (byte == 0 && shift > 0) Fail("overlong varint");
+        return value;
+      }
+    }
+  }
+
+  std::int64_t VarSigned() {
+    const std::uint64_t zigzag = Var();
+    return static_cast<std::int64_t>(zigzag >> 1) ^
+           -static_cast<std::int64_t>(zigzag & 1);
+  }
+
+  /// Read MaskedF64 fields into `fields` (absent fields become +0.0).
+  /// Refuses mask bits beyond the field count and a present +0.0.
+  void MaskedF64(std::initializer_list<double*> fields) {
+    const std::uint64_t mask = Var();
+    if (fields.size() < 64 && (mask >> fields.size()) != 0) {
+      Fail("presence mask bits beyond its " + std::to_string(fields.size()) +
+           " field(s)");
+    }
+    std::uint64_t bit = 1;
+    for (double* field : fields) {
+      *field = 0.0;
+      if ((mask & bit) != 0) {
+        *field = F64();
+        if (std::bit_cast<std::uint64_t>(*field) == 0) {
+          Fail("+0.0 written as a present field");
+        }
+      }
+      bit <<= 1;
+    }
+  }
+
+  /// Read an AscendingU32 sequence as `T` (u32 or double). Refuses a gap
+  /// of 0 and a value past UINT32_MAX.
+  template <typename T>
+  std::vector<T> AscendingU32() {
+    const std::uint64_t count = VarCount(1);
+    std::vector<T> values;
+    values.reserve(static_cast<std::size_t>(count));
+    std::uint64_t value = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t step = Var();
+      if (i > 0 && step == 0) Fail("ascending sequence repeats a value");
+      if (step > std::numeric_limits<std::uint32_t>::max() - value) {
+        Fail("ascending sequence passes UINT32_MAX");
+      }
+      value += step;
+      values.push_back(static_cast<T>(static_cast<std::uint32_t>(value)));
+    }
+    return values;
+  }
 
   double F64() {
     const std::uint64_t bits = U64();
@@ -156,6 +297,13 @@ class BinaryReader {
     return count;
   }
 
+  /// Count, for an element count written as a varint.
+  std::uint64_t VarCount(std::size_t min_bytes_per_element) {
+    const std::uint64_t count = Var();
+    CheckCount(count, min_bytes_per_element);
+    return count;
+  }
+
   std::size_t remaining() const { return data_.size() - pos_; }
   std::size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -164,10 +312,13 @@ class BinaryReader {
   /// last field means the buffer is not what the writer produced.
   void ExpectEnd() const {
     if (!AtEnd()) {
-      throw ParseError(std::string(context_) + ": " +
-                       std::to_string(remaining()) +
-                       " unexpected trailing byte(s)");
+      Fail(std::to_string(remaining()) + " unexpected trailing byte(s)");
     }
+  }
+
+  /// Throw a ParseError naming this reader's context.
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw ParseError(std::string(context_) + ": " + what);
   }
 
  private:

@@ -1,17 +1,20 @@
-// Binary state codec: the fixed-width payload behind engine-state and delta
+// Binary state codec: the compact payload behind engine-state and delta
 // frames must be lossless — a restored server re-encodes to the exact bytes
 // it was restored from, at every prefix of a replayed trace, including
-// non-finite doubles and empty/saturated bank profiles, and keeps absorbing
-// records bit-identically to the server that saved it. Plus the dirty-bank
-// tracking contract delta checkpoints are built on.
+// non-finite doubles, -0.0 timestamps and empty/saturated bank profiles,
+// and keeps absorbing records bit-identically to the server that saved it
+// — and its primitives must decode only what they encode. Plus the
+// dirty-bank tracking contract delta checkpoints are built on.
 // tests/core/bank_profile_test.cpp (incremental == batch at every prefix)
 // stays the reference for what a profile must hold.
 #include "persist/binary_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -41,13 +44,17 @@ FleetServer MakeServer(const World& w,
 }
 
 /// Feed records [begin, end) and leave the server drained.
-void Feed(FleetServer& server, const World& w, std::size_t begin,
-          std::size_t end) {
-  const auto& records = w.fleet.log.records();
+void Feed(FleetServer& server, const std::vector<trace::MceRecord>& records,
+          std::size_t begin, std::size_t end) {
   for (std::size_t i = begin; i < std::min(end, records.size()); ++i) {
     server.Submit(records[i]);
   }
   server.Drain();
+}
+
+void Feed(FleetServer& server, const World& w, std::size_t begin,
+          std::size_t end) {
+  Feed(server, w.fleet.log.records(), begin, end);
 }
 
 std::string Checkpoint(const FleetServer& server) {
@@ -72,8 +79,8 @@ TEST(PersistBinaryPrimitives, FixedWidthFieldsRoundTripBitExactly) {
   writer.U32(0xDEADBEEFu);
   writer.U64(0);
   writer.U64(~0ull);
-  writer.I64(-1);
-  writer.I64(std::numeric_limits<std::int64_t>::min());
+  writer.Bool(false);
+  writer.Bool(true);
 
   // Doubles must round-trip as raw bit patterns: quiet/signalling NaNs with
   // payloads, both infinities, negative zero, denormals.
@@ -102,8 +109,8 @@ TEST(PersistBinaryPrimitives, FixedWidthFieldsRoundTripBitExactly) {
   EXPECT_EQ(reader.U32(), 0xDEADBEEFu);
   EXPECT_EQ(reader.U64(), 0u);
   EXPECT_EQ(reader.U64(), ~0ull);
-  EXPECT_EQ(reader.I64(), -1);
-  EXPECT_EQ(reader.I64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(reader.Bool());
+  EXPECT_TRUE(reader.Bool());
   for (const std::uint64_t bits : double_bits) {
     const double value = reader.F64();
     std::uint64_t read_bits = 0;
@@ -133,6 +140,139 @@ TEST(PersistBinaryPrimitives, TruncationAndBadCountsFailClosed) {
   // Trailing bytes after the last field are an error, not ignored.
   BinaryReader trailing(buffer, "test");
   EXPECT_THROW(trailing.ExpectEnd(), ParseError);
+}
+
+TEST(PersistBinaryPrimitives, VarintsRoundTripAtTheirShortestLength) {
+  const struct {
+    std::uint64_t value;
+    std::size_t bytes;
+  } unsigned_cases[] = {
+      {0, 1},     {1, 1},           {127, 1},         {128, 2},    {16383, 2},
+      {16384, 3}, {0xFFFFFFFFull, 5}, {1ull << 63, 10}, {~0ull, 10},
+  };
+  for (const auto& c : unsigned_cases) {
+    std::string buffer;
+    BinaryWriter(buffer).Var(c.value);
+    EXPECT_EQ(buffer.size(), c.bytes) << c.value;
+    BinaryReader reader(buffer, "test");
+    EXPECT_EQ(reader.Var(), c.value);
+    EXPECT_TRUE(reader.AtEnd());
+  }
+  const struct {
+    std::int64_t value;
+    std::size_t bytes;
+  } signed_cases[] = {
+      {0, 1},   {-1, 1}, {1, 1},  {-64, 1}, {63, 1},
+      {-65, 2}, {64, 2}, {std::numeric_limits<std::int64_t>::min(), 10},
+      {std::numeric_limits<std::int64_t>::max(), 10},
+  };
+  for (const auto& c : signed_cases) {
+    std::string buffer;
+    BinaryWriter(buffer).VarSigned(c.value);
+    EXPECT_EQ(buffer.size(), c.bytes) << c.value;
+    BinaryReader reader(buffer, "test");
+    EXPECT_EQ(reader.VarSigned(), c.value);
+    EXPECT_TRUE(reader.AtEnd());
+  }
+}
+
+TEST(PersistBinaryPrimitives, MaskedDoublesKeepEveryBitPatternButPositiveZero) {
+  const std::uint64_t bits[] = {
+      0x0000000000000000ull,  // +0.0: the only value left out
+      0x8000000000000000ull,  // -0.0
+      0xFFF8DEADBEEF0001ull,  // negative NaN with payload
+      0x7FF0000000000001ull,  // signalling NaN
+      0x3FF0000000000000ull,  // 1.0
+  };
+  double values[5];
+  for (int i = 0; i < 5; ++i) std::memcpy(&values[i], &bits[i], 8);
+  std::string buffer;
+  BinaryWriter(buffer).MaskedF64(
+      {values[0], values[1], values[2], values[3], values[4]});
+  EXPECT_EQ(buffer.size(), 1u + 4 * 8);  // mask byte + four present fields
+  double read[5] = {1, 1, 1, 1, 1};
+  BinaryReader reader(buffer, "test");
+  reader.MaskedF64({&read[0], &read[1], &read[2], &read[3], &read[4]});
+  EXPECT_TRUE(reader.AtEnd());
+  for (int i = 0; i < 5; ++i) {
+    std::uint64_t read_bits = 0;
+    std::memcpy(&read_bits, &read[i], 8);
+    EXPECT_EQ(read_bits, bits[i]) << i;
+  }
+}
+
+TEST(PersistBinaryPrimitives, AscendingRowsStoreGapsAndRefuseDisorder) {
+  const std::vector<double> rows = {3, 4, 100, 4294967295.0};
+  std::string buffer;
+  BinaryWriter(buffer).AscendingU32<double>(rows);
+  // count, first row, gaps 1 and 96, then a 5-byte gap to UINT32_MAX.
+  EXPECT_EQ(buffer.size(), 1u + 1 + 1 + 1 + 5);
+  BinaryReader reader(buffer, "test");
+  EXPECT_EQ(reader.AscendingU32<double>(), rows);
+  EXPECT_TRUE(reader.AtEnd());
+
+  // The writer accepts only sorted distinct exact u32 rows.
+  for (const std::vector<double>& bad :
+       {std::vector<double>{5, 5}, std::vector<double>{6, 5},
+        std::vector<double>{1.5}, std::vector<double>{-1},
+        std::vector<double>{-0.0}, std::vector<double>{4294967296.0},
+        std::vector<double>{std::numeric_limits<double>::quiet_NaN()}}) {
+    std::string out;
+    EXPECT_THROW(BinaryWriter(out).AscendingU32<double>(bad),
+                 ContractViolation);
+  }
+  const std::vector<std::uint32_t> ledger_rows = {0, 7, 8};
+  std::string ledger;
+  BinaryWriter(ledger).AscendingU32<std::uint32_t>(ledger_rows);
+  BinaryReader ledger_reader(ledger, "test");
+  EXPECT_EQ(ledger_reader.AscendingU32<std::uint32_t>(), ledger_rows);
+}
+
+TEST(PersistBinaryPrimitives, NonCanonicalBytesAreParseErrors) {
+  // Each buffer is one field the writer never emits.
+  const struct {
+    const char* what;
+    std::string bytes;
+    std::function<void(BinaryReader&)> read;
+  } cases[] = {
+      {"overlong varint", std::string("\x80\x00", 2),
+       [](BinaryReader& r) { r.Var(); }},
+      {"overlong zero", std::string("\x80\x80\x00", 3),
+       [](BinaryReader& r) { r.Var(); }},
+      {"varint past 64 bits",
+       std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02", 10),
+       [](BinaryReader& r) { r.Var(); }},
+      {"eleven-byte varint",
+       std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x81\x00", 11),
+       [](BinaryReader& r) { r.Var(); }},
+      {"truncated varint", std::string("\x80", 1),
+       [](BinaryReader& r) { r.Var(); }},
+      {"boolean byte 2", std::string("\x02", 1),
+       [](BinaryReader& r) { r.Bool(); }},
+      {"mask bit beyond the fields", std::string("\x04", 1),
+       [](BinaryReader& r) {
+         double a = 0.0, b = 0.0;
+         r.MaskedF64({&a, &b});
+       }},
+      {"present +0.0", std::string("\x01\0\0\0\0\0\0\0\0", 9),
+       [](BinaryReader& r) {
+         double a = 0.0;
+         r.MaskedF64({&a});
+       }},
+      {"row gap of 0", std::string("\x02\x05\x00", 3),
+       [](BinaryReader& r) { r.AscendingU32<double>(); }},
+      {"first row past UINT32_MAX", std::string("\x01\x80\x80\x80\x80\x10", 6),
+       [](BinaryReader& r) { r.AscendingU32<double>(); }},
+      {"gap past UINT32_MAX",
+       std::string("\x02\xff\xff\xff\xff\x0f\x01", 7),
+       [](BinaryReader& r) { r.AscendingU32<std::uint32_t>(); }},
+      {"row count past the payload", std::string("\x05\x01", 2),
+       [](BinaryReader& r) { r.AscendingU32<double>(); }},
+  };
+  for (const auto& c : cases) {
+    BinaryReader reader(c.bytes, "test");
+    EXPECT_THROW(c.read(reader), ParseError) << c.what;
+  }
 }
 
 // --- BankProfile binary codec --------------------------------------------
@@ -203,29 +343,129 @@ TEST(PersistBinaryCodec, SaturatedProfileRoundTripsThroughBinary) {
 
 // --- engine-state equivalence --------------------------------------------
 
+/// Two banks whose records start at t = -0.0 — a valid CSV timestamp that
+/// the wire codec carries bit-exactly — then continue at +0.0 and later.
+/// Bank A reaches its third UER (classification, and cross-row predictions
+/// when it clusters); bank B only ever sees CEs.
+std::vector<trace::MceRecord> NegativeZeroTrace(const World& w) {
+  const hbm::DeviceAddress a = w.fleet.log.records().front().address;
+  hbm::DeviceAddress b = a;
+  b.bank = (a.bank + 1) % w.topology.banks_per_bank_group;
+  const auto at = [](hbm::DeviceAddress address, double t, std::uint32_t row,
+                     hbm::ErrorType type) {
+    trace::MceRecord r;
+    r.time_s = t;
+    address.row = row;
+    r.address = address;
+    r.type = type;
+    return r;
+  };
+  using hbm::ErrorType;
+  return {
+      at(a, -0.0, 100, ErrorType::kCe),  at(b, -0.0, 7, ErrorType::kCe),
+      at(a, -0.0, 100, ErrorType::kCe),  at(a, -0.0, 104, ErrorType::kUer),
+      at(b, -0.0, 9, ErrorType::kCe),    at(a, 0.0, 101, ErrorType::kUeo),
+      at(a, 0.0, 98, ErrorType::kCe),    at(b, 0.0, 7, ErrorType::kCe),
+      at(a, 0.5, 110, ErrorType::kUer),  at(a, 1.0, 102, ErrorType::kCe),
+      at(a, 2.0, 106, ErrorType::kUer),  at(b, 2.5, 12, ErrorType::kCe),
+      at(a, 3.0, 96, ErrorType::kUer),   at(a, 4.0, 97, ErrorType::kCe),
+      at(a, 5.0, 108, ErrorType::kUer),  at(b, 6.0, 8, ErrorType::kCe),
+  };
+}
+
+/// Every double a profile exposes, as raw bits. A codec that dropped
+/// doubles *equal* to 0.0 would write -0.0 and +0.0 alike, so its bytes
+/// could not tell them apart; these bits can.
+std::vector<std::uint64_t> DoubleBits(const core::BankProfile& profile) {
+  std::vector<std::uint64_t> bits;
+  const auto add = [&](double value) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  };
+  const auto add_chains = [&](std::initializer_list<const core::DiffChain*>
+                                  chains) {
+    for (const core::DiffChain* chain : chains) {
+      for (const double v : {chain->sum, chain->min, chain->max, chain->last}) {
+        add(v);
+      }
+    }
+  };
+  add(profile.last_time_s());
+  const core::ClassAccumulator& c = profile.classification();
+  for (const double v :
+       {c.ce_row_min, c.ce_row_max, c.ueo_row_min, c.ueo_row_max,
+        c.uer_row_min, c.uer_row_max, c.first_uer_time, c.last_uer_time,
+        c.ce_before_first_uer, c.ueo_before_first_uer, c.last_time}) {
+    add(v);
+  }
+  add_chains({&c.uer_row_diff, &c.all_row_diff, &c.ce_dt, &c.ueo_dt,
+              &c.uer_dt});
+  const core::CrossRowAccumulator& x = profile.crossrow();
+  for (const double v : {x.uer_row_min, x.uer_row_max, x.first_uer_time,
+                         x.last_event_time}) {
+    add(v);
+  }
+  add_chains({&x.uer_row_diff, &x.all_row_diff, &x.ce_dt, &x.ueo_dt,
+              &x.uer_dt});
+  return bits;
+}
+
+/// The bits of every profile `records` touched, in record order.
+std::vector<std::uint64_t> ProfileBits(
+    const FleetServer& server, const std::vector<trace::MceRecord>& records) {
+  std::vector<std::uint64_t> bits;
+  const hbm::AddressCodec& codec = server.shard(0).engine().codec();
+  for (const trace::MceRecord& record : records) {
+    const std::uint64_t key = codec.BankKey(record.address);
+    const core::BankProfile* profile =
+        server.shard(server.ShardOf(key)).engine().FindProfile(key);
+    if (profile == nullptr) continue;
+    const std::vector<std::uint64_t> more = DoubleBits(*profile);
+    bits.insert(bits.end(), more.begin(), more.end());
+  }
+  return bits;
+}
+
 TEST(PersistBinaryCodec, RestoreReencodesByteIdenticallyAtEveryPrefix) {
   const World& w = SharedWorld();
-  FleetServer donor = MakeServer(w);
-  FleetServer restored = MakeServer(w);
-  donor.Start();
+  const auto& fleet = w.fleet.log.records();
+  const struct {
+    const char* name;
+    std::vector<trace::MceRecord> records;
+    std::size_t prefixes;  ///< the rest is fed after the last restore
+  } traces[] = {
+      {"fleet",
+       {fleet.begin(),
+        fleet.begin() + std::min<std::ptrdiff_t>(fleet.size(), 200)},
+       160},
+      {"negative zero", NegativeZeroTrace(w), 12},
+  };
+  for (const auto& trace : traces) {
+    SCOPED_TRACE(trace.name);
+    FleetServer donor = MakeServer(w);
+    FleetServer restored = MakeServer(w);
+    donor.Start();
+    const std::size_t total = std::min(trace.records.size(), trace.prefixes);
+    for (std::size_t prefix = 0; prefix <= total; ++prefix) {
+      if (prefix > 0) Feed(donor, trace.records, prefix - 1, prefix);
+      const std::string saved = Checkpoint(donor);
+      Restore(restored, saved);
+      EXPECT_EQ(Checkpoint(restored), saved) << "prefix " << prefix;
+      EXPECT_EQ(ProfileBits(restored, trace.records),
+                ProfileBits(donor, trace.records))
+          << "prefix " << prefix;
+    }
 
-  const std::size_t total =
-      std::min<std::size_t>(w.fleet.log.records().size(), 160);
-  for (std::size_t prefix = 0; prefix <= total; ++prefix) {
-    if (prefix > 0) Feed(donor, w, prefix - 1, prefix);
-    const std::string saved = Checkpoint(donor);
-    Restore(restored, saved);
-    EXPECT_EQ(Checkpoint(restored), saved) << "prefix " << prefix;
+    // The last restore keeps absorbing the feed exactly as the donor does.
+    restored.Start();
+    Feed(restored, trace.records, total, trace.records.size());
+    Feed(donor, trace.records, total, trace.records.size());
+    restored.Stop();
+    donor.Stop();
+    EXPECT_EQ(Checkpoint(restored), Checkpoint(donor));
+    EXPECT_EQ(ProfileBits(restored, trace.records),
+              ProfileBits(donor, trace.records));
+    EXPECT_EQ(restored.AggregateStats(), donor.AggregateStats());
   }
-
-  // The last restore keeps absorbing the feed exactly as the donor does.
-  restored.Start();
-  Feed(restored, w, total, total + 40);
-  Feed(donor, w, total, total + 40);
-  restored.Stop();
-  donor.Stop();
-  EXPECT_EQ(Checkpoint(restored), Checkpoint(donor));
-  EXPECT_EQ(restored.AggregateStats(), donor.AggregateStats());
 }
 
 TEST(PersistBinaryCodec, RestoredServerContinuesBitIdentically) {

@@ -677,11 +677,12 @@ void ExpectVersionMismatch(Call call, std::uint32_t version) {
 }
 
 TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
-  // Engine state v1 (text) and v2 (binary with raw-record windows) and
-  // engine delta v1 are retired: a member that nests them must fail at the
-  // frame reader with the version-mismatch message, before any payload is
-  // read, through every restore path — and boot recovery must quarantine
-  // it rather than serve from it.
+  // Engine state v1 (text), v2 (binary with raw-record windows) and v3
+  // (fixed-width bank blobs) and engine delta v1 and v2 are retired: a
+  // member that nests them must fail at the frame reader with the
+  // version-mismatch message, before any payload is read, through every
+  // restore path — and boot recovery must quarantine it rather than serve
+  // from it.
   const World& w = SharedWorld();
   FleetServer writer = MakeServer(w);
   writer.Start();
@@ -696,7 +697,7 @@ TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
 
   FleetServer victim = MakeServer(w);
   const std::string fresh = Checkpoint(victim);
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("engine state v" + std::to_string(version));
     const std::string old_full =
         serve::test_support::ReframeMember(full, false, version);
@@ -727,19 +728,22 @@ TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
     EXPECT_EQ(Checkpoint(victim), fresh);
   }
 
-  SCOPED_TRACE("engine delta v1");
-  const std::string old_delta =
-      serve::test_support::ReframeMember(delta, true, 1);
   victim.RestoreCheckpoint(full);
   const std::string base = Checkpoint(victim);
-  ExpectVersionMismatch([&] { victim.ApplyDeltaCheckpoint(old_delta); }, 1);
-  std::istringstream old_delta_in(old_delta);
-  ExpectVersionMismatch([&] { victim.ApplyDeltaCheckpoint(old_delta_in); },
-                        1);
-  EXPECT_EQ(Checkpoint(victim), base);
-  ScratchDir dir;
-  WriteTwoMemberChain(dir, full, old_delta);
-  ExpectVersionMismatch([&] { FoldChain(dir.path()); }, 1);
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("engine delta v" + std::to_string(version));
+    const std::string old_delta =
+        serve::test_support::ReframeMember(delta, true, version);
+    ExpectVersionMismatch([&] { victim.ApplyDeltaCheckpoint(old_delta); },
+                          version);
+    std::istringstream old_delta_in(old_delta);
+    ExpectVersionMismatch(
+        [&] { victim.ApplyDeltaCheckpoint(old_delta_in); }, version);
+    EXPECT_EQ(Checkpoint(victim), base);
+    ScratchDir dir;
+    WriteTwoMemberChain(dir, full, old_delta);
+    ExpectVersionMismatch([&] { FoldChain(dir.path()); }, version);
+  }
 }
 
 // --- format goldens -------------------------------------------------------
@@ -764,8 +768,8 @@ TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
     std::uint64_t full, delta, fold;
   };
   const Golden goldens[] = {
-      {1, 0x3e1920027639da38ull, 0x8ba8312e76e9e5bfull, 0x25b047c5c41626e7ull},
-      {2, 0xef64b9816ece9db4ull, 0xac7fd4f0b4012fedull, 0x6c54956598170065ull},
+      {1, 0xd02f41f073315b8dull, 0xe5be70a5a601b6a9ull, 0x58a057db50ba35abull},
+      {2, 0x8225e1bfee141ad6ull, 0x089f6f99fd595781ull, 0xbe1a6a38bd257678ull},
   };
   const World& w = SharedWorld();
   const std::size_t records = w.fleet.log.records().size();

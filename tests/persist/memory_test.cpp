@@ -10,6 +10,8 @@
 //     member's bytes;
 //   * CheckpointChain::Recover: <= 3x the largest member on top of the
 //     state it restored.
+// Plus the member itself: the full WriteFull writes here is at most a third
+// of the bytes the fixed-width bank blobs of engine state v3 took.
 #include <dirent.h>
 #include <unistd.h>
 
@@ -79,6 +81,10 @@ using serve::test_support::SharedWorld;
 using serve::test_support::World;
 
 constexpr double kMaxMultiple = 3.0;
+
+/// Bytes of WriteFull's member below under engine state v3, whose bank
+/// blobs spent a u64 on every count and a raw f64 on every field and row.
+constexpr std::uint64_t kFixedWidthFullBytes = 5'229'169;
 
 /// Peak live heap above the level at construction.
 class HeapProbe {
@@ -175,6 +181,11 @@ TEST(CheckpointMemory, WriteFullHoldsAtMostThreeMembers) {
   HeapProbe probe;
   const ChainWriteResult full = chain.WriteFull(server);
   ExpectWithin("WriteFull", probe.peak_above(), full.bytes);
+  std::printf("WriteFull member: %llu bytes, %.2fx smaller than v3's\n",
+              static_cast<unsigned long long>(full.bytes),
+              static_cast<double>(kFixedWidthFullBytes) /
+                  static_cast<double>(full.bytes));
+  EXPECT_LE(full.bytes, kFixedWidthFullBytes / 3);
   server.Stop();
 }
 

@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
 #include "common/framing.hpp"
+#include "core/engine.hpp"
 #include "core/persist.hpp"
 #include "hbm/address.hpp"
 #include "persist/binary_io.hpp"
@@ -301,23 +305,140 @@ std::string ReframeShard(const TortureDonor& donor, std::uint64_t target,
       });
 }
 
-/// Offset of the first bank blob in an engine payload (full or delta):
-/// u32 header_len | header | u64 bank_count | u64 key | u32 blob_len | blob.
-std::size_t FirstBankBlob(const std::string& engine_payload) {
+/// One bank record of an engine payload: its key, and where its blob sits
+/// in the payload.
+struct BlobSpan {
+  std::uint64_t key = 0;
+  std::size_t offset = 0;
+  std::size_t length = 0;
+};
+
+/// Every bank record of an engine payload (full or delta):
+/// u32 header_len | header | u64 bank_count | (u64 key | u32 blob_len |
+/// blob)...
+std::vector<BlobSpan> BankBlobs(std::string_view engine_payload) {
   persist::BinaryReader reader(engine_payload, "test");
   reader.Bytes(reader.U32());
-  EXPECT_GT(reader.U64(), 0u) << "shard section holds no bank";
-  reader.U64();
-  reader.U32();
-  return engine_payload.size() - reader.remaining();
+  std::vector<BlobSpan> blobs(reader.U64());
+  for (BlobSpan& blob : blobs) {
+    blob.key = reader.U64();
+    blob.length = reader.U32();
+    blob.offset = engine_payload.size() - reader.remaining();
+    reader.Bytes(blob.length);
+  }
+  reader.ExpectEnd();
+  return blobs;
 }
 
-/// Blob offsets of the fields the tests below corrupt: the Cordial state
-/// (u64 uer_events_seen, u64 anchors_used, u8 classified) precedes the
-/// failure class; the profile, whose first field is its truncation depth,
-/// follows i64 last_anchor_row.
-constexpr std::size_t kBlobBankClass = 8 + 8 + 1;
-constexpr std::size_t kBlobMaxUers = kBlobBankClass + 1 + 8;
+/// Payload offsets of the first bank blob's fields the tests below
+/// corrupt. The blob is read with the codec's own primitives and
+/// BankProfile::LoadBinary through to its end, in the order the engine
+/// writes it — Cordial state (varint uer_events_seen, varint anchors_used,
+/// bool classified, u8 failure class, zigzag last_anchor_row), the profile
+/// (varint truncation depth, events and accepted UERs, bool capped, then
+/// its last event time and cutoff behind a presence mask), the ledger flags
+/// and rows — so a format change that moves these fields fails here instead
+/// of corrupting some other byte.
+struct FirstBlobFields {
+  std::size_t bank_class = 0;
+  std::size_t max_uers = 0;
+  std::size_t last_time = 0;  ///< the profile's last event time, 8 bytes
+};
+
+FirstBlobFields LocateFirstBlobFields(const std::string& engine_payload,
+                                      std::size_t depth) {
+  const std::vector<BlobSpan> blobs = BankBlobs(engine_payload);
+  EXPECT_FALSE(blobs.empty()) << "shard section holds no bank";
+  if (blobs.empty()) return {};
+  const BlobSpan& first = blobs.front();
+  persist::BinaryReader blob(
+      std::string_view(engine_payload).substr(first.offset, first.length),
+      "first bank blob");
+  FirstBlobFields at;
+  blob.Var();
+  blob.Var();
+  blob.Bool();
+  at.bank_class = first.offset + blob.position();
+  EXPECT_LE(blob.U8(), 2u);
+  blob.VarSigned();
+  at.max_uers = first.offset + blob.position();
+  persist::BinaryReader profile_head = blob;
+  profile_head.Var();
+  profile_head.Var();
+  profile_head.Var();
+  profile_head.Bool();
+  EXPECT_EQ(profile_head.Var() & 1u, 1u) << "no last event time present";
+  at.last_time = first.offset + profile_head.position();
+  EXPECT_EQ(core::BankProfile::LoadBinary(blob).max_uers(), depth);
+  const std::uint8_t has_ledger_entry = 1;
+  if ((blob.U8() & has_ledger_entry) != 0) {
+    blob.AscendingU32<std::uint32_t>();
+  }
+  blob.ExpectEnd();
+  return at;
+}
+
+/// The engine clock of an engine payload (full or delta): the last field of
+/// its header.
+double HeaderClock(std::string_view engine_payload) {
+  persist::BinaryReader reader(engine_payload, "test");
+  const std::uint32_t header_len = reader.U32();
+  reader.Bytes(header_len - 8);
+  return reader.F64();
+}
+
+/// The engine-state frame of shard `shard` in a full checkpoint member.
+std::string_view EngineFrame(std::string_view full, std::uint64_t shard) {
+  std::string_view payload =
+      ReadFramedView(full, kFleetCheckpointMagic, kFleetCheckpointVersion);
+  const std::uint64_t shards = TakeShardCount(payload, "test");
+  for (std::uint64_t s = 0; s < shards; ++s) {
+    const std::string_view rest = payload;
+    ReadFramedView(payload, core::kEngineStateMagic,
+                   core::kEngineStateVersion);
+    if (s == shard) return rest.substr(0, rest.size() - payload.size());
+  }
+  ADD_FAILURE() << "no shard " << shard;
+  return {};
+}
+
+/// The blob `key` has in shard `shard` of a full checkpoint member.
+std::string BlobBytes(const std::string& full, std::uint64_t shard,
+                      std::uint64_t key) {
+  std::string_view frame = EngineFrame(full, shard);
+  const std::string_view engine = ReadFramedView(
+      frame, core::kEngineStateMagic, core::kEngineStateVersion);
+  for (const BlobSpan& blob : BankBlobs(engine)) {
+    if (blob.key == key) {
+      return std::string(engine.substr(blob.offset, blob.length));
+    }
+  }
+  ADD_FAILURE() << "bank " << key << " not in shard " << shard;
+  return {};
+}
+
+/// Restore shard `shard` of the full checkpoint `full` into an engine of
+/// its own and feed it one UER of bank `key` stamped with the engine clock,
+/// on this thread: whatever the restored state makes the record path throw
+/// surfaces here instead of on a shard worker.
+void ObserveOneRecordAtClock(const World& w, const std::string& full,
+                             std::uint64_t shard, std::uint64_t key) {
+  core::PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                                w.double_or_null());
+  std::string_view frame = EngineFrame(full, shard);
+  engine.CommitState(engine.ParseState(frame));
+  hbm::AddressCodec codec(w.topology);
+  const auto& records = w.fleet.log.records();
+  const auto of_bank =
+      std::find_if(records.begin(), records.end(), [&](const auto& r) {
+        return codec.BankKey(r.address) == key;
+      });
+  ASSERT_NE(of_bank, records.end()) << "bank " << key;
+  trace::MceRecord record = *of_bank;
+  record.type = hbm::ErrorType::kUer;
+  record.time_s = engine.now();
+  engine.Observe(record);
+}
 
 TEST(Durability, CorruptShardBehindValidChecksumsNeverHalfRestores) {
   // A bank the payload parser refuses, deep inside the LAST shard's section
@@ -325,11 +446,12 @@ TEST(Durability, CorruptShardBehindValidChecksumsNeverHalfRestores) {
   // parsed cleanly. The strong restore guarantee says none of them may
   // have committed.
   const World& w = SharedWorld();
+  const std::size_t depth = w.classifier.extractor().max_uers();
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
     const std::string mangled =
-        ReframeShard(donor, kShardCount - 1, [](std::string& engine) {
-          engine[FirstBankBlob(engine) + kBlobBankClass] = 7;
+        ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+          engine[LocateFirstBlobFields(engine, depth).bank_class] = 7;
         });
     FleetServer victim = MakeTortureVictim(w, donor);
     const std::string victim_before = Checkpoint(victim);
@@ -353,10 +475,12 @@ TEST(Durability, ProfileOfAnotherTruncationDepthIsRefused) {
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
     const std::string mangled =
-        ReframeShard(donor, kShardCount - 1, [](std::string& engine) {
-          const std::size_t at = FirstBankBlob(engine) + kBlobMaxUers;
+        ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+          const std::size_t at = LocateFirstBlobFields(engine, depth).max_uers;
+          // Both depths are one-byte varints, so the blob keeps its length.
           std::string depth_two;
-          persist::BinaryWriter(depth_two).U64(2);
+          persist::BinaryWriter(depth_two).Var(2);
+          ASSERT_EQ(depth_two.size(), 1u);
           engine.replace(at, depth_two.size(), depth_two);
         });
     FleetServer victim = MakeTortureVictim(w, donor);
@@ -375,6 +499,131 @@ TEST(Durability, ProfileOfAnotherTruncationDepthIsRefused) {
       EXPECT_EQ(Checkpoint(victim), victim_before) << EntryName(entry);
     }
   }
+}
+
+TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
+  // A profile whose last event is past its payload's clock, or NaN, would
+  // let the bank's next record through the skew gate (which drops only
+  // records older than the clock) into BankProfile::Observe's
+  // non-decreasing-time check, which throws on a shard worker. The
+  // bank-blob decoder refuses it, for fulls and deltas through either entry
+  // point, and the target keeps its state. A NaN takes more than one
+  // changed byte, so the single-byte blob mutants below never make one.
+  const World& w = SharedWorld();
+  const std::size_t depth = w.classifier.extractor().max_uers();
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    for (const bool nan : {false, true}) {
+      const std::string mangled =
+          ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+            const double last_time =
+                nan ? std::numeric_limits<double>::quiet_NaN()
+                    : std::nextafter(HeaderClock(engine),
+                                     std::numeric_limits<double>::infinity());
+            std::string bits;
+            persist::BinaryWriter(bits).F64(last_time);
+            engine.replace(LocateFirstBlobFields(engine, depth).last_time,
+                           bits.size(), bits);
+          });
+      FleetServer victim = MakeTortureVictim(w, donor);
+      const std::string victim_before = Checkpoint(victim);
+      const char* what = nan ? "NaN" : "one ulp past the clock";
+      for (const Entry entry : kEntries) {
+        try {
+          ApplyDonor(victim, donor, mangled, entry);
+          ADD_FAILURE() << "restored a last event time " << what << " via "
+                        << EntryName(entry);
+        } catch (const ParseError& e) {
+          EXPECT_NE(std::string(e.what()).find("past the engine clock"),
+                    std::string::npos)
+              << e.what();
+        }
+        EXPECT_EQ(Checkpoint(victim), victim_before)
+            << what << " via " << EntryName(entry);
+      }
+    }
+  }
+}
+
+TEST(Durability, SingleByteBlobMutantsFailClosedOrDecodeCanonically) {
+  // Behind valid CRCs the bank-blob decoder is the only line of defence.
+  // Every byte of every bank blob of the 2-shard full and delta donors is
+  // zeroed (0xFF if it already is zero), then replaced by a seeded random
+  // value, and the member re-framed. A mutant either fails closed —
+  // ParseError, victim untouched — or decodes; the decoder never throws a
+  // ContractViolation or bad_alloc. One that decodes re-encodes to exactly
+  // its own bytes, since the decoder accepts only what the encoder writes:
+  // a full restores to the mutant member, and the re-saved blob of a
+  // mutated delta bank equals the mutated blob. And the state it decoded
+  // to takes the bank's next record at the engine clock without a
+  // ContractViolation, which on a shard worker would end the daemon.
+  const World& w = SharedWorld();
+  std::mt19937_64 rng(20251017);
+  std::size_t refused = 0;
+  std::size_t decoded = 0;
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    FleetServer victim = MakeTortureVictim(w, donor);
+    const std::string victim_before = Checkpoint(victim);
+    std::string_view in(donor.bytes);
+    std::string_view payload = ReadFramedView(
+        in, donor.delta ? kFleetDeltaMagic : kFleetCheckpointMagic,
+        donor.delta ? kFleetDeltaVersion : kFleetCheckpointVersion);
+    const std::uint64_t shards = TakeShardCount(payload, "test");
+    for (std::uint64_t shard = 0; shard < shards; ++shard) {
+      const std::string engine(ReadFramedView(
+          payload,
+          donor.delta ? core::kEngineDeltaMagic : core::kEngineStateMagic,
+          donor.delta ? core::kEngineDeltaVersion
+                      : core::kEngineStateVersion));
+      for (const BlobSpan& blob : BankBlobs(engine)) {
+        for (std::size_t i = 0; i < blob.length; ++i) {
+          const std::size_t at = blob.offset + i;
+          const char zeroed = engine[at] == 0 ? '\xff' : '\0';
+          const auto random = static_cast<char>(
+              engine[at] ^ static_cast<char>(1 + rng() % 255));
+          for (const char value : {zeroed, random}) {
+            std::string mutated_engine;
+            const std::string mutant =
+                ReframeShard(donor, shard, [&](std::string& e) {
+                  e[at] = value;
+                  mutated_engine = e;
+                });
+            const std::string where = "shard " + std::to_string(shard) +
+                                      " bank " + std::to_string(blob.key) +
+                                      " byte " + std::to_string(i);
+            try {
+              ApplyDonor(victim, donor, mutant);
+            } catch (const ParseError&) {
+              ++refused;
+              ASSERT_EQ(Checkpoint(victim), victim_before) << where;
+              continue;
+            } catch (const std::exception& e) {
+              FAIL() << where << ": " << e.what();
+            }
+            ++decoded;
+            const std::string resaved = Checkpoint(victim);
+            if (!donor.delta) {
+              EXPECT_EQ(resaved, mutant) << where;
+            } else {
+              EXPECT_EQ(BlobBytes(resaved, shard, blob.key),
+                        mutated_engine.substr(blob.offset, blob.length))
+                  << where;
+            }
+            try {
+              ObserveOneRecordAtClock(w, resaved, shard, blob.key);
+            } catch (const std::exception& e) {
+              FAIL() << where << ", next record: " << e.what();
+            }
+            victim.RestoreCheckpoint(victim_before);
+          }
+        }
+      }
+    }
+  }
+  std::printf("blob mutants: %zu refused, %zu decoded\n", refused, decoded);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 TEST(Durability, RecoverFallsBackToPreviousGenerationAndQuarantines) {
