@@ -7,8 +7,8 @@
 // the banks (default 1%), and then prices the two snapshot encodings the
 // server can emit from that state:
 //
-//   * full  — SaveCheckpoint(): the binary full member single-file mode
-//     rewrites on every interval and a chain writes at each compaction.
+//   * full  — SaveCheckpoint(): the binary full member a chain writes at
+//     each compaction.
 //   * delta — SaveDeltaCheckpoint(): the binary dirty-bank frame a chain
 //     appends between compactions (DESIGN.md §14).
 //

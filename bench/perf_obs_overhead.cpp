@@ -29,8 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/labeler.hpp"
-#include "common/rng.hpp"
+#include "bench_common.hpp"
 #include "obs/admin_server.hpp"
 #include "obs/metrics.hpp"
 #include "serve/fleet_server.hpp"
@@ -39,91 +38,7 @@
 namespace {
 
 using namespace cordial;
-
-/// UER banks padded with CE background to deployment-like event densities
-/// (same construction as perf_serve_throughput).
-trace::BankHistory Densify(const trace::BankHistory& bank,
-                           std::size_t target_events, std::uint32_t rows,
-                           Rng& rng) {
-  trace::BankHistory dense = bank;
-  const double horizon = bank.events.back().time_s;
-  while (dense.events.size() < target_events) {
-    trace::MceRecord ce = bank.events[rng.UniformU64(bank.events.size())];
-    ce.type = hbm::ErrorType::kCe;
-    ce.time_s = rng.UniformReal(0.0, horizon);
-    const std::int64_t jittered =
-        static_cast<std::int64_t>(ce.address.row) + rng.UniformInt(-64, 64);
-    ce.address.row = static_cast<std::uint32_t>(
-        std::clamp<std::int64_t>(jittered, 0, rows - 1));
-    dense.events.push_back(ce);
-  }
-  std::stable_sort(dense.events.begin(), dense.events.end(),
-                   [](const trace::MceRecord& a, const trace::MceRecord& b) {
-                     return a.time_s < b.time_s;
-                   });
-  return dense;
-}
-
-struct BenchWorld {
-  hbm::TopologyConfig topology;
-  trace::GeneratedFleet fleet;
-  std::vector<trace::MceRecord> stream;
-  core::PatternClassifier classifier;
-  core::CrossRowPredictor single_pred;
-  core::CrossRowPredictor double_pred;
-  bool double_ok = false;
-
-  BenchWorld()
-      : fleet([] {
-          hbm::TopologyConfig topology;
-          trace::CalibrationProfile profile;
-          profile.scale = 0.08;
-          return trace::FleetGenerator(topology, profile).Generate(123);
-        }()),
-        classifier(topology, ml::LearnerKind::kRandomForest),
-        single_pred(topology, ml::LearnerKind::kRandomForest),
-        double_pred(topology, ml::LearnerKind::kRandomForest) {
-    hbm::AddressCodec codec(topology);
-    const auto banks = fleet.log.GroupByBank(codec);
-    analysis::PatternLabeler labeler(topology);
-    std::vector<core::LabelledBank> labelled;
-    std::vector<const trace::BankHistory*> singles, doubles;
-    std::vector<trace::BankHistory> dense_banks;
-    Rng dense_rng(31);
-    for (const trace::BankHistory& bank : banks) {
-      if (!bank.HasUer()) continue;
-      dense_banks.push_back(
-          Densify(bank, 1000, topology.rows_per_bank, dense_rng));
-      const hbm::FailureClass cls = labeler.LabelClass(bank);
-      labelled.push_back(core::LabelledBank{&bank, cls});
-      if (cls == hbm::FailureClass::kSingleRowClustering) {
-        singles.push_back(&bank);
-      } else if (cls == hbm::FailureClass::kDoubleRowClustering) {
-        doubles.push_back(&bank);
-      }
-    }
-    for (const trace::BankHistory& bank : dense_banks) {
-      stream.insert(stream.end(), bank.events.begin(), bank.events.end());
-    }
-    std::stable_sort(stream.begin(), stream.end(),
-                     [](const trace::MceRecord& a, const trace::MceRecord& b) {
-                       return a.time_s < b.time_s;
-                     });
-    Rng rng(7);
-    classifier.Train(labelled, rng);
-    single_pred.Train(singles, rng);
-    try {
-      double_pred.Train(doubles, rng);
-      double_ok = true;
-    } catch (const ContractViolation&) {
-      double_ok = false;
-    }
-  }
-
-  const core::CrossRowPredictor* double_or_null() const {
-    return double_ok ? &double_pred : nullptr;
-  }
-};
+using bench::BenchWorld;
 
 /// One measurement: `passes` time-shifted replays of the stream through a
 /// fresh server (longer runs drown scheduler noise that a single ~40ms

@@ -1,8 +1,8 @@
 // cordial_ckpt — offline checkpoint-chain inspector.
 //
-// Operates on a chain directory written by `cordial_serverd
-// --checkpoint-mode=delta` (full-<epoch>.ckpt + delta-<epoch>.<seq>.ckpt
-// under a CRC manifest; persist/chain.hpp, DESIGN.md §14). Everything here
+// Operates on a chain directory written by `cordial_serverd --checkpoint
+// <dir>` (full-<epoch>.ckpt + delta-<epoch>.<seq>.ckpt under a CRC
+// manifest; persist/chain.hpp, DESIGN.md §14). Everything here
 // is structural — no models, no topology, no engine: member payloads are
 // self-delimiting, so the tool can verify, fold and rewrite chains on a
 // machine that has nothing but the files.

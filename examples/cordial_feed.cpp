@@ -10,9 +10,10 @@
 //
 // After the feed, --collect fetches every shard from its final owner and
 // assembles the exports into one fleet checkpoint file, byte-identical to
-// the checkpoint a single never-migrated server would have written — the
-// property the migration test suite pins, and the one the tier-1 two-process
-// smoke checks end to end.
+// the full checkpoint a single never-migrated server would have written
+// (the fold of its chain, `cordial_ckpt export`) — the property the
+// migration test suite pins, and the one the tier-1 two-process smoke
+// checks end to end.
 //
 //   cordial_feed <log.csv> --to <host:port> [--to <host:port> ...]
 //     --shards <n>       global shard count; must match every server's

@@ -17,32 +17,34 @@
 //   cordial_serverd <model_prefix> [options]
 //     --input <path>           feed to read (default: stdin). A FIFO works:
 //                              mkfifo feed && cordial_serverd m --input feed
-//     --checkpoint <path>      checkpoint file; recovered at boot (see
-//                              below), rewritten atomically and durably
-//                              (tmp + fsync + rename + dir fsync, previous
-//                              generation kept at <path>.prev) while running
+//     --checkpoint <dir>       checkpoint chain directory, created if
+//                              missing (its parent must exist): a binary
+//                              full plus dirty-bank delta members under a
+//                              CRC manifest (persist::CheckpointChain,
+//                              DESIGN.md §14), each file written atomically
+//                              and durably (tmp + fsync + rename + dir
+//                              fsync). Steady-state cycles write only the
+//                              banks touched since the last cycle. A path
+//                              that is not a directory (a single-file
+//                              checkpoint from an older build, say) is
+//                              refused at boot and left untouched. Inspect,
+//                              verify, compact or export the chain offline
+//                              with cordial_ckpt.
 //
-// Boot recovery: a corrupt <path> (truncated by a crash, bit-rotted, or
-// written by an incompatible build) is quarantined to <path>.corrupt and
-// the daemon falls back to <path>.prev; if that is corrupt too it is
-// quarantined likewise and the daemon starts fresh. Either way it comes up
-// serving. Quarantines and fallbacks are exported as
-// cordial_checkpoint_corrupt_total / cordial_checkpoint_fallback_total on
-// /metrics. Fault injection for drills: set CORDIAL_FAILPOINTS (see
-// src/common/failpoint.hpp and the catalogue in DESIGN.md).
+// Boot recovery follows the chain's policy: the manifest's chain (or
+// MANIFEST.prev's) is restored up to its newest intact member, and a
+// corrupt member or manifest is quarantined to <file>.corrupt. With no
+// usable manifest, or a corrupt full, recovery scans the directory for the
+// newest chain that restores, else starts fresh. Either way the daemon
+// comes up serving. Quarantines and
+// fallbacks are exported as cordial_checkpoint_corrupt_total /
+// cordial_checkpoint_fallback_total on /metrics. Fault injection for drills:
+// set CORDIAL_FAILPOINTS (see src/common/failpoint.hpp and the catalogue in
+// DESIGN.md).
 //     --checkpoint-every <n>   records between periodic checkpoints
 //                              (default 5000; 0 = only on shutdown)
-//     --checkpoint-mode <m>    full (default) rewrites the whole state file
-//                              each cycle; delta treats --checkpoint as a
-//                              chain DIRECTORY (created if missing) holding
-//                              a binary full plus dirty-bank delta members
-//                              under a CRC manifest (persist::CheckpointChain,
-//                              DESIGN.md §14). Steady-state cycles then write
-//                              only the banks touched since the last cycle.
-//                              Inspect/verify/compact the chain offline with
-//                              cordial_ckpt.
-//     --compact-every <n>      delta mode: deltas per epoch before the chain
-//                              is folded into a fresh full (default 16)
+//     --compact-every <n>      deltas per epoch before the chain is folded
+//                              into a fresh full (default 16)
 //     --shards <n>             engine shards (default 4)
 //     --queue-capacity <n>     per-shard queue bound (default 1024)
 //     --batch-max <n>          feed records parsed per submit batch, and the
@@ -84,7 +86,6 @@
 //     --version                print the frame versions this build speaks
 //
 // Models come from `cordial_cli train <log.csv> <model_prefix>`.
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -124,8 +125,8 @@ void HandleStop(int) { g_stop = 1; }
 int Usage() {
   std::cerr
       << "usage: cordial_serverd <model_prefix> [--input <path>]\n"
-         "         [--checkpoint <path>] [--checkpoint-every <n>]\n"
-         "         [--checkpoint-mode full|delta] [--compact-every <n>]\n"
+         "         [--checkpoint <dir>] [--checkpoint-every <n>]\n"
+         "         [--compact-every <n>]\n"
          "         [--shards <n>] [--queue-capacity <n>] [--batch-max <n>]\n"
          "         [--overload block|drop-oldest|reject]\n"
          "         [--admin-port <port>] [--listen-port <port>]\n"
@@ -159,9 +160,8 @@ int PrintVersion() {
 struct Options {
   std::string model_prefix;
   std::string input;       // empty = stdin
-  std::string checkpoint;  // empty = no checkpointing
+  std::string checkpoint;  // chain directory; empty = no checkpointing
   std::size_t checkpoint_every = 5000;
-  bool delta_mode = false;         // --checkpoint-mode delta: chain directory
   std::size_t compact_every = 16;  // deltas per epoch before folding
   std::size_t shards = 4;
   std::size_t queue_capacity = 1024;
@@ -219,16 +219,6 @@ bool ParseArgs(int argc, char** argv, Options& opts, std::string& error) {
       opts.checkpoint = value;
     } else if (flag == "--checkpoint-every") {
       if (!parse_count(value, opts.checkpoint_every, true)) return false;
-    } else if (flag == "--checkpoint-mode") {
-      const std::string mode = value;
-      if (mode == "full") {
-        opts.delta_mode = false;
-      } else if (mode == "delta") {
-        opts.delta_mode = true;
-      } else {
-        error = "--checkpoint-mode must be full or delta, got '" + mode + "'";
-        return false;
-      }
     } else if (flag == "--compact-every") {
       if (!parse_count(value, opts.compact_every, false)) return false;
     } else if (flag == "--shards") {
@@ -387,8 +377,8 @@ int main(int argc, char** argv) {
         "cordial_checkpoint_fallback_total",
         "Boots that could not use the newest checkpoint and fell back to an "
         "older generation or a fresh start");
-    // Per-kind checkpoint accounting: in delta mode the interesting signal
-    // is how much smaller/faster a steady-state delta cycle is than a full.
+    // Per-kind checkpoint accounting: the interesting signal is how much
+    // smaller/faster a steady-state delta cycle is than a full.
     const auto kind_labels = [](const char* kind) {
       return obs::Labels{{"kind", kind}};
     };
@@ -418,10 +408,10 @@ int main(int argc, char** argv) {
             "Wall time of one checkpoint write, by member kind",
             obs::DefaultLatencyBuckets(), kind_labels("delta"))};
 
-    // Delta mode: --checkpoint names the chain directory.
+    // Constructed before the feed is opened: a --checkpoint path that is
+    // not a usable directory fails the boot, not the first checkpoint.
     std::unique_ptr<persist::CheckpointChain> chain;
-    if (opts.delta_mode && !opts.checkpoint.empty()) {
-      ::mkdir(opts.checkpoint.c_str(), 0777);  // EEXIST is the normal case
+    if (!opts.checkpoint.empty()) {
       chain = std::make_unique<persist::CheckpointChain>(
           persist::ChainConfig{opts.checkpoint, opts.compact_every});
     }
@@ -434,43 +424,31 @@ int main(int argc, char** argv) {
       bool full = false;
       std::uint64_t bytes = 0;
       double seconds = 0.0;
-      std::size_t chain_length = 0;  // 0 = single-file mode
+      std::size_t chain_length = 0;
     } last_ckpt;
 
     std::size_t submitted = 0, refused = 0, malformed = 0, checkpoints = 0;
     const auto write_checkpoint = [&] {
       const auto start = std::chrono::steady_clock::now();
-      bool full = true;
-      std::uint64_t bytes = 0, banks = 0;
-      std::size_t chain_length = 0;
-      if (chain) {
-        const persist::ChainWriteResult result = chain->Write(server);
-        full = result.full;
-        bytes = result.bytes;
-        banks = result.banks_written;
-        chain_length = result.chain_length;
-      } else {
-        bytes = serve::WriteCheckpointFile(server, opts.checkpoint);
-        banks = server.TotalBankCount();
-      }
+      const persist::ChainWriteResult result = chain->Write(server);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
       checkpoint_seconds.Observe(seconds);
-      const std::size_t kind = full ? 0 : 1;
-      ckpt_bytes[kind]->Increment(bytes);
-      ckpt_banks[kind]->Increment(banks);
+      const std::size_t kind = result.full ? 0 : 1;
+      ckpt_bytes[kind]->Increment(result.bytes);
+      ckpt_banks[kind]->Increment(result.banks_written);
       ckpt_write_seconds[kind]->Observe(seconds);
       checkpoints_total.Increment();
       ++checkpoints;
       {
         std::lock_guard<std::mutex> lock(last_ckpt.mutex);
         last_ckpt.any = true;
-        last_ckpt.full = full;
-        last_ckpt.bytes = bytes;
+        last_ckpt.full = result.full;
+        last_ckpt.bytes = result.bytes;
         last_ckpt.seconds = seconds;
-        last_ckpt.chain_length = chain_length;
+        last_ckpt.chain_length = result.chain_length;
       }
     };
 
@@ -563,7 +541,7 @@ int main(int argc, char** argv) {
     }
 
     if (chain) {
-      const persist::ChainRecoveryOutcome recovery = chain->Recover(server);
+      const persist::ChainRecoveryResult recovery = chain->Recover(server);
       for (const std::string& reason : recovery.errors) {
         std::cerr << "corrupt checkpoint: " << reason << "\n";
       }
@@ -578,25 +556,6 @@ int main(int argc, char** argv) {
                   << " (" << server.AggregateStats().events
                   << " events replayed)\n";
       } else if (recovery.fell_back) {
-        std::cerr << "no usable checkpoint — starting fresh\n";
-      }
-    } else if (!opts.checkpoint.empty()) {
-      const serve::RecoveryOutcome recovery =
-          serve::RecoverCheckpoint(server, opts.checkpoint);
-      for (const std::string& reason : recovery.errors) {
-        std::cerr << "corrupt checkpoint: " << reason << "\n";
-      }
-      for (const std::string& quarantined : recovery.quarantined) {
-        std::cerr << "quarantined corrupt checkpoint to " << quarantined
-                  << "\n";
-        corrupt_total.Increment();
-      }
-      if (recovery.fell_back()) fallback_total.Increment();
-      if (!recovery.restored_from.empty()) {
-        std::cerr << "resumed from checkpoint " << recovery.restored_from
-                  << " (" << server.AggregateStats().events
-                  << " events replayed)\n";
-      } else if (recovery.fell_back()) {
         std::cerr << "no usable checkpoint — starting fresh\n";
       }
     }
@@ -650,7 +609,7 @@ int main(int argc, char** argv) {
       // Armed failpoints mean a crash drill wants record-exact semantics
       // ("power-cut after record N"): fall back to one record per batch.
       if (failpoint::AnyArmed()) limit = 1;
-      if (!opts.checkpoint.empty() && opts.checkpoint_every > 0) {
+      if (chain && opts.checkpoint_every > 0) {
         limit = std::min(
             limit, opts.checkpoint_every - submitted % opts.checkpoint_every);
       }
@@ -680,8 +639,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < accepted; ++i) {
         CORDIAL_FAILPOINT("serverd.feed.crash", ::_exit(122));
       }
-      if (accepted > 0 && !opts.checkpoint.empty() &&
-          opts.checkpoint_every > 0 &&
+      if (accepted > 0 && chain && opts.checkpoint_every > 0 &&
           submitted % opts.checkpoint_every == 0) {
         server.Drain();
         write_checkpoint();
@@ -735,7 +693,7 @@ int main(int argc, char** argv) {
     if (trainer) trainer->Stop();  // no new model generations past this point
 
     server.Stop();  // drains the queues, then joins the workers
-    if (!opts.checkpoint.empty()) {
+    if (chain) {
       write_checkpoint();
       std::cerr << "final checkpoint written to " << opts.checkpoint << "\n";
     }

@@ -11,15 +11,17 @@
 # and the codec and checkpoint tests under UndefinedBehaviorSanitizer, so
 # shifts, overflows and misaligned or out-of-range conversions in the
 # varint/bit-pattern decoders fail the run too.
-# Then three smokes with the real daemon binaries: the durability drill (a
-# failpoint power-cuts cordial_serverd mid-checkpoint; the restart must end
-# byte-identical to an uninterrupted reference), the chain drill (same
-# power cut, but in --checkpoint-mode=delta mid-delta-member; the restart
-# must recover off the surviving chain prefix and the folded chains must be
-# byte-identical) and the migration drill (cordial_feed drives two
-# listening daemons, moves a shard between the processes mid-feed, and the
-# merged checkpoint it collects must be byte-identical to the
-# never-migrated reference).
+# Then smokes with the real daemon binaries, whose checkpoint is a chain
+# directory compared by its fold (cordial_ckpt export): the durability drill
+# (a failpoint power-cuts cordial_serverd while it publishes the first
+# delta's manifest; the restart must end with a fold byte-identical to an
+# uninterrupted reference's), the chain drill (the same, cut mid-delta-
+# member), the migration drill (cordial_feed drives two listening daemons,
+# moves a shard between the processes mid-feed, and both the merged
+# checkpoint it collects and the chain the receiving daemon writes at
+# shutdown must be byte-identical to the never-migrated reference's fold),
+# the hostile-feed drill, and a check that a --checkpoint path that
+# is not a directory fails the boot and is left untouched.
 # Finally five perf gates: instrumenting the serving hot path must cost
 # <= 5% throughput vs the uninstrumented path (BENCH_obs.json), the
 # lock-free batched ring must beat the pre-ring mutex queue >= 5x into a
@@ -91,11 +93,11 @@ ctest --test-dir build-ubsan --output-on-failure \
 if [[ "$SKIP_SMOKE" == "1" ]]; then
   echo "tier1: skipping durability smoke (--skip-smoke)"
 else
-  # Crash/recovery drill with the real daemon binaries. The failpoint
-  # power-cuts (::_exit 121) the second periodic checkpoint after its tmp
-  # file is durable but before the rename publishes it; the restart must
-  # recover from the first checkpoint, re-feed the lost records, and end in
-  # a state byte-identical to an uninterrupted reference run.
+  # Crash/recovery drills with the real daemon binaries. Every run writes
+  # a checkpoint chain (a full, then deltas, each member and then the
+  # manifest written durably), so durable-write hits run full (1), manifest
+  # (2), delta (3), manifest (4), ... An uninterrupted run gives the
+  # reference fold every drill compares against.
   SMOKE=build/durability-smoke
   rm -rf "$SMOKE"
   mkdir -p "$SMOKE"
@@ -106,13 +108,21 @@ else
   [[ "$EVERY" -ge 1 ]] || { echo "tier1: smoke feed too small"; exit 1; }
 
   ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/log.csv" \
-    --checkpoint "$SMOKE/ref.ckpt" --checkpoint-every "$EVERY" \
+    --checkpoint "$SMOKE/ref" --checkpoint-every "$EVERY" \
     --shards 2 --status-every 0 > /dev/null 2>&1
+  ./build/examples/cordial_ckpt export "$SMOKE/ref" "$SMOKE/ref.full" \
+    2> /dev/null
 
+  # Durability drill: the failpoint power-cuts (::_exit 121) the second
+  # checkpoint while it publishes its manifest (hit 4), after the first
+  # delta member is durable and renamed into place. The member stays
+  # unlisted, so the chain is still the first checkpoint's full; the
+  # restart must recover it, re-feed the lost records, and fold to the
+  # reference's bytes.
   set +e
-  CORDIAL_FAILPOINTS="serve.checkpoint.crash_before_rename=1:1" \
+  CORDIAL_FAILPOINTS="serve.checkpoint.crash_before_rename=3:1" \
     ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/log.csv" \
-    --checkpoint "$SMOKE/crash.ckpt" --checkpoint-every "$EVERY" \
+    --checkpoint "$SMOKE/crash" --checkpoint-every "$EVERY" \
     --shards 2 --status-every 0 > /dev/null 2>&1
   CRASH_CODE=$?
   set -e
@@ -120,37 +130,38 @@ else
     echo "tier1: smoke expected power-cut exit 121, got $CRASH_CODE"
     exit 1
   fi
-  # The cut happened after the tmp fsync: the unpublished file must exist.
-  [[ -f "$SMOKE/crash.ckpt.tmp" ]] || {
-    echo "tier1: smoke durable tmp file missing after power cut"; exit 1; }
+  # The cut happened after the manifest's tmp fsync: the unpublished
+  # manifest and the unlisted member it would have listed must exist.
+  [[ -f "$SMOKE/crash/MANIFEST.tmp" ]] || {
+    echo "tier1: smoke durable MANIFEST.tmp missing after power cut"; exit 1; }
+  [[ -f "$SMOKE/crash/delta-000001.0001.ckpt" ]] || {
+    echo "tier1: smoke unlisted delta member missing after power cut"; exit 1; }
+  # The surviving one-member chain must verify sound.
+  ./build/examples/cordial_ckpt verify "$SMOKE/crash" > /dev/null
 
   # The crashed run consumed 2*EVERY records but only EVERY are durable;
   # the restart re-feeds everything after the surviving checkpoint
   # (line 1 is the CSV header, so data record N is line N+1).
   tail -n +$(( EVERY + 2 )) "$SMOKE/log.csv" > "$SMOKE/rest.csv"
   ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/rest.csv" \
-    --checkpoint "$SMOKE/crash.ckpt" --checkpoint-every "$EVERY" \
+    --checkpoint "$SMOKE/crash" --checkpoint-every "$EVERY" \
     --shards 2 --status-every 0 > /dev/null 2>&1
-  cmp "$SMOKE/ref.ckpt" "$SMOKE/crash.ckpt"
-  echo "tier1: durability smoke OK (power cut at record $(( 2 * EVERY ))," \
-    "resumed from record $EVERY, final checkpoints byte-identical)"
+  ./build/examples/cordial_ckpt export "$SMOKE/crash" "$SMOKE/crash.full" \
+    2> /dev/null
+  cmp "$SMOKE/ref.full" "$SMOKE/crash.full"
+  echo "tier1: durability smoke OK (power cut publishing the first delta's" \
+    "manifest at record $(( 2 * EVERY )), resumed from record $EVERY," \
+    "folded chains byte-identical)"
 
-  # Chain drill: the same power cut, but against the delta checkpoint
-  # chain. In delta mode each interval durably writes a member then the
-  # manifest, so durable-write hits run full(1) manifest(2) delta(3)
-  # manifest(4) ...; skipping 2 cuts power mid-first-delta-member. Only the
-  # full survives; the restart must recover off that chain prefix, re-feed
-  # the lost records, and fold (cordial_ckpt export) to bytes identical to
-  # an uninterrupted delta-mode reference run's fold.
-  ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/log.csv" \
-    --checkpoint "$SMOKE/chain-ref" --checkpoint-mode delta \
-    --checkpoint-every "$EVERY" --shards 2 --status-every 0 > /dev/null 2>&1
-
+  # Chain drill: the same power cut one durable write earlier (hit 3),
+  # mid-first-delta-member. Only the full survives; the restart must
+  # recover off that chain prefix, re-feed the lost records, and fold to
+  # the reference's bytes.
   set +e
   CORDIAL_FAILPOINTS="serve.checkpoint.crash_before_rename=2:1" \
     ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/log.csv" \
-    --checkpoint "$SMOKE/chain-crash" --checkpoint-mode delta \
-    --checkpoint-every "$EVERY" --shards 2 --status-every 0 > /dev/null 2>&1
+    --checkpoint "$SMOKE/chain-crash" --checkpoint-every "$EVERY" \
+    --shards 2 --status-every 0 > /dev/null 2>&1
   CRASH_CODE=$?
   set -e
   if [[ "$CRASH_CODE" != "121" ]]; then
@@ -160,27 +171,32 @@ else
   # The surviving prefix (the epoch-1 full + manifest) must verify sound.
   ./build/examples/cordial_ckpt verify "$SMOKE/chain-crash" > /dev/null
 
-  tail -n +$(( EVERY + 2 )) "$SMOKE/log.csv" > "$SMOKE/chain-rest.csv"
-  ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/chain-rest.csv" \
-    --checkpoint "$SMOKE/chain-crash" --checkpoint-mode delta \
-    --checkpoint-every "$EVERY" --shards 2 --status-every 0 > /dev/null 2>&1
-  ./build/examples/cordial_ckpt export "$SMOKE/chain-ref" \
-    "$SMOKE/chain-ref.full" 2> /dev/null
+  ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/rest.csv" \
+    --checkpoint "$SMOKE/chain-crash" --checkpoint-every "$EVERY" \
+    --shards 2 --status-every 0 > /dev/null 2>&1
   ./build/examples/cordial_ckpt export "$SMOKE/chain-crash" \
     "$SMOKE/chain-crash.full" 2> /dev/null
-  cmp "$SMOKE/chain-ref.full" "$SMOKE/chain-crash.full"
+  cmp "$SMOKE/ref.full" "$SMOKE/chain-crash.full"
   echo "tier1: chain smoke OK (power cut mid-delta at record $(( 2 * EVERY ))," \
     "resumed off the chain from record $EVERY, folded chains byte-identical)"
 
   # Migration smoke with two live daemons. Both serve the TCP ingest plane;
   # cordial_feed routes shards across them, moves shard 1 between processes
   # mid-feed, then collects a merged checkpoint from the final owners. It
-  # must be byte-identical to the single-process never-migrated reference
-  # the durability drill already produced from the same feed.
+  # must be byte-identical to the fold of the single-process never-migrated
+  # reference chain the drills above produced from the same feed. Node A,
+  # which ends up owning both shards, also resumes an appendable chain
+  # (an empty server's full) and writes its shutdown checkpoint into it:
+  # that member must carry the imported shard, so the chain's fold must
+  # match the reference too.
+  ./build/examples/cordial_serverd "$SMOKE/m" --input /dev/null \
+    --checkpoint "$SMOKE/node_a" --shards 2 --status-every 0 \
+    > /dev/null 2>&1
   NET_PIDS=""
   cleanup_net() { [[ -n "$NET_PIDS" ]] && kill $NET_PIDS 2>/dev/null || true; }
   trap cleanup_net EXIT
   ./build/examples/cordial_serverd "$SMOKE/m" --shards 2 --listen-port 0 \
+    --checkpoint "$SMOKE/node_a" \
     --status-every 0 > /dev/null 2> "$SMOKE/node_a.log" &
   NET_PIDS="$!"
   ./build/examples/cordial_serverd "$SMOKE/m" --shards 2 --listen-port 0 \
@@ -204,9 +220,13 @@ else
   kill $NET_PIDS 2>/dev/null || true
   wait $NET_PIDS 2>/dev/null || true
   NET_PIDS=""
-  cmp "$SMOKE/ref.ckpt" "$SMOKE/merged.ckpt"
+  cmp "$SMOKE/ref.full" "$SMOKE/merged.ckpt"
+  ./build/examples/cordial_ckpt export "$SMOKE/node_a" "$SMOKE/node_a.full" \
+    2> /dev/null
+  cmp "$SMOKE/ref.full" "$SMOKE/node_a.full"
   echo "tier1: migration smoke OK (shard 1 moved between two processes at" \
-    "record $(( TOTAL / 2 )), merged checkpoint byte-identical)"
+    "record $(( TOTAL / 2 )), merged checkpoint and the receiver's chain" \
+    "byte-identical)"
 
   # Hostile-feed smoke: cordial_storm distorts the reference feed (UER
   # bursts, duplicates, window reordering, malformed lines, correlated
@@ -224,7 +244,7 @@ else
     echo "tier1: storm smoke produced no stats (lines=$STORM_LINES" \
       "malformed=$STORM_BAD)"; exit 1; }
   ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/storm.csv" \
-    --checkpoint "$SMOKE/storm.ckpt" --checkpoint-every 0 \
+    --checkpoint "$SMOKE/storm" --checkpoint-every 0 \
     --shards 2 --status-every 0 > "$SMOKE/storm.out" 2>/dev/null
   SUBMITTED=$(grep "records submitted" "$SMOKE/storm.out" \
     | grep -o '[0-9]\+' | tail -1)
@@ -244,13 +264,35 @@ else
     echo "tier1: storm smoke lost records: events=$EVENTS skew=$SKEW" \
       "submitted=$SUBMITTED"; exit 1; }
   ./build/examples/cordial_serverd "$SMOKE/m" --input /dev/null \
-    --checkpoint "$SMOKE/storm.ckpt" --checkpoint-every 0 \
+    --checkpoint "$SMOKE/storm" --checkpoint-every 0 \
     --shards 2 --status-every 0 > /dev/null 2> "$SMOKE/storm.resume.log"
   grep -q "resumed from checkpoint" "$SMOKE/storm.resume.log" || {
     echo "tier1: storm smoke checkpoint did not resume"; exit 1; }
   echo "tier1: hostile-feed smoke OK ($STORM_LINES storm lines," \
     "$STORM_BAD malformed all skipped, $EVENTS processed + $SKEW" \
     "skew-dropped = $SUBMITTED submitted, checkpoint reloadable)"
+
+  # A --checkpoint path that is not a directory, here a single-file
+  # checkpoint as older builds wrote, must fail the boot before the feed is
+  # read (with --status-every 1 any submitted record prints a status line)
+  # and stay byte-for-byte as it was.
+  cp "$SMOKE/ref.full" "$SMOKE/state.ckpt"
+  set +e
+  ./build/examples/cordial_serverd "$SMOKE/m" --input "$SMOKE/log.csv" \
+    --checkpoint "$SMOKE/state.ckpt" --shards 2 --status-every 1 \
+    > /dev/null 2> "$SMOKE/notdir.log"
+  NOTDIR_CODE=$?
+  set -e
+  [[ "$NOTDIR_CODE" != "0" ]] || {
+    echo "tier1: daemon accepted a regular file as --checkpoint"; exit 1; }
+  grep -q "state.ckpt exists and is not a directory" "$SMOKE/notdir.log" || {
+    echo "tier1: not-a-directory boot error missing"; exit 1; }
+  if grep -q "^\[status\]" "$SMOKE/notdir.log"; then
+    echo "tier1: daemon read its feed before refusing --checkpoint"; exit 1
+  fi
+  cmp "$SMOKE/ref.full" "$SMOKE/state.ckpt"
+  echo "tier1: not-a-directory check OK (exit $NOTDIR_CODE before the feed," \
+    "single-file checkpoint untouched)"
 fi
 
 if [[ "$SKIP_BENCH" == "1" ]]; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -514,12 +513,6 @@ void PredictionEngine::AppendState(std::string& out) const {
   CloseFrame(out, frame, kEngineStateMagic, kEngineStateVersion);
 }
 
-void PredictionEngine::SaveState(std::ostream& out) const {
-  std::string bytes;
-  AppendState(bytes);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 std::uint64_t PredictionEngine::AppendDeltaState(std::string& out) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(dirty_banks_);
@@ -552,21 +545,12 @@ PredictionEngine::StagedState& PredictionEngine::StagedState::operator=(
     StagedState&&) noexcept = default;
 PredictionEngine::StagedState::~StagedState() = default;
 
-void PredictionEngine::RestoreState(std::istream& in) {
-  CommitState(ParseStatePayload(
-      ReadFramed(in, kEngineStateMagic, kEngineStateVersion)));
-}
-
 PredictionEngine::StagedState PredictionEngine::ParseState(
     std::string_view& in) const {
-  return ParseStatePayload(
-      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion));
-}
-
-PredictionEngine::StagedState PredictionEngine::ParseStatePayload(
-    std::string_view raw) const {
   StagedState staged;
-  persist::BinaryReader reader(raw, "engine state");
+  persist::BinaryReader reader(
+      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion),
+      "engine state");
   const StateHeader header = TakeStateHeader(reader);
   staged.impl_->stats = header.stats;
   staged.impl_->now = header.now;

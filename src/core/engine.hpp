@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -183,25 +182,13 @@ class PredictionEngine {
   /// restoring engine must be constructed with the same models, topology
   /// and config.
   void AppendState(std::string& out) const;
-  /// AppendState written to a stream.
-  void SaveState(std::ostream& out) const;
 
-  /// Replace this engine's mutable state with a SaveState stream's. Throws
-  /// ParseError on malformed input, version mismatch, or a bank profile
-  /// whose truncation depth differs from this engine's classifier's.
-  /// Strong guarantee: after a throw the engine is unchanged (the whole
-  /// stream is parsed into a StagedState before anything commits), so a
-  /// recovery loop can try the next checkpoint candidate on the same
-  /// engine. After a successful RestoreState the engine resumes
-  /// bit-identically to the saver.
-  void RestoreState(std::istream& in);
-
-  /// A fully parsed — but not yet adopted — SaveState stream (opaque,
-  /// move-only). ParseState never touches the engine; CommitState never
-  /// throws. RestoreState is ParseState + CommitState; the split exists so
-  /// a multi-engine checkpoint (serve::FleetServer) can parse every
-  /// section before committing any of them — a corrupt shard N must not
-  /// leave shards 0..N-1 restored and the rest stale.
+  /// A fully parsed — but not yet adopted — AppendState frame (opaque,
+  /// move-only). Restoring is ParseState + CommitState: ParseState never
+  /// touches the engine and CommitState never throws, so a multi-engine
+  /// checkpoint (serve::FleetServer) can parse every section before
+  /// committing any of them — a corrupt shard N must not leave shards
+  /// 0..N-1 restored and the rest stale.
   class StagedState {
    public:
     StagedState(StagedState&&) noexcept;
@@ -215,8 +202,12 @@ class PredictionEngine {
     std::unique_ptr<Impl> impl_;
   };
   /// Parse the frame at the front of `in` in place and advance `in` past
-  /// it (common/framing.hpp ReadFramedView).
+  /// it (common/framing.hpp ReadFramedView). Throws ParseError on malformed
+  /// input, version mismatch, or a bank profile whose truncation depth
+  /// differs from this engine's classifier's.
   StagedState ParseState(std::string_view& in) const;
+  /// Adopt a parsed state; the engine then resumes bit-identically to the
+  /// engine that appended it.
   void CommitState(StagedState&& staged);
 
   // --- delta checkpoints ---------------------------------------------------
@@ -276,7 +267,7 @@ class PredictionEngine {
   /// `labels` is attached to every metric (a serving shard passes its shard
   /// index). The registry must outlive the engine. Without an attach,
   /// Observe pays nothing — null-pointer checks only. Counters are
-  /// process-local and monotonic: RestoreState rewinds stats() but never
+  /// process-local and monotonic: CommitState rewinds stats() but never
   /// the attached counters (Prometheus counter semantics).
   ///
   /// `latency_sample_every` strides the Observe latency histogram: only
@@ -302,7 +293,7 @@ class PredictionEngine {
   /// (single-threaded engines anywhere; sharded engines before Start or
   /// while drained). The constructor-time models keep serving until the
   /// slot's version moves past the attached generation. Model versions are
-  /// NOT persisted by SaveState: a restored engine serves whatever its
+  /// NOT persisted by AppendState: a restored engine serves whatever its
   /// slot currently publishes, which is what keeps checkpoints byte-
   /// identical across swap histories.
   void AttachModelSlot(const ModelSlot& slot);
@@ -360,8 +351,6 @@ class PredictionEngine {
   /// section, then one length-prefixed record per bank in `keys` order.
   void AppendBinaryPayload(std::string& out,
                            const std::vector<std::uint64_t>& keys) const;
-  /// Parse a full engine-state payload, already checked by the frame reader.
-  StagedState ParseStatePayload(std::string_view payload) const;
 
   hbm::AddressCodec codec_;
   // Always non-null; constructor-time referees until a slot swap replaces

@@ -1,6 +1,6 @@
 // Magic strings and frame versions for every persisted cordial stream
 // (model files and engine snapshots). Bump a version when its payload
-// format changes; LoadModel / RestoreState reject mismatches with a
+// format changes; LoadModel / ParseState reject mismatches with a
 // ParseError instead of misparsing a stream from another build.
 #pragma once
 

@@ -1,10 +1,13 @@
 #include "persist/chain.hpp"
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -430,14 +433,27 @@ CheckpointChain::CheckpointChain(ChainConfig config)
                     "checkpoint chain needs a directory");
   CORDIAL_CHECK_MSG(config_.compact_every >= 1,
                     "checkpoint chain needs compact_every >= 1");
+  // Create the directory (one level: a missing parent is an error) and
+  // refuse anything else at the path before a record is served. A file
+  // there, such as a single-file checkpoint, is left untouched.
+  const char* const path = config_.directory.c_str();
+  const int error = ::mkdir(path, 0777) == 0 ? 0 : errno;
+  struct stat st;
+  const bool is_directory = ::stat(path, &st) == 0 && S_ISDIR(st.st_mode);
+  CORDIAL_CHECK_MSG(
+      is_directory,
+      "checkpoint chain path " + config_.directory +
+          (error == EEXIST ? " exists and is not a directory"
+                           : std::string(" cannot be created: ") +
+                                 std::strerror(error)));
 }
 
 std::string CheckpointChain::PathOf(const std::string& file) const {
   return JoinPath(config_.directory, file);
 }
 
-ChainRecoveryOutcome CheckpointChain::Recover(serve::FleetServer& server) {
-  ChainRecoveryOutcome outcome;
+ChainRecoveryResult CheckpointChain::Recover(serve::FleetServer& server) {
+  ChainRecoveryResult outcome;
   manifest_ = Manifest{};
   can_append_ = false;
 
@@ -521,6 +537,7 @@ ChainRecoveryOutcome CheckpointChain::Recover(serve::FleetServer& server) {
       // primary MANIFEST whose .prev restored): any fallback starts a new
       // epoch instead of growing a chain that already lost members once.
       can_append_ = !outcome.fell_back;
+      installs_at_full_ = server.state_installs();
       summarize(manifest_.entries);
       return outcome;
     }
@@ -556,6 +573,7 @@ void CheckpointChain::PersistManifest() const {
 }
 
 ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
+  const std::uint64_t installs = server.state_installs();
   std::string bytes;
   server.AppendCheckpoint(bytes);
 
@@ -589,6 +607,7 @@ ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
   }
   server.MarkCheckpointClean();
   can_append_ = true;
+  installs_at_full_ = installs;
   PruneExcept(config_.directory, manifest_);
   result.chain_length = manifest_.entries.size();
   return result;
@@ -631,7 +650,7 @@ ChainWriteResult CheckpointChain::WriteDelta(serve::FleetServer& server) {
 }
 
 ChainWriteResult CheckpointChain::Write(serve::FleetServer& server) {
-  if (!can_append_ ||
+  if (!can_append_ || server.state_installs() != installs_at_full_ ||
       manifest_.entries.size() - 1 >= config_.compact_every) {
     return WriteFull(server);
   }

@@ -30,9 +30,11 @@
 //
 // Write policy: Write() appends a delta while the chain is appendable and
 // shorter than compact_every deltas, then folds by writing a fresh full
-// from live state (new epoch) and pruning the old generation. The dirty
-// set is cleared only after both the member and the manifest are durable —
-// a failed write loses nothing.
+// from live state (new epoch) and pruning the old generation. A state
+// installed into the server since the chain's full (ImportShard, or a
+// restore from elsewhere) is not in its dirty set, so it also forces a
+// full. The dirty set is cleared only after both the member and the
+// manifest are durable — a failed write loses nothing.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +84,7 @@ struct ChainWriteResult {
   std::size_t chain_length = 0;     ///< members now in the chain (incl. full)
 };
 
-struct ChainRecoveryOutcome {
+struct ChainRecoveryResult {
   /// Summary of what restored, e.g. "full-000003.ckpt + 2 delta(s)";
   /// empty = fresh start.
   std::string restored_from;
@@ -99,22 +101,26 @@ struct ChainRecoveryOutcome {
 /// checkpoint path while the server is drained.
 class CheckpointChain {
  public:
+  /// Creates config.directory when it is missing (one level). Throws
+  /// ContractViolation naming the path when something other than a
+  /// directory is there, or when it cannot be created.
   explicit CheckpointChain(ChainConfig config);
 
   /// Boot-time recovery (policy above). Also positions the writer: after an
   /// intact-chain restore Write() keeps appending deltas to it; after any
   /// fallback the next Write() starts a new epoch with a full.
-  ChainRecoveryOutcome Recover(serve::FleetServer& server);
+  ChainRecoveryResult Recover(serve::FleetServer& server);
 
-  /// Write the next member per policy (delta while appendable and short of
-  /// compact_every, else a full that starts a new epoch and prunes the old
-  /// one). The server must be drained. Clears the server's dirty set only
-  /// after the member and manifest are durable.
+  /// Write the next member per policy (delta while appendable, short of
+  /// compact_every and with no state installed since the chain's full,
+  /// else a full that starts a new epoch and prunes the old one). The
+  /// server must be drained. Clears the server's dirty set only after the
+  /// member and manifest are durable.
   ChainWriteResult Write(serve::FleetServer& server);
   /// Force a full member (new epoch) regardless of chain length.
   ChainWriteResult WriteFull(serve::FleetServer& server);
 
-  /// Members in the current chain (0 when the next write starts fresh).
+  /// Members in the current chain (0 when it cannot be extended).
   std::size_t chain_length() const {
     return can_append_ ? manifest_.entries.size() : 0;
   }
@@ -130,6 +136,8 @@ class CheckpointChain {
   Manifest manifest_;
   /// True only while the on-disk chain matches manifest_ and may grow.
   bool can_append_ = false;
+  /// server.state_installs() as of the chain's full (written or recovered).
+  std::uint64_t installs_at_full_ = 0;
 };
 
 // --- offline inspection / folding (no models needed) ---------------------

@@ -13,7 +13,6 @@
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
-#include "serve/fleet_server.hpp"
 
 namespace cordial::serve {
 
@@ -78,7 +77,7 @@ void WriteFileDurably(const std::string& path, std::string_view bytes,
   // Recovery must come up from the previous checkpoint.
   CORDIAL_FAILPOINT("serve.checkpoint.crash_before_rename", ::_exit(121));
 
-  // Retain one older generation for RecoverCheckpoint's fallback. Best
+  // Retain one older generation for the reader's `.prev` fallback. Best
   // effort: a filesystem without hard links just loses the safety net.
   // The replacement must itself be atomic — link the current file to a
   // side name and rename it over the old `.prev`. The previous scheme
@@ -150,15 +149,6 @@ void ExpectNoTrailingBytes(std::string_view rest, const std::string& where) {
   }
 }
 
-std::uint64_t WriteCheckpointFile(const FleetServer& server,
-                                  const std::string& path) {
-  // Serialize first: a failure here costs nothing on disk.
-  std::string bytes;
-  server.AppendCheckpoint(bytes);
-  WriteFileDurably(path, bytes, /*retain_prev=*/true);
-  return bytes.size();
-}
-
 bool ReadFileBytes(const std::string& path, std::string& bytes) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return false;
@@ -174,40 +164,6 @@ bool ReadFileBytes(const std::string& path, std::string& bytes) {
   data.resize(static_cast<std::size_t>(in.gcount()));
   bytes = std::move(data);
   return true;
-}
-
-bool ReadCheckpointFile(FleetServer& server, const std::string& path) {
-  std::string bytes;
-  if (!ReadFileBytes(path, bytes)) return false;
-  server.RestoreCheckpoint(bytes);
-  return true;
-}
-
-RecoveryOutcome RecoverCheckpoint(FleetServer& server,
-                                  const std::string& path) {
-  RecoveryOutcome outcome;
-  const std::string candidates[] = {path, path + ".prev"};
-  for (const std::string& candidate : candidates) {
-    std::string bytes;
-    if (!ReadFileBytes(candidate, bytes)) continue;
-    try {
-      server.RestoreCheckpoint(bytes);
-      outcome.restored_from = candidate;
-      return outcome;
-    } catch (const ParseError& e) {
-      const std::string quarantine = candidate + ".corrupt";
-      ::unlink(quarantine.c_str());
-      if (std::rename(candidate.c_str(), quarantine.c_str()) == 0) {
-        outcome.quarantined.push_back(quarantine);
-      } else {
-        // Quarantine is best effort (read-only directory?); record the
-        // original name so the operator still learns which file is bad.
-        outcome.quarantined.push_back(candidate);
-      }
-      outcome.errors.push_back(candidate + ": " + e.what());
-    }
-  }
-  return outcome;
 }
 
 }  // namespace cordial::serve

@@ -72,6 +72,7 @@ void FleetServer::ImportShard(std::size_t index, const std::string& state) {
   core::PredictionEngine::StagedState staged = shards_[index]->ParseState(in);
   ExpectNoTrailingBytes(in, "imported shard state");
   shards_[index]->CommitState(std::move(staged));
+  state_installs_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool FleetServer::ValidRecord(const trace::MceRecord& record) const {
@@ -254,17 +255,9 @@ std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
 }
 
 void FleetServer::ApplyDeltaCheckpoint(std::string_view member) {
-  const std::string_view payload =
+  std::string_view payload =
       ReadFramedView(member, kFleetDeltaMagic, kFleetDeltaVersion);
   ExpectNoTrailingBytes(member, "delta checkpoint member");
-  ApplyDeltaPayload(payload);
-}
-
-void FleetServer::ApplyDeltaCheckpoint(std::istream& in) {
-  ApplyDeltaPayload(ReadFramed(in, kFleetDeltaMagic, kFleetDeltaVersion));
-}
-
-void FleetServer::ApplyDeltaPayload(std::string_view payload) {
   const std::uint64_t shard_count =
       TakeShardCount(payload, "delta checkpoint");
   if (shard_count != shards_.size()) {
@@ -284,6 +277,7 @@ void FleetServer::ApplyDeltaPayload(std::string_view payload) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->CommitDeltaState(std::move(staged[s]));
   }
+  state_installs_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FleetServer::MarkCheckpointClean() {
@@ -303,18 +297,9 @@ std::size_t FleetServer::TotalBankCount() const {
 }
 
 void FleetServer::RestoreCheckpoint(std::string_view member) {
-  const std::string_view payload =
+  std::string_view payload =
       ReadFramedView(member, kFleetCheckpointMagic, kFleetCheckpointVersion);
   ExpectNoTrailingBytes(member, "checkpoint member");
-  RestorePayload(payload);
-}
-
-void FleetServer::RestoreCheckpoint(std::istream& in) {
-  RestorePayload(
-      ReadFramed(in, kFleetCheckpointMagic, kFleetCheckpointVersion));
-}
-
-void FleetServer::RestorePayload(std::string_view payload) {
   const std::uint64_t shard_count = TakeShardCount(payload, "checkpoint");
   if (shard_count != shards_.size()) {
     throw ParseError("checkpoint holds " + std::to_string(shard_count) +
@@ -333,6 +318,7 @@ void FleetServer::RestorePayload(std::string_view payload) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->CommitState(std::move(staged[s]));
   }
+  state_installs_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace cordial::serve

@@ -12,8 +12,10 @@
 // Checkpointing: AppendCheckpoint encodes every shard's engine into one
 // versioned frame, in place in the caller's buffer; RestoreCheckpoint parses
 // such a member in place and rebuilds a same-shape server that resumes
-// bit-identically. Both require the server to be drained. The stream
-// signatures (SaveCheckpoint, ...) are thin adapters over the same paths.
+// bit-identically. Both require the server to be drained. Members reach the
+// restore paths only as views (persist::CheckpointChain reads each file
+// whole); the stream writers (SaveCheckpoint, SaveDeltaCheckpoint) are thin
+// adapters over the Append paths.
 //
 // Migration: a shard's engine state can leave one server and land in
 // another. ExportShard drains the shard and returns its framed engine
@@ -73,14 +75,16 @@ class FleetServer {
               const core::CrossRowPredictor* double_predictor = nullptr,
               FleetServerConfig config = {}, ActionSink sink = nullptr);
 
-  /// Movable (factory-style construction); the atomic invalid-record tally
-  /// carries over with a relaxed load — only valid between submissions,
-  /// which is the only time moving a server is sane anyway.
+  /// Movable (factory-style construction); the atomic tallies carry over
+  /// with relaxed loads — only valid between submissions, which is the
+  /// only time moving a server is sane anyway.
   FleetServer(FleetServer&& other) noexcept
       : codec_(std::move(other.codec_)),
         shards_(std::move(other.shards_)),
         invalid_records_(
-            other.invalid_records_.load(std::memory_order_relaxed)) {}
+            other.invalid_records_.load(std::memory_order_relaxed)),
+        state_installs_(
+            other.state_installs_.load(std::memory_order_relaxed)) {}
 
   void Start();  ///< start every shard's worker
   /// Route one record to its bank's shard. Returns false when that shard
@@ -177,10 +181,6 @@ class FleetServer {
   /// shard section is parsed before any shard commits, so a throw leaves
   /// the whole server unchanged — never half-restored.
   void RestoreCheckpoint(std::string_view member);
-  /// Restore from the checkpoint frame at the stream's read position, same
-  /// checks on its payload. Bytes after the frame are left in the stream
-  /// for the caller; files are read whole and restored from the view.
-  void RestoreCheckpoint(std::istream& in);
 
   // --- delta checkpoints (server must be drained throughout) ---------------
 
@@ -197,23 +197,27 @@ class FleetServer {
   /// deltas). Same strong guarantee and checks as RestoreCheckpoint: every
   /// shard's delta is parsed before any commits.
   void ApplyDeltaCheckpoint(std::string_view member);
-  /// Apply the delta frame at the stream's read position.
-  void ApplyDeltaCheckpoint(std::istream& in);
   /// Advance every shard's snapshot epoch (all banks become clean).
   void MarkCheckpointClean();
   /// Banks dirtied since the last MarkCheckpointClean, across all shards.
   std::size_t DirtyBankCount() const;
   std::size_t TotalBankCount() const;
+  /// State installs so far: RestoreCheckpoint, ApplyDeltaCheckpoint and
+  /// ImportShard each add one. An installed bank is clean, and a delta
+  /// cannot drop the banks a replaced shard held, so no delta carries an
+  /// install: a writer that sees this count move since its last full must
+  /// write a full (CheckpointChain::Write does).
+  std::uint64_t state_installs() const {
+    return state_installs_.load(std::memory_order_relaxed);
+  }
 
  private:
   bool ValidRecord(const trace::MceRecord& record) const;
-  /// Stage every shard from a checked fleet payload, then commit them all.
-  void RestorePayload(std::string_view payload);
-  void ApplyDeltaPayload(std::string_view payload);
 
   hbm::AddressCodec codec_;
   std::vector<std::unique_ptr<EngineShard>> shards_;
   std::atomic<std::uint64_t> invalid_records_{0};
+  std::atomic<std::uint64_t> state_installs_{0};
 };
 
 }  // namespace cordial::serve

@@ -226,7 +226,7 @@ class EngineShard {
   /// True when every accepted record has been consumed (processed or
   /// dropped). Acquire loads, so a true answer also publishes the worker's
   /// engine writes to the caller. Drain waits for it, and every
-  /// drained-shard contract check (SaveState, dirty_bank_count, ...) tests
+  /// drained-shard contract check (AppendState, dirty_bank_count, ...) tests
   /// it, so a call right after Drain always passes its check.
   bool DrainedNow() const {
     return processed_.load(std::memory_order_acquire) +
@@ -261,7 +261,7 @@ class EngineShard {
   ParkingSpot not_full_;   ///< kBlock producers park here when full
   ParkingSpot idle_;       ///< Drain parks here until the shard quiesces
 
-  /// Serializes Start/Stop/checkpoint calls (mutable: SaveState is const).
+  /// Serializes Start/Stop/checkpoint calls (mutable: AppendState is const).
   mutable std::mutex control_mutex_;
   std::vector<QueueItem> drain_buf_;  ///< worker-local batch buffer
   std::thread worker_;

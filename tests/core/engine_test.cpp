@@ -318,21 +318,19 @@ TEST(PredictionEngine, SaveRestoreRoundTripsClockAndCountersExactly) {
   }
   ASSERT_GT(stale_fed, 0u);
   ASSERT_EQ(original.stats().records_skew_dropped, stale_fed);
-  std::ostringstream saved;
-  original.SaveState(saved);
+  const std::string saved = StateBytes(original);
 
   PredictionEngine restored(w.topology, w.classifier, w.single_pred,
                             w.double_or_null(), config);
-  std::istringstream in(saved.str());
-  restored.RestoreState(in);
+  std::string_view in(saved);
+  restored.CommitState(restored.ParseState(in));
+  EXPECT_TRUE(in.empty());
   EXPECT_EQ(restored.bank_count(), original.bank_count());
   EXPECT_EQ(restored.stats().events, records.size());
   EXPECT_EQ(restored.stats().records_skew_dropped, stale_fed);
   EXPECT_EQ(restored.stats(), original.stats());
   EXPECT_DOUBLE_EQ(restored.now(), original.now());
-  std::ostringstream resaved;
-  restored.SaveState(resaved);
-  EXPECT_EQ(resaved.str(), saved.str());
+  EXPECT_EQ(StateBytes(restored), saved);
 }
 
 TEST(PredictionEngine, SkewClockSurvivesFullAndDeltaRestore) {

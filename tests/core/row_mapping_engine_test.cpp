@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "analysis/labeler.hpp"
 #include "common/check.hpp"
@@ -82,9 +83,9 @@ const RemapWorld& SharedWorld() {
 }
 
 std::string StateBytes(const PredictionEngine& engine) {
-  std::ostringstream out;
-  engine.SaveState(out);
-  return out.str();
+  std::string out;
+  engine.AppendState(out);
+  return out;
 }
 
 TEST(RowMappingEngine, LogicalStreamMatchesPhysicalStreamBitForBit) {
@@ -145,13 +146,13 @@ TEST(RowMappingEngine, CheckpointRoundTripsUnderAMapping) {
   const std::size_t half = records.size() / 2;
   for (std::size_t i = 0; i < half; ++i) engine.Observe(records[i]);
 
-  std::stringstream state;
-  engine.SaveState(state);
+  const std::string state = StateBytes(engine);
   // The restoring engine must be constructed with the same mapping — the
   // state frame carries physical rows only (the config contract).
   PredictionEngine resumed(w.topology, w.classifier, w.single_pred, nullptr,
                            config);
-  resumed.RestoreState(state);
+  std::string_view in(state);
+  resumed.CommitState(resumed.ParseState(in));
   for (std::size_t i = half; i < records.size(); ++i) {
     engine.Observe(records[i]);
     resumed.Observe(records[i]);

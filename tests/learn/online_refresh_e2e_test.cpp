@@ -128,8 +128,7 @@ TEST(LearnOnlineRefresh, EndToEndPromotionHotSwapAndCheckpoint) {
   server.SaveCheckpoint(checkpoint);
   serve::FleetServer restored(w.topology, weak_champion, w.single_pred,
                               w.double_or_null(), config);
-  std::istringstream in(checkpoint.str());
-  restored.RestoreCheckpoint(in);
+  restored.RestoreCheckpoint(checkpoint.str());
   std::ostringstream resaved;
   restored.SaveCheckpoint(resaved);
   EXPECT_EQ(resaved.str(), checkpoint.str());

@@ -63,11 +63,6 @@ std::string Checkpoint(const FleetServer& server) {
   return out.str();
 }
 
-void Restore(FleetServer& server, const std::string& bytes) {
-  std::istringstream in(bytes);
-  server.RestoreCheckpoint(in);
-}
-
 // --- primitives -----------------------------------------------------------
 
 TEST(PersistBinaryPrimitives, FixedWidthFieldsRoundTripBitExactly) {
@@ -448,7 +443,7 @@ TEST(PersistBinaryCodec, RestoreReencodesByteIdenticallyAtEveryPrefix) {
     for (std::size_t prefix = 0; prefix <= total; ++prefix) {
       if (prefix > 0) Feed(donor, trace.records, prefix - 1, prefix);
       const std::string saved = Checkpoint(donor);
-      Restore(restored, saved);
+      restored.RestoreCheckpoint(saved);
       EXPECT_EQ(Checkpoint(restored), saved) << "prefix " << prefix;
       EXPECT_EQ(ProfileBits(restored, trace.records),
                 ProfileBits(donor, trace.records))
@@ -475,7 +470,7 @@ TEST(PersistBinaryCodec, RestoredServerContinuesBitIdentically) {
   Feed(donor, w, 0, 80);
 
   FleetServer restored = MakeServer(w);
-  Restore(restored, Checkpoint(donor));
+  restored.RestoreCheckpoint(Checkpoint(donor));
   restored.Start();
   Feed(donor, w, 80, 160);
   Feed(restored, w, 80, 160);
@@ -497,7 +492,7 @@ TEST(PersistBinaryCodec, NonFiniteBudgetCostsSurviveBinaryRoundTrip) {
 
   const std::string saved = Checkpoint(donor);
   FleetServer restored = MakeServer(w, engine);
-  Restore(restored, saved);
+  restored.RestoreCheckpoint(saved);
   EXPECT_EQ(Checkpoint(restored), saved);
   const hbm::SparingBudget& budget =
       restored.shard(0).engine().ledger().budget();
@@ -561,16 +556,15 @@ TEST(PersistDelta, FullPlusDeltasRestoreBitIdenticallyToUninterrupted) {
 
   // full + deltas == the uninterrupted server, bit for bit.
   FleetServer follower = MakeServer(w);
-  Restore(follower, full);
+  follower.RestoreCheckpoint(full);
   for (const std::string& delta : deltas) {
-    std::istringstream in(delta);
-    follower.ApplyDeltaCheckpoint(in);
+    follower.ApplyDeltaCheckpoint(delta);
   }
   EXPECT_EQ(Checkpoint(follower), Checkpoint(donor));
 
   // ...and keeps consuming the feed bit-identically afterwards.
   FleetServer reference = MakeServer(w);
-  Restore(reference, Checkpoint(donor));
+  reference.RestoreCheckpoint(Checkpoint(donor));
   follower.Start();
   reference.Start();
   Feed(follower, w, kTotal, kTotal + 40);
@@ -591,8 +585,7 @@ TEST(PersistDelta, EmptyDeltaIsAnExactNoOp) {
   std::ostringstream out;
   ASSERT_EQ(server.SaveDeltaCheckpoint(out), 0u);
   const std::string before = Checkpoint(server);
-  std::istringstream in(out.str());
-  server.ApplyDeltaCheckpoint(in);
+  server.ApplyDeltaCheckpoint(out.str());
   EXPECT_EQ(Checkpoint(server), before);
 }
 
@@ -609,8 +602,7 @@ TEST(PersistDelta, DeltaWithWrongShardCountIsRejected) {
   config.shard_count = kShardCount + 1;
   FleetServer other(w.topology, w.classifier, w.single_pred, w.double_or_null(),
                     config);
-  std::istringstream in(out.str());
-  EXPECT_THROW(other.ApplyDeltaCheckpoint(in), ParseError);
+  EXPECT_THROW(other.ApplyDeltaCheckpoint(out.str()), ParseError);
 }
 
 }  // namespace

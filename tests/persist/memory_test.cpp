@@ -233,7 +233,7 @@ TEST(CheckpointMemory, RecoverHoldsAtMostThreeLargestMembersOverItsState) {
   FleetServer server = MakeServer();
   CheckpointChain chain(ChainConfig{dir.path(), 16});
   HeapProbe probe;
-  const ChainRecoveryOutcome outcome = chain.Recover(server);
+  const ChainRecoveryResult outcome = chain.Recover(server);
   ASSERT_EQ(outcome.applied.size(), 3u);
   const std::int64_t restored_state = g_live_bytes.load() - probe.before();
   ExpectWithin("Recover (over the restored state)",

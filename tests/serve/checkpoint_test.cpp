@@ -7,9 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/labeler.hpp"
@@ -83,9 +84,22 @@ const World& SharedWorld() {
 }
 
 std::string StateOf(const core::PredictionEngine& engine) {
-  std::ostringstream out;
-  engine.SaveState(out);
-  return out.str();
+  std::string out;
+  engine.AppendState(out);
+  return out;
+}
+
+/// Restore `engine` from exactly one engine-state frame.
+void RestoreState(core::PredictionEngine& engine, std::string_view frame) {
+  core::PredictionEngine::StagedState staged = engine.ParseState(frame);
+  ExpectNoTrailingBytes(frame, "engine state");
+  engine.CommitState(std::move(staged));
+}
+
+std::string CheckpointOf(const FleetServer& server) {
+  std::string out;
+  server.AppendCheckpoint(out);
+  return out;
 }
 
 TEST(EngineCheckpoint, SaveRestoreRoundTripsByteExactly) {
@@ -97,8 +111,7 @@ TEST(EngineCheckpoint, SaveRestoreRoundTripsByteExactly) {
   const std::string saved = StateOf(original);
 
   core::PredictionEngine restored = w.MakeEngine();
-  std::istringstream in(saved);
-  restored.RestoreState(in);
+  RestoreState(restored, saved);
   EXPECT_EQ(StateOf(restored), saved);
   EXPECT_EQ(restored.stats(), original.stats());
   EXPECT_EQ(restored.ledger().rows_spared(), original.ledger().rows_spared());
@@ -135,12 +148,8 @@ TEST(EngineCheckpoint, KillAtAnyPrefixResumesBitIdentically) {
       first_half.Observe(records[absorbed]);
       ++absorbed;
     }
-    std::ostringstream checkpoint;
-    first_half.SaveState(checkpoint);
-
     core::PredictionEngine resumed = w.MakeEngine();
-    std::istringstream in(checkpoint.str());
-    resumed.RestoreState(in);
+    RestoreState(resumed, StateOf(first_half));
     for (std::size_t i = k; i < records.size(); ++i) {
       resumed.Observe(records[i]);
     }
@@ -151,25 +160,22 @@ TEST(EngineCheckpoint, KillAtAnyPrefixResumesBitIdentically) {
 TEST(EngineCheckpoint, RestoreRejectsVersionMismatchAndWrongMagic) {
   const World& w = SharedWorld();
   core::PredictionEngine engine = w.MakeEngine();
-  std::ostringstream saved;
-  engine.SaveState(saved);
+  const std::string saved = StateOf(engine);
 
   // Re-frame the valid payload as a future version.
-  std::istringstream reread(saved.str());
-  const std::string payload =
-      ReadFramed(reread, core::kEngineStateMagic, core::kEngineStateVersion);
+  std::string_view reread(saved);
+  const std::string payload(ReadFramedView(reread, core::kEngineStateMagic,
+                                           core::kEngineStateVersion));
   std::ostringstream future;
   WriteFramed(future, core::kEngineStateMagic, core::kEngineStateVersion + 1,
               payload);
   core::PredictionEngine victim = w.MakeEngine();
-  std::istringstream future_in(future.str());
-  EXPECT_THROW(victim.RestoreState(future_in), ParseError);
+  EXPECT_THROW(RestoreState(victim, future.str()), ParseError);
 
   std::ostringstream alien;
   WriteFramed(alien, "some_other_state", core::kEngineStateVersion, payload);
   core::PredictionEngine victim2 = w.MakeEngine();
-  std::istringstream alien_in(alien.str());
-  EXPECT_THROW(victim2.RestoreState(alien_in), ParseError);
+  EXPECT_THROW(RestoreState(victim2, alien.str()), ParseError);
 }
 
 TEST(EngineCheckpoint, ServerCheckpointResumesBitIdentically) {
@@ -185,8 +191,6 @@ TEST(EngineCheckpoint, ServerCheckpointResumesBitIdentically) {
   reference.Start();
   for (const trace::MceRecord& record : records) reference.Submit(record);
   reference.Stop();
-  std::ostringstream reference_state;
-  reference.SaveCheckpoint(reference_state);
 
   // First half, checkpoint at the kill point.
   FleetServer first(w.topology, w.classifier, w.single_pred,
@@ -194,23 +198,19 @@ TEST(EngineCheckpoint, ServerCheckpointResumesBitIdentically) {
   first.Start();
   for (std::size_t i = 0; i < half; ++i) first.Submit(records[i]);
   first.Drain();
-  std::ostringstream checkpoint;
-  first.SaveCheckpoint(checkpoint);
+  const std::string checkpoint = CheckpointOf(first);
   first.Stop();
 
   // Fresh server restores and replays the remainder.
   FleetServer resumed(w.topology, w.classifier, w.single_pred,
                       w.double_or_null(), config);
-  std::istringstream in(checkpoint.str());
-  resumed.RestoreCheckpoint(in);
+  resumed.RestoreCheckpoint(checkpoint);
   resumed.Start();
   for (std::size_t i = half; i < records.size(); ++i) {
     resumed.Submit(records[i]);
   }
   resumed.Stop();
-  std::ostringstream resumed_state;
-  resumed.SaveCheckpoint(resumed_state);
-  EXPECT_EQ(resumed_state.str(), reference_state.str());
+  EXPECT_EQ(CheckpointOf(resumed), CheckpointOf(reference));
   EXPECT_EQ(resumed.AggregateStats(), reference.AggregateStats());
 }
 
@@ -220,50 +220,19 @@ TEST(EngineCheckpoint, ServerRejectsShardCountMismatch) {
   three.shard_count = 3;
   FleetServer saver(w.topology, w.classifier, w.single_pred,
                     w.double_or_null(), three);
-  std::ostringstream checkpoint;
-  saver.SaveCheckpoint(checkpoint);
+  const std::string checkpoint = CheckpointOf(saver);
 
   FleetServerConfig two;
   two.shard_count = 2;
   FleetServer restorer(w.topology, w.classifier, w.single_pred,
                        w.double_or_null(), two);
-  std::istringstream in(checkpoint.str());
   try {
-    restorer.RestoreCheckpoint(in);
+    restorer.RestoreCheckpoint(checkpoint);
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("shard"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(EngineCheckpoint, FileHelpersWriteAtomicallyAndHandleAbsence) {
-  const World& w = SharedWorld();
-  const auto& records = w.fleet.log.records();
-  FleetServerConfig config;
-  config.shard_count = 2;
-  FleetServer server(w.topology, w.classifier, w.single_pred,
-                     w.double_or_null(), config);
-  server.Start();
-  for (std::size_t i = 0; i < records.size() / 4; ++i) {
-    server.Submit(records[i]);
-  }
-  server.Stop();
-
-  const std::string path =
-      ::testing::TempDir() + "cordial_checkpoint_test.ckpt";
-  std::remove(path.c_str());
-  FleetServer reader(w.topology, w.classifier, w.single_pred,
-                     w.double_or_null(), config);
-  EXPECT_FALSE(ReadCheckpointFile(reader, path));  // fresh start
-
-  WriteCheckpointFile(server, path);
-  EXPECT_TRUE(ReadCheckpointFile(reader, path));
-  std::ostringstream a, b;
-  server.SaveCheckpoint(a);
-  reader.SaveCheckpoint(b);
-  EXPECT_EQ(a.str(), b.str());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -181,8 +181,8 @@ TEST(Migration, InterleavedCheckpointRestoreDoesNotDisturbMigration) {
   // between migrations must not perturb a single byte of the outcome.
   const auto cycle_checkpoint = [](FleetServer& server) {
     server.Drain();
-    std::stringstream snapshot;
-    server.SaveCheckpoint(snapshot);
+    std::string snapshot;
+    server.AppendCheckpoint(snapshot);
     server.RestoreCheckpoint(snapshot);
   };
   const std::string merged = RunMigratedScenario(

@@ -163,8 +163,7 @@ TEST(ModelSwap, CheckpointAcrossSwapsRestoresAndResumesByteExactly) {
   // at its first record, same as the original already did.
   FleetServer restored(w.topology, w.classifier, w.single_pred,
                        w.double_or_null(), config);
-  std::istringstream mid_in(mid.str());
-  restored.RestoreCheckpoint(mid_in);
+  restored.RestoreCheckpoint(mid.str());
   restored.Start();
 
   const std::size_t tail_start = half + rest / 2;
