@@ -3,13 +3,14 @@
 # serving-layer and observability tests again under ThreadSanitizer so data
 # races in the thread pool, the shard queues, the metric registries, or any
 # fanned-out hot path fail the run even when the plain build passes, and the
-# engine/profile tests under AddressSanitizer so lifetime bugs in the
-# incremental per-bank state (profile snapshots, the one bank map) fail the
-# run too (including the checkpoint durability torture suite —
-# truncation/bit-flip parsing is exactly where lifetime bugs would hide — and
-# the model parser, which walks raw pointers over untrusted model bytes),
-# and the codec and checkpoint tests under UndefinedBehaviorSanitizer, so
-# shifts, overflows and misaligned or out-of-range conversions in the
+# engine/profile and feature-extractor tests under AddressSanitizer so
+# lifetime bugs in the incremental per-bank state (the classification view
+# allocated at a bank's first UER, the one bank map) fail the run too
+# (including the checkpoint durability torture suite — truncation/bit-flip
+# parsing is exactly where lifetime bugs would hide — and the model parser,
+# which walks raw pointers over untrusted model bytes), and the codec,
+# checkpoint and feature-extractor tests under UndefinedBehaviorSanitizer,
+# so shifts, overflows and misaligned or out-of-range conversions in the
 # varint/bit-pattern decoders fail the run too.
 # Then smokes with the real daemon binaries, whose checkpoint is a chain
 # directory compared by its fold (cordial_ckpt export): the durability drill
@@ -77,18 +78,21 @@ else
   # checkpoint codec: back-patched lengths, frame headers inserted in front
   # of their payloads, and views into member bytes. CheckpointMemory runs
   # too: its counting operator new sits on top of malloc, which ASan still
-  # instruments.
+  # instruments. The feature-extractor suites (CrossRow ... TruncateAtUer)
+  # read BankProfile's u32 row sets through the extractors' comparators and
+  # copy and move the heap-allocated classification view.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory)'
+    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer)'
 fi
 
 cmake -B build-ubsan -S . -DCORDIAL_SANITIZE=undefined \
   -DCORDIAL_BUILD_BENCHMARKS=OFF -DCORDIAL_BUILD_EXAMPLES=OFF
 cmake --build build-ubsan -j
-# The binary codec (varints, zigzag, presence masks, row gaps) and every
-# suite that encodes or decodes checkpoint, wire or model bytes.
+# The binary codec (varints, zigzag, presence masks, row gaps), every
+# suite that encodes or decodes checkpoint, wire or model bytes, and the
+# feature-extractor suites, whose comparators convert u32 rows to double.
 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|FleetServer|Migration|Net|Serialize|ModelParser)'
+  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer)'
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then
   echo "tier1: skipping durability smoke (--skip-smoke)"

@@ -1,6 +1,8 @@
 #include "core/bank_profile.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "common/check.hpp"
 #include "persist/binary_io.hpp"
@@ -13,12 +15,18 @@ namespace {
 
 /// Insert `row` into a sorted distinct vector; returns the insertion index
 /// or SIZE_MAX when the row was already present.
-std::size_t InsertDistinct(std::vector<double>& sorted, double row) {
+std::size_t InsertDistinct(std::vector<std::uint32_t>& sorted,
+                           std::uint32_t row) {
   const auto it = std::lower_bound(sorted.begin(), sorted.end(), row);
   if (it != sorted.end() && *it == row) return static_cast<std::size_t>(-1);
   const auto index = static_cast<std::size_t>(it - sorted.begin());
   sorted.insert(it, row);
   return index;
+}
+
+/// Insert `gap` into an ascending vector that keeps repeats.
+void InsertGap(std::vector<std::uint32_t>& gaps, std::uint32_t gap) {
+  gaps.insert(std::upper_bound(gaps.begin(), gaps.end(), gap), gap);
 }
 
 }  // namespace
@@ -65,7 +73,7 @@ void ClassAccumulator::Absorb(const trace::MceRecord& record) {
       last_uer_time = t;
       uer_row_diff.Push(row);
       uer_dt.Push(t);
-      InsertDistinct(distinct_uer_rows, row);
+      InsertDistinct(distinct_uer_rows, record.address.row);
       break;
   }
   any_event = true;
@@ -84,12 +92,12 @@ void CrossRowAccumulator::Absorb(const trace::MceRecord& record) {
     case ErrorType::kCe:
       ++ce_count;
       ce_dt.Push(t);
-      InsertDistinct(ce_rows, row);
+      InsertDistinct(ce_rows, record.address.row);
       break;
     case ErrorType::kUeo:
       ++ueo_count;
       ueo_dt.Push(t);
-      InsertDistinct(ueo_rows, row);
+      InsertDistinct(ueo_rows, record.address.row);
       break;
     case ErrorType::kUer: {
       if (uer_count == 0) first_uer_time = t;
@@ -98,27 +106,24 @@ void CrossRowAccumulator::Absorb(const trace::MceRecord& record) {
       ++uer_count;
       uer_dt.Push(t);
       uer_row_diff.Push(row);
-      const std::size_t index = InsertDistinct(uer_rows, row);
+      const std::uint32_t row_u32 = record.address.row;
+      const std::size_t index = InsertDistinct(uer_rows, row_u32);
       if (index != static_cast<std::size_t>(-1)) {
-        // Maintain the neighbour-gap multiset: inserting between two
-        // existing rows splits their gap in two.
-        const auto u32 = [](double v) { return static_cast<std::uint32_t>(v); };
+        // Maintain the neighbour gaps: inserting between two existing rows
+        // splits their gap in two.
         const bool has_prev = index > 0;
         const bool has_next = index + 1 < uer_rows.size();
         if (has_prev && has_next) {
           const std::uint32_t old_gap =
-              u32(uer_rows[index + 1]) - u32(uer_rows[index - 1]);
-          const auto it = uer_row_gaps.find(old_gap);
-          CORDIAL_CHECK_MSG(it != uer_row_gaps.end(),
+              uer_rows[index + 1] - uer_rows[index - 1];
+          const auto it = std::lower_bound(uer_row_gaps.begin(),
+                                           uer_row_gaps.end(), old_gap);
+          CORDIAL_CHECK_MSG(it != uer_row_gaps.end() && *it == old_gap,
                             "UER gap bookkeeping out of sync");
           uer_row_gaps.erase(it);
         }
-        if (has_prev) {
-          uer_row_gaps.insert(u32(row) - u32(uer_rows[index - 1]));
-        }
-        if (has_next) {
-          uer_row_gaps.insert(u32(uer_rows[index + 1]) - u32(row));
-        }
+        if (has_prev) InsertGap(uer_row_gaps, row_u32 - uer_rows[index - 1]);
+        if (has_next) InsertGap(uer_row_gaps, uer_rows[index + 1] - row_u32);
       }
       break;
     }
@@ -131,22 +136,80 @@ BankProfile::BankProfile(std::size_t max_uers) : max_uers_(max_uers) {
   CORDIAL_CHECK_MSG(max_uers_ >= 1, "must keep at least one UER");
 }
 
+BankProfile::BankProfile(const BankProfile& other)
+    : max_uers_(other.max_uers_),
+      events_(other.events_),
+      last_time_(other.last_time_),
+      ce_at_last_time_(other.ce_at_last_time_),
+      ueo_at_last_time_(other.ueo_at_last_time_),
+      view_(other.view_ != nullptr ? std::make_unique<ClassView>(*other.view_)
+                                   : nullptr),
+      crossrow_(other.crossrow_) {}
+
+BankProfile& BankProfile::operator=(const BankProfile& other) {
+  if (this != &other) *this = BankProfile(other);
+  return *this;
+}
+
+BankProfile::ClassView BankProfile::DerivedView() const {
+  ClassView view;
+  ClassAccumulator& live = view.live;
+  const CrossRowAccumulator& x = crossrow_;
+  live.ce_total = x.ce_count;
+  live.ueo_total = x.ueo_count;
+  // The extrema of a sorted distinct set are its ends; rows are exact in
+  // double, so these are the bits live's own min/max would hold.
+  if (!x.ce_rows.empty()) {
+    live.ce_row_min = x.ce_rows.front();
+    live.ce_row_max = x.ce_rows.back();
+  }
+  if (!x.ueo_rows.empty()) {
+    live.ueo_row_min = x.ueo_rows.front();
+    live.ueo_row_max = x.ueo_rows.back();
+  }
+  live.all_row_diff = x.all_row_diff;
+  live.ce_dt = x.ce_dt;
+  live.ueo_dt = x.ueo_dt;
+  live.any_event = x.all_count > 0;
+  live.last_time = x.last_event_time;
+  live.ce_at_last_time = ce_at_last_time_;
+  live.ueo_at_last_time = ueo_at_last_time_;
+  return view;
+}
+
 void BankProfile::Observe(const trace::MceRecord& record) {
   CORDIAL_CHECK_MSG(events_ == 0 || record.time_s >= last_time_,
                     "BankProfile requires non-decreasing timestamps");
+  if (view_ == nullptr) {
+    if (record.type == ErrorType::kUer) {
+      // The first UER: materialize the view that was derived until now.
+      view_ = std::make_unique<ClassView>(DerivedView());
+    } else {
+      // ClassAccumulator::Absorb's same-timestamp bookkeeping, against the
+      // derived live accumulator's last event (crossrow_'s).
+      if (crossrow_.all_count == 0 ||
+          record.time_s != crossrow_.last_event_time) {
+        ce_at_last_time_ = 0;
+        ueo_at_last_time_ = 0;
+      }
+      ++(record.type == ErrorType::kCe ? ce_at_last_time_ : ueo_at_last_time_);
+    }
+  }
   ++events_;
   last_time_ = record.time_s;
   crossrow_.Absorb(record);
+  if (view_ == nullptr) return;
+  ClassView& view = *view_;
 
   if (record.type == ErrorType::kUer) {
     // TruncateAtUer keeps the first max_uers UERs; later ones — including
     // same-timestamp ties with the cutoff — are outside the view.
-    if (uer_accepted_ < max_uers_) {
-      live_.Absorb(record);
-      ++uer_accepted_;
-      cutoff_ = record.time_s;
-      frozen_ = live_;
-      if (uer_accepted_ == max_uers_) capped_ = true;
+    if (view.uer_accepted < max_uers_) {
+      view.live.Absorb(record);
+      ++view.uer_accepted;
+      view.cutoff = record.time_s;
+      view.frozen = view.live;
+      if (view.uer_accepted == max_uers_) view.capped = true;
     }
     return;
   }
@@ -155,8 +218,8 @@ void BankProfile::Observe(const trace::MceRecord& record) {
   // cutoff can still move forward, so everything is tracked in `live`;
   // same-timestamp ties with the current cutoff additionally land in
   // `frozen` so the snapshot equals the view at all times.
-  if (!capped_) live_.Absorb(record);
-  if (uer_accepted_ >= 1 && record.time_s == cutoff_) frozen_.Absorb(record);
+  if (!view.capped) view.live.Absorb(record);
+  if (record.time_s == view.cutoff) view.frozen.Absorb(record);
 }
 
 void BankProfile::ObserveAll(const trace::BankHistory& bank) {
@@ -166,14 +229,17 @@ void BankProfile::ObserveAll(const trace::BankHistory& bank) {
 double BankProfile::classification_cutoff_s() const {
   CORDIAL_CHECK_MSG(HasClassificationView(),
                     "classification cutoff requires a UER");
-  return cutoff_;
+  return view_->cutoff;
+}
+
+const ClassAccumulator& BankProfile::classification() const {
+  static const ClassAccumulator kBeforeFirstUer;
+  return view_ != nullptr ? view_->frozen : kBeforeFirstUer;
 }
 
 bool BankProfile::HasUerRow(std::uint32_t row) const {
-  const double value = static_cast<double>(row);
-  const auto& rows = crossrow_.uer_rows;
-  const auto it = std::lower_bound(rows.begin(), rows.end(), value);
-  return it != rows.end() && *it == value;
+  return std::binary_search(crossrow_.uer_rows.begin(),
+                            crossrow_.uer_rows.end(), row);
 }
 
 // ---------------------------------------------------------- serialization
@@ -214,7 +280,7 @@ void WriteClassBinary(persist::BinaryWriter& out, const ClassAccumulator& acc) {
   WriteChainBinary(out, acc.ce_dt);
   WriteChainBinary(out, acc.ueo_dt);
   WriteChainBinary(out, acc.uer_dt);
-  out.AscendingU32<double>(acc.distinct_uer_rows);
+  out.AscendingU32(acc.distinct_uer_rows);
 }
 
 ClassAccumulator ReadClassBinary(persist::BinaryReader& in) {
@@ -235,7 +301,7 @@ ClassAccumulator ReadClassBinary(persist::BinaryReader& in) {
   acc.ce_dt = ReadChainBinary(in);
   acc.ueo_dt = ReadChainBinary(in);
   acc.uer_dt = ReadChainBinary(in);
-  acc.distinct_uer_rows = in.AscendingU32<double>();
+  acc.distinct_uer_rows = in.AscendingU32();
   return acc;
 }
 
@@ -252,9 +318,9 @@ void WriteCrossRowBinary(persist::BinaryWriter& out,
   WriteChainBinary(out, acc.ce_dt);
   WriteChainBinary(out, acc.ueo_dt);
   WriteChainBinary(out, acc.uer_dt);
-  out.AscendingU32<double>(acc.ce_rows);
-  out.AscendingU32<double>(acc.ueo_rows);
-  out.AscendingU32<double>(acc.uer_rows);
+  out.AscendingU32(acc.ce_rows);
+  out.AscendingU32(acc.ueo_rows);
+  out.AscendingU32(acc.uer_rows);
   // uer_row_gaps is derived from uer_rows and rebuilt on load.
 }
 
@@ -271,26 +337,35 @@ CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
   acc.ce_dt = ReadChainBinary(in);
   acc.ueo_dt = ReadChainBinary(in);
   acc.uer_dt = ReadChainBinary(in);
-  acc.ce_rows = in.AscendingU32<double>();
-  acc.ueo_rows = in.AscendingU32<double>();
-  acc.uer_rows = in.AscendingU32<double>();
+  acc.ce_rows = in.AscendingU32();
+  acc.ueo_rows = in.AscendingU32();
+  acc.uer_rows = in.AscendingU32();
   for (std::size_t i = 1; i < acc.uer_rows.size(); ++i) {
-    acc.uer_row_gaps.insert(static_cast<std::uint32_t>(acc.uer_rows[i]) -
-                            static_cast<std::uint32_t>(acc.uer_rows[i - 1]));
+    acc.uer_row_gaps.push_back(acc.uer_rows[i] - acc.uer_rows[i - 1]);
   }
+  std::sort(acc.uer_row_gaps.begin(), acc.uer_row_gaps.end());
   return acc;
+}
+
+std::string ClassBytes(const ClassAccumulator& acc) {
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
+  WriteClassBinary(out, acc);
+  return bytes;
 }
 
 }  // namespace
 
 void BankProfile::SaveBinary(persist::BinaryWriter& out) const {
+  const ClassView derived = view_ == nullptr ? DerivedView() : ClassView{};
+  const ClassView& view = view_ == nullptr ? derived : *view_;
   out.Var(max_uers_);
   out.Var(events_);
-  out.Var(uer_accepted_);
-  out.Bool(capped_);
-  out.MaskedF64({last_time_, cutoff_});
-  WriteClassBinary(out, live_);
-  WriteClassBinary(out, frozen_);
+  out.Var(view.uer_accepted);
+  out.Bool(view.capped);
+  out.MaskedF64({last_time_, view.cutoff});
+  WriteClassBinary(out, view.live);
+  WriteClassBinary(out, view.frozen);
   WriteCrossRowBinary(out, crossrow_);
 }
 
@@ -301,13 +376,57 @@ BankProfile BankProfile::LoadBinary(persist::BinaryReader& in) {
   if (max_uers == 0) in.Fail("corrupt profile max_uers 0");
   BankProfile profile(static_cast<std::size_t>(max_uers));
   profile.events_ = static_cast<std::size_t>(in.Var());
-  profile.uer_accepted_ = static_cast<std::size_t>(in.Var());
-  profile.capped_ = in.Bool();
-  in.MaskedF64({&profile.last_time_, &profile.cutoff_});
-  profile.live_ = ReadClassBinary(in);
-  profile.frozen_ = ReadClassBinary(in);
+  ClassView view;
+  view.uer_accepted = static_cast<std::size_t>(in.Var());
+  view.capped = in.Bool();
+  in.MaskedF64({&profile.last_time_, &view.cutoff});
+  view.live = ReadClassBinary(in);
+  view.frozen = ReadClassBinary(in);
   profile.crossrow_ = ReadCrossRowBinary(in);
+  if (view.uer_accepted > 0) {
+    profile.view_ = std::make_unique<ClassView>(std::move(view));
+    return profile;
+  }
+
+  // No accepted UER: the view is derived, so the blob must hold exactly
+  // what SaveBinary derives. Encodings are compared, not values, so -0.0
+  // and NaN payloads count.
+  profile.ce_at_last_time_ = view.live.ce_at_last_time;
+  profile.ueo_at_last_time_ = view.live.ueo_at_last_time;
+  const ClassView derived = profile.DerivedView();
+  if (view.capped || std::bit_cast<std::uint64_t>(view.cutoff) != 0 ||
+      ClassBytes(view.live) != ClassBytes(derived.live) ||
+      ClassBytes(view.frozen) != ClassBytes(derived.frozen)) {
+    in.Fail("classification view without an accepted UER is not the one "
+            "its cross-row view derives");
+  }
   return profile;
+}
+
+void BankProfile::CheckViewCounts(const persist::BinaryReader& in) const {
+  const std::size_t accepted = classification_uer_count();
+  const std::size_t expected = std::min(crossrow_.uer_count, max_uers_);
+  if (accepted != expected) {
+    in.Fail("accepted UERs " + std::to_string(accepted) +
+            " != min(cross-row UERs " + std::to_string(crossrow_.uer_count) +
+            ", depth " + std::to_string(max_uers_) + ")");
+  }
+  if (view_ == nullptr) return;  // derived: uncapped, no UER in either
+  if (view_->capped != (accepted == max_uers_)) {
+    in.Fail(std::string("classification view ") +
+            (view_->capped ? "capped" : "uncapped") + " at " +
+            std::to_string(accepted) + " accepted UERs of depth " +
+            std::to_string(max_uers_));
+  }
+  const auto check_uers = [&](const char* name, const ClassAccumulator& acc) {
+    if (acc.uer_events != accepted) {
+      in.Fail(std::string(name) + " classification view holds " +
+              std::to_string(acc.uer_events) + " UERs, not the " +
+              std::to_string(accepted) + " accepted");
+    }
+  };
+  check_uers("live", view_->live);
+  check_uers("frozen", view_->frozen);
 }
 
 }  // namespace cordial::core

@@ -11,11 +11,18 @@
 //    a *frozen* snapshot taken at each accepted UER. The snapshot-at-UER
 //    construction preserves the batch path's left-to-right summation order,
 //    so derived features are bit-identical to scanning the truncated events.
+//    Only a bank with a UER is ever classified, so the view is allocated at
+//    the bank's first UER. Before it, the live accumulator would have
+//    absorbed exactly the cross-row view's records and the snapshot would
+//    be empty, so both are derived when needed (the encoder, the first UER):
+//    from the cross-row view plus two same-timestamp CE/UEO counters. A bank
+//    without a UER holds no classification state.
 //
 //  * a CROSS-ROW view — untruncated running statistics over the full prefix:
-//    per-type sorted distinct rows (window proximity and range counts by
-//    binary search), consecutive row-difference and inter-arrival chains,
-//    row extrema, and the multiset of gaps between distinct UER rows (so
+//    per-type sorted distinct rows as u32 (window proximity and range counts
+//    by binary search, comparing double(row) as the batch scans compare
+//    their double rows), consecutive row-difference and inter-arrival
+//    chains, row extrema, and the sorted gaps between distinct UER rows (so
 //    EstimateRowStride's "smallest gap above the adjacency floor" is an
 //    O(log d) query instead of a rescan).
 //
@@ -25,8 +32,9 @@
 // implementations of the pre-refactor scans.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <memory>
 #include <vector>
 
 #include "trace/error_log.hpp"
@@ -74,7 +82,7 @@ struct ClassAccumulator {
   DiffChain uer_row_diff, all_row_diff;  ///< rows, event order
   DiffChain ce_dt, ueo_dt, uer_dt;       ///< timestamps, per type
   double first_uer_time = 0.0, last_uer_time = 0.0;
-  std::vector<double> distinct_uer_rows;  ///< sorted ascending, <= max_uers
+  std::vector<std::uint32_t> distinct_uer_rows;  ///< ascending, <= max_uers
   double ce_before_first_uer = 0.0, ueo_before_first_uer = 0.0;
 
   // Counts at the newest timestamp, for the strictly-before-first-UER
@@ -94,15 +102,17 @@ struct CrossRowAccumulator {
   double uer_row_min = 0.0, uer_row_max = 0.0;
   double first_uer_time = 0.0;
   double last_event_time = 0.0;
-  std::vector<double> ce_rows, ueo_rows, uer_rows;  ///< sorted distinct rows
-  std::multiset<std::uint32_t> uer_row_gaps;  ///< gaps of sorted distinct UERs
+  std::vector<std::uint32_t> ce_rows, ueo_rows, uer_rows;  ///< sorted distinct
+  /// Gaps between neighbouring distinct UER rows, ascending with repeats.
+  std::vector<std::uint32_t> uer_row_gaps;
 
   void Absorb(const trace::MceRecord& record);
 
   /// EstimateRowStride over the distinct UER rows: the smallest gap above
   /// `adjacency_floor`, or 0 when none exists. O(log d).
   std::uint32_t EstimatedUerStride(std::uint32_t adjacency_floor = 4) const {
-    const auto it = uer_row_gaps.upper_bound(adjacency_floor);
+    const auto it = std::upper_bound(uer_row_gaps.begin(), uer_row_gaps.end(),
+                                     adjacency_floor);
     return it == uer_row_gaps.end() ? 0 : *it;
   }
 };
@@ -110,6 +120,10 @@ struct CrossRowAccumulator {
 class BankProfile {
  public:
   explicit BankProfile(std::size_t max_uers = 3);
+  BankProfile(const BankProfile& other);
+  BankProfile& operator=(const BankProfile& other);
+  BankProfile(BankProfile&&) noexcept = default;
+  BankProfile& operator=(BankProfile&&) noexcept = default;
 
   /// Ingest one record. Records must arrive in non-decreasing time order.
   void Observe(const trace::MceRecord& record);
@@ -124,12 +138,15 @@ class BankProfile {
 
   // --- classification (truncated) view -----------------------------------
   /// True once at least one UER has been accepted into the truncated view.
-  bool HasClassificationView() const { return uer_accepted_ > 0; }
+  bool HasClassificationView() const { return view_ != nullptr; }
   /// Time of the last accepted UER == TruncateAtUer(...).cutoff_s.
   double classification_cutoff_s() const;
   /// UER events in the truncated view == TruncateAtUer(...).uer_count.
-  std::size_t classification_uer_count() const { return uer_accepted_; }
-  const ClassAccumulator& classification() const { return frozen_; }
+  std::size_t classification_uer_count() const {
+    return view_ != nullptr ? view_->uer_accepted : 0;
+  }
+  /// The truncated view's statistics (all defaults before the first UER).
+  const ClassAccumulator& classification() const;
 
   // --- cross-row (untruncated) view --------------------------------------
   const CrossRowAccumulator& crossrow() const { return crossrow_; }
@@ -146,20 +163,41 @@ class BankProfile {
   /// patterns behind presence masks. A profile restored by LoadBinary
   /// continues absorbing events bit-identically to the original (the
   /// checkpoint/restore layer depends on this), and LoadBinary refuses any
-  /// byte sequence SaveBinary would not write (ParseError). uer_row_gaps is
-  /// derived, so it is rebuilt on load.
+  /// byte sequence SaveBinary would not write (ParseError). Before the
+  /// first UER the classification view is written as derived, and
+  /// LoadBinary refuses any other view without an accepted UER.
+  /// uer_row_gaps is derived, so it is rebuilt on load.
   void SaveBinary(persist::BinaryWriter& out) const;
   static BankProfile LoadBinary(persist::BinaryReader& in);
 
+  /// Refuse, through `in`, a decoded profile whose classification view
+  /// contradicts its counts: accepted UERs other than min(UERs observed,
+  /// depth), a capped flag other than (accepted == depth), or a live or
+  /// frozen UER count other than accepted. The engine's bank-blob decoder
+  /// runs this after its own depth and clock checks.
+  void CheckViewCounts(const persist::BinaryReader& in) const;
+
  private:
+  /// The classification view of a bank that has seen a UER.
+  struct ClassView {
+    std::size_t uer_accepted = 0;  ///< UERs in the truncated view
+    bool capped = false;           ///< reached max_uers accepted UERs
+    double cutoff = 0.0;           ///< time of the last accepted UER
+    ClassAccumulator live;    ///< all pre-cap events, in arrival order
+    ClassAccumulator frozen;  ///< snapshot at the last accepted UER (+ ties)
+  };
+
+  /// The view as it stands before the first UER: `live` holds what
+  /// crossrow_ holds plus the same-timestamp counters, the rest defaults.
+  ClassView DerivedView() const;
+
   std::size_t max_uers_;
   std::size_t events_ = 0;
   double last_time_ = 0.0;
-  std::size_t uer_accepted_ = 0;  ///< UERs in the truncated view
-  bool capped_ = false;           ///< reached max_uers accepted UERs
-  double cutoff_ = 0.0;           ///< time of the last accepted UER
-  ClassAccumulator live_;    ///< all pre-cap events, in arrival order
-  ClassAccumulator frozen_;  ///< snapshot at the last accepted UER (+ ties)
+  /// CE/UEO records at the newest timestamp, kept only until the first
+  /// UER: the part of the derived live accumulator crossrow_ lacks.
+  std::size_t ce_at_last_time_ = 0, ueo_at_last_time_ = 0;
+  std::unique_ptr<ClassView> view_;  ///< null until the first UER
   CrossRowAccumulator crossrow_;
 };
 

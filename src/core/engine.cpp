@@ -410,7 +410,7 @@ void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
   if (rows != nullptr) {
     std::vector<std::uint32_t> sorted(rows->begin(), rows->end());
     std::sort(sorted.begin(), sorted.end());
-    out.AscendingU32<std::uint32_t>(sorted);
+    out.AscendingU32(sorted);
   }
 }
 
@@ -426,7 +426,10 @@ struct BankBlob {
 /// an engine whose classifier truncates at `max_uers`. A profile
 /// accumulated at another depth, or one whose last event is past the clock
 /// (or NaN), is refused here: the bank's next classification, or its next
-/// record at the clock, would otherwise throw on a shard worker.
+/// record at the clock, would otherwise throw on a shard worker. So, after
+/// those two checks, are a classification view that contradicts its counts
+/// and Cordial state that counts other UERs than its profile: the bank's
+/// next UER could classify from an empty view.
 BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
                         double now) {
   persist::BinaryReader in(bytes, "engine bank blob");
@@ -449,12 +452,19 @@ BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
             std::to_string(blob.profile.last_time_s()) +
             " s is past the engine clock " + std::to_string(now) + " s");
   }
+  blob.profile.CheckViewCounts(in);
+  if (blob.cordial.uer_events_seen != blob.profile.uer_event_count()) {
+    in.Fail("Cordial uer_events_seen " +
+            std::to_string(blob.cordial.uer_events_seen) +
+            " != the profile's " +
+            std::to_string(blob.profile.uer_event_count()) + " UERs");
+  }
 
   const std::uint8_t flags = in.U8();
   if ((flags & ~kBlobFlags) != 0) in.Fail("unknown ledger flags");
   blob.has_ledger_entry = (flags & kBlobHasLedgerEntry) != 0;
   blob.bank_spared = (flags & kBlobBankSpared) != 0;
-  if (blob.has_ledger_entry) blob.rows = in.AscendingU32<std::uint32_t>();
+  if (blob.has_ledger_entry) blob.rows = in.AscendingU32();
   in.ExpectEnd();
   return blob;
 }

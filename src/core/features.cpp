@@ -28,6 +28,15 @@ Summary ChainSummary(const DiffChain& chain) {
           chain.sum / static_cast<double>(chain.count)};
 }
 
+// Row-set searches against a double bound compare double(row). Rows are
+// exact in double, so these are the batch scans' comparisons over rows.
+bool RowBelow(std::uint32_t row, double value) {
+  return static_cast<double>(row) < value;
+}
+bool RowAbove(double value, std::uint32_t row) {
+  return value < static_cast<double>(row);
+}
+
 }  // namespace
 
 TruncatedHistory TruncateAtUer(const trace::BankHistory& bank,
@@ -124,11 +133,14 @@ std::vector<double> ClassificationFeatureExtractor::ExtractFromProfile(
   // most max_uers distinct rows, so the pair loop is O(1).
   double half_alias_gap = kMissing;
   {
-    const std::vector<double>& distinct = a.distinct_uer_rows;
+    const std::vector<std::uint32_t>& distinct = a.distinct_uer_rows;
     const double half = static_cast<double>(topology_.rows_per_bank) / 2.0;
     for (std::size_t i = 0; i < distinct.size(); ++i) {
       for (std::size_t j = i + 1; j < distinct.size(); ++j) {
-        const double gap = std::fabs(std::fabs(distinct[j] - distinct[i]) - half);
+        const double gap = std::fabs(
+            std::fabs(static_cast<double>(distinct[j]) -
+                      static_cast<double>(distinct[i])) -
+            half);
         if (half_alias_gap == kMissing || gap < half_alias_gap) {
           half_alias_gap = gap;
         }
@@ -265,23 +277,26 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
   // Sorted distinct rows make proximity a two-candidate binary search. The
   // minimum distance over distinct rows equals the batch minimum over all
   // rows, computed with the same |row - center| arithmetic.
-  auto nearest_dist = [&](const std::vector<double>& rows) {
+  auto nearest_dist = [&](const std::vector<std::uint32_t>& rows) {
     double best = kMissing;
-    const auto it = std::lower_bound(rows.begin(), rows.end(), block_center);
-    if (it != rows.end()) best = std::fabs(*it - block_center);
+    const auto it =
+        std::lower_bound(rows.begin(), rows.end(), block_center, RowBelow);
+    if (it != rows.end()) {
+      best = std::fabs(static_cast<double>(*it) - block_center);
+    }
     if (it != rows.begin()) {
-      const double d = std::fabs(*(it - 1) - block_center);
+      const double d = std::fabs(static_cast<double>(*(it - 1)) - block_center);
       if (best == kMissing || d < best) best = d;
     }
     return best;
   };
-  auto rows_in_span = [](const std::vector<double>& rows, double lo,
+  auto rows_in_span = [](const std::vector<std::uint32_t>& rows, double lo,
                          double hi) {
     return static_cast<double>(
-        std::upper_bound(rows.begin(), rows.end(), hi) -
-        std::lower_bound(rows.begin(), rows.end(), lo));
+        std::upper_bound(rows.begin(), rows.end(), hi, RowAbove) -
+        std::lower_bound(rows.begin(), rows.end(), lo, RowBelow));
   };
-  auto rows_in_range = [&](const std::vector<double>& rows) {
+  auto rows_in_range = [&](const std::vector<std::uint32_t>& rows) {
     return rows_in_span(rows, static_cast<double>(range->first),
                         static_cast<double>(range->second));
   };

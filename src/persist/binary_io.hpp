@@ -112,20 +112,15 @@ class BinaryWriter {
   }
 
   /// A strictly ascending sequence of u32 values (rows): a varint count,
-  /// the first value, then each value's positive gap to its predecessor.
-  /// `T` is u32, or double holding exact u32 values. Anything else — a
-  /// fraction, -0.0, a value past UINT32_MAX, a repeat, a descent — is a
-  /// ContractViolation: it is not a sorted distinct row set.
-  template <typename T>
-  void AscendingU32(std::span<const T> values) {
+  /// the first value, then each value's positive gap to its predecessor. A
+  /// repeat or a descent is a ContractViolation: it is not a sorted distinct
+  /// row set.
+  void AscendingU32(std::span<const std::uint32_t> values) {
     Var(values.size());
-    std::uint32_t prev = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
-      const std::uint32_t value = ExactU32(values[i]);
-      CORDIAL_CHECK_MSG(i == 0 || value > prev,
+      CORDIAL_CHECK_MSG(i == 0 || values[i] > values[i - 1],
                         "ascending sequence must strictly ascend");
-      Var(i == 0 ? value : value - prev);
-      prev = value;
+      Var(i == 0 ? values[i] : values[i] - values[i - 1]);
     }
   }
 
@@ -148,18 +143,6 @@ class BinaryWriter {
   }
 
  private:
-  static std::uint32_t ExactU32(std::uint32_t value) { return value; }
-  static std::uint32_t ExactU32(double value) {
-    CORDIAL_CHECK_MSG(value >= 0.0 && value <= 4294967295.0,
-                      "row value outside the u32 range");
-    const auto exact = static_cast<std::uint32_t>(value);
-    CORDIAL_CHECK_MSG(
-        std::bit_cast<std::uint64_t>(static_cast<double>(exact)) ==
-            std::bit_cast<std::uint64_t>(value),
-        "row value is not an exact u32");
-    return exact;
-  }
-
   std::string& out_;
 };
 
@@ -248,12 +231,11 @@ class BinaryReader {
     }
   }
 
-  /// Read an AscendingU32 sequence as `T` (u32 or double). Refuses a gap
-  /// of 0 and a value past UINT32_MAX.
-  template <typename T>
-  std::vector<T> AscendingU32() {
+  /// Read an AscendingU32 sequence. Refuses a gap of 0 and a value past
+  /// UINT32_MAX.
+  std::vector<std::uint32_t> AscendingU32() {
     const std::uint64_t count = VarCount(1);
-    std::vector<T> values;
+    std::vector<std::uint32_t> values;
     values.reserve(static_cast<std::size_t>(count));
     std::uint64_t value = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -263,7 +245,7 @@ class BinaryReader {
         Fail("ascending sequence passes UINT32_MAX");
       }
       value += step;
-      values.push_back(static_cast<T>(static_cast<std::uint32_t>(value)));
+      values.push_back(static_cast<std::uint32_t>(value));
     }
     return values;
   }

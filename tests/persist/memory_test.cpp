@@ -11,7 +11,9 @@
 //   * CheckpointChain::Recover: <= 3x the largest member on top of the
 //     state it restored.
 // Plus the member itself: the full WriteFull writes here is at most a third
-// of the bytes the fixed-width bank blobs of engine state v3 took.
+// of the bytes the fixed-width bank blobs of engine state v3 took. And the
+// state behind it: an engine fed the whole feedstock holds at most 1,000
+// bytes of live heap per bank.
 #include <dirent.h>
 #include <unistd.h>
 
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/engine.hpp"
 #include "persist/chain.hpp"
 #include "serve/fleet_server.hpp"
 #include "support/serve_world.hpp"
@@ -170,6 +173,25 @@ TEST(CheckpointMemory, FeedstockHasSeveralThousandBanks) {
   Feed(server, 0.0, 1.0);
   EXPECT_GE(server.TotalBankCount(), 3000u);
   server.Stop();
+}
+
+TEST(CheckpointMemory, EngineHeapPerBankIsBounded) {
+  // Most banks never see a UER, so they must not pay for a classification
+  // view; rows are held as u32. The bound is on everything the engine
+  // allocates while it ingests: profiles, Cordial state, the bank map and
+  // the ledger.
+  const World& w = SharedWorld();
+  const std::vector<trace::MceRecord>& records = Feedstock();
+  const std::int64_t before = g_live_bytes.load();
+  core::PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                                w.double_or_null());
+  for (const trace::MceRecord& record : records) engine.Observe(record);
+  const std::int64_t heap = g_live_bytes.load() - before;
+  const double per_bank =
+      static_cast<double>(heap) / static_cast<double>(engine.bank_count());
+  std::printf("engine heap: %.2f MB over %zu banks, %.0f bytes a bank\n",
+              static_cast<double>(heap) / 1e6, engine.bank_count(), per_bank);
+  EXPECT_LE(per_bank, 1000.0);
 }
 
 TEST(CheckpointMemory, WriteFullHoldsAtMostThreeMembers) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -328,7 +329,7 @@ FirstBlobFields LocateFirstBlobFields(const std::string& engine_payload,
   EXPECT_EQ(core::BankProfile::LoadBinary(blob).max_uers(), depth);
   const std::uint8_t has_ledger_entry = 1;
   if ((blob.U8() & has_ledger_entry) != 0) {
-    blob.AscendingU32<std::uint32_t>();
+    blob.AscendingU32();
   }
   blob.ExpectEnd();
   return at;
@@ -488,6 +489,154 @@ TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
             << e.what();
       }
       EXPECT_EQ(Checkpoint(victim), victim_before) << what;
+    }
+  }
+}
+
+/// Payload offsets of the UER counts of one bank blob: the Cordial state's
+/// uer_events_seen and classified flag, then the profile's accepted UERs,
+/// capped flag, its live and frozen views' UER counts and its cross-row UER
+/// count. The blob is read with the codec's own primitives in the order the
+/// engine and BankProfile::SaveBinary write it; a format change that moves
+/// these fields makes the test's consistent forgery fail to restore.
+struct ViewCountFields {
+  std::size_t uer_events_seen = 0;
+  std::size_t classified = 0;
+  std::size_t accepted = 0;
+  std::size_t capped = 0;
+  std::size_t live_uers = 0;
+  std::size_t frozen_uers = 0;
+  std::size_t crossrow_uers = 0;
+};
+
+void SkipMaskedF64(persist::BinaryReader& in) {
+  in.Bytes(8 * static_cast<std::size_t>(std::popcount(in.Var())));
+}
+
+/// Skip one classification accumulator; returns the offset, in `in`, of
+/// its UER count.
+std::size_t SkipClassAccumulator(persist::BinaryReader& in) {
+  in.Var();  // CEs
+  in.Var();  // UEOs
+  const std::size_t uers = in.position();
+  in.Var();
+  SkipMaskedF64(in);
+  in.Bool();
+  in.Var();
+  in.Var();
+  for (int chain = 0; chain < 5; ++chain) {
+    in.Var();
+    in.Bool();
+    SkipMaskedF64(in);
+  }
+  in.AscendingU32();
+  return uers;
+}
+
+ViewCountFields LocateViewCounts(std::string_view engine_payload,
+                                 const BlobSpan& span) {
+  persist::BinaryReader in(engine_payload.substr(span.offset, span.length),
+                           "bank blob");
+  ViewCountFields at;
+  at.uer_events_seen = span.offset + in.position();
+  in.Var();
+  in.Var();  // anchors used
+  at.classified = span.offset + in.position();
+  in.Bool();
+  in.U8();         // failure class
+  in.VarSigned();  // last anchor row
+  in.Var();        // truncation depth
+  in.Var();        // events
+  at.accepted = span.offset + in.position();
+  in.Var();
+  at.capped = span.offset + in.position();
+  in.Bool();
+  SkipMaskedF64(in);  // last event time, cutoff
+  at.live_uers = span.offset + SkipClassAccumulator(in);
+  at.frozen_uers = span.offset + SkipClassAccumulator(in);
+  in.Var();  // CEs
+  in.Var();  // UEOs
+  at.crossrow_uers = span.offset + in.position();
+  return at;
+}
+
+TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
+  // A classification view whose counts disagree passes every structural
+  // check, and the bank's next UER then reads it: a capped bank with
+  // `classified` cleared and an empty frozen view throws a
+  // ContractViolation in the classification extractor, which on a shard
+  // worker ends the daemon. The bank-blob decoder refuses each
+  // contradiction with a ParseError naming the field, for fulls and
+  // deltas, and the target keeps its state.
+  //
+  // The donors' banks have seen no UER, so the test first forges the last
+  // shard's first bank into a classified bank whose view is capped at the
+  // depth, every count agreeing, and checks that this restores. Each case
+  // then contradicts that forgery in one count.
+  const World& w = SharedWorld();
+  const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
+  const struct {
+    const char* refusal;  ///< what the ParseError must say
+    std::function<void(std::string&, const ViewCountFields&)> contradict;
+  } cases[] = {
+      {"!= min(cross-row UERs",
+       [&](std::string& e, const ViewCountFields& f) {
+         e[f.accepted] = static_cast<char>(depth - 1);
+       }},
+      {"uncapped at",
+       [](std::string& e, const ViewCountFields& f) { e[f.capped] = 0; }},
+      {"live classification view holds",
+       [&](std::string& e, const ViewCountFields& f) {
+         e[f.live_uers] = static_cast<char>(depth - 1);
+       }},
+      {"frozen classification view holds 0 UERs",
+       [](std::string& e, const ViewCountFields& f) {
+         e[f.classified] = 0;
+         e[f.frozen_uers] = 0;
+       }},
+      {"uer_events_seen",
+       [&](std::string& e, const ViewCountFields& f) {
+         e[f.uer_events_seen] = static_cast<char>(depth + 1);
+       }},
+  };
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    const auto forge = [&](const std::function<void(
+                               std::string&, const ViewCountFields&)>& then) {
+      return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+        const std::vector<BlobSpan> blobs = BankBlobs(engine);
+        ASSERT_FALSE(blobs.empty());
+        const ViewCountFields at = LocateViewCounts(engine, blobs.front());
+        // One-byte varints, all 0 in a bank without a UER.
+        for (const std::size_t count : {at.uer_events_seen, at.accepted,
+                                        at.live_uers, at.frozen_uers,
+                                        at.crossrow_uers}) {
+          ASSERT_EQ(engine[count], 0);
+          engine[count] = depth;
+        }
+        engine[at.classified] = 1;
+        engine[at.capped] = 1;
+        if (then) then(engine, at);
+      });
+    };
+    {
+      FleetServer victim = MakeTortureVictim(w, donor);
+      EXPECT_NO_THROW(ApplyDonor(victim, donor, forge({})))
+          << "the consistent forgery must restore";
+    }
+    for (const auto& c : cases) {
+      SCOPED_TRACE(c.refusal);
+      const std::string mangled = forge(c.contradict);
+      FleetServer victim = MakeTortureVictim(w, donor);
+      const std::string victim_before = Checkpoint(victim);
+      try {
+        ApplyDonor(victim, donor, mangled);
+        ADD_FAILURE() << "restored a view that contradicts its counts";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(Checkpoint(victim), victim_before);
     }
   }
 }

@@ -214,7 +214,7 @@ void ExpectSurvivorsAreRows106To109(const EngineShard& shard) {
   ASSERT_NE(bank, nullptr);
   EXPECT_EQ(bank->event_count(), 4u);
   EXPECT_EQ(bank->crossrow().ce_rows,
-            (std::vector<double>{106.0, 107.0, 108.0, 109.0}));
+            (std::vector<std::uint32_t>{106, 107, 108, 109}));
 }
 
 TEST(FleetServerShard, DropOldestEvictsInArrivalOrder) {
