@@ -154,7 +154,7 @@ int CmdTrain(const std::string& log_path, const std::string& prefix,
   }
 
   auto save = [&](const std::string& path, auto&& saver) {
-    std::ofstream out(path);
+    std::ofstream out(path, std::ios::binary);
     if (!out) throw ParseError("cannot write " + path);
     saver(out);
     std::cout << "  wrote " << path << "\n";
@@ -178,7 +178,7 @@ int CmdPredict(const std::string& log_path, const std::string& prefix) {
   core::CrossRowPredictor double_predictor(topology,
                                            ml::LearnerKind::kRandomForest);
   auto load = [&](const std::string& path, auto&& loader) {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in) throw ParseError("cannot open model " + path);
     loader(in);
   };

@@ -303,7 +303,7 @@ int main(int argc, char** argv) {
     core::CrossRowPredictor double_predictor(topology,
                                              ml::LearnerKind::kRandomForest);
     auto load = [&](const std::string& path, auto&& loader) {
-      std::ifstream in(path);
+      std::ifstream in(path, std::ios::binary);
       if (!in) throw ParseError("cannot open model " + path);
       loader(in);
     };

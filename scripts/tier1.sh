@@ -21,8 +21,9 @@
 # moves a shard between the processes mid-feed, and both the merged
 # checkpoint it collects and the chain the receiving daemon writes at
 # shutdown must be byte-identical to the never-migrated reference's fold),
-# the hostile-feed drill, and a check that a --checkpoint path that
-# is not a directory fails the boot and is left untouched.
+# the hostile-feed drill, a check that a --checkpoint path that is not a
+# directory fails the boot and is left untouched, and a check that a model
+# with a flipped payload byte or a retired v2 header fails the boot.
 # Finally five perf gates: instrumenting the serving hot path must cost
 # <= 5% throughput vs the uninstrumented path (BENCH_obs.json), the
 # lock-free batched ring must beat the pre-ring mutex queue >= 5x into a
@@ -297,6 +298,48 @@ else
   cmp "$SMOKE/ref.full" "$SMOKE/state.ckpt"
   echo "tier1: not-a-directory check OK (exit $NOTDIR_CODE before the feed," \
     "single-file checkpoint untouched)"
+
+  # A damaged model must fail the boot before the feed is read, the same
+  # way: a copy of the trained single-row model with one payload byte
+  # flipped fails its CRC, and one whose header says v2 (the retired text
+  # format) fails its version check. The other two models are intact.
+  for DAMAGE in checksum version; do
+    BAD="$SMOKE/bad-$DAMAGE"
+    cp "$SMOKE/m.pattern.model" "$BAD.pattern.model"
+    cp "$SMOKE/m.double.model" "$BAD.double.model"
+    cp "$SMOKE/m.single.model" "$BAD.single.model"
+    if [[ "$DAMAGE" == "checksum" ]]; then
+      HEADER=$(head -n 1 "$BAD.single.model" | wc -c)
+      SIZE=$(stat -c %s "$BAD.single.model")
+      AT=$(( HEADER + (SIZE - HEADER) / 2 ))
+      BYTE=$(od -An -tu1 -j "$AT" -N 1 "$BAD.single.model" | tr -d ' ')
+      printf "\\$(printf '%03o' $(( BYTE ^ 1 )))" |
+        dd of="$BAD.single.model" bs=1 seek="$AT" conv=notrunc status=none
+    else
+      LC_ALL=C sed -i '1s/ v3 / v2 /' "$BAD.single.model"
+      head -n 1 "$BAD.single.model" | grep -q " v2 " || {
+        echo "tier1: could not rewrite the model header to v2"; exit 1; }
+    fi
+    if cmp -s "$SMOKE/m.single.model" "$BAD.single.model"; then
+      echo "tier1: the $DAMAGE-damaged model copy is intact"; exit 1
+    fi
+    set +e
+    ./build/examples/cordial_serverd "$BAD" --input "$SMOKE/log.csv" \
+      --shards 2 --status-every 1 > /dev/null 2> "$BAD.log"
+    BAD_CODE=$?
+    set -e
+    [[ "$BAD_CODE" != "0" ]] || {
+      echo "tier1: daemon booted on a model with a $DAMAGE mismatch"; exit 1; }
+    grep -q "$DAMAGE mismatch" "$BAD.log" || {
+      echo "tier1: damaged-model boot error missing ($DAMAGE mismatch)"
+      exit 1; }
+    if grep -q "^\[status\]" "$BAD.log"; then
+      echo "tier1: daemon read its feed before refusing a damaged model"
+      exit 1
+    fi
+  done
+  echo "tier1: damaged-model check OK (a flipped payload byte and a v2" \
+    "header each fail the boot before the feed)"
 fi
 
 if [[ "$SKIP_BENCH" == "1" ]]; then

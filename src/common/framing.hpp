@@ -21,12 +21,12 @@
 // framed engine sections, each carrying its own checksum.
 //
 // The token helpers below are the shared text codec for the text payloads
-// that remain (the outcome store and the chain manifest; engine state is
-// binary): whitespace-separated tokens, doubles rendered with %.17g so
-// every value round-trips bit-exactly (the same convention the ml model
-// serialization and the MCE CSV codec use). Non-finite doubles round-trip
-// too (as the tokens nan/-nan/inf/-inf): a poisoned value must survive a
-// save/load cycle rather than brick it.
+// that remain (the outcome store and the chain manifest; engine state and
+// models are binary, through persist/binary_io.hpp): whitespace-separated
+// tokens, doubles rendered with %.17g so every value round-trips
+// bit-exactly (the same convention the MCE CSV codec uses). Non-finite
+// doubles round-trip too (as the tokens nan/-nan/inf/-inf): a poisoned
+// value must survive a save/load cycle rather than brick it.
 #pragma once
 
 #include <cstdint>

@@ -324,6 +324,55 @@ void WriteCrossRowBinary(persist::BinaryWriter& out,
   // uer_row_gaps is derived from uer_rows and rebuilt on load.
 }
 
+/// Refuse, through `in`, a cross-row view whose counts contradict its row
+/// sets, which CrossRowAccumulator::Absorb keeps in step: every record
+/// counts once in all_count and once in its type's count, and adds its row
+/// to its type's set; the UER row extrema are the UER set's ends, and all
+/// three UER fields stay +0.0 until the first UER.
+void CheckRowSets(const persist::BinaryReader& in,
+                  const CrossRowAccumulator& acc) {
+  if (acc.ce_count > acc.all_count ||
+      acc.ueo_count > acc.all_count - acc.ce_count ||
+      acc.uer_count != acc.all_count - acc.ce_count - acc.ueo_count) {
+    in.Fail("cross-row all_count " + std::to_string(acc.all_count) +
+            " != ce_count " + std::to_string(acc.ce_count) + " + ueo_count " +
+            std::to_string(acc.ueo_count) + " + uer_count " +
+            std::to_string(acc.uer_count));
+  }
+  const auto check_rows = [&](const char* rows_name,
+                              const std::vector<std::uint32_t>& rows,
+                              const char* count_name, std::size_t count) {
+    if (rows.empty() != (count == 0) || rows.size() > count) {
+      in.Fail(std::string("cross-row ") + rows_name + " holds " +
+              std::to_string(rows.size()) + " row(s) for " + count_name +
+              " " + std::to_string(count));
+    }
+  };
+  check_rows("ce_rows", acc.ce_rows, "ce_count", acc.ce_count);
+  check_rows("ueo_rows", acc.ueo_rows, "ueo_count", acc.ueo_count);
+  check_rows("uer_rows", acc.uer_rows, "uer_count", acc.uer_count);
+  // Bits are compared, so -0.0 and NaN payloads count.
+  const auto check_bits = [&](const char* name, double value, double want) {
+    if (std::bit_cast<std::uint64_t>(value) !=
+        std::bit_cast<std::uint64_t>(want)) {
+      in.Fail(std::string("cross-row ") + name + " " + std::to_string(value) +
+              " is not " + std::to_string(want) +
+              (acc.uer_count == 0 ? " before the first UER"
+                                  : ", the end of uer_rows"));
+    }
+  };
+  if (acc.uer_count == 0) {
+    check_bits("uer_row_min", acc.uer_row_min, 0.0);
+    check_bits("uer_row_max", acc.uer_row_max, 0.0);
+    check_bits("first_uer_time", acc.first_uer_time, 0.0);
+  } else {
+    check_bits("uer_row_min", acc.uer_row_min,
+               static_cast<double>(acc.uer_rows.front()));
+    check_bits("uer_row_max", acc.uer_row_max,
+               static_cast<double>(acc.uer_rows.back()));
+  }
+}
+
 CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
   CrossRowAccumulator acc;
   acc.ce_count = static_cast<std::size_t>(in.Var());
@@ -340,6 +389,7 @@ CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
   acc.ce_rows = in.AscendingU32();
   acc.ueo_rows = in.AscendingU32();
   acc.uer_rows = in.AscendingU32();
+  CheckRowSets(in, acc);
   for (std::size_t i = 1; i < acc.uer_rows.size(); ++i) {
     acc.uer_row_gaps.push_back(acc.uer_rows[i] - acc.uer_rows[i - 1]);
   }
@@ -384,6 +434,17 @@ BankProfile BankProfile::LoadBinary(persist::BinaryReader& in) {
   view.frozen = ReadClassBinary(in);
   profile.crossrow_ = ReadCrossRowBinary(in);
   if (view.uer_accepted > 0) {
+    // Every accepted UER went through the cross-row view too.
+    const std::vector<std::uint32_t>& uer_rows = profile.crossrow_.uer_rows;
+    for (const ClassAccumulator* acc : {&view.live, &view.frozen}) {
+      if (!std::includes(uer_rows.begin(), uer_rows.end(),
+                         acc->distinct_uer_rows.begin(),
+                         acc->distinct_uer_rows.end())) {
+        in.Fail(std::string(acc == &view.live ? "live" : "frozen") +
+                " classification view's distinct_uer_rows are not a subset "
+                "of the cross-row uer_rows");
+      }
+    }
     profile.view_ = std::make_unique<ClassView>(std::move(view));
     return profile;
   }

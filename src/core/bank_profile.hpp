@@ -165,7 +165,11 @@ class BankProfile {
   /// checkpoint/restore layer depends on this), and LoadBinary refuses any
   /// byte sequence SaveBinary would not write (ParseError). Before the
   /// first UER the classification view is written as derived, and
-  /// LoadBinary refuses any other view without an accepted UER.
+  /// LoadBinary refuses any other view without an accepted UER. It also
+  /// refuses cross-row counts that contradict the row sets Absorb keeps
+  /// with them (all_count, the per-type row sets, the UER row extrema and
+  /// first UER time) and a classification view with a distinct UER row
+  /// the cross-row view lacks, naming the field.
   /// uer_row_gaps is derived, so it is rebuilt on load.
   void SaveBinary(persist::BinaryWriter& out) const;
   static BankProfile LoadBinary(persist::BinaryReader& in);

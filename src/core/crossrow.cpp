@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/framing.hpp"
 #include "core/persist.hpp"
-#include "ml/token_cursor.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::core {
 
@@ -182,26 +182,29 @@ std::vector<int> CrossRowPredictor::PredictBlocksFromProfile(
 
 void CrossRowPredictor::SaveModel(std::ostream& out) const {
   CORDIAL_CHECK_MSG(trained_, "cannot save an untrained predictor");
-  std::ostringstream payload;
-  payload << "features " << extractor_.num_features() << '\n';
-  ml::SaveClassifier(*model_, payload);
-  WriteFramed(out, kCrossRowModelMagic, kModelFrameVersion, payload.str());
+  std::string payload;
+  persist::BinaryWriter writer(payload);
+  writer.Var(extractor_.num_features());
+  model_->Encode(writer);
+  WriteFramed(out, kCrossRowModelMagic, kModelFrameVersion, payload);
 }
 
 void CrossRowPredictor::LoadModel(std::istream& in) {
   const std::string payload =
       ReadFramed(in, kCrossRowModelMagic, kModelFrameVersion);
-  ml::TokenCursor cursor(payload);
+  persist::BinaryReader reader(payload, "crossrow model");
   // Reject a model whose feature layout disagrees with the extractor's —
-  // it would parse cleanly and then mispredict from shifted columns.
-  cursor.Expect("features");
-  const std::int64_t saved = cursor.Int("crossrow model features");
-  if (saved != static_cast<std::int64_t>(extractor_.num_features())) {
-    throw ParseError("crossrow model: feature count mismatch (model has " +
-                     std::to_string(saved) + ", extractor expects " +
-                     std::to_string(extractor_.num_features()) + ")");
+  // it would decode cleanly and then mispredict from shifted columns.
+  const std::uint64_t saved = reader.Var();
+  if (saved != extractor_.num_features()) {
+    reader.Fail("feature count mismatch (model has " + std::to_string(saved) +
+                ", extractor expects " +
+                std::to_string(extractor_.num_features()) + ")");
   }
-  model_ = ml::LoadClassifier(cursor, extractor_.num_features());
+  std::unique_ptr<ml::Classifier> model =
+      ml::DecodeClassifier(reader, extractor_.num_features());
+  reader.ExpectEnd();
+  model_ = std::move(model);
   trained_ = true;
 }
 

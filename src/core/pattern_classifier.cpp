@@ -1,12 +1,12 @@
 #include "core/pattern_classifier.hpp"
 
-#include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/framing.hpp"
 #include "common/parallel.hpp"
 #include "core/persist.hpp"
-#include "ml/token_cursor.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::core {
 
@@ -80,27 +80,30 @@ ml::ConfusionMatrix PatternClassifier::Evaluate(
 
 void PatternClassifier::SaveModel(std::ostream& out) const {
   CORDIAL_CHECK_MSG(trained_, "cannot save an untrained classifier");
-  std::ostringstream payload;
-  payload << "features " << extractor_.num_features() << '\n';
-  ml::SaveClassifier(*model_, payload);
-  WriteFramed(out, kPatternModelMagic, kModelFrameVersion, payload.str());
+  std::string payload;
+  persist::BinaryWriter writer(payload);
+  writer.Var(extractor_.num_features());
+  model_->Encode(writer);
+  WriteFramed(out, kPatternModelMagic, kModelFrameVersion, payload);
 }
 
 void PatternClassifier::LoadModel(std::istream& in) {
   const std::string payload =
       ReadFramed(in, kPatternModelMagic, kModelFrameVersion);
-  ml::TokenCursor cursor(payload);
+  persist::BinaryReader reader(payload, "pattern model");
   // A model trained against a different feature layout would not fail to
-  // parse — it would silently read shifted columns and mispredict. Reject
+  // decode — it would silently read shifted columns and mispredict. Reject
   // it here, naming both counts.
-  cursor.Expect("features");
-  const std::int64_t saved = cursor.Int("pattern model features");
-  if (saved != static_cast<std::int64_t>(extractor_.num_features())) {
-    throw ParseError("pattern model: feature count mismatch (model has " +
-                     std::to_string(saved) + ", extractor expects " +
-                     std::to_string(extractor_.num_features()) + ")");
+  const std::uint64_t saved = reader.Var();
+  if (saved != extractor_.num_features()) {
+    reader.Fail("feature count mismatch (model has " + std::to_string(saved) +
+                ", extractor expects " +
+                std::to_string(extractor_.num_features()) + ")");
   }
-  model_ = ml::LoadClassifier(cursor, extractor_.num_features());
+  std::unique_ptr<ml::Classifier> model =
+      ml::DecodeClassifier(reader, extractor_.num_features());
+  reader.ExpectEnd();
+  model_ = std::move(model);
   trained_ = true;
 }
 

@@ -10,10 +10,14 @@ namespace cordial::core {
 
 inline constexpr char kPatternModelMagic[] = "cordial_pattern_model";
 inline constexpr char kCrossRowModelMagic[] = "cordial_crossrow_model";
-// v2: payload leads with `features <n>` so a stale model trained against a
-// different extractor layout is rejected at load time instead of silently
-// mispredicting from shifted feature columns.
-inline constexpr std::uint32_t kModelFrameVersion = 2;
+// v3: binary payload (persist/binary_io.hpp codec, DESIGN.md §16) that
+// leads with the feature count as a varint, so a stale model trained
+// against a different extractor layout is rejected at load time instead of
+// silently mispredicting from shifted feature columns; then the learner tag
+// and the trees, doubles as raw IEEE-754 bits. v2 (the same fields as
+// `%.17g` text) is retired: its frames fail with a version-mismatch
+// ParseError, and its models must be retrained.
+inline constexpr std::uint32_t kModelFrameVersion = 3;
 
 inline constexpr char kOutcomeStoreMagic[] = "cordial_outcome_store";
 inline constexpr std::uint32_t kOutcomeStoreVersion = 1;

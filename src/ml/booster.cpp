@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <ostream>
+#include <cstdint>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "ml/forest.hpp"
-#include "ml/token_cursor.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::ml {
 
@@ -185,49 +185,42 @@ std::vector<double> GradientBoostedClassifier::FeatureImportance() const {
   return total;
 }
 
-void GradientBoostedClassifier::Serialize(std::ostream& out) const {
-  CORDIAL_CHECK_MSG(!trees_.empty(), "cannot serialize an unfitted booster");
-  out << "gbdt v1\nname " << name_ << "\nclasses " << num_classes_
-      << " learning_rate ";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", options_.learning_rate);
-    out << buf;
-  }
-  out << " trees " << trees_.size() << "\nbase";
-  for (double s : base_scores_) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", s);
-    out << ' ' << buf;
-  }
-  out << '\n';
-  for (const RegressionTree& tree : trees_) tree.Write(out);
+void GradientBoostedClassifier::Encode(persist::BinaryWriter& out) const {
+  CORDIAL_CHECK_MSG(!trees_.empty(), "cannot encode an unfitted booster");
+  out.U8(static_cast<std::uint8_t>(LearnerTag::kGradientBoosted));
+  out.Var(name_.size());
+  out.Bytes(name_);
+  out.Var(static_cast<std::uint64_t>(num_classes_));
+  out.F64(options_.learning_rate);
+  out.Var(trees_.size());
+  for (double s : base_scores_) out.F64(s);
+  for (const RegressionTree& tree : trees_) tree.Encode(out);
 }
 
-std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Parse(
-    TokenCursor& in, std::size_t num_features) {
-  in.Expect("v1");
-  in.Expect("name");
-  const std::string name(in.Token());
-  in.Expect("classes");
-  const std::size_t classes = in.Count("booster classes", 1);
-  in.Expect("learning_rate");
-  const double learning_rate = in.Double("booster learning rate");
-  in.Expect("trees");
-  const std::size_t trees = in.Count("booster trees", 1);
-  if (name.empty() || classes < 2 || trees < 1 || !(learning_rate > 0.0)) {
-    throw ParseError("booster: malformed header");
+std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Decode(
+    persist::BinaryReader& in, std::size_t num_features) {
+  if (in.U8() != static_cast<std::uint8_t>(LearnerTag::kGradientBoosted)) {
+    in.Fail("not a gradient-boosted model");
   }
+  const std::string name(in.Bytes(in.VarCount(1)));
+  const std::uint32_t classes = DecisionTree::DecodeClassCount(in, "booster");
+  const double learning_rate = in.F64();
+  if (!(learning_rate > 0.0)) {
+    in.Fail("booster learning rate " + std::to_string(learning_rate) +
+            " is not > 0");
+  }
+  const std::uint64_t trees =
+      in.VarCount(DecisionTree::MinEncodedBytes(num_features));
+  if (trees == 0) in.Fail("booster has no trees");
   BoosterOptions options;
   options.learning_rate = learning_rate;
   auto booster = std::make_unique<GradientBoostedClassifier>(
       name, options, /*histogram_leafwise=*/false);
   booster->num_classes_ = static_cast<int>(classes);
-  in.Expect("base");
   booster->base_scores_.resize(classes);
-  for (double& s : booster->base_scores_) s = in.Double("booster base score");
-  for (std::size_t t = 0; t < trees; ++t) {
-    booster->trees_.emplace_back().Parse(in, num_features);
+  for (double& s : booster->base_scores_) s = in.F64();
+  for (std::uint64_t t = 0; t < trees; ++t) {
+    booster->trees_.emplace_back().Decode(in, num_features);
   }
   return booster;
 }
@@ -278,22 +271,17 @@ std::unique_ptr<Classifier> MakeLgbmStyleBooster(BoosterOptions options) {
                                                      /*histogram_leafwise=*/true);
 }
 
-void SaveClassifier(const Classifier& model, std::ostream& out) {
-  model.Serialize(out);
-}
-
-std::unique_ptr<Classifier> LoadClassifier(TokenCursor& in,
-                                           std::size_t num_features) {
-  const std::string_view magic = in.Token();
-  if (magic == "random_forest") {
-    return RandomForestClassifier::Parse(in, num_features);
+std::unique_ptr<Classifier> DecodeClassifier(persist::BinaryReader& in,
+                                             std::size_t num_features) {
+  // Each decoder reads and checks its own tag; peek at it through a copy.
+  const std::uint8_t tag = persist::BinaryReader(in).U8();
+  switch (static_cast<LearnerTag>(tag)) {
+    case LearnerTag::kRandomForest:
+      return RandomForestClassifier::Decode(in, num_features);
+    case LearnerTag::kGradientBoosted:
+      return GradientBoostedClassifier::Decode(in, num_features);
   }
-  if (magic == "gbdt") {
-    return GradientBoostedClassifier::Parse(in, num_features);
-  }
-  if (magic.empty()) throw ParseError("classifier: empty stream");
-  throw ParseError("classifier: unknown model type '" + std::string(magic) +
-                   "'");
+  in.Fail("unknown learner tag " + std::to_string(tag));
 }
 
 std::unique_ptr<Classifier> MakeClassifier(LearnerKind kind) {

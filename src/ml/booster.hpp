@@ -23,11 +23,15 @@ class GradientBoostedClassifier final : public Classifier {
       std::span<const double> features) const override;
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
-  void Serialize(std::ostream& out) const override;
-  /// Reads a saved booster whose magic token `in` has just consumed, its
-  /// trees built in place (see DecisionTree::Parse for what it rejects).
-  static std::unique_ptr<GradientBoostedClassifier> Parse(
-      TokenCursor& in, std::size_t num_features);
+  /// Tag, name, class count, learning rate, tree count, the per-class base
+  /// scores, then the trees.
+  void Encode(persist::BinaryWriter& out) const override;
+  /// Reads an encoded booster, its trees built in place (see
+  /// DecisionTree::Decode for what it refuses). ParseError also on another
+  /// tag, fewer than 2 classes, a learning rate that is not > 0 (NaN
+  /// included), or no trees.
+  static std::unique_ptr<GradientBoostedClassifier> Decode(
+      persist::BinaryReader& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<GradientBoostedClassifier>(*this);
   }

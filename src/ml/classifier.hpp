@@ -2,7 +2,7 @@
 // evaluates (Random Forest, XGBoost, LightGBM — §IV-C), plus factories.
 #pragma once
 
-#include <iosfwd>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -10,6 +10,11 @@
 
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
+
+namespace cordial::persist {
+class BinaryWriter;
+class BinaryReader;
+}  // namespace cordial::persist
 
 namespace cordial::ml {
 
@@ -34,8 +39,9 @@ class Classifier {
   /// Forest: total Gini decrease; boosters: total split gain.
   virtual std::vector<double> FeatureImportance() const = 0;
 
-  /// Text serialization of the fitted model (predict-path state only).
-  virtual void Serialize(std::ostream& out) const = 0;
+  /// Binary encoding of the fitted model (its predict-path state and
+  /// feature importance), led by its LearnerTag (DESIGN.md §16).
+  virtual void Encode(persist::BinaryWriter& out) const = 0;
 
   /// Deep copy of the fitted model. Predictions of the clone are
   /// bit-identical to the original's, and the two are fully independent —
@@ -45,15 +51,19 @@ class Classifier {
   virtual std::unique_ptr<Classifier> Clone() const = 0;
 };
 
-class TokenCursor;
+/// The byte an encoded classifier leads with, so deployment code can load
+/// whatever the training side produced. A zeroed payload names no learner.
+enum class LearnerTag : std::uint8_t {
+  kRandomForest = 1,
+  kGradientBoosted = 2,
+};
 
-/// Persist / restore a fitted classifier with a type tag, so deployment
-/// code can load whatever the training side produced. LoadClassifier parses
-/// the saved text at `in` straight into the trees, for a model that reads
-/// `num_features` features, and throws ParseError on anything malformed.
-void SaveClassifier(const Classifier& model, std::ostream& out);
-std::unique_ptr<Classifier> LoadClassifier(TokenCursor& in,
-                                           std::size_t num_features);
+/// Decodes the classifier Encode wrote at `in`, for a model that reads
+/// `num_features` features, straight into its trees. Throws ParseError on
+/// an unknown tag and on anything its decoder refuses (see
+/// DecisionTree::Decode).
+std::unique_ptr<Classifier> DecodeClassifier(persist::BinaryReader& in,
+                                             std::size_t num_features);
 
 /// The three learner families from the paper.
 enum class LearnerKind {

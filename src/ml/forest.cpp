@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
+#include <cstdint>
 #include <string>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
-#include "ml/token_cursor.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::ml {
 
@@ -88,28 +88,31 @@ std::vector<double> RandomForestClassifier::FeatureImportance() const {
   return total;
 }
 
-void RandomForestClassifier::Serialize(std::ostream& out) const {
-  CORDIAL_CHECK_MSG(!trees_.empty(), "cannot serialize an unfitted forest");
-  out << "random_forest v1\nclasses " << num_classes_ << " trees "
-      << trees_.size() << "\n";
-  for (const ClassificationTree& tree : trees_) tree.Write(out);
+void RandomForestClassifier::Encode(persist::BinaryWriter& out) const {
+  CORDIAL_CHECK_MSG(!trees_.empty(), "cannot encode an unfitted forest");
+  out.U8(static_cast<std::uint8_t>(LearnerTag::kRandomForest));
+  out.Var(static_cast<std::uint64_t>(num_classes_));
+  out.Var(trees_.size());
+  for (const ClassificationTree& tree : trees_) tree.Encode(out);
 }
 
-std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Parse(
-    TokenCursor& in, std::size_t num_features) {
-  in.Expect("v1");
-  in.Expect("classes");
-  const std::size_t classes = in.Count("forest classes", 1);
-  in.Expect("trees");
-  const std::size_t trees = in.Count("forest trees", 1);
-  if (classes < 2 || trees < 1) throw ParseError("forest: malformed header");
+std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Decode(
+    persist::BinaryReader& in, std::size_t num_features) {
+  if (in.U8() != static_cast<std::uint8_t>(LearnerTag::kRandomForest)) {
+    in.Fail("not a random forest");
+  }
+  const std::uint32_t classes = DecisionTree::DecodeClassCount(in, "forest");
+  const std::uint64_t trees =
+      in.VarCount(DecisionTree::MinEncodedBytes(num_features));
+  if (trees == 0) in.Fail("forest has no trees");
   auto forest = std::make_unique<RandomForestClassifier>();
   forest->num_classes_ = static_cast<int>(classes);
-  for (std::size_t t = 0; t < trees; ++t) {
-    forest->trees_.emplace_back().Parse(in, num_features);
+  for (std::uint64_t t = 0; t < trees; ++t) {
+    forest->trees_.emplace_back().Decode(in, num_features);
     if (forest->trees_.back().leaf_width() != classes) {
-      throw ParseError("forest: tree " + std::to_string(t) +
-                       " has a different class count");
+      in.Fail("forest tree " + std::to_string(t) + " has " +
+              std::to_string(forest->trees_.back().leaf_width()) +
+              " classes, the forest " + std::to_string(classes));
     }
   }
   return forest;

@@ -16,11 +16,14 @@ class RandomForestClassifier final : public Classifier {
       std::span<const double> features) const override;
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
-  void Serialize(std::ostream& out) const override;
-  /// Reads a saved forest whose magic token `in` has just consumed, its
-  /// trees built in place (see DecisionTree::Parse for what it rejects).
-  static std::unique_ptr<RandomForestClassifier> Parse(
-      TokenCursor& in, std::size_t num_features);
+  /// Tag, class count, tree count, then the trees.
+  void Encode(persist::BinaryWriter& out) const override;
+  /// Reads an encoded forest, its trees built in place (see
+  /// DecisionTree::Decode for what it refuses). ParseError also on another
+  /// tag, fewer than 2 classes, no trees, or a tree whose class count
+  /// differs from the forest's.
+  static std::unique_ptr<RandomForestClassifier> Decode(
+      persist::BinaryReader& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<RandomForestClassifier>(*this);
   }

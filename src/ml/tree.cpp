@@ -1,16 +1,18 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
+#include <cstring>
 #include <limits>
-#include <ostream>
 #include <queue>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
-#include "ml/token_cursor.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::ml {
 
@@ -506,101 +508,188 @@ std::size_t DecisionTree::leaf_count() const {
 
 namespace {
 
-void WriteDouble(std::ostream& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
-}
+/// The varints inside a node (its tag and child offsets) are at most five
+/// bytes long: every value the encoder writes there fits in 32 bits.
+constexpr std::size_t kMaxNodeVarBytes = 5;
+
+/// Every node takes at least its tag byte and one double: a threshold, a
+/// class frequency or a regression value.
+constexpr std::size_t kMinNodeBytes = 9;
+
+/// Reads the fields of one node from a pointer that has at least the
+/// node's largest encoding in front of it, so no field checks bounds: the
+/// decoder checks once per node. Varints are canonical, as
+/// persist::BinaryReader::Var reads them.
+class NodeReader {
+ public:
+  NodeReader(const unsigned char* at, const persist::BinaryReader& in)
+      : pos_(at), in_(in) {}
+
+  const unsigned char* pos() const { return pos_; }
+
+  /// Tags and left offsets are almost always one byte: that case stays
+  /// inline.
+  std::uint64_t Var() {
+    const unsigned char first = *pos_;
+    if (first < 0x80u) {
+      ++pos_;
+      return first;
+    }
+    return LongVar();
+  }
+
+  double F64() {
+    std::uint64_t bits = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&bits, pos_, sizeof(bits));
+    } else {
+      for (int i = 0; i < 8; ++i) {
+        bits |= static_cast<std::uint64_t>(pos_[i]) << (8 * i);
+      }
+    }
+    pos_ += 8;
+    return std::bit_cast<double>(bits);
+  }
+
+ private:
+  std::uint64_t LongVar() {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < kMaxNodeVarBytes; ++i) {
+      const unsigned char byte = *pos_++;
+      value |= static_cast<std::uint64_t>(byte & 0x7Fu) << (7 * i);
+      if ((byte & 0x80u) == 0) {
+        if (byte == 0) in_.Fail("overlong varint in a tree node");
+        return value;
+      }
+    }
+    in_.Fail("tree node varint longer than " +
+             std::to_string(kMaxNodeVarBytes) + " bytes");
+  }
+
+  const unsigned char* pos_;
+  const persist::BinaryReader& in_;
+};
 
 }  // namespace
 
-void DecisionTree::Write(std::ostream& out) const {
-  if (species_ == Species::kClassification) {
-    out << "classification_tree v1\nclasses " << width_ << " nodes "
-        << nodes_.size();
-  } else {
-    out << "regression_tree v1\nnodes " << nodes_.size();
-  }
-  out << " importance " << importance_.size() << "\n";
-  for (const Node& n : nodes_) {
-    out << n.feature << ' ';
-    WriteDouble(out, n.threshold);
-    out << ' ' << n.left << ' ' << n.right;
-    for (std::size_t v = 0; v < ValueCount(n); ++v) {
-      out << ' ';
-      WriteDouble(out, values_[n.values + v]);
-    }
-    out << '\n';
-  }
-  for (double v : importance_) {
-    WriteDouble(out, v);
-    out << '\n';
-  }
+std::size_t DecisionTree::MinEncodedBytes(std::size_t num_features) {
+  return 1 + kMinNodeBytes + 8 * num_features;
 }
 
-void DecisionTree::Parse(TokenCursor& in, std::size_t num_features) {
-  const bool regression = species_ == Species::kRegression;
-  in.Expect(regression ? "regression_tree" : "classification_tree");
-  in.Expect("v1");
-  width_ = 1;
-  if (!regression) {
-    in.Expect("classes");
-    const std::size_t classes = in.Count("tree classes", 1);
-    if (classes < 2) throw ParseError("tree: bad class count");
-    width_ = static_cast<std::uint32_t>(classes);
+std::uint32_t DecisionTree::DecodeClassCount(persist::BinaryReader& in,
+                                             const char* what) {
+  const std::uint64_t classes = in.Var();
+  if (classes < 2 || classes > in.remaining() / 8) {
+    in.Fail(std::string(what) + " class count " + std::to_string(classes) +
+            " is below 2 or does not fit in the " +
+            std::to_string(in.remaining()) + " bytes left");
   }
-  in.Expect("nodes");
-  // A node line holds at least its feature, threshold and two children.
-  const std::size_t n = in.Count("tree nodes", 4);
-  if (n == 0) throw ParseError("tree: no nodes");
-  in.Expect("importance");
-  if (in.Count("tree importance", 1) != num_features) {
-    throw ParseError("tree: importance count differs from the model's " +
-                     std::to_string(num_features) + " features");
-  }
+  return static_cast<std::uint32_t>(classes);
+}
 
-  nodes_.clear();
-  nodes_.reserve(n);
+void DecisionTree::Encode(persist::BinaryWriter& out) const {
+  if (species_ == Species::kClassification) out.Var(width_);
+  out.Var(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    if (node.feature < 0) {
+      out.Var(0);
+    } else {
+      out.Var(static_cast<std::uint64_t>(node.feature) + 1);
+      out.F64(node.threshold);
+      out.Var(static_cast<std::size_t>(node.left) - i);
+      out.Var(static_cast<std::size_t>(node.right) - i);
+    }
+    for (std::size_t v = 0; v < ValueCount(node); ++v) {
+      out.F64(values_[node.values + v]);
+    }
+  }
+  for (double v : importance_) out.F64(v);
+}
+
+void DecisionTree::Decode(persist::BinaryReader& in,
+                          std::size_t num_features) {
+  const bool regression = species_ == Species::kRegression;
+  width_ = 1;
+  if (!regression) width_ = DecodeClassCount(in, "tree");
+  const std::uint64_t n = in.VarCount(kMinNodeBytes);
+  if (n == 0) in.Fail("tree has no nodes");
+  constexpr auto kMaxNodes =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
+  if (n > kMaxNodes) in.Fail("tree has " + std::to_string(n) + " nodes");
+
+  nodes_.assign(n, Node{});
   values_.clear();
   // Both builders emit full binary trees: (n + 1) / 2 leaves. Every value
-  // is a token, so the bytes left bound the reservation too.
+  // takes 8 bytes, so the bytes left bound the reservation too.
   values_.reserve(std::min<std::size_t>(
-      regression ? n : (n + 1) / 2 * width_, in.bytes_left() / 2));
+      regression ? n : (n + 1) / 2 * width_, in.remaining() / 8));
+  // What ValueCount says, per kind of node.
+  const std::size_t leaf_values = width_;
+  const std::size_t split_values = regression ? width_ : 0;
+
+  // One bounds check per node, against the node's largest encoding: a tag
+  // and two offsets, a threshold and the values. A node closer than that
+  // to the end of the payload is read from a zero-padded copy of the tail,
+  // and refused if it used bytes past the real end.
+  const std::size_t max_node_bytes =
+      3 * kMaxNodeVarBytes + 8 + 8 * std::max(leaf_values, split_values);
+  const std::string_view rest = in.rest();
+  const auto* const begin =
+      reinterpret_cast<const unsigned char*>(rest.data());
+  const auto* const end = begin + rest.size();
+  const unsigned char* at = begin;
+  std::vector<unsigned char> tail;
   const auto last = static_cast<std::int64_t>(n) - 1;
-  const auto features = static_cast<std::int64_t>(num_features);
   for (std::int64_t i = 0; i <= last; ++i) {
-    const std::int64_t feature = in.Int("tree node feature");
-    Node node;
-    node.threshold = in.Double("tree node threshold");
-    const std::int64_t left = in.Int("tree node child");
-    const std::int64_t right = in.Int("tree node child");
-    if (feature == -1) {
-      if (left != -1 || right != -1) {
-        throw ParseError("tree: leaf " + std::to_string(i) + " has children");
+    const auto left_in_payload = static_cast<std::size_t>(end - at);
+    const unsigned char* from = at;
+    if (left_in_payload < max_node_bytes) {
+      tail.assign(at, end);
+      tail.resize(max_node_bytes, 0);
+      from = tail.data();
+    }
+    NodeReader node_in(from, in);
+    Node& node = nodes_[static_cast<std::size_t>(i)];
+    node.values = static_cast<std::uint32_t>(values_.size());
+    std::size_t values = leaf_values;
+    const std::uint64_t tag = node_in.Var();
+    if (tag != 0) {
+      if (tag > num_features) {
+        in.Fail("tree node " + std::to_string(i) + " splits on feature " +
+                std::to_string(tag - 1) + " of " +
+                std::to_string(num_features));
       }
-    } else if (feature < 0 || feature >= features) {
-      throw ParseError("tree: node " + std::to_string(i) +
-                       " splits on feature " + std::to_string(feature) +
-                       " of " + std::to_string(num_features));
-    } else if (left <= i || right <= i || left > last || right > last) {
+      node.feature = static_cast<std::int32_t>(tag - 1);
+      node.threshold = node_in.F64();
+      const std::uint64_t left = node_in.Var();
+      const std::uint64_t right = node_in.Var();
       // Children strictly after their parent: every walk moves forward
       // through the array, so it ends.
-      throw ParseError("tree: node " + std::to_string(i) + " has children " +
-                       std::to_string(left) + ", " + std::to_string(right) +
-                       " outside (" + std::to_string(i) + ", " +
-                       std::to_string(last) + "]");
+      const auto after = static_cast<std::uint64_t>(last - i);
+      if (left == 0 || right == 0 || left > after || right > after) {
+        in.Fail("tree node " + std::to_string(i) + " has child offsets " +
+                std::to_string(left) + ", " + std::to_string(right) +
+                " outside [1, " + std::to_string(after) + "]");
+      }
+      node.left =
+          static_cast<std::int32_t>(i + static_cast<std::int64_t>(left));
+      node.right =
+          static_cast<std::int32_t>(i + static_cast<std::int64_t>(right));
+      values = split_values;
     }
-    node.feature = static_cast<std::int32_t>(feature);
-    node.left = static_cast<std::int32_t>(left);
-    node.right = static_cast<std::int32_t>(right);
-    node.values = static_cast<std::uint32_t>(values_.size());
-    for (std::size_t v = ValueCount(node); v > 0; --v) {
-      values_.push_back(in.Double("tree value"));
+    for (; values > 0; --values) values_.push_back(node_in.F64());
+    const auto used = static_cast<std::size_t>(node_in.pos() - from);
+    if (used > left_in_payload) {
+      in.Fail("truncated payload (tree node " + std::to_string(i) +
+              " needs " + std::to_string(used) + " byte(s), have " +
+              std::to_string(left_in_payload) + ")");
     }
-    nodes_.push_back(node);
+    at += used;
   }
+  in.Bytes(static_cast<std::size_t>(at - begin));
   importance_.resize(num_features);
-  for (double& v : importance_) v = in.Double("tree importance");
+  for (double& v : importance_) v = in.F64();
 }
 
 }  // namespace cordial::ml

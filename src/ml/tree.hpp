@@ -8,20 +8,22 @@
 //     or best-first (leaf-wise) growth — the base learner for both the
 //     XGBoost-style and the LightGBM-style boosters.
 // Once fitted or loaded both are a DecisionTree: one node layout with one
-// walk loop, one writer and one parser.
+// walk loop, one encoder and one decoder.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
 
-namespace cordial::ml {
+namespace cordial::persist {
+class BinaryWriter;
+class BinaryReader;
+}  // namespace cordial::persist
 
-class TokenCursor;
+namespace cordial::ml {
 
 // ---------------------------------------------------------------- binning
 
@@ -52,7 +54,7 @@ class FeatureBinner {
 /// array, so no node allocates. A classification tree carries its class
 /// frequencies on leaves only. A regression tree carries one Newton value on
 /// every node: prediction reads only leaves, but the saved format keeps the
-/// internal values, so load → save stays byte-identical.
+/// internal values, so decode → encode stays byte-identical.
 class DecisionTree {
  public:
   /// One split or leaf; 24 bytes.
@@ -79,14 +81,28 @@ class DecisionTree {
     return importance_;
   }
 
-  /// Line-based text form. Parse reads it back bit-identically.
-  void Write(std::ostream& out) const;
-  /// Replaces this tree with the saved tree at `in`, built in place.
-  /// ParseError on a malformed token or count, a class count below 2, no
-  /// nodes, an importance count other than `num_features`, a split feature
-  /// outside [0, num_features), a leaf with children, or a child index not
-  /// greater than its parent's (so every walk ends) or past the last node.
-  void Parse(TokenCursor& in, std::size_t num_features);
+  /// Binary form (DESIGN.md §16): [class count,] node count, the nodes in
+  /// array order, then `num_features` importances. A node is a varint tag
+  /// (0 for a leaf, feature + 1 for a split); a split adds its threshold
+  /// and its children as forward varint offsets; then come the values it
+  /// carries. Doubles are raw IEEE-754 bits.
+  void Encode(persist::BinaryWriter& out) const;
+  /// Replaces this tree with the encoded tree at `in`, built in place. The
+  /// decoder is canonical: it accepts only bytes Encode writes. ParseError
+  /// on a truncated or overlong field, a class count below 2, no nodes, a
+  /// count that cannot fit in the bytes left, a split feature outside
+  /// [0, num_features), or a child offset of 0 (so every walk moves
+  /// forward and ends) or past the last node.
+  void Decode(persist::BinaryReader& in, std::size_t num_features);
+  /// The fewest bytes an encoded tree of a `num_features` model takes: its
+  /// node count, one node and its importances. The ensembles' decoders
+  /// bound their tree counts with it before allocating.
+  static std::size_t MinEncodedBytes(std::size_t num_features);
+  /// Reads the class count of an encoded tree or ensemble: at least 2, and
+  /// no more than the doubles left, since each class takes one (a leaf
+  /// value or a base score). ParseError naming `what` otherwise.
+  static std::uint32_t DecodeClassCount(persist::BinaryReader& in,
+                                        const char* what);
 
  protected:
   enum class Species { kClassification, kRegression };

@@ -1,10 +1,10 @@
-// Little-endian binary codec primitives for checkpoint payloads — the
-// byte-level layer under the engine-state and delta frames (DESIGN.md §14),
-// the only engine-state codec.
+// Little-endian binary codec primitives for checkpoint and model payloads —
+// the byte-level layer under the engine-state and delta frames (DESIGN.md
+// §14) and the model frames (§16), the only codec for either.
 //
 // Header-only on purpose: the per-component encoders live next to the
-// state they serialize (BankProfile, PredictionEngine), which sit below
-// cordial_persist in the link graph.
+// state they serialize (BankProfile, PredictionEngine, the ml trees and
+// ensembles), which sit below cordial_persist in the link graph.
 // cordial_common already exports the src/ include root, so any library can
 // include this without a dependency edge; the persist *library* owns the
 // file-level formats (chains, manifests, folding) built on top.
@@ -288,6 +288,10 @@ class BinaryReader {
 
   std::size_t remaining() const { return data_.size() - pos_; }
   std::size_t position() const { return pos_; }
+  /// The bytes not read yet, for a decoder that walks them with bounds
+  /// checks of its own (the model's tree decoder checks once per node);
+  /// it then consumes what it used with Bytes.
+  std::string_view rest() const { return data_.substr(pos_); }
   bool AtEnd() const { return pos_ == data_.size(); }
 
   /// Require the payload to be fully consumed — trailing garbage after the

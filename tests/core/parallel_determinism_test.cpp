@@ -10,7 +10,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "ml/classifier.hpp"
 #include "ml/dataset.hpp"
 #include "ml/forest.hpp"
+#include "persist/binary_io.hpp"
 #include "trace/error_log.hpp"
 #include "trace/fleet.hpp"
 
@@ -98,14 +98,15 @@ std::string ForestFingerprint(std::size_t threads, const ml::Dataset& data) {
   Rng rng(123);
   forest.Fit(data, rng);
   SetThreadCount(0);
-  std::ostringstream out;
-  forest.Serialize(out);
-  return out.str();
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
+  forest.Encode(out);
+  return bytes;
 }
 
 // Golden values captured at CORDIAL_THREADS=1 on the reference toolchain.
 constexpr std::uint64_t kGoldenFleetHash = 0x71fa4cf20ccef6d9ULL;
-constexpr std::uint64_t kGoldenForestHash = 0x7561d050aabc052cULL;
+constexpr std::uint64_t kGoldenForestHash = 0x7cbdf061a4dc03d9ULL;
 
 TEST(ParallelDeterminism, FleetIdenticalAcrossThreadCounts) {
   const std::uint64_t h1 = FleetHashAt(1, 42);

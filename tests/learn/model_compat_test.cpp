@@ -14,6 +14,7 @@
 #include "core/crossrow.hpp"
 #include "core/pattern_classifier.hpp"
 #include "core/persist.hpp"
+#include "persist/binary_io.hpp"
 #include "support/serve_world.hpp"
 
 namespace cordial::core {
@@ -22,26 +23,21 @@ namespace {
 using serve::test_support::SharedWorld;
 using serve::test_support::World;
 
-/// Re-frame a saved model with its "features <n>" payload token bumped by
+/// Re-frame a saved model with its leading feature count bumped by
 /// `delta`, returning the tampered stream and the original count.
 std::string TamperFeatureCount(const std::string& framed,
                                const std::string& magic, std::uint64_t delta,
                                std::uint64_t* original) {
   std::istringstream in(framed);
-  std::string payload = ReadFramed(in, magic, kModelFrameVersion);
-  std::istringstream scan(payload);
-  std::string token;
-  std::uint64_t count = 0;
-  scan >> token >> count;
-  EXPECT_EQ(token, "features");
+  const std::string payload = ReadFramed(in, magic, kModelFrameVersion);
+  persist::BinaryReader reader(payload, "test");
+  const std::uint64_t count = reader.Var();
   *original = count;
-  const std::string needle = "features " + std::to_string(count);
-  const std::string replacement = "features " + std::to_string(count + delta);
-  const std::size_t at = payload.find(needle);
-  EXPECT_NE(at, std::string::npos);
-  payload.replace(at, needle.size(), replacement);
+  std::string tampered;
+  persist::BinaryWriter(tampered).Var(count + delta);
+  tampered.append(payload, reader.position());
   std::ostringstream out;
-  WriteFramed(out, magic, kModelFrameVersion, payload);
+  WriteFramed(out, magic, kModelFrameVersion, tampered);
   return out.str();
 }
 
@@ -163,11 +159,11 @@ std::string SavedPatternModel(ml::LearnerKind kind) {
   return out.str();
 }
 
-// SaveModel bytes of the two boosters, pinned: the tree writer must keep
-// every GBDT internal-node value and render every double as %.17g.
+// SaveModel bytes of the two boosters, pinned: the tree encoder must keep
+// every GBDT internal-node value and write every double as its raw bits.
 // ParallelDeterminism.ForestSeedStableGolden pins the forest's bytes.
-constexpr std::uint64_t kGoldenXgbModelHash = 0x28d22e4edf095e44ULL;
-constexpr std::uint64_t kGoldenLgbmModelHash = 0x34d2c4c325313931ULL;
+constexpr std::uint64_t kGoldenXgbModelHash = 0xc169c703016e2e73ULL;
+constexpr std::uint64_t kGoldenLgbmModelHash = 0xa9268982b4e41b3cULL;
 
 TEST(LearnModelCompat, BoosterSaveBytesGolden) {
   const std::string xgb = SavedPatternModel(ml::LearnerKind::kXgbStyle);

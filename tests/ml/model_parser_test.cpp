@@ -1,12 +1,16 @@
-// The model parser against crafted and truncated payloads. Model files come
-// from outside the program, so every defect a payload can carry must end
-// in a ParseError at load time: never an out-of-bounds read or an endless
-// walk at predict time, and never an allocation sized by a corrupt count.
+// The model decoder against crafted, truncated and mutated payloads. Model
+// files come from outside the program, so every defect a payload can carry
+// must end in a ParseError at load time: never an out-of-bounds read or an
+// endless walk at predict time, and never an allocation sized by a corrupt
+// count. What decodes re-encodes to the same bytes.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/framing.hpp"
@@ -15,140 +19,215 @@
 #include "core/persist.hpp"
 #include "ml/booster.hpp"
 #include "ml/forest.hpp"
-#include "ml/token_cursor.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::ml {
 namespace {
 
-/// A one-split forest over one feature: x <= 0.5 is class 0, else class 1.
-constexpr char kStumpForest[] =
-    "random_forest v1\n"
-    "classes 2 trees 1\n"
-    "classification_tree v1\n"
-    "classes 2 nodes 3 importance 1\n"
-    "0 0.5 1 2\n"
-    "-1 0 -1 -1 1 0\n"
-    "-1 0 -1 -1 0 1\n"
-    "0.25\n";
+/// A one-split model over one feature, x <= 0.5 is class 0, else class 1,
+/// written field by field as the encoder lays it out. Each defect test
+/// changes one field.
+struct Stump {
+  bool booster = false;
+  std::uint64_t classes = 2;       ///< the model's class count
+  std::uint64_t tree_classes = 2;  ///< the forest tree's class count
+  double learning_rate = 1.0;      ///< booster only
+  std::uint64_t trees = 1;
+  std::uint64_t nodes = 3;
+  std::uint64_t split_tag = 1;  ///< the root's feature + 1
+  std::uint64_t left = 1;       ///< the root's child offsets
+  std::uint64_t right = 2;
+  std::size_t features = 1;  ///< importances written
 
-/// The same split as a one-tree binary booster.
-constexpr char kStumpBooster[] =
-    "gbdt v1\n"
-    "name XGBoost-style\n"
-    "classes 2 learning_rate 1 trees 1\n"
-    "base 0 0\n"
-    "regression_tree v1\n"
-    "nodes 3 importance 1\n"
-    "0 0.5 1 2 0\n"
-    "-1 0 -1 -1 -2\n"
-    "-1 0 -1 -1 2\n"
-    "0.25\n";
+  std::string Bytes() const {
+    std::string bytes;
+    persist::BinaryWriter out(bytes);
+    if (booster) {
+      out.U8(static_cast<std::uint8_t>(LearnerTag::kGradientBoosted));
+      const std::string_view name = "XGBoost-style";
+      out.Var(name.size());
+      out.Bytes(name);
+      out.Var(classes);
+      out.F64(learning_rate);
+      out.Var(trees);
+      out.F64(0.0);  // base scores
+      out.F64(0.0);
+      out.Var(nodes);
+      out.Var(split_tag);
+      out.F64(0.5);
+      out.Var(left);
+      out.Var(right);
+      out.F64(0.0);  // every regression node carries its value
+      out.Var(0);
+      out.F64(-2.0);
+      out.Var(0);
+      out.F64(2.0);
+    } else {
+      out.U8(static_cast<std::uint8_t>(LearnerTag::kRandomForest));
+      out.Var(classes);
+      out.Var(trees);
+      out.Var(tree_classes);
+      out.Var(nodes);
+      out.Var(split_tag);
+      out.F64(0.5);
+      out.Var(left);
+      out.Var(right);
+      out.Var(0);  // leaves carry their class frequencies
+      out.F64(1.0);
+      out.F64(0.0);
+      out.Var(0);
+      out.F64(0.0);
+      out.F64(1.0);
+    }
+    for (std::size_t f = 0; f < features; ++f) out.F64(f == 0 ? 0.25 : 0.0);
+    return bytes;
+  }
+};
 
-std::unique_ptr<Classifier> Load(const std::string& text,
+template <typename Model>
+std::string Encoded(const Model& model) {
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
+  model.Encode(out);
+  return bytes;
+}
+
+/// The model payload's classifier, decoded as LoadModel decodes it: the
+/// whole buffer, trailing bytes refused.
+std::unique_ptr<Classifier> Load(std::string_view bytes,
                                  std::size_t num_features) {
-  TokenCursor in(text);
-  return LoadClassifier(in, num_features);
+  persist::BinaryReader in(bytes, "test model");
+  std::unique_ptr<Classifier> model = DecodeClassifier(in, num_features);
+  in.ExpectEnd();
+  return model;
 }
 
-/// `text` with its first `from` replaced by `to`.
-std::string With(std::string text, const std::string& from,
-                 const std::string& to) {
-  const std::size_t at = text.find(from);
-  EXPECT_NE(at, std::string::npos) << from;
-  return text.replace(at, from.size(), to);
-}
-
-void ExpectRejected(const std::string& text) {
-  EXPECT_THROW(Load(text, 1), ParseError) << text;
+void ExpectRejected(const Stump& stump, std::size_t num_features = 1) {
+  EXPECT_THROW(Load(stump.Bytes(), num_features), ParseError)
+      << (stump.booster ? "booster" : "forest");
 }
 
 TEST(ModelParser, HandWrittenStumpsLoadAndPredict) {
   const double low = 0.2, high = 0.9;
-  for (const char* text : {kStumpForest, kStumpBooster}) {
-    const auto model = Load(text, 1);
-    EXPECT_EQ(model->Predict(std::span<const double>(&low, 1)), 0) << text;
-    EXPECT_EQ(model->Predict(std::span<const double>(&high, 1)), 1) << text;
-    std::ostringstream resaved;
-    SaveClassifier(*model, resaved);
-    EXPECT_EQ(resaved.str(), text);
+  for (const bool booster : {false, true}) {
+    const std::string bytes = Stump{.booster = booster}.Bytes();
+    const auto model = Load(bytes, 1);
+    EXPECT_EQ(model->Predict(std::span<const double>(&low, 1)), 0) << booster;
+    EXPECT_EQ(model->Predict(std::span<const double>(&high, 1)), 1) << booster;
+    EXPECT_EQ(Encoded(*model), bytes);
   }
 }
 
 TEST(ModelParser, RejectsSplitFeatureOutsideTheModel) {
   // Loaded, this split would read features[999] of a 1-feature row.
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "999 0.5 1 2"));
-  ExpectRejected(With(kStumpBooster, "0 0.5 1 2 0", "999 0.5 1 2 0"));
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "1 0.5 1 2"));
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "-2 0.5 1 2"));
+  for (const bool booster : {false, true}) {
+    ExpectRejected({.booster = booster, .split_tag = 1000});
+    ExpectRejected({.booster = booster, .split_tag = 2});
+  }
+  // A split on feature 1 is valid in a 2-feature model.
+  EXPECT_NO_THROW(Load(Stump{.split_tag = 2, .features = 2}.Bytes(), 2));
 }
 
 TEST(ModelParser, RejectsChildrenThatDoNotFollowTheirParent) {
-  // A self-loop: loaded, PredictProba would never return.
-  ExpectRejected(With(With(kStumpForest, "nodes 3", "nodes 1"),
-                      "0 0.5 1 2\n-1 0 -1 -1 1 0\n-1 0 -1 -1 0 1\n",
-                      "0 0.5 0 0\n"));
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "0 0.5 1 0"));
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "0 0.5 1 3"));
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "0 0.5 -1 2"));
-  ExpectRejected(With(kStumpBooster, "0 0.5 1 2 0", "0 0.5 0 0 0"));
-  // A cycle through a later node: 0 -> 1 -> 0.
-  ExpectRejected(With(kStumpForest, "-1 0 -1 -1 1 0", "0 0.5 0 2"));
-}
-
-TEST(ModelParser, RejectsLeafWithChildren) {
-  ExpectRejected(With(kStumpForest, "-1 0 -1 -1 1 0", "-1 0 2 2 1 0"));
+  for (const bool booster : {false, true}) {
+    // A self-loop: loaded, PredictProba would never return.
+    ExpectRejected({.booster = booster, .left = 0});
+    ExpectRejected({.booster = booster, .right = 0});
+    // Past the last node.
+    ExpectRejected({.booster = booster, .right = 3});
+    ExpectRejected({.booster = booster, .left = 1000000});
+  }
+  // A one-node tree has no node to point to.
+  ExpectRejected({.nodes = 1, .left = 1, .right = 1});
 }
 
 TEST(ModelParser, RejectsCountsThatDoNotFit) {
-  ExpectRejected(With(kStumpForest, "importance 1", "importance -1"));
-  ExpectRejected(With(kStumpForest, "nodes 3", "nodes 4000000000"));
-  ExpectRejected(With(kStumpBooster, "nodes 3", "nodes 4000000000"));
-  ExpectRejected(With(kStumpForest, "trees 1", "trees 4000000000"));
-  ExpectRejected(With(kStumpBooster, "classes 2", "classes 4000000000"));
-  ExpectRejected(With(kStumpForest, "nodes 3", "nodes 99999999999999999999"));
-  // Counts the tree would accept but the model's frame contradicts.
-  ExpectRejected(With(kStumpForest, "importance 1", "importance 2"));
-  EXPECT_THROW(Load(kStumpForest, 2), ParseError);
+  for (const bool booster : {false, true}) {
+    ExpectRejected({.booster = booster, .nodes = 4000000000});
+    ExpectRejected({.booster = booster, .trees = 4000000000});
+    ExpectRejected({.booster = booster, .classes = 4000000000});
+    ExpectRejected({.booster = booster, .nodes = 1ull << 63});
+  }
+  ExpectRejected({.tree_classes = 4000000000});
+  // Counts the tree would accept but the model's frame contradicts: a
+  // 2-feature model reads a second importance the stump does not hold.
+  EXPECT_THROW(Load(Stump{}.Bytes(), 2), ParseError);
+  EXPECT_THROW(Load(Stump{.booster = true}.Bytes(), 2), ParseError);
 }
 
 TEST(ModelParser, BadCountsAreParseErrors) {
-  ExpectRejected(With(kStumpForest, "classes 2 trees", "classes 1 trees"));
-  ExpectRejected(With(kStumpForest, "classes 2 nodes", "classes 1 nodes"));
-  ExpectRejected(With(kStumpForest, "classes 2 nodes", "classes 3 nodes"));
-  ExpectRejected(With(kStumpForest, "nodes 3", "nodes 0"));
-  ExpectRejected(With(kStumpForest, "trees 1", "trees 0"));
-  ExpectRejected(With(kStumpBooster, "trees 1", "trees 0"));
-  ExpectRejected(With(kStumpBooster, "classes 2", "classes 1"));
-  ExpectRejected(With(kStumpBooster, "learning_rate 1", "learning_rate 0"));
-  ExpectRejected(With(kStumpBooster, "learning_rate 1", "learning_rate nan"));
-}
-
-TEST(ModelParser, RejectsMalformedTokens) {
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "0 0.5x 1 2"));
-  ExpectRejected(With(kStumpForest, "0 0.5 1 2", "0 0.5 1.5 2"));
-  ExpectRejected(With(kStumpForest, "0.25", "1e999"));
-  ExpectRejected(With(kStumpBooster, "base 0 0", "base 0"));
-  ExpectRejected(With(kStumpBooster, "name XGBoost-style", "label x"));
-}
-
-/// Every prefix of `text` that ends at a token boundary, short of the
-/// whole model, must be rejected.
-void ExpectEveryTruncationRejected(const std::string& text,
-                                   std::size_t num_features) {
-  ASSERT_NO_THROW(Load(text, num_features));
-  const auto space = [&](std::size_t i) {
-    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
-  };
-  std::size_t last_token_end = text.size();
-  while (last_token_end > 0 && space(last_token_end - 1)) --last_token_end;
-  std::size_t checked = 0;
-  for (std::size_t cut = 0; cut < last_token_end; ++cut) {
-    if (cut > 0 && space(cut) == space(cut - 1)) continue;  // inside a run
-    EXPECT_THROW(Load(text.substr(0, cut), num_features), ParseError)
-        << "accepted a model cut at byte " << cut;
-    ++checked;
+  ExpectRejected({.classes = 1, .tree_classes = 1});
+  ExpectRejected({.tree_classes = 1});
+  ExpectRejected({.tree_classes = 3});  // not the forest's class count
+  ExpectRejected({.nodes = 0});
+  ExpectRejected({.trees = 0});
+  ExpectRejected({.booster = true, .trees = 0});
+  ExpectRejected({.booster = true, .nodes = 0});
+  ExpectRejected({.booster = true, .classes = 1});
+  for (const double rate :
+       {0.0, -0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ExpectRejected({.booster = true, .learning_rate = rate});
   }
-  EXPECT_GT(checked, 100u);
+}
+
+TEST(ModelParser, RejectsMalformedFields) {
+  const std::string forest = Stump{}.Bytes();
+  // A learner tag that names no learner.
+  for (const char tag : {'\0', '\x03', '\xff'}) {
+    std::string bytes = forest;
+    bytes[0] = tag;
+    EXPECT_THROW(Load(bytes, 1), ParseError) << int(tag);
+  }
+  // The root's tag as an overlong varint: 0x81 0x00 also reads 1.
+  std::string overlong = forest;
+  overlong.replace(5, 1, "\x81\x00", 2);
+  EXPECT_THROW(Load(overlong, 1), ParseError);
+  // A node varint past five bytes.
+  std::string wide = forest;
+  wide.replace(5, 1, "\x81\x80\x80\x80\x80\x00", 6);
+  EXPECT_THROW(Load(wide, 1), ParseError);
+  // An overlong count.
+  std::string count = forest;
+  count.replace(4, 1, "\x83\x00", 2);
+  EXPECT_THROW(Load(count, 1), ParseError);
+  // A booster name longer than the payload.
+  std::string name = Stump{.booster = true}.Bytes();
+  name[1] = '\x7f';
+  EXPECT_THROW(Load(name, 1), ParseError);
+}
+
+TEST(ModelParser, TrailingBytesAfterTheModelAreRefused) {
+  core::PatternClassifier model(hbm::TopologyConfig{},
+                                LearnerKind::kRandomForest);
+  const std::size_t features = model.extractor().num_features();
+  for (const bool booster : {false, true}) {
+    SCOPED_TRACE(booster ? "booster" : "forest");
+    std::string payload;
+    persist::BinaryWriter(payload).Var(features);
+    payload += Stump{.booster = booster, .features = features}.Bytes();
+    const auto framed = [&](const std::string& bytes) {
+      std::ostringstream out;
+      WriteFramed(out, core::kPatternModelMagic, core::kModelFrameVersion,
+                  bytes);
+      return out.str();
+    };
+    std::istringstream exact(framed(payload));
+    EXPECT_NO_THROW(model.LoadModel(exact));
+
+    // One extra payload byte behind a fresh CRC.
+    core::PatternClassifier rejected(hbm::TopologyConfig{},
+                                     LearnerKind::kRandomForest);
+    std::istringstream longer(framed(payload + '\0'));
+    try {
+      rejected.LoadModel(longer);
+      ADD_FAILURE() << "loaded a model with a trailing byte";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("1 unexpected trailing byte"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(rejected.trained());
+  }
 }
 
 Dataset TwoFeatureBlobs() {
@@ -162,7 +241,8 @@ Dataset TwoFeatureBlobs() {
   return data;
 }
 
-TEST(ModelParser, RejectsEveryTruncationOfASavedForestAndBooster) {
+/// A 3-tree forest and a 3-round booster on TwoFeatureBlobs, encoded.
+std::vector<std::string> SmallSavedModels() {
   const Dataset data = TwoFeatureBlobs();
   RandomForestClassifier forest(RandomForestOptions{.n_trees = 3});
   BoosterOptions options;
@@ -171,12 +251,81 @@ TEST(ModelParser, RejectsEveryTruncationOfASavedForestAndBooster) {
   Rng rng(6);
   forest.Fit(data, rng);
   booster->Fit(data, rng);
-  for (const Classifier* model : {static_cast<Classifier*>(&forest),
-                                  booster.get()}) {
-    std::ostringstream saved;
-    SaveClassifier(*model, saved);
-    ExpectEveryTruncationRejected(saved.str(), data.num_features());
+  return {Encoded(forest), Encoded(*booster)};
+}
+
+TEST(ModelParser, RejectsEveryTruncationOfASavedForestAndBooster) {
+  for (const std::string& saved : SmallSavedModels()) {
+    ASSERT_NO_THROW(Load(saved, 2));
+    for (std::size_t cut = 0; cut < saved.size(); ++cut) {
+      EXPECT_THROW(Load(std::string_view(saved).substr(0, cut), 2),
+                   ParseError)
+          << "accepted a model cut at byte " << cut << " of "
+          << saved.size();
+    }
+    EXPECT_GT(saved.size(), 100u);
   }
+}
+
+TEST(ModelParser, PayloadMutantsFailClosedOrDecodeCanonically) {
+  // Behind a valid CRC the decoder is the only line of defence, so the
+  // payload is decoded directly. Every single-bit flip at every offset of
+  // a small saved forest and booster, then 10^4 seeded mutants of each
+  // that rewrite 2 to 8 random bytes. A mutant either throws ParseError or
+  // decodes to a model that re-encodes to exactly its bytes and predicts
+  // over a feature grid; under ASan and UBSan (tier-1) a walk that left
+  // its node array would fail the run.
+  std::vector<double> grid;
+  for (const double x : {-1e300, -3.0, -0.5, 0.0, 0.5, 1.0, 2.5, 1e300}) {
+    for (const double y : {-2.0, 0.0, 0.25, 2.0}) {
+      grid.push_back(x);
+      grid.push_back(y);
+    }
+  }
+  std::size_t refused = 0;
+  std::size_t decoded = 0;
+  const auto check = [&](const std::string& mutant, const std::string& what) {
+    std::unique_ptr<Classifier> model;
+    try {
+      model = Load(mutant, 2);
+    } catch (const ParseError&) {
+      ++refused;
+      return;
+    } catch (const std::exception& e) {
+      FAIL() << what << ": " << e.what();
+    }
+    ++decoded;
+    EXPECT_EQ(Encoded(*model), mutant) << what;
+    for (std::size_t i = 0; i < grid.size(); i += 2) {
+      const std::vector<double> proba =
+          model->PredictProba(std::span<const double>(&grid[i], 2));
+      EXPECT_GE(proba.size(), 2u) << what;
+    }
+  };
+  std::mt19937_64 rng(20261018);
+  for (const std::string& saved : SmallSavedModels()) {
+    std::string mutant = saved;
+    for (std::size_t at = 0; at < saved.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        mutant[at] = static_cast<char>(saved[at] ^ (1 << bit));
+        check(mutant, "byte " + std::to_string(at) + " bit " +
+                          std::to_string(bit));
+      }
+      mutant[at] = saved[at];
+    }
+    for (int m = 0; m < 10000; ++m) {
+      mutant = saved;
+      const auto bytes = 2 + static_cast<int>(rng() % 7);
+      for (int b = 0; b < bytes; ++b) {
+        mutant[rng() % mutant.size()] = static_cast<char>(rng());
+      }
+      check(mutant, "mutant " + std::to_string(m));
+    }
+  }
+  std::printf("model payload mutants: %zu refused, %zu decoded\n", refused,
+              decoded);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 TEST(ModelParser, FramedModelWithOutOfRangeFeatureIsRejectedAtLoad) {
@@ -188,12 +337,9 @@ TEST(ModelParser, FramedModelWithOutOfRangeFeatureIsRejectedAtLoad) {
   // The stump as a framed pattern model, widened to the extractor's
   // features and splitting on `feature`.
   const auto framed = [&](std::size_t feature) {
-    std::string payload =
-        "features " + std::to_string(features) + "\n" +
-        With(With(kStumpForest, "importance 1",
-                  "importance " + std::to_string(features)),
-             "0 0.5 1 2", std::to_string(feature) + " 0.5 1 2");
-    for (std::size_t f = 1; f < features; ++f) payload += "0\n";
+    std::string payload;
+    persist::BinaryWriter(payload).Var(features);
+    payload += Stump{.split_tag = feature + 1, .features = features}.Bytes();
     std::ostringstream out;
     WriteFramed(out, core::kPatternModelMagic, core::kModelFrameVersion,
                 payload);

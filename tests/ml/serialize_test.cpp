@@ -1,21 +1,32 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "ml/booster.hpp"
 #include "ml/forest.hpp"
-#include "ml/token_cursor.hpp"
 #include "ml/tree.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::ml {
 namespace {
 
-std::unique_ptr<Classifier> Load(const std::string& text,
+template <typename Model>
+std::string Encoded(const Model& model) {
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
+  model.Encode(out);
+  return bytes;
+}
+
+std::unique_ptr<Classifier> Load(std::string_view bytes,
                                  std::size_t num_features) {
-  TokenCursor in(text);
-  return LoadClassifier(in, num_features);
+  persist::BinaryReader in(bytes, "test model");
+  std::unique_ptr<Classifier> model = DecodeClassifier(in, num_features);
+  in.ExpectEnd();
+  return model;
 }
 
 std::vector<double> Values(std::span<const double> leaf) {
@@ -51,21 +62,18 @@ TEST(Serialize, ClassificationTreeRoundTrip) {
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   tree.Fit(data, all, rng);
 
-  std::ostringstream saved;
-  tree.Write(saved);
-  const std::string text = saved.str();
-  TokenCursor in(text);
+  const std::string saved = Encoded(tree);
+  persist::BinaryReader in(saved, "test tree");
   ClassificationTree restored;
-  restored.Parse(in, data.num_features());
+  restored.Decode(in, data.num_features());
+  in.ExpectEnd();
   EXPECT_EQ(restored.node_count(), tree.node_count());
   for (std::size_t i = 0; i < data.size(); i += 5) {
     EXPECT_EQ(Values(restored.Leaf(data.row(i))),
               Values(tree.Leaf(data.row(i))));
   }
   EXPECT_EQ(restored.feature_importance(), tree.feature_importance());
-  std::ostringstream resaved;
-  restored.Write(resaved);
-  EXPECT_EQ(resaved.str(), saved.str());
+  EXPECT_EQ(Encoded(restored), saved);
 }
 
 TEST(Serialize, RegressionTreeRoundTrip) {
@@ -83,20 +91,17 @@ TEST(Serialize, RegressionTreeRoundTrip) {
   RegressionTree tree;
   tree.Fit(data, all, grad, hess, rng, nullptr);
 
-  std::ostringstream saved;
-  tree.Write(saved);
-  const std::string text = saved.str();
-  TokenCursor in(text);
+  const std::string saved = Encoded(tree);
+  persist::BinaryReader in(saved, "test tree");
   RegressionTree restored;
-  restored.Parse(in, data.num_features());
+  restored.Decode(in, data.num_features());
+  in.ExpectEnd();
   EXPECT_EQ(restored.node_count(), tree.node_count());
   for (std::size_t i = 0; i < data.size(); i += 7) {
     EXPECT_EQ(restored.Leaf(data.row(i))[0], tree.Leaf(data.row(i))[0]);
   }
   // Internal-node values are saved although prediction never reads them.
-  std::ostringstream resaved;
-  restored.Write(resaved);
-  EXPECT_EQ(resaved.str(), saved.str());
+  EXPECT_EQ(Encoded(restored), saved);
 }
 
 TEST(Serialize, RandomForestRoundTrip) {
@@ -108,9 +113,7 @@ TEST(Serialize, RandomForestRoundTrip) {
   Rng fit_rng(4);
   forest.Fit(data, fit_rng);
 
-  std::ostringstream buffer;
-  SaveClassifier(forest, buffer);
-  const auto restored = Load(buffer.str(), data.num_features());
+  const auto restored = Load(Encoded(forest), data.num_features());
   ExpectIdenticalProba(forest, *restored, data);
 }
 
@@ -123,10 +126,9 @@ TEST(Serialize, XgbStyleBoosterRoundTrip) {
   Rng fit_rng(6);
   booster->Fit(data, fit_rng);
 
-  std::ostringstream buffer;
-  SaveClassifier(*booster, buffer);
-  const auto restored = Load(buffer.str(), data.num_features());
+  const auto restored = Load(Encoded(*booster), data.num_features());
   ExpectIdenticalProba(*booster, *restored, data);
+  EXPECT_EQ(restored->name(), booster->name());
 }
 
 TEST(Serialize, LgbmStyleBoosterRoundTrip) {
@@ -136,10 +138,9 @@ TEST(Serialize, LgbmStyleBoosterRoundTrip) {
   Rng fit_rng(8);
   booster->Fit(data, fit_rng);
 
-  std::ostringstream buffer;
-  SaveClassifier(*booster, buffer);
-  const auto restored = Load(buffer.str(), data.num_features());
+  const auto restored = Load(Encoded(*booster), data.num_features());
   ExpectIdenticalProba(*booster, *restored, data);
+  EXPECT_EQ(restored->name(), booster->name());
 }
 
 TEST(Serialize, RoundTripSurvivesDoubleSerialization) {
@@ -148,36 +149,44 @@ TEST(Serialize, RoundTripSurvivesDoubleSerialization) {
   auto model = MakeRandomForest(RandomForestOptions{.n_trees = 5});
   Rng fit_rng(10);
   model->Fit(data, fit_rng);
-  std::ostringstream first, second;
-  SaveClassifier(*model, first);
-  const auto once = Load(first.str(), data.num_features());
-  SaveClassifier(*once, second);
-  EXPECT_EQ(second.str(), first.str());
-  EXPECT_NO_THROW(Load(second.str(), data.num_features()));
+  const std::string first = Encoded(*model);
+  const std::string second = Encoded(*Load(first, data.num_features()));
+  EXPECT_EQ(second, first);
+  EXPECT_NO_THROW(Load(second, data.num_features()));
 }
 
 TEST(Serialize, UnfittedModelsRefuseToSerialize) {
-  std::stringstream buffer;
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
   RandomForestClassifier forest;
-  EXPECT_THROW(forest.Serialize(buffer), ContractViolation);
+  EXPECT_THROW(forest.Encode(out), ContractViolation);
   auto booster = MakeXgbStyleBooster();
-  EXPECT_THROW(booster->Serialize(buffer), ContractViolation);
+  EXPECT_THROW(booster->Encode(out), ContractViolation);
 }
 
 TEST(Serialize, LoadRejectsGarbage) {
   EXPECT_THROW(Load("", 3), ParseError);
+  EXPECT_THROW(Load(std::string("\0", 1), 3), ParseError);  // no learner
   EXPECT_THROW(Load("not_a_model v1", 3), ParseError);
-  EXPECT_THROW(Load("random_forest v1\nclasses 3 trees 5\n", 3), ParseError);
-  EXPECT_THROW(Load("random_forest v2\n", 3), ParseError);
+  // A forest header promising 5 trees of 3 classes, and no trees.
+  EXPECT_THROW(Load("\x01\x03\x05", 3), ParseError);
 }
 
 TEST(Serialize, TreeDeserializeValidatesChildren) {
-  // A decision node whose child index points past the node table.
-  TokenCursor evil(
-      "classification_tree v1\nclasses 2 nodes 1 importance 1\n"
-      "0 0.5 5 6\n0\n");
+  // A decision node whose children point past the node table: classes 2,
+  // nodes 1, a split on feature 0 at 0.5 to offsets 5 and 6, importance 0.
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
+  out.Var(2);
+  out.Var(1);
+  out.Var(1);
+  out.F64(0.5);
+  out.Var(5);
+  out.Var(6);
+  out.F64(0.0);
+  persist::BinaryReader evil(bytes, "test tree");
   ClassificationTree tree;
-  EXPECT_THROW(tree.Parse(evil, 1), ParseError);
+  EXPECT_THROW(tree.Decode(evil, 1), ParseError);
 }
 
 }  // namespace

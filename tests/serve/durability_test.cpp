@@ -17,6 +17,8 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/labeler.hpp"
@@ -513,9 +515,18 @@ void SkipMaskedF64(persist::BinaryReader& in) {
   in.Bytes(8 * static_cast<std::size_t>(std::popcount(in.Var())));
 }
 
-/// Skip one classification accumulator; returns the offset, in `in`, of
-/// its UER count.
-std::size_t SkipClassAccumulator(persist::BinaryReader& in) {
+/// Skip the five DiffChains of an accumulator.
+void SkipChains(persist::BinaryReader& in) {
+  for (int chain = 0; chain < 5; ++chain) {
+    in.Var();
+    in.Bool();
+    SkipMaskedF64(in);
+  }
+}
+
+/// Skip one classification accumulator up to its distinct UER rows;
+/// returns the offset, in `in`, of its UER count.
+std::size_t SkipClassFields(persist::BinaryReader& in) {
   in.Var();  // CEs
   in.Var();  // UEOs
   const std::size_t uers = in.position();
@@ -524,11 +535,14 @@ std::size_t SkipClassAccumulator(persist::BinaryReader& in) {
   in.Bool();
   in.Var();
   in.Var();
-  for (int chain = 0; chain < 5; ++chain) {
-    in.Var();
-    in.Bool();
-    SkipMaskedF64(in);
-  }
+  SkipChains(in);
+  return uers;
+}
+
+/// Skip one classification accumulator; returns the offset, in `in`, of
+/// its UER count.
+std::size_t SkipClassAccumulator(persist::BinaryReader& in) {
+  const std::size_t uers = SkipClassFields(in);
   in.AscendingU32();
   return uers;
 }
@@ -560,6 +574,119 @@ ViewCountFields LocateViewCounts(std::string_view engine_payload,
   return at;
 }
 
+/// A bank blob cut at the fields the row-set tests rewrite: the cross-row
+/// view's counts, UER row extrema, first UER time and row sets, and each
+/// classification view's distinct UER rows. Every other byte is kept
+/// verbatim, so Bytes() re-encodes an untouched blob exactly.
+struct ForgedBlob {
+  std::string head;  ///< Cordial state and the profile's head
+  std::string live, frozen;  ///< each view up to its distinct UER rows
+  std::vector<std::uint32_t> live_rows, frozen_rows;
+  std::uint64_t ce = 0, ueo = 0, uer = 0, all = 0;
+  double uer_row_min = 0.0, uer_row_max = 0.0, first_uer_time = 0.0,
+         last_event_time = 0.0;
+  std::string chains;  ///< the cross-row view's five chains
+  std::vector<std::uint32_t> ce_rows, ueo_rows, uer_rows;
+  std::string ledger;  ///< the ledger flags and rows
+
+  explicit ForgedBlob(std::string_view blob) {
+    persist::BinaryReader in(blob, "forged blob");
+    const auto since = [&](std::size_t from) {
+      return std::string(blob.substr(from, in.position() - from));
+    };
+    in.Var();           // uer_events_seen
+    in.Var();           // anchors used
+    in.Bool();          // classified
+    in.U8();            // failure class
+    in.VarSigned();     // last anchor row
+    in.Var();           // truncation depth
+    in.Var();           // events
+    in.Var();           // accepted UERs
+    in.Bool();          // capped
+    SkipMaskedF64(in);  // last event time, cutoff
+    head = since(0);
+    for (auto [fields, rows] : {std::pair{&live, &live_rows},
+                                std::pair{&frozen, &frozen_rows}}) {
+      const std::size_t from = in.position();
+      SkipClassFields(in);
+      *fields = since(from);
+      *rows = in.AscendingU32();
+    }
+    ce = in.Var();
+    ueo = in.Var();
+    uer = in.Var();
+    all = in.Var();
+    in.MaskedF64(
+        {&uer_row_min, &uer_row_max, &first_uer_time, &last_event_time});
+    const std::size_t from = in.position();
+    SkipChains(in);
+    chains = since(from);
+    ce_rows = in.AscendingU32();
+    ueo_rows = in.AscendingU32();
+    uer_rows = in.AscendingU32();
+    ledger = std::string(blob.substr(in.position()));
+  }
+
+  std::string Bytes() const {
+    std::string bytes = head + live;
+    persist::BinaryWriter out(bytes);
+    out.AscendingU32(live_rows);
+    out.Bytes(frozen);
+    out.AscendingU32(frozen_rows);
+    out.Var(ce);
+    out.Var(ueo);
+    out.Var(uer);
+    out.Var(all);
+    out.MaskedF64({uer_row_min, uer_row_max, first_uer_time, last_event_time});
+    out.Bytes(chains);
+    out.AscendingU32(ce_rows);
+    out.AscendingU32(ueo_rows);
+    out.AscendingU32(uer_rows);
+    out.Bytes(ledger);
+    return bytes;
+  }
+};
+
+/// Replace the blob at `span` of an engine payload with `bytes`, patching
+/// its u32 length.
+void ReplaceBlob(std::string& engine, const BlobSpan& span,
+                 const std::string& bytes) {
+  engine.replace(span.offset, span.length, bytes);
+  std::string length;
+  persist::BinaryWriter(length).U32(static_cast<std::uint32_t>(bytes.size()));
+  engine.replace(span.offset - 4, length.size(), length);
+}
+
+/// Forge the first bank of an engine payload, a bank that has seen no UER,
+/// into a classified bank whose view is capped at `depth` UERs with every
+/// count agreeing: the Cordial state, the accepted count, both views and
+/// the cross-row view count `depth` UERs, which the cross-row view holds on
+/// row 0 (so its UER row extrema stay +0.0). Returns the offsets of the
+/// view counts, which the forgery leaves where they were.
+ViewCountFields ForgeCappedView(std::string& engine, char depth) {
+  const std::vector<BlobSpan> blobs = BankBlobs(engine);
+  EXPECT_FALSE(blobs.empty());
+  if (blobs.empty()) return {};
+  const ViewCountFields at = LocateViewCounts(engine, blobs.front());
+  // One-byte varints, all 0 in a bank without a UER.
+  for (const std::size_t count : {at.uer_events_seen, at.accepted,
+                                  at.live_uers, at.frozen_uers,
+                                  at.crossrow_uers}) {
+    EXPECT_EQ(engine[count], 0);
+    engine[count] = depth;
+  }
+  engine[at.classified] = 1;
+  engine[at.capped] = 1;
+  ForgedBlob blob(std::string_view(engine).substr(blobs.front().offset,
+                                                  blobs.front().length));
+  EXPECT_LT(blob.all + static_cast<std::uint64_t>(depth), 0x80u)
+      << "all_count must stay a one-byte varint";
+  blob.all += static_cast<std::uint64_t>(depth);
+  blob.uer_rows = {0};
+  ReplaceBlob(engine, blobs.front(), blob.Bytes());
+  return at;
+}
+
 TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
   // A classification view whose counts disagree passes every structural
   // check, and the bank's next UER then reads it: a capped bank with
@@ -571,8 +698,8 @@ TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
   //
   // The donors' banks have seen no UER, so the test first forges the last
   // shard's first bank into a classified bank whose view is capped at the
-  // depth, every count agreeing, and checks that this restores. Each case
-  // then contradicts that forgery in one count.
+  // depth, every count agreeing (ForgeCappedView), and checks that this
+  // restores. Each case then contradicts that forgery in one count.
   const World& w = SharedWorld();
   const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
   const struct {
@@ -604,18 +731,7 @@ TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
     const auto forge = [&](const std::function<void(
                                std::string&, const ViewCountFields&)>& then) {
       return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
-        const std::vector<BlobSpan> blobs = BankBlobs(engine);
-        ASSERT_FALSE(blobs.empty());
-        const ViewCountFields at = LocateViewCounts(engine, blobs.front());
-        // One-byte varints, all 0 in a bank without a UER.
-        for (const std::size_t count : {at.uer_events_seen, at.accepted,
-                                        at.live_uers, at.frozen_uers,
-                                        at.crossrow_uers}) {
-          ASSERT_EQ(engine[count], 0);
-          engine[count] = depth;
-        }
-        engine[at.classified] = 1;
-        engine[at.capped] = 1;
+        const ViewCountFields at = ForgeCappedView(engine, depth);
         if (then) then(engine, at);
       });
     };
@@ -632,6 +748,101 @@ TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
       try {
         ApplyDonor(victim, donor, mangled);
         ADD_FAILURE() << "restored a view that contradicts its counts";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(Checkpoint(victim), victim_before);
+    }
+  }
+}
+
+TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
+  // CrossRowAccumulator::Absorb counts every record once in all_count and
+  // once in its type's count, and adds its row to its type's row set; the
+  // UER row extrema are the UER set's ends, and before the first UER the
+  // extrema and the first UER time stay +0.0. A blob that breaks one of
+  // these passes every structural check and restores a bank whose features
+  // no feed could produce. The bank-blob decoder refuses each with a
+  // ParseError naming the field, for fulls and deltas, and the target
+  // keeps its state. The cases rewrite the last shard's first bank, which
+  // has seen no UER; the last one first forges it into a capped view
+  // (ForgeCappedView) and then gives a view a UER row the cross-row view
+  // lacks.
+  const World& w = SharedWorld();
+  const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
+  const auto one_uer = [](ForgedBlob& b, std::vector<std::uint32_t> rows,
+                          double min, double max) {
+    b.uer = 1;
+    ++b.all;
+    b.uer_rows = std::move(rows);
+    b.uer_row_min = min;
+    b.uer_row_max = max;
+  };
+  const auto rows_up_to = [](std::uint64_t n) {
+    std::vector<std::uint32_t> rows;
+    for (std::uint32_t r = 1; r <= n; ++r) rows.push_back(r);
+    return rows;
+  };
+  const struct {
+    const char* refusal;  ///< what the ParseError must say
+    std::function<void(ForgedBlob&)> contradict;
+    bool capped = false;  ///< forge a capped view first
+  } cases[] = {
+      {"cross-row all_count", [](ForgedBlob& b) { ++b.all; }},
+      {"cross-row ce_rows",
+       [&](ForgedBlob& b) { b.ce_rows = rows_up_to(b.ce + 1); }},
+      {"cross-row ueo_rows",
+       [&](ForgedBlob& b) { b.ueo_rows = rows_up_to(b.ueo + 1); }},
+      {"cross-row uer_rows holds 0 row(s) for uer_count 1",
+       [&](ForgedBlob& b) { one_uer(b, {}, 0.0, 0.0); }},
+      {"cross-row uer_rows holds 2 row(s) for uer_count 1",
+       [&](ForgedBlob& b) { one_uer(b, {3, 4}, 3.0, 4.0); }},
+      {"cross-row uer_row_min",
+       [&](ForgedBlob& b) { one_uer(b, {3}, 2.0, 3.0); }},
+      {"cross-row uer_row_max",
+       [&](ForgedBlob& b) { one_uer(b, {3}, 3.0, 4.0); }},
+      {"cross-row uer_row_min", [](ForgedBlob& b) { b.uer_row_min = 1.0; }},
+      {"cross-row uer_row_min", [](ForgedBlob& b) { b.uer_row_min = -0.0; }},
+      {"cross-row uer_row_max", [](ForgedBlob& b) { b.uer_row_max = 1.0; }},
+      {"cross-row first_uer_time",
+       [](ForgedBlob& b) { b.first_uer_time = 1.0; }},
+      {"live classification view's distinct_uer_rows",
+       [](ForgedBlob& b) { b.live_rows = {7}; }, true},
+      {"frozen classification view's distinct_uer_rows",
+       [](ForgedBlob& b) { b.frozen_rows = {0, 7}; }, true},
+  };
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    const auto rewrite = [&](bool capped,
+                             const std::function<void(ForgedBlob&)>& edit) {
+      return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+        if (capped) ForgeCappedView(engine, depth);
+        const BlobSpan first = BankBlobs(engine).front();
+        ForgedBlob blob(
+            std::string_view(engine).substr(first.offset, first.length));
+        if (edit) edit(blob);
+        ReplaceBlob(engine, first, blob.Bytes());
+      });
+    };
+    for (const bool capped : {false, true}) {
+      const std::string untouched = rewrite(capped, {});
+      if (!capped) {
+        EXPECT_EQ(untouched, donor.bytes);
+      }
+      FleetServer victim = MakeTortureVictim(w, donor);
+      EXPECT_NO_THROW(ApplyDonor(victim, donor, untouched))
+          << (capped ? "the capped forgery" : "the re-encoded blob")
+          << " must restore";
+    }
+    for (const auto& c : cases) {
+      SCOPED_TRACE(c.refusal);
+      const std::string mangled = rewrite(c.capped, c.contradict);
+      FleetServer victim = MakeTortureVictim(w, donor);
+      const std::string victim_before = Checkpoint(victim);
+      try {
+        ApplyDonor(victim, donor, mangled);
+        ADD_FAILURE() << "restored counts that contradict their row sets";
       } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
             << e.what();
