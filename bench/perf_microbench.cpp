@@ -1,13 +1,15 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the hot
 // paths — RNG, ECC codec, address packing, log grouping, feature
-// extraction, model load and inference, and fleet generation. Not a paper
-// table; validates that the library is fast enough for fleet-scale use.
+// extraction, frame checksums, model load and inference, and fleet
+// generation. Not a paper table; validates that the library is fast
+// enough for fleet-scale use.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 #include <string>
 
 #include "analysis/labeler.hpp"
+#include "common/framing.hpp"
 #include "core/bank_profile.hpp"
 #include "core/crossrow.hpp"
 #include "core/features.hpp"
@@ -166,6 +168,22 @@ void BM_ForestPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestPredict);
+
+/// The frame checksum at the sizes it runs on: one 49-byte record, one
+/// 256-record wire payload, the mean paper-replay delta member and the
+/// seed-42 single-row model payload.
+void BM_Crc32(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  std::string data(bytes, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next() & 0xFFu);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Arg(49)->Arg(12544)->Arg(821236)->Arg(2948138);
 
 /// The three RF models the engine serves, trained on the shared fleet, and
 /// their SaveModel bytes.

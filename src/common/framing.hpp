@@ -47,8 +47,22 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes =
     1ull * 1024 * 1024 * 1024;  // 1 GiB
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `data` —
-/// the zlib/PNG checksum.
+/// the zlib/PNG checksum. On an x86 CPU with PCLMULQDQ it runs a
+/// carry-less-multiply folding kernel, chosen once per process; elsewhere,
+/// and for inputs under 64 bytes, a slice-by-8 table loop. Both give the
+/// same value for every input.
 std::uint32_t Crc32(std::string_view data);
+
+namespace detail {
+/// The two implementations behind Crc32, reachable one by one so a test
+/// can pin them equal. Not for callers: Crc32 picks between them.
+std::uint32_t Crc32SliceBy8(std::string_view data);
+/// True on an x86 CPU with PCLMULQDQ and SSE4.1, false on any other.
+bool Crc32PclmulSupported();
+/// The folding kernel (slice-by-8 below 64 bytes and for the tail after
+/// the last whole 16-byte block). Requires Crc32PclmulSupported().
+std::uint32_t Crc32Pclmul(std::string_view data);
+}  // namespace detail
 
 /// Running tally of every frame this process has read and CRC-verified.
 /// Monotonic, thread-safe.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "persist/binary_io.hpp"
@@ -324,13 +325,89 @@ void WriteCrossRowBinary(persist::BinaryWriter& out,
   // uer_row_gaps is derived from uer_rows and rebuilt on load.
 }
 
+// The checks below run on every decoded blob, so they build a message
+// only when they refuse: `view` names the accumulator ("cross-row", "live
+// classification view", ...), the other names its fields.
+
+/// Refuse, through `in`, a row set that Absorb cannot leave beside its
+/// count: the set is empty iff the count is 0, and holds no more rows than
+/// the count.
+void CheckRowCount(const persist::BinaryReader& in, std::string_view view,
+                   const char* rows_name,
+                   const std::vector<std::uint32_t>& rows,
+                   const char* count_name, std::size_t count) {
+  if (rows.empty() != (count == 0) || rows.size() > count) {
+    in.Fail(std::string(view) + " " + rows_name + " holds " +
+            std::to_string(rows.size()) + " row(s) for " + count_name + " " +
+            std::to_string(count));
+  }
+}
+
+/// Refuse, through `in`, UER row extrema other than the ends of the sorted
+/// distinct UER rows `rows`, or other than +0.0 while `rows` is empty. Bits
+/// are compared, so -0.0 and NaN payloads count.
+void CheckUerExtrema(const persist::BinaryReader& in, std::string_view view,
+                     const char* rows_name,
+                     const std::vector<std::uint32_t>& rows, double min,
+                     double max) {
+  const auto check_bits = [&](const char* name, double value, double want) {
+    if (std::bit_cast<std::uint64_t>(value) !=
+        std::bit_cast<std::uint64_t>(want)) {
+      in.Fail(std::string(view) + " " + name + " " + std::to_string(value) +
+              " is not " + std::to_string(want) +
+              (rows.empty() ? std::string(" before the first UER")
+                            : std::string(", the end of ") + rows_name));
+    }
+  };
+  check_bits("uer_row_min", min,
+             rows.empty() ? 0.0 : static_cast<double>(rows.front()));
+  check_bits("uer_row_max", max,
+             rows.empty() ? 0.0 : static_cast<double>(rows.back()));
+}
+
+/// Refuse, through `in`, a DiffChain that `pushes` calls of DiffChain::Push
+/// cannot leave: from the first push on has_last is set and count is
+/// pushes - 1, before it count is 0 and has_last clear; sum, min and max stay
+/// +0.0 until the first difference, and last until the first push; min
+/// never exceeds max. The pushed rows are u32 and the pushed timestamps
+/// finite (the ingest refuses any other), so no difference is NaN.
+void CheckChain(const persist::BinaryReader& in, std::string_view view,
+                const char* chain_name, const DiffChain& chain,
+                const char* pushes_name, std::size_t pushes) {
+  const auto fail = [&](const std::string& what) {
+    in.Fail(std::string(view) + " " + chain_name + " " + what);
+  };
+  if (chain.has_last != (pushes > 0) ||
+      chain.count != (pushes > 0 ? pushes - 1 : 0)) {
+    fail("holds count " + std::to_string(chain.count) +
+         (chain.has_last ? " with" : " without") + " has_last for " +
+         pushes_name + " " + std::to_string(pushes));
+  }
+  const auto carried = [&](const char* field, double value, const char* why) {
+    if (std::bit_cast<std::uint64_t>(value) != 0) {
+      fail(field + (" " + std::to_string(value)) + why);
+    }
+  };
+  if (chain.count == 0) {
+    carried("sum", chain.sum, " with count 0");
+    carried("min", chain.min, " with count 0");
+    carried("max", chain.max, " with count 0");
+  }
+  if (!chain.has_last) carried("last", chain.last, " without has_last");
+  if (chain.min > chain.max) {
+    fail("min " + std::to_string(chain.min) + " > max " +
+         std::to_string(chain.max));
+  }
+}
+
 /// Refuse, through `in`, a cross-row view whose counts contradict its row
-/// sets, which CrossRowAccumulator::Absorb keeps in step: every record
-/// counts once in all_count and once in its type's count, and adds its row
-/// to its type's set; the UER row extrema are the UER set's ends, and all
-/// three UER fields stay +0.0 until the first UER.
-void CheckRowSets(const persist::BinaryReader& in,
-                  const CrossRowAccumulator& acc) {
+/// sets or chains, which CrossRowAccumulator::Absorb keeps in step: every
+/// record counts once in all_count and once in its type's count, adds its
+/// row to its type's set and pushes its row and time into the chains; the
+/// UER row extrema are the UER set's ends, and all three UER fields stay
+/// +0.0 until the first UER.
+void CheckCrossRow(const persist::BinaryReader& in,
+                   const CrossRowAccumulator& acc) {
   if (acc.ce_count > acc.all_count ||
       acc.ueo_count > acc.all_count - acc.ce_count ||
       acc.uer_count != acc.all_count - acc.ce_count - acc.ueo_count) {
@@ -339,38 +416,48 @@ void CheckRowSets(const persist::BinaryReader& in,
             std::to_string(acc.ueo_count) + " + uer_count " +
             std::to_string(acc.uer_count));
   }
-  const auto check_rows = [&](const char* rows_name,
-                              const std::vector<std::uint32_t>& rows,
-                              const char* count_name, std::size_t count) {
-    if (rows.empty() != (count == 0) || rows.size() > count) {
-      in.Fail(std::string("cross-row ") + rows_name + " holds " +
-              std::to_string(rows.size()) + " row(s) for " + count_name +
-              " " + std::to_string(count));
-    }
-  };
-  check_rows("ce_rows", acc.ce_rows, "ce_count", acc.ce_count);
-  check_rows("ueo_rows", acc.ueo_rows, "ueo_count", acc.ueo_count);
-  check_rows("uer_rows", acc.uer_rows, "uer_count", acc.uer_count);
-  // Bits are compared, so -0.0 and NaN payloads count.
-  const auto check_bits = [&](const char* name, double value, double want) {
-    if (std::bit_cast<std::uint64_t>(value) !=
-        std::bit_cast<std::uint64_t>(want)) {
-      in.Fail(std::string("cross-row ") + name + " " + std::to_string(value) +
-              " is not " + std::to_string(want) +
-              (acc.uer_count == 0 ? " before the first UER"
-                                  : ", the end of uer_rows"));
-    }
-  };
-  if (acc.uer_count == 0) {
-    check_bits("uer_row_min", acc.uer_row_min, 0.0);
-    check_bits("uer_row_max", acc.uer_row_max, 0.0);
-    check_bits("first_uer_time", acc.first_uer_time, 0.0);
-  } else {
-    check_bits("uer_row_min", acc.uer_row_min,
-               static_cast<double>(acc.uer_rows.front()));
-    check_bits("uer_row_max", acc.uer_row_max,
-               static_cast<double>(acc.uer_rows.back()));
+  constexpr std::string_view view = "cross-row";
+  CheckRowCount(in, view, "ce_rows", acc.ce_rows, "ce_count", acc.ce_count);
+  CheckRowCount(in, view, "ueo_rows", acc.ueo_rows, "ueo_count", acc.ueo_count);
+  CheckRowCount(in, view, "uer_rows", acc.uer_rows, "uer_count", acc.uer_count);
+  CheckUerExtrema(in, view, "uer_rows", acc.uer_rows, acc.uer_row_min,
+                  acc.uer_row_max);
+  if (acc.uer_count == 0 &&
+      std::bit_cast<std::uint64_t>(acc.first_uer_time) != 0) {
+    in.Fail("cross-row first_uer_time " + std::to_string(acc.first_uer_time) +
+            " is not +0.0 before the first UER");
   }
+  CheckChain(in, view, "all_row_diff", acc.all_row_diff, "all_count",
+             acc.all_count);
+  CheckChain(in, view, "uer_row_diff", acc.uer_row_diff, "uer_count",
+             acc.uer_count);
+  CheckChain(in, view, "ce_dt", acc.ce_dt, "ce_count", acc.ce_count);
+  CheckChain(in, view, "ueo_dt", acc.ueo_dt, "ueo_count", acc.ueo_count);
+  CheckChain(in, view, "uer_dt", acc.uer_dt, "uer_count", acc.uer_count);
+}
+
+/// Refuse, through `in`, a classification view whose chains or UER row
+/// extrema contradict its counts, which ClassAccumulator::Absorb keeps in
+/// step as CrossRowAccumulator::Absorb does: every absorbed record pushes
+/// all_row_diff and its type's time chain, every UER uer_row_diff and the
+/// sorted distinct UER rows, whose ends are the UER row extrema.
+void CheckClassView(const persist::BinaryReader& in, std::string_view view,
+                    const ClassAccumulator& acc) {
+  const std::size_t typed = acc.ce_total + acc.ueo_total;
+  if (typed < acc.ce_total || typed + acc.uer_events < typed) {
+    in.Fail(std::string(view) + " event counts overflow");
+  }
+  CheckChain(in, view, "all_row_diff", acc.all_row_diff, "events",
+             typed + acc.uer_events);
+  CheckChain(in, view, "uer_row_diff", acc.uer_row_diff, "uer_events",
+             acc.uer_events);
+  CheckChain(in, view, "ce_dt", acc.ce_dt, "ce_total", acc.ce_total);
+  CheckChain(in, view, "ueo_dt", acc.ueo_dt, "ueo_total", acc.ueo_total);
+  CheckChain(in, view, "uer_dt", acc.uer_dt, "uer_events", acc.uer_events);
+  CheckRowCount(in, view, "distinct_uer_rows", acc.distinct_uer_rows,
+                "uer_events", acc.uer_events);
+  CheckUerExtrema(in, view, "distinct_uer_rows", acc.distinct_uer_rows,
+                  acc.uer_row_min, acc.uer_row_max);
 }
 
 CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
@@ -389,7 +476,7 @@ CrossRowAccumulator ReadCrossRowBinary(persist::BinaryReader& in) {
   acc.ce_rows = in.AscendingU32();
   acc.ueo_rows = in.AscendingU32();
   acc.uer_rows = in.AscendingU32();
-  CheckRowSets(in, acc);
+  CheckCrossRow(in, acc);
   for (std::size_t i = 1; i < acc.uer_rows.size(); ++i) {
     acc.uer_row_gaps.push_back(acc.uer_rows[i] - acc.uer_rows[i - 1]);
   }
@@ -488,6 +575,8 @@ void BankProfile::CheckViewCounts(const persist::BinaryReader& in) const {
   };
   check_uers("live", view_->live);
   check_uers("frozen", view_->frozen);
+  CheckClassView(in, "live classification view", view_->live);
+  CheckClassView(in, "frozen classification view", view_->frozen);
 }
 
 }  // namespace cordial::core

@@ -166,19 +166,22 @@ class BankProfile {
   /// byte sequence SaveBinary would not write (ParseError). Before the
   /// first UER the classification view is written as derived, and
   /// LoadBinary refuses any other view without an accepted UER. It also
-  /// refuses cross-row counts that contradict the row sets Absorb keeps
-  /// with them (all_count, the per-type row sets, the UER row extrema and
-  /// first UER time) and a classification view with a distinct UER row
-  /// the cross-row view lacks, naming the field.
+  /// refuses cross-row counts that contradict what Absorb keeps with them
+  /// (all_count, the per-type row sets, the UER row extrema and first UER
+  /// time, each DiffChain against the pushes that fed it) and a
+  /// classification view with a distinct UER row the cross-row view lacks,
+  /// naming the field.
   /// uer_row_gaps is derived, so it is rebuilt on load.
   void SaveBinary(persist::BinaryWriter& out) const;
   static BankProfile LoadBinary(persist::BinaryReader& in);
 
   /// Refuse, through `in`, a decoded profile whose classification view
   /// contradicts its counts: accepted UERs other than min(UERs observed,
-  /// depth), a capped flag other than (accepted == depth), or a live or
-  /// frozen UER count other than accepted. The engine's bank-blob decoder
-  /// runs this after its own depth and clock checks.
+  /// depth), a capped flag other than (accepted == depth), a live or frozen
+  /// UER count other than accepted, and in either view a DiffChain that
+  /// disagrees with the events that fed it or UER row extrema other than
+  /// the ends of its distinct UER rows. The engine's bank-blob decoder runs
+  /// this after its own depth and clock checks.
   void CheckViewCounts(const persist::BinaryReader& in) const;
 
  private:

@@ -5,14 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/rng.hpp"
 
 namespace cordial {
 namespace {
@@ -209,6 +214,93 @@ TEST(Framing, Crc32MatchesKnownVectors) {
   // zlib/PNG CRC and not some homegrown variant.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
+}
+
+/// `n` seeded pseudo-random bytes.
+std::string RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next() & 0xFFu);
+  return bytes;
+}
+
+TEST(Framing, Crc32KernelAgreesWithPortablePath) {
+  // Both paths give the IEEE check value, and the folding kernel equals
+  // slice-by-8 at every length through the 64-byte fold, the 16-byte fold
+  // and the sub-16-byte tail, from every alignment, and on long inputs.
+  EXPECT_EQ(detail::Crc32SliceBy8("123456789"), 0xCBF43926u);
+  EXPECT_EQ(detail::Crc32SliceBy8(""), 0x00000000u);
+  // zlib.crc32 of 1,024 'a' bytes: an outside oracle past the kernel's
+  // 64-byte threshold.
+  const std::string a1024(1024, 'a');
+  EXPECT_EQ(detail::Crc32SliceBy8(a1024), 0x7C5597B9u);
+  if (!detail::Crc32PclmulSupported()) {
+    GTEST_SKIP() << "this CPU has no PCLMULQDQ/SSE4.1: Crc32 runs the "
+                    "slice-by-8 path only, so there is no kernel to compare";
+  }
+  EXPECT_EQ(detail::Crc32Pclmul("123456789"), 0xCBF43926u);
+  EXPECT_EQ(detail::Crc32Pclmul(""), 0x00000000u);
+  EXPECT_EQ(detail::Crc32Pclmul(a1024), 0x7C5597B9u);
+
+  const std::string small = RandomBytes(1100 + 16, 0xC4C32);
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::string_view data = std::string_view(small).substr(offset, len);
+      const std::uint32_t portable = detail::Crc32SliceBy8(data);
+      if (detail::Crc32Pclmul(data) != portable || Crc32(data) != portable) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+        if (++mismatches > 10) return;
+      }
+    }
+  }
+
+  constexpr std::size_t kLarge = std::size_t{4} << 20;
+  const std::string large = RandomBytes(kLarge + 16, 0xB16C4C);
+  Rng rng(0x4D1B);
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t offset = rng.UniformU64(16);
+    const std::size_t len = rng.UniformU64(kLarge + 1);
+    const std::string_view data = std::string_view(large).substr(offset, len);
+    EXPECT_EQ(detail::Crc32Pclmul(data), detail::Crc32SliceBy8(data))
+        << "offset " << offset << " length " << len;
+  }
+}
+
+TEST(Framing, Crc32FirstCallFromManyThreads) {
+  // ctest runs each test in a process of its own, so these are the
+  // process's first Crc32 calls: eight threads race through the one-time
+  // kernel choice and the slice-by-8 table build, and every result must
+  // still be the checksum. The lengths reach the kernel's 64-byte fold,
+  // its 16-byte fold and the tail.
+  constexpr int kThreads = 8;
+  const std::string a1024(1024, 'a');
+  const std::vector<std::size_t> lengths = {0, 9, 63, 64, 79, 200, 1024};
+  std::vector<std::vector<std::uint32_t>> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (const std::size_t len : lengths) {
+        results[t].push_back(Crc32(std::string_view(a1024).substr(0, len)));
+      }
+      results[t].push_back(Crc32("123456789"));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ASSERT_EQ(results[t].size(), lengths.size() + 1);
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      const std::string_view data = std::string_view(a1024).substr(0, lengths[i]);
+      EXPECT_EQ(results[t][i], detail::Crc32SliceBy8(data))
+          << "length " << lengths[i];
+    }
+    EXPECT_EQ(results[t][lengths.size() - 1], 0x7C5597B9u);
+    EXPECT_EQ(results[t].back(), 0xCBF43926u);
+  }
 }
 
 TEST(Framing, ReadFailpointInjectsParseError) {

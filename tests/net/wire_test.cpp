@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <random>
 #include <string>
 #include <variant>
 #include <vector>
@@ -199,6 +201,102 @@ TEST(NetWire, UnknownRejectReasonRejected) {
   std::string payload = frame.substr(frame.find('\n') + 1);
   payload[1 + 8] = '\x07';  // reason byte sits after type + sequence
   EXPECT_THROW(DecodeMessage(payload), ParseError);
+}
+
+TEST(NetWire, FrameMutantsFailClosedOrDecodeCanonically) {
+  // A framed 4-record Batch and a framed ImportShard. First every
+  // single-bit flip of every byte, the header's crc32 left stale: the
+  // assembler must refuse each with ParseError before it yields a payload,
+  // and a flip in the payload as a checksum mismatch. A flip that makes
+  // the header promise more bytes leaves the assembler waiting, so the
+  // pristine frame is appended again until it decides, as the rest of a
+  // connection's stream would be. Then 10^4 seeded mutants of each payload
+  // that rewrite 2 to 8 random bytes, re-framed with their own crc32: the
+  // checksum passes, so DecodeMessage is the only line of defence, and each
+  // must throw ParseError or decode to a message that re-encodes to exactly
+  // the mutant frame.
+  Batch batch;
+  batch.sequence = 77;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    batch.records.push_back(SampleRecord(10.0 + i, 100 + i));
+  }
+  batch.records[2].type = hbm::ErrorType::kCe;
+  batch.records[3].type = hbm::ErrorType::kUer;
+  std::mt19937_64 rng(20261018);
+  std::string state(300, '\0');
+  for (char& c : state) c = static_cast<char>(rng());
+  const std::string frames[] = {EncodeFrame(batch),
+                                EncodeFrame(ImportShard{3, state})};
+
+  std::size_t flips_refused = 0;
+  for (const std::string& frame : frames) {
+    const std::size_t payload_start = frame.find('\n') + 1;
+    std::string mutant = frame;
+    for (std::size_t at = 0; at < frame.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        mutant[at] = static_cast<char>(frame[at] ^ (1 << bit));
+        const std::string where =
+            "byte " + std::to_string(at) + " bit " + std::to_string(bit);
+        FrameAssembler assembler;
+        assembler.Append(mutant);
+        std::string payload;
+        try {
+          bool yielded = assembler.Next(payload);
+          for (int more = 0; !yielded && more < 8; ++more) {
+            assembler.Append(frame);
+            yielded = assembler.Next(payload);
+          }
+          ADD_FAILURE() << where << (yielded ? ": accepted" : ": undecided");
+        } catch (const ParseError& e) {
+          ++flips_refused;
+          if (at >= payload_start) {
+            EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                      std::string::npos)
+                << where << ": " << e.what();
+          }
+        }
+      }
+      mutant[at] = frame[at];
+    }
+  }
+
+  std::size_t refused = 0;
+  std::size_t decoded = 0;
+  for (const std::string& frame : frames) {
+    const std::string pristine = frame.substr(frame.find('\n') + 1);
+    for (int m = 0; m < 10000; ++m) {
+      std::string payload = pristine;
+      const auto bytes = 2 + static_cast<int>(rng() % 7);
+      for (int b = 0; b < bytes; ++b) {
+        payload[rng() % payload.size()] = static_cast<char>(rng());
+      }
+      const std::string mutant =
+          FrameHeaderLine(kWireMagic, kWireVersion, payload.size(),
+                          Crc32(payload)) +
+          payload;
+      FrameAssembler assembler;
+      assembler.Append(mutant);
+      std::string assembled;
+      ASSERT_TRUE(assembler.Next(assembled)) << "mutant " << m;
+      ASSERT_EQ(assembled, payload);
+      Message message;
+      try {
+        message = DecodeMessage(assembled);
+      } catch (const ParseError&) {
+        ++refused;
+        continue;
+      } catch (const std::exception& e) {
+        FAIL() << "mutant " << m << ": " << e.what();
+      }
+      ++decoded;
+      EXPECT_EQ(EncodeFrame(message), mutant) << "mutant " << m;
+    }
+  }
+  std::printf("wire flips: %zu refused; wire payload mutants: %zu refused, "
+              "%zu decoded\n",
+              flips_refused, refused, decoded);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 }  // namespace

@@ -574,26 +574,80 @@ ViewCountFields LocateViewCounts(std::string_view engine_payload,
   return at;
 }
 
-/// A bank blob cut at the fields the row-set tests rewrite: the cross-row
-/// view's counts, UER row extrema, first UER time and row sets, and each
-/// classification view's distinct UER rows. Every other byte is kept
+/// One DiffChain, read and written as BankProfile::SaveBinary writes it.
+core::DiffChain ReadChain(persist::BinaryReader& in) {
+  core::DiffChain chain;
+  chain.count = static_cast<std::size_t>(in.Var());
+  chain.has_last = in.Bool();
+  in.MaskedF64({&chain.sum, &chain.min, &chain.max, &chain.last});
+  return chain;
+}
+
+void WriteChain(persist::BinaryWriter& out, const core::DiffChain& chain) {
+  out.Var(chain.count);
+  out.Bool(chain.has_last);
+  out.MaskedF64({chain.sum, chain.min, chain.max, chain.last});
+}
+
+/// One classification accumulator, read and written as
+/// BankProfile::SaveBinary writes it.
+core::ClassAccumulator ReadClassView(persist::BinaryReader& in) {
+  core::ClassAccumulator acc;
+  acc.ce_total = static_cast<std::size_t>(in.Var());
+  acc.ueo_total = static_cast<std::size_t>(in.Var());
+  acc.uer_events = static_cast<std::size_t>(in.Var());
+  in.MaskedF64({&acc.ce_row_min, &acc.ce_row_max, &acc.ueo_row_min,
+                &acc.ueo_row_max, &acc.uer_row_min, &acc.uer_row_max,
+                &acc.first_uer_time, &acc.last_uer_time,
+                &acc.ce_before_first_uer, &acc.ueo_before_first_uer,
+                &acc.last_time});
+  acc.any_event = in.Bool();
+  acc.ce_at_last_time = static_cast<std::size_t>(in.Var());
+  acc.ueo_at_last_time = static_cast<std::size_t>(in.Var());
+  for (core::DiffChain* chain : {&acc.uer_row_diff, &acc.all_row_diff,
+                                 &acc.ce_dt, &acc.ueo_dt, &acc.uer_dt}) {
+    *chain = ReadChain(in);
+  }
+  acc.distinct_uer_rows = in.AscendingU32();
+  return acc;
+}
+
+void WriteClassView(persist::BinaryWriter& out,
+                    const core::ClassAccumulator& acc) {
+  out.Var(acc.ce_total);
+  out.Var(acc.ueo_total);
+  out.Var(acc.uer_events);
+  out.MaskedF64({acc.ce_row_min, acc.ce_row_max, acc.ueo_row_min,
+                 acc.ueo_row_max, acc.uer_row_min, acc.uer_row_max,
+                 acc.first_uer_time, acc.last_uer_time,
+                 acc.ce_before_first_uer, acc.ueo_before_first_uer,
+                 acc.last_time});
+  out.Bool(acc.any_event);
+  out.Var(acc.ce_at_last_time);
+  out.Var(acc.ueo_at_last_time);
+  for (const core::DiffChain* chain : {&acc.uer_row_diff, &acc.all_row_diff,
+                                       &acc.ce_dt, &acc.ueo_dt, &acc.uer_dt}) {
+    WriteChain(out, *chain);
+  }
+  out.AscendingU32(acc.distinct_uer_rows);
+}
+
+/// A bank blob cut at the fields the row-set and chain tests rewrite: both
+/// classification views whole, and the cross-row view's counts, UER row
+/// extrema, first UER time, chains and row sets. Every other byte is kept
 /// verbatim, so Bytes() re-encodes an untouched blob exactly.
 struct ForgedBlob {
   std::string head;  ///< Cordial state and the profile's head
-  std::string live, frozen;  ///< each view up to its distinct UER rows
-  std::vector<std::uint32_t> live_rows, frozen_rows;
+  core::ClassAccumulator live, frozen;
   std::uint64_t ce = 0, ueo = 0, uer = 0, all = 0;
   double uer_row_min = 0.0, uer_row_max = 0.0, first_uer_time = 0.0,
          last_event_time = 0.0;
-  std::string chains;  ///< the cross-row view's five chains
+  core::DiffChain uer_row_diff, all_row_diff, ce_dt, ueo_dt, uer_dt;
   std::vector<std::uint32_t> ce_rows, ueo_rows, uer_rows;
   std::string ledger;  ///< the ledger flags and rows
 
   explicit ForgedBlob(std::string_view blob) {
     persist::BinaryReader in(blob, "forged blob");
-    const auto since = [&](std::size_t from) {
-      return std::string(blob.substr(from, in.position() - from));
-    };
     in.Var();           // uer_events_seen
     in.Var();           // anchors used
     in.Bool();          // classified
@@ -604,23 +658,19 @@ struct ForgedBlob {
     in.Var();           // accepted UERs
     in.Bool();          // capped
     SkipMaskedF64(in);  // last event time, cutoff
-    head = since(0);
-    for (auto [fields, rows] : {std::pair{&live, &live_rows},
-                                std::pair{&frozen, &frozen_rows}}) {
-      const std::size_t from = in.position();
-      SkipClassFields(in);
-      *fields = since(from);
-      *rows = in.AscendingU32();
-    }
+    head = std::string(blob.substr(0, in.position()));
+    live = ReadClassView(in);
+    frozen = ReadClassView(in);
     ce = in.Var();
     ueo = in.Var();
     uer = in.Var();
     all = in.Var();
     in.MaskedF64(
         {&uer_row_min, &uer_row_max, &first_uer_time, &last_event_time});
-    const std::size_t from = in.position();
-    SkipChains(in);
-    chains = since(from);
+    for (core::DiffChain* chain :
+         {&uer_row_diff, &all_row_diff, &ce_dt, &ueo_dt, &uer_dt}) {
+      *chain = ReadChain(in);
+    }
     ce_rows = in.AscendingU32();
     ueo_rows = in.AscendingU32();
     uer_rows = in.AscendingU32();
@@ -628,17 +678,19 @@ struct ForgedBlob {
   }
 
   std::string Bytes() const {
-    std::string bytes = head + live;
+    std::string bytes = head;
     persist::BinaryWriter out(bytes);
-    out.AscendingU32(live_rows);
-    out.Bytes(frozen);
-    out.AscendingU32(frozen_rows);
+    WriteClassView(out, live);
+    WriteClassView(out, frozen);
     out.Var(ce);
     out.Var(ueo);
     out.Var(uer);
     out.Var(all);
     out.MaskedF64({uer_row_min, uer_row_max, first_uer_time, last_event_time});
-    out.Bytes(chains);
+    for (const core::DiffChain* chain :
+         {&uer_row_diff, &all_row_diff, &ce_dt, &ueo_dt, &uer_dt}) {
+      WriteChain(out, *chain);
+    }
     out.AscendingU32(ce_rows);
     out.AscendingU32(ueo_rows);
     out.AscendingU32(uer_rows);
@@ -659,19 +711,19 @@ void ReplaceBlob(std::string& engine, const BlobSpan& span,
 
 /// Forge the first bank of an engine payload, a bank that has seen no UER,
 /// into a classified bank whose view is capped at `depth` UERs with every
-/// count agreeing: the Cordial state, the accepted count, both views and
-/// the cross-row view count `depth` UERs, which the cross-row view holds on
-/// row 0 (so its UER row extrema stay +0.0). Returns the offsets of the
-/// view counts, which the forgery leaves where they were.
+/// count and chain agreeing: the Cordial state and the accepted count say
+/// `depth` UERs, and `depth` UERs on row 0 at the bank's last event time go
+/// through ClassAccumulator::Absorb into the live view, which the frozen
+/// view then copies, and through the cross-row view's counts, chains and
+/// row set as CrossRowAccumulator::Absorb takes them. Returns the offsets of
+/// the forged blob's view counts.
 ViewCountFields ForgeCappedView(std::string& engine, char depth) {
   const std::vector<BlobSpan> blobs = BankBlobs(engine);
   EXPECT_FALSE(blobs.empty());
   if (blobs.empty()) return {};
   const ViewCountFields at = LocateViewCounts(engine, blobs.front());
   // One-byte varints, all 0 in a bank without a UER.
-  for (const std::size_t count : {at.uer_events_seen, at.accepted,
-                                  at.live_uers, at.frozen_uers,
-                                  at.crossrow_uers}) {
+  for (const std::size_t count : {at.uer_events_seen, at.accepted}) {
     EXPECT_EQ(engine[count], 0);
     engine[count] = depth;
   }
@@ -679,12 +731,40 @@ ViewCountFields ForgeCappedView(std::string& engine, char depth) {
   engine[at.capped] = 1;
   ForgedBlob blob(std::string_view(engine).substr(blobs.front().offset,
                                                   blobs.front().length));
+  EXPECT_EQ(blob.uer, 0u);
+  trace::MceRecord uer;
+  uer.type = hbm::ErrorType::kUer;
+  uer.address.row = 0;
+  uer.time_s = blob.last_event_time;
+  for (char i = 0; i < depth; ++i) {
+    blob.live.Absorb(uer);
+    blob.uer_row_diff.Push(0.0);
+    blob.all_row_diff.Push(0.0);
+    blob.uer_dt.Push(uer.time_s);
+  }
+  blob.frozen = blob.live;
   EXPECT_LT(blob.all + static_cast<std::uint64_t>(depth), 0x80u)
       << "all_count must stay a one-byte varint";
-  blob.all += static_cast<std::uint64_t>(depth);
+  blob.uer = static_cast<std::uint64_t>(depth);
+  blob.all += blob.uer;
   blob.uer_rows = {0};
+  blob.first_uer_time = uer.time_s;
   ReplaceBlob(engine, blobs.front(), blob.Bytes());
-  return at;
+  return LocateViewCounts(engine, BankBlobs(engine).front());
+}
+
+/// Re-frame `donor` after rewriting the last shard's first bank: forged
+/// into a capped view first when `capped` (ForgeCappedView), then edited.
+std::string RewriteFirstBlob(const TortureDonor& donor, bool capped,
+                             char depth,
+                             const std::function<void(ForgedBlob&)>& edit) {
+  return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+    if (capped) ForgeCappedView(engine, depth);
+    const BlobSpan first = BankBlobs(engine).front();
+    ForgedBlob blob(std::string_view(engine).substr(first.offset, first.length));
+    if (edit) edit(blob);
+    ReplaceBlob(engine, first, blob.Bytes());
+  });
 }
 
 TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
@@ -808,22 +888,15 @@ TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
       {"cross-row first_uer_time",
        [](ForgedBlob& b) { b.first_uer_time = 1.0; }},
       {"live classification view's distinct_uer_rows",
-       [](ForgedBlob& b) { b.live_rows = {7}; }, true},
+       [](ForgedBlob& b) { b.live.distinct_uer_rows = {7}; }, true},
       {"frozen classification view's distinct_uer_rows",
-       [](ForgedBlob& b) { b.frozen_rows = {0, 7}; }, true},
+       [](ForgedBlob& b) { b.frozen.distinct_uer_rows = {0, 7}; }, true},
   };
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
     const auto rewrite = [&](bool capped,
                              const std::function<void(ForgedBlob&)>& edit) {
-      return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
-        if (capped) ForgeCappedView(engine, depth);
-        const BlobSpan first = BankBlobs(engine).front();
-        ForgedBlob blob(
-            std::string_view(engine).substr(first.offset, first.length));
-        if (edit) edit(blob);
-        ReplaceBlob(engine, first, blob.Bytes());
-      });
+      return RewriteFirstBlob(donor, capped, depth, edit);
     };
     for (const bool capped : {false, true}) {
       const std::string untouched = rewrite(capped, {});
@@ -843,6 +916,122 @@ TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
       try {
         ApplyDonor(victim, donor, mangled);
         ADD_FAILURE() << "restored counts that contradict their row sets";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(Checkpoint(victim), victim_before);
+    }
+  }
+}
+
+TEST(Durability, DiffChainsContradictingTheirCountsAreRefused) {
+  // DiffChain::Push counts a difference from its second push on, so a chain
+  // fed n > 0 events holds count n - 1 with has_last set, and one fed none
+  // holds count 0 with has_last clear; sum, min and max stay +0.0 until the
+  // first difference and last until the first push; min never exceeds max
+  // (rows are u32 and the ingest refuses non-finite timestamps, so no
+  // difference is NaN). Each cross-row chain is fed by all_count or its
+  // type's count, each classification view's by that view's totals, and a
+  // view's UER row extrema are the ends of its distinct UER rows. A blob
+  // that breaks one of these passes every structural check and restores
+  // features no feed could produce. The bank-blob decoder refuses each with
+  // a ParseError naming the field, for fulls and deltas, and the target
+  // keeps its state. Capped cases forge the last shard's first bank into a
+  // view capped at the depth first (ForgeCappedView), so every chain has
+  // been fed; the others leave that bank without a UER, so its UER chains
+  // have been fed nothing.
+  const World& w = SharedWorld();
+  const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
+  using Chain = core::DiffChain ForgedBlob::*;
+  using ViewChain = core::DiffChain core::ClassAccumulator::*;
+  const std::pair<const char*, Chain> crossrow_chains[] = {
+      {"uer_row_diff", &ForgedBlob::uer_row_diff},
+      {"all_row_diff", &ForgedBlob::all_row_diff},
+      {"ce_dt", &ForgedBlob::ce_dt},
+      {"ueo_dt", &ForgedBlob::ueo_dt},
+      {"uer_dt", &ForgedBlob::uer_dt}};
+  const std::pair<const char*, ViewChain> view_chains[] = {
+      {"uer_row_diff", &core::ClassAccumulator::uer_row_diff},
+      {"all_row_diff", &core::ClassAccumulator::all_row_diff},
+      {"ce_dt", &core::ClassAccumulator::ce_dt},
+      {"ueo_dt", &core::ClassAccumulator::ueo_dt},
+      {"uer_dt", &core::ClassAccumulator::uer_dt}};
+  struct Case {
+    std::string refusal;  ///< what the ParseError must say
+    std::function<void(ForgedBlob&)> contradict;
+    bool capped = false;  ///< forge a capped view first
+  };
+  std::vector<Case> cases;
+  // count: every chain of every view, against the count that feeds it.
+  for (const auto& [name, chain] : crossrow_chains) {
+    cases.push_back({std::string("cross-row ") + name + " holds count",
+                     [chain](ForgedBlob& b) { ++(b.*chain).count; }, true});
+  }
+  for (const auto& [name, chain] : view_chains) {
+    cases.push_back({std::string("live classification view ") + name +
+                         " holds count",
+                     [chain](ForgedBlob& b) { ++(b.live.*chain).count; },
+                     true});
+    cases.push_back({std::string("frozen classification view ") + name +
+                         " holds count",
+                     [chain](ForgedBlob& b) { ++(b.frozen.*chain).count; },
+                     true});
+  }
+  // has_last: cleared on a fed chain, set on an unfed one.
+  cases.push_back({"cross-row uer_dt holds count 2 without has_last",
+                   [](ForgedBlob& b) { b.uer_dt.has_last = false; }, true});
+  cases.push_back({"live classification view uer_row_diff holds count 2 "
+                   "without has_last",
+                   [](ForgedBlob& b) { b.live.uer_row_diff.has_last = false; },
+                   true});
+  cases.push_back({"cross-row uer_row_diff holds count 0 with has_last",
+                   [](ForgedBlob& b) { b.uer_row_diff.has_last = true; }});
+  // sum, min, max and last of a chain fed nothing.
+  cases.push_back({"cross-row uer_dt sum 1.000000 with count 0",
+                   [](ForgedBlob& b) { b.uer_dt.sum = 1.0; }});
+  cases.push_back({"cross-row uer_dt min 1.000000 with count 0",
+                   [](ForgedBlob& b) {
+                     b.uer_dt.min = 1.0;
+                     b.uer_dt.max = 1.0;
+                   }});
+  cases.push_back({"cross-row uer_row_diff max 1.000000 with count 0",
+                   [](ForgedBlob& b) { b.uer_row_diff.max = 1.0; }});
+  cases.push_back({"cross-row uer_row_diff last 1.000000 without has_last",
+                   [](ForgedBlob& b) { b.uer_row_diff.last = 1.0; }});
+  // min above max.
+  cases.push_back({"cross-row uer_dt min 1.000000 > max 0.000000",
+                   [](ForgedBlob& b) { b.uer_dt.min = 1.0; }, true});
+  cases.push_back({"frozen classification view uer_row_diff min 1.000000 > "
+                   "max 0.000000",
+                   [](ForgedBlob& b) { b.frozen.uer_row_diff.min = 1.0; },
+                   true});
+  // A classification view's UER row extrema against its distinct rows.
+  cases.push_back({"live classification view uer_row_min 1.000000 is not "
+                   "0.000000, the end of distinct_uer_rows",
+                   [](ForgedBlob& b) { b.live.uer_row_min = 1.0; }, true});
+  cases.push_back({"frozen classification view uer_row_max 1.000000 is not "
+                   "0.000000, the end of distinct_uer_rows",
+                   [](ForgedBlob& b) { b.frozen.uer_row_max = 1.0; }, true});
+
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    for (const bool capped : {false, true}) {
+      FleetServer victim = MakeTortureVictim(w, donor);
+      EXPECT_NO_THROW(
+          ApplyDonor(victim, donor, RewriteFirstBlob(donor, capped, depth, {})))
+          << (capped ? "the capped forgery" : "the re-encoded blob")
+          << " must restore";
+    }
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.refusal);
+      const std::string mangled =
+          RewriteFirstBlob(donor, c.capped, depth, c.contradict);
+      FleetServer victim = MakeTortureVictim(w, donor);
+      const std::string victim_before = Checkpoint(victim);
+      try {
+        ApplyDonor(victim, donor, mangled);
+        ADD_FAILURE() << "restored a chain that contradicts its counts";
       } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
             << e.what();
