@@ -43,7 +43,7 @@ int Usage() {
 int PrintVersion() {
   std::cout << "cordial_ckpt (cordial 1.0.0)\n"
             << "  chain manifest:    " << persist::kManifestMagic << " v"
-            << persist::kManifestVersion << "\n"
+            << persist::kManifestVersion << " (binary)\n"
             << "  fleet checkpoint:  " << serve::kFleetCheckpointMagic << " v"
             << serve::kFleetCheckpointVersion << "\n"
             << "  fleet delta:       " << serve::kFleetDeltaMagic << " v"

@@ -308,19 +308,19 @@ int main(int argc, char** argv) {
     flush_all();
 
     if (!opts.collect.empty()) {
-      // Exports in shard-index order under the "shards N" line are exactly
+      // Exports in shard-index order under the shard count line are exactly
       // SaveCheckpoint's payload — the merged file is byte-identical to a
       // single never-migrated server's checkpoint.
-      std::string payload =
-          "shards " + std::to_string(opts.shards) + "\n";
+      std::string member = serve::ShardCountLine(opts.shards);
       for (std::size_t s = 0; s < opts.shards; ++s) {
-        payload += clients[owner[s]]->FetchShard(
+        member += clients[owner[s]]->FetchShard(
             static_cast<std::uint32_t>(s));
       }
+      CloseFrame(member, 0, serve::kFleetCheckpointMagic,
+                 serve::kFleetCheckpointVersion);
       std::ofstream out(opts.collect, std::ios::binary | std::ios::trunc);
       if (!out) throw ParseError("cannot write checkpoint " + opts.collect);
-      WriteFramed(out, serve::kFleetCheckpointMagic,
-                  serve::kFleetCheckpointVersion, payload);
+      out.write(member.data(), static_cast<std::streamsize>(member.size()));
       out.flush();
       CORDIAL_CHECK_MSG(out.good(),
                         "short write collecting " + opts.collect);

@@ -151,7 +151,7 @@ int PrintVersion() {
             << "  fleet delta:       " << serve::kFleetDeltaMagic << " v"
             << serve::kFleetDeltaVersion << "\n"
             << "  chain manifest:    " << persist::kManifestMagic << " v"
-            << persist::kManifestVersion << "\n"
+            << persist::kManifestVersion << " (binary)\n"
             << "  frame layout:      v" << kFramingLayoutVersion
             << " (crc32 required)\n";
   return 0;

@@ -83,19 +83,22 @@ else
   # too: its counting operator new sits on top of malloc, which ASan still
   # instruments. The feature-extractor suites (CrossRow ... TruncateAtUer)
   # read BankProfile's u32 row sets through the extractors' comparators and
-  # copy and move the heap-allocated classification view.
+  # copy and move the heap-allocated classification view. LogCodec runs the
+  # two parsers of untrusted record bytes: the CSV feed and the 49-byte
+  # wire record decoder.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer)'
+    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
 fi
 
 cmake -B build-ubsan -S . -DCORDIAL_SANITIZE=undefined \
   -DCORDIAL_BUILD_BENCHMARKS=OFF -DCORDIAL_BUILD_EXAMPLES=OFF
 cmake --build build-ubsan -j
 # The binary codec (varints, zigzag, presence masks, row gaps), every
-# suite that encodes or decodes checkpoint, wire or model bytes, and the
-# feature-extractor suites, whose comparators convert u32 rows to double.
+# suite that encodes or decodes checkpoint, wire, record or model bytes,
+# and the feature-extractor suites, whose comparators convert u32 rows to
+# double.
 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer)'
+  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then
   echo "tier1: skipping durability smoke (--skip-smoke)"
@@ -119,6 +122,15 @@ else
     --shards 2 --status-every 0 > /dev/null 2>&1
   ./build/examples/cordial_ckpt export "$SMOKE/ref" "$SMOKE/ref.full" \
     2> /dev/null
+
+  # Both --version printouts list the chain manifest format the chain
+  # above was written in.
+  for BIN in cordial_serverd cordial_ckpt; do
+    ./build/examples/$BIN --version |
+      grep -q "chain manifest: *cordial_ckpt_manifest v2 (binary)" || {
+        echo "tier1: $BIN --version does not list chain manifest v2"
+        exit 1; }
+  done
 
   # Durability drill: the failpoint power-cuts (::_exit 121) the second
   # checkpoint while it publishes its manifest (hit 4), after the first

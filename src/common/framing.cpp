@@ -2,10 +2,7 @@
 
 #include <array>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <atomic>
 #include <istream>
 #include <ostream>
 
@@ -35,8 +32,6 @@ std::uint32_t ParseVersionToken(const std::string& token,
   }
   return version;
 }
-
-std::atomic<std::uint64_t> g_checksummed_frames{0};
 
 /// Everything after the magic token on a header line: " v<version>
 /// <bytes> crc32=<8 hex>" is ~40 bytes at the widest legal values; anything
@@ -284,13 +279,6 @@ FrameHeader ParseFrameHeaderLine(std::string_view line) {
   return header;
 }
 
-FramingStats GetFramingStats() {
-  FramingStats stats;
-  stats.checksummed_frames_read =
-      g_checksummed_frames.load(std::memory_order_relaxed);
-  return stats;
-}
-
 std::string FrameHeaderLine(std::string_view magic, std::uint32_t version,
                             std::uint64_t payload_bytes, std::uint32_t crc32) {
   char crc_hex[16];
@@ -361,7 +349,6 @@ void VerifyPayload(const FrameHeader& header, const std::string& magic,
                      expected_hex + ", payload crc32=" + actual_hex +
                      ") — corrupt frame");
   }
-  g_checksummed_frames.fetch_add(1, std::memory_order_relaxed);
 }
 
 void InjectedReadFailure(const std::string& magic) {
@@ -445,62 +432,6 @@ std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
 std::string_view PeekMagic(std::string_view bytes) {
   const std::string_view head = bytes.substr(0, kMaxMagicBytes);
   return head.substr(0, head.find_first_of(" \t\n"));
-}
-
-void WriteDoubleToken(std::ostream& out, double value) {
-  if (std::isnan(value)) {
-    out << (std::signbit(value) ? "-nan" : "nan");
-    return;
-  }
-  if (std::isinf(value)) {
-    out << (std::signbit(value) ? "-inf" : "inf");
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out << buf;
-}
-
-double ReadDoubleToken(std::istream& in, const char* context) {
-  // operator>>(double) rejects the nan/inf tokens WriteDoubleToken emits
-  // (and, pre-fix, silently poisoned checkpoints containing them), so parse
-  // the token through strtod, which accepts them and round-trips %.17g
-  // output bit-exactly.
-  std::string token;
-  if (!(in >> token)) {
-    throw ParseError(std::string(context) + ": malformed double");
-  }
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) {
-    throw ParseError(std::string(context) + ": malformed double '" + token +
-                     "'");
-  }
-  return value;
-}
-
-std::uint64_t ReadU64Token(std::istream& in, const char* context) {
-  std::uint64_t value = 0;
-  if (!(in >> value)) {
-    throw ParseError(std::string(context) + ": malformed unsigned integer");
-  }
-  return value;
-}
-
-std::int64_t ReadI64Token(std::istream& in, const char* context) {
-  std::int64_t value = 0;
-  if (!(in >> value)) {
-    throw ParseError(std::string(context) + ": malformed integer");
-  }
-  return value;
-}
-
-void ExpectToken(std::istream& in, const char* token) {
-  std::string word;
-  if (!(in >> word) || word != token) {
-    throw ParseError(std::string("expected token '") + token + "', got '" +
-                     word + "'");
-  }
 }
 
 }  // namespace cordial

@@ -1,7 +1,8 @@
-// Versioned magic + length + checksum framing for persisted streams.
+// Versioned magic + length + checksum framing for persisted streams and
+// wire messages.
 //
-// Every model file and engine snapshot starts with one header line (layout
-// v2):
+// Every model file, checkpoint member, chain manifest and network message
+// starts with one header line (layout v2):
 //
 //   <magic> v<version> <payload_bytes> crc32=<8 hex digits>\n
 //
@@ -20,13 +21,10 @@
 // expectation. Frames nest: a checkpoint frame's payload can itself contain
 // framed engine sections, each carrying its own checksum.
 //
-// The token helpers below are the shared text codec for the text payloads
-// that remain (the outcome store and the chain manifest; engine state and
-// models are binary, through persist/binary_io.hpp): whitespace-separated
-// tokens, doubles rendered with %.17g so every value round-trips
-// bit-exactly (the same convention the MCE CSV codec uses). Non-finite
-// doubles round-trip too (as the tokens nan/-nan/inf/-inf): a poisoned
-// value must survive a save/load cycle rather than brick it.
+// Payloads are binary, written and read through one codec,
+// persist/binary_io.hpp (a fleet checkpoint's payload leads with one text
+// line, "shards <n>", serve/checkpoint.hpp). This file frames bytes and
+// knows nothing of what they hold.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +61,6 @@ bool Crc32PclmulSupported();
 /// the last whole 16-byte block). Requires Crc32PclmulSupported().
 std::uint32_t Crc32Pclmul(std::string_view data);
 }  // namespace detail
-
-/// Running tally of every frame this process has read and CRC-verified.
-/// Monotonic, thread-safe.
-struct FramingStats {
-  std::uint64_t checksummed_frames_read = 0;
-};
-FramingStats GetFramingStats();
 
 /// One parsed header line — the shared grammar between the stream reader
 /// (ReadFramed) and the network plane's incremental frame assembler
@@ -128,24 +119,5 @@ std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
 /// space, tab or newline, at most 64 bytes (empty when `bytes` is). A view
 /// into `bytes`; ReadFramedView checks its magic through it.
 std::string_view PeekMagic(std::string_view bytes);
-
-// --- token codec (shared by the text payloads) ----------------------------
-
-/// Append a lossless %.17g rendering of `value`. Non-finite values render
-/// as nan/-nan/inf/-inf and round-trip through ReadDoubleToken.
-void WriteDoubleToken(std::ostream& out, double value);
-
-/// Read one double token; ParseError mentioning `context` on failure.
-/// Accepts the non-finite tokens WriteDoubleToken emits.
-double ReadDoubleToken(std::istream& in, const char* context);
-
-/// Read one unsigned integer token; ParseError mentioning `context`.
-std::uint64_t ReadU64Token(std::istream& in, const char* context);
-
-/// Read one signed integer token; ParseError mentioning `context`.
-std::int64_t ReadI64Token(std::istream& in, const char* context);
-
-/// Consume one token and require it to equal `token`.
-void ExpectToken(std::istream& in, const char* token);
 
 }  // namespace cordial

@@ -520,14 +520,32 @@ BankProfile BankProfile::LoadBinary(persist::BinaryReader& in) {
   view.live = ReadClassBinary(in);
   view.frozen = ReadClassBinary(in);
   profile.crossrow_ = ReadCrossRowBinary(in);
+  const CrossRowAccumulator& crossrow = profile.crossrow_;
+  // Observe counts every record once in each.
+  if (profile.events_ != crossrow.all_count) {
+    in.Fail("profile events " + std::to_string(profile.events_) +
+            " != cross-row all_count " + std::to_string(crossrow.all_count));
+  }
   if (view.uer_accepted > 0) {
-    // Every accepted UER went through the cross-row view too.
-    const std::vector<std::uint32_t>& uer_rows = profile.crossrow_.uer_rows;
+    // Every record a view absorbed went through the cross-row view first.
     for (const ClassAccumulator* acc : {&view.live, &view.frozen}) {
-      if (!std::includes(uer_rows.begin(), uer_rows.end(),
+      const char* const name = acc == &view.live ? "live" : "frozen";
+      const auto check_count = [&](const char* field, std::size_t count,
+                                   const char* crossrow_field,
+                                   std::size_t crossrow_count) {
+        if (count > crossrow_count) {
+          in.Fail(std::string(name) + " classification view " + field + " " +
+                  std::to_string(count) + " > cross-row " + crossrow_field +
+                  " " + std::to_string(crossrow_count));
+        }
+      };
+      check_count("ce_total", acc->ce_total, "ce_count", crossrow.ce_count);
+      check_count("ueo_total", acc->ueo_total, "ueo_count",
+                  crossrow.ueo_count);
+      if (!std::includes(crossrow.uer_rows.begin(), crossrow.uer_rows.end(),
                          acc->distinct_uer_rows.begin(),
                          acc->distinct_uer_rows.end())) {
-        in.Fail(std::string(acc == &view.live ? "live" : "frozen") +
+        in.Fail(std::string(name) +
                 " classification view's distinct_uer_rows are not a subset "
                 "of the cross-row uer_rows");
       }

@@ -168,9 +168,10 @@ class BankProfile {
   /// LoadBinary refuses any other view without an accepted UER. It also
   /// refuses cross-row counts that contradict what Absorb keeps with them
   /// (all_count, the per-type row sets, the UER row extrema and first UER
-  /// time, each DiffChain against the pushes that fed it) and a
-  /// classification view with a distinct UER row the cross-row view lacks,
-  /// naming the field.
+  /// time, each DiffChain against the pushes that fed it), an event count
+  /// other than the cross-row all_count, and a classification view with
+  /// more CEs or UEOs than the cross-row counts or a distinct UER row the
+  /// cross-row view lacks, naming the fields.
   /// uer_row_gaps is derived, so it is rebuilt on load.
   void SaveBinary(persist::BinaryWriter& out) const;
   static BankProfile LoadBinary(persist::BinaryReader& in);

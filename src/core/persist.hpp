@@ -19,9 +19,6 @@ inline constexpr char kCrossRowModelMagic[] = "cordial_crossrow_model";
 // ParseError, and its models must be retrained.
 inline constexpr std::uint32_t kModelFrameVersion = 3;
 
-inline constexpr char kOutcomeStoreMagic[] = "cordial_outcome_store";
-inline constexpr std::uint32_t kOutcomeStoreVersion = 1;
-
 inline constexpr char kEngineStateMagic[] = "cordial_engine_state";
 // v4: binary payload (persist/binary_io.hpp codec) whose header carries the
 // engine's skew clock and whose bank blobs are compact — varint counts,

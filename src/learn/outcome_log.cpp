@@ -1,13 +1,10 @@
 #include "learn/outcome_log.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/framing.hpp"
 #include "common/rng.hpp"
-#include "core/persist.hpp"
 
 namespace cordial::learn {
 
@@ -177,71 +174,6 @@ CollectorStats OutcomeCollector::Stats() const {
   stats.evicted_total = evicted_total_;
   stats.replay_banks = replay_.size();
   return stats;
-}
-
-void OutcomeCollector::Save(std::ostream& out) const {
-  std::vector<std::shared_ptr<const LabelledOutcome>> all;
-  {
-    std::lock_guard<std::mutex> lock(replay_mutex_);
-    all = replay_;
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a->bank.bank_key < b->bank.bank_key;
-  });
-  std::ostringstream payload;
-  payload << "outcomes " << all.size() << '\n';
-  for (const auto& outcome : all) {
-    payload << outcome->bank.bank_key << ' '
-            << static_cast<int>(outcome->label) << ' '
-            << (outcome->truncated ? 1 : 0) << ' '
-            << outcome->live_first_failures << ' ' << outcome->live_covered
-            << ' ' << outcome->bank.events.size() << '\n';
-    for (const trace::MceRecord& r : outcome->bank.events) {
-      WriteDoubleToken(payload, r.time_s);
-      payload << ' ' << codec_.Pack(r.address) << ' '
-              << static_cast<int>(r.type) << '\n';
-    }
-  }
-  WriteFramed(out, core::kOutcomeStoreMagic, core::kOutcomeStoreVersion,
-              payload.str());
-}
-
-void OutcomeCollector::Load(std::istream& in) {
-  std::istringstream payload(
-      ReadFramed(in, core::kOutcomeStoreMagic, core::kOutcomeStoreVersion));
-  ExpectToken(payload, "outcomes");
-  const std::uint64_t count = ReadU64Token(payload, "outcome store");
-  std::vector<std::shared_ptr<const LabelledOutcome>> loaded;
-  loaded.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto outcome = std::make_shared<LabelledOutcome>();
-    outcome->bank.bank_key = ReadU64Token(payload, "outcome bank key");
-    const std::uint64_t label = ReadU64Token(payload, "outcome label");
-    if (label >= 3) throw ParseError("outcome store: label out of range");
-    outcome->label = static_cast<hbm::FailureClass>(label);
-    outcome->truncated = ReadU64Token(payload, "outcome truncated") != 0;
-    outcome->live_first_failures =
-        ReadU64Token(payload, "outcome first failures");
-    outcome->live_covered = ReadU64Token(payload, "outcome covered");
-    const std::uint64_t events = ReadU64Token(payload, "outcome event count");
-    outcome->bank.events.reserve(events);
-    for (std::uint64_t e = 0; e < events; ++e) {
-      trace::MceRecord record;
-      record.time_s = ReadDoubleToken(payload, "outcome event time");
-      record.address =
-          codec_.Unpack(ReadU64Token(payload, "outcome event address"));
-      const std::uint64_t type = ReadU64Token(payload, "outcome event type");
-      if (type > 2) throw ParseError("outcome store: event type out of range");
-      record.type = static_cast<hbm::ErrorType>(type);
-      outcome->bank.events.push_back(record);
-    }
-    loaded.push_back(std::move(outcome));
-  }
-  std::lock_guard<std::mutex> lock(replay_mutex_);
-  replay_ = std::move(loaded);
-  // Loaded outcomes count as matured here; eviction history does not carry.
-  matured_total_ = replay_.size();
-  evicted_total_ = 0;
 }
 
 }  // namespace cordial::learn

@@ -15,19 +15,21 @@
 // Concurrency: Record() is called from every shard's worker thread
 // concurrently. Open banks are striped by SplitMix64(bank_key) % stripes,
 // each stripe behind its own mutex — two workers contend only when their
-// banks share a stripe. Harvest/snapshot/save take the stripe locks briefly
+// banks share a stripe. Harvest and snapshot take the stripe locks briefly
 // and never block the hot path for long.
 //
 // Determinism: each bank's history and tallies are deterministic (a bank's
-// records arrive on one shard in submission order), and every read-side view
-// (SnapshotReplay, Save) is sorted by bank key — so the training set, and
+// records arrive on one shard in submission order), and the read-side view
+// (SnapshotReplay) is sorted by bank key — so the training set, and
 // everything downstream of it, is independent of thread interleaving while
 // the replay store stays under its cap.
+//
+// The collector lives in memory only: a restarted daemon starts its replay
+// store empty and relearns from the stream.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -119,15 +121,6 @@ class OutcomeCollector {
   std::array<std::uint64_t, 3> LiveClassMix() const;
 
   CollectorStats Stats() const;
-
-  /// Persist the replay store (matured outcomes only — open banks are
-  /// in-flight state the stream will rebuild) as a framed, checksummed
-  /// stream, sorted by bank key. Deterministic under the cap.
-  void Save(std::ostream& out) const;
-  /// Replace the replay store with a Save stream's. Throws ParseError on
-  /// malformed input; the store is unchanged on throw. Open banks are
-  /// untouched.
-  void Load(std::istream& in);
 
   const CollectorConfig& config() const { return config_; }
 

@@ -1,8 +1,7 @@
 #include "net/wire.hpp"
 
-#include <cstdio>
-
 #include "common/check.hpp"
+#include "persist/binary_io.hpp"
 #include "trace/log_codec.hpp"
 
 namespace cordial::net {
@@ -13,99 +12,19 @@ namespace {
 /// with no '\n' inside this bound is not speaking the protocol.
 constexpr std::size_t kMaxHeaderLineBytes = 128;
 
-void AppendU8(std::uint8_t value, std::string& out) {
-  out.push_back(static_cast<char>(value));
-}
-
-void AppendU32(std::uint32_t value, std::string& out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void AppendU64(std::uint64_t value, std::string& out) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-/// Bounds-checked little-endian reader over one frame payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint8_t ReadU8() { return Take(1)[0]; }
-
-  std::uint32_t ReadU32() {
-    const auto* p = Take(4);
-    std::uint32_t value = 0;
-    for (int i = 3; i >= 0; --i) value = (value << 8) | p[i];
-    return value;
-  }
-
-  std::uint64_t ReadU64() {
-    const auto* p = Take(8);
-    std::uint64_t value = 0;
-    for (int i = 7; i >= 0; --i) value = (value << 8) | p[i];
-    return value;
-  }
-
-  std::string_view ReadBytes(std::uint64_t count) {
-    if (count > Remaining()) Underrun();
-    const std::string_view view = bytes_.substr(offset_, count);
-    offset_ += static_cast<std::size_t>(count);
-    return view;
-  }
-
-  std::uint64_t Remaining() const { return bytes_.size() - offset_; }
-
-  void ExpectEnd(const char* what) const {
-    if (offset_ != bytes_.size()) {
-      throw ParseError(std::string("wire message: trailing bytes after ") +
-                       what);
-    }
-  }
-
- private:
-  const unsigned char* Take(std::size_t count) {
-    if (count > Remaining()) Underrun();
-    const auto* p =
-        reinterpret_cast<const unsigned char*>(bytes_.data()) + offset_;
-    offset_ += count;
-    return p;
-  }
-
-  [[noreturn]] void Underrun() const {
-    throw ParseError("wire message: truncated payload");
-  }
-
-  std::string_view bytes_;
-  std::size_t offset_ = 0;
-};
-
-/// Wrap a finished payload in its header line. Byte-identical to
-/// common/framing's WriteFramed, but built directly into the returned
-/// string — the feeder hot path encodes every batch through here, and an
-/// ostringstream round trip costs two extra payload copies.
-std::string SealFrame(const std::string& payload) {
-  char header[64];
-  const int header_len =
-      std::snprintf(header, sizeof header, "%s v%u %zu crc32=%08x\n",
-                    kWireMagic, kWireVersion, payload.size(), Crc32(payload));
-  std::string frame;
-  frame.reserve(static_cast<std::size_t>(header_len) + payload.size());
-  frame.append(header, static_cast<std::size_t>(header_len));
-  frame.append(payload);
-  return frame;
-}
+/// Room for the header line CloseFrame puts in front of a payload
+/// ("cordial_net v1 <len> crc32=xxxxxxxx\n"), so the insert moves the
+/// payload within the buffer instead of reallocating it.
+constexpr std::size_t kHeaderReserveBytes = 64;
 
 void AppendBatchPayload(std::uint64_t sequence,
                         std::span<const trace::MceRecord> records,
                         std::string& payload) {
-  payload.reserve(payload.size() + 8 + 4 +
+  payload.reserve(kHeaderReserveBytes + payload.size() + 8 + 4 +
                   records.size() * trace::LogCodec::kBinaryRecordBytes);
-  AppendU64(sequence, payload);
-  AppendU32(static_cast<std::uint32_t>(records.size()), payload);
+  persist::BinaryWriter out(payload);
+  out.U64(sequence);
+  out.U32(static_cast<std::uint32_t>(records.size()));
   for (const trace::MceRecord& r : records) {
     trace::LogCodec::AppendBinary(r, payload);
   }
@@ -147,121 +66,120 @@ MessageType TypeOf(const Message& message) {
 
 std::string EncodeFrame(const Message& message) {
   std::string payload;
-  AppendU8(static_cast<std::uint8_t>(TypeOf(message)), payload);
+  persist::BinaryWriter out(payload);
+  out.U8(static_cast<std::uint8_t>(TypeOf(message)));
   struct Visitor {
     std::string& payload;
-    void operator()(const Hello& m) { AppendU32(m.protocol_version, payload); }
+    persist::BinaryWriter& out;
+    void operator()(const Hello& m) { out.U32(m.protocol_version); }
     void operator()(const Batch& m) {
       AppendBatchPayload(m.sequence, m.records, payload);
     }
     void operator()(const Ack& m) {
-      AppendU64(m.sequence, payload);
-      AppendU64(m.accepted_records, payload);
+      out.U64(m.sequence);
+      out.U64(m.accepted_records);
     }
     void operator()(const Reject& m) {
-      AppendU64(m.sequence, payload);
-      AppendU8(static_cast<std::uint8_t>(m.reason), payload);
-      AppendU64(m.accepted_records, payload);
+      out.U64(m.sequence);
+      out.U8(static_cast<std::uint8_t>(m.reason));
+      out.U64(m.accepted_records);
     }
-    void operator()(const ExportShard& m) { AppendU32(m.shard, payload); }
-    void operator()(const ShardState& m) {
-      AppendU32(m.shard, payload);
-      AppendU64(m.state.size(), payload);
-      payload.append(m.state);
+    void operator()(const ExportShard& m) { out.U32(m.shard); }
+    void operator()(const ShardState& m) { Shard(m.shard, m.state); }
+    void operator()(const ImportShard& m) { Shard(m.shard, m.state); }
+    void operator()(const Imported& m) { out.U32(m.shard); }
+    /// A shard id, then the state's u64 length and its bytes.
+    void Shard(std::uint32_t shard, const std::string& state) {
+      payload.reserve(kHeaderReserveBytes + payload.size() + 4 + 8 +
+                      state.size());
+      out.U32(shard);
+      out.U64(state.size());
+      out.Bytes(state);
     }
-    void operator()(const ImportShard& m) {
-      AppendU32(m.shard, payload);
-      AppendU64(m.state.size(), payload);
-      payload.append(m.state);
-    }
-    void operator()(const Imported& m) { AppendU32(m.shard, payload); }
   };
-  std::visit(Visitor{payload}, message);
-  return SealFrame(payload);
+  std::visit(Visitor{payload, out}, message);
+  CloseFrame(payload, 0, kWireMagic, kWireVersion);
+  return payload;
 }
 
 std::string EncodeBatchFrame(std::uint64_t sequence,
                              std::span<const trace::MceRecord> records) {
   std::string payload;
-  AppendU8(static_cast<std::uint8_t>(MessageType::kBatch), payload);
+  persist::BinaryWriter(payload).U8(
+      static_cast<std::uint8_t>(MessageType::kBatch));
   AppendBatchPayload(sequence, records, payload);
-  return SealFrame(payload);
+  CloseFrame(payload, 0, kWireMagic, kWireVersion);
+  return payload;
 }
 
 Message DecodeMessage(std::string_view payload) {
-  Cursor cursor(payload);
-  const std::uint8_t type = cursor.ReadU8();
+  persist::BinaryReader in(payload, "wire message");
+  const std::uint8_t type = in.U8();
+  Message message;
   switch (static_cast<MessageType>(type)) {
-    case MessageType::kHello: {
-      Hello m;
-      m.protocol_version = cursor.ReadU32();
-      cursor.ExpectEnd("hello");
-      return m;
-    }
+    case MessageType::kHello:
+      message = Hello{in.U32()};
+      break;
     case MessageType::kBatch: {
       Batch m;
-      m.sequence = cursor.ReadU64();
-      const std::uint32_t count = cursor.ReadU32();
-      if (cursor.Remaining() !=
+      m.sequence = in.U64();
+      const std::uint32_t count = in.U32();
+      if (in.remaining() !=
           std::uint64_t{count} * trace::LogCodec::kBinaryRecordBytes) {
-        throw ParseError(
-            "wire message: batch record bytes do not match count");
+        in.Fail("batch record bytes do not match count");
       }
       m.records.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         m.records.push_back(trace::LogCodec::ParseBinary(
-            cursor.ReadBytes(trace::LogCodec::kBinaryRecordBytes)));
+            in.Bytes(trace::LogCodec::kBinaryRecordBytes)));
       }
-      return m;
+      message = std::move(m);
+      break;
     }
     case MessageType::kAck: {
       Ack m;
-      m.sequence = cursor.ReadU64();
-      m.accepted_records = cursor.ReadU64();
-      cursor.ExpectEnd("ack");
-      return m;
+      m.sequence = in.U64();
+      m.accepted_records = in.U64();
+      message = m;
+      break;
     }
     case MessageType::kReject: {
       Reject m;
-      m.sequence = cursor.ReadU64();
-      const std::uint8_t reason = cursor.ReadU8();
+      m.sequence = in.U64();
+      const std::uint8_t reason = in.U8();
       if (reason < 1 || reason > 3) {
-        throw ParseError("wire message: unknown reject reason " +
-                         std::to_string(reason));
+        in.Fail("unknown reject reason " + std::to_string(reason));
       }
       m.reason = static_cast<RejectReason>(reason);
-      m.accepted_records = cursor.ReadU64();
-      cursor.ExpectEnd("reject");
-      return m;
+      m.accepted_records = in.U64();
+      message = m;
+      break;
     }
-    case MessageType::kExportShard: {
-      ExportShard m;
-      m.shard = cursor.ReadU32();
-      cursor.ExpectEnd("export-shard");
-      return m;
-    }
+    case MessageType::kExportShard:
+      message = ExportShard{in.U32()};
+      break;
     case MessageType::kShardState: {
       ShardState m;
-      m.shard = cursor.ReadU32();
-      m.state = std::string(cursor.ReadBytes(cursor.ReadU64()));
-      cursor.ExpectEnd("shard-state");
-      return m;
+      m.shard = in.U32();
+      m.state = std::string(in.Bytes(in.Count(1)));
+      message = std::move(m);
+      break;
     }
     case MessageType::kImportShard: {
       ImportShard m;
-      m.shard = cursor.ReadU32();
-      m.state = std::string(cursor.ReadBytes(cursor.ReadU64()));
-      cursor.ExpectEnd("import-shard");
-      return m;
+      m.shard = in.U32();
+      m.state = std::string(in.Bytes(in.Count(1)));
+      message = std::move(m);
+      break;
     }
-    case MessageType::kImported: {
-      Imported m;
-      m.shard = cursor.ReadU32();
-      cursor.ExpectEnd("imported");
-      return m;
-    }
+    case MessageType::kImported:
+      message = Imported{in.U32()};
+      break;
+    default:
+      in.Fail("unknown type byte " + std::to_string(type));
   }
-  throw ParseError("wire message: unknown type byte " + std::to_string(type));
+  in.ExpectEnd();
+  return message;
 }
 
 FrameAssembler::FrameAssembler(std::uint64_t max_frame_bytes)

@@ -6,9 +6,12 @@
 //   cordial_net v1 <payload_bytes> crc32=<8 hex digits>\n<payload>
 //
 // so a frame on the wire carries the same corruption detection as a frame
-// at rest, and the decoder is the shared ParseFrameHeaderLine grammar. The
-// payload's first byte is the message type; the rest is fixed-width
-// little-endian fields (records use trace::LogCodec's binary encoding).
+// at rest, and the decoder is the shared ParseFrameHeaderLine grammar.
+// EncodeFrame closes each frame with CloseFrame, the writer under every
+// checkpoint frame. The payload's first byte is the message type; the
+// rest is fixed-width little-endian fields written and read through
+// persist/binary_io.hpp, the codec under checkpoints and models too
+// (records use trace::LogCodec's 49-byte binary encoding).
 //
 // Conversation shape (client = cordial_feed / IngestClient, server =
 // IngestServer in front of FleetServer):

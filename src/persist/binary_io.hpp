@@ -1,13 +1,16 @@
-// Little-endian binary codec primitives for checkpoint and model payloads —
-// the byte-level layer under the engine-state and delta frames (DESIGN.md
-// §14) and the model frames (§16), the only codec for either.
+// Little-endian binary codec primitives: the one payload codec, the
+// byte-level layer under the engine-state and delta frames and the chain
+// manifest (DESIGN.md §14), the model frames (§16) and the network
+// plane's wire messages (§12). Only the 49-byte MCE record and the CSV
+// feed (trace::LogCodec) keep a format of their own.
 //
 // Header-only on purpose: the per-component encoders live next to the
 // state they serialize (BankProfile, PredictionEngine, the ml trees and
-// ensembles), which sit below cordial_persist in the link graph.
-// cordial_common already exports the src/ include root, so any library can
-// include this without a dependency edge; the persist *library* owns the
-// file-level formats (chains, manifests, folding) built on top.
+// ensembles, the wire messages), in libraries that do not link
+// cordial_persist. cordial_common already exports the src/ include root,
+// so any library can include this without a dependency edge; the persist
+// *library* owns the file-level formats (chains, manifests, folding)
+// built on top.
 //
 // Conventions:
 //   * fixed-width integers little-endian (u8/u32/u64) — the frame-level

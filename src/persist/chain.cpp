@@ -8,9 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -37,6 +35,18 @@ std::string DeltaFileName(std::uint64_t epoch, std::uint64_t seq) {
                 static_cast<unsigned long long>(epoch),
                 static_cast<unsigned long long>(seq));
   return buf;
+}
+
+/// The member at `position` of chain `epoch`, as a manifest records it,
+/// without its size and CRC: the full at position 0, delta seq n at n.
+ChainEntry MemberAt(std::uint64_t epoch, std::size_t position) {
+  ChainEntry entry;
+  entry.is_full = position == 0;
+  entry.epoch = epoch;
+  entry.seq = position;
+  entry.file =
+      entry.is_full ? FullFileName(epoch) : DeltaFileName(epoch, position);
+  return entry;
 }
 
 std::string JoinPath(const std::string& directory, const std::string& file) {
@@ -143,9 +153,9 @@ std::uint64_t MaxEpochOnDisk(const std::string& directory) {
 /// Load and decode a manifest file. Returns false when the file does not
 /// exist; throws ParseError when it exists but is malformed.
 bool LoadManifestFile(const std::string& path, Manifest& manifest) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  manifest = DecodeManifest(in);
+  std::string bytes;
+  if (!serve::ReadFileBytes(path, bytes)) return false;
+  manifest = DecodeManifest(bytes);
   return true;
 }
 
@@ -361,67 +371,46 @@ FoldImage FoldManifest(const std::string& directory,
 // --- manifest codec -------------------------------------------------------
 
 std::string EncodeManifest(const Manifest& manifest) {
-  std::ostringstream payload;
-  payload << "epoch " << manifest.epoch << '\n';
-  payload << "entries " << manifest.entries.size() << '\n';
-  for (const ChainEntry& entry : manifest.entries) {
-    payload << (entry.is_full ? "full" : "delta") << ' ' << entry.epoch << ' '
-            << entry.seq << ' ' << entry.bytes << ' ' << entry.crc32 << ' '
-            << entry.file << '\n';
+  CORDIAL_CHECK_MSG(!manifest.entries.empty(),
+                    "manifest: chain has no members");
+  std::string out;
+  BinaryWriter writer(out);
+  writer.U64(manifest.epoch);
+  writer.U32(static_cast<std::uint32_t>(manifest.entries.size()));
+  for (std::size_t i = 0; i < manifest.entries.size(); ++i) {
+    const ChainEntry& entry = manifest.entries[i];
+    const ChainEntry derived = MemberAt(manifest.epoch, i);
+    CORDIAL_CHECK_MSG(entry.is_full == derived.is_full &&
+                          entry.epoch == derived.epoch &&
+                          entry.seq == derived.seq &&
+                          entry.file == derived.file,
+                      "manifest: member " + std::to_string(i) + " (" +
+                          entry.file + ") is not " + derived.file +
+                          " of epoch " + std::to_string(manifest.epoch));
+    writer.U64(entry.bytes);
+    writer.U32(entry.crc32);
   }
-  std::ostringstream out;
-  WriteFramed(out, kManifestMagic, kManifestVersion, payload.str());
-  return out.str();
+  CloseFrame(out, 0, kManifestMagic, kManifestVersion);
+  return out;
 }
 
-Manifest DecodeManifest(std::istream& in) {
-  std::istringstream payload(ReadFramed(in, kManifestMagic, kManifestVersion));
+Manifest DecodeManifest(std::string_view bytes) {
+  const std::string_view payload =
+      ReadFramedView(bytes, kManifestMagic, kManifestVersion);
+  serve::ExpectNoTrailingBytes(bytes, kManifestFileName);
+  BinaryReader reader(payload, "chain manifest");
   Manifest manifest;
-  ExpectToken(payload, "epoch");
-  manifest.epoch = ReadU64Token(payload, "manifest epoch");
-  ExpectToken(payload, "entries");
-  const std::uint64_t count = ReadU64Token(payload, "manifest entries");
-  if (count == 0) throw ParseError("manifest: chain has no members");
-  manifest.entries.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 16)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ChainEntry entry;
-    std::string kind;
-    payload >> kind;
-    if (kind == "full") {
-      entry.is_full = true;
-    } else if (kind == "delta") {
-      entry.is_full = false;
-    } else {
-      throw ParseError("manifest: unknown member kind \"" + kind + "\"");
-    }
-    entry.epoch = ReadU64Token(payload, "manifest member epoch");
-    entry.seq = ReadU64Token(payload, "manifest member seq");
-    entry.bytes = ReadU64Token(payload, "manifest member bytes");
-    entry.crc32 = static_cast<std::uint32_t>(
-        ReadU64Token(payload, "manifest member crc32"));
-    payload >> entry.file;
-    if (entry.file.empty()) {
-      throw ParseError("manifest: member " + std::to_string(i) +
-                       " has no file name");
-    }
-    if (entry.epoch != manifest.epoch) {
-      throw ParseError("manifest: member " + entry.file +
-                       " belongs to epoch " + std::to_string(entry.epoch) +
-                       ", chain is epoch " + std::to_string(manifest.epoch));
-    }
+  manifest.epoch = reader.U64();
+  const std::uint32_t count = reader.Count32(8 + 4);
+  if (count == 0) reader.Fail("chain has no members");
+  manifest.entries.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ChainEntry entry = MemberAt(manifest.epoch, i);
+    entry.bytes = reader.U64();
+    entry.crc32 = reader.U32();
     manifest.entries.push_back(std::move(entry));
   }
-  if (!manifest.entries.front().is_full) {
-    throw ParseError("manifest: chain must start with a full member");
-  }
-  for (std::size_t i = 1; i < manifest.entries.size(); ++i) {
-    if (manifest.entries[i].is_full || manifest.entries[i].seq != i) {
-      throw ParseError("manifest: member " + manifest.entries[i].file +
-                       " breaks the delta sequence (expected delta seq " +
-                       std::to_string(i) + ")");
-    }
-  }
+  reader.ExpectEnd();
   return manifest;
 }
 
@@ -577,11 +566,7 @@ ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
   std::string bytes;
   server.AppendCheckpoint(bytes);
 
-  ChainEntry entry;
-  entry.is_full = true;
-  entry.epoch = manifest_.epoch + 1;
-  entry.seq = 0;
-  entry.file = FullFileName(entry.epoch);
+  ChainEntry entry = MemberAt(manifest_.epoch + 1, 0);
   entry.bytes = bytes.size();
   entry.crc32 = Crc32(bytes);
 
@@ -617,11 +602,7 @@ ChainWriteResult CheckpointChain::WriteDelta(serve::FleetServer& server) {
   std::string bytes;
   const std::uint64_t banks = server.AppendDeltaCheckpoint(bytes);
 
-  ChainEntry entry;
-  entry.is_full = false;
-  entry.epoch = manifest_.epoch;
-  entry.seq = manifest_.entries.back().seq + 1;
-  entry.file = DeltaFileName(entry.epoch, entry.seq);
+  ChainEntry entry = MemberAt(manifest_.epoch, manifest_.entries.size());
   entry.bytes = bytes.size();
   entry.crc32 = Crc32(bytes);
 
@@ -719,11 +700,7 @@ ChainWriteResult CompactChainFiles(const std::string& directory) {
   const FoldImage image = FoldManifest(directory, manifest);
   const std::string bytes = SerializeImageAsFull(image);
 
-  ChainEntry entry;
-  entry.is_full = true;
-  entry.epoch = manifest.epoch + 1;
-  entry.seq = 0;
-  entry.file = FullFileName(entry.epoch);
+  ChainEntry entry = MemberAt(manifest.epoch + 1, 0);
   entry.bytes = bytes.size();
   entry.crc32 = Crc32(bytes);
 

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cordial::serve {
@@ -48,10 +49,18 @@ class FleetServer;
 namespace cordial::persist {
 
 inline constexpr char kManifestMagic[] = "cordial_ckpt_manifest";
-inline constexpr std::uint32_t kManifestVersion = 1;
+// v2: binary payload (persist/binary_io.hpp) holding only what the manifest
+// alone knows — u64 epoch | u32 member count (>= 1) | per member, in chain
+// order, its u64 byte size and u32 whole-file CRC-32. A member's kind, seq
+// and file name follow from its position: the full first, then deltas
+// 1..n. v1 (a text payload) is retired: an older build's MANIFEST fails
+// its version check and is quarantined like a corrupt one, and the
+// directory scan still restores its chain.
+inline constexpr std::uint32_t kManifestVersion = 2;
 inline constexpr char kManifestFileName[] = "MANIFEST";
 
-/// One member of a chain, as the manifest records it.
+/// One member of a chain. A manifest stores its size and CRC-32; the kind,
+/// epoch, seq and file name follow from its position in the chain.
 struct ChainEntry {
   bool is_full = false;
   std::uint64_t epoch = 0;
@@ -66,9 +75,16 @@ struct Manifest {
   std::vector<ChainEntry> entries;  ///< full first, then deltas by seq
 };
 
-/// Framed manifest codec (text payload behind kManifestMagic).
+/// The bytes of a MANIFEST file: one v2 frame. ContractViolation when the
+/// manifest is not the one its epoch and member count derive — no member,
+/// a first member that is not the full, a delta out of seq order, a member
+/// of another epoch or under another file name — since only sizes and
+/// CRCs are stored.
 std::string EncodeManifest(const Manifest& manifest);
-Manifest DecodeManifest(std::istream& in);  ///< throws ParseError
+/// Decode the whole bytes of a MANIFEST file: exactly one frame, nothing
+/// after it (the members' trailing-bytes rule). ParseError on a member
+/// count of 0 or past the bytes left, truncation and trailing bytes.
+Manifest DecodeManifest(std::string_view bytes);
 
 struct ChainConfig {
   std::string directory;

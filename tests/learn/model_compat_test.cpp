@@ -15,6 +15,7 @@
 #include "core/pattern_classifier.hpp"
 #include "core/persist.hpp"
 #include "persist/binary_io.hpp"
+#include "support/fnv1a.hpp"
 #include "support/serve_world.hpp"
 
 namespace cordial::core {
@@ -22,6 +23,7 @@ namespace {
 
 using serve::test_support::SharedWorld;
 using serve::test_support::World;
+using test_support::Fnv1a;
 
 /// Re-frame a saved model with its leading feature count bumped by
 /// `delta`, returning the tampered stream and the original count.
@@ -141,16 +143,6 @@ TEST(LearnModelCompat, BoostedClassifierCloneIsBitIdentical) {
   boosted.SaveModel(a);
   copy.SaveModel(b);
   EXPECT_EQ(a.str(), b.str());
-}
-
-// FNV-1a over the bytes — stable, order-sensitive.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 std::string SavedPatternModel(ml::LearnerKind kind) {

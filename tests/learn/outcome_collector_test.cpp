@@ -1,12 +1,10 @@
-// OutcomeCollector: maturity rules, hindsight labels, replay-store bounds,
-// the deterministic train/holdout split and the framed Save/Load round trip.
+// OutcomeCollector: maturity rules, hindsight labels, replay-store bounds
+// and the deterministic train/holdout split.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "analysis/labeler.hpp"
-#include "common/check.hpp"
 #include "learn/outcome_log.hpp"
 
 namespace cordial::learn {
@@ -189,53 +187,6 @@ TEST(LearnCollector, LiveClassMixTallies) {
   EXPECT_EQ(mix[static_cast<std::size_t>(
                 hbm::FailureClass::kSingleRowClustering)],
             0u);
-}
-
-TEST(LearnCollector, SaveLoadRoundTripsByteIdentically) {
-  hbm::TopologyConfig topology;
-  CollectorConfig config;
-  config.label_maturity_s = 0.0;
-  OutcomeCollector collector(topology, config);
-  for (std::uint32_t bank = 0; bank < 8; ++bank) {
-    FeedAll(collector, UerBurst(bank, {100 + bank, 101 + bank, 102 + bank},
-                                bank * 2.0));
-  }
-  // Coverage tallies must survive the round trip too.
-  core::IsolationActions covered;
-  covered.first_failure = true;
-  covered.covered_by_row_spare = true;
-  auto extra = UerBurst(9, {50, 51, 52}, 0.0);
-  for (const auto& r : extra) collector.Record(r, covered);
-  collector.HarvestMature(collector.MaxTimeSeen());
-
-  std::ostringstream saved;
-  collector.Save(saved);
-
-  OutcomeCollector restored(topology, config);
-  std::istringstream in(saved.str());
-  restored.Load(in);
-  std::ostringstream resaved;
-  restored.Save(resaved);
-  EXPECT_EQ(resaved.str(), saved.str());
-  EXPECT_EQ(restored.Stats().replay_banks, collector.Stats().replay_banks);
-
-  const auto split = restored.SnapshotReplay();
-  std::size_t covered_banks = 0;
-  for (const auto& list : {split.train, split.holdout}) {
-    for (const auto& outcome : list) {
-      if (outcome->live_covered > 0) ++covered_banks;
-    }
-  }
-  EXPECT_EQ(covered_banks, 1u);
-}
-
-TEST(LearnCollector, LoadRejectsCorruptStreams) {
-  hbm::TopologyConfig topology;
-  OutcomeCollector collector(topology);
-  std::istringstream garbage("not a frame at all");
-  EXPECT_THROW(collector.Load(garbage), ParseError);
-  // A throw must leave the store unchanged.
-  EXPECT_EQ(collector.Stats().replay_banks, 0u);
 }
 
 }  // namespace

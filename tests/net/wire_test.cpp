@@ -9,10 +9,13 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "support/fnv1a.hpp"
 #include "trace/log_codec.hpp"
 
 namespace cordial::net {
 namespace {
+
+using test_support::Fnv1a;
 
 trace::MceRecord SampleRecord(double t, std::uint32_t row) {
   trace::MceRecord r;
@@ -79,6 +82,43 @@ TEST(NetWire, RoundTripsEveryMessageType) {
     const auto m = std::get<Imported>(RoundTrip(Imported{4}));
     EXPECT_EQ(m.shard, 4u);
   }
+}
+
+TEST(NetWire, FrameBytesMatchPinnedHashes) {
+  // Round trips compare the two ends of one build, so an encoder rewrite
+  // that changed the bytes on both ends would still pass them. These
+  // hashes pin the frames themselves, across builds: one message of each
+  // type, and the Batch frame built straight from a record span.
+  std::vector<trace::MceRecord> records = {SampleRecord(1.5, 10),
+                                           SampleRecord(2.5, 11),
+                                           SampleRecord(2.5, 12)};
+  records[1].type = hbm::ErrorType::kCe;
+  records[2].type = hbm::ErrorType::kUer;
+  const std::string state("framed\0bytes\n", 13);
+  const struct {
+    const char* name;
+    Message message;
+    std::uint64_t hash;
+  } goldens[] = {
+      {"hello", Hello{}, 0x84de4e53d54b0b9bull},
+      {"batch", Batch{42, records}, 0x78376da57af3fc5full},
+      {"ack", Ack{9, 1234}, 0xea9a949fd453e418ull},
+      {"reject", Reject{3, RejectReason::kBadSequence, 55},
+       0x12f95d4894c0dbc4ull},
+      {"export-shard", ExportShard{6}, 0xac2b4406ae9aa266ull},
+      {"shard-state", ShardState{2, state}, 0x956e8cd0921c3155ull},
+      {"import-shard", ImportShard{1, std::string(1000, 'x')},
+       0xf7170c14743e7e48ull},
+      {"imported", Imported{4}, 0xa23f3bf13b55992aull},
+  };
+  for (const auto& golden : goldens) {
+    const std::string frame = EncodeFrame(golden.message);
+    EXPECT_EQ(Fnv1a(frame), golden.hash)
+        << golden.name << " 0x" << std::hex << Fnv1a(frame);
+  }
+  const std::string batch_frame = EncodeBatchFrame(42, records);
+  EXPECT_EQ(batch_frame, EncodeFrame(goldens[1].message));
+  EXPECT_EQ(Fnv1a(batch_frame), goldens[1].hash);
 }
 
 TEST(NetWire, EmptyBatchRoundTrips) {

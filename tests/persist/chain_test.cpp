@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "common/framing.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/fleet_server.hpp"
+#include "support/fnv1a.hpp"
 #include "support/reframe.hpp"
 #include "support/serve_world.hpp"
 
@@ -35,6 +39,7 @@ namespace {
 using serve::FleetServer;
 using serve::test_support::SharedWorld;
 using serve::test_support::World;
+using test_support::Fnv1a;
 
 constexpr std::size_t kShardCount = 2;
 
@@ -281,24 +286,69 @@ TEST(ChainRecovery, RestoresBitIdenticallyToUninterruptedReference) {
   restored.Stop();
 }
 
+/// The v1 text MANIFEST an older build wrote over the first `members`
+/// members of `dir`'s epoch-1 chain: one line per member with its kind,
+/// epoch, seq, size, CRC-32 and file name.
+std::string V1TextManifest(const ScratchDir& dir, std::size_t members) {
+  std::string payload = "epoch 1\nentries " + std::to_string(members) + "\n";
+  for (std::size_t seq = 0; seq < members; ++seq) {
+    const std::string file =
+        seq == 0 ? "full-000001.ckpt"
+                 : "delta-000001.000" + std::to_string(seq) + ".ckpt";
+    const std::string bytes = FileBytes(dir.File(file));
+    payload += std::string(seq == 0 ? "full" : "delta") + " 1 " +
+               std::to_string(seq) + ' ' + std::to_string(bytes.size()) +
+               ' ' + std::to_string(Crc32(bytes)) + ' ' + file + '\n';
+  }
+  CloseFrame(payload, 0, kManifestMagic, 1);
+  return payload;
+}
+
 TEST(ChainRecovery, ScanRescueRestoresChainWithoutManifest) {
   const World& w = SharedWorld();
-  ScratchDir dir;
-  const std::vector<std::string> expected = BuildChain(w, dir, 24, 24, 96);
-  ::unlink(dir.File(kManifestFileName).c_str());
-  ::unlink((dir.File(kManifestFileName) + ".prev").c_str());
+  // No manifest at all, and the v1 text MANIFEST and MANIFEST.prev an
+  // older build leaves (the .prev one member short): v1 fails the version
+  // check, so both are quarantined and the directory scan restores the
+  // whole chain.
+  for (const bool older_build : {false, true}) {
+    SCOPED_TRACE(older_build ? "v1 text manifests" : "no manifest");
+    ScratchDir dir;
+    const std::vector<std::string> expected = BuildChain(w, dir, 24, 24, 96);
+    ASSERT_EQ(expected.size(), 5u);  // fresh, full, +3 deltas
+    const std::string manifest = dir.File(kManifestFileName);
+    ::unlink(manifest.c_str());
+    ::unlink((manifest + ".prev").c_str());
+    if (older_build) {
+      WriteBytes(manifest, V1TextManifest(dir, 4));
+      WriteBytes(manifest + ".prev", V1TextManifest(dir, 3));
+    }
 
-  FleetServer restored = MakeServer(w);
-  CheckpointChain chain(ChainConfig{dir.path(), 64});
-  const ChainRecoveryResult outcome = chain.Recover(restored);
-  EXPECT_FALSE(outcome.fresh_start());
-  EXPECT_EQ(Checkpoint(restored), expected.back());
+    FleetServer restored = MakeServer(w);
+    CheckpointChain chain(ChainConfig{dir.path(), 64});
+    const ChainRecoveryResult outcome = chain.Recover(restored);
+    EXPECT_FALSE(outcome.fresh_start());
+    EXPECT_EQ(outcome.applied.size(), 4u);
+    EXPECT_EQ(Checkpoint(restored), expected.back());
+    if (older_build) {
+      EXPECT_EQ(outcome.quarantined,
+                (std::vector<std::string>{manifest, manifest + ".prev"}));
+      for (const std::string& error : outcome.errors) {
+        EXPECT_NE(error.find("version mismatch — stream is v1"),
+                  std::string::npos)
+            << error;
+      }
+      EXPECT_TRUE(FileExists(manifest + ".corrupt"));
+      EXPECT_TRUE(FileExists(manifest + ".prev.corrupt"));
+    } else {
+      EXPECT_TRUE(outcome.quarantined.empty());
+    }
 
-  // Without a manifest the chain is not appendable: the next write starts a
-  // fresh epoch with a full.
-  const ChainWriteResult next = chain.Write(restored);
-  EXPECT_TRUE(next.full);
-  EXPECT_EQ(chain.epoch(), 2u);
+    // Without a usable manifest the chain is not appendable: the next
+    // write starts a fresh epoch with a full.
+    const ChainWriteResult next = chain.Write(restored);
+    EXPECT_TRUE(next.full);
+    EXPECT_EQ(chain.epoch(), 2u);
+  }
 }
 
 TEST(ChainRecovery, ManifestPrevFallbackDropsUnlistedTail) {
@@ -329,8 +379,9 @@ TEST(ChainRecovery, StartsFreshWhenEveryCandidateIsCorrupt) {
     // are quarantined and the server is untouched.
     ScratchDir dir;
     const std::string manifest = dir.File(kManifestFileName);
-    WriteBytes(manifest,
-               "cordial_ckpt_manifest v1 9999 crc32=00000000\ntruncated");
+    WriteBytes(manifest, "cordial_ckpt_manifest v" +
+                             std::to_string(kManifestVersion) +
+                             " 9999 crc32=00000000\ntruncated");
     WriteBytes(manifest + ".prev", "garbage, not a frame");
     CheckpointChain chain(ChainConfig{dir.path(), 64});
     const ChainRecoveryResult outcome = chain.Recover(recovered);
@@ -808,17 +859,23 @@ std::string ReframeWithExtra(const std::string& member, const char* magic,
   return out.str();
 }
 
+/// Require `call` to throw a ParseError whose message contains `what`.
 template <typename Call>
-void ExpectTrailingBytesError(Call call, std::size_t bytes) {
+void ExpectParseError(Call call, const std::string& what) {
   try {
     call();
-    FAIL() << "accepted " << bytes << " trailing byte(s)";
+    ADD_FAILURE() << "accepted; expected a ParseError saying \"" << what
+                  << "\"";
   } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find(std::to_string(bytes) +
-                                         " unexpected trailing byte(s)"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
         << e.what();
   }
+}
+
+template <typename Call>
+void ExpectTrailingBytesError(Call call, std::size_t bytes) {
+  ExpectParseError(call,
+                   std::to_string(bytes) + " unexpected trailing byte(s)");
 }
 
 TEST(ChainFold, TrailingPayloadBytesAreRejectedByEveryParser) {
@@ -894,15 +951,8 @@ TEST(ChainFold, TrailingPayloadBytesAreRejectedByEveryParser) {
 
 template <typename Call>
 void ExpectVersionMismatch(Call call, std::uint32_t version) {
-  try {
-    call();
-    FAIL() << "accepted an engine frame at retired version v" << version;
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("version mismatch — stream is v" +
-                                         std::to_string(version)),
-              std::string::npos)
-        << e.what();
-  }
+  ExpectParseError(call,
+                   "version mismatch — stream is v" + std::to_string(version));
 }
 
 TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
@@ -965,28 +1015,21 @@ TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
 
 // --- format goldens -------------------------------------------------------
 
-/// FNV-1a (64-bit) of a byte string.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
   // The fold oracle compares two outputs of one build, so an encoder
   // rewrite could change the format on both sides and still pass. These
   // hashes pin the bytes themselves, across builds: a binary full member,
-  // the delta after it, and their fold, for one seeded stream.
+  // the delta after it, their fold and the MANIFEST listing both, for one
+  // seeded stream.
   struct Golden {
     std::size_t shards;
-    std::uint64_t full, delta, fold;
+    std::uint64_t full, delta, fold, manifest;
   };
   const Golden goldens[] = {
-      {1, 0xd02f41f073315b8dull, 0xe5be70a5a601b6a9ull, 0x58a057db50ba35abull},
-      {2, 0x8225e1bfee141ad6ull, 0x089f6f99fd595781ull, 0xbe1a6a38bd257678ull},
+      {1, 0xd02f41f073315b8dull, 0xe5be70a5a601b6a9ull, 0x58a057db50ba35abull,
+       0xb30d16b3acbc9b29ull},
+      {2, 0x8225e1bfee141ad6ull, 0x089f6f99fd595781ull, 0xbe1a6a38bd257678ull,
+       0xee15febb7e00f78aull},
   };
   const World& w = SharedWorld();
   const std::size_t records = w.fleet.log.records().size();
@@ -1014,62 +1057,163 @@ TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
     EXPECT_EQ(Fnv1a(delta.str()), golden.delta) << std::hex
                                                 << Fnv1a(delta.str());
     EXPECT_EQ(Fnv1a(fold), golden.fold) << std::hex << Fnv1a(fold);
+    const std::string manifest = FileBytes(dir.File(kManifestFileName));
+    EXPECT_EQ(Fnv1a(manifest), golden.manifest) << std::hex
+                                                << Fnv1a(manifest);
   }
 }
 
 // --- manifest codec -------------------------------------------------------
 
-TEST(ChainManifest, CodecRoundTripsAndValidatesShape) {
+/// A canonical manifest: chain `epoch`'s full and then deltas 1..n, for
+/// `members` members, each with its own size and CRC-32.
+Manifest SampleManifest(std::uint64_t epoch, std::size_t members) {
   Manifest manifest;
-  manifest.epoch = 7;
-  ChainEntry full;
-  full.is_full = true;
-  full.epoch = 7;
-  full.seq = 0;
-  full.file = "full-000007.ckpt";
-  full.bytes = 123456;
-  full.crc32 = 0xDEADBEEFu;
-  manifest.entries.push_back(full);
-  for (std::uint64_t seq = 1; seq <= 2; ++seq) {
-    ChainEntry delta;
-    delta.is_full = false;
-    delta.epoch = 7;
-    delta.seq = seq;
-    delta.file = "delta-000007.000" + std::to_string(seq) + ".ckpt";
-    delta.bytes = 100 + seq;
-    delta.crc32 = static_cast<std::uint32_t>(seq);
-    manifest.entries.push_back(delta);
+  manifest.epoch = epoch;
+  for (std::size_t seq = 0; seq < members; ++seq) {
+    ChainEntry entry;
+    entry.is_full = seq == 0;
+    entry.epoch = epoch;
+    entry.seq = seq;
+    char file[64];
+    if (entry.is_full) {
+      std::snprintf(file, sizeof file, "full-%06llu.ckpt",
+                    static_cast<unsigned long long>(epoch));
+    } else {
+      std::snprintf(file, sizeof file, "delta-%06llu.%04zu.ckpt",
+                    static_cast<unsigned long long>(epoch), seq);
+    }
+    entry.file = file;
+    entry.bytes = 123456 + 1000 * seq;
+    entry.crc32 = 0xDEADBEEFu - static_cast<std::uint32_t>(seq);
+    manifest.entries.push_back(entry);
   }
+  return manifest;
+}
 
-  std::istringstream in(EncodeManifest(manifest));
-  const Manifest decoded = DecodeManifest(in);
+/// The payload of a framed manifest, and a payload framed as a manifest.
+std::string ManifestPayload(std::string_view framed) {
+  return std::string(ReadFramedView(framed, kManifestMagic, kManifestVersion));
+}
+std::string FramedManifest(std::string payload) {
+  CloseFrame(payload, 0, kManifestMagic, kManifestVersion);
+  return payload;
+}
+
+TEST(ChainManifest, CodecRoundTripsAndValidatesShape) {
+  const Manifest manifest = SampleManifest(7, 3);
+  const std::string bytes = EncodeManifest(manifest);
+  const Manifest decoded = DecodeManifest(bytes);
   EXPECT_EQ(decoded.epoch, manifest.epoch);
   ASSERT_EQ(decoded.entries.size(), manifest.entries.size());
   for (std::size_t i = 0; i < decoded.entries.size(); ++i) {
     EXPECT_EQ(decoded.entries[i].is_full, manifest.entries[i].is_full);
+    EXPECT_EQ(decoded.entries[i].epoch, manifest.entries[i].epoch);
     EXPECT_EQ(decoded.entries[i].seq, manifest.entries[i].seq);
     EXPECT_EQ(decoded.entries[i].file, manifest.entries[i].file);
     EXPECT_EQ(decoded.entries[i].bytes, manifest.entries[i].bytes);
     EXPECT_EQ(decoded.entries[i].crc32, manifest.entries[i].crc32);
   }
+  EXPECT_EQ(EncodeManifest(decoded), bytes);
 
-  // A chain that does not start with a full is malformed.
-  Manifest headless = manifest;
-  headless.entries.erase(headless.entries.begin());
-  std::istringstream headless_in(EncodeManifest(headless));
-  EXPECT_THROW(DecodeManifest(headless_in), ParseError);
+  // Only sizes and CRCs are stored, so the encoder refuses a manifest
+  // whose kinds, seqs, epochs or names the positions would not derive.
+  const auto refused = [](const char* what,
+                          const std::function<void(Manifest&)>& edit) {
+    Manifest bad = SampleManifest(7, 3);
+    edit(bad);
+    EXPECT_THROW(EncodeManifest(bad), ContractViolation) << what;
+  };
+  refused("no member", [](Manifest& m) { m.entries.clear(); });
+  refused("a delta first",
+          [](Manifest& m) { m.entries.erase(m.entries.begin()); });
+  refused("a seq gap", [](Manifest& m) {
+    m.entries.back().seq = 5;
+    m.entries.back().file = "delta-000007.0005.ckpt";
+  });
+  refused("a foreign epoch", [](Manifest& m) { m.entries.back().epoch = 8; });
+  refused("a second full", [](Manifest& m) { m.entries[1].is_full = true; });
+  refused("another file name",
+          [](Manifest& m) { m.entries[1].file = "delta-000007.0009.ckpt"; });
 
-  // A gap in the delta sequence is malformed.
-  Manifest gapped = manifest;
-  gapped.entries.back().seq = 5;
-  std::istringstream gapped_in(EncodeManifest(gapped));
-  EXPECT_THROW(DecodeManifest(gapped_in), ParseError);
+  // The decoder refuses, under a frame whose CRC vouches for the payload,
+  // an empty member list, a count past the bytes left, every truncation
+  // and trailing bytes, in the payload or after the frame.
+  const std::string payload = ManifestPayload(bytes);
+  ASSERT_EQ(payload.size(), 8u + 4u + 3u * 12u);
+  ExpectParseError(
+      [&] {
+        DecodeManifest(FramedManifest(payload.substr(0, 8) +
+                                      std::string(4, '\0')));
+      },
+      "chain has no members");
+  std::string overcount = payload;
+  overcount[8] = 4;
+  ExpectParseError([&] { DecodeManifest(FramedManifest(overcount)); },
+                   "implausible element count 4");
+  for (std::size_t length = 0; length < payload.size(); ++length) {
+    EXPECT_THROW(DecodeManifest(FramedManifest(payload.substr(0, length))),
+                 ParseError)
+        << "payload cut to " << length << " bytes";
+  }
+  ExpectTrailingBytesError(
+      [&] { DecodeManifest(FramedManifest(payload + "x")); }, 1);
+  ExpectTrailingBytesError([&] { DecodeManifest(bytes + "xy"); }, 2);
+}
 
-  // A member from another epoch is malformed.
-  Manifest crossed = manifest;
-  crossed.entries.back().epoch = 8;
-  std::istringstream crossed_in(EncodeManifest(crossed));
-  EXPECT_THROW(DecodeManifest(crossed_in), ParseError);
+TEST(ChainManifest, PayloadMutantsFailClosedOrDecodeCanonically) {
+  // Modelled on the NetWire and ModelParser mutant tests. First every
+  // single-bit flip of a framed 3-member manifest, the header's crc32 left
+  // stale: DecodeManifest must refuse each with ParseError. Then 10^4
+  // seeded mutants of its payload that rewrite 2 to 8 random bytes,
+  // re-framed with their own crc32: the checksum passes, so the payload
+  // decoder is the only line of defence, and each must throw ParseError or
+  // decode to a manifest that re-encodes to exactly the mutant.
+  const std::string framed = EncodeManifest(SampleManifest(7, 3));
+  std::size_t flips_refused = 0;
+  std::string flipped = framed;
+  for (std::size_t at = 0; at < framed.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      flipped[at] = static_cast<char>(framed[at] ^ (1 << bit));
+      try {
+        DecodeManifest(flipped);
+        ADD_FAILURE() << "byte " << at << " bit " << bit << ": accepted";
+      } catch (const ParseError&) {
+        ++flips_refused;
+      }
+    }
+    flipped[at] = framed[at];
+  }
+  EXPECT_EQ(flips_refused, framed.size() * 8);
+
+  const std::string pristine = ManifestPayload(framed);
+  std::mt19937_64 rng(20261019);
+  std::size_t refused = 0;
+  std::size_t decoded = 0;
+  for (int m = 0; m < 10000; ++m) {
+    std::string payload = pristine;
+    const auto bytes = 2 + static_cast<int>(rng() % 7);
+    for (int b = 0; b < bytes; ++b) {
+      payload[rng() % payload.size()] = static_cast<char>(rng());
+    }
+    const std::string mutant = FramedManifest(payload);
+    Manifest manifest;
+    try {
+      manifest = DecodeManifest(mutant);
+    } catch (const ParseError&) {
+      ++refused;
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << m << ": " << e.what();
+    }
+    ++decoded;
+    EXPECT_EQ(EncodeManifest(manifest), mutant) << "mutant " << m;
+  }
+  std::printf("manifest flips: %zu refused; manifest payload mutants: %zu "
+              "refused, %zu decoded\n",
+              flips_refused, refused, decoded);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 }  // namespace

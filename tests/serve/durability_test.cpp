@@ -495,18 +495,23 @@ TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
   }
 }
 
-/// Payload offsets of the UER counts of one bank blob: the Cordial state's
-/// uer_events_seen and classified flag, then the profile's accepted UERs,
-/// capped flag, its live and frozen views' UER counts and its cross-row UER
-/// count. The blob is read with the codec's own primitives in the order the
-/// engine and BankProfile::SaveBinary write it; a format change that moves
-/// these fields makes the test's consistent forgery fail to restore.
+/// Payload offsets of the counts of one bank blob: the Cordial state's
+/// uer_events_seen and classified flag, then the profile's event count,
+/// accepted UERs, capped flag, its live and frozen views' CE counts (the
+/// UEO count is the next byte while counts are one-byte varints) and UER
+/// counts, and its cross-row UER count. The blob is read with the codec's
+/// own primitives in the order the engine and BankProfile::SaveBinary
+/// write it; a format change that moves these fields makes the test's
+/// consistent forgery fail to restore.
 struct ViewCountFields {
   std::size_t uer_events_seen = 0;
   std::size_t classified = 0;
+  std::size_t events = 0;
   std::size_t accepted = 0;
   std::size_t capped = 0;
+  std::size_t live_ces = 0;
   std::size_t live_uers = 0;
+  std::size_t frozen_ces = 0;
   std::size_t frozen_uers = 0;
   std::size_t crossrow_uers = 0;
 };
@@ -560,13 +565,16 @@ ViewCountFields LocateViewCounts(std::string_view engine_payload,
   in.U8();         // failure class
   in.VarSigned();  // last anchor row
   in.Var();        // truncation depth
-  in.Var();        // events
+  at.events = span.offset + in.position();
+  in.Var();
   at.accepted = span.offset + in.position();
   in.Var();
   at.capped = span.offset + in.position();
   in.Bool();
   SkipMaskedF64(in);  // last event time, cutoff
+  at.live_ces = span.offset + in.position();
   at.live_uers = span.offset + SkipClassAccumulator(in);
+  at.frozen_ces = span.offset + in.position();
   at.frozen_uers = span.offset + SkipClassAccumulator(in);
   in.Var();  // CEs
   in.Var();  // UEOs
@@ -712,11 +720,12 @@ void ReplaceBlob(std::string& engine, const BlobSpan& span,
 /// Forge the first bank of an engine payload, a bank that has seen no UER,
 /// into a classified bank whose view is capped at `depth` UERs with every
 /// count and chain agreeing: the Cordial state and the accepted count say
-/// `depth` UERs, and `depth` UERs on row 0 at the bank's last event time go
-/// through ClassAccumulator::Absorb into the live view, which the frozen
-/// view then copies, and through the cross-row view's counts, chains and
-/// row set as CrossRowAccumulator::Absorb takes them. Returns the offsets of
-/// the forged blob's view counts.
+/// `depth` UERs, the profile's event count grows by `depth`, and `depth`
+/// UERs on row 0 at the bank's last event time go through
+/// ClassAccumulator::Absorb into the live view, which the frozen view then
+/// copies, and through the cross-row view's counts, chains and row set as
+/// CrossRowAccumulator::Absorb takes them. Returns the offsets of the
+/// forged blob's view counts.
 ViewCountFields ForgeCappedView(std::string& engine, char depth) {
   const std::vector<BlobSpan> blobs = BankBlobs(engine);
   EXPECT_FALSE(blobs.empty());
@@ -727,6 +736,9 @@ ViewCountFields ForgeCappedView(std::string& engine, char depth) {
     EXPECT_EQ(engine[count], 0);
     engine[count] = depth;
   }
+  EXPECT_LT(engine[at.events] + depth, 0x80)
+      << "the event count must stay a one-byte varint";
+  engine[at.events] = static_cast<char>(engine[at.events] + depth);
   engine[at.classified] = 1;
   engine[at.capped] = 1;
   ForgedBlob blob(std::string_view(engine).substr(blobs.front().offset,
@@ -804,6 +816,22 @@ TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
       {"uer_events_seen",
        [&](std::string& e, const ViewCountFields& f) {
          e[f.uer_events_seen] = static_cast<char>(depth + 1);
+       }},
+      // Every Observe counts its record in the profile's events and the
+      // cross-row all_count, and every record a view absorbs went through
+      // the cross-row view first. The forged view's CE and UEO counts
+      // equal the cross-row ones, so one more is one too many.
+      {"profile events",
+       [](std::string& e, const ViewCountFields& f) { --e[f.events]; }},
+      {"live classification view ce_total",
+       [](std::string& e, const ViewCountFields& f) { ++e[f.live_ces]; }},
+      {"live classification view ueo_total",
+       [](std::string& e, const ViewCountFields& f) { ++e[f.live_ces + 1]; }},
+      {"frozen classification view ce_total",
+       [](std::string& e, const ViewCountFields& f) { ++e[f.frozen_ces]; }},
+      {"frozen classification view ueo_total",
+       [](std::string& e, const ViewCountFields& f) {
+         ++e[f.frozen_ces + 1];
        }},
   };
   for (const TortureDonor& donor : TortureDonors()) {
