@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -267,13 +270,17 @@ std::vector<double> ReferenceCrossRowFeatures(
 
 // -------------------------------------------------------------- harness
 
-/// Random bank with deliberate timestamp ties and row repeats.
-std::vector<trace::MceRecord> RandomEvents(Rng& rng, std::size_t n) {
+/// Random bank with deliberate timestamp ties and row repeats. With
+/// `negative_zero_start` the first event is stamped -0.0 (the ties after it
+/// too), so a sign of zero that a statistic keeps or loses shows in its bits.
+std::vector<trace::MceRecord> RandomEvents(Rng& rng, std::size_t n,
+                                           bool negative_zero_start = false) {
   std::vector<trace::MceRecord> events;
-  double t = 0.0;
+  double t = negative_zero_start ? -0.0 : 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     // ~25% chance of reusing the previous timestamp (a tie).
-    if (i == 0 || !rng.Bernoulli(0.25)) t += rng.UniformReal(0.5, 50.0);
+    const bool tie = i == 0 ? negative_zero_start : rng.Bernoulli(0.25);
+    if (!tie) t += rng.UniformReal(0.5, 50.0);
     // Cluster rows so repeats and small gaps are common.
     const std::uint32_t row =
         rng.Bernoulli(0.5)
@@ -293,67 +300,81 @@ void ExpectBitIdentical(const std::vector<double>& expected,
                         const std::string& what) {
   ASSERT_EQ(expected.size(), actual.size()) << what;
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    // Bit-level comparison: the refactor promises identical arithmetic.
-    EXPECT_EQ(expected[i], actual[i]) << what << " feature " << i;
+    // Bit-level comparison: the refactor promises identical arithmetic, so
+    // -0.0 against +0.0 is a difference.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[i]),
+              std::bit_cast<std::uint64_t>(actual[i]))
+        << what << " feature " << i << ": " << expected[i] << " vs "
+        << actual[i];
   }
 }
 
 TEST(BankProfileProperty, IncrementalMatchesBatchAtEveryPrefix) {
+  // Every truncation depth up to 4, 50 seeded banks a depth; every fifth
+  // bank opens at t = -0.0.
   const hbm::TopologyConfig topology;
-  const ClassificationFeatureExtractor class_extractor(topology, 3);
   const CrossRowFeatureExtractor crossrow_extractor(topology, 8, 16);
   Rng rng(20240811);
 
-  for (int trial = 0; trial < 25; ++trial) {
-    const auto events = RandomEvents(rng, 60);
-    BankProfile incremental(3);
-    trace::BankHistory prefix;
+  for (std::size_t depth = 1; depth <= 4; ++depth) {
+    const ClassificationFeatureExtractor class_extractor(topology, depth);
+    for (int trial = 0; trial < 50; ++trial) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + " trial " +
+                   std::to_string(trial));
+      const auto events = RandomEvents(rng, 60, trial % 5 == 0);
+      BankProfile incremental(depth);
+      trace::BankHistory prefix;
 
-    for (std::size_t k = 0; k < events.size(); ++k) {
-      incremental.Observe(events[k]);
-      prefix.events.push_back(events[k]);
+      for (std::size_t k = 0; k < events.size(); ++k) {
+        incremental.Observe(events[k]);
+        prefix.events.push_back(events[k]);
 
-      const bool has_uer = std::any_of(
-          prefix.events.begin(), prefix.events.end(),
-          [](const trace::MceRecord& r) { return r.type == ErrorType::kUer; });
-      if (!has_uer) {
-        EXPECT_FALSE(incremental.HasClassificationView());
-        continue;
-      }
+        const bool has_uer = std::any_of(
+            prefix.events.begin(), prefix.events.end(),
+            [](const trace::MceRecord& r) {
+              return r.type == ErrorType::kUer;
+            });
+        if (!has_uer) {
+          EXPECT_FALSE(incremental.HasClassificationView());
+          continue;
+        }
 
-      // Truncation state matches TruncateAtUer on the prefix.
-      const TruncatedHistory view = TruncateAtUer(prefix, 3);
-      ASSERT_TRUE(incremental.HasClassificationView());
-      EXPECT_EQ(incremental.classification_cutoff_s(), view.cutoff_s);
-      EXPECT_EQ(incremental.classification_uer_count(), view.uer_count);
+        // Truncation state matches TruncateAtUer on the prefix.
+        const TruncatedHistory view = TruncateAtUer(prefix, depth);
+        ASSERT_TRUE(incremental.HasClassificationView());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      incremental.classification_cutoff_s()),
+                  std::bit_cast<std::uint64_t>(view.cutoff_s));
+        EXPECT_EQ(incremental.classification_uer_count(), view.uer_count);
 
-      // Classification features: reference scan == batch wrapper ==
-      // incremental profile, bit for bit.
-      const auto reference = ReferenceClassFeatures(prefix, topology, 3);
-      ExpectBitIdentical(reference, class_extractor.Extract(prefix),
-                         "class batch wrapper");
-      ExpectBitIdentical(reference,
-                         class_extractor.ExtractFromProfile(incremental),
-                         "class incremental");
+        // Classification features: reference scan == batch wrapper ==
+        // incremental profile, bit for bit.
+        const auto reference = ReferenceClassFeatures(prefix, topology, depth);
+        ExpectBitIdentical(reference, class_extractor.Extract(prefix),
+                           "class batch wrapper");
+        ExpectBitIdentical(reference,
+                           class_extractor.ExtractFromProfile(incremental),
+                           "class incremental");
 
-      // Cross-row features at UER events, over every in-bank block.
-      if (events[k].type != ErrorType::kUer) continue;
-      const std::uint32_t anchor_row = events[k].address.row;
-      const double anchor_time = events[k].time_s;
-      const BlockWindow window = crossrow_extractor.WindowAt(anchor_row);
-      for (std::size_t b = 0; b < 16; ++b) {
-        if (!window.BlockRange(b).has_value()) continue;
-        const auto cr_reference = ReferenceCrossRowFeatures(
-            prefix, topology, window, anchor_time, anchor_row, b);
-        ExpectBitIdentical(
-            cr_reference,
-            crossrow_extractor.Extract(prefix, anchor_time, anchor_row, b),
-            "crossrow batch wrapper");
-        ExpectBitIdentical(
-            cr_reference,
-            crossrow_extractor.ExtractFromProfile(incremental, anchor_time,
-                                                  anchor_row, b),
-            "crossrow incremental");
+        // Cross-row features at UER events, over every in-bank block.
+        if (events[k].type != ErrorType::kUer) continue;
+        const std::uint32_t anchor_row = events[k].address.row;
+        const double anchor_time = events[k].time_s;
+        const BlockWindow window = crossrow_extractor.WindowAt(anchor_row);
+        for (std::size_t b = 0; b < 16; ++b) {
+          if (!window.BlockRange(b).has_value()) continue;
+          const auto cr_reference = ReferenceCrossRowFeatures(
+              prefix, topology, window, anchor_time, anchor_row, b);
+          ExpectBitIdentical(
+              cr_reference,
+              crossrow_extractor.Extract(prefix, anchor_time, anchor_row, b),
+              "crossrow batch wrapper");
+          ExpectBitIdentical(
+              cr_reference,
+              crossrow_extractor.ExtractFromProfile(incremental, anchor_time,
+                                                    anchor_row, b),
+              "crossrow incremental");
+        }
       }
     }
   }
