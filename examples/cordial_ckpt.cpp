@@ -26,6 +26,7 @@
 
 #include "common/check.hpp"
 #include "common/table.hpp"
+#include "core/persist.hpp"
 #include "persist/chain.hpp"
 #include "serve/checkpoint.hpp"
 
@@ -47,7 +48,11 @@ int PrintVersion() {
             << "  fleet checkpoint:  " << serve::kFleetCheckpointMagic << " v"
             << serve::kFleetCheckpointVersion << "\n"
             << "  fleet delta:       " << serve::kFleetDeltaMagic << " v"
-            << serve::kFleetDeltaVersion << "\n";
+            << serve::kFleetDeltaVersion << "\n"
+            << "  engine state:      " << core::kEngineStateMagic << " v"
+            << core::kEngineStateVersion << " (binary)\n"
+            << "  engine delta:      " << core::kEngineDeltaMagic << " v"
+            << core::kEngineDeltaVersion << "\n";
   return 0;
 }
 

@@ -123,13 +123,17 @@ else
   ./build/examples/cordial_ckpt export "$SMOKE/ref" "$SMOKE/ref.full" \
     2> /dev/null
 
-  # Both --version printouts list the chain manifest format the chain
-  # above was written in.
+  # Both --version printouts list the chain manifest and engine frame
+  # formats the chain above was written in.
   for BIN in cordial_serverd cordial_ckpt; do
-    ./build/examples/$BIN --version |
-      grep -q "chain manifest: *cordial_ckpt_manifest v2 (binary)" || {
-        echo "tier1: $BIN --version does not list chain manifest v2"
+    VERSION=$(./build/examples/$BIN --version)
+    for FORMAT in "chain manifest: *cordial_ckpt_manifest v2 (binary)" \
+                  "engine state: *cordial_engine_state v5 " \
+                  "engine delta: *cordial_engine_delta v4$"; do
+      grep -q "$FORMAT" <<< "$VERSION" || {
+        echo "tier1: $BIN --version does not list \"$FORMAT\""
         exit 1; }
+    done
   done
 
   # Durability drill: the failpoint power-cuts (::_exit 121) the second

@@ -5,19 +5,6 @@
 // distinct error rows), every spatial/temporal/count statistic the two
 // feature extractors need:
 //
-//  * a CLASSIFICATION view — the history truncated at the `max_uers`-th UER
-//    exactly as TruncateAtUer defines it (CE/UEO up to and including the
-//    cutoff timestamp, UERs capped), maintained as a *live* accumulator plus
-//    a *frozen* snapshot taken at each accepted UER. The snapshot-at-UER
-//    construction preserves the batch path's left-to-right summation order,
-//    so derived features are bit-identical to scanning the truncated events.
-//    Only a bank with a UER is ever classified, so the view is allocated at
-//    the bank's first UER. Before it, the live accumulator would have
-//    absorbed exactly the cross-row view's records and the snapshot would
-//    be empty, so both are derived when needed (the encoder, the first UER):
-//    from the cross-row view plus two same-timestamp CE/UEO counters. A bank
-//    without a UER holds no classification state.
-//
 //  * a CROSS-ROW view — untruncated running statistics over the full prefix:
 //    per-type sorted distinct rows as u32 (window proximity and range counts
 //    by binary search, comparing double(row) as the batch scans compare
@@ -25,6 +12,19 @@
 //    chains, row extrema, and the sorted gaps between distinct UER rows (so
 //    EstimateRowStride's "smallest gap above the adjacency floor" is an
 //    O(log d) query instead of a rescan).
+//
+//  * a CLASSIFICATION view — the history truncated at the `max_uers`-th UER
+//    exactly as TruncateAtUer defines it (CE/UEO up to and including the
+//    cutoff timestamp, UERs capped). Until the cap every record is in the
+//    truncated view, so at each accepted UER the view is a snapshot of the
+//    cross-row view; after it, the view absorbs only the CEs and UEOs tied
+//    with its cutoff. The snapshot carries the cross-row view's
+//    left-to-right sums, so derived features are bit-identical to scanning
+//    the truncated events. Only a bank with a UER is ever classified, so the
+//    view is allocated at the bank's first UER, which also fixes its two
+//    first-UER densities from the cross-row counts and two same-timestamp
+//    CE/UEO counters kept until then. A bank without a UER holds no
+//    classification state.
 //
 // Feeding a profile the prefix of events with time <= t reproduces, bit for
 // bit, what the batch extractors compute from a BankHistory scanned up to t;
@@ -81,16 +81,12 @@ struct ClassAccumulator {
   double uer_row_min = 0.0, uer_row_max = 0.0;
   DiffChain uer_row_diff, all_row_diff;  ///< rows, event order
   DiffChain ce_dt, ueo_dt, uer_dt;       ///< timestamps, per type
-  double first_uer_time = 0.0, last_uer_time = 0.0;
+  double first_uer_time = 0.0;
+  double last_uer_time = 0.0;  ///< the cutoff: the last accepted UER's time
   std::vector<std::uint32_t> distinct_uer_rows;  ///< ascending, <= max_uers
   double ce_before_first_uer = 0.0, ueo_before_first_uer = 0.0;
 
-  // Counts at the newest timestamp, for the strictly-before-first-UER
-  // semantics of the density features.
-  bool any_event = false;
-  double last_time = 0.0;
-  std::size_t ce_at_last_time = 0, ueo_at_last_time = 0;
-
+  /// Absorb a CE or UEO record (never a UER) tied with last_uer_time.
   void Absorb(const trace::MceRecord& record);
 };
 
@@ -131,10 +127,10 @@ class BankProfile {
   void ObserveAll(const trace::BankHistory& bank);
 
   std::size_t max_uers() const { return max_uers_; }
-  std::size_t event_count() const { return events_; }
-  bool empty() const { return events_ == 0; }
+  std::size_t event_count() const { return crossrow_.all_count; }
+  bool empty() const { return crossrow_.all_count == 0; }
   /// Timestamp of the newest observed record (only valid when !empty()).
-  double last_time_s() const { return last_time_; }
+  double last_time_s() const { return crossrow_.last_event_time; }
 
   // --- classification (truncated) view -----------------------------------
   /// True once at least one UER has been accepted into the truncated view.
@@ -143,7 +139,7 @@ class BankProfile {
   double classification_cutoff_s() const;
   /// UER events in the truncated view == TruncateAtUer(...).uer_count.
   std::size_t classification_uer_count() const {
-    return view_ != nullptr ? view_->uer_accepted : 0;
+    return view_ != nullptr ? view_->uer_events : 0;
   }
   /// The truncated view's statistics (all defaults before the first UER).
   const ClassAccumulator& classification() const;
@@ -158,54 +154,41 @@ class BankProfile {
   /// Whether `row` has already shown a UER — O(log d).
   bool HasUerRow(std::uint32_t row) const;
 
-  /// Serialize every accumulator (engine-state and delta payloads): varint
-  /// counts, sorted rows as first value plus gaps, doubles as raw bit
-  /// patterns behind presence masks. A profile restored by LoadBinary
-  /// continues absorbing events bit-identically to the original (the
-  /// checkpoint/restore layer depends on this), and LoadBinary refuses any
-  /// byte sequence SaveBinary would not write (ParseError). Before the
-  /// first UER the classification view is written as derived, and
-  /// LoadBinary refuses any other view without an accepted UER. It also
-  /// refuses cross-row counts that contradict what Absorb keeps with them
-  /// (all_count, the per-type row sets, the UER row extrema and first UER
-  /// time, each DiffChain against the pushes that fed it), an event count
-  /// other than the cross-row all_count, and a classification view with
-  /// more CEs or UEOs than the cross-row counts or a distinct UER row the
-  /// cross-row view lacks, naming the fields.
-  /// uer_row_gaps is derived, so it is rebuilt on load.
+  /// Serialize what no other field determines (engine-state and delta
+  /// payloads, DESIGN.md §14): the depth, the cross-row view's per-type
+  /// counts, first-UER and last-event times, chain sums/extrema/lasts and
+  /// row sets, then before the first UER the two same-timestamp counters
+  /// and after it the classification view without the fields the cross-row
+  /// view and the depth determine. Counts are varints, sorted rows first
+  /// value plus gaps, doubles raw bit patterns behind presence masks. A
+  /// profile restored by LoadBinary continues absorbing events
+  /// bit-identically to the original (the checkpoint/restore layer depends
+  /// on this).
   void SaveBinary(persist::BinaryWriter& out) const;
+
+  /// Decode SaveBinary's bytes and recompute what they leave out: the
+  /// cross-row all_count, UER row extrema and gaps, every chain's count and
+  /// has_last, and the view's presence, UER count (min(UERs, depth)), UER
+  /// row extrema and first UER time. Refuses (ParseError, naming the field)
+  /// depth 0, type counts whose sum overflows, a row set that is empty
+  /// other than when its count is 0 or holds more rows than it, a first
+  /// UER time other than +0.0 before the first UER, a chain with sum, min
+  /// or max other than +0.0 before its first difference, last other than
+  /// +0.0 before its first push, or min above max, a same-timestamp
+  /// counter above its type's count, and a classification view with more
+  /// CEs or UEOs than the cross-row view or a distinct UER row it lacks.
   static BankProfile LoadBinary(persist::BinaryReader& in);
 
-  /// Refuse, through `in`, a decoded profile whose classification view
-  /// contradicts its counts: accepted UERs other than min(UERs observed,
-  /// depth), a capped flag other than (accepted == depth), a live or frozen
-  /// UER count other than accepted, and in either view a DiffChain that
-  /// disagrees with the events that fed it or UER row extrema other than
-  /// the ends of its distinct UER rows. The engine's bank-blob decoder runs
-  /// this after its own depth and clock checks.
-  void CheckViewCounts(const persist::BinaryReader& in) const;
-
  private:
-  /// The classification view of a bank that has seen a UER.
-  struct ClassView {
-    std::size_t uer_accepted = 0;  ///< UERs in the truncated view
-    bool capped = false;           ///< reached max_uers accepted UERs
-    double cutoff = 0.0;           ///< time of the last accepted UER
-    ClassAccumulator live;    ///< all pre-cap events, in arrival order
-    ClassAccumulator frozen;  ///< snapshot at the last accepted UER (+ ties)
-  };
-
-  /// The view as it stands before the first UER: `live` holds what
-  /// crossrow_ holds plus the same-timestamp counters, the rest defaults.
-  ClassView DerivedView() const;
+  /// Set the view to the cross-row view as it stands: every record so far
+  /// is in the truncated view. The first-UER densities are kept.
+  void SnapshotCrossRow();
 
   std::size_t max_uers_;
-  std::size_t events_ = 0;
-  double last_time_ = 0.0;
   /// CE/UEO records at the newest timestamp, kept only until the first
-  /// UER: the part of the derived live accumulator crossrow_ lacks.
+  /// UER, whose densities count the records strictly before it.
   std::size_t ce_at_last_time_ = 0, ueo_at_last_time_ = 0;
-  std::unique_ptr<ClassView> view_;  ///< null until the first UER
+  std::unique_ptr<ClassAccumulator> view_;  ///< null until the first UER
   CrossRowAccumulator crossrow_;
 };
 

@@ -302,22 +302,23 @@ const BankProfile* PredictionEngine::FindProfile(std::uint64_t bank_key) const {
 
 // ------------------------------------------------------ binary state codec
 //
-// Full (cordial_engine_state v4) and delta (cordial_engine_delta v3)
+// Full (cordial_engine_state v5) and delta (cordial_engine_delta v4)
 // payloads share one self-delimiting shape:
 //
 //   u32 header_len | header | u64 bank_count | bank records...
 //   bank record := u64 bank_key | u32 blob_len | blob
-//   blob := var uer_events_seen | var anchors_used | bool classified |
-//           u8 bank_class | zigzag last_anchor_row | profile |
+//   blob := var anchors_used | bool classified | u8 bank_class |
+//           zigzag last_anchor_row | profile |
 //           u8 ledger flags | [rows as first + ascending gaps]
 //
 // The header and the record frame are fixed-width; inside a blob, counts
-// are varints and doubles raw bits behind presence masks
-// (BankProfile::SaveBinary). The explicit lengths make the payload
-// structurally parseable without models or topology: the offline
-// inspector (persist::) folds a delta chain by overlaying bank records
-// keyed by bank_key and keeping the newest header verbatim — producing
-// exactly the bytes a live full save would. Bank records are emitted in
+// are varints and doubles raw bits behind presence masks, and nothing
+// another field determines is written (BankProfile::SaveBinary; the
+// Cordial state's uer_events_seen is the profile's UER count). The
+// explicit lengths make the payload structurally parseable without models
+// or topology: the offline inspector (persist::) folds a delta chain by
+// overlaying bank records keyed by bank_key and keeping the newest header
+// verbatim — producing exactly the bytes a live full save would. Bank records are emitted in
 // strictly ascending key order, so equal states serialize identically, and
 // the readers refuse any other order.
 
@@ -395,7 +396,6 @@ constexpr std::uint8_t kBlobFlags = kBlobHasLedgerEntry | kBlobBankSpared;
 void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
                     const BankProfile& profile,
                     const hbm::SparingLedger& ledger, std::uint64_t key) {
-  out.Var(cordial.uer_events_seen);
   out.Var(cordial.anchors_used);
   out.Bool(cordial.classified);
   out.U8(static_cast<std::uint8_t>(cordial.bank_class));
@@ -426,15 +426,11 @@ struct BankBlob {
 /// an engine whose classifier truncates at `max_uers`. A profile
 /// accumulated at another depth, or one whose last event is past the clock
 /// (or NaN), is refused here: the bank's next classification, or its next
-/// record at the clock, would otherwise throw on a shard worker. So, after
-/// those two checks, are a classification view that contradicts its counts
-/// and Cordial state that counts other UERs than its profile: the bank's
-/// next UER could classify from an empty view.
+/// record at the clock, would otherwise throw on a shard worker.
 BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
                         double now) {
   persist::BinaryReader in(bytes, "engine bank blob");
   BankBlob blob;
-  blob.cordial.uer_events_seen = static_cast<std::size_t>(in.Var());
   blob.cordial.anchors_used = static_cast<std::size_t>(in.Var());
   blob.cordial.classified = in.Bool();
   const std::uint8_t bank_class = in.U8();
@@ -452,13 +448,8 @@ BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
             std::to_string(blob.profile.last_time_s()) +
             " s is past the engine clock " + std::to_string(now) + " s");
   }
-  blob.profile.CheckViewCounts(in);
-  if (blob.cordial.uer_events_seen != blob.profile.uer_event_count()) {
-    in.Fail("Cordial uer_events_seen " +
-            std::to_string(blob.cordial.uer_events_seen) +
-            " != the profile's " +
-            std::to_string(blob.profile.uer_event_count()) + " UERs");
-  }
+  // StepCordial counts every UER the profile absorbs.
+  blob.cordial.uer_events_seen = blob.profile.uer_event_count();
 
   const std::uint8_t flags = in.U8();
   if ((flags & ~kBlobFlags) != 0) in.Fail("unknown ledger flags");

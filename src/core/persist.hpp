@@ -20,19 +20,21 @@ inline constexpr char kCrossRowModelMagic[] = "cordial_crossrow_model";
 inline constexpr std::uint32_t kModelFrameVersion = 3;
 
 inline constexpr char kEngineStateMagic[] = "cordial_engine_state";
-// v4: binary payload (persist/binary_io.hpp codec) whose header carries the
-// engine's skew clock and whose bank blobs are compact — varint counts,
-// sorted rows as first value plus gaps, doubles as raw IEEE-754 bits behind
-// presence masks. v1 (text), v2 (binary with replayer windows) and v3
-// (fixed-width blobs) are retired: their frames fail with a
-// version-mismatch ParseError.
-inline constexpr std::uint32_t kEngineStateVersion = 4;
+// v5: binary payload (persist/binary_io.hpp codec) whose header carries the
+// engine's skew clock and whose bank blobs hold only what the decoder
+// cannot compute (DESIGN.md §14) — varint counts, sorted rows as first
+// value plus gaps, doubles as raw IEEE-754 bits behind presence masks, and
+// one classification view, written only after a bank's first UER. v1
+// (text), v2 (binary with replayer windows), v3 (fixed-width blobs) and v4
+// (blobs that also carried the derived counts, a live and a frozen view)
+// are retired: their frames fail with a version-mismatch ParseError.
+inline constexpr std::uint32_t kEngineStateVersion = 5;
 
 // Delta snapshot: only the banks dirtied since the last checkpoint, plus the
 // global counters, in the same binary payload shape as the full. Applied on
-// top of a restored full state. v1 (with replayer windows) and v2
-// (fixed-width blobs) are retired.
+// top of a restored full state. v1 (with replayer windows), v2 (fixed-width
+// blobs) and v3 (engine state v4's blobs) are retired.
 inline constexpr char kEngineDeltaMagic[] = "cordial_engine_delta";
-inline constexpr std::uint32_t kEngineDeltaVersion = 3;
+inline constexpr std::uint32_t kEngineDeltaVersion = 4;
 
 }  // namespace cordial::core

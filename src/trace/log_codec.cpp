@@ -10,6 +10,7 @@
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
+#include "persist/binary_io.hpp"
 
 namespace cordial::trace {
 
@@ -118,15 +119,8 @@ bool LogCodec::IsCsvHeader(const std::string& line) {
 
 namespace {
 
-/// Little-endian scalar append/read — explicit byte shifts, so the wire
-/// bytes are identical on any host endianness.
-void AppendU32(std::uint32_t value, std::string& out) {
-  out.push_back(static_cast<char>(value & 0xFF));
-  out.push_back(static_cast<char>((value >> 8) & 0xFF));
-  out.push_back(static_cast<char>((value >> 16) & 0xFF));
-  out.push_back(static_cast<char>((value >> 24) & 0xFF));
-}
-
+/// Little-endian u32 read — explicit byte shifts, so the wire bytes are
+/// identical on any host endianness.
 std::uint32_t ReadU32(const char* p) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
          static_cast<std::uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
@@ -137,23 +131,15 @@ std::uint32_t ReadU32(const char* p) {
 }  // namespace
 
 void LogCodec::AppendBinary(const MceRecord& record, std::string& out) {
-  std::uint64_t time_bits = 0;
-  static_assert(sizeof(time_bits) == sizeof(record.time_s));
-  std::memcpy(&time_bits, &record.time_s, sizeof(time_bits));
-  AppendU32(static_cast<std::uint32_t>(time_bits & 0xFFFFFFFFu), out);
-  AppendU32(static_cast<std::uint32_t>(time_bits >> 32), out);
+  persist::BinaryWriter writer(out);
+  writer.F64(record.time_s);
   const hbm::DeviceAddress& a = record.address;
-  AppendU32(a.node, out);
-  AppendU32(a.npu, out);
-  AppendU32(a.hbm, out);
-  AppendU32(a.sid, out);
-  AppendU32(a.channel, out);
-  AppendU32(a.pseudo_channel, out);
-  AppendU32(a.bank_group, out);
-  AppendU32(a.bank, out);
-  AppendU32(a.row, out);
-  AppendU32(a.col, out);
-  out.push_back(static_cast<char>(record.type));
+  for (const std::uint32_t field :
+       {a.node, a.npu, a.hbm, a.sid, a.channel, a.pseudo_channel,
+        a.bank_group, a.bank, a.row, a.col}) {
+    writer.U32(field);
+  }
+  writer.U8(static_cast<std::uint8_t>(record.type));
 }
 
 MceRecord LogCodec::ParseBinary(std::string_view bytes) {

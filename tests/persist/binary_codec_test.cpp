@@ -364,10 +364,12 @@ std::vector<trace::MceRecord> NegativeZeroTrace(const World& w) {
   };
 }
 
-/// Every double a profile exposes, as raw bits. A codec that dropped
-/// doubles *equal* to 0.0 would write -0.0 and +0.0 alike, so its bytes
-/// could not tell them apart; these bits can.
-std::vector<std::uint64_t> DoubleBits(const core::BankProfile& profile) {
+/// Every value a profile exposes: doubles as raw bits, counts and flags as
+/// they are. A codec that dropped doubles *equal* to 0.0 would write -0.0
+/// and +0.0 alike, so its bytes could not tell them apart; these bits can.
+/// The decoder computes every count and flag the bytes leave out, so
+/// those are compared too.
+std::vector<std::uint64_t> AccessorBits(const core::BankProfile& profile) {
   std::vector<std::uint64_t> bits;
   const auto add = [&](double value) {
     bits.push_back(std::bit_cast<std::uint64_t>(value));
@@ -375,28 +377,44 @@ std::vector<std::uint64_t> DoubleBits(const core::BankProfile& profile) {
   const auto add_chains = [&](std::initializer_list<const core::DiffChain*>
                                   chains) {
     for (const core::DiffChain* chain : chains) {
+      bits.push_back(chain->count);
+      bits.push_back(chain->has_last);
       for (const double v : {chain->sum, chain->min, chain->max, chain->last}) {
         add(v);
       }
     }
   };
+  const auto add_rows = [&](const std::vector<std::uint32_t>& rows) {
+    bits.push_back(rows.size());
+    bits.insert(bits.end(), rows.begin(), rows.end());
+  };
+  bits.push_back(profile.event_count());
   add(profile.last_time_s());
+  bits.push_back(profile.HasClassificationView());
+  bits.push_back(profile.classification_uer_count());
   const core::ClassAccumulator& c = profile.classification();
+  bits.insert(bits.end(), {c.ce_total, c.ueo_total, c.uer_events});
   for (const double v :
        {c.ce_row_min, c.ce_row_max, c.ueo_row_min, c.ueo_row_max,
         c.uer_row_min, c.uer_row_max, c.first_uer_time, c.last_uer_time,
-        c.ce_before_first_uer, c.ueo_before_first_uer, c.last_time}) {
+        c.ce_before_first_uer, c.ueo_before_first_uer}) {
     add(v);
   }
   add_chains({&c.uer_row_diff, &c.all_row_diff, &c.ce_dt, &c.ueo_dt,
               &c.uer_dt});
+  add_rows(c.distinct_uer_rows);
   const core::CrossRowAccumulator& x = profile.crossrow();
+  bits.insert(bits.end(), {x.ce_count, x.ueo_count, x.uer_count, x.all_count});
   for (const double v : {x.uer_row_min, x.uer_row_max, x.first_uer_time,
                          x.last_event_time}) {
     add(v);
   }
   add_chains({&x.uer_row_diff, &x.all_row_diff, &x.ce_dt, &x.ueo_dt,
               &x.uer_dt});
+  for (const std::vector<std::uint32_t>* rows :
+       {&x.ce_rows, &x.ueo_rows, &x.uer_rows, &x.uer_row_gaps}) {
+    add_rows(*rows);
+  }
   return bits;
 }
 
@@ -410,7 +428,7 @@ std::vector<std::uint64_t> ProfileBits(
     const core::BankProfile* profile =
         server.shard(server.ShardOf(key)).engine().FindProfile(key);
     if (profile == nullptr) continue;
-    const std::vector<std::uint64_t> more = DoubleBits(*profile);
+    const std::vector<std::uint64_t> more = AccessorBits(*profile);
     bits.insert(bits.end(), more.begin(), more.end());
   }
   return bits;

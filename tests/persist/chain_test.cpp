@@ -956,12 +956,12 @@ void ExpectVersionMismatch(Call call, std::uint32_t version) {
 }
 
 TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
-  // Engine state v1 (text), v2 (binary with raw-record windows) and v3
-  // (fixed-width bank blobs) and engine delta v1 and v2 are retired: a
-  // member that nests them must fail at the frame reader with the
-  // version-mismatch message, before any payload is read, through every
-  // restore path — and boot recovery must quarantine it rather than serve
-  // from it.
+  // Engine state v1 (text), v2 (binary with raw-record windows), v3
+  // (fixed-width bank blobs) and v4 (blobs with derived fields and two
+  // classification views) and engine delta v1 to v3 are retired: a member
+  // that nests them must fail at the frame reader with the version-mismatch
+  // message, before any payload is read, through every restore path — and
+  // boot recovery must quarantine it rather than serve from it.
   const World& w = SharedWorld();
   FleetServer writer = MakeServer(w);
   writer.Start();
@@ -976,7 +976,7 @@ TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
 
   FleetServer victim = MakeServer(w);
   const std::string fresh = Checkpoint(victim);
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("engine state v" + std::to_string(version));
     const std::string old_full =
         serve::test_support::ReframeMember(full, false, version);
@@ -994,13 +994,18 @@ TEST(ChainFold, RetiredEngineFrameVersionsFailWithVersionMismatch) {
     const ChainRecoveryResult chain_outcome = chain.Recover(victim);
     EXPECT_TRUE(chain_outcome.fresh_start());
     EXPECT_FALSE(chain_outcome.quarantined.empty());
+    ASSERT_FALSE(chain_outcome.errors.empty());
+    EXPECT_NE(chain_outcome.errors.front().find(
+                  "version mismatch — stream is v" + std::to_string(version)),
+              std::string::npos)
+        << chain_outcome.errors.front();
     EXPECT_TRUE(FileExists(dir.File("full-000001.ckpt.corrupt")));
     EXPECT_EQ(Checkpoint(victim), fresh);
   }
 
   victim.RestoreCheckpoint(full);
   const std::string base = Checkpoint(victim);
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("engine delta v" + std::to_string(version));
     const std::string old_delta =
         serve::test_support::ReframeMember(delta, true, version);
@@ -1026,10 +1031,10 @@ TEST(ChainGolden, MemberBytesMatchPinnedHashes) {
     std::uint64_t full, delta, fold, manifest;
   };
   const Golden goldens[] = {
-      {1, 0xd02f41f073315b8dull, 0xe5be70a5a601b6a9ull, 0x58a057db50ba35abull,
-       0xb30d16b3acbc9b29ull},
-      {2, 0x8225e1bfee141ad6ull, 0x089f6f99fd595781ull, 0xbe1a6a38bd257678ull,
-       0xee15febb7e00f78aull},
+      {1, 0x3b7dd1123a43dc9dull, 0xfcb94eeaff379196ull, 0x3fe13953d4653dcbull,
+       0x4520b8d12a4dce98ull},
+      {2, 0x9da86a75d6979165ull, 0x0f112cda9a622f35ull, 0x11b36ef6d47a2474ull,
+       0xb643cbec7ea2371aull},
   };
   const World& w = SharedWorld();
   const std::size_t records = w.fleet.log.records().size();

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -289,52 +289,139 @@ std::vector<BlobSpan> BankBlobs(std::string_view engine_payload) {
   return blobs;
 }
 
-/// Payload offsets of the first bank blob's fields the tests below
-/// corrupt. The blob is read with the codec's own primitives and
-/// BankProfile::LoadBinary through to its end, in the order the engine
-/// writes it — Cordial state (varint uer_events_seen, varint anchors_used,
-/// bool classified, u8 failure class, zigzag last_anchor_row), the profile
-/// (varint truncation depth, events and accepted UERs, bool capped, then
-/// its last event time and cutoff behind a presence mask), the ledger flags
-/// and rows — so a format change that moves these fields fails here instead
-/// of corrupting some other byte.
-struct FirstBlobFields {
-  std::size_t bank_class = 0;
-  std::size_t max_uers = 0;
-  std::size_t last_time = 0;  ///< the profile's last event time, 8 bytes
+/// The five chains of a cross-row or classification view, in blob order.
+template <typename View>
+auto Chains(View& v) {
+  return std::array{&v.uer_row_diff, &v.all_row_diff, &v.ce_dt, &v.ueo_dt,
+                    &v.uer_dt};
+}
+
+void ReadChain(persist::BinaryReader& in, core::DiffChain& chain) {
+  in.MaskedF64({&chain.sum, &chain.min, &chain.max, &chain.last});
+}
+
+void WriteChain(persist::BinaryWriter& out, const core::DiffChain& chain) {
+  out.MaskedF64({chain.sum, chain.min, chain.max, chain.last});
+}
+
+/// One bank blob, read field by field with the codec's own primitives in
+/// the order the engine and BankProfile::SaveBinary write it: the Cordial
+/// state, the profile's depth and cross-row view, then the two
+/// same-timestamp counters before the bank's first UER or its
+/// classification view after it, and the ledger flags and rows, kept
+/// verbatim. Every forgery below rewrites these fields and re-encodes them
+/// with Bytes(), which writes an untouched blob back exactly; a format
+/// change that moves a field breaks that round trip, which
+/// ExpectForgeriesRefused checks first. A chain's count and has_last are
+/// not in the blob, so Bytes() ignores them; DiffChain::Push still moves
+/// the sum, min, max and last it writes.
+struct ForgedBlob {
+  std::uint64_t anchors_used = 0;
+  bool classified = false;
+  std::uint8_t bank_class = 0;
+  std::int64_t last_anchor_row = 0;
+  std::uint64_t depth = 0;
+  std::uint64_t ce = 0, ueo = 0, uer = 0;
+  double first_uer_time = 0.0, last_event_time = 0.0;
+  core::DiffChain uer_row_diff, all_row_diff, ce_dt, ueo_dt, uer_dt;
+  std::vector<std::uint32_t> ce_rows, ueo_rows, uer_rows;
+  std::uint64_t ce_at_last_time = 0, ueo_at_last_time = 0;  ///< if uer == 0
+  /// If uer > 0: the blob's fields of the classification view.
+  core::ClassAccumulator view;
+  std::string ledger;
+
+  explicit ForgedBlob(std::string_view blob) {
+    persist::BinaryReader in(blob, "forged blob");
+    anchors_used = in.Var();
+    classified = in.Bool();
+    bank_class = in.U8();
+    last_anchor_row = in.VarSigned();
+    depth = in.Var();
+    ce = in.Var();
+    ueo = in.Var();
+    uer = in.Var();
+    in.MaskedF64({&first_uer_time, &last_event_time});
+    for (core::DiffChain* chain : Chains(*this)) ReadChain(in, *chain);
+    ce_rows = in.AscendingU32();
+    ueo_rows = in.AscendingU32();
+    uer_rows = in.AscendingU32();
+    if (uer == 0) {
+      ce_at_last_time = in.Var();
+      ueo_at_last_time = in.Var();
+    } else {
+      view.ce_total = in.Var();
+      view.ueo_total = in.Var();
+      in.MaskedF64({&view.ce_row_min, &view.ce_row_max, &view.ueo_row_min,
+                    &view.ueo_row_max, &view.last_uer_time,
+                    &view.ce_before_first_uer, &view.ueo_before_first_uer});
+      for (core::DiffChain* chain : Chains(view)) ReadChain(in, *chain);
+      view.distinct_uer_rows = in.AscendingU32();
+    }
+    ledger = std::string(blob.substr(in.position()));
+  }
+
+  std::string Bytes() const {
+    std::string bytes;
+    persist::BinaryWriter out(bytes);
+    out.Var(anchors_used);
+    out.Bool(classified);
+    out.U8(bank_class);
+    out.VarSigned(last_anchor_row);
+    out.Var(depth);
+    out.Var(ce);
+    out.Var(ueo);
+    out.Var(uer);
+    out.MaskedF64({first_uer_time, last_event_time});
+    for (const core::DiffChain* chain : Chains(*this)) WriteChain(out, *chain);
+    out.AscendingU32(ce_rows);
+    out.AscendingU32(ueo_rows);
+    out.AscendingU32(uer_rows);
+    if (uer == 0) {
+      out.Var(ce_at_last_time);
+      out.Var(ueo_at_last_time);
+    } else {
+      out.Var(view.ce_total);
+      out.Var(view.ueo_total);
+      out.MaskedF64({view.ce_row_min, view.ce_row_max, view.ueo_row_min,
+                     view.ueo_row_max, view.last_uer_time,
+                     view.ce_before_first_uer, view.ueo_before_first_uer});
+      for (const core::DiffChain* chain : Chains(view)) {
+        WriteChain(out, *chain);
+      }
+      out.AscendingU32(view.distinct_uer_rows);
+    }
+    out.Bytes(ledger);
+    return bytes;
+  }
 };
 
-FirstBlobFields LocateFirstBlobFields(const std::string& engine_payload,
-                                      std::size_t depth) {
-  const std::vector<BlobSpan> blobs = BankBlobs(engine_payload);
-  EXPECT_FALSE(blobs.empty()) << "shard section holds no bank";
-  if (blobs.empty()) return {};
+/// Replace the blob at `span` of an engine payload with `bytes`, patching
+/// its u32 length.
+void ReplaceBlob(std::string& engine, const BlobSpan& span,
+                 const std::string& bytes) {
+  engine.replace(span.offset, span.length, bytes);
+  std::string length;
+  persist::BinaryWriter(length).U32(static_cast<std::uint32_t>(bytes.size()));
+  engine.replace(span.offset - 4, length.size(), length);
+}
+
+/// Rewrite the first bank blob of an engine payload through `edit`.
+void EditFirstBlob(std::string& engine,
+                   const std::function<void(ForgedBlob&)>& edit) {
+  const std::vector<BlobSpan> blobs = BankBlobs(engine);
+  ASSERT_FALSE(blobs.empty()) << "shard section holds no bank";
   const BlobSpan& first = blobs.front();
-  persist::BinaryReader blob(
-      std::string_view(engine_payload).substr(first.offset, first.length),
-      "first bank blob");
-  FirstBlobFields at;
-  blob.Var();
-  blob.Var();
-  blob.Bool();
-  at.bank_class = first.offset + blob.position();
-  EXPECT_LE(blob.U8(), 2u);
-  blob.VarSigned();
-  at.max_uers = first.offset + blob.position();
-  persist::BinaryReader profile_head = blob;
-  profile_head.Var();
-  profile_head.Var();
-  profile_head.Var();
-  profile_head.Bool();
-  EXPECT_EQ(profile_head.Var() & 1u, 1u) << "no last event time present";
-  at.last_time = first.offset + profile_head.position();
-  EXPECT_EQ(core::BankProfile::LoadBinary(blob).max_uers(), depth);
-  const std::uint8_t has_ledger_entry = 1;
-  if ((blob.U8() & has_ledger_entry) != 0) {
-    blob.AscendingU32();
-  }
-  blob.ExpectEnd();
-  return at;
+  ForgedBlob blob(std::string_view(engine).substr(first.offset, first.length));
+  if (edit) edit(blob);
+  ReplaceBlob(engine, first, blob.Bytes());
+}
+
+/// Re-frame `donor` after rewriting the last shard's first bank through
+/// `edit`.
+std::string EditDonorFirstBlob(const TortureDonor& donor,
+                               const std::function<void(ForgedBlob&)>& edit) {
+  return ReframeShard(donor, kShardCount - 1,
+                      [&](std::string& engine) { EditFirstBlob(engine, edit); });
 }
 
 /// The engine clock of an engine payload (full or delta): the last field of
@@ -405,13 +492,10 @@ TEST(Durability, CorruptShardBehindValidChecksumsNeverHalfRestores) {
   // parsed cleanly. The strong restore guarantee says none of them may
   // have committed.
   const World& w = SharedWorld();
-  const std::size_t depth = w.classifier.extractor().max_uers();
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
     const std::string mangled =
-        ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
-          engine[LocateFirstBlobFields(engine, depth).bank_class] = 7;
-        });
+        EditDonorFirstBlob(donor, [](ForgedBlob& b) { b.bank_class = 7; });
     FleetServer victim = MakeTortureVictim(w, donor);
     const std::string victim_before = Checkpoint(victim);
     EXPECT_THROW(ApplyDonor(victim, donor, mangled), ParseError);
@@ -431,14 +515,7 @@ TEST(Durability, ProfileOfAnotherTruncationDepthIsRefused) {
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
     const std::string mangled =
-        ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
-          const std::size_t at = LocateFirstBlobFields(engine, depth).max_uers;
-          // Both depths are one-byte varints, so the blob keeps its length.
-          std::string depth_two;
-          persist::BinaryWriter(depth_two).Var(2);
-          ASSERT_EQ(depth_two.size(), 1u);
-          engine.replace(at, depth_two.size(), depth_two);
-        });
+        EditDonorFirstBlob(donor, [](ForgedBlob& b) { b.depth = 2; });
     FleetServer victim = MakeTortureVictim(w, donor);
     const std::string victim_before = Checkpoint(victim);
     try {
@@ -464,7 +541,6 @@ TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
   // its state. A NaN takes more than one
   // changed byte, so the single-byte blob mutants below never make one.
   const World& w = SharedWorld();
-  const std::size_t depth = w.classifier.extractor().max_uers();
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
     for (const bool nan : {false, true}) {
@@ -474,10 +550,9 @@ TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
                 nan ? std::numeric_limits<double>::quiet_NaN()
                     : std::nextafter(HeaderClock(engine),
                                      std::numeric_limits<double>::infinity());
-            std::string bits;
-            persist::BinaryWriter(bits).F64(last_time);
-            engine.replace(LocateFirstBlobFields(engine, depth).last_time,
-                           bits.size(), bits);
+            EditFirstBlob(engine, [&](ForgedBlob& b) {
+              b.last_event_time = last_time;
+            });
           });
       FleetServer victim = MakeTortureVictim(w, donor);
       const std::string victim_before = Checkpoint(victim);
@@ -495,439 +570,78 @@ TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
   }
 }
 
-/// Payload offsets of the counts of one bank blob: the Cordial state's
-/// uer_events_seen and classified flag, then the profile's event count,
-/// accepted UERs, capped flag, its live and frozen views' CE counts (the
-/// UEO count is the next byte while counts are one-byte varints) and UER
-/// counts, and its cross-row UER count. The blob is read with the codec's
-/// own primitives in the order the engine and BankProfile::SaveBinary
-/// write it; a format change that moves these fields makes the test's
-/// consistent forgery fail to restore.
-struct ViewCountFields {
-  std::size_t uer_events_seen = 0;
-  std::size_t classified = 0;
-  std::size_t events = 0;
-  std::size_t accepted = 0;
-  std::size_t capped = 0;
-  std::size_t live_ces = 0;
-  std::size_t live_uers = 0;
-  std::size_t frozen_ces = 0;
-  std::size_t frozen_uers = 0;
-  std::size_t crossrow_uers = 0;
-};
-
-void SkipMaskedF64(persist::BinaryReader& in) {
-  in.Bytes(8 * static_cast<std::size_t>(std::popcount(in.Var())));
-}
-
-/// Skip the five DiffChains of an accumulator.
-void SkipChains(persist::BinaryReader& in) {
-  for (int chain = 0; chain < 5; ++chain) {
-    in.Var();
-    in.Bool();
-    SkipMaskedF64(in);
-  }
-}
-
-/// Skip one classification accumulator up to its distinct UER rows;
-/// returns the offset, in `in`, of its UER count.
-std::size_t SkipClassFields(persist::BinaryReader& in) {
-  in.Var();  // CEs
-  in.Var();  // UEOs
-  const std::size_t uers = in.position();
-  in.Var();
-  SkipMaskedF64(in);
-  in.Bool();
-  in.Var();
-  in.Var();
-  SkipChains(in);
-  return uers;
-}
-
-/// Skip one classification accumulator; returns the offset, in `in`, of
-/// its UER count.
-std::size_t SkipClassAccumulator(persist::BinaryReader& in) {
-  const std::size_t uers = SkipClassFields(in);
-  in.AscendingU32();
-  return uers;
-}
-
-ViewCountFields LocateViewCounts(std::string_view engine_payload,
-                                 const BlobSpan& span) {
-  persist::BinaryReader in(engine_payload.substr(span.offset, span.length),
-                           "bank blob");
-  ViewCountFields at;
-  at.uer_events_seen = span.offset + in.position();
-  in.Var();
-  in.Var();  // anchors used
-  at.classified = span.offset + in.position();
-  in.Bool();
-  in.U8();         // failure class
-  in.VarSigned();  // last anchor row
-  in.Var();        // truncation depth
-  at.events = span.offset + in.position();
-  in.Var();
-  at.accepted = span.offset + in.position();
-  in.Var();
-  at.capped = span.offset + in.position();
-  in.Bool();
-  SkipMaskedF64(in);  // last event time, cutoff
-  at.live_ces = span.offset + in.position();
-  at.live_uers = span.offset + SkipClassAccumulator(in);
-  at.frozen_ces = span.offset + in.position();
-  at.frozen_uers = span.offset + SkipClassAccumulator(in);
-  in.Var();  // CEs
-  in.Var();  // UEOs
-  at.crossrow_uers = span.offset + in.position();
-  return at;
-}
-
-/// One DiffChain, read and written as BankProfile::SaveBinary writes it.
-core::DiffChain ReadChain(persist::BinaryReader& in) {
-  core::DiffChain chain;
-  chain.count = static_cast<std::size_t>(in.Var());
-  chain.has_last = in.Bool();
-  in.MaskedF64({&chain.sum, &chain.min, &chain.max, &chain.last});
-  return chain;
-}
-
-void WriteChain(persist::BinaryWriter& out, const core::DiffChain& chain) {
-  out.Var(chain.count);
-  out.Bool(chain.has_last);
-  out.MaskedF64({chain.sum, chain.min, chain.max, chain.last});
-}
-
-/// One classification accumulator, read and written as
-/// BankProfile::SaveBinary writes it.
-core::ClassAccumulator ReadClassView(persist::BinaryReader& in) {
-  core::ClassAccumulator acc;
-  acc.ce_total = static_cast<std::size_t>(in.Var());
-  acc.ueo_total = static_cast<std::size_t>(in.Var());
-  acc.uer_events = static_cast<std::size_t>(in.Var());
-  in.MaskedF64({&acc.ce_row_min, &acc.ce_row_max, &acc.ueo_row_min,
-                &acc.ueo_row_max, &acc.uer_row_min, &acc.uer_row_max,
-                &acc.first_uer_time, &acc.last_uer_time,
-                &acc.ce_before_first_uer, &acc.ueo_before_first_uer,
-                &acc.last_time});
-  acc.any_event = in.Bool();
-  acc.ce_at_last_time = static_cast<std::size_t>(in.Var());
-  acc.ueo_at_last_time = static_cast<std::size_t>(in.Var());
-  for (core::DiffChain* chain : {&acc.uer_row_diff, &acc.all_row_diff,
-                                 &acc.ce_dt, &acc.ueo_dt, &acc.uer_dt}) {
-    *chain = ReadChain(in);
-  }
-  acc.distinct_uer_rows = in.AscendingU32();
-  return acc;
-}
-
-void WriteClassView(persist::BinaryWriter& out,
-                    const core::ClassAccumulator& acc) {
-  out.Var(acc.ce_total);
-  out.Var(acc.ueo_total);
-  out.Var(acc.uer_events);
-  out.MaskedF64({acc.ce_row_min, acc.ce_row_max, acc.ueo_row_min,
-                 acc.ueo_row_max, acc.uer_row_min, acc.uer_row_max,
-                 acc.first_uer_time, acc.last_uer_time,
-                 acc.ce_before_first_uer, acc.ueo_before_first_uer,
-                 acc.last_time});
-  out.Bool(acc.any_event);
-  out.Var(acc.ce_at_last_time);
-  out.Var(acc.ueo_at_last_time);
-  for (const core::DiffChain* chain : {&acc.uer_row_diff, &acc.all_row_diff,
-                                       &acc.ce_dt, &acc.ueo_dt, &acc.uer_dt}) {
-    WriteChain(out, *chain);
-  }
-  out.AscendingU32(acc.distinct_uer_rows);
-}
-
-/// A bank blob cut at the fields the row-set and chain tests rewrite: both
-/// classification views whole, and the cross-row view's counts, UER row
-/// extrema, first UER time, chains and row sets. Every other byte is kept
-/// verbatim, so Bytes() re-encodes an untouched blob exactly.
-struct ForgedBlob {
-  std::string head;  ///< Cordial state and the profile's head
-  core::ClassAccumulator live, frozen;
-  std::uint64_t ce = 0, ueo = 0, uer = 0, all = 0;
-  double uer_row_min = 0.0, uer_row_max = 0.0, first_uer_time = 0.0,
-         last_event_time = 0.0;
-  core::DiffChain uer_row_diff, all_row_diff, ce_dt, ueo_dt, uer_dt;
-  std::vector<std::uint32_t> ce_rows, ueo_rows, uer_rows;
-  std::string ledger;  ///< the ledger flags and rows
-
-  explicit ForgedBlob(std::string_view blob) {
-    persist::BinaryReader in(blob, "forged blob");
-    in.Var();           // uer_events_seen
-    in.Var();           // anchors used
-    in.Bool();          // classified
-    in.U8();            // failure class
-    in.VarSigned();     // last anchor row
-    in.Var();           // truncation depth
-    in.Var();           // events
-    in.Var();           // accepted UERs
-    in.Bool();          // capped
-    SkipMaskedF64(in);  // last event time, cutoff
-    head = std::string(blob.substr(0, in.position()));
-    live = ReadClassView(in);
-    frozen = ReadClassView(in);
-    ce = in.Var();
-    ueo = in.Var();
-    uer = in.Var();
-    all = in.Var();
-    in.MaskedF64(
-        {&uer_row_min, &uer_row_max, &first_uer_time, &last_event_time});
-    for (core::DiffChain* chain :
-         {&uer_row_diff, &all_row_diff, &ce_dt, &ueo_dt, &uer_dt}) {
-      *chain = ReadChain(in);
-    }
-    ce_rows = in.AscendingU32();
-    ueo_rows = in.AscendingU32();
-    uer_rows = in.AscendingU32();
-    ledger = std::string(blob.substr(in.position()));
-  }
-
-  std::string Bytes() const {
-    std::string bytes = head;
-    persist::BinaryWriter out(bytes);
-    WriteClassView(out, live);
-    WriteClassView(out, frozen);
-    out.Var(ce);
-    out.Var(ueo);
-    out.Var(uer);
-    out.Var(all);
-    out.MaskedF64({uer_row_min, uer_row_max, first_uer_time, last_event_time});
-    for (const core::DiffChain* chain :
-         {&uer_row_diff, &all_row_diff, &ce_dt, &ueo_dt, &uer_dt}) {
-      WriteChain(out, *chain);
-    }
-    out.AscendingU32(ce_rows);
-    out.AscendingU32(ueo_rows);
-    out.AscendingU32(uer_rows);
-    out.Bytes(ledger);
-    return bytes;
-  }
-};
-
-/// Replace the blob at `span` of an engine payload with `bytes`, patching
-/// its u32 length.
-void ReplaceBlob(std::string& engine, const BlobSpan& span,
-                 const std::string& bytes) {
-  engine.replace(span.offset, span.length, bytes);
-  std::string length;
-  persist::BinaryWriter(length).U32(static_cast<std::uint32_t>(bytes.size()));
-  engine.replace(span.offset - 4, length.size(), length);
-}
-
-/// Forge the first bank of an engine payload, a bank that has seen no UER,
-/// into a classified bank whose view is capped at `depth` UERs with every
-/// count and chain agreeing: the Cordial state and the accepted count say
-/// `depth` UERs, the profile's event count grows by `depth`, and `depth`
-/// UERs on row 0 at the bank's last event time go through
-/// ClassAccumulator::Absorb into the live view, which the frozen view then
-/// copies, and through the cross-row view's counts, chains and row set as
-/// CrossRowAccumulator::Absorb takes them. Returns the offsets of the
-/// forged blob's view counts.
-ViewCountFields ForgeCappedView(std::string& engine, char depth) {
-  const std::vector<BlobSpan> blobs = BankBlobs(engine);
-  EXPECT_FALSE(blobs.empty());
-  if (blobs.empty()) return {};
-  const ViewCountFields at = LocateViewCounts(engine, blobs.front());
-  // One-byte varints, all 0 in a bank without a UER.
-  for (const std::size_t count : {at.uer_events_seen, at.accepted}) {
-    EXPECT_EQ(engine[count], 0);
-    engine[count] = depth;
-  }
-  EXPECT_LT(engine[at.events] + depth, 0x80)
-      << "the event count must stay a one-byte varint";
-  engine[at.events] = static_cast<char>(engine[at.events] + depth);
-  engine[at.classified] = 1;
-  engine[at.capped] = 1;
-  ForgedBlob blob(std::string_view(engine).substr(blobs.front().offset,
-                                                  blobs.front().length));
-  EXPECT_EQ(blob.uer, 0u);
-  trace::MceRecord uer;
-  uer.type = hbm::ErrorType::kUer;
-  uer.address.row = 0;
-  uer.time_s = blob.last_event_time;
-  for (char i = 0; i < depth; ++i) {
-    blob.live.Absorb(uer);
+/// Forge a bank that has seen no UER into a classified bank whose view is
+/// capped at `depth` UERs, every field agreeing: `depth` UERs on row 0 at
+/// the bank's last event time go through the cross-row counts, chains, row
+/// set and first UER time as CrossRowAccumulator::Absorb takes them, and
+/// the view is the cross-row view at the last of them, whose densities
+/// leave out the CEs and UEOs tied with the first.
+void ForgeCappedView(ForgedBlob& blob, std::size_t depth) {
+  ASSERT_EQ(blob.uer, 0u) << "the forged bank must start without a UER";
+  const double t = blob.last_event_time;
+  for (std::size_t i = 0; i < depth; ++i) {
     blob.uer_row_diff.Push(0.0);
     blob.all_row_diff.Push(0.0);
-    blob.uer_dt.Push(uer.time_s);
+    blob.uer_dt.Push(t);
   }
-  blob.frozen = blob.live;
-  EXPECT_LT(blob.all + static_cast<std::uint64_t>(depth), 0x80u)
-      << "all_count must stay a one-byte varint";
-  blob.uer = static_cast<std::uint64_t>(depth);
-  blob.all += blob.uer;
+  blob.uer = depth;
   blob.uer_rows = {0};
-  blob.first_uer_time = uer.time_s;
-  ReplaceBlob(engine, blobs.front(), blob.Bytes());
-  return LocateViewCounts(engine, BankBlobs(engine).front());
+  blob.first_uer_time = t;
+  blob.classified = true;
+  core::ClassAccumulator& view = blob.view;
+  view.ce_total = blob.ce;
+  view.ueo_total = blob.ueo;
+  if (!blob.ce_rows.empty()) {
+    view.ce_row_min = blob.ce_rows.front();
+    view.ce_row_max = blob.ce_rows.back();
+  }
+  if (!blob.ueo_rows.empty()) {
+    view.ueo_row_min = blob.ueo_rows.front();
+    view.ueo_row_max = blob.ueo_rows.back();
+  }
+  view.last_uer_time = t;
+  view.ce_before_first_uer =
+      static_cast<double>(blob.ce - blob.ce_at_last_time);
+  view.ueo_before_first_uer =
+      static_cast<double>(blob.ueo - blob.ueo_at_last_time);
+  view.uer_row_diff = blob.uer_row_diff;
+  view.all_row_diff = blob.all_row_diff;
+  view.ce_dt = blob.ce_dt;
+  view.ueo_dt = blob.ueo_dt;
+  view.uer_dt = blob.uer_dt;
+  view.distinct_uer_rows = {0};
 }
 
 /// Re-frame `donor` after rewriting the last shard's first bank: forged
-/// into a capped view first when `capped` (ForgeCappedView), then edited.
+/// into a view capped at `depth` first when `capped` (ForgeCappedView),
+/// then edited.
 std::string RewriteFirstBlob(const TortureDonor& donor, bool capped,
-                             char depth,
+                             std::size_t depth,
                              const std::function<void(ForgedBlob&)>& edit) {
-  return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
-    if (capped) ForgeCappedView(engine, depth);
-    const BlobSpan first = BankBlobs(engine).front();
-    ForgedBlob blob(std::string_view(engine).substr(first.offset, first.length));
+  return EditDonorFirstBlob(donor, [&](ForgedBlob& blob) {
+    if (capped) ForgeCappedView(blob, depth);
     if (edit) edit(blob);
-    ReplaceBlob(engine, first, blob.Bytes());
   });
 }
 
-TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
-  // A classification view whose counts disagree passes every structural
-  // check, and the bank's next UER then reads it: a capped bank with
-  // `classified` cleared and an empty frozen view throws a
-  // ContractViolation in the classification extractor, which on a shard
-  // worker ends the daemon. The bank-blob decoder refuses each
-  // contradiction with a ParseError naming the field, for fulls and
-  // deltas, and the target keeps its state.
-  //
-  // The donors' banks have seen no UER, so the test first forges the last
-  // shard's first bank into a classified bank whose view is capped at the
-  // depth, every count agreeing (ForgeCappedView), and checks that this
-  // restores. Each case then contradicts that forgery in one count.
-  const World& w = SharedWorld();
-  const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
-  const struct {
-    const char* refusal;  ///< what the ParseError must say
-    std::function<void(std::string&, const ViewCountFields&)> contradict;
-  } cases[] = {
-      {"!= min(cross-row UERs",
-       [&](std::string& e, const ViewCountFields& f) {
-         e[f.accepted] = static_cast<char>(depth - 1);
-       }},
-      {"uncapped at",
-       [](std::string& e, const ViewCountFields& f) { e[f.capped] = 0; }},
-      {"live classification view holds",
-       [&](std::string& e, const ViewCountFields& f) {
-         e[f.live_uers] = static_cast<char>(depth - 1);
-       }},
-      {"frozen classification view holds 0 UERs",
-       [](std::string& e, const ViewCountFields& f) {
-         e[f.classified] = 0;
-         e[f.frozen_uers] = 0;
-       }},
-      {"uer_events_seen",
-       [&](std::string& e, const ViewCountFields& f) {
-         e[f.uer_events_seen] = static_cast<char>(depth + 1);
-       }},
-      // Every Observe counts its record in the profile's events and the
-      // cross-row all_count, and every record a view absorbs went through
-      // the cross-row view first. The forged view's CE and UEO counts
-      // equal the cross-row ones, so one more is one too many.
-      {"profile events",
-       [](std::string& e, const ViewCountFields& f) { --e[f.events]; }},
-      {"live classification view ce_total",
-       [](std::string& e, const ViewCountFields& f) { ++e[f.live_ces]; }},
-      {"live classification view ueo_total",
-       [](std::string& e, const ViewCountFields& f) { ++e[f.live_ces + 1]; }},
-      {"frozen classification view ce_total",
-       [](std::string& e, const ViewCountFields& f) { ++e[f.frozen_ces]; }},
-      {"frozen classification view ueo_total",
-       [](std::string& e, const ViewCountFields& f) {
-         ++e[f.frozen_ces + 1];
-       }},
-  };
-  for (const TortureDonor& donor : TortureDonors()) {
-    SCOPED_TRACE(donor.name);
-    const auto forge = [&](const std::function<void(
-                               std::string&, const ViewCountFields&)>& then) {
-      return ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
-        const ViewCountFields at = ForgeCappedView(engine, depth);
-        if (then) then(engine, at);
-      });
-    };
-    {
-      FleetServer victim = MakeTortureVictim(w, donor);
-      EXPECT_NO_THROW(ApplyDonor(victim, donor, forge({})))
-          << "the consistent forgery must restore";
-    }
-    for (const auto& c : cases) {
-      SCOPED_TRACE(c.refusal);
-      const std::string mangled = forge(c.contradict);
-      FleetServer victim = MakeTortureVictim(w, donor);
-      const std::string victim_before = Checkpoint(victim);
-      try {
-        ApplyDonor(victim, donor, mangled);
-        ADD_FAILURE() << "restored a view that contradicts its counts";
-      } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
-            << e.what();
-      }
-      EXPECT_EQ(Checkpoint(victim), victim_before);
-    }
-  }
-}
+/// A forgery the bank-blob decoder must refuse: what its ParseError must
+/// say, the edit, and whether the bank is forged into a capped view first.
+struct RefusedForgery {
+  std::string refusal;
+  std::function<void(ForgedBlob&)> contradict;
+  bool capped = false;
+};
 
-TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
-  // CrossRowAccumulator::Absorb counts every record once in all_count and
-  // once in its type's count, and adds its row to its type's row set; the
-  // UER row extrema are the UER set's ends, and before the first UER the
-  // extrema and the first UER time stay +0.0. A blob that breaks one of
-  // these passes every structural check and restores a bank whose features
-  // no feed could produce. The bank-blob decoder refuses each with a
-  // ParseError naming the field, for fulls and deltas, and the target
-  // keeps its state. The cases rewrite the last shard's first bank, which
-  // has seen no UER; the last one first forges it into a capped view
-  // (ForgeCappedView) and then gives a view a UER row the cross-row view
-  // lacks.
+/// For each donor: the untouched blob re-encodes to the donor's bytes, it
+/// and its capped forgery restore, and every case is refused with its
+/// message and leaves the target's state as it was.
+void ExpectForgeriesRefused(const std::vector<RefusedForgery>& cases) {
   const World& w = SharedWorld();
-  const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
-  const auto one_uer = [](ForgedBlob& b, std::vector<std::uint32_t> rows,
-                          double min, double max) {
-    b.uer = 1;
-    ++b.all;
-    b.uer_rows = std::move(rows);
-    b.uer_row_min = min;
-    b.uer_row_max = max;
-  };
-  const auto rows_up_to = [](std::uint64_t n) {
-    std::vector<std::uint32_t> rows;
-    for (std::uint32_t r = 1; r <= n; ++r) rows.push_back(r);
-    return rows;
-  };
-  const struct {
-    const char* refusal;  ///< what the ParseError must say
-    std::function<void(ForgedBlob&)> contradict;
-    bool capped = false;  ///< forge a capped view first
-  } cases[] = {
-      {"cross-row all_count", [](ForgedBlob& b) { ++b.all; }},
-      {"cross-row ce_rows",
-       [&](ForgedBlob& b) { b.ce_rows = rows_up_to(b.ce + 1); }},
-      {"cross-row ueo_rows",
-       [&](ForgedBlob& b) { b.ueo_rows = rows_up_to(b.ueo + 1); }},
-      {"cross-row uer_rows holds 0 row(s) for uer_count 1",
-       [&](ForgedBlob& b) { one_uer(b, {}, 0.0, 0.0); }},
-      {"cross-row uer_rows holds 2 row(s) for uer_count 1",
-       [&](ForgedBlob& b) { one_uer(b, {3, 4}, 3.0, 4.0); }},
-      {"cross-row uer_row_min",
-       [&](ForgedBlob& b) { one_uer(b, {3}, 2.0, 3.0); }},
-      {"cross-row uer_row_max",
-       [&](ForgedBlob& b) { one_uer(b, {3}, 3.0, 4.0); }},
-      {"cross-row uer_row_min", [](ForgedBlob& b) { b.uer_row_min = 1.0; }},
-      {"cross-row uer_row_min", [](ForgedBlob& b) { b.uer_row_min = -0.0; }},
-      {"cross-row uer_row_max", [](ForgedBlob& b) { b.uer_row_max = 1.0; }},
-      {"cross-row first_uer_time",
-       [](ForgedBlob& b) { b.first_uer_time = 1.0; }},
-      {"live classification view's distinct_uer_rows",
-       [](ForgedBlob& b) { b.live.distinct_uer_rows = {7}; }, true},
-      {"frozen classification view's distinct_uer_rows",
-       [](ForgedBlob& b) { b.frozen.distinct_uer_rows = {0, 7}; }, true},
-  };
+  const std::size_t depth = w.classifier.extractor().max_uers();
   for (const TortureDonor& donor : TortureDonors()) {
     SCOPED_TRACE(donor.name);
-    const auto rewrite = [&](bool capped,
-                             const std::function<void(ForgedBlob&)>& edit) {
-      return RewriteFirstBlob(donor, capped, depth, edit);
-    };
     for (const bool capped : {false, true}) {
-      const std::string untouched = rewrite(capped, {});
+      const std::string untouched = RewriteFirstBlob(donor, capped, depth, {});
       if (!capped) {
         EXPECT_EQ(untouched, donor.bytes);
       }
@@ -936,14 +650,15 @@ TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
           << (capped ? "the capped forgery" : "the re-encoded blob")
           << " must restore";
     }
-    for (const auto& c : cases) {
+    for (const RefusedForgery& c : cases) {
       SCOPED_TRACE(c.refusal);
-      const std::string mangled = rewrite(c.capped, c.contradict);
+      const std::string mangled =
+          RewriteFirstBlob(donor, c.capped, depth, c.contradict);
       FleetServer victim = MakeTortureVictim(w, donor);
       const std::string victim_before = Checkpoint(victim);
       try {
         ApplyDonor(victim, donor, mangled);
-        ADD_FAILURE() << "restored counts that contradict their row sets";
+        ADD_FAILURE() << "restored a forgery";
       } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
             << e.what();
@@ -953,120 +668,91 @@ TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
   }
 }
 
-TEST(Durability, DiffChainsContradictingTheirCountsAreRefused) {
-  // DiffChain::Push counts a difference from its second push on, so a chain
-  // fed n > 0 events holds count n - 1 with has_last set, and one fed none
-  // holds count 0 with has_last clear; sum, min and max stay +0.0 until the
-  // first difference and last until the first push; min never exceeds max
-  // (rows are u32 and the ingest refuses non-finite timestamps, so no
-  // difference is NaN). Each cross-row chain is fed by all_count or its
-  // type's count, each classification view's by that view's totals, and a
-  // view's UER row extrema are the ends of its distinct UER rows. A blob
-  // that breaks one of these passes every structural check and restores
-  // features no feed could produce. The bank-blob decoder refuses each with
-  // a ParseError naming the field, for fulls and deltas, and the target
-  // keeps its state. Capped cases forge the last shard's first bank into a
-  // view capped at the depth first (ForgeCappedView), so every chain has
-  // been fed; the others leave that bank without a UER, so its UER chains
-  // have been fed nothing.
-  const World& w = SharedWorld();
-  const auto depth = static_cast<char>(w.classifier.extractor().max_uers());
-  using Chain = core::DiffChain ForgedBlob::*;
-  using ViewChain = core::DiffChain core::ClassAccumulator::*;
-  const std::pair<const char*, Chain> crossrow_chains[] = {
-      {"uer_row_diff", &ForgedBlob::uer_row_diff},
-      {"all_row_diff", &ForgedBlob::all_row_diff},
-      {"ce_dt", &ForgedBlob::ce_dt},
-      {"ueo_dt", &ForgedBlob::ueo_dt},
-      {"uer_dt", &ForgedBlob::uer_dt}};
-  const std::pair<const char*, ViewChain> view_chains[] = {
-      {"uer_row_diff", &core::ClassAccumulator::uer_row_diff},
-      {"all_row_diff", &core::ClassAccumulator::all_row_diff},
-      {"ce_dt", &core::ClassAccumulator::ce_dt},
-      {"ueo_dt", &core::ClassAccumulator::ueo_dt},
-      {"uer_dt", &core::ClassAccumulator::uer_dt}};
-  struct Case {
-    std::string refusal;  ///< what the ParseError must say
-    std::function<void(ForgedBlob&)> contradict;
-    bool capped = false;  ///< forge a capped view first
-  };
-  std::vector<Case> cases;
-  // count: every chain of every view, against the count that feeds it.
-  for (const auto& [name, chain] : crossrow_chains) {
-    cases.push_back({std::string("cross-row ") + name + " holds count",
-                     [chain](ForgedBlob& b) { ++(b.*chain).count; }, true});
-  }
-  for (const auto& [name, chain] : view_chains) {
-    cases.push_back({std::string("live classification view ") + name +
-                         " holds count",
-                     [chain](ForgedBlob& b) { ++(b.live.*chain).count; },
-                     true});
-    cases.push_back({std::string("frozen classification view ") + name +
-                         " holds count",
-                     [chain](ForgedBlob& b) { ++(b.frozen.*chain).count; },
-                     true});
-  }
-  // has_last: cleared on a fed chain, set on an unfed one.
-  cases.push_back({"cross-row uer_dt holds count 2 without has_last",
-                   [](ForgedBlob& b) { b.uer_dt.has_last = false; }, true});
-  cases.push_back({"live classification view uer_row_diff holds count 2 "
-                   "without has_last",
-                   [](ForgedBlob& b) { b.live.uer_row_diff.has_last = false; },
-                   true});
-  cases.push_back({"cross-row uer_row_diff holds count 0 with has_last",
-                   [](ForgedBlob& b) { b.uer_row_diff.has_last = true; }});
-  // sum, min, max and last of a chain fed nothing.
-  cases.push_back({"cross-row uer_dt sum 1.000000 with count 0",
-                   [](ForgedBlob& b) { b.uer_dt.sum = 1.0; }});
-  cases.push_back({"cross-row uer_dt min 1.000000 with count 0",
-                   [](ForgedBlob& b) {
-                     b.uer_dt.min = 1.0;
-                     b.uer_dt.max = 1.0;
-                   }});
-  cases.push_back({"cross-row uer_row_diff max 1.000000 with count 0",
-                   [](ForgedBlob& b) { b.uer_row_diff.max = 1.0; }});
-  cases.push_back({"cross-row uer_row_diff last 1.000000 without has_last",
-                   [](ForgedBlob& b) { b.uer_row_diff.last = 1.0; }});
-  // min above max.
-  cases.push_back({"cross-row uer_dt min 1.000000 > max 0.000000",
-                   [](ForgedBlob& b) { b.uer_dt.min = 1.0; }, true});
-  cases.push_back({"frozen classification view uer_row_diff min 1.000000 > "
-                   "max 0.000000",
-                   [](ForgedBlob& b) { b.frozen.uer_row_diff.min = 1.0; },
-                   true});
-  // A classification view's UER row extrema against its distinct rows.
-  cases.push_back({"live classification view uer_row_min 1.000000 is not "
-                   "0.000000, the end of distinct_uer_rows",
-                   [](ForgedBlob& b) { b.live.uer_row_min = 1.0; }, true});
-  cases.push_back({"frozen classification view uer_row_max 1.000000 is not "
-                   "0.000000, the end of distinct_uer_rows",
-                   [](ForgedBlob& b) { b.frozen.uer_row_max = 1.0; }, true});
+TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
+  // A classification view or a same-timestamp counter whose count exceeds
+  // the cross-row count it is part of passes every structural check, and
+  // the bank's next classification reads it. Every record the view holds
+  // went through the cross-row view first, and the counters count some of
+  // the CEs and UEOs at the newest timestamp. The forged view's CE and UEO
+  // counts equal the cross-row ones, so one more is one too many; the
+  // donors' first bank has seen no UER, so its counters are written.
+  ExpectForgeriesRefused({
+      {"classification view ce_total",
+       [](ForgedBlob& b) { ++b.view.ce_total; }, true},
+      {"classification view ueo_total",
+       [](ForgedBlob& b) { ++b.view.ueo_total; }, true},
+      {"same-timestamp CEs",
+       [](ForgedBlob& b) { b.ce_at_last_time = b.ce + 1; }},
+      {"same-timestamp UEOs",
+       [](ForgedBlob& b) { b.ueo_at_last_time = b.ueo + 1; }},
+  });
+}
 
-  for (const TortureDonor& donor : TortureDonors()) {
-    SCOPED_TRACE(donor.name);
-    for (const bool capped : {false, true}) {
-      FleetServer victim = MakeTortureVictim(w, donor);
-      EXPECT_NO_THROW(
-          ApplyDonor(victim, donor, RewriteFirstBlob(donor, capped, depth, {})))
-          << (capped ? "the capped forgery" : "the re-encoded blob")
-          << " must restore";
-    }
-    for (const Case& c : cases) {
-      SCOPED_TRACE(c.refusal);
-      const std::string mangled =
-          RewriteFirstBlob(donor, c.capped, depth, c.contradict);
-      FleetServer victim = MakeTortureVictim(w, donor);
-      const std::string victim_before = Checkpoint(victim);
-      try {
-        ApplyDonor(victim, donor, mangled);
-        ADD_FAILURE() << "restored a chain that contradicts its counts";
-      } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
-            << e.what();
-      }
-      EXPECT_EQ(Checkpoint(victim), victim_before);
-    }
-  }
+TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
+  // CrossRowAccumulator::Absorb adds every record's row to its type's row
+  // set, and before the first UER the first UER time stays +0.0; the sum of
+  // the type counts is all_count. A blob that breaks one of these passes
+  // every structural check and restores a bank whose features no feed
+  // could produce. The last cases forge a capped view first and give it a
+  // UER row the cross-row view lacks.
+  const auto rows_up_to = [](std::uint64_t n) {
+    std::vector<std::uint32_t> rows;
+    for (std::uint32_t r = 1; r <= n; ++r) rows.push_back(r);
+    return rows;
+  };
+  ExpectForgeriesRefused({
+      {"overflows all_count",
+       [](ForgedBlob& b) {
+         b.ce = std::numeric_limits<std::uint64_t>::max();
+         b.ueo = b.ce;
+       }},
+      {"cross-row ce_rows",
+       [&](ForgedBlob& b) { b.ce_rows = rows_up_to(b.ce + 1); }},
+      {"cross-row ueo_rows",
+       [&](ForgedBlob& b) { b.ueo_rows = rows_up_to(b.ueo + 1); }},
+      {"cross-row uer_rows holds 0 row(s) for uer_count 1",
+       [](ForgedBlob& b) { b.uer = 1; }},
+      {"cross-row uer_rows holds 2 row(s) for uer_count 1",
+       [](ForgedBlob& b) {
+         b.uer = 1;
+         b.uer_rows = {3, 4};
+       }},
+      {"cross-row first_uer_time",
+       [](ForgedBlob& b) { b.first_uer_time = 1.0; }},
+      {"classification view's distinct_uer_rows",
+       [](ForgedBlob& b) { b.view.distinct_uer_rows = {7}; }, true},
+      {"classification view's distinct_uer_rows",
+       [](ForgedBlob& b) { b.view.distinct_uer_rows = {0, 7}; }, true},
+  });
+}
+
+TEST(Durability, DiffChainsContradictingTheirCountsAreRefused) {
+  // DiffChain::Push leaves sum, min and max at +0.0 until the chain's first
+  // difference and last until its first push, and min never exceeds max
+  // (rows are u32 and the ingest refuses non-finite timestamps, so no
+  // difference is NaN). A chain's pushes are its view's counts, which the
+  // decoder reads first. A blob that breaks one of these passes every
+  // structural check and restores features no feed could produce. The
+  // donors' first bank has seen no UER, so its UER chains have been fed
+  // nothing; the capped cases forge a view capped at the depth first, so
+  // every chain has been fed.
+  ExpectForgeriesRefused({
+      {"cross-row uer_dt sum 1.000000 with count 0",
+       [](ForgedBlob& b) { b.uer_dt.sum = 1.0; }},
+      {"cross-row uer_dt min 1.000000 with count 0",
+       [](ForgedBlob& b) {
+         b.uer_dt.min = 1.0;
+         b.uer_dt.max = 1.0;
+       }},
+      {"cross-row uer_row_diff max 1.000000 with count 0",
+       [](ForgedBlob& b) { b.uer_row_diff.max = 1.0; }},
+      {"cross-row uer_row_diff last 1.000000 without has_last",
+       [](ForgedBlob& b) { b.uer_row_diff.last = 1.0; }},
+      {"cross-row uer_dt min 1.000000 > max 0.000000",
+       [](ForgedBlob& b) { b.uer_dt.min = 1.0; }, true},
+      {"classification view uer_row_diff min 1.000000 > max 0.000000",
+       [](ForgedBlob& b) { b.view.uer_row_diff.min = 1.0; }, true},
+  });
 }
 
 TEST(Durability, SingleByteBlobMutantsFailClosedOrDecodeCanonically) {
