@@ -10,6 +10,7 @@
 
 #include "analysis/labeler.hpp"
 #include "common/framing.hpp"
+#include "common/parallel.hpp"
 #include "core/bank_profile.hpp"
 #include "core/crossrow.hpp"
 #include "core/features.hpp"
@@ -234,10 +235,13 @@ const ServedModels& SharedServedModels() {
 }
 
 /// A daemon boot's model load: the three RF models from their saved bytes,
-/// teardown included.
+/// teardown included. The trees decode on the pool: at one thread (the
+/// node loop's serial cost) and at the pool's default size (argument 0).
 void BM_LoadModel(benchmark::State& state) {
   const ServedModels& models = SharedServedModels();
   const hbm::TopologyConfig& topology = SharedFleet().topology;
+  SetThreadCount(static_cast<std::size_t>(state.range(0)));
+  state.SetLabel(std::to_string(ThreadCount()) + " thread(s)");
   for (auto _ : state) {
     const ml::LearnerKind rf = ml::LearnerKind::kRandomForest;
     core::PatternClassifier classifier(topology, rf);
@@ -253,12 +257,13 @@ void BM_LoadModel(benchmark::State& state) {
     benchmark::DoNotOptimize(single);
     benchmark::DoNotOptimize(double_row);
   }
+  SetThreadCount(0);
   std::size_t bytes = 0;
   for (const std::string& saved : models.saved) bytes += saved.size();
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_LoadModel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadModel)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// The engine's per-anchor inference: 16 block probabilities from the
 /// single-row predictor at the last anchor of a real UER bank.

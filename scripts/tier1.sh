@@ -23,7 +23,7 @@
 # shutdown must be byte-identical to the never-migrated reference's fold),
 # the hostile-feed drill, a check that a --checkpoint path that is not a
 # directory fails the boot and is left untouched, and a check that a model
-# with a flipped payload byte or a retired v2 header fails the boot.
+# with a flipped payload byte or a retired v3 header fails the boot.
 # Finally five perf gates: instrumenting the serving hot path must cost
 # <= 5% throughput vs the uninstrumented path (BENCH_obs.json), the
 # lock-free batched ring must beat the pre-ring mutex queue >= 5x into a
@@ -64,11 +64,13 @@ else
   # plus the serving-layer tests (shard workers + checkpointing), the
   # observability tests (concurrent metric accumulation, scrape-under-fire,
   # the admin HTTP server), the network plane (reactor loop thread,
-  # ingest connections, cross-server shard migration) and Framing, whose
+  # ingest connections, cross-server shard migration), Framing, whose
   # Crc32FirstCallFromManyThreads races eight threads through Crc32's
-  # one-time kernel choice (ctest runs each test in a process of its own).
+  # one-time kernel choice (ctest runs each test in a process of its own),
+  # and ModelParser and Serialize, whose models decode their trees on the
+  # pool.
   CORDIAL_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
-    -R '^(Parallel|FleetServer|EngineCheckpoint|Obs|MpscRing|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Framing)'
+    -R '^(Parallel|FleetServer|EngineCheckpoint|Obs|MpscRing|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Framing|ModelParser|Serialize)'
 fi
 
 if [[ "$SKIP_ASAN" == "1" ]]; then
@@ -124,7 +126,8 @@ else
     2> /dev/null
 
   # Both --version printouts list the chain manifest and engine frame
-  # formats the chain above was written in.
+  # formats the chain above was written in, and the daemon's the model
+  # frame format the models above were saved in.
   for BIN in cordial_serverd cordial_ckpt; do
     VERSION=$(./build/examples/$BIN --version)
     for FORMAT in "chain manifest: *cordial_ckpt_manifest v2 (binary)" \
@@ -135,6 +138,10 @@ else
         exit 1; }
     done
   done
+  grep -q "model frames: .* v4$" <<< "$(./build/examples/cordial_serverd \
+    --version)" || {
+    echo "tier1: cordial_serverd --version does not list model frames v4"
+    exit 1; }
 
   # Durability drill: the failpoint power-cuts (::_exit 121) the second
   # checkpoint while it publishes its manifest (hit 4), after the first
@@ -319,8 +326,9 @@ else
 
   # A damaged model must fail the boot before the feed is read, the same
   # way: a copy of the trained single-row model with one payload byte
-  # flipped fails its CRC, and one whose header says v2 (the retired text
-  # format) fails its version check. The other two models are intact.
+  # flipped fails its CRC, and one whose header says v3 (the newest retired
+  # format, trees without their lengths) fails its version check. The other
+  # two models are intact.
   for DAMAGE in checksum version; do
     BAD="$SMOKE/bad-$DAMAGE"
     cp "$SMOKE/m.pattern.model" "$BAD.pattern.model"
@@ -334,9 +342,9 @@ else
       printf "\\$(printf '%03o' $(( BYTE ^ 1 )))" |
         dd of="$BAD.single.model" bs=1 seek="$AT" conv=notrunc status=none
     else
-      LC_ALL=C sed -i '1s/ v3 / v2 /' "$BAD.single.model"
-      head -n 1 "$BAD.single.model" | grep -q " v2 " || {
-        echo "tier1: could not rewrite the model header to v2"; exit 1; }
+      LC_ALL=C sed -i '1s/ v4 / v3 /' "$BAD.single.model"
+      head -n 1 "$BAD.single.model" | grep -q " v3 " || {
+        echo "tier1: could not rewrite the model header to v3"; exit 1; }
     fi
     if cmp -s "$SMOKE/m.single.model" "$BAD.single.model"; then
       echo "tier1: the $DAMAGE-damaged model copy is intact"; exit 1
@@ -356,7 +364,7 @@ else
       exit 1
     fi
   done
-  echo "tier1: damaged-model check OK (a flipped payload byte and a v2" \
+  echo "tier1: damaged-model check OK (a flipped payload byte and a v3" \
     "header each fail the boot before the feed)"
 fi
 

@@ -422,13 +422,16 @@ struct BankBlob {
   std::vector<std::uint32_t> rows;
 };
 
-/// Decode one whole bank blob of a payload whose header clock is `now`, for
-/// an engine whose classifier truncates at `max_uers`. A profile
-/// accumulated at another depth, or one whose last event is past the clock
-/// (or NaN), is refused here: the bank's next classification, or its next
-/// record at the clock, would otherwise throw on a shard worker.
+/// Decode one whole bank blob of a payload whose header holds the clock
+/// `now` and `events` accepted records, for an engine whose classifier
+/// truncates at `max_uers`. A profile accumulated at another depth, or one
+/// whose last event is past the clock (or NaN), is refused here: the bank's
+/// next classification, or its next record at the clock, would otherwise
+/// throw on a shard worker. So is one counting more events than the engine
+/// accepted, since every accepted record lands in exactly one profile: its
+/// counts could wrap at the bank's next record.
 BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
-                        double now) {
+                        double now, std::size_t events) {
   persist::BinaryReader in(bytes, "engine bank blob");
   BankBlob blob;
   blob.cordial.anchors_used = static_cast<std::size_t>(in.Var());
@@ -447,6 +450,10 @@ BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
     in.Fail("profile's last event at " +
             std::to_string(blob.profile.last_time_s()) +
             " s is past the engine clock " + std::to_string(now) + " s");
+  }
+  if (blob.profile.event_count() > events) {
+    in.Fail("profile counts " + std::to_string(blob.profile.event_count()) +
+            " events, more than the engine's " + std::to_string(events));
   }
   // StepCordial counts every UER the profile absorbs.
   blob.cordial.uer_events_seen = blob.profile.uer_event_count();
@@ -561,7 +568,8 @@ PredictionEngine::StagedState PredictionEngine::ParseState(
   TakeBankRecords(
       reader, [&](std::size_t n) { banks.reserve(n); },
       [&](std::uint64_t key, std::string_view bytes) {
-        BankBlob blob = DecodeBankBlob(bytes, max_uers, header.now);
+        BankBlob blob = DecodeBankBlob(bytes, max_uers, header.now,
+                                       header.stats.events);
         BankState& state = banks.try_emplace(key, max_uers).first->second;
         state.cordial = blob.cordial;
         state.profile = std::move(blob.profile);
@@ -605,11 +613,11 @@ PredictionEngine::StagedDelta PredictionEngine::ParseDeltaState(
   staged.impl_->header = TakeStateHeader(reader);
   auto& banks = staged.impl_->banks;
   const std::size_t max_uers = classifier_->extractor().max_uers();
-  const double now = staged.impl_->header.now;
+  const StateHeader& header = staged.impl_->header;
   TakeBankRecords(
       reader, [&](std::size_t n) { banks.reserve(n); },
       [&](std::uint64_t key, std::string_view bytes) {
-        DecodeBankBlob(bytes, max_uers, now);
+        DecodeBankBlob(bytes, max_uers, header.now, header.stats.events);
         banks.emplace_back(key, bytes);
       });
   return staged;
@@ -625,7 +633,8 @@ void PredictionEngine::CommitDeltaState(StagedDelta&& staged) {
   const std::size_t max_uers = classifier_->extractor().max_uers();
   for (const auto& [key, bytes] : staged.impl_->banks) {
     // Validated at parse, so this second decode cannot fail.
-    BankBlob blob = DecodeBankBlob(bytes, max_uers, header.now);
+    BankBlob blob =
+        DecodeBankBlob(bytes, max_uers, header.now, header.stats.events);
     ledger_.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
                                blob.bank_spared);
     const auto [it, inserted] = banks_.try_emplace(key, max_uers);

@@ -194,7 +194,7 @@ void GradientBoostedClassifier::Encode(persist::BinaryWriter& out) const {
   out.F64(options_.learning_rate);
   out.Var(trees_.size());
   for (double s : base_scores_) out.F64(s);
-  for (const RegressionTree& tree : trees_) tree.Encode(out);
+  DecisionTree::EncodeFramed(trees_, out);
 }
 
 std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Decode(
@@ -219,9 +219,8 @@ std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Decode(
   booster->num_classes_ = static_cast<int>(classes);
   booster->base_scores_.resize(classes);
   for (double& s : booster->base_scores_) s = in.F64();
-  for (std::uint64_t t = 0; t < trees; ++t) {
-    booster->trees_.emplace_back().Decode(in, num_features);
-  }
+  booster->trees_ = DecisionTree::DecodeFramed<RegressionTree>(
+      in, trees, num_features, /*leaf_width=*/1);
   return booster;
 }
 

@@ -24,12 +24,13 @@ class GradientBoostedClassifier final : public Classifier {
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
   /// Tag, name, class count, learning rate, tree count, the per-class base
-  /// scores, then the trees.
+  /// scores, then the trees, each behind its length
+  /// (DecisionTree::EncodeFramed).
   void Encode(persist::BinaryWriter& out) const override;
-  /// Reads an encoded booster, its trees built in place (see
-  /// DecisionTree::Decode for what it refuses). ParseError also on another
-  /// tag, fewer than 2 classes, a learning rate that is not > 0 (NaN
-  /// included), or no trees.
+  /// Reads an encoded booster, its trees decoded on the shared pool (see
+  /// DecisionTree::DecodeFramed and Decode for what they refuse).
+  /// ParseError also on another tag, fewer than 2 classes, a learning rate
+  /// that is not > 0 (NaN included), or no trees.
   static std::unique_ptr<GradientBoostedClassifier> Decode(
       persist::BinaryReader& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {

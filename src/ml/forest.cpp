@@ -93,7 +93,7 @@ void RandomForestClassifier::Encode(persist::BinaryWriter& out) const {
   out.U8(static_cast<std::uint8_t>(LearnerTag::kRandomForest));
   out.Var(static_cast<std::uint64_t>(num_classes_));
   out.Var(trees_.size());
-  for (const ClassificationTree& tree : trees_) tree.Encode(out);
+  DecisionTree::EncodeFramed(trees_, out);
 }
 
 std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Decode(
@@ -107,14 +107,8 @@ std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Decode(
   if (trees == 0) in.Fail("forest has no trees");
   auto forest = std::make_unique<RandomForestClassifier>();
   forest->num_classes_ = static_cast<int>(classes);
-  for (std::uint64_t t = 0; t < trees; ++t) {
-    forest->trees_.emplace_back().Decode(in, num_features);
-    if (forest->trees_.back().leaf_width() != classes) {
-      in.Fail("forest tree " + std::to_string(t) + " has " +
-              std::to_string(forest->trees_.back().leaf_width()) +
-              " classes, the forest " + std::to_string(classes));
-    }
-  }
+  forest->trees_ = DecisionTree::DecodeFramed<ClassificationTree>(
+      in, trees, num_features, classes);
   return forest;
 }
 

@@ -16,12 +16,13 @@ class RandomForestClassifier final : public Classifier {
       std::span<const double> features) const override;
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
-  /// Tag, class count, tree count, then the trees.
+  /// Tag, class count, tree count, then the trees, each behind its length
+  /// (DecisionTree::EncodeFramed).
   void Encode(persist::BinaryWriter& out) const override;
-  /// Reads an encoded forest, its trees built in place (see
-  /// DecisionTree::Decode for what it refuses). ParseError also on another
-  /// tag, fewer than 2 classes, no trees, or a tree whose class count
-  /// differs from the forest's.
+  /// Reads an encoded forest, its trees decoded on the shared pool (see
+  /// DecisionTree::DecodeFramed and Decode for what they refuse).
+  /// ParseError also on another tag, fewer than 2 classes, no trees, or a
+  /// tree whose class count differs from the forest's.
   static std::unique_ptr<RandomForestClassifier> Decode(
       persist::BinaryReader& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <queue>
 #include <string>
@@ -573,7 +575,7 @@ class NodeReader {
 }  // namespace
 
 std::size_t DecisionTree::MinEncodedBytes(std::size_t num_features) {
-  return 1 + kMinNodeBytes + 8 * num_features;
+  return 2 + kMinNodeBytes + 8 * num_features;
 }
 
 std::uint32_t DecisionTree::DecodeClassCount(persist::BinaryReader& in,
@@ -691,5 +693,94 @@ void DecisionTree::Decode(persist::BinaryReader& in,
   importance_.resize(num_features);
   for (double& v : importance_) v = in.F64();
 }
+
+void DecisionTree::Reserve(std::string_view encoded,
+                           std::size_t num_features) {
+  // The counts as Decode reads them; one it would refuse leaves the tree
+  // as it is, and Decode then throws the error.
+  persist::BinaryReader in(encoded, "tree");
+  std::uint64_t width = 1;
+  std::uint64_t n = 0;
+  try {
+    if (species_ == Species::kClassification) {
+      width = DecodeClassCount(in, "tree");
+    }
+    n = in.VarCount(kMinNodeBytes);
+  } catch (const ParseError&) {
+    return;
+  }
+  nodes_.reserve(n);
+  values_.reserve(std::min<std::size_t>(
+      species_ == Species::kRegression ? n : (n + 1) / 2 * width,
+      in.remaining() / 8));
+  importance_.reserve(num_features);
+}
+
+template <typename Tree>
+void DecisionTree::EncodeFramed(const std::vector<Tree>& trees,
+                                persist::BinaryWriter& out) {
+  std::string bytes;
+  for (const Tree& tree : trees) {
+    bytes.clear();
+    persist::BinaryWriter tree_out(bytes);
+    tree.Encode(tree_out);
+    out.Var(bytes.size());
+    out.Bytes(bytes);
+  }
+}
+
+template <typename Tree>
+std::vector<Tree> DecisionTree::DecodeFramed(persist::BinaryReader& in,
+                                             std::uint64_t count,
+                                             std::size_t num_features,
+                                             std::uint32_t leaf_width) {
+  // Every allocation happens here, on the calling thread: glibc gives each
+  // thread that allocates an arena of its own, and trees allocated in the
+  // pool threads' arenas cost about 1.4 MB more resident memory on the
+  // paper-scale models (DESIGN.md §16). The vector grows tree by tree:
+  // sized up front, it read servebench's peak_rss_mb 0.5-2.6 MB higher
+  // (heap layout; EXPERIMENTS.md).
+  std::vector<Tree> trees;
+  std::vector<std::string_view> spans(count);
+  std::vector<std::exception_ptr> errors(count);
+  for (std::uint64_t t = 0; t < count; ++t) {
+    const std::uint64_t length = in.Var();
+    if (length > in.remaining()) {
+      in.Fail("tree " + std::to_string(t) + " takes " +
+              std::to_string(length) + " byte(s), " +
+              std::to_string(in.remaining()) + " left");
+    }
+    spans[t] = in.Bytes(length);
+    trees.emplace_back().Reserve(spans[t], num_features);
+  }
+  ParallelFor(count, 1, [&](std::size_t t) {
+    char context[96];
+    std::snprintf(context, sizeof(context), "%s tree %zu", in.context(), t);
+    persist::BinaryReader tree_in(spans[t], context);
+    try {
+      trees[t].Decode(tree_in, num_features);
+      tree_in.ExpectEnd();
+      if (trees[t].leaf_width() != leaf_width) {
+        tree_in.Fail("leaves carry " + std::to_string(trees[t].leaf_width()) +
+                     " value(s), the model's " + std::to_string(leaf_width));
+      }
+    } catch (...) {
+      errors[t] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return trees;
+}
+
+template void DecisionTree::EncodeFramed(const std::vector<ClassificationTree>&,
+                                         persist::BinaryWriter&);
+template void DecisionTree::EncodeFramed(const std::vector<RegressionTree>&,
+                                         persist::BinaryWriter&);
+template std::vector<ClassificationTree> DecisionTree::DecodeFramed(
+    persist::BinaryReader&, std::uint64_t, std::size_t, std::uint32_t);
+template std::vector<RegressionTree> DecisionTree::DecodeFramed(
+    persist::BinaryReader&, std::uint64_t, std::size_t, std::uint32_t);
 
 }  // namespace cordial::ml

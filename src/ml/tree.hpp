@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -94,8 +95,27 @@ class DecisionTree {
   /// [0, num_features), or a child offset of 0 (so every walk moves
   /// forward and ends) or past the last node.
   void Decode(persist::BinaryReader& in, std::size_t num_features);
-  /// The fewest bytes an encoded tree of a `num_features` model takes: its
-  /// node count, one node and its importances. The ensembles' decoders
+  /// An ensemble's trees (DESIGN.md §16): each tree's encoded byte length
+  /// as a varint, then the tree as Encode writes it, so that every tree
+  /// can be decoded on its own.
+  template <typename Tree>
+  static void EncodeFramed(const std::vector<Tree>& trees,
+                           persist::BinaryWriter& out);
+  /// Reads `count` trees EncodeFramed wrote, each leaf `leaf_width` values
+  /// wide. The calling thread reads the lengths and sizes every tree's
+  /// storage; then Decode runs over each tree's span on the shared pool
+  /// (ParallelFor). ParseError on a length past the payload, and, naming
+  /// the tree, on a tree Decode refuses, one that leaves bytes of its span
+  /// unread, or one of another leaf width. Of several bad trees the lowest
+  /// index's error is thrown, so trees and errors are the same at every
+  /// thread count.
+  template <typename Tree>
+  static std::vector<Tree> DecodeFramed(persist::BinaryReader& in,
+                                        std::uint64_t count,
+                                        std::size_t num_features,
+                                        std::uint32_t leaf_width);
+  /// The fewest bytes one of an ensemble's framed trees takes: its length,
+  /// its node count, one node and its importances. The ensembles' decoders
   /// bound their tree counts with it before allocating.
   static std::size_t MinEncodedBytes(std::size_t num_features);
   /// Reads the class count of an encoded tree or ensemble: at least 2, and
@@ -112,6 +132,11 @@ class DecisionTree {
   std::size_t ValueCount(const Node& node) const {
     return species_ == Species::kRegression || node.feature < 0 ? width_ : 0;
   }
+
+  /// Reserves the storage Decode fills for the encoded tree `encoded`, so
+  /// that decoding it allocates nothing. Counts Decode would refuse
+  /// reserve nothing.
+  void Reserve(std::string_view encoded, std::size_t num_features);
 
   Species species_;
   std::uint32_t width_ = 1;

@@ -296,6 +296,8 @@ class BinaryReader {
   /// it then consumes what it used with Bytes.
   std::string_view rest() const { return data_.substr(pos_); }
   bool AtEnd() const { return pos_ == data_.size(); }
+  /// What Fail names, for a reader over a part of these bytes.
+  const char* context() const { return context_; }
 
   /// Require the payload to be fully consumed — trailing garbage after the
   /// last field means the buffer is not what the writer produced.

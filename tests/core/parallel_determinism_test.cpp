@@ -10,13 +10,18 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/isolation.hpp"
 #include "hbm/address.hpp"
+#include "ml/booster.hpp"
 #include "ml/classifier.hpp"
 #include "ml/dataset.hpp"
 #include "ml/forest.hpp"
@@ -106,7 +111,123 @@ std::string ForestFingerprint(std::size_t threads, const ml::Dataset& data) {
 
 // Golden values captured at CORDIAL_THREADS=1 on the reference toolchain.
 constexpr std::uint64_t kGoldenFleetHash = 0x71fa4cf20ccef6d9ULL;
-constexpr std::uint64_t kGoldenForestHash = 0x7cbdf061a4dc03d9ULL;
+constexpr std::uint64_t kGoldenForestHash = 0x1f15b9508c79ccd3ULL;
+
+std::string Encoded(const ml::Classifier& model) {
+  std::string bytes;
+  persist::BinaryWriter out(bytes);
+  model.Encode(out);
+  return bytes;
+}
+
+/// An XGB-style and an LGBM-style booster fit on `data` at one thread,
+/// encoded.
+std::vector<std::string> SavedBoosters(const ml::Dataset& data) {
+  std::vector<std::string> saved;
+  ml::BoosterOptions xgb;
+  xgb.n_rounds = 30;
+  ml::BoosterOptions lgbm = xgb;
+  lgbm.max_leaves = 31;
+  lgbm.goss = true;
+  SetThreadCount(1);
+  for (const auto& booster :
+       {ml::MakeXgbStyleBooster(xgb), ml::MakeLgbmStyleBooster(lgbm)}) {
+    Rng rng(321);
+    booster->Fit(data, rng);
+    saved.push_back(Encoded(*booster));
+  }
+  SetThreadCount(0);
+  return saved;
+}
+
+/// `saved` decoded as a model file's payload is, on `threads` threads.
+std::unique_ptr<ml::Classifier> DecodeAt(std::size_t threads,
+                                         std::string_view saved,
+                                         std::size_t num_features) {
+  SetThreadCount(threads);
+  persist::BinaryReader in(saved, "saved model");
+  std::unique_ptr<ml::Classifier> model;
+  try {
+    model = ml::DecodeClassifier(in, num_features);
+    in.ExpectEnd();
+  } catch (...) {
+    SetThreadCount(0);
+    throw;
+  }
+  SetThreadCount(0);
+  return model;
+}
+
+/// The bits of every probability `model` gives the data's rows and a few
+/// rows far outside them.
+std::vector<std::uint64_t> ProbaBits(const ml::Classifier& model,
+                                     const ml::Dataset& data) {
+  std::vector<std::vector<double>> grid;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const std::span<const double> row = data.row(i);
+    grid.emplace_back(row.begin(), row.end());
+  }
+  for (const double x : {-1e300, -1.0, 0.0, 0.5, 1.0, 2.0, 1e300}) {
+    grid.emplace_back(data.num_features(), x);
+  }
+  std::vector<std::uint64_t> bits;
+  for (const std::vector<double>& row : grid) {
+    for (const double p : model.PredictProba(row)) {
+      bits.push_back(std::bit_cast<std::uint64_t>(p));
+    }
+  }
+  return bits;
+}
+
+/// A valid 2-class tree of `nodes` nodes over `features` features, long
+/// enough to take a while to decode: every node but the last splits on
+/// feature 0, its left child the next node, its right child the last one.
+std::string ChainTree(std::size_t nodes, std::size_t features) {
+  std::string tree;
+  persist::BinaryWriter out(tree);
+  out.Var(2);  // classes
+  out.Var(nodes);
+  for (std::size_t i = 0; i + 1 < nodes; ++i) {
+    out.Var(1);  // splits on feature 0
+    out.F64(0.5);
+    out.Var(1);
+    out.Var(nodes - 1 - i);
+  }
+  out.Var(0);  // the leaf and its class frequencies
+  out.F64(1.0);
+  out.F64(0.0);
+  for (std::size_t f = 0; f < features; ++f) out.F64(0.0);
+  return tree;
+}
+
+/// The golden forest with two corrupt trees. Tree 3, replaced by a long
+/// chain, reads to its end and leaves one byte of its span unread; tree
+/// 20's root splits on a feature the model lacks. On the pool, other
+/// threads reach tree 20 while tree 3 still decodes, so tree 20 usually
+/// fails first.
+std::string WithTwoCorruptTrees(const std::string& forest,
+                                std::size_t features) {
+  persist::BinaryReader in(forest, "walk");
+  in.U8();   // learner tag
+  in.Var();  // class count
+  const std::uint64_t trees = in.Var();
+  EXPECT_GT(trees, 20u);
+  std::string corrupt(forest.substr(0, in.position()));
+  persist::BinaryWriter out(corrupt);
+  for (std::uint64_t t = 0; t < trees; ++t) {
+    std::string tree(in.Bytes(in.Var()));
+    if (t == 3) tree = ChainTree(100000, features) + '\0';
+    if (t == 20) {
+      persist::BinaryReader tree_in(tree, "walk tree");
+      tree_in.Var();  // class count
+      tree_in.Var();  // node count
+      tree[tree_in.position()] = 0x7f;  // the root splits on feature 126
+    }
+    out.Var(tree.size());
+    out.Bytes(tree);
+  }
+  return corrupt;
+}
 
 TEST(ParallelDeterminism, FleetIdenticalAcrossThreadCounts) {
   const std::uint64_t h1 = FleetHashAt(1, 42);
@@ -128,6 +249,38 @@ TEST(ParallelDeterminism, ForestIdenticalAcrossThreadCounts) {
   const std::string f8 = ForestFingerprint(8, data);
   EXPECT_EQ(f1, f2);
   EXPECT_EQ(f1, f8);
+
+  // A model's trees decode on the pool, one tree a task. The model must
+  // not depend on how many threads decoded it: it re-encodes to the saved
+  // bytes and predicts the same bits at every count.
+  std::vector<std::string> models = SavedBoosters(data);
+  models.push_back(f1);
+  for (const std::string& saved : models) {
+    const std::vector<std::uint64_t> serial =
+        ProbaBits(*DecodeAt(1, saved, data.num_features()), data);
+    for (const std::size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      const auto model = DecodeAt(threads, saved, data.num_features());
+      EXPECT_EQ(Encoded(*model), saved);
+      EXPECT_EQ(ProbaBits(*model, data), serial);
+    }
+  }
+
+  // Of two corrupt trees, the error is the lower-index tree's at every
+  // count, whichever fails first on the pool.
+  const std::string corrupt = WithTwoCorruptTrees(f1, data.num_features());
+  for (const std::size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    try {
+      DecodeAt(threads, corrupt, data.num_features());
+      ADD_FAILURE() << "decoded a forest with two corrupt trees";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "saved model tree 3: 1 unexpected trailing byte(s)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ParallelDeterminism, ForestSeedStableGolden) {

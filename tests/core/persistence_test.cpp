@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "analysis/labeler.hpp"
 #include "common/check.hpp"
@@ -162,22 +163,44 @@ TEST_F(PersistenceTest, ModelFilesCarryVersionedMagicHeaders) {
                                ml::LearnerKind::kRandomForest);
   EXPECT_THROW(wrong_kind.LoadModel(pattern_buf), ParseError);
 
-  // A stream from a newer format version is rejected with a message naming
-  // both versions.
-  std::istringstream reread(crossrow_buf.str());
-  const std::string payload =
-      ReadFramed(reread, kCrossRowModelMagic, kModelFrameVersion);
-  std::ostringstream future;
-  WriteFramed(future, kCrossRowModelMagic, kModelFrameVersion + 1, payload);
-  std::istringstream future_in(future.str());
-  CrossRowPredictor deployed(Fleet().topology,
-                             ml::LearnerKind::kRandomForest);
-  try {
-    deployed.LoadModel(future_in);
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
+  // A stream in the retired v3 layout (trees without their lengths) or
+  // from a newer format version is rejected by its version, with a message
+  // naming both versions, for either kind of model. The payload is this
+  // build's: only the header's version decides.
+  constexpr std::uint32_t kRetiredV3 = 3;
+  const auto reframed = [](const std::string& bytes, const char* magic,
+                           std::uint32_t version) {
+    std::istringstream in(bytes);
+    const std::string payload = ReadFramed(in, magic, kModelFrameVersion);
+    std::ostringstream out;
+    WriteFramed(out, magic, version, payload);
+    return out.str();
+  };
+  const auto expect_refused = [](auto& model, const std::string& stream,
+                                  const std::string& stream_is) {
+    std::istringstream in(stream);
+    try {
+      model.LoadModel(in);
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(stream_is), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(model.trained());
+  };
+  for (const std::uint32_t version : {kRetiredV3, kModelFrameVersion + 1}) {
+    SCOPED_TRACE(version);
+    const std::string stream_is = "stream is v" + std::to_string(version);
+    PatternClassifier pattern(Fleet().topology,
+                              ml::LearnerKind::kRandomForest);
+    expect_refused(pattern,
+                   reframed(pattern_bytes, kPatternModelMagic, version),
+                   stream_is);
+    CrossRowPredictor crossrow(Fleet().topology,
+                               ml::LearnerKind::kRandomForest);
+    expect_refused(crossrow,
+                   reframed(crossrow_bytes, kCrossRowModelMagic, version),
+                   stream_is);
   }
 }
 

@@ -154,8 +154,8 @@ std::string SavedPatternModel(ml::LearnerKind kind) {
 // SaveModel bytes of the two boosters, pinned: the tree encoder must keep
 // every GBDT internal-node value and write every double as its raw bits.
 // ParallelDeterminism.ForestSeedStableGolden pins the forest's bytes.
-constexpr std::uint64_t kGoldenXgbModelHash = 0xc169c703016e2e73ULL;
-constexpr std::uint64_t kGoldenLgbmModelHash = 0xa9268982b4e41b3cULL;
+constexpr std::uint64_t kGoldenXgbModelHash = 0x445a219dd87f01abULL;
+constexpr std::uint64_t kGoldenLgbmModelHash = 0x78709d7a3588b0ccULL;
 
 TEST(LearnModelCompat, BoosterSaveBytesGolden) {
   const std::string xgb = SavedPatternModel(ml::LearnerKind::kXgbStyle);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -38,10 +39,15 @@ struct Stump {
   std::uint64_t left = 1;       ///< the root's child offsets
   std::uint64_t right = 2;
   std::size_t features = 1;  ///< importances written
+  /// Applied to the tree's bytes before its length is written in front.
+  std::function<void(std::string&)> edit_tree = nullptr;
+  std::int64_t length_change = 0;  ///< added to the tree's written length
 
   std::string Bytes() const {
     std::string bytes;
     persist::BinaryWriter out(bytes);
+    std::string tree;
+    persist::BinaryWriter tree_out(tree);
     if (booster) {
       out.U8(static_cast<std::uint8_t>(LearnerTag::kGradientBoosted));
       const std::string_view name = "XGBoost-style";
@@ -52,34 +58,40 @@ struct Stump {
       out.Var(trees);
       out.F64(0.0);  // base scores
       out.F64(0.0);
-      out.Var(nodes);
-      out.Var(split_tag);
-      out.F64(0.5);
-      out.Var(left);
-      out.Var(right);
-      out.F64(0.0);  // every regression node carries its value
-      out.Var(0);
-      out.F64(-2.0);
-      out.Var(0);
-      out.F64(2.0);
+      tree_out.Var(nodes);
+      tree_out.Var(split_tag);
+      tree_out.F64(0.5);
+      tree_out.Var(left);
+      tree_out.Var(right);
+      tree_out.F64(0.0);  // every regression node carries its value
+      tree_out.Var(0);
+      tree_out.F64(-2.0);
+      tree_out.Var(0);
+      tree_out.F64(2.0);
     } else {
       out.U8(static_cast<std::uint8_t>(LearnerTag::kRandomForest));
       out.Var(classes);
       out.Var(trees);
-      out.Var(tree_classes);
-      out.Var(nodes);
-      out.Var(split_tag);
-      out.F64(0.5);
-      out.Var(left);
-      out.Var(right);
-      out.Var(0);  // leaves carry their class frequencies
-      out.F64(1.0);
-      out.F64(0.0);
-      out.Var(0);
-      out.F64(0.0);
-      out.F64(1.0);
+      tree_out.Var(tree_classes);
+      tree_out.Var(nodes);
+      tree_out.Var(split_tag);
+      tree_out.F64(0.5);
+      tree_out.Var(left);
+      tree_out.Var(right);
+      tree_out.Var(0);  // leaves carry their class frequencies
+      tree_out.F64(1.0);
+      tree_out.F64(0.0);
+      tree_out.Var(0);
+      tree_out.F64(0.0);
+      tree_out.F64(1.0);
     }
-    for (std::size_t f = 0; f < features; ++f) out.F64(f == 0 ? 0.25 : 0.0);
+    for (std::size_t f = 0; f < features; ++f) {
+      tree_out.F64(f == 0 ? 0.25 : 0.0);
+    }
+    if (edit_tree) edit_tree(tree);
+    out.Var(static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(tree.size()) + length_change));
+    out.Bytes(tree);
     return bytes;
   }
 };
@@ -159,6 +171,21 @@ TEST(ModelParser, BadCountsAreParseErrors) {
   ExpectRejected({.classes = 1, .tree_classes = 1});
   ExpectRejected({.tree_classes = 1});
   ExpectRejected({.tree_classes = 3});  // not the forest's class count
+  // A tree of 3-class leaves that decodes on its own, in a 2-class forest:
+  // each leaf gets a third frequency, 0.0, after its two.
+  const auto third_class = [](std::string& tree) {
+    tree.insert(47, 8, '\0');
+    tree.insert(30, 8, '\0');
+  };
+  try {
+    Load(Stump{.tree_classes = 3, .edit_tree = third_class}.Bytes(), 1);
+    ADD_FAILURE() << "loaded a 3-class tree into a 2-class forest";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "test model tree 0: leaves carry 3 value(s), the model's 2"),
+              std::string::npos)
+        << e.what();
+  }
   ExpectRejected({.nodes = 0});
   ExpectRejected({.trees = 0});
   ExpectRejected({.booster = true, .trees = 0});
@@ -178,22 +205,55 @@ TEST(ModelParser, RejectsMalformedFields) {
     bytes[0] = tag;
     EXPECT_THROW(Load(bytes, 1), ParseError) << int(tag);
   }
-  // The root's tag as an overlong varint: 0x81 0x00 also reads 1.
-  std::string overlong = forest;
-  overlong.replace(5, 1, "\x81\x00", 2);
-  EXPECT_THROW(Load(overlong, 1), ParseError);
+  // In the forest tree's bytes: the class count, the node count, then the
+  // root's tag. The root's tag as an overlong varint: 0x81 0x00 also
+  // reads 1.
+  ExpectRejected({.edit_tree = [](std::string& tree) {
+    tree.replace(2, 1, "\x81\x00", 2);
+  }});
   // A node varint past five bytes.
-  std::string wide = forest;
-  wide.replace(5, 1, "\x81\x80\x80\x80\x80\x00", 6);
-  EXPECT_THROW(Load(wide, 1), ParseError);
-  // An overlong count.
+  ExpectRejected({.edit_tree = [](std::string& tree) {
+    tree.replace(2, 1, "\x81\x80\x80\x80\x80\x00", 6);
+  }});
+  // An overlong node count.
+  ExpectRejected({.edit_tree = [](std::string& tree) {
+    tree.replace(1, 1, "\x83\x00", 2);
+  }});
+  // An overlong tree count.
   std::string count = forest;
-  count.replace(4, 1, "\x83\x00", 2);
+  count.replace(2, 1, "\x81\x00", 2);
   EXPECT_THROW(Load(count, 1), ParseError);
   // A booster name longer than the payload.
   std::string name = Stump{.booster = true}.Bytes();
   name[1] = '\x7f';
   EXPECT_THROW(Load(name, 1), ParseError);
+}
+
+TEST(ModelParser, RejectsTreeLengthsThatDoNotFrameTheirTree) {
+  const auto refusal = [](const Stump& stump) {
+    try {
+      Load(stump.Bytes(), 1);
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  for (const bool booster : {false, true}) {
+    SCOPED_TRACE(booster ? "booster" : "forest");
+    // A length one short cuts the tree's last importance.
+    EXPECT_NE(refusal({.booster = booster, .length_change = -1})
+                  .find("test model tree 0: truncated payload"),
+              std::string::npos);
+    // A length one long takes a byte the tree does not read.
+    const auto pad = [](std::string& tree) { tree.push_back('\0'); };
+    EXPECT_NE(refusal({.booster = booster, .edit_tree = pad})
+                  .find("test model tree 0: 1 unexpected trailing byte(s)"),
+              std::string::npos);
+    // A length past the payload.
+    EXPECT_NE(refusal({.booster = booster, .length_change = 1})
+                  .find("test model: tree 0 takes"),
+              std::string::npos);
+  }
 }
 
 TEST(ModelParser, TrailingBytesAfterTheModelAreRefused) {

@@ -433,6 +433,14 @@ double HeaderClock(std::string_view engine_payload) {
   return reader.F64();
 }
 
+/// The accepted-record count of an engine payload (full or delta): the
+/// first field of its header.
+std::uint64_t HeaderEvents(std::string_view engine_payload) {
+  persist::BinaryReader reader(engine_payload, "test");
+  reader.U32();
+  return reader.U64();
+}
+
 /// The engine-state frame of shard `shard` in a full checkpoint member.
 std::string_view EngineFrame(std::string_view full, std::uint64_t shard) {
   std::string_view payload =
@@ -691,10 +699,12 @@ TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
 TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
   // CrossRowAccumulator::Absorb adds every record's row to its type's row
   // set, and before the first UER the first UER time stays +0.0; the sum of
-  // the type counts is all_count. A blob that breaks one of these passes
-  // every structural check and restores a bank whose features no feed
-  // could produce. The last cases forge a capped view first and give it a
-  // UER row the cross-row view lacks.
+  // the type counts is all_count, and no bank counts more records than its
+  // engine accepted. A blob that breaks one of these passes every
+  // structural check and restores a bank whose features no feed could
+  // produce: a CE count of nearly 2^64 beside a few CE rows wraps all_count
+  // to 0 at the bank's next record. The last cases forge a capped view
+  // first and give it a UER row the cross-row view lacks.
   const auto rows_up_to = [](std::uint64_t n) {
     std::vector<std::uint32_t> rows;
     for (std::uint32_t r = 1; r <= n; ++r) rows.push_back(r);
@@ -705,6 +715,10 @@ TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
        [](ForgedBlob& b) {
          b.ce = std::numeric_limits<std::uint64_t>::max();
          b.ueo = b.ce;
+       }},
+      {"events, more than the engine's",
+       [](ForgedBlob& b) {
+         b.ce = std::numeric_limits<std::uint64_t>::max() - b.ueo - b.uer;
        }},
       {"cross-row ce_rows",
        [&](ForgedBlob& b) { b.ce_rows = rows_up_to(b.ce + 1); }},
@@ -724,6 +738,36 @@ TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
       {"classification view's distinct_uer_rows",
        [](ForgedBlob& b) { b.view.distinct_uer_rows = {0, 7}; }, true},
   });
+  // The bound is the header's accepted-record count itself: a bank may
+  // hold every record its engine accepted, and not one more.
+  const World& w = SharedWorld();
+  for (const TortureDonor& donor : TortureDonors()) {
+    SCOPED_TRACE(donor.name);
+    for (const std::uint64_t extra : {0, 1}) {
+      const std::string forged =
+          ReframeShard(donor, kShardCount - 1, [&](std::string& engine) {
+            const std::uint64_t events = HeaderEvents(engine);
+            EditFirstBlob(engine, [&](ForgedBlob& b) {
+              b.ce = events + extra - b.ueo - b.uer;
+            });
+          });
+      FleetServer victim = MakeTortureVictim(w, donor);
+      if (extra == 0) {
+        EXPECT_NO_THROW(ApplyDonor(victim, donor, forged));
+        continue;
+      }
+      const std::string victim_before = Checkpoint(victim);
+      try {
+        ApplyDonor(victim, donor, forged);
+        ADD_FAILURE() << "restored a bank with one event too many";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("more than the engine's"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(Checkpoint(victim), victim_before);
+    }
+  }
 }
 
 TEST(Durability, DiffChainsContradictingTheirCountsAreRefused) {
