@@ -23,7 +23,7 @@
 # shutdown must be byte-identical to the never-migrated reference's fold),
 # the hostile-feed drill, a check that a --checkpoint path that is not a
 # directory fails the boot and is left untouched, and a check that a model
-# with a flipped payload byte or a retired v3 header fails the boot.
+# with a flipped payload byte or a retired v4 header fails the boot.
 # Finally five perf gates: instrumenting the serving hot path must cost
 # <= 5% throughput vs the uninstrumented path (BENCH_obs.json), the
 # lock-free batched ring must beat the pre-ring mutex queue >= 5x into a
@@ -138,9 +138,9 @@ else
         exit 1; }
     done
   done
-  grep -q "model frames: .* v4$" <<< "$(./build/examples/cordial_serverd \
+  grep -q "model frames: .* v5$" <<< "$(./build/examples/cordial_serverd \
     --version)" || {
-    echo "tier1: cordial_serverd --version does not list model frames v4"
+    echo "tier1: cordial_serverd --version does not list model frames v5"
     exit 1; }
 
   # Durability drill: the failpoint power-cuts (::_exit 121) the second
@@ -326,9 +326,9 @@ else
 
   # A damaged model must fail the boot before the feed is read, the same
   # way: a copy of the trained single-row model with one payload byte
-  # flipped fails its CRC, and one whose header says v3 (the newest retired
-  # format, trees without their lengths) fails its version check. The other
-  # two models are intact.
+  # flipped fails its CRC, and one whose header says v4 (the newest retired
+  # format, nodes with child offsets and leaf values inline) fails its
+  # version check. The other two models are intact.
   for DAMAGE in checksum version; do
     BAD="$SMOKE/bad-$DAMAGE"
     cp "$SMOKE/m.pattern.model" "$BAD.pattern.model"
@@ -342,9 +342,9 @@ else
       printf "\\$(printf '%03o' $(( BYTE ^ 1 )))" |
         dd of="$BAD.single.model" bs=1 seek="$AT" conv=notrunc status=none
     else
-      LC_ALL=C sed -i '1s/ v4 / v3 /' "$BAD.single.model"
-      head -n 1 "$BAD.single.model" | grep -q " v3 " || {
-        echo "tier1: could not rewrite the model header to v3"; exit 1; }
+      LC_ALL=C sed -i '1s/ v5 / v4 /' "$BAD.single.model"
+      head -n 1 "$BAD.single.model" | grep -q " v4 " || {
+        echo "tier1: could not rewrite the model header to v4"; exit 1; }
     fi
     if cmp -s "$SMOKE/m.single.model" "$BAD.single.model"; then
       echo "tier1: the $DAMAGE-damaged model copy is intact"; exit 1
@@ -364,7 +364,7 @@ else
       exit 1
     fi
   done
-  echo "tier1: damaged-model check OK (a flipped payload byte and a v3" \
+  echo "tier1: damaged-model check OK (a flipped payload byte and a v4" \
     "header each fail the boot before the feed)"
 fi
 

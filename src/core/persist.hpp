@@ -10,16 +10,18 @@ namespace cordial::core {
 
 inline constexpr char kPatternModelMagic[] = "cordial_pattern_model";
 inline constexpr char kCrossRowModelMagic[] = "cordial_crossrow_model";
-// v4: binary payload (persist/binary_io.hpp codec, DESIGN.md §16) that
+// v5: binary payload (persist/binary_io.hpp codec, DESIGN.md §16) that
 // leads with the feature count as a varint, so a stale model trained
 // against a different extractor layout is rejected at load time instead of
 // silently mispredicting from shifted feature columns; then the learner tag
 // and the trees, each behind its byte length as a varint so that the trees
-// decode in parallel, doubles as raw IEEE-754 bits. v2 (the same fields as
-// `%.17g` text) and v3 (the trees without their lengths) are retired: their
-// frames fail with a version-mismatch ParseError, and their models must be
-// retrained.
-inline constexpr std::uint32_t kModelFrameVersion = 4;
+// decode in parallel, doubles as raw IEEE-754 bits. A tree is its table of
+// distinct leaf tuples, then its nodes in pre-order with no child offsets.
+// v2 (the same fields as `%.17g` text), v3 (the trees without their
+// lengths) and v4 (nodes with child offsets and leaf values inline) are
+// retired: their frames fail with a version-mismatch ParseError, and their
+// models must be retrained.
+inline constexpr std::uint32_t kModelFrameVersion = 5;
 
 inline constexpr char kEngineStateMagic[] = "cordial_engine_state";
 // v5: binary payload (persist/binary_io.hpp codec) whose header carries the

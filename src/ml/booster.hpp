@@ -38,6 +38,7 @@ class GradientBoostedClassifier final : public Classifier {
   }
 
   std::size_t total_trees() const { return trees_.size(); }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
 
  private:
   /// Raw (pre-softmax) scores for one feature vector.

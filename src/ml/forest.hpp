@@ -30,6 +30,7 @@ class RandomForestClassifier final : public Classifier {
   }
 
   std::size_t tree_count() const { return trees_.size(); }
+  const std::vector<ClassificationTree>& trees() const { return trees_; }
 
  private:
   RandomForestOptions options_;

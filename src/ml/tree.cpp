@@ -1,6 +1,7 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <map>
 #include <queue>
 #include <string>
 #include <string_view>
@@ -119,17 +121,18 @@ void ClassificationTree::Fit(const Dataset& data,
                              Rng& rng) {
   CORDIAL_CHECK_MSG(!indices.empty(), "cannot fit a tree on zero samples");
   nodes_.clear();
-  values_.clear();
+  table_.clear();
   depth_ = 0;
   width_ = static_cast<std::uint32_t>(data.num_classes());
   importance_.assign(data.num_features(), 0.0);
   std::vector<std::size_t> work(indices);
   Build(data, work, 0, rng);
+  CompactTable();
 }
 
-std::int32_t ClassificationTree::Build(const Dataset& data,
-                                       std::vector<std::size_t>& indices,
-                                       int depth, Rng& rng) {
+void ClassificationTree::Build(const Dataset& data,
+                               std::vector<std::size_t>& indices, int depth,
+                               Rng& rng) {
   depth_ = std::max(depth_, depth);
   const std::size_t k = width_;
 
@@ -140,12 +143,9 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
   const auto total = static_cast<double>(indices.size());
   const double parent_impurity = Gini(counts, total);
 
-  auto make_leaf = [&]() -> std::int32_t {
-    Node leaf;
-    leaf.values = static_cast<std::uint32_t>(values_.size());
-    for (std::size_t c = 0; c < k; ++c) values_.push_back(counts[c] / total);
-    nodes_.push_back(leaf);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+  auto make_leaf = [&] {
+    for (double& c : counts) c /= total;
+    AddLeaf(counts);
   };
 
   const bool pure = std::any_of(counts.begin(), counts.end(), [&](double c) {
@@ -153,7 +153,8 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
   });
   if (pure || indices.size() < options_.min_samples_split ||
       (options_.max_depth > 0 && depth >= options_.max_depth)) {
-    return make_leaf();
+    make_leaf();
+    return;
   }
 
   // Best Gini split over a feature subsample. Every candidate feature is
@@ -230,7 +231,10 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
     }
   }
 
-  if (best_feature < 0) return make_leaf();
+  if (best_feature < 0) {
+    make_leaf();
+    return;
+  }
   importance_[static_cast<std::size_t>(best_feature)] +=
       (parent_impurity - best_impurity) * total;
 
@@ -241,19 +245,19 @@ std::int32_t ClassificationTree::Build(const Dataset& data,
          : right_idx)
         .push_back(i);
   }
-  if (left_idx.empty() || right_idx.empty()) return make_leaf();
+  if (left_idx.empty() || right_idx.empty()) {
+    make_leaf();
+    return;
+  }
   indices.clear();
   indices.shrink_to_fit();
 
-  const auto node_id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(node_id)].feature = best_feature;
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best_threshold;
-  const std::int32_t left = Build(data, left_idx, depth + 1, rng);
-  const std::int32_t right = Build(data, right_idx, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
-  return node_id;
+  // Pre-order: the left subtree follows the split, then the right one.
+  const std::size_t split = nodes_.size();
+  nodes_.push_back(Node{best_threshold, best_feature, 0});
+  Build(data, left_idx, depth + 1, rng);
+  nodes_[split].index = static_cast<std::uint32_t>(nodes_.size());
+  Build(data, right_idx, depth + 1, rng);
 }
 
 // -------------------------------------------------------- regression tree
@@ -397,12 +401,24 @@ void RegressionTree::Fit(const Dataset& data,
   CORDIAL_CHECK_MSG((options_.max_bins > 0) == (binner != nullptr),
                     "binner must be supplied iff max_bins > 0");
   nodes_.clear();
-  values_.clear();
+  table_.clear();
   width_ = 1;
   importance_.assign(data.num_features(), 0.0);
 
+  // The tree grows best-first, children after their parents; it is laid
+  // out in pre-order once grown. Every node keeps the value it would have
+  // as a leaf until it splits.
+  struct Grown {
+    double threshold = 0.0;
+    std::int32_t feature = -1;
+    std::size_t left = 0;
+    std::size_t right = 0;
+    double value = 0.0;
+  };
+  std::vector<Grown> grown;
+
   struct Pending {
-    std::int32_t node_id;
+    std::size_t node_id;
     std::vector<std::size_t> indices;
     int depth;
     SplitResult split;
@@ -423,13 +439,9 @@ void RegressionTree::Fit(const Dataset& data,
     return true;
   };
 
-  // Every node keeps the value it would have as a leaf, splits included.
   auto add_node = [&](double value) {
-    Node node;
-    node.values = static_cast<std::uint32_t>(values_.size());
-    nodes_.push_back(node);
-    values_.push_back(value);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+    grown.push_back(Grown{.value = value});
+    return grown.size() - 1;
   };
 
   // Root.
@@ -464,9 +476,9 @@ void RegressionTree::Fit(const Dataset& data,
     if (left_idx.empty() || right_idx.empty()) continue;  // degenerate
 
     importance_[f] += p.split.gain;
-    const std::int32_t left_id = add_node(leaf_value_of(left_idx));
-    const std::int32_t right_id = add_node(leaf_value_of(right_idx));
-    Node& parent = nodes_[static_cast<std::size_t>(p.node_id)];
+    const std::size_t left_id = add_node(leaf_value_of(left_idx));
+    const std::size_t right_id = add_node(leaf_value_of(right_idx));
+    Grown& parent = grown[p.node_id];
     parent.feature = p.split.feature;
     parent.threshold = p.split.threshold;
     parent.left = left_id;
@@ -484,11 +496,32 @@ void RegressionTree::Fit(const Dataset& data,
       if (rp.split.found) heap.push(std::move(rp));
     }
   }
+
+  // Pre-order from the root: each stacked node names the split whose right
+  // child it is, if it is one.
+  constexpr std::size_t kNoSplit = std::numeric_limits<std::size_t>::max();
+  std::vector<std::pair<std::size_t, std::size_t>> stack{{0, kNoSplit}};
+  while (!stack.empty()) {
+    const auto [id, right_of] = stack.back();
+    stack.pop_back();
+    if (right_of != kNoSplit) {
+      nodes_[right_of].index = static_cast<std::uint32_t>(nodes_.size());
+    }
+    const Grown& node = grown[id];
+    if (node.feature < 0) {
+      AddLeaf(std::span<const double>(&node.value, 1));
+      continue;
+    }
+    stack.emplace_back(node.right, nodes_.size());
+    stack.emplace_back(node.left, kNoSplit);
+    nodes_.push_back(Node{node.threshold, node.feature, 0});
+  }
+  CompactTable();
 }
 
 // ------------------------------------------------------------- node layout
 
-static_assert(sizeof(DecisionTree::Node) == 24, "nodes stay compact");
+static_assert(sizeof(DecisionTree::Node) == 16, "nodes stay compact");
 
 std::span<const double> DecisionTree::Leaf(
     std::span<const double> features) const {
@@ -497,9 +530,9 @@ std::span<const double> DecisionTree::Leaf(
   const Node* node = nodes;
   while (node->feature >= 0) {
     const double v = features[static_cast<std::size_t>(node->feature)];
-    node = nodes + (v <= node->threshold ? node->left : node->right);
+    node = v <= node->threshold ? node + 1 : nodes + node->index;
   }
-  return {values_.data() + node->values, width_};
+  return {table_.data() + std::size_t{node->index} * width_, width_};
 }
 
 std::size_t DecisionTree::leaf_count() const {
@@ -510,13 +543,58 @@ std::size_t DecisionTree::leaf_count() const {
 
 namespace {
 
-/// The varints inside a node (its tag and child offsets) are at most five
-/// bytes long: every value the encoder writes there fits in 32 bits.
+/// The bytes of a leaf tuple of `width` values: table entries are compared
+/// by them, so -0.0 and 0.0, or NaNs of two payloads, are two entries.
+std::string_view TupleBytes(const double* tuple, std::size_t width) {
+  return {reinterpret_cast<const char*>(tuple), width * sizeof(double)};
+}
+
+/// The varints inside a node (its tag and a leaf's table entry) are at most
+/// five bytes long: every value the encoder writes there fits in 32 bits.
 constexpr std::size_t kMaxNodeVarBytes = 5;
 
-/// Every node takes at least its tag byte and one double: a threshold, a
-/// class frequency or a regression value.
-constexpr std::size_t kMinNodeBytes = 9;
+/// The most nodes a tree may have: node indices are 32-bit.
+constexpr auto kMaxNodes =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
+
+/// The fewest bytes the nodes of a tree of `n` >= 1 nodes take: a binary
+/// tree has (n - 1) / 2 splits, each a tag and a threshold, and (n + 1) / 2
+/// leaves, each a tag and a table entry.
+std::uint64_t MinNodeBytes(std::uint64_t n) {
+  return (n - 1) / 2 * 9 + (n + 1) / 2 * 2;
+}
+
+/// Reads a tree's table entry count: the entries, `width` doubles each,
+/// must fit in the bytes left.
+std::uint64_t ReadEntryCount(persist::BinaryReader& in, std::uint32_t width) {
+  const std::uint64_t entries = in.Var();
+  if (entries > in.remaining() / 8 / width) {
+    in.Fail("tree table of " + std::to_string(entries) + " entries of " +
+            std::to_string(width) + " value(s) does not fit in the " +
+            std::to_string(in.remaining()) + " bytes left");
+  }
+  return entries;
+}
+
+/// Reads a tree's node count, after its table: the nodes of a valid tree
+/// of that many must fit in the bytes left, and its (n + 1) / 2 leaves must
+/// be enough to use every entry.
+std::uint64_t ReadNodeCount(persist::BinaryReader& in, std::uint64_t entries) {
+  const std::uint64_t n = in.Var();
+  if (n == 0) in.Fail("tree has no nodes");
+  if (n > kMaxNodes || n > in.remaining() ||
+      MinNodeBytes(n) > in.remaining()) {
+    in.Fail("a tree of " + std::to_string(n) +
+            " nodes does not fit in the " + std::to_string(in.remaining()) +
+            " bytes left");
+  }
+  if (entries > (n + 1) / 2) {
+    in.Fail("tree table has " + std::to_string(entries) +
+            " entries for at most " + std::to_string((n + 1) / 2) +
+            " leaves");
+  }
+  return n;
+}
 
 /// Reads the fields of one node from a pointer that has at least the
 /// node's largest encoding in front of it, so no field checks bounds: the
@@ -529,7 +607,7 @@ class NodeReader {
 
   const unsigned char* pos() const { return pos_; }
 
-  /// Tags and left offsets are almost always one byte: that case stays
+  /// Tags and table entries are almost always one byte: that case stays
   /// inline.
   std::uint64_t Var() {
     const unsigned char first = *pos_;
@@ -574,8 +652,32 @@ class NodeReader {
 
 }  // namespace
 
+void DecisionTree::AddLeaf(std::span<const double> values) {
+  nodes_.push_back(
+      Node{0.0, -1, static_cast<std::uint32_t>(table_.size() / width_)});
+  table_.insert(table_.end(), values.begin(), values.end());
+}
+
+void DecisionTree::CompactTable() {
+  // Leaf k (in pre-order) holds entry k; an entry equal to an earlier one
+  // merges into it, and the rest keep their first-use order.
+  std::map<std::string_view, std::uint32_t> entries;
+  std::vector<double> table;
+  for (Node& node : nodes_) {
+    if (node.feature >= 0) continue;
+    const double* tuple = table_.data() + std::size_t{node.index} * width_;
+    const auto [it, fresh] = entries.try_emplace(
+        TupleBytes(tuple, width_),
+        static_cast<std::uint32_t>(table.size() / width_));
+    if (fresh) table.insert(table.end(), tuple, tuple + width_);
+    node.index = it->second;
+  }
+  table.shrink_to_fit();
+  table_ = std::move(table);
+}
+
 std::size_t DecisionTree::MinEncodedBytes(std::size_t num_features) {
-  return 2 + kMinNodeBytes + 8 * num_features;
+  return 5 + 8 + 8 * num_features;
 }
 
 std::uint32_t DecisionTree::DecodeClassCount(persist::BinaryReader& in,
@@ -591,19 +693,16 @@ std::uint32_t DecisionTree::DecodeClassCount(persist::BinaryReader& in,
 
 void DecisionTree::Encode(persist::BinaryWriter& out) const {
   if (species_ == Species::kClassification) out.Var(width_);
+  out.Var(table_.size() / width_);
+  for (double v : table_) out.F64(v);
   out.Var(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
+  for (const Node& node : nodes_) {
     if (node.feature < 0) {
       out.Var(0);
+      out.Var(node.index);
     } else {
       out.Var(static_cast<std::uint64_t>(node.feature) + 1);
       out.F64(node.threshold);
-      out.Var(static_cast<std::size_t>(node.left) - i);
-      out.Var(static_cast<std::size_t>(node.right) - i);
-    }
-    for (std::size_t v = 0; v < ValueCount(node); ++v) {
-      out.F64(values_[node.values + v]);
     }
   }
   for (double v : importance_) out.F64(v);
@@ -611,50 +710,72 @@ void DecisionTree::Encode(persist::BinaryWriter& out) const {
 
 void DecisionTree::Decode(persist::BinaryReader& in,
                           std::size_t num_features) {
-  const bool regression = species_ == Species::kRegression;
   width_ = 1;
-  if (!regression) width_ = DecodeClassCount(in, "tree");
-  const std::uint64_t n = in.VarCount(kMinNodeBytes);
-  if (n == 0) in.Fail("tree has no nodes");
-  constexpr auto kMaxNodes =
-      static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
-  if (n > kMaxNodes) in.Fail("tree has " + std::to_string(n) + " nodes");
-
+  if (species_ == Species::kClassification) {
+    width_ = DecodeClassCount(in, "tree");
+  }
+  const std::uint64_t entries = ReadEntryCount(in, width_);
+  table_.resize(entries * width_);
+  for (double& v : table_) v = in.F64();
+  const std::uint64_t n = ReadNodeCount(in, entries);
   nodes_.assign(n, Node{});
-  values_.clear();
-  // Both builders emit full binary trees: (n + 1) / 2 leaves. Every value
-  // takes 8 bytes, so the bytes left bound the reservation too.
-  values_.reserve(std::min<std::size_t>(
-      regression ? n : (n + 1) / 2 * width_, in.remaining() / 8));
-  // What ValueCount says, per kind of node.
-  const std::size_t leaf_values = width_;
-  const std::size_t split_values = regression ? width_ : 0;
 
+  // No two entries equal: their numbers are sorted by value in the node
+  // array, which has room for them (ReadNodeCount) and is overwritten
+  // below, so the check allocates nothing.
+  const auto tuple = [&](const Node& node) {
+    return TupleBytes(table_.data() + std::size_t{node.index} * width_,
+                      width_);
+  };
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    nodes_[e].index = static_cast<std::uint32_t>(e);
+  }
+  const auto sorted_end = nodes_.begin() + static_cast<std::ptrdiff_t>(entries);
+  std::sort(nodes_.begin(), sorted_end, [&](const Node& a, const Node& b) {
+    return tuple(a) < tuple(b);
+  });
+  for (std::uint64_t e = 1; e < entries; ++e) {
+    const Node& a = nodes_[e - 1];
+    const Node& b = nodes_[e];
+    if (tuple(a) == tuple(b)) {
+      in.Fail("tree table entries " +
+              std::to_string(std::min(a.index, b.index)) + " and " +
+              std::to_string(std::max(a.index, b.index)) + " are equal");
+    }
+  }
+
+  // The nodes, in pre-order. A split's right child is not stored: the
+  // splits still waiting for theirs form a stack, linked through their
+  // index fields, and the node after a leaf is the right child of the
+  // split it pops. A leaf with no split left to pop closes the tree, which
+  // must happen at the last node.
+  //
   // One bounds check per node, against the node's largest encoding: a tag
-  // and two offsets, a threshold and the values. A node closer than that
-  // to the end of the payload is read from a zero-padded copy of the tail,
-  // and refused if it used bytes past the real end.
-  const std::size_t max_node_bytes =
-      3 * kMaxNodeVarBytes + 8 + 8 * std::max(leaf_values, split_values);
+  // and a threshold. A node closer than that to the end of the payload is
+  // read from a zero-padded copy of the tail, and refused if it used bytes
+  // past the real end.
+  constexpr std::uint32_t kNoSplit = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::size_t kMaxNodeBytes = kMaxNodeVarBytes + 8;
+  std::uint32_t open = kNoSplit;  // the innermost split awaiting its right child
+  bool closed = false;            // by a leaf that found no split open
+  std::uint64_t used = 0;         // entries used so far, in first-use order
   const std::string_view rest = in.rest();
   const auto* const begin =
       reinterpret_cast<const unsigned char*>(rest.data());
   const auto* const end = begin + rest.size();
   const unsigned char* at = begin;
-  std::vector<unsigned char> tail;
-  const auto last = static_cast<std::int64_t>(n) - 1;
-  for (std::int64_t i = 0; i <= last; ++i) {
+  std::array<unsigned char, kMaxNodeBytes> tail{};
+  const std::uint64_t last = n - 1;
+  for (std::uint64_t i = 0; i <= last; ++i) {
     const auto left_in_payload = static_cast<std::size_t>(end - at);
     const unsigned char* from = at;
-    if (left_in_payload < max_node_bytes) {
-      tail.assign(at, end);
-      tail.resize(max_node_bytes, 0);
+    if (left_in_payload < kMaxNodeBytes) {
+      tail.fill(0);
+      std::memcpy(tail.data(), at, left_in_payload);
       from = tail.data();
     }
     NodeReader node_in(from, in);
-    Node& node = nodes_[static_cast<std::size_t>(i)];
-    node.values = static_cast<std::uint32_t>(values_.size());
-    std::size_t values = leaf_values;
+    Node& node = nodes_[i];
     const std::uint64_t tag = node_in.Var();
     if (tag != 0) {
       if (tag > num_features) {
@@ -664,30 +785,49 @@ void DecisionTree::Decode(persist::BinaryReader& in,
       }
       node.feature = static_cast<std::int32_t>(tag - 1);
       node.threshold = node_in.F64();
-      const std::uint64_t left = node_in.Var();
-      const std::uint64_t right = node_in.Var();
-      // Children strictly after their parent: every walk moves forward
-      // through the array, so it ends.
-      const auto after = static_cast<std::uint64_t>(last - i);
-      if (left == 0 || right == 0 || left > after || right > after) {
-        in.Fail("tree node " + std::to_string(i) + " has child offsets " +
-                std::to_string(left) + ", " + std::to_string(right) +
-                " outside [1, " + std::to_string(after) + "]");
+      node.index = open;
+      open = static_cast<std::uint32_t>(i);
+    } else {
+      const std::uint64_t e = node_in.Var();
+      if (e >= entries) {
+        in.Fail("tree node " + std::to_string(i) + " uses table entry " +
+                std::to_string(e) + " of " + std::to_string(entries));
       }
-      node.left =
-          static_cast<std::int32_t>(i + static_cast<std::int64_t>(left));
-      node.right =
-          static_cast<std::int32_t>(i + static_cast<std::int64_t>(right));
-      values = split_values;
+      if (e > used) {
+        in.Fail("tree node " + std::to_string(i) + " uses table entry " +
+                std::to_string(e) + " before entry " + std::to_string(used));
+      }
+      if (e == used) ++used;
+      node.feature = -1;
+      node.threshold = 0.0;
+      node.index = static_cast<std::uint32_t>(e);
+      if (open == kNoSplit) {
+        if (i != last) {
+          in.Fail("tree closes at node " + std::to_string(i) + " of " +
+                  std::to_string(n));
+        }
+        closed = true;
+      } else {
+        Node& split = nodes_[open];
+        open = split.index;
+        split.index = static_cast<std::uint32_t>(i + 1);
+      }
     }
-    for (; values > 0; --values) values_.push_back(node_in.F64());
-    const auto used = static_cast<std::size_t>(node_in.pos() - from);
-    if (used > left_in_payload) {
+    const auto read = static_cast<std::size_t>(node_in.pos() - from);
+    if (read > left_in_payload) {
       in.Fail("truncated payload (tree node " + std::to_string(i) +
-              " needs " + std::to_string(used) + " byte(s), have " +
+              " needs " + std::to_string(read) + " byte(s), have " +
               std::to_string(left_in_payload) + ")");
     }
-    at += used;
+    at += read;
+  }
+  if (!closed) {
+    in.Fail("tree of " + std::to_string(n) +
+            " node(s) does not close at its last node");
+  }
+  if (used != entries) {
+    in.Fail("tree table entry " + std::to_string(used) + " of " +
+            std::to_string(entries) + " is never used");
   }
   in.Bytes(static_cast<std::size_t>(at - begin));
   importance_.resize(num_features);
@@ -696,23 +836,22 @@ void DecisionTree::Decode(persist::BinaryReader& in,
 
 void DecisionTree::Reserve(std::string_view encoded,
                            std::size_t num_features) {
-  // The counts as Decode reads them; one it would refuse leaves the tree
-  // as it is, and Decode then throws the error.
+  // The counts as Decode reads them, each reserved as soon as it is read,
+  // so that Decode allocates nothing even on a tree it refuses: a count it
+  // would refuse reserves nothing, and neither does any count after it.
   persist::BinaryReader in(encoded, "tree");
-  std::uint64_t width = 1;
-  std::uint64_t n = 0;
   try {
+    std::uint32_t width = 1;
     if (species_ == Species::kClassification) {
       width = DecodeClassCount(in, "tree");
     }
-    n = in.VarCount(kMinNodeBytes);
+    const std::uint64_t entries = ReadEntryCount(in, width);
+    table_.reserve(entries * width);
+    in.Bytes(entries * width * 8);
+    nodes_.reserve(ReadNodeCount(in, entries));
   } catch (const ParseError&) {
     return;
   }
-  nodes_.reserve(n);
-  values_.reserve(std::min<std::size_t>(
-      species_ == Species::kRegression ? n : (n + 1) / 2 * width,
-      in.remaining() / 8));
   importance_.reserve(num_features);
 }
 

@@ -7,8 +7,8 @@
 //     leaf values, supporting exact or histogram split finding and level-wise
 //     or best-first (leaf-wise) growth — the base learner for both the
 //     XGBoost-style and the LightGBM-style boosters.
-// Once fitted or loaded both are a DecisionTree: one node layout with one
-// walk loop, one encoder and one decoder.
+// Once fitted or loaded both are a DecisionTree: one 16-byte pre-order node
+// layout with one walk loop, one encoder and one decoder.
 #pragma once
 
 #include <cstdint>
@@ -50,21 +50,19 @@ class FeatureBinner {
 
 // ------------------------------------------------------------- node layout
 
-/// A fitted or loaded tree of either species: nodes in saved order,
-/// array-of-structs, and every value the tree carries in one contiguous
-/// array, so no node allocates. A classification tree carries its class
-/// frequencies on leaves only. A regression tree carries one Newton value on
-/// every node: prediction reads only leaves, but the saved format keeps the
-/// internal values, so decode → encode stays byte-identical.
+/// A fitted or loaded tree of either species: its nodes in pre-order,
+/// array-of-structs, and one table of the tree's distinct leaf tuples, so
+/// no node allocates. A classification leaf's tuple is its class
+/// frequencies, a regression leaf's its Newton value; splits carry none.
 class DecisionTree {
  public:
-  /// One split or leaf; 24 bytes.
+  /// One split or leaf; 16 bytes. A split's left child is the node after
+  /// it and `index` is its right child; a leaf's `index` is its tuple's
+  /// entry in the table.
   struct Node {
     double threshold = 0.0;     ///< features[feature] <= threshold goes left
     std::int32_t feature = -1;  ///< -1 for leaves
-    std::int32_t left = -1;     ///< children (-1 on leaves), always stored
-    std::int32_t right = -1;    ///< after their parent
-    std::uint32_t values = 0;   ///< offset of this node's values
+    std::uint32_t index = 0;    ///< right child, or the leaf's table entry
   };
 
   /// Values of the leaf `features` falls in: the class frequencies of a
@@ -75,6 +73,12 @@ class DecisionTree {
   std::size_t leaf_count() const;
   /// Values per leaf: the class count, or 1 for a regression tree.
   std::size_t leaf_width() const { return width_; }
+  /// The nodes in pre-order.
+  std::span<const Node> nodes() const { return nodes_; }
+  /// The distinct leaf tuples, `leaf_width()` values an entry, in the order
+  /// the leaves (in pre-order) first use them; no two are equal bit for
+  /// bit, and every one is some leaf's.
+  std::span<const double> table() const { return table_; }
 
   /// Per-feature total impurity decrease (classification) or split gain
   /// (regression); empty before fitting. Not normalized.
@@ -82,18 +86,21 @@ class DecisionTree {
     return importance_;
   }
 
-  /// Binary form (DESIGN.md §16): [class count,] node count, the nodes in
-  /// array order, then `num_features` importances. A node is a varint tag
-  /// (0 for a leaf, feature + 1 for a split); a split adds its threshold
-  /// and its children as forward varint offsets; then come the values it
-  /// carries. Doubles are raw IEEE-754 bits.
+  /// Binary form (DESIGN.md §16): [class count,] the table's entry count
+  /// and values, the node count, the nodes in pre-order, then
+  /// `num_features` importances. A node is a varint tag (0 for a leaf,
+  /// feature + 1 for a split), then a split's threshold or a leaf's table
+  /// entry as a varint; no node stores a child. Doubles are raw IEEE-754
+  /// bits.
   void Encode(persist::BinaryWriter& out) const;
   /// Replaces this tree with the encoded tree at `in`, built in place. The
   /// decoder is canonical: it accepts only bytes Encode writes. ParseError
   /// on a truncated or overlong field, a class count below 2, no nodes, a
-  /// count that cannot fit in the bytes left, a split feature outside
-  /// [0, num_features), or a child offset of 0 (so every walk moves
-  /// forward and ends) or past the last node.
+  /// count that cannot fit in the bytes left, more table entries than
+  /// leaves, two equal entries, a split feature outside [0, num_features),
+  /// a leaf entry past the table or used before the entries ahead of it,
+  /// an entry no leaf uses, or tags that do not close into one binary tree
+  /// exactly at the last node.
   void Decode(persist::BinaryReader& in, std::size_t num_features);
   /// An ensemble's trees (DESIGN.md §16): each tree's encoded byte length
   /// as a varint, then the tree as Encode writes it, so that every tree
@@ -115,8 +122,9 @@ class DecisionTree {
                                         std::size_t num_features,
                                         std::uint32_t leaf_width);
   /// The fewest bytes one of an ensemble's framed trees takes: its length,
-  /// its node count, one node and its importances. The ensembles' decoders
-  /// bound their tree counts with it before allocating.
+  /// its counts, one table value, one leaf and its importances. The
+  /// ensembles' decoders bound their tree counts with it before
+  /// allocating.
   static std::size_t MinEncodedBytes(std::size_t num_features);
   /// Reads the class count of an encoded tree or ensemble: at least 2, and
   /// no more than the doubles left, since each class takes one (a leaf
@@ -128,10 +136,13 @@ class DecisionTree {
   enum class Species { kClassification, kRegression };
   explicit DecisionTree(Species species) : species_(species) {}
 
-  /// How many values `node` carries in values_.
-  std::size_t ValueCount(const Node& node) const {
-    return species_ == Species::kRegression || node.feature < 0 ? width_ : 0;
-  }
+  /// Fitting appends nodes in pre-order: a leaf through AddLeaf, which
+  /// gives every leaf a table entry of its own, and CompactTable once the
+  /// tree is complete.
+  void AddLeaf(std::span<const double> values);
+  /// Merges the entries that are equal bit for bit, numbered in first-use
+  /// order, so a fitted tree's table is what Decode accepts.
+  void CompactTable();
 
   /// Reserves the storage Decode fills for the encoded tree `encoded`, so
   /// that decoding it allocates nothing. Counts Decode would refuse
@@ -141,7 +152,7 @@ class DecisionTree {
   Species species_;
   std::uint32_t width_ = 1;
   std::vector<Node> nodes_;
-  std::vector<double> values_;
+  std::vector<double> table_;
   std::vector<double> importance_;
 };
 
@@ -171,8 +182,9 @@ class ClassificationTree : public DecisionTree {
   int depth() const { return depth_; }
 
  private:
-  std::int32_t Build(const Dataset& data, std::vector<std::size_t>& indices,
-                     int depth, Rng& rng);
+  /// Appends the subtree of `indices` in pre-order.
+  void Build(const Dataset& data, std::vector<std::size_t>& indices,
+             int depth, Rng& rng);
 
   ClassificationTreeOptions options_;
   int depth_ = 0;
@@ -202,7 +214,8 @@ class RegressionTree : public DecisionTree {
   explicit RegressionTree(RegressionTreeOptions options = {})
       : DecisionTree(Species::kRegression), options_(options) {}
 
-  /// `binner` must be non-null iff options.max_bins > 0.
+  /// `binner` must be non-null iff options.max_bins > 0. The tree grows
+  /// best-first and is laid out in pre-order once grown.
   void Fit(const Dataset& data, const std::vector<std::size_t>& indices,
            std::span<const double> gradients, std::span<const double> hessians,
            Rng& rng, const FeatureBinner* binner);

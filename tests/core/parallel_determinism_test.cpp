@@ -111,7 +111,7 @@ std::string ForestFingerprint(std::size_t threads, const ml::Dataset& data) {
 
 // Golden values captured at CORDIAL_THREADS=1 on the reference toolchain.
 constexpr std::uint64_t kGoldenFleetHash = 0x71fa4cf20ccef6d9ULL;
-constexpr std::uint64_t kGoldenForestHash = 0x1f15b9508c79ccd3ULL;
+constexpr std::uint64_t kGoldenForestHash = 0x16ef701e77ccad38ULL;
 
 std::string Encoded(const ml::Classifier& model) {
   std::string bytes;
@@ -179,23 +179,26 @@ std::vector<std::uint64_t> ProbaBits(const ml::Classifier& model,
   return bits;
 }
 
-/// A valid 2-class tree of `nodes` nodes over `features` features, long
-/// enough to take a while to decode: every node but the last splits on
-/// feature 0, its left child the next node, its right child the last one.
-std::string ChainTree(std::size_t nodes, std::size_t features) {
+/// A valid 2-class tree of `splits` splits over `features` features, long
+/// enough to take a while to decode: each split's left child is the next
+/// split, and its right child a leaf after the innermost split's two
+/// leaves. Every leaf uses the table's one entry.
+std::string ChainTree(std::size_t splits, std::size_t features) {
   std::string tree;
   persist::BinaryWriter out(tree);
-  out.Var(2);  // classes
-  out.Var(nodes);
-  for (std::size_t i = 0; i + 1 < nodes; ++i) {
+  out.Var(2);    // classes
+  out.Var(1);    // table entries
+  out.F64(1.0);  // the entry's class frequencies
+  out.F64(0.0);
+  out.Var(2 * splits + 1);
+  for (std::size_t i = 0; i < splits; ++i) {
     out.Var(1);  // splits on feature 0
     out.F64(0.5);
-    out.Var(1);
-    out.Var(nodes - 1 - i);
   }
-  out.Var(0);  // the leaf and its class frequencies
-  out.F64(1.0);
-  out.F64(0.0);
+  for (std::size_t i = 0; i <= splits; ++i) {
+    out.Var(0);  // a leaf using entry 0
+    out.Var(0);
+  }
   for (std::size_t f = 0; f < features; ++f) out.F64(0.0);
   return tree;
 }
@@ -216,11 +219,13 @@ std::string WithTwoCorruptTrees(const std::string& forest,
   persist::BinaryWriter out(corrupt);
   for (std::uint64_t t = 0; t < trees; ++t) {
     std::string tree(in.Bytes(in.Var()));
-    if (t == 3) tree = ChainTree(100000, features) + '\0';
+    if (t == 3) tree = ChainTree(50000, features) + '\0';
     if (t == 20) {
       persist::BinaryReader tree_in(tree, "walk tree");
-      tree_in.Var();  // class count
-      tree_in.Var();  // node count
+      const std::uint64_t classes = tree_in.Var();
+      const std::uint64_t entries = tree_in.Var();
+      tree_in.Bytes(entries * classes * 8);  // the table
+      tree_in.Var();                         // node count
       tree[tree_in.position()] = 0x7f;  // the root splits on feature 126
     }
     out.Var(tree.size());
@@ -249,12 +254,15 @@ TEST(ParallelDeterminism, ForestIdenticalAcrossThreadCounts) {
   const std::string f8 = ForestFingerprint(8, data);
   EXPECT_EQ(f1, f2);
   EXPECT_EQ(f1, f8);
+}
 
+TEST(ParallelDeterminism, ModelsDecodeIdenticallyAcrossThreadCounts) {
   // A model's trees decode on the pool, one tree a task. The model must
   // not depend on how many threads decoded it: it re-encodes to the saved
   // bytes and predicts the same bits at every count.
+  const ml::Dataset data = SyntheticDataset();
   std::vector<std::string> models = SavedBoosters(data);
-  models.push_back(f1);
+  models.push_back(ForestFingerprint(1, data));
   for (const std::string& saved : models) {
     const std::vector<std::uint64_t> serial =
         ProbaBits(*DecodeAt(1, saved, data.num_features()), data);
@@ -265,10 +273,14 @@ TEST(ParallelDeterminism, ForestIdenticalAcrossThreadCounts) {
       EXPECT_EQ(ProbaBits(*model, data), serial);
     }
   }
+}
 
+TEST(ParallelDeterminism, LowestCorruptTreeIsNamedAtEveryThreadCount) {
   // Of two corrupt trees, the error is the lower-index tree's at every
   // count, whichever fails first on the pool.
-  const std::string corrupt = WithTwoCorruptTrees(f1, data.num_features());
+  const ml::Dataset data = SyntheticDataset();
+  const std::string corrupt =
+      WithTwoCorruptTrees(ForestFingerprint(1, data), data.num_features());
   for (const std::size_t threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
     try {

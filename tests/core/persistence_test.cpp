@@ -163,11 +163,11 @@ TEST_F(PersistenceTest, ModelFilesCarryVersionedMagicHeaders) {
                                ml::LearnerKind::kRandomForest);
   EXPECT_THROW(wrong_kind.LoadModel(pattern_buf), ParseError);
 
-  // A stream in the retired v3 layout (trees without their lengths) or
-  // from a newer format version is rejected by its version, with a message
-  // naming both versions, for either kind of model. The payload is this
-  // build's: only the header's version decides.
-  constexpr std::uint32_t kRetiredV3 = 3;
+  // A stream in the retired v4 layout (nodes with child offsets and leaf
+  // values inline) or from a newer format version is rejected by its
+  // version, with a message naming both versions, for either kind of
+  // model. The payload is this build's: only the header's version decides.
+  constexpr std::uint32_t kRetiredV4 = 4;
   const auto reframed = [](const std::string& bytes, const char* magic,
                            std::uint32_t version) {
     std::istringstream in(bytes);
@@ -188,7 +188,7 @@ TEST_F(PersistenceTest, ModelFilesCarryVersionedMagicHeaders) {
     }
     EXPECT_FALSE(model.trained());
   };
-  for (const std::uint32_t version : {kRetiredV3, kModelFrameVersion + 1}) {
+  for (const std::uint32_t version : {kRetiredV4, kModelFrameVersion + 1}) {
     SCOPED_TRACE(version);
     const std::string stream_is = "stream is v" + std::to_string(version);
     PatternClassifier pattern(Fleet().topology,

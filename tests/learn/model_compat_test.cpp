@@ -151,11 +151,12 @@ std::string SavedPatternModel(ml::LearnerKind kind) {
   return out.str();
 }
 
-// SaveModel bytes of the two boosters, pinned: the tree encoder must keep
-// every GBDT internal-node value and write every double as its raw bits.
-// ParallelDeterminism.ForestSeedStableGolden pins the forest's bytes.
-constexpr std::uint64_t kGoldenXgbModelHash = 0x445a219dd87f01abULL;
-constexpr std::uint64_t kGoldenLgbmModelHash = 0x78709d7a3588b0ccULL;
+// SaveModel bytes of the two boosters, pinned: the tree encoder must write
+// the trees in pre-order behind their tables of distinct leaf values, and
+// every double as its raw bits. ParallelDeterminism.ForestSeedStableGolden
+// pins the forest's bytes.
+constexpr std::uint64_t kGoldenXgbModelHash = 0x6f71ae54f70f12ddULL;
+constexpr std::uint64_t kGoldenLgbmModelHash = 0xa52af8bb79969befULL;
 
 TEST(LearnModelCompat, BoosterSaveBytesGolden) {
   const std::string xgb = SavedPatternModel(ml::LearnerKind::kXgbStyle);

@@ -5,13 +5,16 @@
 // count. What decodes re-encodes to the same bytes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/framing.hpp"
@@ -34,10 +37,18 @@ struct Stump {
   std::uint64_t tree_classes = 2;  ///< the forest tree's class count
   double learning_rate = 1.0;      ///< booster only
   std::uint64_t trees = 1;
-  std::uint64_t nodes = 3;
-  std::uint64_t split_tag = 1;  ///< the root's feature + 1
-  std::uint64_t left = 1;       ///< the root's child offsets
-  std::uint64_t right = 2;
+  /// The tree's table of leaf tuples; empty for the stump's own: (1, 0)
+  /// and (0, 1) in a forest, -2 and 2 in a booster.
+  std::vector<double> table = {};
+  /// The table's entry count as written; by default the table's.
+  std::optional<std::uint64_t> entries = std::nullopt;
+  /// The node count as written; by default the shape's.
+  std::optional<std::uint64_t> nodes = std::nullopt;
+  /// The nodes in pre-order: 'S' a split on `split_tag` at 0.5, 'L' a
+  /// leaf using the next of `leaves`.
+  std::string_view shape = "SLL";
+  std::uint64_t split_tag = 1;  ///< a split's feature + 1
+  std::vector<std::uint64_t> leaves = {0, 1};  ///< the leaves' entries
   std::size_t features = 1;  ///< importances written
   /// Applied to the tree's bytes before its length is written in front.
   std::function<void(std::string&)> edit_tree = nullptr;
@@ -48,6 +59,8 @@ struct Stump {
     persist::BinaryWriter out(bytes);
     std::string tree;
     persist::BinaryWriter tree_out(tree);
+    std::vector<double> values = table;
+    std::uint64_t width = 1;
     if (booster) {
       out.U8(static_cast<std::uint8_t>(LearnerTag::kGradientBoosted));
       const std::string_view name = "XGBoost-style";
@@ -58,32 +71,27 @@ struct Stump {
       out.Var(trees);
       out.F64(0.0);  // base scores
       out.F64(0.0);
-      tree_out.Var(nodes);
-      tree_out.Var(split_tag);
-      tree_out.F64(0.5);
-      tree_out.Var(left);
-      tree_out.Var(right);
-      tree_out.F64(0.0);  // every regression node carries its value
-      tree_out.Var(0);
-      tree_out.F64(-2.0);
-      tree_out.Var(0);
-      tree_out.F64(2.0);
+      if (values.empty()) values = {-2.0, 2.0};
     } else {
       out.U8(static_cast<std::uint8_t>(LearnerTag::kRandomForest));
       out.Var(classes);
       out.Var(trees);
       tree_out.Var(tree_classes);
-      tree_out.Var(nodes);
-      tree_out.Var(split_tag);
-      tree_out.F64(0.5);
-      tree_out.Var(left);
-      tree_out.Var(right);
-      tree_out.Var(0);  // leaves carry their class frequencies
-      tree_out.F64(1.0);
-      tree_out.F64(0.0);
-      tree_out.Var(0);
-      tree_out.F64(0.0);
-      tree_out.F64(1.0);
+      width = tree_classes;
+      if (values.empty()) values = {1.0, 0.0, 0.0, 1.0};
+    }
+    tree_out.Var(entries.value_or(values.size() / width));
+    for (const double v : values) tree_out.F64(v);
+    tree_out.Var(nodes.value_or(shape.size()));
+    std::size_t leaf = 0;
+    for (const char node : shape) {
+      if (node == 'S') {
+        tree_out.Var(split_tag);
+        tree_out.F64(0.5);
+      } else {
+        tree_out.Var(0);
+        tree_out.Var(leaf < leaves.size() ? leaves[leaf++] : 0);
+      }
     }
     for (std::size_t f = 0; f < features; ++f) {
       tree_out.F64(f == 0 ? 0.25 : 0.0);
@@ -119,6 +127,23 @@ void ExpectRejected(const Stump& stump, std::size_t num_features = 1) {
       << (stump.booster ? "booster" : "forest");
 }
 
+/// The ParseError message a stump's bytes are refused with, or "loaded".
+std::string Refusal(const Stump& stump) {
+  try {
+    Load(stump.Bytes(), 1);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "loaded";
+}
+
+/// Expects `stump` refused with a message that contains `message`.
+void ExpectRefusedWith(const Stump& stump, const std::string& message) {
+  const std::string refusal = Refusal(stump);
+  EXPECT_NE(refusal.find(message), std::string::npos)
+      << (stump.booster ? "booster: " : "forest: ") << refusal;
+}
+
 TEST(ModelParser, HandWrittenStumpsLoadAndPredict) {
   const double low = 0.2, high = 0.9;
   for (const bool booster : {false, true}) {
@@ -140,17 +165,68 @@ TEST(ModelParser, RejectsSplitFeatureOutsideTheModel) {
   EXPECT_NO_THROW(Load(Stump{.split_tag = 2, .features = 2}.Bytes(), 2));
 }
 
-TEST(ModelParser, RejectsChildrenThatDoNotFollowTheirParent) {
+TEST(ModelParser, RejectsTagSequencesThatDoNotCloseIntoOneTree) {
+  // No node stores a child: the tags alone give the tree its shape, so
+  // they must close into exactly one binary tree at the last node.
   for (const bool booster : {false, true}) {
-    // A self-loop: loaded, PredictProba would never return.
-    ExpectRejected({.booster = booster, .left = 0});
-    ExpectRejected({.booster = booster, .right = 0});
-    // Past the last node.
-    ExpectRejected({.booster = booster, .right = 3});
-    ExpectRejected({.booster = booster, .left = 1000000});
+    // A tree that closes early: the nodes after it belong to no tree.
+    ExpectRefusedWith(
+        {.booster = booster, .shape = "SLLL", .leaves = {0, 1, 1}},
+        "tree closes at node 2 of 4");
+    ExpectRefusedWith({.booster = booster, .shape = "LSL"},
+                      "tree closes at node 0 of 3");
+    // Tags that never close: a split left without a right child, whether
+    // the last node is a leaf or a split.
+    ExpectRefusedWith({.booster = booster, .shape = "SSLL"},
+                      "tree of 4 node(s) does not close at its last node");
+    ExpectRefusedWith({.booster = booster, .shape = "SLS", .leaves = {0}},
+                      "tree of 3 node(s) does not close at its last node");
+    ExpectRefusedWith(
+        {.booster = booster,
+         .table = booster ? std::vector<double>{2.0}
+                          : std::vector<double>{1.0, 0.0},
+         .shape = "S"},
+        "tree of 1 node(s) does not close at its last node");
   }
-  // A one-node tree has no node to point to.
-  ExpectRejected({.nodes = 1, .left = 1, .right = 1});
+}
+
+TEST(ModelParser, RejectsLeafEntriesPastTheTableOrOutOfFirstUseOrder) {
+  for (const bool booster : {false, true}) {
+    ExpectRefusedWith({.booster = booster, .leaves = {0, 2}},
+                      "tree node 2 uses table entry 2 of 2");
+    ExpectRefusedWith({.booster = booster, .leaves = {0, 1000000}},
+                      "tree node 2 uses table entry 1000000 of 2");
+    // Entries are numbered in the order the leaves first use them.
+    ExpectRefusedWith({.booster = booster, .leaves = {1, 0}},
+                      "tree node 1 uses table entry 1 before entry 0");
+  }
+}
+
+TEST(ModelParser, RejectsTableEntriesRepeatedOrNeverUsed) {
+  ExpectRefusedWith({.table = {0.5, 0.5, 0.5, 0.5}},
+                    "tree table entries 0 and 1 are equal");
+  ExpectRefusedWith({.booster = true, .table = {2.0, 2.0}},
+                    "tree table entries 0 and 1 are equal");
+  // Equal means equal bits: 0.0 and -0.0, or NaNs of two payloads, are two
+  // entries, and their trees load and re-encode to their bytes.
+  const double nan_a = std::bit_cast<double>(0x7ff8000000000001ULL);
+  const double nan_b = std::bit_cast<double>(0x7ff8000000000002ULL);
+  for (const std::vector<double>& table :
+       {std::vector<double>{0.0, -0.0}, std::vector<double>{nan_a, nan_b}}) {
+    const std::string bytes = Stump{.booster = true, .table = table}.Bytes();
+    EXPECT_EQ(Encoded(*Load(bytes, 1)), bytes);
+  }
+  for (const bool booster : {false, true}) {
+    ExpectRefusedWith({.booster = booster, .leaves = {0, 0}},
+                      "tree table entry 1 of 2 is never used");
+    // More entries than the tree has leaves is refused at the count.
+    ExpectRefusedWith(
+        {.booster = booster,
+         .table = booster ? std::vector<double>{-2.0, 2.0, 3.0}
+                          : std::vector<double>{1.0, 0.0, 0.0, 1.0, 0.5,
+                                                0.5}},
+        "tree table has 3 entries for at most 2 leaves");
+  }
 }
 
 TEST(ModelParser, RejectsCountsThatDoNotFit) {
@@ -159,6 +235,16 @@ TEST(ModelParser, RejectsCountsThatDoNotFit) {
     ExpectRejected({.booster = booster, .trees = 4000000000});
     ExpectRejected({.booster = booster, .classes = 4000000000});
     ExpectRejected({.booster = booster, .nodes = 1ull << 63});
+    // A table count that cannot fit in the bytes left.
+    ExpectRefusedWith({.booster = booster, .entries = 4000000000},
+                      "tree table of 4000000000 entries");
+    ExpectRejected({.booster = booster, .entries = 1ull << 63});
+    // The node count is bounded by the bytes its nodes take at least: a
+    // split 9, a leaf 2. After the count the stump holds a split, two
+    // leaves and an importance, 21 bytes: 3 nodes need 13 of them, 5 need
+    // 24.
+    ExpectRefusedWith({.booster = booster, .nodes = 5},
+                      "a tree of 5 nodes does not fit in the 21 bytes left");
   }
   ExpectRejected({.tree_classes = 4000000000});
   // Counts the tree would accept but the model's frame contradicts: a
@@ -172,13 +258,11 @@ TEST(ModelParser, BadCountsAreParseErrors) {
   ExpectRejected({.tree_classes = 1});
   ExpectRejected({.tree_classes = 3});  // not the forest's class count
   // A tree of 3-class leaves that decodes on its own, in a 2-class forest:
-  // each leaf gets a third frequency, 0.0, after its two.
-  const auto third_class = [](std::string& tree) {
-    tree.insert(47, 8, '\0');
-    tree.insert(30, 8, '\0');
-  };
+  // each table entry gets a third frequency, 0.0, after its two.
   try {
-    Load(Stump{.tree_classes = 3, .edit_tree = third_class}.Bytes(), 1);
+    Load(Stump{.tree_classes = 3, .table = {1.0, 0.0, 0.0, 0.0, 1.0, 0.0}}
+             .Bytes(),
+         1);
     ADD_FAILURE() << "loaded a 3-class tree into a 2-class forest";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find(
@@ -205,20 +289,31 @@ TEST(ModelParser, RejectsMalformedFields) {
     bytes[0] = tag;
     EXPECT_THROW(Load(bytes, 1), ParseError) << int(tag);
   }
-  // In the forest tree's bytes: the class count, the node count, then the
-  // root's tag. The root's tag as an overlong varint: 0x81 0x00 also
-  // reads 1.
-  ExpectRejected({.edit_tree = [](std::string& tree) {
-    tree.replace(2, 1, "\x81\x00", 2);
-  }});
+  // In the forest tree's bytes: the class count, the table count, the
+  // table's four doubles, the node count, the root's tag and threshold,
+  // then each leaf's tag and entry.
+  constexpr std::size_t kNodeCountAt = 2 + 4 * 8;
+  constexpr std::size_t kRootAt = kNodeCountAt + 1;
+  constexpr std::size_t kSecondLeafEntryAt = kRootAt + 9 + 3;
+  const auto rewrite = [](std::size_t at, std::string_view bytes) {
+    return Stump{.edit_tree = [=](std::string& tree) {
+      tree.replace(at, 1, bytes);
+    }};
+  };
+  // The root's tag as an overlong varint: 0x81 0x00 also reads 1.
+  ExpectRejected(rewrite(kRootAt, std::string_view("\x81\x00", 2)));
   // A node varint past five bytes.
-  ExpectRejected({.edit_tree = [](std::string& tree) {
-    tree.replace(2, 1, "\x81\x80\x80\x80\x80\x00", 6);
-  }});
-  // An overlong node count.
-  ExpectRejected({.edit_tree = [](std::string& tree) {
-    tree.replace(1, 1, "\x83\x00", 2);
-  }});
+  ExpectRejected(
+      rewrite(kRootAt, std::string_view("\x81\x80\x80\x80\x80\x00", 6)));
+  // A leaf's entry as an overlong varint: 0x81 0x00 also reads 1.
+  ExpectRejected(
+      rewrite(kSecondLeafEntryAt, std::string_view("\x81\x00", 2)));
+  // An overlong node count and an overlong table count.
+  ExpectRejected(rewrite(kNodeCountAt, std::string_view("\x83\x00", 2)));
+  ExpectRejected(rewrite(1, std::string_view("\x82\x00", 2)));
+  // Unedited, the rewrites keep the stump.
+  EXPECT_NO_THROW(Load(rewrite(kRootAt, "\x01").Bytes(), 1));
+  EXPECT_NO_THROW(Load(rewrite(kSecondLeafEntryAt, "\x01").Bytes(), 1));
   // An overlong tree count.
   std::string count = forest;
   count.replace(2, 1, "\x81\x00", 2);
@@ -230,29 +325,17 @@ TEST(ModelParser, RejectsMalformedFields) {
 }
 
 TEST(ModelParser, RejectsTreeLengthsThatDoNotFrameTheirTree) {
-  const auto refusal = [](const Stump& stump) {
-    try {
-      Load(stump.Bytes(), 1);
-    } catch (const ParseError& e) {
-      return std::string(e.what());
-    }
-    return std::string("loaded");
-  };
   for (const bool booster : {false, true}) {
-    SCOPED_TRACE(booster ? "booster" : "forest");
     // A length one short cuts the tree's last importance.
-    EXPECT_NE(refusal({.booster = booster, .length_change = -1})
-                  .find("test model tree 0: truncated payload"),
-              std::string::npos);
+    ExpectRefusedWith({.booster = booster, .length_change = -1},
+                      "test model tree 0: truncated payload");
     // A length one long takes a byte the tree does not read.
     const auto pad = [](std::string& tree) { tree.push_back('\0'); };
-    EXPECT_NE(refusal({.booster = booster, .edit_tree = pad})
-                  .find("test model tree 0: 1 unexpected trailing byte(s)"),
-              std::string::npos);
+    ExpectRefusedWith({.booster = booster, .edit_tree = pad},
+                      "test model tree 0: 1 unexpected trailing byte(s)");
     // A length past the payload.
-    EXPECT_NE(refusal({.booster = booster, .length_change = 1})
-                  .find("test model: tree 0 takes"),
-              std::string::npos);
+    ExpectRefusedWith({.booster = booster, .length_change = 1},
+                      "test model: tree 0 takes");
   }
 }
 

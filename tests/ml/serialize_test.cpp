@@ -100,7 +100,7 @@ TEST(Serialize, RegressionTreeRoundTrip) {
   for (std::size_t i = 0; i < data.size(); i += 7) {
     EXPECT_EQ(restored.Leaf(data.row(i))[0], tree.Leaf(data.row(i))[0]);
   }
-  // Internal-node values are saved although prediction never reads them.
+  EXPECT_EQ(restored.table().size(), tree.table().size());
   EXPECT_EQ(Encoded(restored), saved);
 }
 
@@ -173,16 +173,18 @@ TEST(Serialize, LoadRejectsGarbage) {
 }
 
 TEST(Serialize, TreeDeserializeValidatesChildren) {
-  // A decision node whose children point past the node table: classes 2,
-  // nodes 1, a split on feature 0 at 0.5 to offsets 5 and 6, importance 0.
+  // A decision node with no node after it for its children: classes 2, a
+  // table of one entry (1, 0), nodes 1, a split on feature 0 at 0.5,
+  // importance 0.
   std::string bytes;
   persist::BinaryWriter out(bytes);
   out.Var(2);
   out.Var(1);
+  out.F64(1.0);
+  out.F64(0.0);
+  out.Var(1);
   out.Var(1);
   out.F64(0.5);
-  out.Var(5);
-  out.Var(6);
   out.F64(0.0);
   persist::BinaryReader evil(bytes, "test tree");
   ClassificationTree tree;

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "ml/booster.hpp"
+#include "ml/forest.hpp"
 
 namespace cordial::ml {
 namespace {
@@ -37,7 +40,85 @@ Dataset Blobs(std::size_t n_per_class, Rng& rng) {
   return data;
 }
 
+/// Three overlapping classes over three features: the trees grow deep and
+/// end in impure leaves as well as pure ones.
+Dataset OverlappingClasses(std::size_t n_per_class, Rng& rng) {
+  Dataset data(3, 3);
+  for (std::size_t i = 0; i < n_per_class; ++i) {
+    for (int cls = 0; cls < 3; ++cls) {
+      const double row[] = {cls + rng.Normal(0.0, 1.0), rng.Normal(0.0, 1.0),
+                            std::floor(rng.Normal(cls, 2.0))};
+      data.AddRow(std::span<const double>(row, 3), cls);
+    }
+  }
+  return data;
+}
+
+/// The end of the subtree rooted at node `at` of a pre-order tree: a split's
+/// left subtree starts right after it and its right subtree, at its
+/// `index`, right after the left one.
+std::size_t SubtreeEnd(std::span<const DecisionTree::Node> nodes,
+                       std::size_t at) {
+  if (at >= nodes.size()) {
+    ADD_FAILURE() << "node " << at << " past the last";
+    return nodes.size();
+  }
+  if (nodes[at].feature < 0) return at + 1;
+  const std::size_t left_end = SubtreeEnd(nodes, at + 1);
+  EXPECT_EQ(nodes[at].index, left_end) << "right child of node " << at;
+  return SubtreeEnd(nodes, nodes[at].index);
+}
+
+/// Expects `tree` in pre-order, one tree that ends at its last node, and
+/// its table minimal: entries pairwise different bit for bit, each one
+/// some leaf's, numbered in the order the leaves first use them.
+void ExpectPreOrderWithMinimalTable(const DecisionTree& tree) {
+  const std::span<const DecisionTree::Node> nodes = tree.nodes();
+  EXPECT_EQ(SubtreeEnd(nodes, 0), nodes.size());
+  const std::size_t width = tree.leaf_width();
+  const std::span<const double> table = tree.table();
+  ASSERT_EQ(table.size() % width, 0u);
+  const std::size_t entries = table.size() / width;
+  std::size_t used = 0;
+  for (const DecisionTree::Node& node : nodes) {
+    if (node.feature >= 0) continue;
+    ASSERT_LE(node.index, used) << "entry used out of first-use order";
+    if (node.index == used) ++used;
+  }
+  EXPECT_EQ(used, entries) << "an entry no leaf uses";
+  for (std::size_t a = 0; a < entries; ++a) {
+    for (std::size_t b = a + 1; b < entries; ++b) {
+      EXPECT_NE(std::memcmp(&table[a * width], &table[b * width],
+                            width * sizeof(double)),
+                0)
+          << "entries " << a << " and " << b << " are equal";
+    }
+  }
+}
+
 // --------------------------------------------------- classification tree
+
+TEST(ClassificationTree, FittedTreesArePreOrderWithMinimalTables) {
+  Rng rng(21);
+  const Dataset data = OverlappingClasses(150, rng);
+  for (const int max_depth : {2, 6, 24}) {
+    SCOPED_TRACE(max_depth);
+    ClassificationTree tree(ClassificationTreeOptions{.max_depth = max_depth});
+    tree.Fit(data, AllIndices(data.size()), rng);
+    ExpectPreOrderWithMinimalTable(tree);
+  }
+  RandomForestClassifier forest(RandomForestOptions{.n_trees = 20});
+  forest.Fit(data, rng);
+  std::size_t leaves = 0;
+  std::size_t entries = 0;
+  for (const ClassificationTree& tree : forest.trees()) {
+    ExpectPreOrderWithMinimalTable(tree);
+    leaves += tree.leaf_count();
+    entries += tree.table().size() / tree.leaf_width();
+  }
+  // Pure leaves of one class share one entry.
+  EXPECT_LT(entries, leaves);
+}
 
 TEST(ClassificationTree, LearnsAxisAlignedSplit) {
   Rng rng(1);
@@ -265,6 +346,30 @@ TEST(RegressionTree, BinnerRequiredIffHistogramMode) {
   RegressionTree exact_tree;
   EXPECT_THROW(exact_tree.Fit(data, {0}, g, h, rng, &binner),
                ContractViolation);
+}
+
+TEST(RegressionTree, BoosterTreesArePreOrderWithMinimalTables) {
+  // XGB-style trees grow level-wise with exact splits, LGBM-style trees
+  // best-first over histograms; both are laid out in pre-order once grown.
+  Rng rng(22);
+  const Dataset data = OverlappingClasses(100, rng);
+  BoosterOptions xgb;
+  xgb.n_rounds = 10;
+  BoosterOptions lgbm = xgb;
+  lgbm.max_leaves = 31;
+  lgbm.goss = true;
+  GradientBoostedClassifier xgb_style("XGBoost-style", xgb, false);
+  GradientBoostedClassifier lgbm_style("LightGBM-style", lgbm, true);
+  for (GradientBoostedClassifier* booster : {&xgb_style, &lgbm_style}) {
+    SCOPED_TRACE(booster->name());
+    booster->Fit(data, rng);
+    std::size_t largest = 0;
+    for (const RegressionTree& tree : booster->trees()) {
+      ExpectPreOrderWithMinimalTable(tree);
+      largest = std::max(largest, tree.node_count());
+    }
+    EXPECT_GT(largest, 15u);
+  }
 }
 
 // ------------------------------------------------------------- binner

@@ -13,7 +13,9 @@
 // Plus the member itself: the full WriteFull writes here is at most a third
 // of the bytes the fixed-width bank blobs of engine state v3 took. And the
 // state behind it: an engine fed the whole feedstock holds at most 1,000
-// bytes of live heap per bank.
+// bytes of live heap per bank. And a model payload whose counts are forged
+// (each as large as the bytes left allow) makes its decoder reserve at most
+// 3x the payload's bytes before it is refused.
 #include <dirent.h>
 #include <unistd.h>
 
@@ -30,6 +32,8 @@
 
 #include "common/check.hpp"
 #include "core/engine.hpp"
+#include "ml/classifier.hpp"
+#include "persist/binary_io.hpp"
 #include "persist/chain.hpp"
 #include "serve/fleet_server.hpp"
 #include "support/serve_world.hpp"
@@ -192,6 +196,57 @@ TEST(CheckpointMemory, EngineHeapPerBankIsBounded) {
   std::printf("engine heap: %.2f MB over %zu banks, %.0f bytes a bank\n",
               static_cast<double>(heap) / 1e6, engine.bank_count(), per_bank);
   EXPECT_LE(per_bank, 1000.0);
+}
+
+/// A one-tree forest over one feature whose tree has a table of `entries`
+/// class-frequency pairs and claims `nodes` nodes, then `filler` zero
+/// bytes: a leaf that closes the tree at its first node, so the decoder
+/// refuses it after it has sized its storage from the counts.
+std::string ForgedForest(std::uint64_t entries, std::uint64_t nodes,
+                         std::size_t filler) {
+  std::string tree;
+  persist::BinaryWriter tree_out(tree);
+  tree_out.Var(2);
+  tree_out.Var(entries);
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    tree_out.F64(static_cast<double>(e));
+    tree_out.F64(1.0);
+  }
+  tree_out.Var(nodes);
+  tree.append(filler, '\0');
+  std::string payload;
+  persist::BinaryWriter out(payload);
+  out.U8(static_cast<std::uint8_t>(ml::LearnerTag::kRandomForest));
+  out.Var(2);
+  out.Var(1);
+  out.Var(tree.size());
+  out.Bytes(tree);
+  return payload;
+}
+
+TEST(ModelMemory, ForgedCountsReserveAtMostThreePayloadBytesEach) {
+  // The node count is bounded by the bytes a valid tree of that many nodes
+  // takes at least, (n - 1) / 2 splits of 9 bytes and (n + 1) / 2 leaves of
+  // 2, so 16-byte nodes reserve at most 32 bytes per 11 payload bytes. The
+  // table reserves its own bytes.
+  constexpr std::size_t kFiller = 110'000;
+  const std::uint64_t max_nodes = (kFiller - 2) / 11 * 2 + 1;
+  const std::string forged_nodes = ForgedForest(1, max_nodes, kFiller);
+  const std::string forged_table = ForgedForest(kFiller / 16, 1, 16);
+  const std::string too_many = ForgedForest(1, max_nodes + 2, kFiller);
+  for (const std::string* payload : {&forged_nodes, &forged_table}) {
+    HeapProbe probe;
+    persist::BinaryReader in(*payload, "forged model");
+    EXPECT_THROW(ml::DecodeClassifier(in, 1), ParseError);
+    ExpectWithin(payload == &forged_nodes ? "forged node count"
+                                          : "forged table count",
+                 probe.peak_above(), payload->size());
+  }
+  // One node pair more than the bytes allow is refused at the count.
+  HeapProbe probe;
+  persist::BinaryReader in(too_many, "forged model");
+  EXPECT_THROW(ml::DecodeClassifier(in, 1), ParseError);
+  EXPECT_LT(probe.peak_above(), 10'000);
 }
 
 TEST(CheckpointMemory, WriteFullHoldsAtMostThreeMembers) {
