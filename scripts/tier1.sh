@@ -83,13 +83,14 @@ else
   # checkpoint codec: back-patched lengths, frame headers inserted in front
   # of their payloads, and views into member bytes. CheckpointMemory runs
   # too: its counting operator new sits on top of malloc, which ASan still
-  # instruments. The feature-extractor suites (CrossRow ... TruncateAtUer)
-  # read BankProfile's u32 row sets through the extractors' comparators and
-  # copy and move the heap-allocated classification view. LogCodec runs the
-  # two parsers of untrusted record bytes: the CSV feed and the 49-byte
-  # wire record decoder.
+  # instruments, and so does ModelMemory in the same binary. The
+  # feature-extractor suites (CrossRow ... TruncateAtUer) read BankProfile's
+  # u32 row sets through the extractors' comparators and copy and move the
+  # heap-allocated UER block. SparingLedger inserts into and searches the
+  # ledger's sorted row vectors. LogCodec runs the two parsers of untrusted
+  # record bytes: the CSV feed and the 49-byte wire record decoder.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
+    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|ModelMemory|SparingLedger|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
 fi
 
 cmake -B build-ubsan -S . -DCORDIAL_SANITIZE=undefined \
@@ -100,7 +101,7 @@ cmake --build build-ubsan -j
 # and the feature-extractor suites, whose comparators convert u32 rows to
 # double.
 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
+  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|ModelMemory|SparingLedger|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then
   echo "tier1: skipping durability smoke (--skip-smoke)"

@@ -220,6 +220,49 @@ std::uint32_t Crc32(std::string_view data) {
   return Finish(update, data);
 }
 
+namespace {
+
+/// The reflected polynomial, x^32 implied: bit 31 is x^0.
+constexpr std::uint32_t kCrc32Poly = 0xEDB88320u;
+
+/// a(x)·b(x) modulo the polynomial, both reflected; `a` must not be 0.
+std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31;; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) return product;
+    }
+    b = (b & 1) != 0 ? (b >> 1) ^ kCrc32Poly : b >> 1;
+  }
+}
+
+/// x^(2^k) modulo the polynomial for k < 32; x^(2^32) wraps to x^(2^0)
+/// because the order of x modulo the CRC-32 polynomial divides 2^32 - 1.
+const std::array<std::uint32_t, 32>& PowersOfX() {
+  static const std::array<std::uint32_t, 32> table = [] {
+    std::array<std::uint32_t, 32> t{};
+    std::uint32_t p = 1u << 30;  // x^1
+    t[0] = p;
+    for (std::size_t k = 1; k < t.size(); ++k) t[k] = p = MultModP(p, p);
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  // x^(8·len_b): one factor x^(2^k) per set bit k of len_b·8.
+  const std::array<std::uint32_t, 32>& powers = PowersOfX();
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if ((len_b & 1) != 0) shift = MultModP(powers[k & 31], shift);
+  }
+  return MultModP(shift, crc_a) ^ crc_b;
+}
+
 FrameHeader ParseFrameHeaderLine(std::string_view line) {
   FrameHeader header;
   std::size_t pos = 0;
@@ -295,12 +338,20 @@ void WriteFramed(std::ostream& out, const std::string& magic,
       << payload;
 }
 
-void CloseFrame(std::string& out, std::size_t payload_start,
-                std::string_view magic, std::uint32_t version) {
-  const std::string_view payload =
-      std::string_view(out).substr(payload_start);
-  out.insert(payload_start, FrameHeaderLine(magic, version, payload.size(),
-                                            Crc32(payload)));
+std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
+                         std::string_view magic, std::uint32_t version) {
+  return CloseFrame(out, payload_start, magic, version,
+                    Crc32(std::string_view(out).substr(payload_start)));
+}
+
+std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
+                         std::string_view magic, std::uint32_t version,
+                         std::uint32_t payload_crc) {
+  const std::size_t payload_bytes = out.size() - payload_start;
+  const std::string header =
+      FrameHeaderLine(magic, version, payload_bytes, payload_crc);
+  out.insert(payload_start, header);
+  return Crc32Combine(Crc32(header), payload_crc, payload_bytes);
 }
 
 namespace {

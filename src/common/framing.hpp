@@ -51,6 +51,13 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes =
 /// same value for every input.
 std::uint32_t Crc32(std::string_view data);
 
+/// CRC-32 of the concatenation A·B, from crc_a = Crc32(A), crc_b = Crc32(B)
+/// and B's length, without reading a byte of either: zlib's crc32_combine,
+/// which carries A's CRC over `len_b` zero bytes by multiplying it with
+/// x^(8·len_b) modulo the polynomial in GF(2). O(log len_b).
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
+
 namespace detail {
 /// The two implementations behind Crc32, reachable one by one so a test
 /// can pin them equal. Not for callers: Crc32 picks between them.
@@ -95,8 +102,16 @@ void WriteFramed(std::ostream& out, const std::string& magic,
 /// become the payload of one layout-v2 frame, its header inserted in front
 /// of them. A member is encoded straight into one buffer this way, nested
 /// frames included — no payload is built in a string of its own and copied.
-void CloseFrame(std::string& out, std::size_t payload_start,
-                std::string_view magic, std::uint32_t version);
+/// Returns the CRC-32 of the whole frame, header line included, combined
+/// from the payload's: a frame nested in another's payload hands its CRC
+/// up instead of being read again.
+std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
+                         std::string_view magic, std::uint32_t version);
+/// CloseFrame over a payload whose CRC-32 the caller already has, combined
+/// from its pieces' (Crc32Combine): no payload byte is read.
+std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
+                         std::string_view magic, std::uint32_t version,
+                         std::uint32_t payload_crc);
 
 /// Read one frame and return its payload. Throws ParseError when the magic
 /// differs, the version is not `expected_version`, the payload is shorter

@@ -254,9 +254,14 @@ IsolationActions PredictionEngine::Observe(const trace::MceRecord& logical_recor
   }
 
   state.profile.Observe(record);
+  // StepCordial decides only on UERs, so a bank without one has no
+  // decision state to advance.
+  CordialBankState* cordial = state.profile.cordial_state();
   IsolationActions actions =
-      StepCordial(state.cordial, state.profile, record, *classifier_,
-                  *single_, *double_, config_.policy);
+      cordial == nullptr
+          ? IsolationActions{}
+          : StepCordial(*cordial, state.profile, record, *classifier_,
+                        *single_, *double_, config_.policy);
   actions.first_failure = coverage.first_failure;
   actions.covered_by_row_spare = coverage.covered_by_row_spare;
   actions.covered_by_bank_spare = coverage.covered_by_bank_spare;
@@ -314,7 +319,8 @@ const BankProfile* PredictionEngine::FindProfile(std::uint64_t bank_key) const {
 // The header and the record frame are fixed-width; inside a blob, counts
 // are varints and doubles raw bits behind presence masks, and nothing
 // another field determines is written (BankProfile::SaveBinary; the
-// Cordial state's uer_events_seen is the profile's UER count). The
+// Cordial state's uer_events_seen is the profile's UER count, and before
+// the first UER the state is the default, which the decoder requires). The
 // explicit lengths make the payload structurally parseable without models
 // or topology: the offline inspector (persist::) folds a delta chain by
 // overlaying bank records keyed by bank_key and keeping the newest header
@@ -388,39 +394,58 @@ constexpr std::uint8_t kBlobHasLedgerEntry = 1u << 0;
 constexpr std::uint8_t kBlobBankSpared = 1u << 1;
 constexpr std::uint8_t kBlobFlags = kBlobHasLedgerEntry | kBlobBankSpared;
 
-/// One bank's full slice of engine state: Cordial decision state, the
-/// profile, and this bank's ledger section. The has-entry flag
+/// One bank's full slice of engine state: Cordial decision state (the
+/// default before the first UER), the profile, and this bank's ledger
+/// section, whose rows the ledger keeps sorted. The has-entry flag
 /// distinguishes "no spared-row entry" from "an entry with zero rows" —
 /// TrySpareRow creates the latter when rows_per_bank is 0, and a restored
 /// ledger must hold exactly the entries the saved one did.
-void EncodeBankBlob(persist::BinaryWriter& out, const CordialBankState& cordial,
-                    const BankProfile& profile,
+void EncodeBankBlob(persist::BinaryWriter& out, const BankProfile& profile,
                     const hbm::SparingLedger& ledger, std::uint64_t key) {
+  const CordialBankState& cordial = profile.uer().cordial;
   out.Var(cordial.anchors_used);
   out.Bool(cordial.classified);
   out.U8(static_cast<std::uint8_t>(cordial.bank_class));
   out.VarSigned(cordial.last_anchor_row);
   profile.SaveBinary(out);
 
-  const std::unordered_set<std::uint32_t>* rows = ledger.FindRowEntry(key);
+  const std::vector<std::uint32_t>* rows = ledger.FindRowEntry(key);
   std::uint8_t flags = 0;
   if (rows != nullptr) flags |= kBlobHasLedgerEntry;
   if (ledger.IsBankSpared(key)) flags |= kBlobBankSpared;
   out.U8(flags);
-  if (rows != nullptr) {
-    std::vector<std::uint32_t> sorted(rows->begin(), rows->end());
-    std::sort(sorted.begin(), sorted.end());
-    out.AscendingU32(sorted);
-  }
+  if (rows != nullptr) out.AscendingU32(*rows);
 }
 
+/// A decoded bank blob: the profile carries the Cordial state.
 struct BankBlob {
-  CordialBankState cordial;
   BankProfile profile{1};
   bool has_ledger_entry = false;
   bool bank_spared = false;
   std::vector<std::uint32_t> rows;
 };
+
+/// Refuse, through `in`, a Cordial state on a bank without a UER:
+/// StepCordial leaves it at its default until the bank's first UER.
+void CheckDefaultBeforeFirstUer(const persist::BinaryReader& in,
+                                const CordialBankState& cordial) {
+  const CordialBankState initial;
+  const auto refuse = [&](const char* field, const std::string& value) {
+    in.Fail(std::string("Cordial state ") + field + " " + value +
+            " before the bank's first UER");
+  };
+  if (cordial.anchors_used != initial.anchors_used) {
+    refuse("anchors_used", std::to_string(cordial.anchors_used));
+  }
+  if (cordial.classified != initial.classified) refuse("classified", "true");
+  if (cordial.bank_class != initial.bank_class) {
+    refuse("bank_class",
+           std::to_string(static_cast<int>(cordial.bank_class)));
+  }
+  if (cordial.last_anchor_row != initial.last_anchor_row) {
+    refuse("last_anchor_row", std::to_string(cordial.last_anchor_row));
+  }
+}
 
 /// Decode one whole bank blob of a payload whose header holds the clock
 /// `now` and `events` accepted records, for an engine whose classifier
@@ -434,12 +459,13 @@ BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
                         double now, std::size_t events) {
   persist::BinaryReader in(bytes, "engine bank blob");
   BankBlob blob;
-  blob.cordial.anchors_used = static_cast<std::size_t>(in.Var());
-  blob.cordial.classified = in.Bool();
+  CordialBankState cordial;
+  cordial.anchors_used = static_cast<std::size_t>(in.Var());
+  cordial.classified = in.Bool();
   const std::uint8_t bank_class = in.U8();
   if (bank_class > 2) in.Fail("unknown failure class");
-  blob.cordial.bank_class = static_cast<hbm::FailureClass>(bank_class);
-  blob.cordial.last_anchor_row = in.VarSigned();
+  cordial.bank_class = static_cast<hbm::FailureClass>(bank_class);
+  cordial.last_anchor_row = in.VarSigned();
   blob.profile = BankProfile::LoadBinary(in);
   if (blob.profile.max_uers() != max_uers) {
     in.Fail("profile truncation depth " +
@@ -455,8 +481,13 @@ BankBlob DecodeBankBlob(std::string_view bytes, std::size_t max_uers,
     in.Fail("profile counts " + std::to_string(blob.profile.event_count()) +
             " events, more than the engine's " + std::to_string(events));
   }
-  // StepCordial counts every UER the profile absorbs.
-  blob.cordial.uer_events_seen = blob.profile.uer_event_count();
+  if (CordialBankState* held = blob.profile.cordial_state()) {
+    // StepCordial counts every UER the profile absorbs.
+    cordial.uer_events_seen = blob.profile.uer_event_count();
+    *held = cordial;
+  } else {
+    CheckDefaultBeforeFirstUer(in, cordial);
+  }
 
   const std::uint8_t flags = in.U8();
   if ((flags & ~kBlobFlags) != 0) in.Fail("unknown ledger flags");
@@ -505,12 +536,12 @@ void PredictionEngine::AppendBinaryPayload(
     const BankState& state = banks_.at(key);
     writer.U64(key);
     const std::size_t blob = writer.BeginLength();
-    EncodeBankBlob(writer, state.cordial, state.profile, ledger_, key);
+    EncodeBankBlob(writer, state.profile, ledger_, key);
     writer.EndLength(blob);
   }
 }
 
-void PredictionEngine::AppendState(std::string& out) const {
+AppendedFrame PredictionEngine::AppendState(std::string& out) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(banks_.size());
   for (const auto& [key, state] : banks_) keys.push_back(key);
@@ -518,10 +549,11 @@ void PredictionEngine::AppendState(std::string& out) const {
 
   const std::size_t frame = out.size();
   AppendBinaryPayload(out, keys);
-  CloseFrame(out, frame, kEngineStateMagic, kEngineStateVersion);
+  return {CloseFrame(out, frame, kEngineStateMagic, kEngineStateVersion),
+          keys.size()};
 }
 
-std::uint64_t PredictionEngine::AppendDeltaState(std::string& out) const {
+AppendedFrame PredictionEngine::AppendDeltaState(std::string& out) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(dirty_banks_);
   for (const auto& [key, state] : banks_) {
@@ -531,8 +563,8 @@ std::uint64_t PredictionEngine::AppendDeltaState(std::string& out) const {
 
   const std::size_t frame = out.size();
   AppendBinaryPayload(out, keys);
-  CloseFrame(out, frame, kEngineDeltaMagic, kEngineDeltaVersion);
-  return keys.size();
+  return {CloseFrame(out, frame, kEngineDeltaMagic, kEngineDeltaVersion),
+          keys.size()};
 }
 
 void PredictionEngine::MarkCheckpointClean() {
@@ -570,11 +602,9 @@ PredictionEngine::StagedState PredictionEngine::ParseState(
       [&](std::uint64_t key, std::string_view bytes) {
         BankBlob blob = DecodeBankBlob(bytes, max_uers, header.now,
                                        header.stats.events);
-        BankState& state = banks.try_emplace(key, max_uers).first->second;
-        state.cordial = blob.cordial;
-        state.profile = std::move(blob.profile);
-        ledger.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
-                                  blob.bank_spared);
+        banks.try_emplace(key, std::move(blob.profile));
+        ledger.RestoreBankSection(key, blob.has_ledger_entry,
+                                  std::move(blob.rows), blob.bank_spared);
       });
   ledger.RestoreCounters(header.rows_spared, header.banks_spared);
   staged.impl_->ledger = std::move(ledger);
@@ -635,13 +665,12 @@ void PredictionEngine::CommitDeltaState(StagedDelta&& staged) {
     // Validated at parse, so this second decode cannot fail.
     BankBlob blob =
         DecodeBankBlob(bytes, max_uers, header.now, header.stats.events);
-    ledger_.RestoreBankSection(key, blob.has_ledger_entry, blob.rows,
-                               blob.bank_spared);
+    ledger_.RestoreBankSection(key, blob.has_ledger_entry,
+                               std::move(blob.rows), blob.bank_spared);
     const auto [it, inserted] = banks_.try_emplace(key, max_uers);
     if (!inserted && it->second.dirty_epoch == snapshot_epoch_) {
       --dirty_banks_;
     }
-    it->second.cordial = blob.cordial;
     it->second.profile = std::move(blob.profile);
     // The committed bank now matches the checkpoint that carried it.
     it->second.dirty_epoch = 0;

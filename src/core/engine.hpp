@@ -2,7 +2,8 @@
 // the offline pipeline, the ICR replay and live streaming deployment.
 //
 // One `PredictionEngine` owns the trained models' wiring, a sparing ledger
-// and per-bank incremental state (`core::BankProfile` + `CordialBankState`);
+// and per-bank incremental state (a `core::BankProfile`, whose UER block
+// carries the bank's `CordialBankState` from its first UER on);
 // `Observe(record)` consumes one MCE record and returns the isolation
 // actions the Cordial policy took for it. The decision logic itself lives in
 // the free function `StepCordial`, which the offline `CordialStrategy`
@@ -45,15 +46,6 @@ struct RowSpan {
 struct CordialPolicyConfig {
   /// Bank-spare scattered-classified banks.
   bool bank_spare_scattered = true;
-};
-
-/// Per-bank Cordial decision state, advanced one UER event at a time.
-struct CordialBankState {
-  std::size_t uer_events_seen = 0;
-  std::size_t anchors_used = 0;
-  bool classified = false;
-  hbm::FailureClass bank_class = hbm::FailureClass::kScattered;
-  std::int64_t last_anchor_row = -1;
 };
 
 /// What the Cordial policy decided (and, in the engine, what happened) for
@@ -109,6 +101,14 @@ struct EngineConfig {
   /// Like the rest of the config it is NOT serialized: a restoring engine
   /// must be constructed with the same mapping.
   hbm::RowMapping row_mapping;
+};
+
+/// A checkpoint frame appended to a buffer: the CRC-32 of the whole frame,
+/// header line included, so a frame that nests it combines instead of
+/// reading it again (Crc32Combine), and the banks it carries.
+struct AppendedFrame {
+  std::uint32_t crc32 = 0;
+  std::uint64_t banks = 0;
 };
 
 /// Payload encoding of an engine snapshot. Binary (the
@@ -180,8 +180,8 @@ class PredictionEngine {
   /// front when the payload is complete. Deterministic: equal state
   /// serializes byte-identically. Models and config are NOT serialized — a
   /// restoring engine must be constructed with the same models, topology
-  /// and config.
-  void AppendState(std::string& out) const;
+  /// and config. Returns the frame's CRC-32 and bank count.
+  AppendedFrame AppendState(std::string& out) const;
 
   /// A fully parsed — but not yet adopted — AppendState frame (opaque,
   /// move-only). Restoring is ParseState + CommitState: ParseState never
@@ -224,8 +224,8 @@ class PredictionEngine {
   /// MarkCheckpointClean, plus stats, the clock and the ledger counters.
   /// Const — the dirty set is NOT cleared here, so a failed write loses
   /// nothing; call MarkCheckpointClean once the bytes are durable. Returns
-  /// the number of banks written.
-  std::uint64_t AppendDeltaState(std::string& out) const;
+  /// the frame's CRC-32 and the number of banks written.
+  AppendedFrame AppendDeltaState(std::string& out) const;
 
   /// Start a new snapshot epoch: every bank becomes clean. Call only after
   /// the snapshot (full or delta) that captured the current state is
@@ -321,13 +321,15 @@ class PredictionEngine {
   double now() const { return now_; }
 
  private:
+  /// A bank's profile, whose UER block holds its Cordial state, and its
+  /// dirty stamp.
   struct BankState {
     BankProfile profile;
-    CordialBankState cordial;
     /// Snapshot epoch this bank was last mutated in; dirty iff it equals
     /// the engine's current snapshot_epoch_. 0 (pre-first-epoch) == clean.
     std::uint64_t dirty_epoch = 0;
     explicit BankState(std::size_t max_uers) : profile(max_uers) {}
+    explicit BankState(BankProfile&& restored) : profile(std::move(restored)) {}
   };
 
   /// Hot-path metric handles, all null until AttachMetrics.

@@ -13,19 +13,20 @@ using hbm::ErrorType;
 
 namespace {
 
-/// min/max/avg of a consecutive-difference chain; kMissing triple when the
-/// chain holds no differences. Matches the historical batch reduction
-/// (min/max via element comparison, sum accumulated left to right).
+/// min/max/avg of a consecutive-difference chain that `pushes` values fed;
+/// kMissing triple when it holds no differences. Matches the historical
+/// batch reduction (min/max via element comparison, sum accumulated left
+/// to right).
 struct Summary {
   double min = kMissing;
   double max = kMissing;
   double avg = kMissing;
 };
 
-Summary ChainSummary(const DiffChain& chain) {
-  if (chain.count == 0) return {};
+Summary ChainSummary(const DiffChain& chain, std::size_t pushes) {
+  if (pushes < 2) return {};
   return {chain.min, chain.max,
-          chain.sum / static_cast<double>(chain.count)};
+          chain.sum / static_cast<double>(pushes - 1)};
 }
 
 // Row-set searches against a double bound compare double(row). Rows are
@@ -122,10 +123,10 @@ std::vector<double> ClassificationFeatureExtractor::ExtractFromProfile(
   CORDIAL_CHECK_MSG(profile.max_uers() == max_uers_,
                     "profile truncation depth mismatch");
   const ClassAccumulator& a = profile.classification();
-  CORDIAL_CHECK_MSG(a.uer_events >= 1, "classification features need a UER");
+  const std::size_t uer_events = profile.classification_uer_count();
+  CORDIAL_CHECK_MSG(uer_events >= 1, "classification features need a UER");
 
-  const double uer_min = a.uer_row_min;
-  const double uer_max = a.uer_row_max;
+  const auto [uer_min, uer_max] = RowEnds(a.distinct_uer_rows);
   const double uer_span = uer_max - uer_min;
 
   // Half-bank aliasing indicator: minimal |pairwise distance - rows/2| over
@@ -148,14 +149,16 @@ std::vector<double> ClassificationFeatureExtractor::ExtractFromProfile(
     }
   }
 
-  const Summary uer_row_diff = ChainSummary(a.uer_row_diff);
-  const Summary all_row_diff = ChainSummary(a.all_row_diff);
-  const Summary ce_dt = ChainSummary(a.ce_dt);
-  const Summary ueo_dt = ChainSummary(a.ueo_dt);
-  const Summary uer_dt = ChainSummary(a.uer_dt);
+  const Summary uer_row_diff = ChainSummary(a.uer_row_diff, uer_events);
+  const Summary all_row_diff =
+      ChainSummary(a.all_row_diff, a.ce_total + a.ueo_total + uer_events);
+  const Summary ce_dt = ChainSummary(a.ce_dt, a.ce_total);
+  const Summary ueo_dt = ChainSummary(a.ueo_dt, a.ueo_total);
+  const Summary uer_dt = ChainSummary(a.uer_dt, uer_events);
 
   const double uer_time_span =
-      a.uer_events < 2 ? kMissing : a.last_uer_time - a.first_uer_time;
+      uer_events < 2 ? kMissing
+                     : a.last_uer_time - profile.uer().first_uer_time;
 
   std::vector<double> features = {
       a.ce_total == 0 ? kMissing : a.ce_row_min,
@@ -265,8 +268,8 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
   const auto range = window.BlockRange(block);
   CORDIAL_CHECK_MSG(range.has_value(),
                     "cannot extract features for an out-of-bank block");
-  const CrossRowAccumulator& a = profile.crossrow();
-  CORDIAL_CHECK_MSG(a.uer_count >= 1,
+  const UerBlock& u = profile.uer();
+  CORDIAL_CHECK_MSG(u.uer_count >= 1,
                     "cross-row features need at least one prior UER");
   CORDIAL_CHECK_MSG(profile.last_time_s() <= anchor_time_s,
                     "profile contains events newer than the anchor");
@@ -304,27 +307,29 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
   const double anchor = static_cast<double>(anchor_row);
   const double radius = static_cast<double>(window.radius());
   const double uer_in_window =
-      rows_in_span(a.uer_rows, anchor - radius, anchor + radius);
-  const double uer_within_8 = rows_in_span(a.uer_rows, anchor - 8.0,
+      rows_in_span(u.uer_rows, anchor - radius, anchor + radius);
+  const double uer_within_8 = rows_in_span(u.uer_rows, anchor - 8.0,
                                            anchor + 8.0);
 
-  const Summary uer_row_diff = ChainSummary(a.uer_row_diff);
-  const Summary all_row_diff = ChainSummary(a.all_row_diff);
-  const Summary ce_dt = ChainSummary(a.ce_dt);
-  const Summary ueo_dt = ChainSummary(a.ueo_dt);
-  const Summary uer_dt = ChainSummary(a.uer_dt);
+  const std::size_t events = profile.event_count();
+  const Summary uer_row_diff = ChainSummary(u.uer_row_diff, u.uer_count);
+  const Summary all_row_diff = ChainSummary(profile.all_row_diff(), events);
+  const Summary ce_dt = ChainSummary(profile.ce_dt(), profile.ce_count());
+  const Summary ueo_dt = ChainSummary(profile.ueo_dt(), profile.ueo_count());
+  const Summary uer_dt = ChainSummary(u.uer_dt, u.uer_count);
 
-  const double uer_span = a.uer_row_max - a.uer_row_min;
+  const auto [uer_min, uer_max] = RowEnds(u.uer_rows);
+  const double uer_span = uer_max - uer_min;
 
   // Strip geometry: fold the block offset onto the estimated stride. A
   // block sitting on a strip position folds to ~0 and is a likely target.
-  const std::uint32_t stride = a.EstimatedUerStride();
+  const std::uint32_t stride = u.EstimatedUerStride();
   double fold = kMissing;
   double k_positions = kMissing;
   if (stride > 0) {
     // Fold relative to the nearest prior UER row, not the anchor alone:
     // strip positions repeat from any failed row.
-    const double nearest_uer = nearest_dist(a.uer_rows);
+    const double nearest_uer = nearest_dist(u.uer_rows);
     const double mod = std::fmod(nearest_uer, static_cast<double>(stride));
     fold = std::min(mod, static_cast<double>(stride) - mod);
     k_positions = nearest_uer / static_cast<double>(stride);
@@ -335,10 +340,10 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
       block_center - anchor,
       std::fabs(block_center - anchor),
       anchor / static_cast<double>(topology_.rows_per_bank),
-      nearest_dist(a.ce_rows), nearest_dist(a.ueo_rows),
-      nearest_dist(a.uer_rows),
-      rows_in_range(a.ce_rows), rows_in_range(a.ueo_rows),
-      rows_in_range(a.uer_rows),
+      nearest_dist(profile.ce_rows()), nearest_dist(profile.ueo_rows()),
+      nearest_dist(u.uer_rows),
+      rows_in_range(profile.ce_rows()), rows_in_range(profile.ueo_rows()),
+      rows_in_range(u.uer_rows),
       uer_in_window, uer_within_8,
       uer_row_diff.min, uer_row_diff.max, uer_row_diff.avg,
       all_row_diff.min, all_row_diff.max, all_row_diff.avg,
@@ -346,13 +351,13 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
       stride == 0 ? kMissing : static_cast<double>(stride), fold, k_positions,
       ce_dt.min, ce_dt.max, ueo_dt.min, ueo_dt.max,
       uer_dt.min, uer_dt.max, uer_dt.avg,
-      a.all_count == 0 ? kMissing : anchor_time_s - a.last_event_time,
-      anchor_time_s - a.first_uer_time,
-      static_cast<double>(a.ce_count),
-      static_cast<double>(a.ueo_count),
-      static_cast<double>(a.uer_count),
-      static_cast<double>(a.ueo_count + a.uer_count),
-      static_cast<double>(a.all_count),
+      events == 0 ? kMissing : anchor_time_s - profile.last_time_s(),
+      anchor_time_s - u.first_uer_time,
+      static_cast<double>(profile.ce_count()),
+      static_cast<double>(profile.ueo_count()),
+      static_cast<double>(u.uer_count),
+      static_cast<double>(profile.ueo_count() + u.uer_count),
+      static_cast<double>(events),
   };
   CORDIAL_CHECK_MSG(features.size() == feature_names_.size(),
                     "cross-row feature arity drifted");

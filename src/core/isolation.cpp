@@ -143,7 +143,6 @@ CordialStrategy::CordialStrategy(const PatternClassifier& classifier,
 
 void CordialStrategy::OnBankStart(const trace::BankHistory&) {
   profile_ = BankProfile(classifier_.extractor().max_uers());
-  state_ = CordialBankState{};
   feed_cursor_ = 0;
 }
 
@@ -163,8 +162,12 @@ void CordialStrategy::OnEvent(const trace::BankHistory& bank,
     ++feed_cursor_;
   }
 
+  // The decision state lives in the profile's UER block; before the
+  // bank's first UER there is nothing to decide.
+  CordialBankState* state = profile_.cordial_state();
+  if (state == nullptr) return;
   const IsolationActions actions =
-      StepCordial(state_, profile_, r, classifier_, single_predictor_,
+      StepCordial(*state, profile_, r, classifier_, single_predictor_,
                   double_predictor_, config_);
   if (actions.bank_spare) ledger.TrySpareBank(bank.bank_key);
   for (const RowSpan& span : actions.predicted_spans) {

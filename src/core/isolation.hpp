@@ -154,13 +154,12 @@ class CordialStrategy final : public IsolationStrategy {
   CordialPolicyConfig config_;
   std::string name_ = "Cordial";
 
-  // Per-bank replay state: an incrementally maintained profile plus the
-  // shared Cordial decision state (decisions delegate to StepCordial, the
-  // same code path PredictionEngine runs live). The feed cursor absorbs
-  // whole same-timestamp groups before each decision, matching the batch
-  // extractors' closed-history tie semantics.
+  // Per-bank replay state: an incrementally maintained profile, whose UER
+  // block carries the Cordial decision state (decisions delegate to
+  // StepCordial, the same code path PredictionEngine runs live). The feed
+  // cursor absorbs whole same-timestamp groups before each decision,
+  // matching the batch extractors' closed-history tie semantics.
   BankProfile profile_;
-  CordialBankState state_;
   std::size_t feed_cursor_ = 0;
 };
 

@@ -1,14 +1,17 @@
 #include "hbm/sparing.hpp"
 
-#include <vector>
+#include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace cordial::hbm {
 
 bool SparingLedger::TrySpareRow(std::uint64_t bank_key, std::uint32_t row) {
   auto& rows = spared_rows_[bank_key];
-  if (rows.contains(row)) return true;  // idempotent
+  const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+  if (it != rows.end() && *it == row) return true;  // idempotent
   if (rows.size() >= budget_.rows_per_bank) return false;
-  rows.insert(row);
+  rows.insert(it, row);
   ++rows_spared_;
   return true;
 }
@@ -23,15 +26,16 @@ bool SparingLedger::TrySpareBank(std::uint64_t bank_key) {
 
 bool SparingLedger::IsRowSpared(std::uint64_t bank_key,
                                 std::uint32_t row) const {
-  auto it = spared_rows_.find(bank_key);
-  return it != spared_rows_.end() && it->second.contains(row);
+  const auto it = spared_rows_.find(bank_key);
+  return it != spared_rows_.end() &&
+         std::binary_search(it->second.begin(), it->second.end(), row);
 }
 
 bool SparingLedger::IsBankSpared(std::uint64_t bank_key) const {
   return spared_banks_.contains(bank_key);
 }
 
-const std::unordered_set<std::uint32_t>* SparingLedger::FindRowEntry(
+const std::vector<std::uint32_t>* SparingLedger::FindRowEntry(
     std::uint64_t bank_key) const {
   const auto it = spared_rows_.find(bank_key);
   return it == spared_rows_.end() ? nullptr : &it->second;
@@ -39,12 +43,16 @@ const std::unordered_set<std::uint32_t>* SparingLedger::FindRowEntry(
 
 void SparingLedger::RestoreBankSection(std::uint64_t bank_key,
                                        bool has_row_entry,
-                                       const std::vector<std::uint32_t>& rows,
+                                       std::vector<std::uint32_t> rows,
                                        bool bank_spared) {
   if (has_row_entry) {
-    auto& entry = spared_rows_[bank_key];
-    entry.clear();
-    entry.insert(rows.begin(), rows.end());
+    // A checkpoint's rows are already ascending and distinct.
+    if (std::adjacent_find(rows.begin(), rows.end(),
+                           std::greater_equal<>()) != rows.end()) {
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    }
+    spared_rows_[bank_key] = std::move(rows);
   } else {
     spared_rows_.erase(bank_key);
   }

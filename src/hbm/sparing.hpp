@@ -26,7 +26,9 @@ struct SparingBudget {
 
 /// Tracks isolation decisions across the fleet, keyed by the AddressCodec's
 /// global bank key. Idempotent: re-sparing an already-spared row/bank is a
-/// no-op that costs nothing.
+/// no-op that costs nothing. A bank's spared rows are one sorted vector of
+/// distinct u32 (at most rows_per_bank of them), so a lookup is a binary
+/// search and a checkpoint writes the rows as they are held.
 class SparingLedger {
  public:
   explicit SparingLedger(SparingBudget budget = {}) : budget_(budget) {}
@@ -57,16 +59,16 @@ class SparingLedger {
   // with zero rows" — TrySpareRow creates an empty entry when rows_per_bank
   // is 0 — so a restored ledger holds exactly the entries the saved one did.
 
-  /// The bank's spared-row entry, or nullptr when none exists.
-  const std::unordered_set<std::uint32_t>* FindRowEntry(
-      std::uint64_t bank_key) const;
+  /// The bank's spared rows, ascending and distinct, or nullptr when the
+  /// bank has no entry.
+  const std::vector<std::uint32_t>* FindRowEntry(std::uint64_t bank_key) const;
 
   /// Overwrite one bank's section: replace (or erase, when !has_row_entry)
-  /// its spared-row entry and set its bank-spared membership. Global
-  /// counters are not touched — restore them once via RestoreCounters.
+  /// its spared-row entry with `rows`, kept sorted and distinct, and set its
+  /// bank-spared membership. Global counters are not touched — restore them
+  /// once via RestoreCounters.
   void RestoreBankSection(std::uint64_t bank_key, bool has_row_entry,
-                          const std::vector<std::uint32_t>& rows,
-                          bool bank_spared);
+                          std::vector<std::uint32_t> rows, bool bank_spared);
 
   /// Overwrite the global spend counters (checkpoint restore only).
   void RestoreCounters(std::uint64_t rows_spared, std::uint64_t banks_spared);
@@ -77,8 +79,7 @@ class SparingLedger {
 
  private:
   SparingBudget budget_;
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>>
-      spared_rows_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> spared_rows_;
   std::unordered_set<std::uint64_t> spared_banks_;
   std::uint64_t rows_spared_ = 0;
   std::uint64_t banks_spared_ = 0;

@@ -564,17 +564,17 @@ void CheckpointChain::PersistManifest() const {
 ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
   const std::uint64_t installs = server.state_installs();
   std::string bytes;
-  server.AppendCheckpoint(bytes);
+  const core::AppendedFrame member = server.AppendCheckpoint(bytes);
 
   ChainEntry entry = MemberAt(manifest_.epoch + 1, 0);
   entry.bytes = bytes.size();
-  entry.crc32 = Crc32(bytes);
+  entry.crc32 = member.crc32;
 
   ChainWriteResult result;
   result.full = true;
   result.file = PathOf(entry.file);
   result.bytes = entry.bytes;
-  result.banks_written = server.TotalBankCount();
+  result.banks_written = member.banks;
 
   serve::WriteFileDurably(result.file, bytes, /*retain_prev=*/false);
   const Manifest previous = manifest_;
@@ -600,17 +600,17 @@ ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
 
 ChainWriteResult CheckpointChain::WriteDelta(serve::FleetServer& server) {
   std::string bytes;
-  const std::uint64_t banks = server.AppendDeltaCheckpoint(bytes);
+  const core::AppendedFrame member = server.AppendDeltaCheckpoint(bytes);
 
   ChainEntry entry = MemberAt(manifest_.epoch, manifest_.entries.size());
   entry.bytes = bytes.size();
-  entry.crc32 = Crc32(bytes);
+  entry.crc32 = member.crc32;
 
   ChainWriteResult result;
   result.full = false;
   result.file = PathOf(entry.file);
   result.bytes = entry.bytes;
-  result.banks_written = banks;
+  result.banks_written = member.banks;
 
   // Member first, manifest second, dirty set cleared last: a crash or
   // failure at any point leaves the previous chain restorable and the

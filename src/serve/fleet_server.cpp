@@ -222,11 +222,35 @@ std::string FleetServer::StatusTable() const {
                       " shards)");
 }
 
-void FleetServer::AppendCheckpoint(std::string& out) const {
+namespace {
+
+/// Append one fleet frame to `out`: the shard count line, then each
+/// shard's engine frame through `append_shard`. The payload's CRC-32 is
+/// combined from the line's and the engine frames', so no byte of an
+/// engine frame is read twice.
+core::AppendedFrame AppendFleetFrame(
+    std::string& out, const std::vector<std::unique_ptr<EngineShard>>& shards,
+    std::string_view magic, std::uint32_t version,
+    core::AppendedFrame (EngineShard::*append_shard)(std::string&) const) {
   const std::size_t frame = out.size();
-  out += ShardCountLine(shards_.size());
-  for (const auto& shard : shards_) shard->AppendState(out);
-  CloseFrame(out, frame, kFleetCheckpointMagic, kFleetCheckpointVersion);
+  out += ShardCountLine(shards.size());
+  std::uint32_t payload_crc = Crc32(std::string_view(out).substr(frame));
+  std::uint64_t banks = 0;
+  for (const auto& shard : shards) {
+    const std::size_t start = out.size();
+    const core::AppendedFrame section = ((*shard).*append_shard)(out);
+    payload_crc =
+        Crc32Combine(payload_crc, section.crc32, out.size() - start);
+    banks += section.banks;
+  }
+  return {CloseFrame(out, frame, magic, version, payload_crc), banks};
+}
+
+}  // namespace
+
+core::AppendedFrame FleetServer::AppendCheckpoint(std::string& out) const {
+  return AppendFleetFrame(out, shards_, kFleetCheckpointMagic,
+                          kFleetCheckpointVersion, &EngineShard::AppendState);
 }
 
 void FleetServer::SaveCheckpoint(std::ostream& out,
@@ -236,20 +260,15 @@ void FleetServer::SaveCheckpoint(std::ostream& out,
   out.write(member.data(), static_cast<std::streamsize>(member.size()));
 }
 
-std::uint64_t FleetServer::AppendDeltaCheckpoint(std::string& out) const {
-  const std::size_t frame = out.size();
-  out += ShardCountLine(shards_.size());
-  std::uint64_t banks_written = 0;
-  for (const auto& shard : shards_) {
-    banks_written += shard->AppendDeltaState(out);
-  }
-  CloseFrame(out, frame, kFleetDeltaMagic, kFleetDeltaVersion);
-  return banks_written;
+core::AppendedFrame FleetServer::AppendDeltaCheckpoint(
+    std::string& out) const {
+  return AppendFleetFrame(out, shards_, kFleetDeltaMagic, kFleetDeltaVersion,
+                          &EngineShard::AppendDeltaState);
 }
 
 std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
   std::string member;
-  const std::uint64_t banks_written = AppendDeltaCheckpoint(member);
+  const std::uint64_t banks_written = AppendDeltaCheckpoint(member).banks;
   out.write(member.data(), static_cast<std::streamsize>(member.size()));
   return banks_written;
 }

@@ -169,8 +169,10 @@ class FleetServer {
   /// Append every shard engine's state to `out` as one framed checkpoint
   /// member ("shards N" + one nested binary engine frame per shard),
   /// encoded in place: no section is built in a buffer of its own. The
-  /// server must be drained (Drain() or Stop() first).
-  void AppendCheckpoint(std::string& out) const;
+  /// server must be drained (Drain() or Stop() first). Returns the member's
+  /// CRC-32, combined from the shard frames' (each read once, as it was
+  /// closed), and its bank count.
+  core::AppendedFrame AppendCheckpoint(std::string& out) const;
   /// AppendCheckpoint written to a stream. kBinary is the only encoding.
   void SaveCheckpoint(std::ostream& out, core::StateEncoding encoding =
                                              core::StateEncoding::kBinary) const;
@@ -187,9 +189,10 @@ class FleetServer {
   /// Append every shard's dirty banks to `out` as one cordial_fleet_delta
   /// member, encoded in place. Dirty sets are NOT cleared — call
   /// MarkCheckpointClean once the bytes are durable, so a failed write
-  /// loses nothing. Returns the total number of banks written across
+  /// loses nothing. Returns the member's CRC-32, combined as
+  /// AppendCheckpoint's is, and the total number of banks written across
   /// shards.
-  std::uint64_t AppendDeltaCheckpoint(std::string& out) const;
+  core::AppendedFrame AppendDeltaCheckpoint(std::string& out) const;
   /// AppendDeltaCheckpoint written to a stream.
   std::uint64_t SaveDeltaCheckpoint(std::ostream& out) const;
   /// Apply a delta member (exactly one frame, parsed in place) on top of

@@ -306,13 +306,13 @@ obs::RegistrySnapshot EngineShard::MetricsSnapshot() const {
   return metrics_registry_.Snapshot();
 }
 
-void EngineShard::AppendState(std::string& out) const {
+core::AppendedFrame EngineShard::AppendState(std::string& out) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
   CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
-  engine_.AppendState(out);
+  return engine_.AppendState(out);
 }
 
-std::uint64_t EngineShard::AppendDeltaState(std::string& out) const {
+core::AppendedFrame EngineShard::AppendDeltaState(std::string& out) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
   CORDIAL_CHECK_MSG(DrainedNow(), "shard must be drained before checkpointing");
   return engine_.AppendDeltaState(out);

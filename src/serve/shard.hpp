@@ -173,7 +173,7 @@ class EngineShard {
   /// Append the engine's checkpoint frame to `out`
   /// (PredictionEngine::AppendState). The shard must be drained or stopped —
   /// enforced by a contract check.
-  void AppendState(std::string& out) const;
+  core::AppendedFrame AppendState(std::string& out) const;
   /// Parse the engine frame at the front of `in` without touching the
   /// engine; the fleet server stages every shard before committing any
   /// (see FleetServer::RestoreCheckpoint).
@@ -185,8 +185,8 @@ class EngineShard {
   /// Append this engine's dirty banks as a delta frame
   /// (PredictionEngine::AppendDeltaState); the dirty set is not cleared —
   /// call MarkCheckpointClean once the bytes are durable. Returns the
-  /// number of banks written.
-  std::uint64_t AppendDeltaState(std::string& out) const;
+  /// frame's CRC-32 and the number of banks written.
+  core::AppendedFrame AppendDeltaState(std::string& out) const;
   /// Parse a delta without touching the engine (lock-free, like ParseState).
   core::PredictionEngine::StagedDelta ParseDeltaState(
       std::string_view& in) const;

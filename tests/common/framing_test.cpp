@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -237,6 +238,51 @@ TEST(Framing, Crc32KernelAgreesWithPortablePath) {
   }
 }
 
+TEST(Framing, Crc32CombineEqualsCrc32OfTheConcatenation) {
+  // Crc32Combine(Crc32(A), Crc32(B), |B|) is Crc32(A·B) for every split,
+  // the empty and one-byte pieces included, with the pieces' CRCs taken by
+  // either kernel; chained left to right over many pieces, as a fleet
+  // frame combines its shard frames, it is the CRC of the whole.
+  using Kernel = std::uint32_t (*)(std::string_view);
+  std::vector<Kernel> kernels = {&detail::Crc32SliceBy8};
+  if (detail::Crc32PclmulSupported()) kernels.push_back(&detail::Crc32Pclmul);
+  const std::string bytes = RandomBytes(5000, 0xC0B1E);
+  const std::string_view all(bytes);
+  Rng rng(0x5B117);
+  for (const Kernel crc : kernels) {
+    for (int trial = 0; trial < 200; ++trial) {
+      // The first trials split data of 0, 1 and 2 bytes.
+      const std::size_t len = trial < 3 ? static_cast<std::size_t>(trial)
+                                        : rng.UniformU64(bytes.size() - 15);
+      const std::string_view data = all.substr(rng.UniformU64(16), len);
+      // Cuts leaving an empty or a one-byte piece on either side, and one
+      // at random.
+      for (const std::size_t cut :
+           {std::size_t{0}, std::size_t{1}, len - 1, len,
+            static_cast<std::size_t>(rng.UniformU64(len + 1))}) {
+        if (cut > len) continue;
+        const std::string_view a = data.substr(0, cut);
+        const std::string_view b = data.substr(cut);
+        ASSERT_EQ(Crc32Combine(crc(a), crc(b), b.size()), crc(data))
+            << "length " << len << " cut " << cut;
+      }
+    }
+    // Many pieces, some empty, some a byte long.
+    std::uint32_t combined = crc("");
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      const std::size_t piece =
+          std::min<std::size_t>(rng.UniformU64(3) == 0 ? rng.UniformU64(2)
+                                                       : rng.UniformU64(700),
+                                bytes.size() - at);
+      combined =
+          Crc32Combine(combined, crc(all.substr(at, piece)), piece);
+      at += piece;
+    }
+    EXPECT_EQ(combined, crc(all));
+  }
+}
+
 TEST(Framing, Crc32FirstCallFromManyThreads) {
   // ctest runs each test in a process of its own, so these are the
   // process's first Crc32 calls: eight threads race through the one-time
@@ -298,9 +344,26 @@ TEST(Framing, InPlaceWriterMatchesWriteFramedAndNests) {
   buffer += "head\n";
   const std::size_t inner_start = buffer.size();
   buffer += "payload";
-  CloseFrame(buffer, inner_start, "inner", 1);
-  CloseFrame(buffer, outer_start, "outer", 2);
+  const std::uint32_t inner_crc = CloseFrame(buffer, inner_start, "inner", 1);
+  EXPECT_EQ(inner_crc, Crc32(inner.str()));
+  const std::uint32_t outer_crc = CloseFrame(buffer, outer_start, "outer", 2);
   EXPECT_EQ(buffer, "prefix" + outer.str());
+  EXPECT_EQ(outer_crc, Crc32(outer.str()));
+
+  // Given the payload's CRC combined from its pieces', CloseFrame writes
+  // the same frame without reading the payload.
+  std::string combined = "prefix";
+  const std::size_t start = combined.size();
+  combined += "head\n";
+  const std::uint32_t head_crc = Crc32("head\n");
+  const std::size_t nested = combined.size();
+  combined += "payload";
+  const std::uint32_t nested_crc = CloseFrame(combined, nested, "inner", 1);
+  EXPECT_EQ(CloseFrame(combined, start, "outer", 2,
+                       Crc32Combine(head_crc, nested_crc,
+                                    combined.size() - nested)),
+            outer_crc);
+  EXPECT_EQ(combined, buffer);
 }
 
 TEST(Framing, ViewReaderSlicesPayloadsInPlace) {

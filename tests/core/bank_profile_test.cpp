@@ -396,7 +396,8 @@ TEST(BankProfile, TruncationAbsorbsTiesAtCutoff) {
   EXPECT_EQ(profile.classification_cutoff_s(), 3.0);
   EXPECT_EQ(profile.classification_uer_count(), 3u);
   EXPECT_EQ(profile.classification().ce_total, 1u);   // the t=3 tie
-  EXPECT_EQ(profile.classification().uer_events, 3u);  // t=3 row-50 dropped
+  EXPECT_EQ(profile.classification().distinct_uer_rows,
+            (std::vector<std::uint32_t>{10, 20, 30}));  // t=3 row-50 dropped
 
   const hbm::TopologyConfig topology;
   const ClassificationFeatureExtractor extractor(topology, 3);
@@ -415,7 +416,7 @@ TEST(BankProfile, TrailingEventsAfterCutoffAreInvisible) {
   EXPECT_EQ(profile.classification().ce_total, frozen_before);
   EXPECT_EQ(profile.classification_uer_count(), 3u);
   // The cross-row view keeps counting.
-  EXPECT_EQ(profile.crossrow().ce_count, 1u);
+  EXPECT_EQ(profile.ce_count(), 1u);
   EXPECT_EQ(profile.uer_event_count(), 4u);
 }
 
@@ -424,23 +425,23 @@ TEST(BankProfile, RepeatedRowsDoNotInflateDistinctSets) {
   profile.Observe(Make(1, 100, ErrorType::kUer));
   profile.Observe(Make(2, 100, ErrorType::kUer));
   profile.Observe(Make(3, 100, ErrorType::kUer));
-  EXPECT_EQ(profile.distinct_uer_row_count(), 1u);
+  EXPECT_EQ(profile.uer().uer_rows.size(), 1u);
   EXPECT_TRUE(profile.HasUerRow(100));
   EXPECT_FALSE(profile.HasUerRow(101));
-  EXPECT_EQ(profile.crossrow().EstimatedUerStride(), 0u);
+  EXPECT_EQ(profile.uer().EstimatedUerStride(), 0u);
 }
 
 TEST(BankProfile, GapMultisetSplitsOnMiddleInsertion) {
   BankProfile profile;
   profile.Observe(Make(1, 100, ErrorType::kUer));
   profile.Observe(Make(2, 164, ErrorType::kUer));
-  EXPECT_EQ(profile.crossrow().EstimatedUerStride(), 64u);
+  EXPECT_EQ(profile.uer().EstimatedUerStride(), 64u);
   // Inserting 132 splits the 64-gap into two 32-gaps.
   profile.Observe(Make(3, 132, ErrorType::kUer));
-  EXPECT_EQ(profile.crossrow().EstimatedUerStride(), 32u);
+  EXPECT_EQ(profile.uer().EstimatedUerStride(), 32u);
   // Micro-adjacent rows stay below the floor.
   profile.Observe(Make(4, 133, ErrorType::kUer));
-  EXPECT_EQ(profile.crossrow().EstimatedUerStride(), 31u);
+  EXPECT_EQ(profile.uer().EstimatedUerStride(), 31u);
 }
 
 TEST(BankProfile, RejectsDecreasingTimestamps) {

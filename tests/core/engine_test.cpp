@@ -140,8 +140,8 @@ TEST(PredictionEngine, AccumulatesPerBankState) {
       engine.codec().BankKey(Make(0.0, 0, 0, hbm::ErrorType::kCe).address));
   ASSERT_NE(bank0, nullptr);
   EXPECT_EQ(bank0->event_count(), 2u);
-  EXPECT_EQ(bank0->crossrow().ce_rows, std::vector<std::uint32_t>{10});
-  EXPECT_EQ(bank0->crossrow().uer_rows, std::vector<std::uint32_t>{11});
+  EXPECT_EQ(bank0->ce_rows(), std::vector<std::uint32_t>{10});
+  EXPECT_EQ(bank0->uer().uer_rows, std::vector<std::uint32_t>{11});
   EXPECT_DOUBLE_EQ(bank0->last_time_s(), 3.0);
   EXPECT_EQ(engine.bank_count(), 2u);
   EXPECT_EQ(engine.stats().events, 3u);
@@ -266,7 +266,7 @@ TEST(PredictionEngine, DropSkewPolicyLeavesBankProfilesUntouched) {
       engine.FindProfile(engine.codec().BankKey(next.address));
   ASSERT_NE(bank0, nullptr);
   EXPECT_EQ(bank0->event_count(), 2u);
-  EXPECT_EQ(bank0->crossrow().ce_rows, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(bank0->ce_rows(), (std::vector<std::uint32_t>{1, 3}));
   EngineStats expected = reference.stats();
   expected.records_skew_dropped = 2;
   EXPECT_EQ(engine.stats(), expected);

@@ -327,9 +327,9 @@ TEST(PersistBinaryCodec, SaturatedProfileRoundTripsThroughBinary) {
     p->Observe(Make(7.0, 40, hbm::ErrorType::kUer));
   }
   EXPECT_EQ(ProfileBytes(loaded), ProfileBytes(original));
-  EXPECT_EQ(loaded.crossrow().uer_row_gaps, original.crossrow().uer_row_gaps);
-  EXPECT_EQ(loaded.crossrow().EstimatedUerStride(),
-            original.crossrow().EstimatedUerStride());
+  EXPECT_EQ(loaded.uer().uer_row_gaps, original.uer().uer_row_gaps);
+  EXPECT_EQ(loaded.uer().EstimatedUerStride(),
+            original.uer().EstimatedUerStride());
 }
 
 // --- engine-state equivalence --------------------------------------------
@@ -364,11 +364,12 @@ std::vector<trace::MceRecord> NegativeZeroTrace(const World& w) {
   };
 }
 
-/// Every value a profile exposes: doubles as raw bits, counts and flags as
-/// they are. A codec that dropped doubles *equal* to 0.0 would write -0.0
-/// and +0.0 alike, so its bytes could not tell them apart; these bits can.
-/// The decoder computes every count and flag the bytes leave out, so
-/// those are compared too.
+/// Every value a profile holds or derives: doubles as raw bits, counts and
+/// flags as they are. A codec that dropped doubles *equal* to 0.0 would
+/// write -0.0 and +0.0 alike, so its bytes could not tell them apart; these
+/// bits can. The decoder recomputes the UER row gaps the bytes leave out,
+/// and restores the Cordial state beside the profile, so those are compared
+/// too.
 std::vector<std::uint64_t> AccessorBits(const core::BankProfile& profile) {
   std::vector<std::uint64_t> bits;
   const auto add = [&](double value) {
@@ -377,8 +378,6 @@ std::vector<std::uint64_t> AccessorBits(const core::BankProfile& profile) {
   const auto add_chains = [&](std::initializer_list<const core::DiffChain*>
                                   chains) {
     for (const core::DiffChain* chain : chains) {
-      bits.push_back(chain->count);
-      bits.push_back(chain->has_last);
       for (const double v : {chain->sum, chain->min, chain->max, chain->last}) {
         add(v);
       }
@@ -393,28 +392,30 @@ std::vector<std::uint64_t> AccessorBits(const core::BankProfile& profile) {
   bits.push_back(profile.HasClassificationView());
   bits.push_back(profile.classification_uer_count());
   const core::ClassAccumulator& c = profile.classification();
-  bits.insert(bits.end(), {c.ce_total, c.ueo_total, c.uer_events});
+  bits.insert(bits.end(), {c.ce_total, c.ueo_total});
   for (const double v :
        {c.ce_row_min, c.ce_row_max, c.ueo_row_min, c.ueo_row_max,
-        c.uer_row_min, c.uer_row_max, c.first_uer_time, c.last_uer_time,
-        c.ce_before_first_uer, c.ueo_before_first_uer}) {
+        c.last_uer_time, c.ce_before_first_uer, c.ueo_before_first_uer}) {
     add(v);
   }
   add_chains({&c.uer_row_diff, &c.all_row_diff, &c.ce_dt, &c.ueo_dt,
               &c.uer_dt});
   add_rows(c.distinct_uer_rows);
-  const core::CrossRowAccumulator& x = profile.crossrow();
-  bits.insert(bits.end(), {x.ce_count, x.ueo_count, x.uer_count, x.all_count});
-  for (const double v : {x.uer_row_min, x.uer_row_max, x.first_uer_time,
-                         x.last_event_time}) {
-    add(v);
-  }
-  add_chains({&x.uer_row_diff, &x.all_row_diff, &x.ce_dt, &x.ueo_dt,
-              &x.uer_dt});
-  for (const std::vector<std::uint32_t>* rows :
-       {&x.ce_rows, &x.ueo_rows, &x.uer_rows, &x.uer_row_gaps}) {
-    add_rows(*rows);
-  }
+  bits.insert(bits.end(), {profile.ce_count(), profile.ueo_count(),
+                           profile.uer_event_count()});
+  add_chains({&profile.all_row_diff(), &profile.ce_dt(), &profile.ueo_dt()});
+  add_rows(profile.ce_rows());
+  add_rows(profile.ueo_rows());
+  const core::UerBlock& u = profile.uer();
+  add(u.first_uer_time);
+  add_chains({&u.uer_row_diff, &u.uer_dt});
+  add_rows(u.uer_rows);
+  add_rows(u.uer_row_gaps);
+  const core::CordialBankState& s = u.cordial;
+  bits.insert(bits.end(),
+              {s.uer_events_seen, s.anchors_used, s.classified,
+               static_cast<std::uint64_t>(s.bank_class),
+               static_cast<std::uint64_t>(s.last_anchor_row)});
   return bits;
 }
 

@@ -209,6 +209,41 @@ TEST(ChainWrite, FullThenDeltasThenCompactionFold) {
   server.Stop();
 }
 
+TEST(ChainWrite, ManifestCrcsMatchTheirFiles) {
+  // WriteFull and WriteDelta take a member's CRC-32 from the frame writer,
+  // combined from its shard frames' CRCs, not from a read of the member.
+  // Every entry of every manifest they persist must still be the CRC-32 and
+  // size of its file: across 1 to 3 shards, fulls, deltas, an empty delta
+  // and a compaction.
+  const World& w = SharedWorld();
+  for (const std::size_t shards : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    ScratchDir dir;
+    serve::FleetServerConfig config;
+    config.shard_count = shards;
+    FleetServer server(w.topology, w.classifier, w.single_pred,
+                       w.double_or_null(), config);
+    CheckpointChain chain(ChainConfig{dir.path(), /*compact_every=*/3});
+    server.Start();
+    std::size_t fed = 0;
+    for (const std::size_t step : {0, 40, 0, 200, 13, 300, 1}) {
+      Feed(server, w, fed, fed + step);
+      fed += step;
+      server.Drain();
+      chain.Write(server);
+      const Manifest manifest =
+          DecodeManifest(FileBytes(dir.File(kManifestFileName)));
+      for (const ChainEntry& entry : manifest.entries) {
+        const std::string bytes = FileBytes(dir.File(entry.file));
+        EXPECT_EQ(entry.bytes, bytes.size()) << entry.file;
+        EXPECT_EQ(entry.crc32, Crc32(bytes)) << entry.file;
+      }
+    }
+    EXPECT_EQ(chain.epoch(), 2u);
+    server.Stop();
+  }
+}
+
 TEST(ChainWrite, ImportedShardForcesFullMember) {
   // An imported shard arrives clean, and a delta cannot drop the banks it
   // replaced: the write after an import must be a full, or recovery would

@@ -12,8 +12,10 @@
 //     state it restored.
 // Plus the member itself: the full WriteFull writes here is at most a third
 // of the bytes the fixed-width bank blobs of engine state v3 took. And the
-// state behind it: an engine fed the whole feedstock holds at most 1,000
-// bytes of live heap per bank. And a model payload whose counts are forged
+// state behind it: an engine fed the whole feedstock holds at most 400
+// bytes of live heap per bank, and a bank allocates its UER block at its
+// first UER and not before, live or restored. And a model payload whose
+// counts are forged
 // (each as large as the bytes left allow) makes its decoder reserve at most
 // 3x the payload's bytes before it is refused.
 #include <dirent.h>
@@ -43,6 +45,9 @@ namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
 std::atomic<std::int64_t> g_peak_bytes{0};
+/// Allocations of exactly g_watched_size bytes (0 watches none).
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<std::int64_t> g_watched_allocs{0};
 
 /// Every block carries its size in a max-aligned prefix, so unsized
 /// deletes can uncount it too.
@@ -52,6 +57,9 @@ void* CountedAlloc(std::size_t size) {
   void* raw = std::malloc(size + kPrefix);
   if (raw == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(raw) = size;
+  if (size == g_watched_size.load(std::memory_order_relaxed)) {
+    g_watched_allocs.fetch_add(1);
+  }
   const std::int64_t live =
       g_live_bytes.fetch_add(static_cast<std::int64_t>(size)) +
       static_cast<std::int64_t>(size);
@@ -180,10 +188,10 @@ TEST(CheckpointMemory, FeedstockHasSeveralThousandBanks) {
 }
 
 TEST(CheckpointMemory, EngineHeapPerBankIsBounded) {
-  // Most banks never see a UER, so they must not pay for a classification
-  // view; rows are held as u32. The bound is on everything the engine
-  // allocates while it ingests: profiles, Cordial state, the bank map and
-  // the ledger.
+  // Most banks never see a UER, so they hold only their CE/UEO state and
+  // no UER block; rows are held as u32, the ledger's too. The bound is on
+  // everything the engine allocates while it ingests: profiles, Cordial
+  // state, the bank map and the ledger.
   const World& w = SharedWorld();
   const std::vector<trace::MceRecord>& records = Feedstock();
   const std::int64_t before = g_live_bytes.load();
@@ -195,7 +203,65 @@ TEST(CheckpointMemory, EngineHeapPerBankIsBounded) {
       static_cast<double>(heap) / static_cast<double>(engine.bank_count());
   std::printf("engine heap: %.2f MB over %zu banks, %.0f bytes a bank\n",
               static_cast<double>(heap) / 1e6, engine.bank_count(), per_bank);
-  EXPECT_LE(per_bank, 1000.0);
+  EXPECT_LE(per_bank, 400.0);
+}
+
+/// Counts the allocations of one size made while it lives.
+class SizeWatch {
+ public:
+  explicit SizeWatch(std::size_t size) {
+    g_watched_allocs.store(0);
+    g_watched_size.store(size);
+  }
+  ~SizeWatch() { g_watched_size.store(0); }
+  std::int64_t count() const { return g_watched_allocs.load(); }
+};
+
+TEST(CheckpointMemory, UerBlockIsAllocatedAtTheFirstUerOnly) {
+  // A bank keeps its UER-side state, classification view and Cordial
+  // state in one block that its first UER allocates. A bank fed only CEs
+  // and UEOs allocates none, its first UER exactly one, later records no
+  // other, and restoring a blob of a bank without a UER none. Nothing else
+  // allocated below has the block's size.
+  const World& w = SharedWorld();
+  const SizeWatch watch(sizeof(core::UerBlock));
+  core::PredictionEngine engine(w.topology, w.classifier, w.single_pred,
+                                w.double_or_null());
+  trace::MceRecord record = w.fleet.log.records().front();
+  const auto feed = [&](double t, std::uint32_t row, hbm::ErrorType type) {
+    record.time_s = t;
+    record.address.row = row;
+    record.type = type;
+    engine.Observe(record);
+  };
+  for (int i = 0; i < 40; ++i) {
+    feed(i / 2, 100 + (i * 7) % 23,
+         i % 3 == 0 ? hbm::ErrorType::kUeo : hbm::ErrorType::kCe);
+  }
+  EXPECT_EQ(watch.count(), 0);
+  std::string uer_free;
+  engine.AppendState(uer_free);
+
+  feed(20, 110, hbm::ErrorType::kUer);
+  EXPECT_EQ(watch.count(), 1);
+  for (int i = 0; i < 8; ++i) {
+    feed(21 + i, 104 + i, i % 2 == 0 ? hbm::ErrorType::kUer
+                                     : hbm::ErrorType::kCe);
+  }
+  EXPECT_EQ(watch.count(), 1);
+  ASSERT_GE(engine.stats().banks_classified, 1u);
+
+  core::PredictionEngine restored(w.topology, w.classifier, w.single_pred,
+                                  w.double_or_null());
+  const std::int64_t before_restore = watch.count();
+  std::string_view in(uer_free);
+  restored.CommitState(restored.ParseState(in));
+  EXPECT_EQ(watch.count(), before_restore);
+  const core::BankProfile* profile =
+      restored.FindProfile(restored.codec().BankKey(record.address));
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->event_count(), 40u);
+  EXPECT_FALSE(profile->HasClassificationView());
 }
 
 /// A one-tree forest over one feature whose tree has a table of `entries`

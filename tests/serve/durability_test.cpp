@@ -312,9 +312,8 @@ void WriteChain(persist::BinaryWriter& out, const core::DiffChain& chain) {
 /// verbatim. Every forgery below rewrites these fields and re-encodes them
 /// with Bytes(), which writes an untouched blob back exactly; a format
 /// change that moves a field breaks that round trip, which
-/// ExpectForgeriesRefused checks first. A chain's count and has_last are
-/// not in the blob, so Bytes() ignores them; DiffChain::Push still moves
-/// the sum, min, max and last it writes.
+/// ExpectForgeriesRefused checks first. A chain's pushes are its view's
+/// counts, which DiffChain::Push takes as an argument.
 struct ForgedBlob {
   std::uint64_t anchors_used = 0;
   bool classified = false;
@@ -581,16 +580,16 @@ TEST(Durability, ProfileNewerThanTheEngineClockIsRefused) {
 /// Forge a bank that has seen no UER into a classified bank whose view is
 /// capped at `depth` UERs, every field agreeing: `depth` UERs on row 0 at
 /// the bank's last event time go through the cross-row counts, chains, row
-/// set and first UER time as CrossRowAccumulator::Absorb takes them, and
-/// the view is the cross-row view at the last of them, whose densities
-/// leave out the CEs and UEOs tied with the first.
+/// set and first UER time as BankProfile::Observe takes them, and the view
+/// is the cross-row view at the last of them, whose densities leave out the
+/// CEs and UEOs tied with the first.
 void ForgeCappedView(ForgedBlob& blob, std::size_t depth) {
   ASSERT_EQ(blob.uer, 0u) << "the forged bank must start without a UER";
   const double t = blob.last_event_time;
   for (std::size_t i = 0; i < depth; ++i) {
-    blob.uer_row_diff.Push(0.0);
-    blob.all_row_diff.Push(0.0);
-    blob.uer_dt.Push(t);
+    blob.uer_row_diff.Push(0.0, i);
+    blob.all_row_diff.Push(0.0, blob.ce + blob.ueo + i);
+    blob.uer_dt.Push(t, i);
   }
   blob.uer = depth;
   blob.uer_rows = {0};
@@ -697,7 +696,7 @@ TEST(Durability, ClassificationViewContradictingItsCountsIsRefused) {
 }
 
 TEST(Durability, CrossRowCountsContradictingRowSetsAreRefused) {
-  // CrossRowAccumulator::Absorb adds every record's row to its type's row
+  // BankProfile::Observe adds every record's row to its type's row
   // set, and before the first UER the first UER time stays +0.0; the sum of
   // the type counts is all_count, and no bank counts more records than its
   // engine accepted. A blob that breaks one of these passes every
@@ -796,6 +795,25 @@ TEST(Durability, DiffChainsContradictingTheirCountsAreRefused) {
        [](ForgedBlob& b) { b.uer_dt.min = 1.0; }, true},
       {"classification view uer_row_diff min 1.000000 > max 0.000000",
        [](ForgedBlob& b) { b.view.uer_row_diff.min = 1.0; }, true},
+  });
+}
+
+TEST(Durability, CordialStateBeforeTheFirstUerIsRefused) {
+  // StepCordial advances a bank's Cordial state only on its UERs, so a bank
+  // that has seen none holds the default state, and the engine keeps no
+  // state for it to hold anything else in. A blob that gives such a bank
+  // anchors, a classification or an anchor row passes every structural
+  // check; the decoder refuses it, naming the field. The donors' first bank
+  // has seen no UER; its capped forgery, which has, restores classified.
+  ExpectForgeriesRefused({
+      {"Cordial state anchors_used 1 before the bank's first UER",
+       [](ForgedBlob& b) { b.anchors_used = 1; }},
+      {"Cordial state classified true before the bank's first UER",
+       [](ForgedBlob& b) { b.classified = true; }},
+      {"Cordial state bank_class 0 before the bank's first UER",
+       [](ForgedBlob& b) { b.bank_class = 0; }},
+      {"Cordial state last_anchor_row 7 before the bank's first UER",
+       [](ForgedBlob& b) { b.last_anchor_row = 7; }},
   });
 }
 

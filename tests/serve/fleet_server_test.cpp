@@ -213,7 +213,7 @@ void ExpectSurvivorsAreRows106To109(const EngineShard& shard) {
       shard.engine().codec().BankKey(probe.address));
   ASSERT_NE(bank, nullptr);
   EXPECT_EQ(bank->event_count(), 4u);
-  EXPECT_EQ(bank->crossrow().ce_rows,
+  EXPECT_EQ(bank->ce_rows(),
             (std::vector<std::uint32_t>{106, 107, 108, 109}));
 }
 
