@@ -7,6 +7,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/labeler.hpp"
 #include "common/framing.hpp"
@@ -265,23 +267,38 @@ void BM_LoadModel(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadModel)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-/// The engine's per-anchor inference: 16 block probabilities from the
-/// single-row predictor at the last anchor of a real UER bank.
+/// The engine's per-anchor inference over every anchor of the shared
+/// fleet's UER banks: 16 block probabilities from the single-row predictor
+/// at each, from its bank's profile at that anchor, so the trees' walks
+/// take as many paths as the traced ml.crossrow_infer_us sees. An
+/// iteration scores them all; `anchor` is the time per anchor.
 void BM_CrossRowBlockProba(benchmark::State& state) {
   const core::CrossRowPredictor& predictor = SharedServedModels().single;
-  const trace::BankHistory& bank = FirstUerBank();
-  const core::Anchor anchor = predictor.AnchorsOf(bank).back();
-  core::BankProfile profile;
-  for (const auto& e : bank.events) {
-    if (e.time_s > anchor.time_s) break;
-    profile.Observe(e);
+  std::vector<std::pair<core::BankProfile, core::Anchor>> anchors;
+  for (const trace::BankHistory& bank : SharedBanks()) {
+    core::BankProfile profile;
+    std::size_t next = 0;
+    for (const core::Anchor& anchor : predictor.AnchorsOf(bank)) {
+      while (next < bank.events.size() &&
+             bank.events[next].time_s <= anchor.time_s) {
+        profile.Observe(bank.events[next++]);
+      }
+      anchors.emplace_back(profile, anchor);
+    }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        predictor.PredictBlockProbaFromProfile(profile, anchor));
+    for (const auto& [profile, anchor] : anchors) {
+      benchmark::DoNotOptimize(
+          predictor.PredictBlockProbaFromProfile(profile, anchor));
+    }
   }
+  state.SetLabel(std::to_string(anchors.size()) + " anchors");
+  state.counters["anchor"] = benchmark::Counter(
+      static_cast<double>(anchors.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_CrossRowBlockProba)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CrossRowBlockProba)->Unit(benchmark::kMillisecond);
 
 void BM_FleetGeneration(benchmark::State& state) {
   hbm::TopologyConfig topology;

@@ -88,9 +88,12 @@ else
   # u32 row sets through the extractors' comparators and copy and move the
   # heap-allocated UER block. SparingLedger inserts into and searches the
   # ledger's sorted row vectors. LogCodec runs the two parsers of untrusted
-  # record bytes: the CSV feed and the 49-byte wire record decoder.
+  # record bytes: the CSV feed and the 49-byte wire record decoder. The
+  # tree suites (ClassificationTree ... Booster) and LockstepWalk build and
+  # walk the split layout: child references that name a split or, with
+  # their top bit set, a table entry, and the k-row walk's reused buffers.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|ModelMemory|SparingLedger|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
+    -R '^(BankProfile|PredictionEngine|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|Serialize|ModelParser|Framing|EngineCheckpoint|FleetServer|CheckpointMemory|ModelMemory|SparingLedger|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec|ClassificationTree|RegressionTree|RandomForest|Booster|LockstepWalk)'
 fi
 
 cmake -B build-ubsan -S . -DCORDIAL_SANITIZE=undefined \
@@ -98,10 +101,11 @@ cmake -B build-ubsan -S . -DCORDIAL_SANITIZE=undefined \
 cmake --build build-ubsan -j
 # The binary codec (varints, zigzag, presence masks, row gaps), every
 # suite that encodes or decodes checkpoint, wire, record or model bytes,
-# and the feature-extractor suites, whose comparators convert u32 rows to
-# double.
+# the feature-extractor suites, whose comparators convert u32 rows to
+# double, and the tree suites and LockstepWalk, which narrow split features
+# to 16 bits and mask child references.
 ctest --test-dir build-ubsan --output-on-failure \
-  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|ModelMemory|SparingLedger|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec)'
+  -R '^(BankProfile|PredictionEngine|Durability|Persist|Chain|Framing|EngineCheckpoint|CheckpointMemory|ModelMemory|SparingLedger|FleetServer|Migration|Net|Serialize|ModelParser|CrossRow|ClassificationFeature|PatternClassifier|Isolation|EstimateRowStride|TruncateAtUer|LogCodec|ClassificationTree|RegressionTree|RandomForest|Booster|LockstepWalk)'
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then
   echo "tier1: skipping durability smoke (--skip-smoke)"

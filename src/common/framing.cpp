@@ -3,8 +3,6 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
-#include <istream>
-#include <ostream>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
@@ -41,7 +39,7 @@ constexpr std::size_t kMaxHeaderRestBytes = 64;
 /// The longest token PeekMagic returns; every magic of ours is far shorter.
 constexpr std::size_t kMaxMagicBytes = 64;
 
-/// Strictly the alphabet WriteFramed emits (%08x): lowercase only. Accepting
+/// Strictly the alphabet FrameHeaderLine emits (%08x): lowercase only. Accepting
 /// uppercase would let a bit flip inside the checksum field ('c' ^ 0x20 =
 /// 'C') produce a header that still parses to the same CRC value, i.e. a
 /// corrupted-but-accepted frame header.
@@ -332,12 +330,6 @@ std::string FrameHeaderLine(std::string_view magic, std::uint32_t version,
   return line;
 }
 
-void WriteFramed(std::ostream& out, const std::string& magic,
-                 std::uint32_t version, const std::string& payload) {
-  out << FrameHeaderLine(magic, version, payload.size(), Crc32(payload))
-      << payload;
-}
-
 std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
                          std::string_view magic, std::uint32_t version) {
   return CloseFrame(out, payload_start, magic, version,
@@ -355,8 +347,6 @@ std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
 }
 
 namespace {
-
-// --- the checks shared by the stream and the view reader ------------------
 
 void ExpectMagic(std::string_view seen, const std::string& magic) {
   if (seen.empty()) throw ParseError(magic + ": empty stream");
@@ -387,21 +377,6 @@ FrameHeader ExpectHeader(std::string_view line, const std::string& magic,
   return header;
 }
 
-/// Verify the payload against the header's CRC-32 before the caller reads
-/// any of it.
-void VerifyPayload(const FrameHeader& header, const std::string& magic,
-                   std::string_view payload) {
-  const std::uint32_t actual_crc = Crc32(payload);
-  if (actual_crc != header.crc32) {
-    char expected_hex[16], actual_hex[16];
-    std::snprintf(expected_hex, sizeof(expected_hex), "%08x", header.crc32);
-    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
-    throw ParseError(magic + ": payload checksum mismatch (header crc32=" +
-                     expected_hex + ", payload crc32=" + actual_hex +
-                     ") — corrupt frame");
-  }
-}
-
 void InjectedReadFailure(const std::string& magic) {
   CORDIAL_FAILPOINT("common.framing.read",
                     throw ParseError(magic +
@@ -411,56 +386,8 @@ void InjectedReadFailure(const std::string& magic) {
 
 }  // namespace
 
-std::string ReadFramed(std::istream& in, const std::string& magic,
-                       std::uint32_t expected_version) {
-  InjectedReadFailure(magic);
-  std::string seen_magic;
-  in >> seen_magic;
-  ExpectMagic(seen_magic, magic);
-  // The rest of the header line, read strictly character-by-character —
-  // whitespace-skipping extraction could silently consume payload bytes on
-  // a corrupt header. The grammar itself lives in ParseFrameHeaderLine,
-  // shared with the network plane's incremental frame assembler.
-  std::string rest;
-  for (;;) {
-    const int c = in.get();
-    if (c == std::char_traits<char>::eof()) {
-      throw ParseError(magic + ": malformed header");
-    }
-    if (c == '\n') break;
-    rest.push_back(static_cast<char>(c));
-    if (rest.size() > kMaxHeaderRestBytes) {
-      throw ParseError(magic + ": malformed header");
-    }
-  }
-  // A seekable stream knows how many bytes are left, so a corrupt length is
-  // rejected before the payload buffer is allocated.
-  std::uint64_t available = kMaxFramePayloadBytes;
-  const std::streampos pos = in.tellg();
-  if (pos != std::streampos(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::streampos end = in.tellg();
-    in.seekg(pos);
-    if (end != std::streampos(-1)) {
-      available = static_cast<std::uint64_t>(end - pos);
-    }
-  }
-  const FrameHeader header =
-      ExpectHeader(seen_magic + rest, magic, expected_version, available);
-  const std::uint64_t bytes = header.payload_bytes;
-  std::string payload(static_cast<std::size_t>(bytes), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != bytes) {
-    throw ParseError(magic + ": truncated payload (expected " +
-                     std::to_string(bytes) + " bytes, got " +
-                     std::to_string(in.gcount()) + ")");
-  }
-  VerifyPayload(header, magic, payload);
-  return payload;
-}
-
-std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
-                                std::uint32_t expected_version) {
+FrameView SplitFrame(std::string_view& in, const std::string& magic,
+                     std::uint32_t expected_version) {
   InjectedReadFailure(magic);
   const std::string_view seen = PeekMagic(in);
   ExpectMagic(seen, magic);
@@ -473,11 +400,43 @@ std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
   const FrameHeader header = ExpectHeader(in.substr(0, newline), magic,
                                           expected_version,
                                           in.size() - newline - 1);
-  const std::string_view payload =
+  FrameView frame;
+  frame.header = in.substr(0, newline + 1);
+  frame.payload =
       in.substr(newline + 1, static_cast<std::size_t>(header.payload_bytes));
-  VerifyPayload(header, magic, payload);
-  in.remove_prefix(newline + 1 + payload.size());
-  return payload;
+  frame.crc32 = header.crc32;
+  in.remove_prefix(frame.header.size() + frame.payload.size());
+  return frame;
+}
+
+void VerifyFrame(const FrameView& frame, const std::string& magic,
+                 std::uint32_t payload_crc) {
+  if (payload_crc != frame.crc32) {
+    char expected_hex[16], actual_hex[16];
+    std::snprintf(expected_hex, sizeof(expected_hex), "%08x", frame.crc32);
+    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", payload_crc);
+    throw ParseError(magic + ": payload checksum mismatch (header crc32=" +
+                     expected_hex + ", payload crc32=" + actual_hex +
+                     ") — corrupt frame");
+  }
+}
+
+std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
+                                std::uint32_t expected_version,
+                                std::optional<std::uint32_t> payload_crc) {
+  std::string_view rest = in;
+  const FrameView frame = SplitFrame(rest, magic, expected_version);
+  VerifyFrame(frame, magic,
+              payload_crc ? *payload_crc : Crc32(frame.payload));
+  in = rest;
+  return frame.payload;
+}
+
+void ExpectNoTrailingBytes(std::string_view rest, const std::string& where) {
+  if (!rest.empty()) {
+    throw ParseError(where + ": " + std::to_string(rest.size()) +
+                     " unexpected trailing byte(s)");
+  }
 }
 
 std::string_view PeekMagic(std::string_view bytes) {

@@ -28,7 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -69,10 +69,10 @@ bool Crc32PclmulSupported();
 std::uint32_t Crc32Pclmul(std::string_view data);
 }  // namespace detail
 
-/// One parsed header line — the shared grammar between the stream reader
-/// (ReadFramed) and the network plane's incremental frame assembler
-/// (net::FrameAssembler), which sees a byte buffer instead of an istream
-/// and must learn the payload length before the payload has arrived.
+/// One parsed header line — the shared grammar between the frame reader
+/// (ReadFramedView) and the network plane's incremental frame assembler
+/// (net::FrameAssembler), which must learn the payload length before the
+/// payload has arrived.
 struct FrameHeader {
   std::string magic;
   std::uint32_t version = 0;
@@ -93,11 +93,6 @@ FrameHeader ParseFrameHeaderLine(std::string_view line);
 std::string FrameHeaderLine(std::string_view magic, std::uint32_t version,
                             std::uint64_t payload_bytes, std::uint32_t crc32);
 
-/// Write `payload` wrapped in a `<magic> v<version> <bytes> crc32=<hex>`
-/// header (layout v2).
-void WriteFramed(std::ostream& out, const std::string& magic,
-                 std::uint32_t version, const std::string& payload);
-
 /// The in-place frame writer: the bytes `out[payload_start, out.size())`
 /// become the payload of one layout-v2 frame, its header inserted in front
 /// of them. A member is encoded straight into one buffer this way, nested
@@ -113,22 +108,45 @@ std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
                          std::string_view magic, std::uint32_t version,
                          std::uint32_t payload_crc);
 
-/// Read one frame and return its payload. Throws ParseError when the magic
-/// differs, the version is not `expected_version`, the payload is shorter
-/// than the header promised, the promised length is implausible
-/// (> kMaxFramePayloadBytes, or beyond the stream's remaining bytes when it
-/// is seekable), or the payload's CRC-32 does not match the header's.
-std::string ReadFramed(std::istream& in, const std::string& magic,
-                       std::uint32_t expected_version);
+/// The frame reader, over bytes in memory: reads the frame at the very
+/// front of `in` (no leading whitespace) and returns a view of its payload
+/// inside `in`'s bytes, advancing `in` past the frame. Throws ParseError
+/// when the magic differs, the header is malformed, the version is not
+/// `expected_version`, the promised length is implausible (>
+/// kMaxFramePayloadBytes) or beyond the bytes left, or the payload's
+/// CRC-32 does not match the header's — checked before any payload byte is
+/// returned — and when the common.framing.read failpoint fires. A caller
+/// that already has the payload's CRC-32 (a nested frame whose enclosing
+/// frame's walk computed it) passes it as `payload_crc`, and no payload
+/// byte is read.
+std::string_view ReadFramedView(
+    std::string_view& in, const std::string& magic,
+    std::uint32_t expected_version,
+    std::optional<std::uint32_t> payload_crc = std::nullopt);
 
-/// The view frame reader: ReadFramed over bytes already in memory. Reads
-/// the frame at the very front of `in` (no leading whitespace), makes the
-/// same checks through the same helpers — header, version, length against
-/// the bytes left, CRC-32 before any payload byte is returned, the
-/// common.framing.read failpoint — and returns a view of the payload
-/// inside `in`'s bytes, advancing `in` past the frame.
-std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
-                                std::uint32_t expected_version);
+/// One frame split off the front of a buffer, its CRC-32 not yet compared.
+struct FrameView {
+  std::string_view header;   ///< the header line, its newline included
+  std::string_view payload;  ///< the payload, inside the caller's bytes
+  std::uint32_t crc32 = 0;   ///< the payload's CRC-32 the header promises
+};
+
+/// ReadFramedView's first half: every check but the CRC-32's, so that a
+/// caller can CRC the payload's pieces once each (Crc32Combine) and keep
+/// the pieces' CRCs for the frames nested in it. Advances `in` past the
+/// frame.
+FrameView SplitFrame(std::string_view& in, const std::string& magic,
+                     std::uint32_t expected_version);
+/// ReadFramedView's second half: ParseError, with ReadFramedView's message,
+/// unless `payload_crc` — the CRC-32 of `frame.payload`, however the caller
+/// got it — is the one the header promises.
+void VerifyFrame(const FrameView& frame, const std::string& magic,
+                 std::uint32_t payload_crc);
+
+/// The trailing-bytes rule: `rest` — what follows a model's or a chain
+/// member's frame, or a fleet payload's last shard frame — must be empty.
+/// ParseError naming `where` and the byte count.
+void ExpectNoTrailingBytes(std::string_view rest, const std::string& where);
 
 /// Magic of the frame at the front of `bytes`: the token before the first
 /// space, tab or newline, at most 64 bytes (empty when `bytes` is). A view

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
-#include "common/framing.hpp"
 #include "core/persist.hpp"
-#include "persist/binary_io.hpp"
 
 namespace cordial::core {
 
@@ -158,13 +158,32 @@ std::vector<int> CrossRowPredictor::PredictBlocks(
 std::vector<double> CrossRowPredictor::PredictBlockProbaFromProfile(
     const BankProfile& profile, const Anchor& anchor) const {
   CORDIAL_CHECK_MSG(trained_, "cross-row predictor not trained");
+  constexpr std::size_t kClasses = 2;  // a block fails or it does not
   const BlockWindow window = extractor_.WindowAt(anchor.row);
-  std::vector<double> proba(config_.n_blocks, 0.0);
-  for (std::size_t b = 0; b < config_.n_blocks; ++b) {
+  const std::size_t width = extractor_.num_features();
+  const std::size_t blocks = config_.n_blocks;
+  // One buffer per thread, reused by every anchor: the in-bank blocks'
+  // feature rows back to back, then their class probabilities. Every tree
+  // walks the rows together (ml::Classifier::PredictProbaRows).
+  thread_local std::vector<double> buffer;
+  buffer.resize(blocks * (width + kClasses));
+  const std::span<double> rows(buffer.data(), blocks * width);
+  std::size_t in_bank = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
     if (!window.BlockRange(b).has_value()) continue;
-    const std::vector<double> p = model_->PredictProba(
-        extractor_.ExtractFromProfile(profile, anchor.time_s, anchor.row, b));
-    proba[b] = p[1];
+    extractor_.ExtractFromProfile(profile, anchor.time_s, anchor.row, b,
+                                  rows.subspan(in_bank * width, width));
+    ++in_bank;
+  }
+  const std::span<double> block_proba(buffer.data() + blocks * width,
+                                      in_bank * kClasses);
+  model_->PredictProbaRows(rows.first(in_bank * width), width, block_proba);
+  std::vector<double> proba(blocks, 0.0);
+  in_bank = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    if (!window.BlockRange(b).has_value()) continue;
+    proba[b] = block_proba[in_bank * kClasses + 1];
+    ++in_bank;
   }
   return proba;
 }
@@ -182,29 +201,12 @@ std::vector<int> CrossRowPredictor::PredictBlocksFromProfile(
 
 void CrossRowPredictor::SaveModel(std::ostream& out) const {
   CORDIAL_CHECK_MSG(trained_, "cannot save an untrained predictor");
-  std::string payload;
-  persist::BinaryWriter writer(payload);
-  writer.Var(extractor_.num_features());
-  model_->Encode(writer);
-  WriteFramed(out, kCrossRowModelMagic, kModelFrameVersion, payload);
+  SaveModelFrame(out, kCrossRowModelMagic, extractor_.num_features(), *model_);
 }
 
 void CrossRowPredictor::LoadModel(std::istream& in) {
-  const std::string payload =
-      ReadFramed(in, kCrossRowModelMagic, kModelFrameVersion);
-  persist::BinaryReader reader(payload, "crossrow model");
-  // Reject a model whose feature layout disagrees with the extractor's —
-  // it would decode cleanly and then mispredict from shifted columns.
-  const std::uint64_t saved = reader.Var();
-  if (saved != extractor_.num_features()) {
-    reader.Fail("feature count mismatch (model has " + std::to_string(saved) +
-                ", extractor expects " +
-                std::to_string(extractor_.num_features()) + ")");
-  }
-  std::unique_ptr<ml::Classifier> model =
-      ml::DecodeClassifier(reader, extractor_.num_features());
-  reader.ExpectEnd();
-  model_ = std::move(model);
+  model_ = LoadModelFrame(in, kCrossRowModelMagic, "crossrow model",
+                          extractor_.num_features());
   trained_ = true;
 }
 

@@ -586,10 +586,10 @@ PredictionEngine::StagedState& PredictionEngine::StagedState::operator=(
 PredictionEngine::StagedState::~StagedState() = default;
 
 PredictionEngine::StagedState PredictionEngine::ParseState(
-    std::string_view& in) const {
+    std::string_view& in, std::optional<std::uint32_t> payload_crc) const {
   StagedState staged;
   persist::BinaryReader reader(
-      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion),
+      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion, payload_crc),
       "engine state");
   const StateHeader header = TakeStateHeader(reader);
   staged.impl_->stats = header.stats;
@@ -635,10 +635,10 @@ PredictionEngine::StagedDelta& PredictionEngine::StagedDelta::operator=(
 PredictionEngine::StagedDelta::~StagedDelta() = default;
 
 PredictionEngine::StagedDelta PredictionEngine::ParseDeltaState(
-    std::string_view& in) const {
+    std::string_view& in, std::optional<std::uint32_t> payload_crc) const {
   StagedDelta staged;
   persist::BinaryReader reader(
-      ReadFramedView(in, kEngineDeltaMagic, kEngineDeltaVersion),
+      ReadFramedView(in, kEngineDeltaMagic, kEngineDeltaVersion, payload_crc),
       "engine delta");
   staged.impl_->header = TakeStateHeader(reader);
   auto& banks = staged.impl_->banks;

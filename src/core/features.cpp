@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <set>
 
@@ -264,6 +265,15 @@ std::vector<double> CrossRowFeatureExtractor::Extract(
 std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
     const BankProfile& profile, double anchor_time_s,
     std::uint32_t anchor_row, std::size_t block) const {
+  std::vector<double> features(num_features());
+  ExtractFromProfile(profile, anchor_time_s, anchor_row, block, features);
+  return features;
+}
+
+void CrossRowFeatureExtractor::ExtractFromProfile(
+    const BankProfile& profile, double anchor_time_s,
+    std::uint32_t anchor_row, std::size_t block,
+    std::span<double> out) const {
   const BlockWindow window = WindowAt(anchor_row);
   const auto range = window.BlockRange(block);
   CORDIAL_CHECK_MSG(range.has_value(),
@@ -335,7 +345,7 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
     k_positions = nearest_uer / static_cast<double>(stride);
   }
 
-  std::vector<double> features = {
+  const double features[] = {
       static_cast<double>(block),
       block_center - anchor,
       std::fabs(block_center - anchor),
@@ -359,9 +369,11 @@ std::vector<double> CrossRowFeatureExtractor::ExtractFromProfile(
       static_cast<double>(profile.ueo_count() + u.uer_count),
       static_cast<double>(events),
   };
-  CORDIAL_CHECK_MSG(features.size() == feature_names_.size(),
+  CORDIAL_CHECK_MSG(std::size(features) == feature_names_.size(),
                     "cross-row feature arity drifted");
-  return features;
+  CORDIAL_CHECK_MSG(out.size() == std::size(features),
+                    "cross-row feature buffer is not one row wide");
+  std::copy(std::begin(features), std::end(features), out.begin());
 }
 
 }  // namespace cordial::core

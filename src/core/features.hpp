@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <span>
 #include <vector>
 
 #include "core/bank_profile.hpp"
@@ -134,6 +135,11 @@ class CrossRowFeatureExtractor {
                                          double anchor_time_s,
                                          std::uint32_t anchor_row,
                                          std::size_t block) const;
+  /// The same features written to `out`, which holds num_features()
+  /// values; allocates nothing.
+  void ExtractFromProfile(const BankProfile& profile, double anchor_time_s,
+                          std::uint32_t anchor_row, std::size_t block,
+                          std::span<double> out) const;
 
  private:
   hbm::TopologyConfig topology_;

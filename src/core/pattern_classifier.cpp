@@ -3,10 +3,8 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "common/framing.hpp"
 #include "common/parallel.hpp"
 #include "core/persist.hpp"
-#include "persist/binary_io.hpp"
 
 namespace cordial::core {
 
@@ -80,30 +78,12 @@ ml::ConfusionMatrix PatternClassifier::Evaluate(
 
 void PatternClassifier::SaveModel(std::ostream& out) const {
   CORDIAL_CHECK_MSG(trained_, "cannot save an untrained classifier");
-  std::string payload;
-  persist::BinaryWriter writer(payload);
-  writer.Var(extractor_.num_features());
-  model_->Encode(writer);
-  WriteFramed(out, kPatternModelMagic, kModelFrameVersion, payload);
+  SaveModelFrame(out, kPatternModelMagic, extractor_.num_features(), *model_);
 }
 
 void PatternClassifier::LoadModel(std::istream& in) {
-  const std::string payload =
-      ReadFramed(in, kPatternModelMagic, kModelFrameVersion);
-  persist::BinaryReader reader(payload, "pattern model");
-  // A model trained against a different feature layout would not fail to
-  // decode — it would silently read shifted columns and mispredict. Reject
-  // it here, naming both counts.
-  const std::uint64_t saved = reader.Var();
-  if (saved != extractor_.num_features()) {
-    reader.Fail("feature count mismatch (model has " + std::to_string(saved) +
-                ", extractor expects " +
-                std::to_string(extractor_.num_features()) + ")");
-  }
-  std::unique_ptr<ml::Classifier> model =
-      ml::DecodeClassifier(reader, extractor_.num_features());
-  reader.ExpectEnd();
-  model_ = std::move(model);
+  model_ = LoadModelFrame(in, kPatternModelMagic, "pattern model",
+                          extractor_.num_features());
   trained_ = true;
 }
 

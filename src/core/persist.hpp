@@ -1,10 +1,19 @@
 // Magic strings and frame versions for every persisted cordial stream
-// (model files and engine snapshots). Bump a version when its payload
-// format changes; LoadModel / ParseState reject mismatches with a
-// ParseError instead of misparsing a stream from another build.
+// (model files and engine snapshots), and the one reader and writer of a
+// model file, behind PatternClassifier's and CrossRowPredictor's LoadModel
+// and SaveModel. Bump a version when its payload format changes; LoadModel
+// / ParseState reject mismatches with a ParseError instead of misparsing a
+// stream from another build.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
+
+namespace cordial::ml {
+class Classifier;
+}  // namespace cordial::ml
 
 namespace cordial::core {
 
@@ -40,5 +49,24 @@ inline constexpr std::uint32_t kEngineStateVersion = 5;
 // blobs) and v3 (engine state v4's blobs) are retired.
 inline constexpr char kEngineDeltaMagic[] = "cordial_engine_delta";
 inline constexpr std::uint32_t kEngineDeltaVersion = 4;
+
+/// Writes `model` as a model file: one `magic` frame (kModelFrameVersion)
+/// whose payload is `num_features` as a varint, then the classifier
+/// (ml::Classifier::Encode), encoded and closed in one buffer (CloseFrame)
+/// and written once.
+void SaveModelFrame(std::ostream& out, const char* magic,
+                    std::size_t num_features, const ml::Classifier& model);
+
+/// Reads the rest of `in` once and decodes the model file SaveModelFrame
+/// wrote from those bytes (ReadFramedView): ParseError, naming `context`,
+/// on a stream longer than one frame can be (refused before it is read
+/// whole), on anything the frame reader or the classifier decoder refuses,
+/// on bytes after the frame or after the classifier, and on a feature count
+/// other than `num_features` — a model trained against another feature
+/// layout would decode and then mispredict from shifted columns.
+std::unique_ptr<ml::Classifier> LoadModelFrame(std::istream& in,
+                                               const char* magic,
+                                               const char* context,
+                                               std::size_t num_features);
 
 }  // namespace cordial::core

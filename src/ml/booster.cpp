@@ -1,6 +1,7 @@
 #include "ml/booster.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -12,16 +13,25 @@
 
 namespace cordial::ml {
 
-std::vector<double> Softmax(std::span<const double> scores) {
+namespace {
+
+/// Softmax of `scores`, in place: subtracts the max score first.
+void SoftmaxInPlace(std::span<double> scores) {
   CORDIAL_CHECK_MSG(!scores.empty(), "softmax of empty vector");
   const double max_score = *std::max_element(scores.begin(), scores.end());
-  std::vector<double> out(scores.size());
   double total = 0.0;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    out[i] = std::exp(scores[i] - max_score);
-    total += out[i];
+  for (double& s : scores) {
+    s = std::exp(s - max_score);
+    total += s;
   }
-  for (double& p : out) p /= total;
+  for (double& p : scores) p /= total;
+}
+
+}  // namespace
+
+std::vector<double> Softmax(std::span<const double> scores) {
+  std::vector<double> out(scores.begin(), scores.end());
+  SoftmaxInPlace(out);
   return out;
 }
 
@@ -224,27 +234,37 @@ std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Decode(
   return booster;
 }
 
-std::vector<double> GradientBoostedClassifier::Scores(
-    std::span<const double> features) const {
-  const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<double> scores(base_scores_);
-  if (num_classes_ == 2) {
-    // Binary fast path: all trees contribute to the class-1 score.
-    for (const RegressionTree& tree : trees_) {
-      scores[1] += options_.learning_rate * tree.Leaf(features)[0];
-    }
-    return scores;
-  }
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    scores[t % k] += options_.learning_rate * trees_[t].Leaf(features)[0];
-  }
-  return scores;
-}
-
 std::vector<double> GradientBoostedClassifier::PredictProba(
     std::span<const double> features) const {
+  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
+  PredictProbaRows(features, features.size(), proba);
+  return proba;
+}
+
+void GradientBoostedClassifier::PredictProbaRows(std::span<const double> rows,
+                                                 std::size_t row_width,
+                                                 std::span<double> out) const {
   CORDIAL_CHECK_MSG(!trees_.empty(), "booster not fitted");
-  return Softmax(Scores(features));
+  const auto k = static_cast<std::size_t>(num_classes_);
+  const std::size_t count = RowCount(rows, row_width, out, k);
+  for (std::size_t r = 0; r < count; ++r) {
+    std::copy(base_scores_.begin(), base_scores_.end(), out.begin() + r * k);
+  }
+  std::array<const double*, DecisionTree::kLanes> leaves{};
+  for (std::size_t first = 0; first < count; first += leaves.size()) {
+    const std::size_t lanes = std::min(leaves.size(), count - first);
+    const auto group = rows.subspan(first * row_width, lanes * row_width);
+    double* const scores = out.data() + first * k;
+    for (std::size_t t = 0; t < trees_.size(); ++t) {
+      // Binary fast path: every tree adds to the class-1 score.
+      const std::size_t cls = k == 2 ? 1 : t % k;
+      trees_[t].Leaves(group, row_width, std::span(leaves.data(), lanes));
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        scores[lane * k + cls] += options_.learning_rate * leaves[lane][0];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < count; ++r) SoftmaxInPlace(out.subspan(r * k, k));
 }
 
 const char* LearnerKindName(LearnerKind kind) {
@@ -272,6 +292,7 @@ std::unique_ptr<Classifier> MakeLgbmStyleBooster(BoosterOptions options) {
 
 std::unique_ptr<Classifier> DecodeClassifier(persist::BinaryReader& in,
                                              std::size_t num_features) {
+  DecisionTree::ExpectFeatureCount(in, num_features);
   // Each decoder reads and checks its own tag; peek at it through a copy.
   const std::uint8_t tag = persist::BinaryReader(in).U8();
   switch (static_cast<LearnerTag>(tag)) {

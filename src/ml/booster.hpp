@@ -21,6 +21,8 @@ class GradientBoostedClassifier final : public Classifier {
   void Fit(const Dataset& train, Rng& rng) override;
   std::vector<double> PredictProba(
       std::span<const double> features) const override;
+  void PredictProbaRows(std::span<const double> rows, std::size_t row_width,
+                        std::span<double> out) const override;
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
   /// Tag, name, class count, learning rate, tree count, the per-class base
@@ -41,9 +43,6 @@ class GradientBoostedClassifier final : public Classifier {
   const std::vector<RegressionTree>& trees() const { return trees_; }
 
  private:
-  /// Raw (pre-softmax) scores for one feature vector.
-  std::vector<double> Scores(std::span<const double> features) const;
-
   /// GOSS row selection: mutates grad/hess (up-weights the sampled
   /// small-gradient rows) and returns the selected row indices.
   std::vector<std::size_t> GossSelect(std::vector<double>& gradients,

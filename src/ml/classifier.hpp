@@ -26,9 +26,20 @@ class Classifier {
   /// (data, seed) pair determines the model exactly.
   virtual void Fit(const Dataset& train, Rng& rng) = 0;
 
-  /// Class-probability vector, size = num_classes of the training data.
+  /// Class-probability vector, size = num_classes of the training data:
+  /// PredictProbaRows of one row.
   virtual std::vector<double> PredictProba(
       std::span<const double> features) const = 0;
+
+  /// Class probabilities of the rows held back to back in `rows`,
+  /// `row_width` features each: row r's num_classes values go to
+  /// out[r * num_classes, (r + 1) * num_classes). Every tree walks the rows
+  /// together (DecisionTree::Leaves) and each row sums its leaves in tree
+  /// order, so a row's values are bit for bit its PredictProba.
+  /// ContractViolation unless `out` holds exactly that many values.
+  virtual void PredictProbaRows(std::span<const double> rows,
+                                std::size_t row_width,
+                                std::span<double> out) const = 0;
 
   /// Argmax class.
   virtual int Predict(std::span<const double> features) const;
@@ -49,6 +60,14 @@ class Classifier {
   /// and evaluate concurrently with serving, without re-parsing a
   /// serialized stream on every evaluation round.
   virtual std::unique_ptr<Classifier> Clone() const = 0;
+
+ protected:
+  /// The number of rows PredictProbaRows was given, after checking that
+  /// `rows` holds whole rows and `out` `classes` values for each.
+  static std::size_t RowCount(std::span<const double> rows,
+                              std::size_t row_width,
+                              std::span<const double> out,
+                              std::size_t classes);
 };
 
 /// The byte an encoded classifier leads with, so deployment code can load
@@ -60,8 +79,8 @@ enum class LearnerTag : std::uint8_t {
 
 /// Decodes the classifier Encode wrote at `in`, for a model that reads
 /// `num_features` features, straight into its trees. Throws ParseError on
-/// an unknown tag and on anything its decoder refuses (see
-/// DecisionTree::Decode).
+/// more features than a tree can split on (DecisionTree::kMaxFeatures), an
+/// unknown tag, and anything its decoder refuses (see DecisionTree::Decode).
 std::unique_ptr<Classifier> DecodeClassifier(persist::BinaryReader& in,
                                              std::size_t num_features);
 

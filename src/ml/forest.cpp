@@ -1,6 +1,7 @@
 #include "ml/forest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -10,6 +11,18 @@
 #include "persist/binary_io.hpp"
 
 namespace cordial::ml {
+
+std::size_t Classifier::RowCount(std::span<const double> rows,
+                                 std::size_t row_width,
+                                 std::span<const double> out,
+                                 std::size_t classes) {
+  CORDIAL_CHECK_MSG(row_width > 0 && rows.size() % row_width == 0,
+                    "rows are not whole rows of row_width features");
+  const std::size_t count = rows.size() / row_width;
+  CORDIAL_CHECK_MSG(out.size() == count * classes,
+                    "output holds other than num_classes values a row");
+  return count;
+}
 
 int Classifier::Predict(std::span<const double> features) const {
   const std::vector<double> proba = PredictProba(features);
@@ -62,15 +75,31 @@ void RandomForestClassifier::Fit(const Dataset& train, Rng& rng) {
 
 std::vector<double> RandomForestClassifier::PredictProba(
     std::span<const double> features) const {
+  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
+  PredictProbaRows(features, features.size(), proba);
+  return proba;
+}
+
+void RandomForestClassifier::PredictProbaRows(std::span<const double> rows,
+                                              std::size_t row_width,
+                                              std::span<double> out) const {
   CORDIAL_CHECK_MSG(!trees_.empty(), "forest not fitted");
   const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<double> avg(k, 0.0);
-  for (const ClassificationTree& tree : trees_) {
-    const std::span<const double> leaf = tree.Leaf(features);
-    for (std::size_t c = 0; c < k; ++c) avg[c] += leaf[c];
+  const std::size_t count = RowCount(rows, row_width, out, k);
+  std::fill(out.begin(), out.end(), 0.0);
+  std::array<const double*, DecisionTree::kLanes> leaves{};
+  for (std::size_t first = 0; first < count; first += leaves.size()) {
+    const std::size_t lanes = std::min(leaves.size(), count - first);
+    const auto group = rows.subspan(first * row_width, lanes * row_width);
+    double* const sums = out.data() + first * k;
+    for (const ClassificationTree& tree : trees_) {
+      tree.Leaves(group, row_width, std::span(leaves.data(), lanes));
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        for (std::size_t c = 0; c < k; ++c) sums[lane * k + c] += leaves[lane][c];
+      }
+    }
   }
-  for (double& p : avg) p /= static_cast<double>(trees_.size());
-  return avg;
+  for (double& p : out) p /= static_cast<double>(trees_.size());
 }
 
 std::vector<double> RandomForestClassifier::FeatureImportance() const {

@@ -14,6 +14,8 @@ class RandomForestClassifier final : public Classifier {
   void Fit(const Dataset& train, Rng& rng) override;
   std::vector<double> PredictProba(
       std::span<const double> features) const override;
+  void PredictProbaRows(std::span<const double> rows, std::size_t row_width,
+                        std::span<double> out) const override;
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
   /// Tag, class count, tree count, then the trees, each behind its length

@@ -120,19 +120,16 @@ void ClassificationTree::Fit(const Dataset& data,
                              const std::vector<std::size_t>& indices,
                              Rng& rng) {
   CORDIAL_CHECK_MSG(!indices.empty(), "cannot fit a tree on zero samples");
-  nodes_.clear();
-  table_.clear();
+  Clear(data.num_features(), static_cast<std::uint32_t>(data.num_classes()));
   depth_ = 0;
-  width_ = static_cast<std::uint32_t>(data.num_classes());
-  importance_.assign(data.num_features(), 0.0);
   std::vector<std::size_t> work(indices);
   Build(data, work, 0, rng);
   CompactTable();
 }
 
-void ClassificationTree::Build(const Dataset& data,
-                               std::vector<std::size_t>& indices, int depth,
-                               Rng& rng) {
+std::uint32_t ClassificationTree::Build(const Dataset& data,
+                                        std::vector<std::size_t>& indices,
+                                        int depth, Rng& rng) {
   depth_ = std::max(depth_, depth);
   const std::size_t k = width_;
 
@@ -145,7 +142,7 @@ void ClassificationTree::Build(const Dataset& data,
 
   auto make_leaf = [&] {
     for (double& c : counts) c /= total;
-    AddLeaf(counts);
+    return AddLeaf(counts);
   };
 
   const bool pure = std::any_of(counts.begin(), counts.end(), [&](double c) {
@@ -153,8 +150,7 @@ void ClassificationTree::Build(const Dataset& data,
   });
   if (pure || indices.size() < options_.min_samples_split ||
       (options_.max_depth > 0 && depth >= options_.max_depth)) {
-    make_leaf();
-    return;
+    return make_leaf();
   }
 
   // Best Gini split over a feature subsample. Every candidate feature is
@@ -231,10 +227,7 @@ void ClassificationTree::Build(const Dataset& data,
     }
   }
 
-  if (best_feature < 0) {
-    make_leaf();
-    return;
-  }
+  if (best_feature < 0) return make_leaf();
   importance_[static_cast<std::size_t>(best_feature)] +=
       (parent_impurity - best_impurity) * total;
 
@@ -245,19 +238,18 @@ void ClassificationTree::Build(const Dataset& data,
          : right_idx)
         .push_back(i);
   }
-  if (left_idx.empty() || right_idx.empty()) {
-    make_leaf();
-    return;
-  }
+  if (left_idx.empty() || right_idx.empty()) return make_leaf();
   indices.clear();
   indices.shrink_to_fit();
 
   // Pre-order: the left subtree follows the split, then the right one.
-  const std::size_t split = nodes_.size();
-  nodes_.push_back(Node{best_threshold, best_feature, 0});
-  Build(data, left_idx, depth + 1, rng);
-  nodes_[split].index = static_cast<std::uint32_t>(nodes_.size());
-  Build(data, right_idx, depth + 1, rng);
+  const std::uint32_t split =
+      AddSplit(static_cast<std::size_t>(best_feature), best_threshold);
+  const std::uint32_t left = Build(data, left_idx, depth + 1, rng);
+  splits_[split].left = left;
+  const std::uint32_t right = Build(data, right_idx, depth + 1, rng);
+  splits_[split].right = right;
+  return split;
 }
 
 // -------------------------------------------------------- regression tree
@@ -400,10 +392,7 @@ void RegressionTree::Fit(const Dataset& data,
                     "gradient/hessian size mismatch");
   CORDIAL_CHECK_MSG((options_.max_bins > 0) == (binner != nullptr),
                     "binner must be supplied iff max_bins > 0");
-  nodes_.clear();
-  table_.clear();
-  width_ = 1;
-  importance_.assign(data.num_features(), 0.0);
+  Clear(data.num_features(), 1);
 
   // The tree grows best-first, children after their parents; it is laid
   // out in pre-order once grown. Every node keeps the value it would have
@@ -497,48 +486,116 @@ void RegressionTree::Fit(const Dataset& data,
     }
   }
 
-  // Pre-order from the root: each stacked node names the split whose right
-  // child it is, if it is one.
-  constexpr std::size_t kNoSplit = std::numeric_limits<std::size_t>::max();
-  std::vector<std::pair<std::size_t, std::size_t>> stack{{0, kNoSplit}};
+  // Pre-order from the root: each stacked node names the split whose left
+  // or right child it is, if it is not the root.
+  struct Place {
+    std::size_t id;
+    std::uint32_t parent;
+    bool right;
+  };
+  constexpr std::uint32_t kRoot = std::numeric_limits<std::uint32_t>::max();
+  std::vector<Place> stack{{0, kRoot, false}};
   while (!stack.empty()) {
-    const auto [id, right_of] = stack.back();
+    const Place place = stack.back();
     stack.pop_back();
-    if (right_of != kNoSplit) {
-      nodes_[right_of].index = static_cast<std::uint32_t>(nodes_.size());
-    }
-    const Grown& node = grown[id];
+    const Grown& node = grown[place.id];
+    std::uint32_t ref = 0;
     if (node.feature < 0) {
-      AddLeaf(std::span<const double>(&node.value, 1));
-      continue;
+      ref = AddLeaf(std::span<const double>(&node.value, 1));
+    } else {
+      ref = AddSplit(static_cast<std::size_t>(node.feature), node.threshold);
+      stack.push_back({node.right, ref, true});
+      stack.push_back({node.left, ref, false});
     }
-    stack.emplace_back(node.right, nodes_.size());
-    stack.emplace_back(node.left, kNoSplit);
-    nodes_.push_back(Node{node.threshold, node.feature, 0});
+    if (place.parent != kRoot) {
+      Split& parent = splits_[place.parent];
+      (place.right ? parent.right : parent.left) = ref;
+    }
   }
   CompactTable();
 }
 
-// ------------------------------------------------------------- node layout
+// ------------------------------------------------------------ split layout
 
-static_assert(sizeof(DecisionTree::Node) == 16, "nodes stay compact");
+static_assert(sizeof(DecisionTree::Split) == 16, "splits stay compact");
+
+namespace {
+
+/// The root's child reference: split 0, or the one leaf's entry 0.
+std::uint32_t RootOf(std::span<const DecisionTree::Split> splits) {
+  return splits.empty() ? DecisionTree::kLeafBit : 0;
+}
+
+/// The lockstep walk of `lanes` rows, at most `Lanes`, `stride` values
+/// apart from `rows`: each step advances every row still at a split by one
+/// split, until every row's reference names a leaf, and the references are
+/// written to `refs`. A one-lane walk keeps its reference in a register.
+template <std::size_t Lanes>
+void WalkLanes(const DecisionTree::Split* splits,
+               const std::uint16_t* features, std::uint32_t root,
+               const double* rows, std::size_t stride, std::size_t lanes,
+               std::uint32_t* refs) {
+  constexpr std::uint32_t kLeaf = DecisionTree::kLeafBit;
+  const std::size_t count = Lanes == 1 ? 1 : lanes;
+  std::uint32_t walk[Lanes] = {};
+  for (std::size_t lane = 0; lane < count; ++lane) walk[lane] = root;
+  for (bool walking = (root & kLeaf) == 0; walking;) {
+    walking = false;
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      const std::uint32_t ref = walk[lane];
+      if ((ref & kLeaf) != 0) continue;
+      const DecisionTree::Split& split = splits[ref];
+      std::uint32_t next = split.right;
+      if (rows[lane * stride + features[ref]] <= split.threshold) {
+        if constexpr (Lanes == 1) {
+          // Alone, a row's walk is one chain of dependent loads. A left
+          // child that is a split is the next split, so a left move takes
+          // no load, as it never did in a pre-order node array; the leaf
+          // check resolves beside the chain. In lockstep the other rows'
+          // steps hide the load instead.
+          next = (split.left & kLeaf) != 0 ? split.left : ref + 1;
+        } else {
+          next = split.left;
+        }
+      }
+      walk[lane] = next;
+      walking |= (next & kLeaf) == 0;
+    }
+  }
+  for (std::size_t lane = 0; lane < count; ++lane) refs[lane] = walk[lane];
+}
+
+}  // namespace
+
+void DecisionTree::Leaves(std::span<const double> rows, std::size_t stride,
+                          std::span<const double*> leaves) const {
+  CORDIAL_CHECK_MSG(!table_.empty(), "tree not fitted");
+  CORDIAL_CHECK_MSG(leaves.size() * stride <= rows.size(),
+                    "fewer row values than rows to walk");
+  const std::uint32_t root = RootOf(splits_);
+  std::uint32_t refs[kLanes] = {};
+  for (std::size_t first = 0; first < leaves.size(); first += kLanes) {
+    const std::size_t lanes = std::min(kLanes, leaves.size() - first);
+    const double* const group = rows.data() + first * stride;
+    if (lanes == 1) {
+      WalkLanes<1>(splits_.data(), features_.data(), root, group, stride, 1,
+                   refs);
+    } else {
+      WalkLanes<kLanes>(splits_.data(), features_.data(), root, group,
+                        stride, lanes, refs);
+    }
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      leaves[first + lane] =
+          table_.data() + std::size_t{refs[lane] & ~kLeafBit} * width_;
+    }
+  }
+}
 
 std::span<const double> DecisionTree::Leaf(
     std::span<const double> features) const {
-  CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
-  const Node* const nodes = nodes_.data();
-  const Node* node = nodes;
-  while (node->feature >= 0) {
-    const double v = features[static_cast<std::size_t>(node->feature)];
-    node = v <= node->threshold ? node + 1 : nodes + node->index;
-  }
-  return {table_.data() + std::size_t{node->index} * width_, width_};
-}
-
-std::size_t DecisionTree::leaf_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(nodes_.begin(), nodes_.end(),
-                    [](const Node& n) { return n.feature < 0; }));
+  const double* leaf = nullptr;
+  Leaves(features, features.size(), std::span<const double*>(&leaf, 1));
+  return {leaf, width_};
 }
 
 namespace {
@@ -553,7 +610,8 @@ std::string_view TupleBytes(const double* tuple, std::size_t width) {
 /// five bytes long: every value the encoder writes there fits in 32 bits.
 constexpr std::size_t kMaxNodeVarBytes = 5;
 
-/// The most nodes a tree may have: node indices are 32-bit.
+/// The most nodes a tree may have: a child reference keeps 31 bits for a
+/// split index or a table entry.
 constexpr auto kMaxNodes =
     static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
 
@@ -652,10 +710,27 @@ class NodeReader {
 
 }  // namespace
 
-void DecisionTree::AddLeaf(std::span<const double> values) {
-  nodes_.push_back(
-      Node{0.0, -1, static_cast<std::uint32_t>(table_.size() / width_)});
+void DecisionTree::Clear(std::size_t num_features, std::uint32_t width) {
+  CORDIAL_CHECK_MSG(num_features <= kMaxFeatures,
+                    "trees split on at most 65,535 features");
+  splits_.clear();
+  features_.clear();
+  table_.clear();
+  width_ = width;
+  importance_.assign(num_features, 0.0);
+}
+
+std::uint32_t DecisionTree::AddSplit(std::size_t feature, double threshold) {
+  const auto ref = static_cast<std::uint32_t>(splits_.size());
+  splits_.push_back(Split{threshold, 0, 0});
+  features_.push_back(static_cast<std::uint16_t>(feature));
+  return ref;
+}
+
+std::uint32_t DecisionTree::AddLeaf(std::span<const double> values) {
+  const auto entry = static_cast<std::uint32_t>(table_.size() / width_);
   table_.insert(table_.end(), values.begin(), values.end());
+  return kLeafBit | entry;
 }
 
 void DecisionTree::CompactTable() {
@@ -663,15 +738,23 @@ void DecisionTree::CompactTable() {
   // merges into it, and the rest keep their first-use order.
   std::map<std::string_view, std::uint32_t> entries;
   std::vector<double> table;
-  for (Node& node : nodes_) {
-    if (node.feature >= 0) continue;
-    const double* tuple = table_.data() + std::size_t{node.index} * width_;
+  std::vector<std::uint32_t> merged(table_.size() / width_);
+  for (std::size_t leaf = 0; leaf < merged.size(); ++leaf) {
+    const double* tuple = table_.data() + leaf * width_;
     const auto [it, fresh] = entries.try_emplace(
         TupleBytes(tuple, width_),
         static_cast<std::uint32_t>(table.size() / width_));
     if (fresh) table.insert(table.end(), tuple, tuple + width_);
-    node.index = it->second;
+    merged[leaf] = it->second;
   }
+  for (Split& split : splits_) {
+    for (std::uint32_t* ref : {&split.left, &split.right}) {
+      if ((*ref & kLeafBit) != 0) *ref = kLeafBit | merged[*ref & ~kLeafBit];
+    }
+  }
+  // A fitted tree holds what a decoded one does.
+  splits_.shrink_to_fit();
+  features_.shrink_to_fit();
   table.shrink_to_fit();
   table_ = std::move(table);
 }
@@ -695,21 +778,38 @@ void DecisionTree::Encode(persist::BinaryWriter& out) const {
   if (species_ == Species::kClassification) out.Var(width_);
   out.Var(table_.size() / width_);
   for (double v : table_) out.F64(v);
-  out.Var(nodes_.size());
-  for (const Node& node : nodes_) {
-    if (node.feature < 0) {
+  out.Var(node_count());
+  // Pre-order: a split, its left subtree, then its right one, which waits
+  // on the stack while the left one is written.
+  std::vector<std::uint32_t> rights;
+  for (std::uint32_t ref = RootOf(splits_);;) {
+    if ((ref & kLeafBit) != 0) {
       out.Var(0);
-      out.Var(node.index);
+      out.Var(ref & ~kLeafBit);
+      if (rights.empty()) break;
+      ref = rights.back();
+      rights.pop_back();
     } else {
-      out.Var(static_cast<std::uint64_t>(node.feature) + 1);
-      out.F64(node.threshold);
+      out.Var(std::uint64_t{features_[ref]} + 1);
+      out.F64(splits_[ref].threshold);
+      rights.push_back(splits_[ref].right);
+      ref = splits_[ref].left;
     }
   }
   for (double v : importance_) out.F64(v);
 }
 
+void DecisionTree::ExpectFeatureCount(persist::BinaryReader& in,
+                                      std::size_t num_features) {
+  if (num_features > kMaxFeatures) {
+    in.Fail("a model of " + std::to_string(num_features) +
+            " features: trees split on at most 65,535 features");
+  }
+}
+
 void DecisionTree::Decode(persist::BinaryReader& in,
                           std::size_t num_features) {
+  ExpectFeatureCount(in, num_features);
   width_ = 1;
   if (species_ == Species::kClassification) {
     width_ = DecodeClassCount(in, "tree");
@@ -718,37 +818,51 @@ void DecisionTree::Decode(persist::BinaryReader& in,
   table_.resize(entries * width_);
   for (double& v : table_) v = in.F64();
   const std::uint64_t n = ReadNodeCount(in, entries);
-  nodes_.assign(n, Node{});
+  // A tree that closes exactly at its last node has (n - 1) / 2 splits.
+  const std::uint64_t max_splits = (n - 1) / 2;
+  splits_.assign(max_splits, Split{});
+  features_.assign(max_splits, 0);
 
-  // No two entries equal: their numbers are sorted by value in the node
-  // array, which has room for them (ReadNodeCount) and is overwritten
-  // below, so the check allocates nothing.
-  const auto tuple = [&](const Node& node) {
-    return TupleBytes(table_.data() + std::size_t{node.index} * width_,
-                      width_);
+  // No two entries equal. A tree has one leaf more than splits, so every
+  // entry but entry 0 fits in a split record (ReadNodeCount): their numbers
+  // are sorted by value there, and entry 0 is looked up among them. The
+  // records are overwritten below, so the check allocates nothing.
+  const auto tuple = [&](std::uint32_t entry) {
+    return TupleBytes(table_.data() + std::size_t{entry} * width_, width_);
   };
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    nodes_[e].index = static_cast<std::uint32_t>(e);
-  }
-  const auto sorted_end = nodes_.begin() + static_cast<std::ptrdiff_t>(entries);
-  std::sort(nodes_.begin(), sorted_end, [&](const Node& a, const Node& b) {
-    return tuple(a) < tuple(b);
-  });
-  for (std::uint64_t e = 1; e < entries; ++e) {
-    const Node& a = nodes_[e - 1];
-    const Node& b = nodes_[e];
-    if (tuple(a) == tuple(b)) {
-      in.Fail("tree table entries " +
-              std::to_string(std::min(a.index, b.index)) + " and " +
-              std::to_string(std::max(a.index, b.index)) + " are equal");
+  const auto equal_entries = [&](std::uint32_t a, std::uint32_t b) {
+    in.Fail("tree table entries " + std::to_string(std::min(a, b)) + " and " +
+            std::to_string(std::max(a, b)) + " are equal");
+  };
+  if (entries > 1) {
+    for (std::uint64_t e = 1; e < entries; ++e) {
+      splits_[e - 1].left = static_cast<std::uint32_t>(e);
+    }
+    const auto sorted_end =
+        splits_.begin() + static_cast<std::ptrdiff_t>(entries - 1);
+    const auto by_tuple = [&](const Split& a, const Split& b) {
+      return tuple(a.left) < tuple(b.left);
+    };
+    std::sort(splits_.begin(), sorted_end, by_tuple);
+    for (auto it = splits_.begin() + 1; it < sorted_end; ++it) {
+      if (tuple(it[-1].left) == tuple(it->left)) {
+        equal_entries(it[-1].left, it->left);
+      }
+    }
+    const Split first{0.0, 0, 0};
+    const auto at = std::lower_bound(splits_.begin(), sorted_end, first,
+                                     by_tuple);
+    if (at != sorted_end && tuple(at->left) == tuple(0)) {
+      equal_entries(0, at->left);
     }
   }
 
-  // The nodes, in pre-order. A split's right child is not stored: the
-  // splits still waiting for theirs form a stack, linked through their
-  // index fields, and the node after a leaf is the right child of the
-  // split it pops. A leaf with no split left to pop closes the tree, which
-  // must happen at the last node.
+  // The nodes, in pre-order; only splits are kept, and each node's child
+  // reference goes where the node before it says: a split's left child
+  // follows it, and the node after a leaf is the right child of the
+  // innermost split still waiting for one. Those splits form a stack,
+  // linked through their unset right references. A leaf with no split left
+  // to pop closes the tree, which must happen at the last node.
   //
   // One bounds check per node, against the node's largest encoding: a tag
   // and a threshold. A node closer than that to the end of the payload is
@@ -757,6 +871,8 @@ void DecisionTree::Decode(persist::BinaryReader& in,
   constexpr std::uint32_t kNoSplit = std::numeric_limits<std::uint32_t>::max();
   constexpr std::size_t kMaxNodeBytes = kMaxNodeVarBytes + 8;
   std::uint32_t open = kNoSplit;  // the innermost split awaiting its right child
+  std::uint32_t* slot = nullptr;  // where the next node's reference goes
+  std::uint32_t splits = 0;       // splits read so far
   bool closed = false;            // by a leaf that found no split open
   std::uint64_t used = 0;         // entries used so far, in first-use order
   const std::string_view rest = in.rest();
@@ -766,6 +882,10 @@ void DecisionTree::Decode(persist::BinaryReader& in,
   const unsigned char* at = begin;
   std::array<unsigned char, kMaxNodeBytes> tail{};
   const std::uint64_t last = n - 1;
+  const auto never_closes = [&] {
+    in.Fail("tree of " + std::to_string(n) +
+            " node(s) does not close at its last node");
+  };
   for (std::uint64_t i = 0; i <= last; ++i) {
     const auto left_in_payload = static_cast<std::size_t>(end - at);
     const unsigned char* from = at;
@@ -775,7 +895,7 @@ void DecisionTree::Decode(persist::BinaryReader& in,
       from = tail.data();
     }
     NodeReader node_in(from, in);
-    Node& node = nodes_[i];
+    std::uint32_t ref = 0;
     const std::uint64_t tag = node_in.Var();
     if (tag != 0) {
       if (tag > num_features) {
@@ -783,10 +903,14 @@ void DecisionTree::Decode(persist::BinaryReader& in,
                 std::to_string(tag - 1) + " of " +
                 std::to_string(num_features));
       }
-      node.feature = static_cast<std::int32_t>(tag - 1);
-      node.threshold = node_in.F64();
-      node.index = open;
-      open = static_cast<std::uint32_t>(i);
+      // More splits than (n - 1) / 2 leave too few nodes to close them.
+      if (splits == max_splits) never_closes();
+      ref = splits++;
+      features_[ref] = static_cast<std::uint16_t>(tag - 1);
+      splits_[ref] = Split{node_in.F64(), 0, open};
+      open = ref;
+      if (slot != nullptr) *slot = ref;
+      slot = &splits_[ref].left;
     } else {
       const std::uint64_t e = node_in.Var();
       if (e >= entries) {
@@ -798,9 +922,8 @@ void DecisionTree::Decode(persist::BinaryReader& in,
                 std::to_string(e) + " before entry " + std::to_string(used));
       }
       if (e == used) ++used;
-      node.feature = -1;
-      node.threshold = 0.0;
-      node.index = static_cast<std::uint32_t>(e);
+      ref = kLeafBit | static_cast<std::uint32_t>(e);
+      if (slot != nullptr) *slot = ref;
       if (open == kNoSplit) {
         if (i != last) {
           in.Fail("tree closes at node " + std::to_string(i) + " of " +
@@ -808,9 +931,9 @@ void DecisionTree::Decode(persist::BinaryReader& in,
         }
         closed = true;
       } else {
-        Node& split = nodes_[open];
-        open = split.index;
-        split.index = static_cast<std::uint32_t>(i + 1);
+        Split& split = splits_[open];
+        open = split.right;
+        slot = &split.right;
       }
     }
     const auto read = static_cast<std::size_t>(node_in.pos() - from);
@@ -821,10 +944,7 @@ void DecisionTree::Decode(persist::BinaryReader& in,
     }
     at += read;
   }
-  if (!closed) {
-    in.Fail("tree of " + std::to_string(n) +
-            " node(s) does not close at its last node");
-  }
+  if (!closed) never_closes();
   if (used != entries) {
     in.Fail("tree table entry " + std::to_string(used) + " of " +
             std::to_string(entries) + " is never used");
@@ -848,7 +968,9 @@ void DecisionTree::Reserve(std::string_view encoded,
     const std::uint64_t entries = ReadEntryCount(in, width);
     table_.reserve(entries * width);
     in.Bytes(entries * width * 8);
-    nodes_.reserve(ReadNodeCount(in, entries));
+    const std::uint64_t splits = (ReadNodeCount(in, entries) - 1) / 2;
+    splits_.reserve(splits);
+    features_.reserve(splits);
   } catch (const ParseError&) {
     return;
   }

@@ -7,8 +7,9 @@
 //     leaf values, supporting exact or histogram split finding and level-wise
 //     or best-first (leaf-wise) growth — the base learner for both the
 //     XGBoost-style and the LightGBM-style boosters.
-// Once fitted or loaded both are a DecisionTree: one 16-byte pre-order node
-// layout with one walk loop, one encoder and one decoder.
+// Once fitted or loaded both are a DecisionTree: its splits in pre-order,
+// 18 bytes each, whose child references name either a split or a leaf's
+// entry in the tree's table, one lockstep walk, one encoder and one decoder.
 #pragma once
 
 #include <cstdint>
@@ -48,33 +49,54 @@ class FeatureBinner {
   std::vector<std::vector<double>> edges_;  // per feature, ascending
 };
 
-// ------------------------------------------------------------- node layout
+// ------------------------------------------------------------ split layout
 
-/// A fitted or loaded tree of either species: its nodes in pre-order,
-/// array-of-structs, and one table of the tree's distinct leaf tuples, so
-/// no node allocates. A classification leaf's tuple is its class
-/// frequencies, a regression leaf's its Newton value; splits carry none.
+/// A fitted or loaded tree of either species: only its splits, in
+/// pre-order, and one table of the tree's distinct leaf tuples, so no node
+/// allocates and no leaf takes a record of its own. A classification leaf's
+/// tuple is its class frequencies, a regression leaf's its Newton value.
 class DecisionTree {
  public:
-  /// One split or leaf; 16 bytes. A split's left child is the node after
-  /// it and `index` is its right child; a leaf's `index` is its tuple's
-  /// entry in the table.
-  struct Node {
-    double threshold = 0.0;     ///< features[feature] <= threshold goes left
-    std::int32_t feature = -1;  ///< -1 for leaves
-    std::uint32_t index = 0;    ///< right child, or the leaf's table entry
+  /// A child reference: a split's index in pre-order, or, with kLeafBit
+  /// set, a leaf's entry in the table.
+  static constexpr std::uint32_t kLeafBit = 0x8000'0000u;
+  /// Split features are 16-bit: a tree splits on at most this many.
+  static constexpr std::size_t kMaxFeatures = 65'535;
+
+  /// One split; 16 bytes, its feature in a parallel array. The left child
+  /// is the next split or a leaf.
+  struct Split {
+    double threshold = 0.0;  ///< features[feature] <= threshold goes left
+    std::uint32_t left = 0;
+    std::uint32_t right = 0;
   };
 
-  /// Values of the leaf `features` falls in: the class frequencies of a
-  /// classification tree, the leaf value of a regression tree.
+  /// Rows one lockstep walk advances together; longer runs go in groups.
+  static constexpr std::size_t kLanes = 16;
+
+  /// The tree's one walk: for each of `leaves.size()` rows, `stride` values
+  /// apart from the front of `rows`, the leaf tuple (`leaf_width()` values)
+  /// the row falls in. The rows walk in lockstep, kLanes at a time: every
+  /// step advances each row still at a split by one split, so the walks'
+  /// dependent loads overlap. A NaN goes right, as `v <= threshold` is
+  /// false.
+  void Leaves(std::span<const double> rows, std::size_t stride,
+              std::span<const double*> leaves) const;
+  /// Leaves for one row: the class frequencies of a classification tree,
+  /// the leaf value of a regression tree.
   std::span<const double> Leaf(std::span<const double> features) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
-  std::size_t leaf_count() const;
+  std::size_t split_count() const { return splits_.size(); }
+  /// Splits and leaves: a binary tree has one leaf more than splits.
+  std::size_t node_count() const { return 2 * splits_.size() + 1; }
+  std::size_t leaf_count() const { return splits_.size() + 1; }
   /// Values per leaf: the class count, or 1 for a regression tree.
   std::size_t leaf_width() const { return width_; }
-  /// The nodes in pre-order.
-  std::span<const Node> nodes() const { return nodes_; }
+  /// The splits in pre-order; the root is split 0 unless the tree is one
+  /// leaf, table entry 0.
+  std::span<const Split> splits() const { return splits_; }
+  /// The feature each split reads, parallel to splits().
+  std::span<const std::uint16_t> split_features() const { return features_; }
   /// The distinct leaf tuples, `leaf_width()` values an entry, in the order
   /// the leaves (in pre-order) first use them; no two are equal bit for
   /// bit, and every one is some leaf's.
@@ -87,20 +109,20 @@ class DecisionTree {
   }
 
   /// Binary form (DESIGN.md §16): [class count,] the table's entry count
-  /// and values, the node count, the nodes in pre-order, then
-  /// `num_features` importances. A node is a varint tag (0 for a leaf,
-  /// feature + 1 for a split), then a split's threshold or a leaf's table
-  /// entry as a varint; no node stores a child. Doubles are raw IEEE-754
-  /// bits.
+  /// and values, the node count, the nodes (splits and leaves) in
+  /// pre-order, then `num_features` importances. A node is a varint tag (0
+  /// for a leaf, feature + 1 for a split), then a split's threshold or a
+  /// leaf's table entry as a varint; no node stores a child. Doubles are
+  /// raw IEEE-754 bits.
   void Encode(persist::BinaryWriter& out) const;
   /// Replaces this tree with the encoded tree at `in`, built in place. The
   /// decoder is canonical: it accepts only bytes Encode writes. ParseError
-  /// on a truncated or overlong field, a class count below 2, no nodes, a
-  /// count that cannot fit in the bytes left, more table entries than
-  /// leaves, two equal entries, a split feature outside [0, num_features),
-  /// a leaf entry past the table or used before the entries ahead of it,
-  /// an entry no leaf uses, or tags that do not close into one binary tree
-  /// exactly at the last node.
+  /// on more than kMaxFeatures features, a truncated or overlong field, a
+  /// class count below 2, no nodes, a count that cannot fit in the bytes
+  /// left, more table entries than leaves, two equal entries, a split
+  /// feature outside [0, num_features), a leaf entry past the table or used
+  /// before the entries ahead of it, an entry no leaf uses, or tags that do
+  /// not close into one binary tree exactly at the last node.
   void Decode(persist::BinaryReader& in, std::size_t num_features);
   /// An ensemble's trees (DESIGN.md §16): each tree's encoded byte length
   /// as a varint, then the tree as Encode writes it, so that every tree
@@ -126,6 +148,10 @@ class DecisionTree {
   /// ensembles' decoders bound their tree counts with it before
   /// allocating.
   static std::size_t MinEncodedBytes(std::size_t num_features);
+  /// ParseError naming the limit when a model reads more than kMaxFeatures
+  /// features; DecodeClassifier checks it before anything else.
+  static void ExpectFeatureCount(persist::BinaryReader& in,
+                                 std::size_t num_features);
   /// Reads the class count of an encoded tree or ensemble: at least 2, and
   /// no more than the doubles left, since each class takes one (a leaf
   /// value or a base score). ParseError naming `what` otherwise.
@@ -136,22 +162,29 @@ class DecisionTree {
   enum class Species { kClassification, kRegression };
   explicit DecisionTree(Species species) : species_(species) {}
 
-  /// Fitting appends nodes in pre-order: a leaf through AddLeaf, which
-  /// gives every leaf a table entry of its own, and CompactTable once the
-  /// tree is complete.
-  void AddLeaf(std::span<const double> values);
+  /// Fitting appends splits in pre-order through AddSplit and leaves,
+  /// each with a table entry of its own, through AddLeaf; both return the
+  /// new node's child reference. CompactTable runs once the tree is
+  /// complete.
+  std::uint32_t AddSplit(std::size_t feature, double threshold);
+  std::uint32_t AddLeaf(std::span<const double> values);
   /// Merges the entries that are equal bit for bit, numbered in first-use
   /// order, so a fitted tree's table is what Decode accepts.
   void CompactTable();
 
   /// Reserves the storage Decode fills for the encoded tree `encoded`, so
-  /// that decoding it allocates nothing. Counts Decode would refuse
-  /// reserve nothing.
+  /// that decoding it allocates nothing: (n - 1) / 2 splits for n nodes.
+  /// Counts Decode would refuse reserve nothing.
   void Reserve(std::string_view encoded, std::size_t num_features);
+
+  /// Empties the tree for a fit over `num_features` features of leaves
+  /// `width` values wide. ContractViolation past kMaxFeatures.
+  void Clear(std::size_t num_features, std::uint32_t width);
 
   Species species_;
   std::uint32_t width_ = 1;
-  std::vector<Node> nodes_;
+  std::vector<Split> splits_;
+  std::vector<std::uint16_t> features_;
   std::vector<double> table_;
   std::vector<double> importance_;
 };
@@ -182,9 +215,10 @@ class ClassificationTree : public DecisionTree {
   int depth() const { return depth_; }
 
  private:
-  /// Appends the subtree of `indices` in pre-order.
-  void Build(const Dataset& data, std::vector<std::size_t>& indices,
-             int depth, Rng& rng);
+  /// Appends the subtree of `indices` in pre-order; returns its root's
+  /// child reference.
+  std::uint32_t Build(const Dataset& data, std::vector<std::size_t>& indices,
+                      int depth, Rng& rng);
 
   ClassificationTreeOptions options_;
   int depth_ = 0;

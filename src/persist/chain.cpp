@@ -213,7 +213,7 @@ MemberImage ParseMemberImage(std::string_view bytes,
     throw ParseError(member + ": not a chain member (magic \"" +
                      std::string(lead) + "\")");
   }
-  serve::ExpectNoTrailingBytes(bytes, member);
+  ExpectNoTrailingBytes(bytes, member);
   const std::uint64_t shard_count = serve::TakeShardCount(payload, member);
   image.shards.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(shard_count, 1u << 12)));
@@ -239,7 +239,7 @@ MemberImage ParseMemberImage(std::string_view bytes,
     reader.ExpectEnd();
     image.shards.push_back(std::move(shard));
   }
-  serve::ExpectNoTrailingBytes(payload, member + " payload");
+  ExpectNoTrailingBytes(payload, member + " payload");
   return image;
 }
 
@@ -397,7 +397,7 @@ std::string EncodeManifest(const Manifest& manifest) {
 Manifest DecodeManifest(std::string_view bytes) {
   const std::string_view payload =
       ReadFramedView(bytes, kManifestMagic, kManifestVersion);
-  serve::ExpectNoTrailingBytes(bytes, kManifestFileName);
+  ExpectNoTrailingBytes(bytes, kManifestFileName);
   BinaryReader reader(payload, "chain manifest");
   Manifest manifest;
   manifest.epoch = reader.U64();
@@ -465,27 +465,44 @@ ChainRecoveryResult CheckpointChain::Recover(serve::FleetServer& server) {
         outcome.errors.push_back(entry.file + ": chain member missing");
         return damaged;
       }
-      if (verify_crc &&
-          (bytes.size() != entry.bytes || Crc32(bytes) != entry.crc32)) {
+      const std::string mismatch =
+          entry.file + (full ? ": full" : ": delta") +
+          " member does not match its manifest record (size/CRC-32 "
+          "mismatch)";
+      const auto refuse = [&](const std::string& error) {
         Quarantine(path);
         outcome.quarantined.push_back(path);
-        outcome.errors.push_back(
-            entry.file + (full ? ": full" : ": delta") +
-            " member does not match its manifest record (size/CRC-32 "
-            "mismatch)");
+        outcome.errors.push_back(error);
         return damaged;
+      };
+      if (verify_crc && bytes.size() != entry.bytes) return refuse(mismatch);
+      // The restore combines the member's CRC-32 from its engine payloads'
+      // (each byte read once) and hands it here before comparing any frame's
+      // own. A member whose own frame header does not parse never gets that
+      // far; it is CRC'd whole here, so the manifest's check still comes
+      // first.
+      bool crc_checked = false;
+      bool crc_matches = true;
+      serve::FleetServer::MemberCrcCheck check_manifest;
+      if (verify_crc) {
+        check_manifest = [&](std::uint32_t crc) {
+          crc_checked = true;
+          crc_matches = crc == entry.crc32;
+          if (!crc_matches) throw ParseError(mismatch);
+        };
       }
       try {
         if (full) {
-          server.RestoreCheckpoint(bytes);
+          server.RestoreCheckpoint(bytes, check_manifest);
         } else {
-          server.ApplyDeltaCheckpoint(bytes);
+          server.ApplyDeltaCheckpoint(bytes, check_manifest);
         }
       } catch (const ParseError& e) {
-        Quarantine(path);
-        outcome.quarantined.push_back(path);
-        outcome.errors.push_back(entry.file + ": " + e.what());
-        return damaged;
+        const bool manifest_mismatch =
+            verify_crc &&
+            (crc_checked ? !crc_matches : Crc32(bytes) != entry.crc32);
+        return refuse(manifest_mismatch ? mismatch
+                                        : entry.file + ": " + e.what());
       }
       outcome.applied.push_back(entry.file);
     }

@@ -142,13 +142,6 @@ std::uint64_t TakeShardCount(std::string_view& payload,
   return shards;
 }
 
-void ExpectNoTrailingBytes(std::string_view rest, const std::string& where) {
-  if (!rest.empty()) {
-    throw ParseError(where + ": " + std::to_string(rest.size()) +
-                     " unexpected trailing byte(s)");
-  }
-}
-
 bool ReadFileBytes(const std::string& path, std::string& bytes) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return false;

@@ -53,11 +53,6 @@ std::string ShardCountLine(std::size_t shards);
 /// ParseError naming `context` when the line is malformed.
 std::uint64_t TakeShardCount(std::string_view& payload,
                              const std::string& context);
-/// The trailing-bytes rule: `rest` — what follows a member's frame, or a
-/// fleet payload's last shard frame — must be empty. ParseError naming
-/// `where` and the byte count.
-void ExpectNoTrailingBytes(std::string_view rest, const std::string& where);
-
 /// Durably publish `bytes` at `path` (the contract above). With
 /// `retain_prev` the previous `<path>` survives as `<path>.prev` (step 2) —
 /// and the replacement of an older `.prev` is itself atomic (link to

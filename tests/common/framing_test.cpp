@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -21,39 +20,36 @@
 namespace cordial {
 namespace {
 
+/// `payload` framed in place, as every writer frames its bytes.
+std::string Framed(std::string_view magic, std::uint32_t version,
+                   std::string_view payload) {
+  std::string frame(payload);
+  CloseFrame(frame, 0, magic, version);
+  return frame;
+}
+
+/// The payload of the frame at the front of `bytes`, copied out.
+std::string Read(std::string_view bytes, const std::string& magic,
+                 std::uint32_t version) {
+  return std::string(ReadFramedView(bytes, magic, version));
+}
+
 TEST(Framing, RoundTripsPayloadVerbatim) {
-  std::ostringstream out;
   const std::string payload = "line one\nline two with spaces\n\x01\x02 raw";
-  WriteFramed(out, "test_magic", 3, payload);
-  std::istringstream in(out.str());
-  EXPECT_EQ(ReadFramed(in, "test_magic", 3), payload);
+  EXPECT_EQ(Read(Framed("test_magic", 3, payload), "test_magic", 3), payload);
 }
 
 TEST(Framing, EmptyPayloadRoundTrips) {
-  std::ostringstream out;
-  WriteFramed(out, "empty_frame", 1, "");
-  std::istringstream in(out.str());
-  EXPECT_EQ(ReadFramed(in, "empty_frame", 1), "");
+  EXPECT_EQ(Read(Framed("empty_frame", 1, ""), "empty_frame", 1), "");
 }
 
 TEST(Framing, FramesNest) {
-  std::ostringstream inner;
-  WriteFramed(inner, "inner", 1, "payload");
-  std::ostringstream outer;
-  WriteFramed(outer, "outer", 2, inner.str());
-  std::istringstream in(outer.str());
-  std::istringstream nested(ReadFramed(in, "outer", 2));
-  EXPECT_EQ(ReadFramed(nested, "inner", 1), "payload");
+  const std::string outer = Framed("outer", 2, Framed("inner", 1, "payload"));
+  EXPECT_EQ(Read(Read(outer, "outer", 2), "inner", 1), "payload");
 }
 
 TEST(Framing, ConsecutiveFramesReadInOrder) {
-  std::ostringstream out;
-  WriteFramed(out, "frame", 1, "first");
-  WriteFramed(out, "frame", 1, "second");
-  const std::string bytes = out.str();
-  std::istringstream in(bytes);
-  EXPECT_EQ(ReadFramed(in, "frame", 1), "first");
-  EXPECT_EQ(ReadFramed(in, "frame", 1), "second");
+  const std::string bytes = Framed("frame", 1, "first") + Framed("frame", 1, "second");
   std::string_view view(bytes);
   EXPECT_EQ(PeekMagic(view), "frame");
   EXPECT_EQ(ReadFramedView(view, "frame", 1), "first");
@@ -63,18 +59,13 @@ TEST(Framing, ConsecutiveFramesReadInOrder) {
 }
 
 TEST(Framing, RejectsWrongMagic) {
-  std::ostringstream out;
-  WriteFramed(out, "actual_magic", 1, "x");
-  std::istringstream in(out.str());
-  EXPECT_THROW(ReadFramed(in, "expected_magic", 1), ParseError);
+  EXPECT_THROW(Read(Framed("actual_magic", 1, "x"), "expected_magic", 1),
+               ParseError);
 }
 
 TEST(Framing, RejectsVersionMismatchWithClearMessage) {
-  std::ostringstream out;
-  WriteFramed(out, "magic", 7, "x");
-  std::istringstream in(out.str());
   try {
-    ReadFramed(in, "magic", 1);
+    Read(Framed("magic", 7, "x"), "magic", 1);
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     const std::string what = e.what();
@@ -84,42 +75,35 @@ TEST(Framing, RejectsVersionMismatchWithClearMessage) {
 }
 
 TEST(Framing, RejectsTruncatedPayload) {
-  std::ostringstream out;
-  WriteFramed(out, "magic", 1, "a full payload");
-  const std::string whole = out.str();
-  std::istringstream in(whole.substr(0, whole.size() - 5));
-  EXPECT_THROW(ReadFramed(in, "magic", 1), ParseError);
+  const std::string whole = Framed("magic", 1, "a full payload");
+  EXPECT_THROW(Read(whole.substr(0, whole.size() - 5), "magic", 1),
+               ParseError);
 }
 
 TEST(Framing, RejectsEmptyAndGarbageStreams) {
-  std::istringstream empty("");
-  EXPECT_THROW(ReadFramed(empty, "magic", 1), ParseError);
-  std::istringstream garbage("not a frame at all");
-  EXPECT_THROW(ReadFramed(garbage, "magic", 1), ParseError);
-  std::istringstream bad_header("magic vX 10\n0123456789");
-  EXPECT_THROW(ReadFramed(bad_header, "magic", 1), ParseError);
+  EXPECT_THROW(Read("", "magic", 1), ParseError);
+  EXPECT_THROW(Read("not a frame at all", "magic", 1), ParseError);
+  EXPECT_THROW(Read("magic vX 10\n0123456789", "magic", 1), ParseError);
 }
 
 TEST(Framing, CorruptLengthIsParseErrorNotBadAlloc) {
-  // A flipped bit in the byte count must be rejected before allocation: a
-  // huge promised length used to throw bad_alloc/length_error and could
-  // OOM the daemon. (The crc32 fields are well-formed, so the length is
-  // what each case trips on.)
-  std::istringstream absurd(
-      "magic v1 123456789012345678 crc32=00000000\npayload");
-  EXPECT_THROW(ReadFramed(absurd, "magic", 1), ParseError);
+  // A flipped bit in the byte count must be rejected before anything is
+  // sized by it. (The crc32 fields are well-formed, so the length is what
+  // each case trips on.)
+  EXPECT_THROW(Read("magic v1 123456789012345678 crc32=00000000\npayload",
+                    "magic", 1),
+               ParseError);
 
-  // Over the hard cap even if the stream were big enough.
-  std::istringstream over_cap(
-      "magic v1 " + std::to_string(kMaxFramePayloadBytes + 1) +
-      " crc32=00000000\nx");
-  EXPECT_THROW(ReadFramed(over_cap, "magic", 1), ParseError);
+  // Over the hard cap even if the buffer were big enough.
+  EXPECT_THROW(Read("magic v1 " + std::to_string(kMaxFramePayloadBytes + 1) +
+                        " crc32=00000000\nx",
+                    "magic", 1),
+               ParseError);
 
-  // Seekable stream: a length larger than the remaining bytes is rejected
-  // up front as truncation.
-  std::istringstream longer("magic v1 1000 crc32=00000000\nonly a few bytes");
+  // A length larger than the bytes left is rejected up front as
+  // truncation.
   try {
-    ReadFramed(longer, "magic", 1);
+    Read("magic v1 1000 crc32=00000000\nonly a few bytes", "magic", 1);
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
@@ -128,13 +112,10 @@ TEST(Framing, CorruptLengthIsParseErrorNotBadAlloc) {
 }
 
 TEST(Framing, ChecksumMismatchIsRejectedWithClearMessage) {
-  std::ostringstream out;
-  WriteFramed(out, "magic", 1, "a payload worth protecting");
-  std::string bytes = out.str();
+  std::string bytes = Framed("magic", 1, "a payload worth protecting");
   bytes[bytes.size() - 3] ^= 0x10;  // flip one payload bit
-  std::istringstream in(bytes);
   try {
-    ReadFramed(in, "magic", 1);
+    Read(bytes, "magic", 1);
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
@@ -144,24 +125,14 @@ TEST(Framing, ChecksumMismatchIsRejectedWithClearMessage) {
 
 TEST(Framing, HeaderWithoutChecksumIsParseError) {
   // Layout v1, as pre-CRC builds wrote it: no crc32 field. The shared
-  // header parser refuses it, so both readers do, naming the field.
-  const std::string bytes = "magic v3 7\npayload";
-  for (const bool view : {false, true}) {
-    SCOPED_TRACE(view ? "ReadFramedView" : "ReadFramed");
-    try {
-      if (view) {
-        std::string_view in(bytes);
-        ReadFramedView(in, "magic", 3);
-      } else {
-        std::istringstream in(bytes);
-        ReadFramed(in, "magic", 3);
-      }
-      FAIL() << "accepted a header without crc32=";
-    } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("missing crc32 field"),
-                std::string::npos)
-          << e.what();
-    }
+  // header parser refuses it, naming the field.
+  try {
+    Read("magic v3 7\npayload", "magic", 3);
+    FAIL() << "accepted a header without crc32=";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("missing crc32 field"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -173,11 +144,53 @@ TEST(Framing, MalformedChecksumFieldIsNotDemotedToLegacy) {
   for (const std::string tail :
        {" crc32=xyz", " crc32=1234567", " crc32=123456789", " crcZZ=12345678",
         " 12345678", "  crc32=12345678"}) {
-    std::ostringstream out;
-    out << "magic v1 " << payload.size() << tail << '\n' << payload;
-    std::istringstream in(out.str());
-    EXPECT_THROW(ReadFramed(in, "magic", 1), ParseError) << tail;
+    const std::string bytes = "magic v1 " + std::to_string(payload.size()) +
+                              tail + '\n' + payload;
+    EXPECT_THROW(Read(bytes, "magic", 1), ParseError) << tail;
   }
+}
+
+TEST(Framing, SplitFrameLeavesOnlyTheChecksumToVerifyFrame) {
+  const std::string payload = "a payload worth protecting";
+  const std::string good = Framed("magic", 1, payload);
+  std::string flipped = good;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+
+  // SplitFrame makes every check but the CRC's: a flipped payload splits.
+  std::string_view in(flipped);
+  const FrameView frame = SplitFrame(in, "magic", 1);
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(frame.header, good.substr(0, good.size() - payload.size()));
+  EXPECT_EQ(frame.payload.size(), payload.size());
+  EXPECT_EQ(frame.crc32, Crc32(payload));
+  std::string_view versioned(good);
+  EXPECT_THROW(SplitFrame(versioned, "magic", 2), ParseError);
+  EXPECT_EQ(versioned, good);  // a refused frame is not consumed
+
+  // VerifyFrame refuses with ReadFramedView's message.
+  std::string read_message;
+  try {
+    Read(flipped, "magic", 1);
+  } catch (const ParseError& e) {
+    read_message = e.what();
+  }
+  try {
+    VerifyFrame(frame, "magic", Crc32(frame.payload));
+    FAIL() << "verified a flipped payload";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.what(), read_message);
+  }
+  EXPECT_NO_THROW(VerifyFrame(frame, "magic", Crc32(payload)));
+
+  // A CRC the caller already has is taken instead of reading the payload
+  // again: the caller's is the one compared.
+  std::string_view known(flipped);
+  EXPECT_EQ(ReadFramedView(known, "magic", 1, Crc32(payload)),
+            std::string_view(flipped).substr(frame.header.size()));
+  std::string_view wrong(good);
+  EXPECT_THROW(ReadFramedView(wrong, "magic", 1, Crc32(payload) ^ 1u),
+               ParseError);
+  EXPECT_EQ(wrong, good);
 }
 
 TEST(Framing, Crc32MatchesKnownVectors) {
@@ -320,24 +333,25 @@ TEST(Framing, Crc32FirstCallFromManyThreads) {
 }
 
 TEST(Framing, ReadFailpointInjectsParseError) {
-  std::ostringstream out;
-  WriteFramed(out, "magic", 1, "fine payload");
+  const std::string bytes = Framed("magic", 1, "fine payload");
   failpoint::Arm("common.framing.read");
-  std::istringstream armed(out.str());
-  EXPECT_THROW(ReadFramed(armed, "magic", 1), ParseError);
+  EXPECT_THROW(Read(bytes, "magic", 1), ParseError);
   failpoint::DisarmAll();
-  std::istringstream disarmed(out.str());
-  EXPECT_EQ(ReadFramed(disarmed, "magic", 1), "fine payload");
+  EXPECT_EQ(Read(bytes, "magic", 1), "fine payload");
 }
 
 TEST(Framing, InPlaceWriterMatchesWriteFramedAndNests) {
   // CloseFrame turns bytes already in a buffer into a frame, so a member
-  // and its nested sections are written into one string; the bytes must be
-  // exactly what WriteFramed produces.
-  std::ostringstream inner;
-  WriteFramed(inner, "inner", 1, "payload");
-  std::ostringstream outer;
-  WriteFramed(outer, "outer", 2, "head\n" + inner.str());
+  // and its nested sections are written into one string; each frame is its
+  // header line (FrameHeaderLine over the payload's size and CRC-32), then
+  // the payload.
+  const auto frame = [](std::string_view magic, std::uint32_t version,
+                        const std::string& payload) {
+    return FrameHeaderLine(magic, version, payload.size(), Crc32(payload)) +
+           payload;
+  };
+  const std::string inner = frame("inner", 1, "payload");
+  const std::string outer = frame("outer", 2, "head\n" + inner);
 
   std::string buffer = "prefix";
   const std::size_t outer_start = buffer.size();
@@ -345,10 +359,10 @@ TEST(Framing, InPlaceWriterMatchesWriteFramedAndNests) {
   const std::size_t inner_start = buffer.size();
   buffer += "payload";
   const std::uint32_t inner_crc = CloseFrame(buffer, inner_start, "inner", 1);
-  EXPECT_EQ(inner_crc, Crc32(inner.str()));
+  EXPECT_EQ(inner_crc, Crc32(inner));
   const std::uint32_t outer_crc = CloseFrame(buffer, outer_start, "outer", 2);
-  EXPECT_EQ(buffer, "prefix" + outer.str());
-  EXPECT_EQ(outer_crc, Crc32(outer.str()));
+  EXPECT_EQ(buffer, "prefix" + outer);
+  EXPECT_EQ(outer_crc, Crc32(outer));
 
   // Given the payload's CRC combined from its pieces', CloseFrame writes
   // the same frame without reading the payload.
@@ -367,10 +381,7 @@ TEST(Framing, InPlaceWriterMatchesWriteFramedAndNests) {
 }
 
 TEST(Framing, ViewReaderSlicesPayloadsInPlace) {
-  std::ostringstream out;
-  WriteFramed(out, "frame", 1, "first");
-  WriteFramed(out, "frame", 1, "");
-  const std::string bytes = out.str();
+  const std::string bytes = Framed("frame", 1, "first") + Framed("frame", 1, "");
   std::string_view in(bytes);
   const std::string_view first = ReadFramedView(in, "frame", 1);
   EXPECT_EQ(first, "first");
@@ -382,9 +393,7 @@ TEST(Framing, ViewReaderSlicesPayloadsInPlace) {
 }
 
 TEST(Framing, ViewReaderMakesTheStreamReadersChecks) {
-  std::ostringstream out;
-  WriteFramed(out, "magic", 1, "payload");
-  const std::string good = out.str();
+  const std::string good = Framed("magic", 1, "payload");
   const auto read = [](const std::string& bytes) {
     std::string_view in(bytes);
     return std::string(ReadFramedView(in, "magic", 1));

@@ -1,8 +1,13 @@
 // Train-offline / deploy-online persistence at the Cordial level.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 
 #include "analysis/labeler.hpp"
 #include "common/check.hpp"
@@ -38,6 +43,17 @@ class PersistenceTest : public ::testing::Test {
   }
 };
 
+/// The bytes of a string behind a stream buffer that cannot seek.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
 TEST_F(PersistenceTest, PatternClassifierSurvivesRoundTrip) {
   analysis::PatternLabeler labeler(Fleet().topology);
   std::vector<LabelledBank> labelled;
@@ -52,14 +68,21 @@ TEST_F(PersistenceTest, PatternClassifierSurvivesRoundTrip) {
 
   std::stringstream buffer;
   trained.SaveModel(buffer);
+  const std::string saved = buffer.str();
 
   PatternClassifier deployed(Fleet().topology,
                              ml::LearnerKind::kRandomForest);
   EXPECT_FALSE(deployed.trained());
   deployed.LoadModel(buffer);
   EXPECT_TRUE(deployed.trained());
+  // A stream that cannot seek, as a pipe cannot, is read to its end.
+  UnseekableBuf pipe(saved);
+  std::istream piped_in(&pipe);
+  PatternClassifier piped(Fleet().topology, ml::LearnerKind::kRandomForest);
+  piped.LoadModel(piped_in);
   for (const auto& lb : labelled) {
     ASSERT_EQ(deployed.Classify(*lb.bank), trained.Classify(*lb.bank));
+    ASSERT_EQ(piped.Classify(*lb.bank), trained.Classify(*lb.bank));
   }
 }
 
@@ -122,11 +145,46 @@ TEST_F(PersistenceTest, UntrainedSaveThrows) {
   EXPECT_THROW(predictor.FeatureImportance(), ContractViolation);
 }
 
+/// A stream buffer that says it holds `size` bytes and holds none.
+class OversizedBuf : public std::streambuf {
+ public:
+  explicit OversizedBuf(std::uint64_t size) : size_(size) {}
+
+ protected:
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode) override {
+    if (dir == std::ios_base::beg) at_ = off;
+    if (dir == std::ios_base::cur) at_ += off;
+    if (dir == std::ios_base::end) at_ = static_cast<off_type>(size_) + off;
+    return pos_type(at_);
+  }
+  pos_type seekpos(pos_type pos, std::ios_base::openmode) override {
+    at_ = pos;
+    return pos;
+  }
+
+ private:
+  std::uint64_t size_;
+  off_type at_ = 0;
+};
+
 TEST_F(PersistenceTest, LoadRejectsCorruptStream) {
   PatternClassifier classifier(Fleet().topology,
                                ml::LearnerKind::kRandomForest);
   std::istringstream garbage("garbage");
   EXPECT_THROW(classifier.LoadModel(garbage), ParseError);
+  // A stream longer than any model frame is refused before it is read.
+  OversizedBuf oversized(std::uint64_t{1} << 40);
+  std::istream huge(&oversized);
+  try {
+    classifier.LoadModel(huge);
+    ADD_FAILURE() << "read a 1 TiB model stream";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("more than one model frame holds"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(classifier.trained());
 }
 
 TEST_F(PersistenceTest, ModelFilesCarryVersionedMagicHeaders) {
@@ -170,11 +228,10 @@ TEST_F(PersistenceTest, ModelFilesCarryVersionedMagicHeaders) {
   constexpr std::uint32_t kRetiredV4 = 4;
   const auto reframed = [](const std::string& bytes, const char* magic,
                            std::uint32_t version) {
-    std::istringstream in(bytes);
-    const std::string payload = ReadFramed(in, magic, kModelFrameVersion);
-    std::ostringstream out;
-    WriteFramed(out, magic, version, payload);
-    return out.str();
+    std::string_view in(bytes);
+    std::string payload(ReadFramedView(in, magic, kModelFrameVersion));
+    CloseFrame(payload, 0, magic, version);
+    return payload;
   };
   const auto expect_refused = [](auto& model, const std::string& stream,
                                   const std::string& stream_is) {

@@ -30,17 +30,17 @@ using test_support::Fnv1a;
 std::string TamperFeatureCount(const std::string& framed,
                                const std::string& magic, std::uint64_t delta,
                                std::uint64_t* original) {
-  std::istringstream in(framed);
-  const std::string payload = ReadFramed(in, magic, kModelFrameVersion);
+  std::string_view in(framed);
+  const std::string_view payload =
+      ReadFramedView(in, magic, kModelFrameVersion);
   persist::BinaryReader reader(payload, "test");
   const std::uint64_t count = reader.Var();
   *original = count;
   std::string tampered;
   persist::BinaryWriter(tampered).Var(count + delta);
-  tampered.append(payload, reader.position());
-  std::ostringstream out;
-  WriteFramed(out, magic, kModelFrameVersion, tampered);
-  return out.str();
+  tampered.append(payload.substr(reader.position()));
+  CloseFrame(tampered, 0, magic, kModelFrameVersion);
+  return tampered;
 }
 
 TEST(LearnModelCompat, PatternClassifierRejectsFeatureCountMismatch) {

@@ -229,6 +229,23 @@ TEST(ModelParser, RejectsTableEntriesRepeatedOrNeverUsed) {
   }
 }
 
+TEST(ModelParser, RejectsMoreFeaturesThanASplitCanName) {
+  // Split features are 16-bit indices: a model that reads 65,536 features
+  // is refused by name before its bytes are read; 65,535 load.
+  for (const bool booster : {false, true}) {
+    const Stump widest{.booster = booster, .features = 65'535};
+    EXPECT_NO_THROW(Load(widest.Bytes(), 65'535));
+    try {
+      Load(Stump{.booster = booster, .features = 65'536}.Bytes(), 65'536);
+      ADD_FAILURE() << "loaded a model of 65,536 features";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("at most 65,535 features"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ModelParser, RejectsCountsThatDoNotFit) {
   for (const bool booster : {false, true}) {
     ExpectRejected({.booster = booster, .nodes = 4000000000});
@@ -348,28 +365,30 @@ TEST(ModelParser, TrailingBytesAfterTheModelAreRefused) {
     std::string payload;
     persist::BinaryWriter(payload).Var(features);
     payload += Stump{.booster = booster, .features = features}.Bytes();
-    const auto framed = [&](const std::string& bytes) {
-      std::ostringstream out;
-      WriteFramed(out, core::kPatternModelMagic, core::kModelFrameVersion,
-                  bytes);
-      return out.str();
+    const auto framed = [&](std::string bytes) {
+      CloseFrame(bytes, 0, core::kPatternModelMagic, core::kModelFrameVersion);
+      return bytes;
     };
     std::istringstream exact(framed(payload));
     EXPECT_NO_THROW(model.LoadModel(exact));
 
-    // One extra payload byte behind a fresh CRC.
-    core::PatternClassifier rejected(hbm::TopologyConfig{},
-                                     LearnerKind::kRandomForest);
-    std::istringstream longer(framed(payload + '\0'));
-    try {
-      rejected.LoadModel(longer);
-      ADD_FAILURE() << "loaded a model with a trailing byte";
-    } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("1 unexpected trailing byte"),
-                std::string::npos)
-          << e.what();
+    // One extra payload byte behind a fresh CRC, and one byte after the
+    // frame, as a chain member's frame refuses it.
+    for (const std::string& bytes :
+         {framed(payload + '\0'), framed(payload) + '\0'}) {
+      core::PatternClassifier rejected(hbm::TopologyConfig{},
+                                       LearnerKind::kRandomForest);
+      std::istringstream longer(bytes);
+      try {
+        rejected.LoadModel(longer);
+        ADD_FAILURE() << "loaded a model with a trailing byte";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("1 unexpected trailing byte"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_FALSE(rejected.trained());
     }
-    EXPECT_FALSE(rejected.trained());
   }
 }
 
@@ -483,10 +502,8 @@ TEST(ModelParser, FramedModelWithOutOfRangeFeatureIsRejectedAtLoad) {
     std::string payload;
     persist::BinaryWriter(payload).Var(features);
     payload += Stump{.split_tag = feature + 1, .features = features}.Bytes();
-    std::ostringstream out;
-    WriteFramed(out, core::kPatternModelMagic, core::kModelFrameVersion,
-                payload);
-    return out.str();
+    CloseFrame(payload, 0, core::kPatternModelMagic, core::kModelFrameVersion);
+    return payload;
   };
 
   std::istringstream last(framed(features - 1));

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -54,36 +56,54 @@ Dataset OverlappingClasses(std::size_t n_per_class, Rng& rng) {
   return data;
 }
 
-/// The end of the subtree rooted at node `at` of a pre-order tree: a split's
-/// left subtree starts right after it and its right subtree, at its
-/// `index`, right after the left one.
-std::size_t SubtreeEnd(std::span<const DecisionTree::Node> nodes,
-                       std::size_t at) {
-  if (at >= nodes.size()) {
-    ADD_FAILURE() << "node " << at << " past the last";
-    return nodes.size();
+/// Walks the subtree at child reference `ref` in pre-order, expecting its
+/// first split at index `next` (splits are numbered in pre-order, so a
+/// split's left child is the next split or a leaf and its right subtree
+/// starts after its left one), and appends its leaves' table entries to
+/// `leaves`. Returns the index after the subtree's last split.
+std::uint32_t WalkSubtree(const DecisionTree& tree, std::uint32_t ref,
+                          std::uint32_t next,
+                          std::vector<std::uint32_t>& leaves) {
+  if ((ref & DecisionTree::kLeafBit) != 0) {
+    leaves.push_back(ref & ~DecisionTree::kLeafBit);
+    return next;
   }
-  if (nodes[at].feature < 0) return at + 1;
-  const std::size_t left_end = SubtreeEnd(nodes, at + 1);
-  EXPECT_EQ(nodes[at].index, left_end) << "right child of node " << at;
-  return SubtreeEnd(nodes, nodes[at].index);
+  const std::span<const DecisionTree::Split> splits = tree.splits();
+  if (ref != next || ref >= splits.size()) {
+    ADD_FAILURE() << "split " << ref << " where split " << next
+                  << " was due, of " << splits.size();
+    return static_cast<std::uint32_t>(splits.size());
+  }
+  const DecisionTree::Split& split = splits[ref];
+  EXPECT_TRUE((split.left & DecisionTree::kLeafBit) != 0 ||
+              split.left == ref + 1)
+      << "left child of split " << ref;
+  const std::uint32_t after_left = WalkSubtree(tree, split.left, ref + 1, leaves);
+  return WalkSubtree(tree, split.right, after_left, leaves);
 }
 
-/// Expects `tree` in pre-order, one tree that ends at its last node, and
-/// its table minimal: entries pairwise different bit for bit, each one
-/// some leaf's, numbered in the order the leaves first use them.
+/// Expects `tree` in the split layout: its splits in pre-order and every
+/// one reached, each with a feature of the model's, and its table minimal:
+/// entries pairwise different bit for bit, each one some leaf's, numbered
+/// in the order the leaves (in pre-order) first use them.
 void ExpectPreOrderWithMinimalTable(const DecisionTree& tree) {
-  const std::span<const DecisionTree::Node> nodes = tree.nodes();
-  EXPECT_EQ(SubtreeEnd(nodes, 0), nodes.size());
+  const std::span<const DecisionTree::Split> splits = tree.splits();
+  ASSERT_EQ(tree.split_features().size(), splits.size());
+  for (const std::uint16_t feature : tree.split_features()) {
+    EXPECT_LT(feature, tree.feature_importance().size());
+  }
+  std::vector<std::uint32_t> leaves;
+  const std::uint32_t root = splits.empty() ? DecisionTree::kLeafBit : 0;
+  EXPECT_EQ(WalkSubtree(tree, root, 0, leaves), splits.size());
+  EXPECT_EQ(leaves.size(), tree.leaf_count());
   const std::size_t width = tree.leaf_width();
   const std::span<const double> table = tree.table();
   ASSERT_EQ(table.size() % width, 0u);
   const std::size_t entries = table.size() / width;
   std::size_t used = 0;
-  for (const DecisionTree::Node& node : nodes) {
-    if (node.feature >= 0) continue;
-    ASSERT_LE(node.index, used) << "entry used out of first-use order";
-    if (node.index == used) ++used;
+  for (const std::uint32_t entry : leaves) {
+    ASSERT_LE(entry, used) << "entry used out of first-use order";
+    if (entry == used) ++used;
   }
   EXPECT_EQ(used, entries) << "an entry no leaf uses";
   for (std::size_t a = 0; a < entries; ++a) {
@@ -227,6 +247,34 @@ TEST(ClassificationTree, EmptyFitThrows) {
   const Dataset data = Blobs(5, rng);
   ClassificationTree tree;
   EXPECT_THROW(tree.Fit(data, {}, rng), ContractViolation);
+}
+
+TEST(ClassificationTree, MoreFeaturesThanASplitCanNameAreRefusedAtFit) {
+  // A split's feature is a 16-bit index: both species refuse to fit a
+  // model of 65,536 features, naming the limit (DecodeClassifier refuses
+  // to load one; see ModelParser).
+  Dataset data(DecisionTree::kMaxFeatures + 1, 2);
+  const std::vector<double> row(data.num_features(), 0.0);
+  data.AddRow(row, 0);
+  data.AddRow(row, 1);
+  Rng rng(30);
+  const auto refusal = [](const auto& fit) -> std::string {
+    try {
+      fit();
+    } catch (const ContractViolation& e) {
+      return e.what();
+    }
+    return "fitted";
+  };
+  ClassificationTree tree;
+  EXPECT_NE(refusal([&] { tree.Fit(data, {0, 1}, rng); }).find("65,535"),
+            std::string::npos);
+  RegressionTree regression;
+  const std::vector<double> g = {1.0, -1.0}, h = {1.0, 1.0};
+  EXPECT_NE(refusal([&] {
+              regression.Fit(data, {0, 1}, g, h, rng, nullptr);
+            }).find("65,535"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------ regression tree

@@ -861,9 +861,11 @@ TEST(ChainInspect, ReportsSoundChainsAndNamesCorruptMembers) {
 }
 
 /// Write a chain of `full` and one `delta` under a manifest that vouches
-/// for both (sizes and CRCs), whatever their contents.
+/// for both (sizes and CRCs), whatever their contents; or, with
+/// `wrong_crc_of` 0 or 1, whose record of that member has a CRC-32 one bit
+/// off.
 void WriteTwoMemberChain(const ScratchDir& dir, const std::string& full,
-                         const std::string& delta) {
+                         const std::string& delta, int wrong_crc_of = -1) {
   Manifest manifest;
   manifest.epoch = 1;
   const std::string members[] = {full, delta};
@@ -874,25 +876,15 @@ void WriteTwoMemberChain(const ScratchDir& dir, const std::string& full,
     entry.seq = seq;
     entry.file = seq == 0 ? "full-000001.ckpt" : "delta-000001.0001.ckpt";
     entry.bytes = members[seq].size();
-    entry.crc32 = Crc32(members[seq]);
+    entry.crc32 = Crc32(members[seq]) ^
+                  (static_cast<int>(seq) == wrong_crc_of ? 1u : 0u);
     WriteBytes(dir.File(entry.file), members[seq]);
     manifest.entries.push_back(entry);
   }
   WriteBytes(dir.File(kManifestFileName), EncodeManifest(manifest));
 }
 
-// --- trailing-bytes rule -------------------------------------------------
-
-/// Re-frame a member with `extra` appended to its payload: the frame's CRC
-/// vouches for the extra bytes, so only the payload parser can refuse them.
-std::string ReframeWithExtra(const std::string& member, const char* magic,
-                             std::uint32_t version, const std::string& extra) {
-  std::istringstream in(member);
-  const std::string payload = ReadFramed(in, magic, version);
-  std::ostringstream out;
-  WriteFramed(out, magic, version, payload + extra);
-  return out.str();
-}
+// --- recovery: each CRC-32 check -----------------------------------------
 
 /// Require `call` to throw a ParseError whose message contains `what`.
 template <typename Call>
@@ -905,6 +897,155 @@ void ExpectParseError(Call call, const std::string& what) {
     EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
         << e.what();
   }
+}
+
+/// `member` with one byte flipped in the middle of shard `shard`'s engine
+/// payload, its fleet frame closed again over the result: the fleet's
+/// CRC-32 vouches for the flip, and only the engine frame's own refuses it.
+std::string WithCorruptEnginePayload(const std::string& member, bool delta,
+                                     std::size_t shard) {
+  const char* magic =
+      delta ? serve::kFleetDeltaMagic : serve::kFleetCheckpointMagic;
+  const std::uint32_t version =
+      delta ? serve::kFleetDeltaVersion : serve::kFleetCheckpointVersion;
+  std::string_view in(member);
+  std::string payload(ReadFramedView(in, magic, version));
+  std::string_view rest(payload);
+  serve::TakeShardCount(rest, "test");
+  const char* engine_magic =
+      delta ? core::kEngineDeltaMagic : core::kEngineStateMagic;
+  const std::uint32_t engine_version =
+      delta ? core::kEngineDeltaVersion : core::kEngineStateVersion;
+  for (std::size_t s = 0; s < shard; ++s) {
+    ReadFramedView(rest, engine_magic, engine_version);
+  }
+  const FrameView engine = SplitFrame(rest, engine_magic, engine_version);
+  const auto at = static_cast<std::size_t>(engine.payload.data() -
+                                           payload.data()) +
+                  engine.payload.size() / 2;
+  payload[at] = static_cast<char>(payload[at] ^ 0x10);
+  CloseFrame(payload, 0, magic, version);
+  return payload;
+}
+
+/// `member` whose frame header promises a CRC-32 one bit off.
+std::string WithWrongFleetCrc(const std::string& member, bool delta) {
+  const char* magic =
+      delta ? serve::kFleetDeltaMagic : serve::kFleetCheckpointMagic;
+  const std::uint32_t version =
+      delta ? serve::kFleetDeltaVersion : serve::kFleetCheckpointVersion;
+  std::string_view in(member);
+  const FrameView frame = SplitFrame(in, magic, version);
+  return FrameHeaderLine(magic, version, frame.payload.size(),
+                         frame.crc32 ^ 1u) +
+         std::string(frame.payload);
+}
+
+TEST(ChainRecovery, EachCrcCheckRefusesItsMemberAsBefore) {
+  // A restore CRCs each engine payload once and combines the fleet
+  // payload's and the whole member's CRC from those. Its three checks —
+  // the manifest's record of the member, the fleet frame's header, each
+  // engine frame's header — still refuse in that order, with the same
+  // messages, before any shard commits.
+  const World& w = SharedWorld();
+  FleetServer writer = MakeServer(w);
+  writer.Start();
+  Feed(writer, w, 0, 60);
+  const std::string full = Checkpoint(writer);
+  writer.MarkCheckpointClean();
+  Feed(writer, w, 60, 120);
+  std::ostringstream delta_out;
+  writer.SaveDeltaCheckpoint(delta_out);
+  const std::string delta = delta_out.str();
+  writer.Stop();
+
+  for (const bool is_delta : {false, true}) {
+    SCOPED_TRACE(is_delta ? "delta" : "full");
+    const std::string& good = is_delta ? delta : full;
+    const std::string engine_magic =
+        is_delta ? core::kEngineDeltaMagic : core::kEngineStateMagic;
+    const std::string fleet_magic =
+        is_delta ? serve::kFleetDeltaMagic : serve::kFleetCheckpointMagic;
+    const std::string manifest_refusal =
+        std::string(is_delta ? "delta" : "full") +
+        " member does not match its manifest record (size/CRC-32 mismatch)";
+    std::string flipped = good;
+    flipped[flipped.size() / 2] =
+        static_cast<char>(flipped[flipped.size() / 2] ^ 0x10);
+    struct Case {
+      const char* what;
+      std::string member;
+      bool wrong_manifest_crc;
+      std::string recovery_refusal;  ///< through the chain's manifest
+      std::string restore_refusal;   ///< handed to the server directly
+    };
+    const std::vector<Case> cases = {
+        {"engine payload corrupt under a fleet CRC that vouches for it",
+         WithCorruptEnginePayload(good, is_delta, kShardCount - 1), false,
+         engine_magic + ": payload checksum mismatch",
+         engine_magic + ": payload checksum mismatch"},
+        {"fleet header CRC wrong", WithWrongFleetCrc(good, is_delta), false,
+         fleet_magic + ": payload checksum mismatch",
+         fleet_magic + ": payload checksum mismatch"},
+        {"manifest CRC wrong", good, true, manifest_refusal, ""},
+        {"a byte flipped, every CRC left as written", flipped, false,
+         manifest_refusal, fleet_magic + ": payload checksum mismatch"},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.what);
+      ScratchDir dir;
+      const bool manifest_vouches = c.member != flipped;
+      WriteTwoMemberChain(dir, is_delta ? full : c.member,
+                          is_delta ? c.member : delta,
+                          c.wrong_manifest_crc ? (is_delta ? 1 : 0) : -1);
+      if (!manifest_vouches) {
+        // The manifest recorded the member before its byte flipped.
+        WriteTwoMemberChain(dir, full, delta);
+        WriteBytes(dir.File(is_delta ? "delta-000001.0001.ckpt"
+                                     : "full-000001.ckpt"),
+                   c.member);
+      }
+      FleetServer victim = MakeServer(w);
+      CheckpointChain chain(ChainConfig{dir.path(), 64});
+      const ChainRecoveryResult outcome = chain.Recover(victim);
+      ASSERT_EQ(outcome.errors.size(), 1u);
+      EXPECT_NE(outcome.errors[0].find(c.recovery_refusal), std::string::npos)
+          << outcome.errors[0];
+      ASSERT_EQ(outcome.quarantined.size(), 1u);
+      // Nothing of the refused member committed: a refused full leaves the
+      // server fresh, a refused delta leaves it on the full.
+      EXPECT_EQ(outcome.applied.size(), is_delta ? 1u : 0u);
+      FleetServer expected = MakeServer(w);
+      if (is_delta) expected.RestoreCheckpoint(full);
+      EXPECT_EQ(Checkpoint(victim), Checkpoint(expected));
+
+      if (c.restore_refusal.empty()) continue;
+      const std::string before = Checkpoint(victim);
+      ExpectParseError(
+          [&] {
+            if (is_delta) {
+              victim.ApplyDeltaCheckpoint(c.member);
+            } else {
+              victim.RestoreCheckpoint(c.member);
+            }
+          },
+          c.restore_refusal);
+      EXPECT_EQ(Checkpoint(victim), before);
+    }
+  }
+}
+
+// --- trailing-bytes rule -------------------------------------------------
+
+/// Re-frame a member with `extra` appended to its payload: the frame's CRC
+/// vouches for the extra bytes, so only the payload parser can refuse them.
+std::string ReframeWithExtra(const std::string& member, const char* magic,
+                             std::uint32_t version, const std::string& extra) {
+  std::string_view in(member);
+  std::string payload(ReadFramedView(in, magic, version));
+  payload += extra;
+  CloseFrame(payload, 0, magic, version);
+  return payload;
 }
 
 template <typename Call>

@@ -17,7 +17,8 @@
 // first UER and not before, live or restored. And a model payload whose
 // counts are forged
 // (each as large as the bytes left allow) makes its decoder reserve at most
-// 3x the payload's bytes before it is refused.
+// 1.7x the payload's bytes before it is refused, and a decoded forest holds
+// at most 18 bytes a split beyond its tables, importances and tree objects.
 #include <dirent.h>
 #include <unistd.h>
 
@@ -29,12 +30,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/framing.hpp"
+#include "core/persist.hpp"
 #include "core/engine.hpp"
 #include "ml/classifier.hpp"
+#include "ml/forest.hpp"
 #include "persist/binary_io.hpp"
 #include "persist/chain.hpp"
 #include "serve/fleet_server.hpp"
@@ -170,13 +175,14 @@ class ScratchDir {
   std::string path_;
 };
 
-void ExpectWithin(const char* what, std::int64_t peak, std::uint64_t base) {
+void ExpectWithin(const char* what, std::int64_t peak, std::uint64_t base,
+                  double max_multiple = kMaxMultiple) {
   const double multiple =
       static_cast<double>(peak) / static_cast<double>(base);
   std::printf("%s: peak %.2f MB above the call's start, %.2fx %.2f MB\n",
               what, static_cast<double>(peak) / 1e6, multiple,
               static_cast<double>(base) / 1e6);
-  EXPECT_LE(multiple, kMaxMultiple) << what;
+  EXPECT_LE(multiple, max_multiple) << what;
 }
 
 TEST(CheckpointMemory, FeedstockHasSeveralThousandBanks) {
@@ -293,8 +299,10 @@ std::string ForgedForest(std::uint64_t entries, std::uint64_t nodes,
 TEST(ModelMemory, ForgedCountsReserveAtMostThreePayloadBytesEach) {
   // The node count is bounded by the bytes a valid tree of that many nodes
   // takes at least, (n - 1) / 2 splits of 9 bytes and (n + 1) / 2 leaves of
-  // 2, so 16-byte nodes reserve at most 32 bytes per 11 payload bytes. The
+  // 2; only the (n - 1) / 2 splits are reserved, 18 bytes each (a 16-byte
+  // record and a 2-byte feature), so 18 bytes per 11 payload bytes. The
   // table reserves its own bytes.
+  constexpr double kMaxForgedMultiple = 1.7;
   constexpr std::size_t kFiller = 110'000;
   const std::uint64_t max_nodes = (kFiller - 2) / 11 * 2 + 1;
   const std::string forged_nodes = ForgedForest(1, max_nodes, kFiller);
@@ -306,13 +314,52 @@ TEST(ModelMemory, ForgedCountsReserveAtMostThreePayloadBytesEach) {
     EXPECT_THROW(ml::DecodeClassifier(in, 1), ParseError);
     ExpectWithin(payload == &forged_nodes ? "forged node count"
                                           : "forged table count",
-                 probe.peak_above(), payload->size());
+                 probe.peak_above(), payload->size(), kMaxForgedMultiple);
   }
   // One node pair more than the bytes allow is refused at the count.
   HeapProbe probe;
   persist::BinaryReader in(too_many, "forged model");
   EXPECT_THROW(ml::DecodeClassifier(in, 1), ParseError);
   EXPECT_LT(probe.peak_above(), 10'000);
+}
+
+TEST(ModelMemory, DecodedForestHoldsEighteenBytesASplit) {
+  // A decoded tree keeps only its splits, each a 16-byte record and a
+  // 2-byte feature; leaves live in their parents' child references. Beyond
+  // that a forest holds its trees' tables and importances and the tree
+  // objects themselves.
+  const World& w = SharedWorld();
+  std::ostringstream saved;
+  w.single_pred.SaveModel(saved);
+  const std::string file = saved.str();
+  std::string_view frame(file);
+  persist::BinaryReader in(ReadFramedView(frame, core::kCrossRowModelMagic,
+                                          core::kModelFrameVersion),
+                           "crossrow model");
+  const std::size_t features = in.Var();
+  HeapProbe probe;
+  const std::unique_ptr<ml::Classifier> model =
+      ml::DecodeClassifier(in, features);
+  const std::int64_t held = g_live_bytes.load() - probe.before();
+  const auto& forest = dynamic_cast<const ml::RandomForestClassifier&>(*model);
+  std::size_t splits = 0;
+  std::size_t tables = 0;
+  for (const ml::ClassificationTree& tree : forest.trees()) {
+    splits += tree.split_count();
+    tables += tree.table().size_bytes() +
+              tree.feature_importance().size() * sizeof(double);
+  }
+  const std::size_t objects =
+      sizeof(ml::RandomForestClassifier) +
+      forest.trees().capacity() * sizeof(ml::ClassificationTree);
+  const double per_split = static_cast<double>(held - tables - objects) /
+                           static_cast<double>(splits);
+  std::printf("decoded forest: %zu trees, %zu splits, %lld B held: %zu B "
+              "tables and importances, %zu B objects, %.2f B a split\n",
+              forest.tree_count(), splits, static_cast<long long>(held), tables,
+              objects, per_split);
+  EXPECT_GT(splits, 1000u);
+  EXPECT_LE(per_split, 18.0);
 }
 
 TEST(CheckpointMemory, WriteFullHoldsAtMostThreeMembers) {

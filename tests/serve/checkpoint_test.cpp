@@ -166,16 +166,15 @@ TEST(EngineCheckpoint, RestoreRejectsVersionMismatchAndWrongMagic) {
   std::string_view reread(saved);
   const std::string payload(ReadFramedView(reread, core::kEngineStateMagic,
                                            core::kEngineStateVersion));
-  std::ostringstream future;
-  WriteFramed(future, core::kEngineStateMagic, core::kEngineStateVersion + 1,
-              payload);
+  std::string future = payload;
+  CloseFrame(future, 0, core::kEngineStateMagic, core::kEngineStateVersion + 1);
   core::PredictionEngine victim = w.MakeEngine();
-  EXPECT_THROW(RestoreState(victim, future.str()), ParseError);
+  EXPECT_THROW(RestoreState(victim, future), ParseError);
 
-  std::ostringstream alien;
-  WriteFramed(alien, "some_other_state", core::kEngineStateVersion, payload);
+  std::string alien = payload;
+  CloseFrame(alien, 0, "some_other_state", core::kEngineStateVersion);
   core::PredictionEngine victim2 = w.MakeEngine();
-  EXPECT_THROW(RestoreState(victim2, alien.str()), ParseError);
+  EXPECT_THROW(RestoreState(victim2, alien), ParseError);
 }
 
 TEST(EngineCheckpoint, ServerCheckpointResumesBitIdentically) {

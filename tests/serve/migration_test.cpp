@@ -58,9 +58,8 @@ std::string ReferenceCheckpoint(const World& w) {
 std::string MergeExports(const std::vector<std::string>& shard_states) {
   std::string payload = "shards " + std::to_string(shard_states.size()) + "\n";
   for (const std::string& state : shard_states) payload += state;
-  std::ostringstream out;
-  WriteFramed(out, kFleetCheckpointMagic, kFleetCheckpointVersion, payload);
-  return out.str();
+  CloseFrame(payload, 0, kFleetCheckpointMagic, kFleetCheckpointVersion);
+  return payload;
 }
 
 TEST(Migration, ShardIndexOfAgreesWithMemberRouting) {
