@@ -377,6 +377,21 @@ FrameHeader ExpectHeader(std::string_view line, const std::string& magic,
   return header;
 }
 
+/// Verify the payload against the header's CRC-32 before the caller reads
+/// any of it.
+void VerifyPayload(const FrameHeader& header, const std::string& magic,
+                   std::string_view payload) {
+  const std::uint32_t actual_crc = Crc32(payload);
+  if (actual_crc != header.crc32) {
+    char expected_hex[16], actual_hex[16];
+    std::snprintf(expected_hex, sizeof(expected_hex), "%08x", header.crc32);
+    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
+    throw ParseError(magic + ": payload checksum mismatch (header crc32=" +
+                     expected_hex + ", payload crc32=" + actual_hex +
+                     ") — corrupt frame");
+  }
+}
+
 void InjectedReadFailure(const std::string& magic) {
   CORDIAL_FAILPOINT("common.framing.read",
                     throw ParseError(magic +
@@ -386,8 +401,8 @@ void InjectedReadFailure(const std::string& magic) {
 
 }  // namespace
 
-FrameView SplitFrame(std::string_view& in, const std::string& magic,
-                     std::uint32_t expected_version) {
+std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
+                                std::uint32_t expected_version) {
   InjectedReadFailure(magic);
   const std::string_view seen = PeekMagic(in);
   ExpectMagic(seen, magic);
@@ -400,36 +415,11 @@ FrameView SplitFrame(std::string_view& in, const std::string& magic,
   const FrameHeader header = ExpectHeader(in.substr(0, newline), magic,
                                           expected_version,
                                           in.size() - newline - 1);
-  FrameView frame;
-  frame.header = in.substr(0, newline + 1);
-  frame.payload =
+  const std::string_view payload =
       in.substr(newline + 1, static_cast<std::size_t>(header.payload_bytes));
-  frame.crc32 = header.crc32;
-  in.remove_prefix(frame.header.size() + frame.payload.size());
-  return frame;
-}
-
-void VerifyFrame(const FrameView& frame, const std::string& magic,
-                 std::uint32_t payload_crc) {
-  if (payload_crc != frame.crc32) {
-    char expected_hex[16], actual_hex[16];
-    std::snprintf(expected_hex, sizeof(expected_hex), "%08x", frame.crc32);
-    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", payload_crc);
-    throw ParseError(magic + ": payload checksum mismatch (header crc32=" +
-                     expected_hex + ", payload crc32=" + actual_hex +
-                     ") — corrupt frame");
-  }
-}
-
-std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
-                                std::uint32_t expected_version,
-                                std::optional<std::uint32_t> payload_crc) {
-  std::string_view rest = in;
-  const FrameView frame = SplitFrame(rest, magic, expected_version);
-  VerifyFrame(frame, magic,
-              payload_crc ? *payload_crc : Crc32(frame.payload));
-  in = rest;
-  return frame.payload;
+  VerifyPayload(header, magic, payload);
+  in.remove_prefix(newline + 1 + payload.size());
+  return payload;
 }
 
 void ExpectNoTrailingBytes(std::string_view rest, const std::string& where) {

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -115,33 +114,9 @@ std::uint32_t CloseFrame(std::string& out, std::size_t payload_start,
 /// `expected_version`, the promised length is implausible (>
 /// kMaxFramePayloadBytes) or beyond the bytes left, or the payload's
 /// CRC-32 does not match the header's — checked before any payload byte is
-/// returned — and when the common.framing.read failpoint fires. A caller
-/// that already has the payload's CRC-32 (a nested frame whose enclosing
-/// frame's walk computed it) passes it as `payload_crc`, and no payload
-/// byte is read.
-std::string_view ReadFramedView(
-    std::string_view& in, const std::string& magic,
-    std::uint32_t expected_version,
-    std::optional<std::uint32_t> payload_crc = std::nullopt);
-
-/// One frame split off the front of a buffer, its CRC-32 not yet compared.
-struct FrameView {
-  std::string_view header;   ///< the header line, its newline included
-  std::string_view payload;  ///< the payload, inside the caller's bytes
-  std::uint32_t crc32 = 0;   ///< the payload's CRC-32 the header promises
-};
-
-/// ReadFramedView's first half: every check but the CRC-32's, so that a
-/// caller can CRC the payload's pieces once each (Crc32Combine) and keep
-/// the pieces' CRCs for the frames nested in it. Advances `in` past the
-/// frame.
-FrameView SplitFrame(std::string_view& in, const std::string& magic,
-                     std::uint32_t expected_version);
-/// ReadFramedView's second half: ParseError, with ReadFramedView's message,
-/// unless `payload_crc` — the CRC-32 of `frame.payload`, however the caller
-/// got it — is the one the header promises.
-void VerifyFrame(const FrameView& frame, const std::string& magic,
-                 std::uint32_t payload_crc);
+/// returned — and when the common.framing.read failpoint fires.
+std::string_view ReadFramedView(std::string_view& in, const std::string& magic,
+                                std::uint32_t expected_version);
 
 /// The trailing-bytes rule: `rest` — what follows a model's or a chain
 /// member's frame, or a fleet payload's last shard frame — must be empty.

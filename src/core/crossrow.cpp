@@ -13,6 +13,13 @@ namespace cordial::core {
 
 using hbm::ErrorType;
 
+namespace {
+
+/// The cross-row model's classes: a block fails (1) or it does not (0).
+constexpr int kBlockClasses = 2;
+
+}  // namespace
+
 std::unique_ptr<ml::Classifier> MakeCrossRowLearner(ml::LearnerKind kind) {
   switch (kind) {
     case ml::LearnerKind::kRandomForest: {
@@ -97,7 +104,7 @@ std::vector<int> CrossRowPredictor::BlockTruth(const trace::BankHistory& bank,
 
 ml::Dataset CrossRowPredictor::BuildDataset(
     const std::vector<const trace::BankHistory*>& banks) const {
-  ml::Dataset data(extractor_.num_features(), /*num_classes=*/2,
+  ml::Dataset data(extractor_.num_features(), kBlockClasses,
                    extractor_.feature_names());
   for (const trace::BankHistory* bank : banks) {
     CORDIAL_CHECK_MSG(bank != nullptr, "null bank in training set");
@@ -158,7 +165,7 @@ std::vector<int> CrossRowPredictor::PredictBlocks(
 std::vector<double> CrossRowPredictor::PredictBlockProbaFromProfile(
     const BankProfile& profile, const Anchor& anchor) const {
   CORDIAL_CHECK_MSG(trained_, "cross-row predictor not trained");
-  constexpr std::size_t kClasses = 2;  // a block fails or it does not
+  constexpr auto kClasses = static_cast<std::size_t>(kBlockClasses);
   const BlockWindow window = extractor_.WindowAt(anchor.row);
   const std::size_t width = extractor_.num_features();
   const std::size_t blocks = config_.n_blocks;
@@ -206,7 +213,7 @@ void CrossRowPredictor::SaveModel(std::ostream& out) const {
 
 void CrossRowPredictor::LoadModel(std::istream& in) {
   model_ = LoadModelFrame(in, kCrossRowModelMagic, "crossrow model",
-                          extractor_.num_features());
+                          extractor_.num_features(), kBlockClasses);
   trained_ = true;
 }
 

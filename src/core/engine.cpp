@@ -586,10 +586,10 @@ PredictionEngine::StagedState& PredictionEngine::StagedState::operator=(
 PredictionEngine::StagedState::~StagedState() = default;
 
 PredictionEngine::StagedState PredictionEngine::ParseState(
-    std::string_view& in, std::optional<std::uint32_t> payload_crc) const {
+    std::string_view& in) const {
   StagedState staged;
   persist::BinaryReader reader(
-      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion, payload_crc),
+      ReadFramedView(in, kEngineStateMagic, kEngineStateVersion),
       "engine state");
   const StateHeader header = TakeStateHeader(reader);
   staged.impl_->stats = header.stats;
@@ -635,10 +635,10 @@ PredictionEngine::StagedDelta& PredictionEngine::StagedDelta::operator=(
 PredictionEngine::StagedDelta::~StagedDelta() = default;
 
 PredictionEngine::StagedDelta PredictionEngine::ParseDeltaState(
-    std::string_view& in, std::optional<std::uint32_t> payload_crc) const {
+    std::string_view& in) const {
   StagedDelta staged;
   persist::BinaryReader reader(
-      ReadFramedView(in, kEngineDeltaMagic, kEngineDeltaVersion, payload_crc),
+      ReadFramedView(in, kEngineDeltaMagic, kEngineDeltaVersion),
       "engine delta");
   staged.impl_->header = TakeStateHeader(reader);
   auto& banks = staged.impl_->banks;

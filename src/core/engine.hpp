@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -203,14 +202,10 @@ class PredictionEngine {
     std::unique_ptr<Impl> impl_;
   };
   /// Parse the frame at the front of `in` in place and advance `in` past
-  /// it (common/framing.hpp ReadFramedView; `payload_crc`, when the caller
-  /// has computed the frame's payload's CRC-32, spares reading it again).
-  /// Throws ParseError on malformed input, version mismatch, or a bank
-  /// profile whose truncation depth differs from this engine's
-  /// classifier's.
-  StagedState ParseState(
-      std::string_view& in,
-      std::optional<std::uint32_t> payload_crc = std::nullopt) const;
+  /// it (common/framing.hpp ReadFramedView). Throws ParseError on malformed
+  /// input, version mismatch, or a bank profile whose truncation depth
+  /// differs from this engine's classifier's.
+  StagedState ParseState(std::string_view& in) const;
   /// Adopt a parsed state; the engine then resumes bit-identically to the
   /// engine that appended it.
   void CommitState(StagedState&& staged);
@@ -261,10 +256,7 @@ class PredictionEngine {
   /// past it. Every bank blob is decoded once to validate it, but staged
   /// as a view into `in`'s bytes, which must outlive CommitDeltaState; the
   /// commit decodes each blob again straight into the engine's bank map.
-  /// `payload_crc` as for ParseState.
-  StagedDelta ParseDeltaState(
-      std::string_view& in,
-      std::optional<std::uint32_t> payload_crc = std::nullopt) const;
+  StagedDelta ParseDeltaState(std::string_view& in) const;
   /// Upsert the delta's banks over the current state and overwrite the
   /// global counters. Committed banks come out clean (they now match the
   /// checkpoint that carried them).

@@ -83,7 +83,7 @@ void PatternClassifier::SaveModel(std::ostream& out) const {
 
 void PatternClassifier::LoadModel(std::istream& in) {
   model_ = LoadModelFrame(in, kPatternModelMagic, "pattern model",
-                          extractor_.num_features());
+                          extractor_.num_features(), hbm::kNumFailureClasses);
   trained_ = true;
 }
 

@@ -64,7 +64,8 @@ void SaveModelFrame(std::ostream& out, const char* magic,
 std::unique_ptr<ml::Classifier> LoadModelFrame(std::istream& in,
                                                const char* magic,
                                                const char* context,
-                                               std::size_t num_features) {
+                                               std::size_t num_features,
+                                               int num_classes) {
   const std::string bytes = ReadRest(in, context);
   std::string_view rest(bytes);
   persist::BinaryReader reader(
@@ -78,6 +79,11 @@ std::unique_ptr<ml::Classifier> LoadModelFrame(std::istream& in,
   std::unique_ptr<ml::Classifier> model =
       ml::DecodeClassifier(reader, num_features);
   reader.ExpectEnd();
+  if (model->num_classes() != num_classes) {
+    reader.Fail("class count mismatch (model has " +
+                std::to_string(model->num_classes()) + ", predictor expects " +
+                std::to_string(num_classes) + ")");
+  }
   return model;
 }
 

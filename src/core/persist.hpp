@@ -61,12 +61,15 @@ void SaveModelFrame(std::ostream& out, const char* magic,
 /// wrote from those bytes (ReadFramedView): ParseError, naming `context`,
 /// on a stream longer than one frame can be (refused before it is read
 /// whole), on anything the frame reader or the classifier decoder refuses,
-/// on bytes after the frame or after the classifier, and on a feature count
+/// on bytes after the frame or after the classifier, on a feature count
 /// other than `num_features` — a model trained against another feature
-/// layout would decode and then mispredict from shifted columns.
+/// layout would decode and then mispredict from shifted columns — and on a
+/// class count other than `num_classes`, which the caller reads its
+/// predictions by.
 std::unique_ptr<ml::Classifier> LoadModelFrame(std::istream& in,
                                                const char* magic,
                                                const char* context,
-                                               std::size_t num_features);
+                                               std::size_t num_features,
+                                               int num_classes);
 
 }  // namespace cordial::core

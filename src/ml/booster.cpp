@@ -234,13 +234,6 @@ std::unique_ptr<GradientBoostedClassifier> GradientBoostedClassifier::Decode(
   return booster;
 }
 
-std::vector<double> GradientBoostedClassifier::PredictProba(
-    std::span<const double> features) const {
-  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
-  PredictProbaRows(features, features.size(), proba);
-  return proba;
-}
-
 void GradientBoostedClassifier::PredictProbaRows(std::span<const double> rows,
                                                  std::size_t row_width,
                                                  std::span<double> out) const {
@@ -292,7 +285,6 @@ std::unique_ptr<Classifier> MakeLgbmStyleBooster(BoosterOptions options) {
 
 std::unique_ptr<Classifier> DecodeClassifier(persist::BinaryReader& in,
                                              std::size_t num_features) {
-  DecisionTree::ExpectFeatureCount(in, num_features);
   // Each decoder reads and checks its own tag; peek at it through a copy.
   const std::uint8_t tag = persist::BinaryReader(in).U8();
   switch (static_cast<LearnerTag>(tag)) {

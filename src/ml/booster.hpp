@@ -19,8 +19,6 @@ class GradientBoostedClassifier final : public Classifier {
                             bool histogram_leafwise);
 
   void Fit(const Dataset& train, Rng& rng) override;
-  std::vector<double> PredictProba(
-      std::span<const double> features) const override;
   void PredictProbaRows(std::span<const double> rows, std::size_t row_width,
                         std::span<double> out) const override;
   const std::string& name() const override { return name_; }
@@ -52,7 +50,6 @@ class GradientBoostedClassifier final : public Classifier {
   std::string name_;
   BoosterOptions options_;
   bool histogram_leafwise_;
-  int num_classes_ = 0;
   std::vector<double> base_scores_;          ///< log prior per class
   std::vector<RegressionTree> trees_;        ///< round-major, class-minor
 };

@@ -26,10 +26,9 @@ class Classifier {
   /// (data, seed) pair determines the model exactly.
   virtual void Fit(const Dataset& train, Rng& rng) = 0;
 
-  /// Class-probability vector, size = num_classes of the training data:
-  /// PredictProbaRows of one row.
-  virtual std::vector<double> PredictProba(
-      std::span<const double> features) const = 0;
+  /// Class-probability vector, num_classes() values: PredictProbaRows of
+  /// one row.
+  std::vector<double> PredictProba(std::span<const double> features) const;
 
   /// Class probabilities of the rows held back to back in `rows`,
   /// `row_width` features each: row r's num_classes values go to
@@ -45,6 +44,10 @@ class Classifier {
   virtual int Predict(std::span<const double> features) const;
 
   virtual const std::string& name() const = 0;
+
+  /// The class count of the training data or of the decoded model; 0
+  /// before either.
+  int num_classes() const { return num_classes_; }
 
   /// Per-feature importance normalized to sum 1 (empty before fitting).
   /// Forest: total Gini decrease; boosters: total split gain.
@@ -68,6 +71,8 @@ class Classifier {
                               std::size_t row_width,
                               std::span<const double> out,
                               std::size_t classes);
+
+  int num_classes_ = 0;
 };
 
 /// The byte an encoded classifier leads with, so deployment code can load

@@ -24,6 +24,13 @@ std::size_t Classifier::RowCount(std::span<const double> rows,
   return count;
 }
 
+std::vector<double> Classifier::PredictProba(
+    std::span<const double> features) const {
+  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
+  PredictProbaRows(features, features.size(), proba);
+  return proba;
+}
+
 int Classifier::Predict(std::span<const double> features) const {
   const std::vector<double> proba = PredictProba(features);
   return static_cast<int>(
@@ -71,13 +78,6 @@ void RandomForestClassifier::Fit(const Dataset& train, Rng& rng) {
     }
     trees_[t].Fit(train, indices, tree_rng);
   });
-}
-
-std::vector<double> RandomForestClassifier::PredictProba(
-    std::span<const double> features) const {
-  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
-  PredictProbaRows(features, features.size(), proba);
-  return proba;
 }
 
 void RandomForestClassifier::PredictProbaRows(std::span<const double> rows,

@@ -12,8 +12,6 @@ class RandomForestClassifier final : public Classifier {
   explicit RandomForestClassifier(RandomForestOptions options = {});
 
   void Fit(const Dataset& train, Rng& rng) override;
-  std::vector<double> PredictProba(
-      std::span<const double> features) const override;
   void PredictProbaRows(std::span<const double> rows, std::size_t row_width,
                         std::span<double> out) const override;
   const std::string& name() const override { return name_; }
@@ -37,7 +35,6 @@ class RandomForestClassifier final : public Classifier {
  private:
   RandomForestOptions options_;
   std::vector<ClassificationTree> trees_;
-  int num_classes_ = 0;
   std::string name_ = "RandomForest";
 };
 

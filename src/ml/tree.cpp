@@ -799,17 +799,13 @@ void DecisionTree::Encode(persist::BinaryWriter& out) const {
   for (double v : importance_) out.F64(v);
 }
 
-void DecisionTree::ExpectFeatureCount(persist::BinaryReader& in,
-                                      std::size_t num_features) {
+void DecisionTree::Decode(persist::BinaryReader& in,
+                          std::size_t num_features) {
+  // A split's feature is narrowed to 16 bits below.
   if (num_features > kMaxFeatures) {
     in.Fail("a model of " + std::to_string(num_features) +
             " features: trees split on at most 65,535 features");
   }
-}
-
-void DecisionTree::Decode(persist::BinaryReader& in,
-                          std::size_t num_features) {
-  ExpectFeatureCount(in, num_features);
   width_ = 1;
   if (species_ == Species::kClassification) {
     width_ = DecodeClassCount(in, "tree");

@@ -148,10 +148,6 @@ class DecisionTree {
   /// ensembles' decoders bound their tree counts with it before
   /// allocating.
   static std::size_t MinEncodedBytes(std::size_t num_features);
-  /// ParseError naming the limit when a model reads more than kMaxFeatures
-  /// features; DecodeClassifier checks it before anything else.
-  static void ExpectFeatureCount(persist::BinaryReader& in,
-                                 std::size_t num_features);
   /// Reads the class count of an encoded tree or ensemble: at least 2, and
   /// no more than the doubles left, since each class takes one (a leaf
   /// value or a base score). ParseError naming `what` otherwise.

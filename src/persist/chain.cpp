@@ -465,44 +465,27 @@ ChainRecoveryResult CheckpointChain::Recover(serve::FleetServer& server) {
         outcome.errors.push_back(entry.file + ": chain member missing");
         return damaged;
       }
-      const std::string mismatch =
-          entry.file + (full ? ": full" : ": delta") +
-          " member does not match its manifest record (size/CRC-32 "
-          "mismatch)";
-      const auto refuse = [&](const std::string& error) {
+      if (verify_crc &&
+          (bytes.size() != entry.bytes || Crc32(bytes) != entry.crc32)) {
         Quarantine(path);
         outcome.quarantined.push_back(path);
-        outcome.errors.push_back(error);
+        outcome.errors.push_back(
+            entry.file + (full ? ": full" : ": delta") +
+            " member does not match its manifest record (size/CRC-32 "
+            "mismatch)");
         return damaged;
-      };
-      if (verify_crc && bytes.size() != entry.bytes) return refuse(mismatch);
-      // The restore combines the member's CRC-32 from its engine payloads'
-      // (each byte read once) and hands it here before comparing any frame's
-      // own. A member whose own frame header does not parse never gets that
-      // far; it is CRC'd whole here, so the manifest's check still comes
-      // first.
-      bool crc_checked = false;
-      bool crc_matches = true;
-      serve::FleetServer::MemberCrcCheck check_manifest;
-      if (verify_crc) {
-        check_manifest = [&](std::uint32_t crc) {
-          crc_checked = true;
-          crc_matches = crc == entry.crc32;
-          if (!crc_matches) throw ParseError(mismatch);
-        };
       }
       try {
         if (full) {
-          server.RestoreCheckpoint(bytes, check_manifest);
+          server.RestoreCheckpoint(bytes);
         } else {
-          server.ApplyDeltaCheckpoint(bytes, check_manifest);
+          server.ApplyDeltaCheckpoint(bytes);
         }
       } catch (const ParseError& e) {
-        const bool manifest_mismatch =
-            verify_crc &&
-            (crc_checked ? !crc_matches : Crc32(bytes) != entry.crc32);
-        return refuse(manifest_mismatch ? mismatch
-                                        : entry.file + ": " + e.what());
+        Quarantine(path);
+        outcome.quarantined.push_back(path);
+        outcome.errors.push_back(entry.file + ": " + e.what());
+        return damaged;
       }
       outcome.applied.push_back(entry.file);
     }

@@ -1,7 +1,6 @@
 #include "serve/fleet_server.hpp"
 
 #include <cmath>
-#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -9,88 +8,9 @@
 #include "common/framing.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/persist.hpp"
 #include "serve/checkpoint.hpp"
 
 namespace cordial::serve {
-
-namespace {
-
-/// A fleet payload's CRC-32, each byte read once: its shard count line's,
-/// combined (Crc32Combine) with each engine frame's header line's and
-/// payload's, whose CRCs go to `engines` for the engine parsers. A payload
-/// that does not split into a count line and engine frames is CRC'd whole,
-/// `engines` left empty: the parsers then CRC each engine payload again,
-/// so that a corrupt member meets its checks in the order it always did.
-std::uint32_t CrcPayload(std::string_view payload, const std::string& magic,
-                         std::uint32_t version,
-                         std::vector<std::uint32_t>& engines) {
-  try {
-    std::string_view rest = payload;
-    TakeShardCount(rest, "fleet payload");
-    std::uint32_t crc = Crc32(payload.substr(0, payload.size() - rest.size()));
-    while (!rest.empty()) {
-      const FrameView engine = SplitFrame(rest, magic, version);
-      engines.push_back(Crc32(engine.payload));
-      crc = Crc32Combine(crc, Crc32(engine.header), engine.header.size());
-      crc = Crc32Combine(crc, engines.back(), engine.payload.size());
-    }
-    return crc;
-  } catch (const ParseError&) {
-    engines.clear();
-    return Crc32(payload);
-  }
-}
-
-/// A member whose frame, CRC-32s, trailing bytes and shard count have been
-/// checked: its payload after the shard count line, and each engine
-/// payload's CRC-32 when the walk computed it.
-struct CheckedMember {
-  std::string_view payload;
-  std::vector<std::uint32_t> engines;
-
-  std::optional<std::uint32_t> EngineCrc(std::size_t shard) const {
-    if (shard >= engines.size()) return std::nullopt;
-    return engines[shard];
-  }
-};
-
-/// Checks `member` up to its shards' sections, in the order its checks
-/// always ran: the frame's header, the member's CRC-32 (`check_member_crc`),
-/// the frame's own CRC-32, no bytes after the frame, and a shard count of
-/// `shards`.
-CheckedMember CheckMember(std::string_view member, bool delta,
-                          std::size_t shards,
-                          const FleetServer::MemberCrcCheck& check_member_crc) {
-  const std::string context = delta ? "delta checkpoint" : "checkpoint";
-  const std::string magic = delta ? kFleetDeltaMagic : kFleetCheckpointMagic;
-  std::string_view rest = member;
-  const FrameView fleet = SplitFrame(
-      rest, magic, delta ? kFleetDeltaVersion : kFleetCheckpointVersion);
-  CheckedMember checked;
-  const std::uint32_t payload_crc = CrcPayload(
-      fleet.payload, delta ? core::kEngineDeltaMagic : core::kEngineStateMagic,
-      delta ? core::kEngineDeltaVersion : core::kEngineStateVersion,
-      checked.engines);
-  if (check_member_crc) {
-    const std::uint32_t frame_crc = Crc32Combine(
-        Crc32(fleet.header), payload_crc, fleet.payload.size());
-    check_member_crc(Crc32Combine(frame_crc, Crc32(rest), rest.size()));
-  }
-  VerifyFrame(fleet, magic, payload_crc);
-  ExpectNoTrailingBytes(rest, context + " member");
-  checked.payload = fleet.payload;
-  const std::uint64_t shard_count = TakeShardCount(checked.payload, context);
-  if (shard_count != shards) {
-    throw ParseError(context + " holds " + std::to_string(shard_count) +
-                     " shard(s) but this server has " +
-                     std::to_string(shards) +
-                     " — shard counts must match to restore");
-  }
-  return checked;
-}
-
-}  // namespace
 
 FleetServer::FleetServer(const hbm::TopologyConfig& topology,
                          const core::PatternClassifier& classifier,
@@ -353,19 +273,26 @@ std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
   return banks_written;
 }
 
-void FleetServer::ApplyDeltaCheckpoint(
-    std::string_view member, const MemberCrcCheck& check_member_crc) {
-  CheckedMember checked =
-      CheckMember(member, /*delta=*/true, shards_.size(), check_member_crc);
+void FleetServer::ApplyDeltaCheckpoint(std::string_view member) {
+  std::string_view payload =
+      ReadFramedView(member, kFleetDeltaMagic, kFleetDeltaVersion);
+  ExpectNoTrailingBytes(member, "delta checkpoint member");
+  const std::uint64_t shard_count =
+      TakeShardCount(payload, "delta checkpoint");
+  if (shard_count != shards_.size()) {
+    throw ParseError("delta checkpoint holds " + std::to_string(shard_count) +
+                     " shard(s) but this server has " +
+                     std::to_string(shards_.size()) +
+                     " — shard counts must match to restore");
+  }
   // Stage-all-then-commit-all, exactly like RestoreCheckpoint: a corrupt
   // shard N must leave every shard on its pre-delta state.
   std::vector<core::PredictionEngine::StagedDelta> staged;
   staged.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    staged.push_back(
-        shards_[s]->ParseDeltaState(checked.payload, checked.EngineCrc(s)));
+  for (auto& shard : shards_) {
+    staged.push_back(shard->ParseDeltaState(payload));
   }
-  ExpectNoTrailingBytes(checked.payload, "delta checkpoint payload");
+  ExpectNoTrailingBytes(payload, "delta checkpoint payload");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->CommitDeltaState(std::move(staged[s]));
   }
@@ -388,21 +315,25 @@ std::size_t FleetServer::TotalBankCount() const {
   return banks;
 }
 
-void FleetServer::RestoreCheckpoint(std::string_view member,
-                                    const MemberCrcCheck& check_member_crc) {
-  CheckedMember checked =
-      CheckMember(member, /*delta=*/false, shards_.size(), check_member_crc);
+void FleetServer::RestoreCheckpoint(std::string_view member) {
+  std::string_view payload =
+      ReadFramedView(member, kFleetCheckpointMagic, kFleetCheckpointVersion);
+  ExpectNoTrailingBytes(member, "checkpoint member");
+  const std::uint64_t shard_count = TakeShardCount(payload, "checkpoint");
+  if (shard_count != shards_.size()) {
+    throw ParseError("checkpoint holds " + std::to_string(shard_count) +
+                     " shard(s) but this server has " +
+                     std::to_string(shards_.size()) +
+                     " — shard counts must match to restore");
+  }
   // Parse every shard's section before committing any of them: a corrupt
   // shard N must fail the whole restore with the server unchanged, never
   // leave shards 0..N-1 on the new state and the rest on the old (the
   // recovery path retries older checkpoints on this same server).
   std::vector<core::PredictionEngine::StagedState> staged;
   staged.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    staged.push_back(
-        shards_[s]->ParseState(checked.payload, checked.EngineCrc(s)));
-  }
-  ExpectNoTrailingBytes(checked.payload, "checkpoint payload");
+  for (auto& shard : shards_) staged.push_back(shard->ParseState(payload));
+  ExpectNoTrailingBytes(payload, "checkpoint payload");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->CommitState(std::move(staged[s]));
   }

@@ -176,24 +176,13 @@ class FleetServer {
   /// AppendCheckpoint written to a stream. kBinary is the only encoding.
   void SaveCheckpoint(std::ostream& out, core::StateEncoding encoding =
                                              core::StateEncoding::kBinary) const;
-  /// Called with a member's CRC-32 before any of its frames' own CRCs is
-  /// compared; a chain recovery compares it with the member's manifest
-  /// record and throws ParseError on a mismatch.
-  using MemberCrcCheck = std::function<void(std::uint32_t member_crc)>;
-
   /// Restore from a checkpoint member's bytes — exactly one frame — parsed
-  /// in place. Throws ParseError on malformed input, version mismatch, a
-  /// CRC-32 mismatch, trailing bytes, or a shard-count mismatch (a
-  /// checkpoint only restores into a server with the same shard count).
-  /// Each engine payload's bytes are CRC'd once; the fleet payload's and
-  /// the whole member's CRCs are combined from them (Crc32Combine). The
-  /// member's goes to `check_member_crc` when given, then the fleet
-  /// header's is compared, both before any bank is decoded, and each
-  /// engine header's before its shard's banks are. Strong guarantee: every
+  /// in place. Throws ParseError on malformed input, version mismatch,
+  /// trailing bytes, or a shard-count mismatch (a checkpoint only restores
+  /// into a server with the same shard count). Strong guarantee: every
   /// shard section is parsed before any shard commits, so a throw leaves
   /// the whole server unchanged — never half-restored.
-  void RestoreCheckpoint(std::string_view member,
-                         const MemberCrcCheck& check_member_crc = {});
+  void RestoreCheckpoint(std::string_view member);
 
   // --- delta checkpoints (server must be drained throughout) ---------------
 
@@ -210,8 +199,7 @@ class FleetServer {
   /// the current state (the full snapshot it chains from, plus any earlier
   /// deltas). Same strong guarantee and checks as RestoreCheckpoint: every
   /// shard's delta is parsed before any commits.
-  void ApplyDeltaCheckpoint(std::string_view member,
-                            const MemberCrcCheck& check_member_crc = {});
+  void ApplyDeltaCheckpoint(std::string_view member);
   /// Advance every shard's snapshot epoch (all banks become clean).
   void MarkCheckpointClean();
   /// Banks dirtied since the last MarkCheckpointClean, across all shards.

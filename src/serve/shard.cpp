@@ -319,8 +319,8 @@ core::AppendedFrame EngineShard::AppendDeltaState(std::string& out) const {
 }
 
 core::PredictionEngine::StagedDelta EngineShard::ParseDeltaState(
-    std::string_view& in, std::optional<std::uint32_t> payload_crc) const {
-  return engine_.ParseDeltaState(in, payload_crc);
+    std::string_view& in) const {
+  return engine_.ParseDeltaState(in);
 }
 
 void EngineShard::CommitDeltaState(
@@ -352,8 +352,8 @@ std::size_t EngineShard::bank_count() const {
 }
 
 core::PredictionEngine::StagedState EngineShard::ParseState(
-    std::string_view& in, std::optional<std::uint32_t> payload_crc) const {
-  return engine_.ParseState(in, payload_crc);
+    std::string_view& in) const {
+  return engine_.ParseState(in);
 }
 
 void EngineShard::CommitState(core::PredictionEngine::StagedState&& staged) {

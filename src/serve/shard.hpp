@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -178,9 +177,7 @@ class EngineShard {
   /// Parse the engine frame at the front of `in` without touching the
   /// engine; the fleet server stages every shard before committing any
   /// (see FleetServer::RestoreCheckpoint).
-  core::PredictionEngine::StagedState ParseState(
-      std::string_view& in,
-      std::optional<std::uint32_t> payload_crc = std::nullopt) const;
+  core::PredictionEngine::StagedState ParseState(std::string_view& in) const;
   /// Adopt a staged state (drained-shard contract; never throws past it).
   void CommitState(core::PredictionEngine::StagedState&& staged);
 
@@ -192,8 +189,7 @@ class EngineShard {
   core::AppendedFrame AppendDeltaState(std::string& out) const;
   /// Parse a delta without touching the engine (lock-free, like ParseState).
   core::PredictionEngine::StagedDelta ParseDeltaState(
-      std::string_view& in,
-      std::optional<std::uint32_t> payload_crc = std::nullopt) const;
+      std::string_view& in) const;
   /// Apply a staged delta on top of the current engine state.
   void CommitDeltaState(core::PredictionEngine::StagedDelta&& staged);
   /// Advance the engine's snapshot epoch (all banks become clean).

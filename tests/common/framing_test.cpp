@@ -150,49 +150,6 @@ TEST(Framing, MalformedChecksumFieldIsNotDemotedToLegacy) {
   }
 }
 
-TEST(Framing, SplitFrameLeavesOnlyTheChecksumToVerifyFrame) {
-  const std::string payload = "a payload worth protecting";
-  const std::string good = Framed("magic", 1, payload);
-  std::string flipped = good;
-  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
-
-  // SplitFrame makes every check but the CRC's: a flipped payload splits.
-  std::string_view in(flipped);
-  const FrameView frame = SplitFrame(in, "magic", 1);
-  EXPECT_TRUE(in.empty());
-  EXPECT_EQ(frame.header, good.substr(0, good.size() - payload.size()));
-  EXPECT_EQ(frame.payload.size(), payload.size());
-  EXPECT_EQ(frame.crc32, Crc32(payload));
-  std::string_view versioned(good);
-  EXPECT_THROW(SplitFrame(versioned, "magic", 2), ParseError);
-  EXPECT_EQ(versioned, good);  // a refused frame is not consumed
-
-  // VerifyFrame refuses with ReadFramedView's message.
-  std::string read_message;
-  try {
-    Read(flipped, "magic", 1);
-  } catch (const ParseError& e) {
-    read_message = e.what();
-  }
-  try {
-    VerifyFrame(frame, "magic", Crc32(frame.payload));
-    FAIL() << "verified a flipped payload";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.what(), read_message);
-  }
-  EXPECT_NO_THROW(VerifyFrame(frame, "magic", Crc32(payload)));
-
-  // A CRC the caller already has is taken instead of reading the payload
-  // again: the caller's is the one compared.
-  std::string_view known(flipped);
-  EXPECT_EQ(ReadFramedView(known, "magic", 1, Crc32(payload)),
-            std::string_view(flipped).substr(frame.header.size()));
-  std::string_view wrong(good);
-  EXPECT_THROW(ReadFramedView(wrong, "magic", 1, Crc32(payload) ^ 1u),
-               ParseError);
-  EXPECT_EQ(wrong, good);
-}
-
 TEST(Framing, Crc32MatchesKnownVectors) {
   // The standard IEEE 802.3 check value, so the on-disk format is the
   // zlib/PNG CRC and not some homegrown variant.

@@ -44,6 +44,21 @@ ml::Dataset SyntheticDataset() {
   return data;
 }
 
+/// Three classes over 6 features, each class shifting its own feature, so
+/// that the trees split toward all three (the pattern model is 3-class).
+ml::Dataset ThreeClassDataset() {
+  ml::Dataset data(/*num_features=*/6, /*num_classes=*/3);
+  Rng rng(31);
+  for (int i = 0; i < 600; ++i) {
+    const int label = static_cast<int>(rng.UniformU64(3));
+    double row[6];
+    for (double& v : row) v = rng.UniformReal();
+    row[label] += 0.7;
+    data.AddRow(row, label);
+  }
+  return data;
+}
+
 /// Two noisy classes over the cross-row extractor's width, for a forest of
 /// the served shape (80 trees, depth cap 18) whose trees grow deep.
 ml::Dataset WideNoisyDataset() {
@@ -67,7 +82,9 @@ struct NamedModel {
 };
 
 /// The golden forest, the golden XGB- and LGBM-style boosters
-/// (ParallelDeterminism's recipes), a forest of the served size
+/// (ParallelDeterminism's recipes), a 3-class forest and XGB-style booster
+/// (per-row sums of 3-wide leaves; a booster's trees rotating over the
+/// classes, then a softmax per row), a forest of the served size
 /// (MakeCrossRowLearner: 80 trees of depth 18) and a forest whose trees
 /// are single leaves.
 std::vector<NamedModel> Models() {
@@ -93,6 +110,23 @@ std::vector<NamedModel> Models() {
     Rng rng(321);
     booster->Fit(data, rng);
     models.push_back({booster->name(), std::move(booster), 6});
+  }
+  {
+    const ml::Dataset three = ThreeClassDataset();
+    auto forest = std::make_unique<ml::RandomForestClassifier>(
+        ml::RandomForestOptions{.n_trees = 25});
+    Rng forest_rng(41);
+    forest->Fit(three, forest_rng);
+    EXPECT_EQ(forest->num_classes(), 3);
+    models.push_back({"3-class forest", std::move(forest), 6});
+    auto booster = ml::MakeXgbStyleBooster(xgb);
+    Rng booster_rng(42);
+    booster->Fit(three, booster_rng);
+    EXPECT_EQ(booster->num_classes(), 3);
+    EXPECT_EQ(dynamic_cast<const ml::GradientBoostedClassifier&>(*booster)
+                  .total_trees(),
+              3u * 30u);
+    models.push_back({"3-class XGBoost-style", std::move(booster), 6});
   }
   SetThreadCount(0);
   {

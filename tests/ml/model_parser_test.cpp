@@ -19,6 +19,7 @@
 #include "common/check.hpp"
 #include "common/framing.hpp"
 #include "common/rng.hpp"
+#include "core/crossrow.hpp"
 #include "core/pattern_classifier.hpp"
 #include "core/persist.hpp"
 #include "ml/booster.hpp"
@@ -231,7 +232,7 @@ TEST(ModelParser, RejectsTableEntriesRepeatedOrNeverUsed) {
 
 TEST(ModelParser, RejectsMoreFeaturesThanASplitCanName) {
   // Split features are 16-bit indices: a model that reads 65,536 features
-  // is refused by name before its bytes are read; 65,535 load.
+  // is refused by name before its tree is read; 65,535 load.
   for (const bool booster : {false, true}) {
     const Stump widest{.booster = booster, .features = 65'535};
     EXPECT_NO_THROW(Load(widest.Bytes(), 65'535));
@@ -357,7 +358,7 @@ TEST(ModelParser, RejectsTreeLengthsThatDoNotFrameTheirTree) {
 }
 
 TEST(ModelParser, TrailingBytesAfterTheModelAreRefused) {
-  core::PatternClassifier model(hbm::TopologyConfig{},
+  core::CrossRowPredictor model(hbm::TopologyConfig{},
                                 LearnerKind::kRandomForest);
   const std::size_t features = model.extractor().num_features();
   for (const bool booster : {false, true}) {
@@ -366,7 +367,7 @@ TEST(ModelParser, TrailingBytesAfterTheModelAreRefused) {
     persist::BinaryWriter(payload).Var(features);
     payload += Stump{.booster = booster, .features = features}.Bytes();
     const auto framed = [&](std::string bytes) {
-      CloseFrame(bytes, 0, core::kPatternModelMagic, core::kModelFrameVersion);
+      CloseFrame(bytes, 0, core::kCrossRowModelMagic, core::kModelFrameVersion);
       return bytes;
     };
     std::istringstream exact(framed(payload));
@@ -376,7 +377,7 @@ TEST(ModelParser, TrailingBytesAfterTheModelAreRefused) {
     // frame, as a chain member's frame refuses it.
     for (const std::string& bytes :
          {framed(payload + '\0'), framed(payload) + '\0'}) {
-      core::PatternClassifier rejected(hbm::TopologyConfig{},
+      core::CrossRowPredictor rejected(hbm::TopologyConfig{},
                                        LearnerKind::kRandomForest);
       std::istringstream longer(bytes);
       try {
@@ -490,19 +491,86 @@ TEST(ModelParser, PayloadMutantsFailClosedOrDecodeCanonically) {
   EXPECT_GT(decoded, 0u);
 }
 
+TEST(ModelParser, ModelOfAnotherClassCountIsRefusedAtLoad) {
+  // A cross-row model scores a block as failing or not, and the pattern
+  // model picks one of the three failure classes: a model file of another
+  // class count decodes, but is refused at load, never at predict time.
+  core::CrossRowPredictor crossrow(hbm::TopologyConfig{},
+                                   LearnerKind::kRandomForest);
+  core::PatternClassifier pattern(hbm::TopologyConfig{},
+                                  LearnerKind::kRandomForest);
+  const auto framed = [](const Stump& stump, std::size_t features,
+                         const char* magic) {
+    std::string payload;
+    persist::BinaryWriter(payload).Var(features);
+    payload += stump.Bytes();
+    CloseFrame(payload, 0, magic, core::kModelFrameVersion);
+    return payload;
+  };
+  const auto refusal = [](auto& model, const std::string& bytes) {
+    std::istringstream in(bytes);
+    try {
+      model.LoadModel(in);
+    } catch (const ParseError& e) {
+      EXPECT_FALSE(model.trained());
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  const std::size_t crossrow_features = crossrow.extractor().num_features();
+  const std::size_t pattern_features = pattern.extractor().num_features();
+  // A three-class forest stump: class 0 on the left, class 1 on the right.
+  const auto three_class = [](std::size_t features) {
+    return Stump{.classes = 3,
+                 .tree_classes = 3,
+                 .table = {1.0, 0.0, 0.0, 0.0, 1.0, 0.0},
+                 .features = features};
+  };
+
+  EXPECT_EQ(refusal(crossrow, framed(Stump{.features = crossrow_features},
+                                     crossrow_features,
+                                     core::kCrossRowModelMagic)),
+            "loaded");
+  EXPECT_EQ(refusal(pattern, framed(three_class(pattern_features),
+                                    pattern_features,
+                                    core::kPatternModelMagic)),
+            "loaded");
+
+  core::CrossRowPredictor crossrow_rejected(hbm::TopologyConfig{},
+                                            LearnerKind::kRandomForest);
+  EXPECT_NE(refusal(crossrow_rejected,
+                    framed(three_class(crossrow_features), crossrow_features,
+                           core::kCrossRowModelMagic))
+                .find("crossrow model: class count mismatch (model has 3, "
+                      "predictor expects 2)"),
+            std::string::npos);
+  for (const bool booster : {false, true}) {
+    SCOPED_TRACE(booster ? "booster" : "forest");
+    core::PatternClassifier pattern_rejected(hbm::TopologyConfig{},
+                                             LearnerKind::kRandomForest);
+    EXPECT_NE(refusal(pattern_rejected,
+                      framed(Stump{.booster = booster,
+                                   .features = pattern_features},
+                             pattern_features, core::kPatternModelMagic))
+                  .find("pattern model: class count mismatch (model has 2, "
+                        "predictor expects 3)"),
+              std::string::npos);
+  }
+}
+
 TEST(ModelParser, FramedModelWithOutOfRangeFeatureIsRejectedAtLoad) {
-  core::PatternClassifier model(hbm::TopologyConfig{},
+  core::CrossRowPredictor model(hbm::TopologyConfig{},
                                 LearnerKind::kRandomForest);
-  core::PatternClassifier rejected(hbm::TopologyConfig{},
+  core::CrossRowPredictor rejected(hbm::TopologyConfig{},
                                    LearnerKind::kRandomForest);
   const std::size_t features = model.extractor().num_features();
-  // The stump as a framed pattern model, widened to the extractor's
+  // The stump as a framed cross-row model, widened to the extractor's
   // features and splitting on `feature`.
   const auto framed = [&](std::size_t feature) {
     std::string payload;
     persist::BinaryWriter(payload).Var(features);
     payload += Stump{.split_tag = feature + 1, .features = features}.Bytes();
-    CloseFrame(payload, 0, core::kPatternModelMagic, core::kModelFrameVersion);
+    CloseFrame(payload, 0, core::kCrossRowModelMagic, core::kModelFrameVersion);
     return payload;
   };
 

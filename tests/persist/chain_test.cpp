@@ -919,10 +919,11 @@ std::string WithCorruptEnginePayload(const std::string& member, bool delta,
   for (std::size_t s = 0; s < shard; ++s) {
     ReadFramedView(rest, engine_magic, engine_version);
   }
-  const FrameView engine = SplitFrame(rest, engine_magic, engine_version);
-  const auto at = static_cast<std::size_t>(engine.payload.data() -
-                                           payload.data()) +
-                  engine.payload.size() / 2;
+  const std::string_view engine =
+      ReadFramedView(rest, engine_magic, engine_version);
+  const auto at =
+      static_cast<std::size_t>(engine.data() - payload.data()) +
+      engine.size() / 2;
   payload[at] = static_cast<char>(payload[at] ^ 0x10);
   CloseFrame(payload, 0, magic, version);
   return payload;
@@ -935,18 +936,16 @@ std::string WithWrongFleetCrc(const std::string& member, bool delta) {
   const std::uint32_t version =
       delta ? serve::kFleetDeltaVersion : serve::kFleetCheckpointVersion;
   std::string_view in(member);
-  const FrameView frame = SplitFrame(in, magic, version);
-  return FrameHeaderLine(magic, version, frame.payload.size(),
-                         frame.crc32 ^ 1u) +
-         std::string(frame.payload);
+  const std::string_view payload = ReadFramedView(in, magic, version);
+  return FrameHeaderLine(magic, version, payload.size(),
+                         Crc32(payload) ^ 1u) +
+         std::string(payload);
 }
 
 TEST(ChainRecovery, EachCrcCheckRefusesItsMemberAsBefore) {
-  // A restore CRCs each engine payload once and combines the fleet
-  // payload's and the whole member's CRC from those. Its three checks —
-  // the manifest's record of the member, the fleet frame's header, each
-  // engine frame's header — still refuse in that order, with the same
-  // messages, before any shard commits.
+  // A restore's three CRC-32 checks — the manifest's record of the member,
+  // the fleet frame's header, each engine frame's header — refuse in that
+  // order, each with its own message, before any shard commits.
   const World& w = SharedWorld();
   FleetServer writer = MakeServer(w);
   writer.Start();
